@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # Allowed ns/op regression (percent) for the bench gate.
 MAX_REGRESS ?= 25
 
-.PHONY: all build test race fmt vet lint fuzz-smoke bench-smoke bench-baseline load-smoke ci
+.PHONY: all build test race fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured load-smoke ci
 
 all: build
 
@@ -59,6 +59,18 @@ bench-smoke:
 bench-baseline:
 	$(GO) run ./cmd/sabench -fig 2 -kernels -elements 65536 -metrics-out bench_baseline.json
 
+# The measured benchmark (BENCHMARK.json, benchmark/) is a Go module of
+# its own, so the root `go vet ./...` and `go test ./...` never see the
+# harness: bench-selftest vets it and runs its own fast tests (catalog vs
+# BENCHMARK.json, oracle, workload generators) against this tree.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Convenience: the whole measured suite (~3.5 min; see benchmark/README.md).
+# Not a CI target — timing on shared runners is not evidence.
+bench-measured:
+	bash benchmark/run.sh
+
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous
 # p99 bound (see scripts/load_smoke.sh for the knobs).
@@ -68,7 +80,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race fuzz-smoke bench-smoke load-smoke
+CI_TARGETS := build vet fmt lint test race fuzz-smoke bench-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

@@ -16,13 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
-	"smartarrays/internal/obs"
 	"smartarrays/internal/perfmodel"
 	"smartarrays/internal/rts"
 )
@@ -42,11 +40,11 @@ type Table struct {
 	rows    uint64
 	columns []*Column
 	byName  map[string]*Column
-	// scratch holds one mask buffer per worker, reused across Aggregate
-	// and GroupBy calls so the bitmap pipeline stops re-growing per-call
-	// slices. Slot i is touched only by worker i, which executes its
-	// batches serially (also across concurrent scheduled loops), so no
-	// locking is needed; WithRuntime views share the backing array.
+	// scratch holds one mask buffer per worker, reused across ScanRange
+	// calls so the bitmap pipeline stops re-growing per-call slices. Slot i
+	// is touched only by worker i, which executes its batches serially
+	// (also across concurrent scheduled loops), so no locking is needed;
+	// WithRuntime views share the backing array.
 	scratch [][]uint64
 	// pscratch is the per-worker scan-accounting buffer ScanRange uses to
 	// collect one batch's predicate counts before attributing them to
@@ -208,24 +206,6 @@ const (
 	Ge
 )
 
-// eval applies the operator.
-func (op CmpOp) eval(a, b uint64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
 // String renders the operator.
 func (op CmpOp) String() string {
 	return [...]string{"=", "!=", "<", "<=", ">", ">="}[op]
@@ -372,226 +352,34 @@ func orderPreds(predCols []*Column, preds []Pred) ([]*Column, []Pred) {
 	return oc, op
 }
 
-// buildMasks fills masks with the selection bitmap of the predicate
-// conjunction over rows [lo, hi) and reports whether any row survives.
-// The first predicate overwrites, later ones AND in with already-dead
-// chunks skipped, so low-selectivity leading predicates short-circuit the
-// rest of the pipeline. Each predicate pass feeds the column's observed
-// selectivity (evaluated candidates vs surviving rows) back into its
-// access profile — the signal orderPreds consumes — at the cost of one
-// mask popcount per predicate, and only when telemetry is attached.
-func buildMasks(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64) bool {
-	return buildMasksCounted(w, lo, hi, predCols, preds, masks, nil)
-}
-
-// Aggregate evaluates `SELECT agg(column) WHERE preds...` with a parallel
-// scan. Unpredicated sum/max/min queries and single-predicate counts route
-// through the fused packed-scan kernels (core.ReduceRange/CountRange).
-// Every other predicated query runs the selection-bitmap pipeline: each
-// predicate is evaluated chunk-at-a-time straight from its column's packed
-// words into 64-bit match masks (bitpack.CmpMaskChunk), the masks AND
-// across predicates with dead chunks short-circuiting later predicates,
-// and the surviving chunks feed the masked fused folds
-// (core.ReduceRangeMasked) — no per-row Get on any column. Per-worker
-// partial states merge once after the loop barrier.
+// Aggregate evaluates `SELECT agg(column) WHERE preds...` as a one-query
+// ScanRange over the whole table — the same executor the shared-scan
+// coordinator drives (multiscan.go), so there is one scan pipeline and one
+// per-query accounting. Two answers need no scan at all: COUNT(*) comes
+// from the schema, and an unpredicated MIN/MAX reads the zone index root,
+// whose bounds are exact.
 func (t *Table) Aggregate(agg Agg, column string, preds ...Pred) (uint64, error) {
-	target, err := t.Column(column)
-	if err != nil {
-		return 0, err
-	}
-	predCols, err := t.resolvePreds(preds)
-	if err != nil {
-		return 0, err
-	}
-	prof := t.rt.Profile()
-
-	// Fused fast paths.
-	if len(preds) == 0 {
-		switch agg {
-		case Count:
-			// Answered from the schema; no column is touched.
+	if len(preds) == 0 && agg != Sum {
+		target, err := t.Column(column)
+		if err != nil {
+			return 0, err
+		}
+		if agg == Count {
 			return t.rows, nil
-		case Sum:
-			sp := newScanProfiler(prof, len(t.rt.Workers()), profSlot{target, obs.RoleTarget})
-			v := t.rt.ReduceSum(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-				if sp != nil {
-					return core.ReduceRangeCounted(target.arr, w.Socket, lo, hi, core.ReduceSum, &sp.row(w.ID)[0])
-				}
-				return core.ReduceRange(target.arr, w.Socket, lo, hi, core.ReduceSum)
-			})
-			sp.fold()
-			return v, nil
-		case Min, Max:
-			// Trivial min/max read straight off the zone index root — the
-			// bounds are exact, so no scan at all.
-			if mn, mx, ok := target.arr.ZoneBounds(); ok {
-				recordZoneAnswered(prof, target)
-				if agg == Min {
-					return mn, nil
-				}
-				return mx, nil
-			}
-			op := core.ReduceMax
+		}
+		if mn, mx, ok := target.arr.ZoneBounds(); ok {
+			recordZoneAnswered(t.rt.Profile(), target)
 			if agg == Min {
-				op = core.ReduceMin
+				return mn, nil
 			}
-			sp := newScanProfiler(prof, len(t.rt.Workers()), profSlot{target, obs.RoleTarget})
-			v := t.reduceMinMax(target.arr, op, sp)
-			sp.fold()
-			return v, nil
+			return mx, nil
 		}
 	}
-	if len(preds) == 1 && agg == Count {
-		// A count only depends on the predicate column.
-		pc, op, threshold := predCols[0], preds[0].Op.cmp(), preds[0].Value
-		sp := newScanProfiler(prof, len(t.rt.Workers()), profSlot{pc, obs.RolePredicate})
-		v := t.rt.ReduceSum(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-			if sp != nil {
-				return core.CountRangeCounted(pc.arr, w.Socket, lo, hi, op, threshold, &sp.row(w.ID)[0])
-			}
-			return core.CountRange(pc.arr, w.Socket, lo, hi, op, threshold)
-		})
-		sp.fold()
-		return v, nil
-	}
-
-	// Selection-bitmap path, cheapest-most-selective predicate first.
-	predCols, preds = orderPreds(predCols, preds)
-	var sp *scanProfiler
-	if prof != nil {
-		slots := make([]profSlot, 0, len(preds)+1)
-		for _, pc := range predCols {
-			slots = append(slots, profSlot{pc, obs.RolePredicate})
-		}
-		if agg != Count {
-			// A count never folds the target column; only list it when the
-			// masked fold will actually consume it.
-			slots = append(slots, profSlot{target, obs.RoleTarget})
-		}
-		sp = newScanProfiler(prof, len(t.rt.Workers()), slots...)
-	}
-	workers := t.rt.Workers()
-	locals := make([]aggState, len(workers))
-	for i := range locals {
-		locals[i] = newAggState(agg)
-	}
-	t.rt.ParallelFor(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) {
-		_, n := core.MaskChunks(lo, hi)
-		masks := maskScratch(&t.scratch[w.ID], n)
-		var counts []core.ScanCounts
-		if sp != nil {
-			counts = sp.row(w.ID)
-		}
-		if !buildMasksCounted(w, lo, hi, predCols, preds, masks[:n], counts) {
-			if counts != nil && agg != Count {
-				// Whole batch dead: the target fold never runs, so all of
-				// its chunks here are pruned.
-				counts[len(preds)].Pruned += n
-			}
-			return
-		}
-		local := &locals[w.ID]
-		local.count += bitpack.PopcountMasks(masks)
-		local.any = true
-		switch agg {
-		case Sum:
-			local.sum += core.ReduceRangeMasked(target.arr, w.Socket, lo, hi, core.ReduceSum, masks)
-		case Min:
-			if v := core.ReduceRangeMasked(target.arr, w.Socket, lo, hi, core.ReduceMin, masks); v < local.min {
-				local.min = v
-			}
-		case Max:
-			if v := core.ReduceRangeMasked(target.arr, w.Socket, lo, hi, core.ReduceMax, masks); v > local.max {
-				local.max = v
-			}
-		}
-		// Count needs no target fold: the popcount above already did it.
-		if counts != nil && agg != Count {
-			accountMasked(&counts[len(preds)], masks[:n])
-		}
-	})
-	total := newAggState(agg)
-	for i := range locals {
-		total.merge(locals[i])
-	}
-	sp.fold()
-	return total.result(), nil
+	res, err := t.scan(ScanQuery{Agg: agg, Column: column, Preds: preds})
+	return res.Value, err
 }
 
-// aggregateScalar is the pre-bitmap per-row general path (one virtual Get
-// per row per column), kept as the reference implementation the property
-// tests pin Aggregate against and the masked-vs-per-row benchmarks
-// measure.
-func (t *Table) aggregateScalar(agg Agg, column string, preds ...Pred) (uint64, error) {
-	target, err := t.Column(column)
-	if err != nil {
-		return 0, err
-	}
-	predCols, err := t.resolvePreds(preds)
-	if err != nil {
-		return 0, err
-	}
-	workers := t.rt.Workers()
-	locals := make([]aggState, len(workers))
-	// Representation snapshots resolved once per worker (core.View), so a
-	// concurrent Reencode cannot tear the scan mid-pass.
-	targetViews := make([]core.View, len(workers))
-	predViews := make([][]core.View, len(workers))
-	for i, w := range workers {
-		locals[i] = newAggState(agg)
-		targetViews[i] = target.arr.View(w.Socket)
-		predViews[i] = make([]core.View, len(predCols))
-		for j, pc := range predCols {
-			predViews[i][j] = pc.arr.View(w.Socket)
-		}
-	}
-	t.rt.ParallelFor(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) {
-		local := &locals[w.ID]
-		targetView := &targetViews[w.ID]
-		views := predViews[w.ID]
-		for row := lo; row < hi; row++ {
-			match := true
-			for i := range predCols {
-				if !preds[i].Op.eval(views[i].Get(row), preds[i].Value) {
-					match = false
-					break
-				}
-			}
-			if match {
-				local.add(targetView.Get(row))
-			}
-		}
-	})
-	total := newAggState(agg)
-	for i := range locals {
-		total.merge(locals[i])
-	}
-	return total.result(), nil
-}
-
-// reduceMinMax runs a fused min/max reduction through the runtime's
-// padded per-worker partials (rts.ReduceMin/ReduceMax), so the slots
-// cannot share cache lines. sp, when non-nil, accounts the target
-// column in its slot 0.
-func (t *Table) reduceMinMax(arr *core.SmartArray, op core.ReduceOp, sp *scanProfiler) uint64 {
-	body := func(w *rts.Worker, lo, hi uint64, rop core.ReduceOp) uint64 {
-		if sp != nil {
-			return core.ReduceRangeCounted(arr, w.Socket, lo, hi, rop, &sp.row(w.ID)[0])
-		}
-		return core.ReduceRange(arr, w.Socket, lo, hi, rop)
-	}
-	if op == core.ReduceMin {
-		return t.rt.ReduceMin(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-			return body(w, lo, hi, core.ReduceMin)
-		})
-	}
-	return t.rt.ReduceMax(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-		return body(w, lo, hi, core.ReduceMax)
-	})
-}
-
-// GroupBy evaluates `SELECT key, agg(column) GROUP BY key WHERE preds...`
-// returning one row per distinct key value, sorted by key.
+// GroupRow is one group of a GroupBy result.
 type GroupRow struct {
 	Key   uint64
 	Value uint64
@@ -604,230 +392,31 @@ type GroupRow struct {
 // no mutex anywhere.
 const denseKeyMaxBits = 12
 
-// GroupBy runs the grouped aggregation. Predicates are evaluated through
-// the same selection-bitmap pipeline as Aggregate (per-chunk masks, AND
-// across predicates, dead chunks skipped); only the surviving rows pay the
-// key/target Gets. Narrow key columns take the dense slice-indexed path,
-// wide ones fall back to per-worker hash maps merged once after the loop.
+// GroupBy evaluates `SELECT key, agg(column) GROUP BY key WHERE preds...`
+// as a one-query ScanRange, returning one row per distinct key value,
+// sorted by key. Only the rows surviving the selection bitmap pay the
+// key/target Gets; narrow key columns take the dense slice-indexed path,
+// wide ones per-worker hash maps merged once after the loop.
 func (t *Table) GroupBy(keyColumn string, agg Agg, column string, preds ...Pred) ([]GroupRow, error) {
-	key, err := t.Column(keyColumn)
-	if err != nil {
+	// Resolved here because an empty ScanQuery.Key selects the scalar form.
+	if _, err := t.Column(keyColumn); err != nil {
 		return nil, err
 	}
-	target, err := t.Column(column)
-	if err != nil {
-		return nil, err
-	}
-	predCols, err := t.resolvePreds(preds)
-	if err != nil {
-		return nil, err
-	}
-	predCols, preds = orderPreds(predCols, preds)
-
-	workers := t.rt.Workers()
-	// Per-query scan accounting: predicates in evaluation order, then the
-	// key and target columns, whose chunks split live/dead along the
-	// selection bitmap (surviving rows pay the Gets, dead chunks never
-	// touch either column).
-	var sp *scanProfiler
-	keyIdx, targetIdx := len(preds), len(preds)+1
-	if prof := t.rt.Profile(); prof != nil {
-		slots := make([]profSlot, 0, len(preds)+2)
-		for _, pc := range predCols {
-			slots = append(slots, profSlot{pc, obs.RolePredicate})
-		}
-		slots = append(slots, profSlot{key, obs.RoleKey}, profSlot{target, obs.RoleTarget})
-		sp = newScanProfiler(prof, len(workers), slots...)
-	}
-	// Representation snapshots resolved once per worker, not once per
-	// claimed batch — and atomically (core.View), so a concurrent
-	// Reencode cannot pair a stale replica with the new decode.
-	keyViews := make([]core.View, len(workers))
-	targetViews := make([]core.View, len(workers))
-	for i, w := range workers {
-		keyViews[i] = key.arr.View(w.Socket)
-		targetViews[i] = target.arr.View(w.Socket)
-	}
-
-	// forEachMatch feeds every selected row of a batch to fn: the mask
-	// pipeline when predicates exist, a plain row loop otherwise.
-	forEachMatch := func(w *rts.Worker, lo, hi uint64, fn func(row uint64)) {
-		var counts []core.ScanCounts
-		if sp != nil {
-			counts = sp.row(w.ID)
-		}
-		if len(preds) == 0 {
-			if counts != nil {
-				_, n := core.MaskChunks(lo, hi)
-				counts[keyIdx].Scanned += n
-				counts[targetIdx].Scanned += n
-			}
-			for row := lo; row < hi; row++ {
-				fn(row)
-			}
-			return
-		}
-		_, n := core.MaskChunks(lo, hi)
-		masks := maskScratch(&t.scratch[w.ID], n)
-		var predCounts []core.ScanCounts
-		if counts != nil {
-			predCounts = counts[:len(preds)]
-		}
-		if !buildMasksCounted(w, lo, hi, predCols, preds, masks, predCounts) {
-			if counts != nil {
-				counts[keyIdx].Pruned += n
-				counts[targetIdx].Pruned += n
-			}
-			return
-		}
-		if counts != nil {
-			accountMasked(&counts[keyIdx], masks[:n])
-			accountMasked(&counts[targetIdx], masks[:n])
-		}
-		core.ForEachMasked(lo, hi, masks, fn)
-	}
-
-	if key.arr.Bits() <= denseKeyMaxBits {
-		// Dense-key fast path: slice-indexed per-worker state vectors.
-		domain := key.arr.Codec().MaxValue() + 1
-		states := make([][]aggState, len(workers))
-		t.rt.ParallelFor(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) {
-			st := states[w.ID]
-			if st == nil {
-				st = make([]aggState, domain)
-				for k := range st {
-					st[k] = newAggState(agg)
-				}
-				states[w.ID] = st
-			}
-			keyView, targetView := &keyViews[w.ID], &targetViews[w.ID]
-			forEachMatch(w, lo, hi, func(row uint64) {
-				st[keyView.Get(row)].add(targetView.Get(row))
-			})
-		})
-		rows := make([]GroupRow, 0)
-		for k := uint64(0); k < domain; k++ {
-			total := newAggState(agg)
-			for _, st := range states {
-				if st != nil {
-					total.merge(st[k])
-				}
-			}
-			if total.count > 0 {
-				rows = append(rows, GroupRow{Key: k, Value: total.result()})
-			}
-		}
-		sp.fold()
-		return rows, nil
-	}
-
-	// Wide keys: per-worker hash maps, merged once after the loop barrier.
-	localMaps := make([]map[uint64]*aggState, len(workers))
-	t.rt.ParallelFor(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) {
-		local := localMaps[w.ID]
-		if local == nil {
-			local = map[uint64]*aggState{}
-			localMaps[w.ID] = local
-		}
-		keyView, targetView := &keyViews[w.ID], &targetViews[w.ID]
-		forEachMatch(w, lo, hi, func(row uint64) {
-			k := keyView.Get(row)
-			st, ok := local[k]
-			if !ok {
-				s := newAggState(agg)
-				st = &s
-				local[k] = st
-			}
-			st.add(targetView.Get(row))
-		})
-	})
-	groups := map[uint64]*aggState{}
-	for _, local := range localMaps {
-		for k, st := range local {
-			g, ok := groups[k]
-			if !ok {
-				s := newAggState(agg)
-				g = &s
-				groups[k] = g
-			}
-			g.merge(*st)
-		}
-	}
-	rows := make([]GroupRow, 0, len(groups))
-	for k, st := range groups {
-		rows = append(rows, GroupRow{Key: k, Value: st.result()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	sp.fold()
-	return rows, nil
+	res, err := t.scan(ScanQuery{Agg: agg, Column: column, Key: keyColumn, Preds: preds})
+	return res.Groups, err
 }
 
-// groupByScalar is the pre-bitmap GroupBy (per-row predicate Gets, one
-// local map per batch merged under a mutex), kept as the reference the
-// property tests pin GroupBy against and the benchmarks measure.
-func (t *Table) groupByScalar(keyColumn string, agg Agg, column string, preds ...Pred) ([]GroupRow, error) {
-	key, err := t.Column(keyColumn)
+// scan runs q as a one-state ScanRange over [0, rows), accounting into the
+// query profile of the runtime view the table runs through, if any.
+func (t *Table) scan(q ScanQuery) (ScanResult, error) {
+	st, err := t.NewScanState(q)
 	if err != nil {
-		return nil, err
+		return ScanResult{}, err
 	}
-	target, err := t.Column(column)
-	if err != nil {
-		return nil, err
-	}
-	predCols, err := t.resolvePreds(preds)
-	if err != nil {
-		return nil, err
-	}
-
-	var mu sync.Mutex
-	groups := map[uint64]*aggState{}
-	t.rt.ParallelFor(0, t.rows, 0, func(w *rts.Worker, lo, hi uint64) {
-		local := map[uint64]*aggState{}
-		keyView := key.arr.View(w.Socket)
-		targetView := target.arr.View(w.Socket)
-		views := make([]core.View, len(predCols))
-		for i, pc := range predCols {
-			views[i] = pc.arr.View(w.Socket)
-		}
-		for row := lo; row < hi; row++ {
-			match := true
-			for i := range predCols {
-				if !preds[i].Op.eval(views[i].Get(row), preds[i].Value) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			k := keyView.Get(row)
-			st, ok := local[k]
-			if !ok {
-				s := newAggState(agg)
-				st = &s
-				local[k] = st
-			}
-			st.add(targetView.Get(row))
-		}
-		mu.Lock()
-		for k, st := range local {
-			g, ok := groups[k]
-			if !ok {
-				s := newAggState(agg)
-				g = &s
-				groups[k] = g
-			}
-			g.merge(*st)
-		}
-		mu.Unlock()
-	})
-
-	rows := make([]GroupRow, 0, len(groups))
-	for k, st := range groups {
-		rows = append(rows, GroupRow{Key: k, Value: st.result()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	return rows, nil
+	st.EnableProfile(t.rt.Profile(), len(t.rt.Workers()))
+	t.ScanRange(0, t.rows, []*ScanState{st})
+	st.FoldProfile()
+	return st.Result(), nil
 }
 
 func (t *Table) resolvePreds(preds []Pred) ([]*Column, error) {

@@ -1,15 +1,20 @@
 package colstore
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
 )
 
-// queriesMatchScalar pins the fused/bitmap pipelines against the per-row
-// scalar references and the plain-slice shadow on the fixture's current
-// column representations.
+// queriesMatchScalar pins the one scan executor against the per-row
+// scalar references on the fixture's current column representations:
+// every aggregate × {0, 1, 2 predicates} × {scalar, dense GroupBy, wide
+// GroupBy}. The shapes that once had paths of their own — COUNT(*),
+// single-predicate COUNT, zone-root MIN/MAX, unpredicated SUM — are rows
+// of this table like any other.
 func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 	t.Helper()
 	preds := [][]Pred{
@@ -18,6 +23,9 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 		{{Column: "qty", Op: Le, Value: 700}, {Column: "region", Op: Ne, Value: 2}},
 		{{Column: "region", Op: Eq, Value: 3}},
 	}
+	// region is 3 bits wide (dense slice-indexed groups), price 16 (past
+	// denseKeyMaxBits: per-worker hash maps).
+	groupings := []struct{ key, target string }{{"region", "price"}, {"price", "qty"}}
 	for _, ps := range preds {
 		for _, agg := range []Agg{Sum, Count, Min, Max} {
 			got, err := f.table.Aggregate(agg, "price", ps...)
@@ -31,43 +39,51 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 			if got != want {
 				t.Errorf("%s: agg %v preds %v = %d, want %d", label, agg, ps, got, want)
 			}
-		}
-		got, err := f.table.GroupBy("region", Sum, "price", ps...)
-		if err != nil {
-			t.Fatalf("%s: GroupBy: %v", label, err)
-		}
-		want, err := f.table.groupByScalar("region", Sum, "price", ps...)
-		if err != nil {
-			t.Fatalf("%s: groupByScalar: %v", label, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: GroupBy preds %v: %d groups, want %d", label, ps, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("%s: GroupBy preds %v row %d = %+v, want %+v", label, ps, i, got[i], want[i])
+			for _, g := range groupings {
+				got, err := f.table.GroupBy(g.key, agg, g.target, ps...)
+				if err != nil {
+					t.Fatalf("%s: GroupBy: %v", label, err)
+				}
+				want, err := f.table.groupByScalar(g.key, agg, g.target, ps...)
+				if err != nil {
+					t.Fatalf("%s: groupByScalar: %v", label, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: GroupBy %s agg %v preds %v = %+v, want %+v", label, g.key, agg, ps, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestQueriesOnEveryEncoding re-encodes every column through every codec
-// and pins the whole query surface (fused fast paths, selection-bitmap
-// pipeline, dense and scalar group-by) against the per-row references —
-// the chunk-codec dispatch must be invisible to results.
+// TestQueriesOnEveryEncoding re-encodes every column through every codec,
+// with and without a zone index, and pins the whole query surface against
+// the per-row references — the chunk-codec dispatch and the zone
+// shortcuts must both be invisible to results.
 func TestQueriesOnEveryEncoding(t *testing.T) {
 	for _, kind := range encoding.Kinds {
-		f := newFixture(t, 6_000, memsim.Interleaved)
-		for _, name := range f.table.Columns() {
-			if _, err := f.table.ReencodeColumn(name, kind, 0); err != nil {
-				t.Fatalf("reencode %q to %v: %v", name, kind, err)
+		for _, zones := range []bool{true, false} {
+			f := newFixture(t, 6_000, memsim.Interleaved)
+			for _, name := range f.table.Columns() {
+				c, _ := f.table.Column(name)
+				if !zones {
+					// A write drops the index AddColumn built (rewriting row
+					// 0's own value keeps the content), and Reencode only
+					// rebuilds an index that exists.
+					c.Array().Init(0, 0, c.Array().GetFrom(0, 0))
+				}
+				if _, err := f.table.ReencodeColumn(name, kind, 0); err != nil {
+					t.Fatalf("reencode %q to %v: %v", name, kind, err)
+				}
+				if got := c.Array().EncodingKind(); got != kind {
+					t.Fatalf("column %q encoding = %v, want %v", name, got, kind)
+				}
+				if got := c.Array().ZoneIndex() != nil; got != zones {
+					t.Fatalf("column %q zone index present = %v, want %v", name, got, zones)
+				}
 			}
-			c, _ := f.table.Column(name)
-			if got := c.Array().EncodingKind(); got != kind {
-				t.Fatalf("column %q encoding = %v, want %v", name, got, kind)
-			}
+			queriesMatchScalar(t, f, fmt.Sprintf("%v zones=%v", kind, zones))
 		}
-		queriesMatchScalar(t, f, kind.String())
 	}
 }
 

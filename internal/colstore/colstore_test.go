@@ -517,8 +517,9 @@ func TestQuickAggregate(t *testing.T) {
 	}
 }
 
-// TestAggregateFastPathsMatchGeneralScan pins the fused fast paths (no
-// predicates; one predicate + COUNT) to the per-row reference.
+// TestAggregateFastPathsMatchGeneralScan pins the shapes that once had
+// fused paths of their own (no predicates; one predicate + COUNT) to the
+// per-row reference on the one scan executor.
 func TestAggregateFastPathsMatchGeneralScan(t *testing.T) {
 	f := newFixture(t, 20_000, memsim.Interleaved)
 	var wantSum uint64

@@ -1,14 +1,16 @@
-// Multi-consumer scans: the cooperative kernel under the query service's
-// shared-scan coordinator. One parallel pass over a row range advances N
-// enrolled queries at once — each batch is decoded once per predicate
-// signature (the mask pipeline runs through the same chunk-codec dispatch
-// and zone pruning as Aggregate), then every enrolled query folds the
-// surviving rows into its own per-worker accumulators. The states are
-// long-lived: a coordinator drives them segment by segment, so a query
-// can attach at the current cursor and complete after a full wraparound
-// (Crescando-style circular scan) while the per-batch work stays
-// identical to the single-query pipeline — which is what makes shared
-// results bit-identical to independent execution.
+// The table scan executor. One parallel pass over a row range advances N
+// queries at once — each batch is decoded once per predicate signature
+// (predicates evaluate chunk-at-a-time into 64-bit match masks through
+// the columns' chunk-codec dispatch and zone pruning, the masks AND
+// across predicates with dead chunks short-circuiting later ones), then
+// every query folds the surviving rows into its own per-worker
+// accumulators, merged once after the loop barrier. Table.Aggregate and
+// Table.GroupBy are the N = 1, whole-table case; the query service's
+// shared-scan coordinator drives long-lived states segment by segment,
+// so a query can attach at the current cursor and complete after a full
+// wraparound (Crescando-style circular scan). Either way the per-batch
+// work is this file's — shared results are bit-identical to independent
+// execution because there is no second pipeline to diverge from.
 package colstore
 
 import (
@@ -47,52 +49,82 @@ type ScanResult struct {
 // must only be driven by one ScanRange call at a time; different states
 // are independent.
 type ScanState struct {
-	agg      Agg
-	grouped  bool
-	target   *Column
-	key      *Column
+	agg     Agg
+	grouped bool
+	target  *Column
+	key     *Column
+	// predCols/preds are the conjunction in evaluation order (orderPreds).
 	predCols []*Column
 	preds    []Pred
-	// sig is the canonical (order-independent) predicate signature;
-	// states with equal signatures share one mask build per batch.
-	sig string
+	// sig is the canonical (order-independent) predicate signature and
+	// canonPos[i] the canonical position of evaluation-order predicate i.
+	// States with equal signatures share one mask build per batch and
+	// agree on the canonical order, whatever their evaluation orders.
+	sig      string
+	canonPos []int
 
-	// locals accumulates the scalar aggregate, one slot per worker.
-	locals []aggState
+	// locals accumulates the scalar aggregate, one padded slot per worker.
+	locals []paddedAgg
 	// Grouped accumulators, dense (slice-indexed) or wide (hash maps),
 	// lazily allocated on each worker's first surviving batch.
 	dense       bool
 	domain      uint64
 	denseStates [][]aggState
 	maps        []map[uint64]*aggState
+	// rowFolds[w] is worker w's grouped per-row fold for the ScanRange
+	// call in progress: key/target representation snapshots (core.View)
+	// and the accumulate closure, built on the worker's first batch of the
+	// call and dropped at the next call's entry. Never reused across
+	// calls — a state outlives many ScanRange calls, and holding replicas
+	// across them would let a Reencode or Migrate in between pair a stale
+	// replica with the new representation's decode.
+	rowFolds []func(row uint64)
 
 	// Scan profiling (EnableProfile): per-worker ScanCounts rows laid out
 	// as [canonical predicates..., key (grouped only), target]. Predicate
 	// counts arrive in the group lead's evaluation order and are stored
-	// at canonical-signature positions, so states whose orderPreds
-	// ordering diverged from their lead's still attribute correctly.
-	prof      *obs.QueryProfile
-	profRows  [][]core.ScanCounts
-	canonCols []*Column
+	// at canonical positions, so states whose orderPreds ordering diverged
+	// from their lead's still attribute correctly.
+	prof     *obs.QueryProfile
+	profRows [][]core.ScanCounts
 }
 
-// Signature is the state's canonical predicate signature — equal
-// signatures share one mask build per batch in ScanRange.
-func (s *ScanState) Signature() string { return s.sig }
+// paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 48
+// bytes), as rts.ReduceSum's partials are: every batch writes its worker's
+// slot, so neighbours must not share a line. The dense GroupBy vectors
+// are not padded — 4096 slots per worker already spread the writes.
+type paddedAgg struct {
+	aggState
+	_ [16]byte
+}
 
-// predSignature canonicalizes a conjunction: AND commutes, so the
-// signature sorts the terms — two queries whose orderPreds ordering
-// diverged (telemetry drift) still share the identical resulting mask.
-func predSignature(preds []Pred) string {
-	if len(preds) == 0 {
-		return ""
-	}
+// canonicalPreds canonicalizes a conjunction: AND commutes, so the terms
+// sort. pos[i] is the canonical position of preds[i] and sig the joined
+// sorted terms — two queries whose orderPreds ordering diverged
+// (telemetry drift) still share the identical resulting mask.
+func canonicalPreds(preds []Pred) (pos []int, sig string) {
 	keys := make([]string, len(preds))
+	idx := make([]int, len(preds))
 	for i, p := range preds {
 		keys[i] = fmt.Sprintf("%s\x00%d\x00%d", p.Column, p.Op, p.Value)
+		idx[i] = i
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\x01")
+	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	pos = make([]int, len(preds))
+	sorted := make([]string, len(preds))
+	for c, i := range idx {
+		pos[i] = c
+		sorted[c] = keys[i]
+	}
+	return pos, strings.Join(sorted, "\x01")
+}
+
+// PredSignature is the canonical signature of a conjunction on its own —
+// the predicate part of any plan identity that must ignore AND order
+// (the query service's coalescing key).
+func PredSignature(preds []Pred) string {
+	_, sig := canonicalPreds(preds)
+	return sig
 }
 
 // NewScanState resolves q against the table and allocates its per-worker
@@ -114,8 +146,8 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 		target:   target,
 		predCols: predCols,
 		preds:    preds,
-		sig:      predSignature(preds),
 	}
+	s.canonPos, s.sig = canonicalPreds(preds)
 	n := len(t.rt.Workers())
 	if q.Key != "" {
 		key, err := t.Column(q.Key)
@@ -124,6 +156,7 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 		}
 		s.grouped = true
 		s.key = key
+		s.rowFolds = make([]func(row uint64), n)
 		if key.arr.Bits() <= denseKeyMaxBits {
 			s.dense = true
 			s.domain = key.arr.Codec().MaxValue() + 1
@@ -132,29 +165,12 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 			s.maps = make([]map[uint64]*aggState, n)
 		}
 	} else {
-		s.locals = make([]aggState, n)
+		s.locals = make([]paddedAgg, n)
 		for i := range s.locals {
-			s.locals[i] = newAggState(q.Agg)
+			s.locals[i].aggState = newAggState(q.Agg)
 		}
 	}
 	return s, nil
-}
-
-// canonOrder returns the canonical (signature) ordering of preds:
-// idx[c] is the index in preds of the c-th canonical position. All
-// states sharing a predicate signature agree on this order, whatever
-// their orderPreds evaluation order is.
-func canonOrder(preds []Pred) []int {
-	keys := make([]string, len(preds))
-	for i, p := range preds {
-		keys[i] = fmt.Sprintf("%s\x00%d\x00%d", p.Column, p.Op, p.Value)
-	}
-	idx := make([]int, len(preds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	return idx
 }
 
 // EnableProfile attaches a query profile to the state: every subsequent
@@ -169,15 +185,7 @@ func (s *ScanState) EnableProfile(prof *obs.QueryProfile, workers int) {
 	}
 	s.prof = prof
 	s.profRows = make([][]core.ScanCounts, workers)
-	idx := canonOrder(s.preds)
-	s.canonCols = make([]*Column, len(idx))
-	for c, i := range idx {
-		s.canonCols[c] = s.predCols[i]
-	}
 }
-
-// Profile returns the attached query profile (nil when unprofiled).
-func (s *ScanState) Profile() *obs.QueryProfile { return s.prof }
 
 func (s *ScanState) numProfSlots() int {
 	n := len(s.preds) + 1
@@ -208,8 +216,8 @@ func (s *ScanState) profRow(wid int) []core.ScanCounts {
 }
 
 // accountPreds attributes one batch's shared mask-build counts (in the
-// group lead's evaluation order; canonPos maps lead position i to the
-// canonical slot) to this state.
+// group lead's evaluation order; canonPos is the lead's map from that
+// order to the canonical slot) to this state.
 func (s *ScanState) accountPreds(w *rts.Worker, counts []core.ScanCounts, canonPos []int) {
 	if s.prof == nil {
 		return
@@ -251,7 +259,11 @@ func (s *ScanState) FoldProfile() {
 			totals[i].Add(r[i])
 		}
 	}
-	for c, col := range s.canonCols {
+	canonCols := make([]*Column, len(s.preds))
+	for i, c := range s.canonPos {
+		canonCols[c] = s.predCols[i]
+	}
+	for c, col := range canonCols {
 		s.prof.AddColumn(columnProfile(col, obs.RolePredicate, totals[c]))
 	}
 	if s.grouped {
@@ -277,35 +289,27 @@ func countScratch(slot *[]core.ScanCounts, n int) []core.ScanCounts {
 }
 
 // ScanRange advances every state over rows [lo, hi) in one parallel
-// pass. Per batch, states are grouped by predicate signature: the group
-// leader builds the selection bitmap once (into the table's per-worker
-// mask scratch), then every member folds the surviving rows — N queries
-// pay one decode. Runs through the receiver's runtime, so a coordinator
-// can submit each segment on a priority view of the enrolled queries.
+// pass — the only parallel loop colstore starts. Per batch, states are
+// grouped by predicate signature: the group leader builds the selection
+// bitmap once (into the table's per-worker mask scratch), then every
+// member folds the surviving rows — N queries pay one decode. Runs
+// through the receiver's runtime, so a coordinator can submit each
+// segment on a priority view of the enrolled queries.
 func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 	if lo >= hi || len(states) == 0 {
 		return
 	}
 	groups := groupScanStates(states)
-	// Per-group profiling prep (control plane, once per call): whether any
-	// member carries a profile, and the lead-order → canonical-slot map
-	// used to attribute the shared mask build to every profiled member.
+	// Control plane, once per call: which groups carry a profiled member
+	// (their shared mask build is counted and attributed to every one),
+	// and fresh per-worker row folds for the grouped states.
 	profiled := make([]bool, len(groups))
-	canonPos := make([][]int, len(groups))
 	for gi, grp := range groups {
 		for _, s := range grp {
-			if s.prof != nil {
-				profiled[gi] = true
-				break
+			profiled[gi] = profiled[gi] || s.prof != nil
+			for w := range s.rowFolds {
+				s.rowFolds[w] = nil
 			}
-		}
-		if profiled[gi] && len(grp[0].preds) > 0 {
-			idx := canonOrder(grp[0].preds)
-			pos := make([]int, len(idx))
-			for c, i := range idx {
-				pos[i] = c
-			}
-			canonPos[gi] = pos
 		}
 	}
 	t.rt.ParallelFor(lo, hi, 0, func(w *rts.Worker, blo, bhi uint64) {
@@ -328,7 +332,7 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 				// One decode, N attributions: every profiled member
 				// logically consumed the shared mask build.
 				for _, s := range grp {
-					s.accountPreds(w, counts, canonPos[gi])
+					s.accountPreds(w, counts, lead.canonPos)
 				}
 			}
 			if !live {
@@ -380,7 +384,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
 	if s.prof != nil && s.agg != Count {
 		sc = &s.profRow(w.ID)[s.targetSlot()]
 	}
-	local := &s.locals[w.ID]
+	local := &s.locals[w.ID].aggState
 	switch s.agg {
 	case Count:
 		local.count += hi - lo
@@ -399,7 +403,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
 }
 
 // foldMasked folds the batch's surviving rows under the shared selection
-// bitmap — the same popcount + masked fused fold Aggregate runs.
+// bitmap: a popcount for the count, a masked fused fold for the rest.
 func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 	if s.prof != nil {
 		row := s.profRow(w.ID)
@@ -414,7 +418,7 @@ func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 		s.foldRows(w, lo, hi, masks)
 		return
 	}
-	local := &s.locals[w.ID]
+	local := &s.locals[w.ID].aggState
 	local.count += bitpack.PopcountMasks(masks)
 	local.any = true
 	switch s.agg {
@@ -432,42 +436,12 @@ func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 }
 
 // foldRows feeds the batch's selected rows (all of them when masks is
-// nil) into the grouped accumulators. Representation snapshots are taken
-// per batch (core.View), not cached on the state: a ScanState outlives
-// many batches, and holding replicas across them would let a concurrent
-// Reencode pair a stale replica with the new representation's decode.
+// nil) into the grouped accumulators through the worker's row fold.
 func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64) {
-	keyView := s.key.arr.View(w.Socket)
-	targetView := s.target.arr.View(w.Socket)
-	var add func(row uint64)
-	if s.dense {
-		st := s.denseStates[w.ID]
-		if st == nil {
-			st = make([]aggState, s.domain)
-			for k := range st {
-				st[k] = newAggState(s.agg)
-			}
-			s.denseStates[w.ID] = st
-		}
-		add = func(row uint64) {
-			st[keyView.Get(row)].add(targetView.Get(row))
-		}
-	} else {
-		local := s.maps[w.ID]
-		if local == nil {
-			local = map[uint64]*aggState{}
-			s.maps[w.ID] = local
-		}
-		add = func(row uint64) {
-			k := keyView.Get(row)
-			st, ok := local[k]
-			if !ok {
-				n := newAggState(s.agg)
-				st = &n
-				local[k] = st
-			}
-			st.add(targetView.Get(row))
-		}
+	add := s.rowFolds[w.ID]
+	if add == nil {
+		add = s.newRowFold(w)
+		s.rowFolds[w.ID] = add
 	}
 	if masks == nil {
 		for row := lo; row < hi; row++ {
@@ -478,15 +452,51 @@ func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64) {
 	core.ForEachMasked(lo, hi, masks, add)
 }
 
+// newRowFold resolves the key and target representation snapshots for
+// worker w and returns its per-row accumulate closure. Built once per
+// worker per ScanRange call (see rowFolds), not once per batch: the view
+// resolution and closure allocation are per-query, not per-morsel, cost.
+func (s *ScanState) newRowFold(w *rts.Worker) func(row uint64) {
+	keyView := s.key.arr.View(w.Socket)
+	targetView := s.target.arr.View(w.Socket)
+	if s.dense {
+		st := s.denseStates[w.ID]
+		if st == nil {
+			st = make([]aggState, s.domain)
+			for k := range st {
+				st[k] = newAggState(s.agg)
+			}
+			s.denseStates[w.ID] = st
+		}
+		return func(row uint64) {
+			st[keyView.Get(row)].add(targetView.Get(row))
+		}
+	}
+	local := s.maps[w.ID]
+	if local == nil {
+		local = map[uint64]*aggState{}
+		s.maps[w.ID] = local
+	}
+	return func(row uint64) {
+		k := keyView.Get(row)
+		st, ok := local[k]
+		if !ok {
+			n := newAggState(s.agg)
+			st = &n
+			local[k] = st
+		}
+		st.add(targetView.Get(row))
+	}
+}
+
 // Result merges the per-worker accumulators into the final answer. Call
-// once, after the state has covered every row exactly once; the merge
-// mirrors Aggregate/GroupBy, so the answer is bit-identical to
-// independent execution regardless of segment order.
+// once, after the state has covered every row exactly once; the folds
+// commute, so the answer does not depend on segment order.
 func (s *ScanState) Result() ScanResult {
 	if !s.grouped {
 		total := newAggState(s.agg)
 		for i := range s.locals {
-			total.merge(s.locals[i])
+			total.merge(s.locals[i].aggState)
 		}
 		return ScanResult{Value: total.result()}
 	}
@@ -526,9 +536,9 @@ func (s *ScanState) Result() ScanResult {
 }
 
 // MultiScan runs queries as one cooperative pass over the whole table
-// and returns their results in order — the one-shot form of the
+// and returns their results in order — the one-shot N-query form of the
 // state/range API, used by tests and benchmarks to pin the shared pass
-// against independent Aggregate/GroupBy execution.
+// against one-query execution.
 func (t *Table) MultiScan(queries []ScanQuery) ([]ScanResult, error) {
 	states := make([]*ScanState, len(queries))
 	for i, q := range queries {

@@ -1,12 +1,13 @@
-// Per-query scan profiling for the table kernels. When the runtime view
-// a scan runs through carries a query profile (rts.Runtime.WithProfile),
-// Aggregate/GroupBy/ScanRange route their chunk work through the counted
-// core kernels and accumulate per-column ScanCounts in per-worker rows —
-// the same owner-writes/fold-at-barrier discipline as the counter shards,
-// so profiling adds no locks or shared atomics to the batch hot path.
-// After the loop barrier the rows fold into obs.ColumnProfile entries:
-// codec kind, chunks scanned vs pruned, and payload bytes attributed
-// pro-rata to the decoded chunks.
+// Per-query scan profiling for the table scan. When a ScanState carries
+// a query profile (ScanState.EnableProfile — Aggregate/GroupBy attach the
+// one on their runtime view, rts.Runtime.WithProfile), ScanRange routes
+// its chunk work through the counted core kernels and accumulates
+// per-column ScanCounts in the state's per-worker rows — the same
+// owner-writes/fold-at-barrier discipline as the counter shards, so
+// profiling adds no locks or shared atomics to the batch hot path. After
+// the loop barrier the rows fold into obs.ColumnProfile entries: codec
+// kind, chunks scanned vs pruned, and payload bytes attributed pro-rata
+// to the decoded chunks.
 package colstore
 
 import (
@@ -15,60 +16,6 @@ import (
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
 )
-
-// profSlot names one profiled column and the role it plays in the scan.
-type profSlot struct {
-	col  *Column
-	role string
-}
-
-// scanProfiler is the per-query accounting for one Aggregate/GroupBy
-// call: one ScanCounts slot per (column, role), one row per worker,
-// rows allocated lazily on a worker's first batch. A nil *scanProfiler
-// is inert, so call sites stay branch-only when the query is unsampled.
-type scanProfiler struct {
-	prof  *obs.QueryProfile
-	slots []profSlot
-	rows  [][]core.ScanCounts
-}
-
-func newScanProfiler(prof *obs.QueryProfile, workers int, slots ...profSlot) *scanProfiler {
-	if prof == nil {
-		return nil
-	}
-	return &scanProfiler{prof: prof, slots: slots, rows: make([][]core.ScanCounts, workers)}
-}
-
-// row returns worker wid's counts, allocating on first use. Only the
-// owning worker touches its row; the post-barrier fold reads them all.
-func (sp *scanProfiler) row(wid int) []core.ScanCounts {
-	r := sp.rows[wid]
-	if r == nil {
-		r = make([]core.ScanCounts, len(sp.slots))
-		sp.rows[wid] = r
-	}
-	return r
-}
-
-// fold merges the per-worker rows and appends one ColumnProfile per
-// slot to the query profile. Call after the loop barrier. Nil-safe.
-func (sp *scanProfiler) fold() {
-	if sp == nil {
-		return
-	}
-	totals := make([]core.ScanCounts, len(sp.slots))
-	for _, r := range sp.rows {
-		if r == nil {
-			continue
-		}
-		for i := range totals {
-			totals[i].Add(r[i])
-		}
-	}
-	for i, slot := range sp.slots {
-		sp.prof.AddColumn(columnProfile(slot.col, slot.role, totals[i]))
-	}
-}
 
 // columnProfile renders one column's accounting. BytesDecoded charges
 // the column's packed payload pro-rata per scanned chunk — exact for
@@ -116,7 +63,15 @@ func accountMasked(sc *core.ScanCounts, masks []uint64) {
 	sc.Pruned += dead
 }
 
-// buildMasksCounted is buildMasks with per-predicate accounting:
+// buildMasksCounted fills masks with the selection bitmap of the predicate
+// conjunction over rows [lo, hi) and reports whether any row survives.
+// The first predicate overwrites, later ones AND in with already-dead
+// chunks skipped, so low-selectivity leading predicates short-circuit the
+// rest of the pipeline. Each predicate pass feeds the column's observed
+// selectivity (evaluated candidates vs surviving rows) back into its
+// access profile — the signal orderPreds consumes — at the cost of one
+// mask popcount per predicate, and only when telemetry is attached.
+//
 // counts[i] (when counts is non-nil) accumulates predicate i's chunk
 // counts in evaluation order. Chunks a predicate never saw because the
 // conjunction died earlier count as pruned for the remaining

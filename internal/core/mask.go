@@ -45,32 +45,13 @@ func MaskRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, 
 		return false
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
+	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
-	zones := rp.zones.Load()
-	switch {
-	case zones != nil && rp.enc != nil:
-		enc := rp.enc
-		zoneMaskFill(zones, first, n, op, threshold, masks, sc, func(chunk uint64) uint64 {
-			return enc.CmpMaskChunk(chunk, op, threshold)
-		})
-	case zones != nil:
-		replica := rp.region.Replica(socket)
-		codec := a.codec
-		zoneMaskFill(zones, first, n, op, threshold, masks, sc, func(chunk uint64) uint64 {
-			return codec.CmpMaskChunk(replica, chunk, op, threshold)
-		})
-	case rp.enc != nil:
-		enc := rp.enc
+	if v.zones != nil {
+		zoneMaskFill(&v, first, n, op, threshold, masks, sc)
+	} else {
 		for c := uint64(0); c < n; c++ {
-			masks[c] = enc.CmpMaskChunk(first+c, op, threshold)
-		}
-		sc.addScanned(n)
-	default:
-		replica := rp.region.Replica(socket)
-		codec := a.codec
-		for c := uint64(0); c < n; c++ {
-			masks[c] = codec.CmpMaskChunk(replica, first+c, op, threshold)
+			masks[c] = v.cmpMaskChunk(first+c, op, threshold)
 		}
 		sc.addScanned(n)
 	}
@@ -104,41 +85,15 @@ func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cm
 		return false
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
+	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
-	zones := rp.zones.Load()
 	var live, scanned uint64
-	if enc := rp.enc; enc != nil {
-		for c := uint64(0); c < n; c++ {
-			if masks[c] == 0 {
-				continue
-			}
-			if zones != nil {
-				switch zones.Verdict(first+c, op, threshold) {
-				case encoding.ZoneNone:
-					masks[c] = 0
-					continue
-				case encoding.ZoneAll:
-					live |= masks[c]
-					continue
-				}
-			}
-			masks[c] &= enc.CmpMaskChunk(first+c, op, threshold)
-			live |= masks[c]
-			scanned++
-		}
-		sc.addScanned(scanned)
-		sc.addPruned(n - scanned)
-		return live != 0
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
 	for c := uint64(0); c < n; c++ {
 		if masks[c] == 0 {
 			continue
 		}
-		if zones != nil {
-			switch zones.Verdict(first+c, op, threshold) {
+		if v.zones != nil {
+			switch v.zones.Verdict(first+c, op, threshold) {
 			case encoding.ZoneNone:
 				masks[c] = 0
 				continue
@@ -147,7 +102,7 @@ func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cm
 				continue
 			}
 		}
-		masks[c] &= codec.CmpMaskChunk(replica, first+c, op, threshold)
+		masks[c] &= v.cmpMaskChunk(first+c, op, threshold)
 		live |= masks[c]
 		scanned++
 	}
@@ -161,39 +116,16 @@ func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cm
 // same [lo, hi). Chunks with a dead mask are skipped without touching the
 // data; full masks degrade to the unmasked fused kernels.
 func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
-	identity := uint64(0)
-	if op == ReduceMin {
-		identity = ^uint64(0)
-	}
 	if lo >= hi {
-		return identity
+		return op.identity()
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
+	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
-	if zones := rp.zones.Load(); zones != nil {
-		return reduceMaskedZones(a, rp, socket, first, n, op, masks[:n], zones, identity)
+	if v.zones != nil {
+		return reduceMaskedZones(&v, first, n, op, masks[:n])
 	}
-	if enc := rp.enc; enc != nil {
-		switch op {
-		case ReduceSum:
-			return enc.SumChunksMasked(first, first+n, masks[:n])
-		case ReduceMax:
-			return enc.MaxChunksMasked(first, first+n, masks[:n])
-		default:
-			return enc.MinChunksMasked(first, first+n, masks[:n])
-		}
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
-	switch op {
-	case ReduceSum:
-		return codec.SumChunksMasked(replica, first, first+n, masks[:n])
-	case ReduceMax:
-		return codec.MaxChunksMasked(replica, first, first+n, masks[:n])
-	default:
-		return codec.MinChunksMasked(replica, first, first+n, masks[:n])
-	}
+	return v.reduceChunksMasked(op, first, first+n, masks[:n])
 }
 
 // reduceMaskedZones is ReduceRangeMasked with zone shortcuts: chunks the
@@ -202,49 +134,11 @@ func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, ma
 // bounds, and everything else batches into contiguous codec masked-fold
 // spans (dead-mask chunks inside a span are skipped by the kernels as
 // before).
-func reduceMaskedZones(a *SmartArray, rp *repr, socket int, first, n uint64, op ReduceOp, masks []uint64, z *encoding.ZoneIndex, identity uint64) uint64 {
-	acc := identity
-	fold := func(v uint64) {
-		switch op {
-		case ReduceSum:
-			acc += v
-		case ReduceMax:
-			if v > acc {
-				acc = v
-			}
-		default:
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	var replica []uint64
-	if rp.enc == nil {
-		replica = rp.region.Replica(socket)
-	}
+func reduceMaskedZones(v *View, first, n uint64, op ReduceOp, masks []uint64) uint64 {
+	acc := op.identity()
 	foldSpan := func(sLo, sHi uint64) {
-		if sLo >= sHi {
-			return
-		}
-		sub := masks[sLo:sHi]
-		if enc := rp.enc; enc != nil {
-			switch op {
-			case ReduceSum:
-				acc += enc.SumChunksMasked(first+sLo, first+sHi, sub)
-			case ReduceMax:
-				fold(enc.MaxChunksMasked(first+sLo, first+sHi, sub))
-			default:
-				fold(enc.MinChunksMasked(first+sLo, first+sHi, sub))
-			}
-			return
-		}
-		switch op {
-		case ReduceSum:
-			acc += a.codec.SumChunksMasked(replica, first+sLo, first+sHi, sub)
-		case ReduceMax:
-			fold(a.codec.MaxChunksMasked(replica, first+sLo, first+sHi, sub))
-		default:
-			fold(a.codec.MinChunksMasked(replica, first+sLo, first+sHi, sub))
+		if sLo < sHi {
+			acc = op.fold(acc, v.reduceChunksMasked(op, first+sLo, first+sHi, masks[sLo:sHi]))
 		}
 	}
 	spanLo := uint64(0)
@@ -254,26 +148,26 @@ func reduceMaskedZones(a *SmartArray, rp *repr, socket int, first, n uint64, op 
 			continue
 		}
 		chunk := first + c
-		if v, isConst := z.Constant(chunk); isConst {
+		if k, isConst := v.zones.Constant(chunk); isConst {
 			foldSpan(spanLo, c)
 			spanLo = c + 1
 			if op == ReduceSum {
-				acc += v * uint64(bits.OnesCount64(m))
+				acc += k * uint64(bits.OnesCount64(m))
 			} else {
-				fold(v)
+				acc = op.fold(acc, k)
 			}
 			continue
 		}
 		if op != ReduceSum && m == ^uint64(0) {
 			// A full mask selects the whole (fully valid) chunk: its zone
 			// bounds are the masked min/max.
-			mn, mx := z.ChunkBounds(chunk)
+			mn, mx := v.zones.ChunkBounds(chunk)
 			foldSpan(spanLo, c)
 			spanLo = c + 1
 			if op == ReduceMax {
-				fold(mx)
+				acc = op.fold(acc, mx)
 			} else {
-				fold(mn)
+				acc = op.fold(acc, mn)
 			}
 		}
 	}

@@ -31,6 +31,31 @@ func (op ReduceOp) String() string {
 	return [...]string{"sum", "max", "min"}[op]
 }
 
+// identity is the fold's neutral element (the result over an empty range).
+func (op ReduceOp) identity() uint64 {
+	if op == ReduceMin {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// fold combines one more value (or a partial result) into acc.
+func (op ReduceOp) fold(acc, v uint64) uint64 {
+	switch op {
+	case ReduceSum:
+		return acc + v
+	case ReduceMax:
+		if v > acc {
+			return v
+		}
+	default:
+		if v < acc {
+			return v
+		}
+	}
+	return acc
+}
+
 // rangeParts splits [lo, hi) into a head [lo, headEnd), whole chunks
 // [chunkLo, chunkHi), and a tail [tailStart, hi). Head and tail are handled
 // per element; for ranges inside a single chunk everything lands in the
@@ -52,8 +77,8 @@ func (a *SmartArray) checkRange(lo, hi uint64) {
 }
 
 // ReduceRange folds elements [lo, hi) with op for a reader on socket,
-// dispatching whole chunks to the fused bitpack kernels (SumChunks,
-// MaxChunks, MinChunks) and the ragged head/tail to Codec.Get.
+// dispatching whole chunks to the fused chunk kernels of the array's
+// representation and the ragged head/tail to per-element Get.
 func ReduceRange(a *SmartArray, socket int, lo, hi uint64, op ReduceOp) uint64 {
 	return ReduceRangeCounted(a, socket, lo, hi, op, nil)
 }
@@ -77,82 +102,28 @@ func countRaggedEnds(lo, headEnd, tailStart, hi uint64, sc *ScanCounts) {
 // for sums, chunk bounds for min/max) count as pruned, decoded chunks
 // as scanned. sc may be nil.
 func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, sc *ScanCounts) uint64 {
-	identity := uint64(0)
-	if op == ReduceMin {
-		identity = ^uint64(0)
-	}
+	acc := op.identity()
 	if lo >= hi {
-		return identity
+		return acc
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
+	v := a.View(socket)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	countRaggedEnds(lo, headEnd, tailStart, hi, sc)
 
-	acc := identity
-	fold := func(v uint64) {
-		switch op {
-		case ReduceSum:
-			acc += v
-		case ReduceMax:
-			if v > acc {
-				acc = v
-			}
-		default:
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	zones := rp.zones.Load()
-	if enc := rp.enc; enc != nil {
-		for i := lo; i < headEnd; i++ {
-			fold(enc.Get(i))
-		}
-		if chunkLo < chunkHi {
-			switch {
-			case zones != nil:
-				acc = zoneReduceChunks(zones, chunkLo, chunkHi, op, acc, sc, enc.SumChunks)
-			case op == ReduceSum:
-				acc += enc.SumChunks(chunkLo, chunkHi)
-				sc.addScanned(chunkHi - chunkLo)
-			case op == ReduceMax:
-				fold(enc.MaxChunks(chunkLo, chunkHi))
-				sc.addScanned(chunkHi - chunkLo)
-			default:
-				fold(enc.MinChunks(chunkLo, chunkHi))
-				sc.addScanned(chunkHi - chunkLo)
-			}
-		}
-		for i := tailStart; i < hi; i++ {
-			fold(enc.Get(i))
-		}
-		return acc
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
 	for i := lo; i < headEnd; i++ {
-		fold(codec.Get(replica, i))
+		acc = op.fold(acc, v.Get(i))
 	}
 	if chunkLo < chunkHi {
-		switch {
-		case zones != nil:
-			acc = zoneReduceChunks(zones, chunkLo, chunkHi, op, acc, sc, func(s, e uint64) uint64 {
-				return codec.SumChunks(replica, s, e)
-			})
-		case op == ReduceSum:
-			acc += codec.SumChunks(replica, chunkLo, chunkHi)
-			sc.addScanned(chunkHi - chunkLo)
-		case op == ReduceMax:
-			fold(codec.MaxChunks(replica, chunkLo, chunkHi))
-			sc.addScanned(chunkHi - chunkLo)
-		default:
-			fold(codec.MinChunks(replica, chunkLo, chunkHi))
+		if v.zones != nil {
+			acc = zoneReduceChunks(&v, chunkLo, chunkHi, op, acc, sc)
+		} else {
+			acc = op.fold(acc, v.reduceChunks(op, chunkLo, chunkHi))
 			sc.addScanned(chunkHi - chunkLo)
 		}
 	}
 	for i := tailStart; i < hi; i++ {
-		fold(codec.Get(replica, i))
+		acc = op.fold(acc, v.Get(i))
 	}
 	return acc
 }
@@ -160,17 +131,16 @@ func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, s
 // zoneReduceChunks folds whole chunks [chunkLo, chunkHi) through the zone
 // index: min/max read the per-chunk bounds without touching the payload
 // (every chunk accounts as pruned), sums fold constant chunks in O(1)
-// (pruned) and batch the rest into contiguous sumChunks spans (scanned).
-func zoneReduceChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op ReduceOp, acc uint64, sc *ScanCounts, sumChunks func(lo, hi uint64) uint64) uint64 {
+// (pruned) and batch the rest into contiguous reduceChunks spans (scanned).
+func zoneReduceChunks(v *View, chunkLo, chunkHi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
+	z := v.zones
 	if op != ReduceSum {
 		for c := chunkLo; c < chunkHi; c++ {
 			mn, mx := z.ChunkBounds(c)
 			if op == ReduceMax {
-				if mx > acc {
-					acc = mx
-				}
-			} else if mn < acc {
-				acc = mn
+				acc = op.fold(acc, mx)
+			} else {
+				acc = op.fold(acc, mn)
 			}
 		}
 		sc.addPruned(chunkHi - chunkLo)
@@ -179,78 +149,43 @@ func zoneReduceChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op ReduceO
 	spanLo := chunkLo
 	var pruned uint64
 	for c := chunkLo; c < chunkHi; c++ {
-		if v, ok := z.Constant(c); ok {
-			acc += sumChunks(spanLo, c)
+		if k, ok := z.Constant(c); ok {
+			acc += v.reduceChunks(ReduceSum, spanLo, c)
 			spanLo = c + 1
-			acc += v * bitpack.ChunkSize
+			acc += k * bitpack.ChunkSize
 			pruned++
 		}
 	}
 	sc.addPruned(pruned)
 	sc.addScanned(chunkHi - chunkLo - pruned)
-	return acc + sumChunks(spanLo, chunkHi)
+	return acc + v.reduceChunks(ReduceSum, spanLo, chunkHi)
 }
 
 // CountRange counts elements v in [lo, hi) satisfying "v op threshold" for
 // a reader on socket, dispatching whole chunks to the fused CountWhere
-// kernel.
+// kernel; chunks the zone index resolves (all rows match, or none do)
+// never touch the payload.
 func CountRange(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	return CountRangeCounted(a, socket, lo, hi, op, threshold, nil)
-}
-
-// CountRangeCounted is CountRange with per-chunk scan accounting:
-// zone-resolved chunks (all rows match, or none do) count as pruned,
-// chunks handed to the fused CountWhere kernel as scanned. sc may be
-// nil.
-func CountRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, sc *ScanCounts) uint64 {
 	if lo >= hi {
 		return 0
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
+	v := a.View(socket)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-	countRaggedEnds(lo, headEnd, tailStart, hi, sc)
 
 	var count uint64
-	zones := rp.zones.Load()
-	if enc := rp.enc; enc != nil {
-		for i := lo; i < headEnd; i++ {
-			if op.Eval(enc.Get(i), threshold) {
-				count++
-			}
-		}
-		if zones != nil {
-			count += zoneCountChunks(zones, chunkLo, chunkHi, op, threshold, sc, func(s, e uint64) uint64 {
-				return enc.CountWhere(s, e, op, threshold)
-			})
-		} else {
-			count += enc.CountWhere(chunkLo, chunkHi, op, threshold)
-			sc.addScanned(chunkHi - chunkLo)
-		}
-		for i := tailStart; i < hi; i++ {
-			if op.Eval(enc.Get(i), threshold) {
-				count++
-			}
-		}
-		return count
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
 	for i := lo; i < headEnd; i++ {
-		if op.Eval(codec.Get(replica, i), threshold) {
+		if op.Eval(v.Get(i), threshold) {
 			count++
 		}
 	}
-	if zones != nil {
-		count += zoneCountChunks(zones, chunkLo, chunkHi, op, threshold, sc, func(s, e uint64) uint64 {
-			return codec.CountWhere(replica, s, e, op, threshold)
-		})
+	if v.zones != nil {
+		count += zoneCountChunks(&v, chunkLo, chunkHi, op, threshold)
 	} else {
-		count += codec.CountWhere(replica, chunkLo, chunkHi, op, threshold)
-		sc.addScanned(chunkHi - chunkLo)
+		count += v.countWhere(chunkLo, chunkHi, op, threshold)
 	}
 	for i := tailStart; i < hi; i++ {
-		if op.Eval(codec.Get(replica, i), threshold) {
+		if op.Eval(v.Get(i), threshold) {
 			count++
 		}
 	}
@@ -259,27 +194,23 @@ func CountRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp,
 
 // zoneCountChunks counts matches in whole chunks [chunkLo, chunkHi)
 // through the zone index: resolved chunks contribute 0 or ChunkSize
-// matches without touching the payload (accounted as pruned), and the
-// mixed remainder batches into contiguous countWhere spans (scanned).
-func zoneCountChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, sc *ScanCounts, countWhere func(lo, hi uint64) uint64) uint64 {
-	var count, pruned uint64
+// matches without touching the payload, and the mixed remainder batches
+// into contiguous countWhere spans.
+func zoneCountChunks(v *View, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
+	var count uint64
 	spanLo := chunkLo
 	for c := chunkLo; c < chunkHi; c++ {
-		switch z.Verdict(c, op, threshold) {
+		switch v.zones.Verdict(c, op, threshold) {
 		case encoding.ZoneNone:
-			count += countWhere(spanLo, c)
+			count += v.countWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
-			pruned++
 		case encoding.ZoneAll:
-			count += countWhere(spanLo, c)
+			count += v.countWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
 			count += bitpack.ChunkSize
-			pruned++
 		}
 	}
-	sc.addPruned(pruned)
-	sc.addScanned(chunkHi - chunkLo - pruned)
-	return count + countWhere(spanLo, chunkHi)
+	return count + v.countWhere(spanLo, chunkHi, op, threshold)
 }
 
 // FoldRange folds an arbitrary accumulator function over [lo, hi) for a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"smartarrays/internal/bitpack"
@@ -152,5 +153,81 @@ func TestReduceRangeUsesReaderReplica(t *testing.T) {
 		if got := SumRange(a, socket, 0, 256); got != want {
 			t.Errorf("socket %d: sum = %d, want %d", socket, got, want)
 		}
+	}
+}
+
+// TestKernelsResolveReplicaPerCall pins that no range kernel keeps a
+// replica (or a zone index) across calls: a replicated array is scanned
+// from every socket at once, migrated to a single copy and rewritten —
+// which leaves the dropped replicas holding the old values — then scanned
+// again, and replicated once more. Every scan must see the array's
+// current content. Run under -race.
+func TestKernelsResolveReplicaPerCall(t *testing.T) {
+	const n = 5*bitpack.ChunkSize + 21
+	spec := machine.X52Small()
+	for _, zones := range []bool{false, true} {
+		mem := memsim.New(spec)
+		a, err := Allocate(mem, Config{Length: n, Bits: 16, Placement: memsim.Replicated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := make([]uint64, n)
+		fill := func(salt uint64) {
+			for i := uint64(0); i < n; i++ {
+				values[i] = (i*2654435761 + salt) % 50000
+				a.Init(0, i, values[i])
+			}
+			if zones {
+				a.BuildZoneIndex()
+			}
+		}
+		scanAllSockets := func(stage string) {
+			t.Helper()
+			const thr = 25000
+			var wantSum, wantCount, wantMaskedSum uint64
+			for _, v := range values {
+				wantSum += v
+				if v < thr {
+					wantCount++
+					if v >= 1000 {
+						wantMaskedSum += v
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			for socket := 0; socket < spec.Sockets; socket++ {
+				wg.Add(1)
+				go func(socket int) {
+					defer wg.Done()
+					if got := ReduceRange(a, socket, 0, n, ReduceSum); got != wantSum {
+						t.Errorf("%s socket %d: sum = %d, want %d", stage, socket, got, wantSum)
+					}
+					if got := CountRange(a, socket, 0, n, bitpack.CmpLt, thr); got != wantCount {
+						t.Errorf("%s socket %d: count = %d, want %d", stage, socket, got, wantCount)
+					}
+					_, nm := MaskChunks(0, n)
+					masks := make([]uint64, nm)
+					MaskRange(a, socket, 0, n, bitpack.CmpLt, thr, masks)
+					MaskRangeAnd(a, socket, 0, n, bitpack.CmpGe, 1000, masks)
+					if got := ReduceRangeMasked(a, socket, 0, n, ReduceSum, masks); got != wantMaskedSum {
+						t.Errorf("%s socket %d: masked sum = %d, want %d", stage, socket, got, wantMaskedSum)
+					}
+				}(socket)
+			}
+			wg.Wait()
+		}
+
+		fill(1)
+		scanAllSockets("replicated")
+		if _, err := a.Migrate(memsim.SingleSocket, 0); err != nil {
+			t.Fatal(err)
+		}
+		fill(7)
+		scanAllSockets("single socket, rewritten")
+		if _, err := a.Migrate(memsim.Replicated, 0); err != nil {
+			t.Fatal(err)
+		}
+		scanAllSockets("replicated again")
+		a.Free()
 	}
 }

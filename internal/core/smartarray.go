@@ -186,46 +186,6 @@ func (a *SmartArray) Get(replica []uint64, index uint64) uint64 {
 	return a.codec.Get(replica, index)
 }
 
-// View is a consistent read snapshot of the array's current
-// representation for scans that Get many elements. The representation
-// pointer is loaded exactly once, so a concurrent Reencode can never
-// pair a stale replica with the new representation's decode mid-scan —
-// the reader finishes on the snapshot it loaded, which Reencode keeps
-// valid. Fetch one View per worker per scan; Get then costs no atomic
-// loads. Values are representation-independent, so two workers on
-// different snapshots still fold identical answers.
-type View struct {
-	enc     encodedView
-	codec   bitpack.Codec
-	replica []uint64
-	length  uint64
-}
-
-// encodedView is the slice of encoding.ChunkCodec the View needs.
-type encodedView interface {
-	Get(index uint64) uint64
-}
-
-// View snapshots the array's representation for a reader on socket.
-func (a *SmartArray) View(socket int) View {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		return View{enc: rp.enc, length: a.length}
-	}
-	return View{codec: a.codec, replica: rp.region.Replica(socket), length: a.length}
-}
-
-// Get extracts the element at index from the snapshot.
-func (v *View) Get(index uint64) uint64 {
-	if index >= v.length {
-		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, v.length))
-	}
-	if v.enc != nil {
-		return v.enc.Get(index)
-	}
-	return v.codec.Get(v.replica, index)
-}
-
 // GetFrom is Get with replica selection folded in, for call sites that do
 // occasional random accesses rather than scans.
 func (a *SmartArray) GetFrom(socket int, index uint64) uint64 {

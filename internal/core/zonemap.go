@@ -55,12 +55,14 @@ func (a *SmartArray) ZoneBounds() (mn, mx uint64, ok bool) {
 }
 
 // zoneMaskFill fills masks[0:n] for chunks [first, first+n) by resolving
-// each chunk through the zone index where possible and calling cmp for the
-// rest. Whole super zones inside the window resolve with one coarse check
-// per encoding.ZoneFanout chunks — on clustered or sorted data most of the
-// window never reads even the fine zone entries. Zone-resolved chunks
-// accumulate into sc as pruned, cmp chunks as scanned (sc may be nil).
-func zoneMaskFill(z *encoding.ZoneIndex, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts, cmp func(chunk uint64) uint64) {
+// each chunk through the zone index where possible and comparing the
+// payload for the rest. Whole super zones inside the window resolve with
+// one coarse check per encoding.ZoneFanout chunks — on clustered or sorted
+// data most of the window never reads even the fine zone entries.
+// Zone-resolved chunks accumulate into sc as pruned, compared chunks as
+// scanned (sc may be nil).
+func zoneMaskFill(v *View, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) {
+	z := v.zones
 	c := uint64(0)
 	var scanned uint64
 	for c < n {
@@ -87,7 +89,7 @@ func zoneMaskFill(z *encoding.ZoneIndex, first, n uint64, op bitpack.Cmp, thresh
 		case encoding.ZoneAll:
 			masks[c] = ^uint64(0)
 		default:
-			masks[c] = cmp(chunk)
+			masks[c] = v.cmpMaskChunk(chunk, op, threshold)
 			scanned++
 		}
 		c++

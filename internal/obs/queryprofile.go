@@ -185,13 +185,20 @@ func (p *QueryProfile) NoteShared(mode string, segments int, wrap time.Duration)
 // treated as immutable. Finalize is idempotent: only the first call
 // wins, so an error path that finalized early is not overwritten.
 func (p *QueryProfile) Finalize(status string, httpStatus int) {
+	p.FinalizeAt(status, httpStatus, time.Now())
+}
+
+// FinalizeAt is Finalize with the wall clock stopped at end — the instant
+// the caller's last stage closed, so contiguous stages sum to TotalNs
+// exactly instead of up to whatever ran between the two clock reads.
+func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) {
 	if p == nil || !p.final.CompareAndSwap(false, true) {
 		return
 	}
 	p.mu.Lock()
 	p.Status = status
 	p.HTTPStatus = httpStatus
-	p.TotalNs = uint64(time.Since(p.start))
+	p.TotalNs = uint64(end.Sub(p.start))
 	p.Loops = p.loops.Load()
 	p.MorselsClaimed = p.claim.Load()
 	p.MorselsStolen = p.steal.Load()

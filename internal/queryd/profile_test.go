@@ -6,16 +6,20 @@
 package queryd
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"smartarrays/internal/colstore"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/obs"
+	"smartarrays/internal/queryd/plan"
 )
 
 // profileOf decodes the inline profile from an explain response.
@@ -32,21 +36,15 @@ func profileOf(t *testing.T, env map[string]json.RawMessage) *obs.QueryProfile {
 	return &p
 }
 
-// checkStageSum asserts the disjoint stage spans account for the total:
-// their sum may not exceed TotalNs and must reach at least 90% of it
-// (the gap is glue code between stages).
+// checkStageSum asserts the stage spans account for the total: their sum
+// may not exceed TotalNs and must reach 95% of it. The handler records
+// stages as contiguous laps from the request's arrival, the last closing
+// right before Finalize, so the sum is exact up to the two clock reads
+// around Finalize — which is why the chaos tests, whose busy writers
+// deschedule the handler at will, hold the same floor as the quiet ones.
 func checkStageSum(t *testing.T, p *obs.QueryProfile) {
 	t.Helper()
-	checkStageSumFloor(t, p, 0.9)
-}
-
-// checkStageSumFloor is checkStageSum with an explicit coverage floor.
-// The chaos tests pass a looser floor: between-stage gaps are wall
-// time, so a goroutine preempted at a stage boundary by the chaos
-// writers (or anything else on a loaded 1-core CI host) legitimately
-// accrues unaccounted time.
-func checkStageSumFloor(t *testing.T, p *obs.QueryProfile, floor float64) {
-	t.Helper()
+	const floor = 0.95
 	var sum uint64
 	for _, st := range p.Stages {
 		sum += st.Ns
@@ -190,6 +188,70 @@ func TestExplainGroupByProfile(t *testing.T) {
 		t.Errorf("column roles = %v", roles)
 	}
 	checkChunkInvariant(t, p, uint64((testRows+63)/64))
+}
+
+// TestExplainParityBypassedVsEnrolled runs the same plans through the
+// independent path (execute) and through the shared-scan coordinator
+// (submit) and requires the same EXPLAIN column report from both: same
+// columns, roles and codecs in the same order — predicates in canonical
+// signature order, whatever order the caller wrote them in — and the
+// chunk invariant on each. Both paths are one ScanState over the whole
+// table, so any difference would be an accounting fork.
+func TestExplainParityBypassedVsEnrolled(t *testing.T) {
+	srv, _ := newTestServer(t, sharedConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written in non-canonical order: "region…" sorts after "flag…".
+	preds := []colstore.Pred{
+		{Column: "region", Op: colstore.Lt, Value: 8},
+		{Column: "flag", Op: colstore.Eq, Value: 1},
+	}
+	plans := []*plan.Plan{
+		{Dataset: "demo", Op: plan.OpAggregate, Agg: colstore.Sum, Column: "amount", Preds: preds},
+		{Dataset: "demo", Op: plan.OpAggregate, Agg: colstore.Count, Column: "amount", Preds: preds[:1]},
+		{Dataset: "demo", Op: plan.OpGroupBy, Agg: colstore.Max, Column: "amount", Key: "region", Preds: preds},
+	}
+	wantOrder := [][]string{
+		{"flag/predicate", "region/predicate", "amount/target"},
+		{"region/predicate"},
+		{"flag/predicate", "region/predicate", "region/key", "amount/target"},
+	}
+	chunks := uint64((testRows + 63) / 64)
+	for i, p := range plans {
+		bypassed := obs.NewQueryProfile(1)
+		direct, err := execute(obs.ContextWithProfile(context.Background(), bypassed), srv.rt, ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enrolled := obs.NewQueryProfile(2)
+		res, err := srv.shared.scanner(ds.Table, srv.rt).submit(planScanQuery(p), planKey(p), 0, 4, enrolled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared := wireScanResult(p, res); !reflect.DeepEqual(direct, shared) {
+			t.Errorf("plan %d: bypassed answer %+v, enrolled %+v", i, direct, shared)
+		}
+		var order []string
+		for _, c := range bypassed.Columns {
+			order = append(order, c.Column+"/"+c.Role)
+		}
+		if !reflect.DeepEqual(order, wantOrder[i]) {
+			t.Errorf("plan %d: bypassed columns %v, want %v", i, order, wantOrder[i])
+		}
+		if len(enrolled.Columns) != len(bypassed.Columns) {
+			t.Fatalf("plan %d: enrolled reports %d columns, bypassed %d", i, len(enrolled.Columns), len(bypassed.Columns))
+		}
+		for j, b := range bypassed.Columns {
+			e := enrolled.Columns[j]
+			if e.Column != b.Column || e.Role != b.Role || e.Codec != b.Codec || e.Chunks != b.Chunks {
+				t.Errorf("plan %d column %d: enrolled %+v, bypassed %+v", i, j, e, b)
+			}
+		}
+		checkChunkInvariant(t, bypassed, chunks)
+		checkChunkInvariant(t, enrolled, chunks)
+	}
 }
 
 // TestProfileCacheAgreement samples every query and checks the profile
@@ -487,7 +549,7 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 				if p.Status != "ok" {
 					t.Errorf("profile status %q under chaos", p.Status)
 				}
-				checkStageSumFloor(t, p, 0.5)
+				checkStageSum(t, p)
 				coalesced := p.Shared != nil && p.Shared.Mode == obs.SharedCoalesced
 				if !coalesced && len(p.Columns) == 0 {
 					t.Errorf("non-coalesced profile lost its columns: %+v", p)

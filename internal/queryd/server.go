@@ -295,8 +295,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		prof.Dataset = p.Dataset
 		prof.Tenant = p.Tenant
 		prof.Plan = p.String()
-		prof.Stage("parse", time.Since(qStart))
 	}
+	// Stage times are contiguous laps from qStart: each stage ends where
+	// the next begins and the profile finalizes at the instant the last
+	// one closed (lapStart), so the stages tile the profile's wall time —
+	// glue between them (dataset lookup, cache fill, histogram observes)
+	// lands in a stage instead of a gap a descheduled handler could
+	// silently widen.
+	lapStart := qStart
+	lap := func(name string) time.Duration {
+		now := time.Now()
+		d := now.Sub(lapStart)
+		lapStart = now
+		prof.Stage(name, d)
+		return d
+	}
+	lap("parse")
 	ds, err := snap.dataset(p.Dataset)
 	if err != nil {
 		s.failQuery(w, http.StatusNotFound, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
@@ -319,7 +333,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			prof.Cache = obs.CacheOff
 		}
 	} else {
-		cacheStart := time.Now()
 		key, cacheable = cacheKey(snap, ds, p)
 		var result any
 		hit := false
@@ -335,16 +348,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			default:
 				prof.Cache = obs.CacheBypass
 			}
-			prof.Stage("cache", time.Since(cacheStart))
 		}
-		if hit {
+		if !hit {
+			lap("cache")
+		} else {
 			wall := time.Since(qStart)
 			if s.rec != nil {
 				s.rec.Histogram(QueryHistogram).Observe(uint64(wall.Nanoseconds()))
 				s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
 			}
 			s.observeTenant(p.Tenant, string(p.Op), wall, false)
-			s.finishProfile(prof, "ok", http.StatusOK)
+			lap("cache")
+			s.finishProfile(prof, "ok", http.StatusOK, lapStart)
 			s.served.Add(1)
 			writeJSON(w, http.StatusOK, queryResponse{
 				Op:       string(p.Op),
@@ -359,23 +374,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	admitStart := time.Now()
-	if err := s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS); err != nil {
-		if prof != nil {
-			wait := time.Since(admitStart)
-			prof.QueueWaitNs = uint64(wait)
-			prof.Stage("admission", wait)
-		}
+	err = s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS)
+	queueWait := lap("admission")
+	if prof != nil {
+		prof.QueueWaitNs = uint64(queueWait)
+	}
+	if err != nil {
 		s.reject(w, snap.cfg, err, qid, prof, p, qStart)
 		return
 	}
-	queueWait := time.Since(admitStart)
 	if s.rec != nil {
 		s.rec.Histogram(QueueWaitHistogram).Observe(uint64(queueWait.Nanoseconds()))
-	}
-	if prof != nil {
-		prof.QueueWaitNs = uint64(queueWait)
-		prof.Stage("admission", queueWait)
 	}
 	defer s.adm.ReleaseTenant(p.Tenant)
 	// releaseSlot frees the in-flight slot exactly once, reading the
@@ -395,16 +404,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority))
 	ctx := obs.ContextWithProfile(r.Context(), prof)
-	execStart := time.Now()
 	result, shared, err := s.executeMaybeShared(ctx, snap, ds, p, qrt, releaseSlot)
-	if prof != nil {
-		prof.Stage("execute", time.Since(execStart))
-	}
 	if err != nil {
 		// Post-admission failures are server-side: the plan validated but
 		// execution rejected it (e.g. unknown column) — report 422 for
 		// plan-shaped issues, which keeps the "zero 5xx" load gate
 		// meaningful for real internal failures.
+		lap("execute")
 		s.failQuery(w, http.StatusUnprocessableEntity, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
 		return
 	}
@@ -417,7 +423,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
 	}
 	s.observeTenant(p.Tenant, string(p.Op), wall, false)
-	s.finishProfile(prof, "ok", http.StatusOK)
+	lap("execute")
+	s.finishProfile(prof, "ok", http.StatusOK, lapStart)
 	s.served.Add(1)
 	resp := queryResponse{
 		Op:       string(p.Op),
@@ -448,13 +455,14 @@ func (s *Server) maybeProfile(cfg Config, explain bool, id uint64, start time.Ti
 	return obs.NewQueryProfileAt(id, start)
 }
 
-// finishProfile finalizes a profile and publishes it to the slow-query
-// log. Nil-safe: unsampled requests pay one branch.
-func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int) {
+// finishProfile finalizes a profile, its wall clock stopped at end, and
+// publishes it to the slow-query log. Nil-safe: unsampled requests pay
+// one branch.
+func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int, end time.Time) {
 	if prof == nil {
 		return
 	}
-	prof.Finalize(status, httpStatus)
+	prof.FinalizeAt(status, httpStatus, end)
 	s.slowlog.Observe(prof)
 }
 
@@ -480,7 +488,7 @@ func (s *Server) failQuery(w http.ResponseWriter, status int, err error, qid uin
 	if prof != nil {
 		prof.Error = err.Error()
 	}
-	s.finishProfile(prof, profStatus, status)
+	s.finishProfile(prof, profStatus, status, time.Now())
 	s.observeTenant(tenant, op, time.Since(start), true)
 	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: qid})
 }
@@ -567,7 +575,7 @@ func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, qid uint64
 	if prof != nil {
 		prof.Error = err.Error()
 	}
-	s.finishProfile(prof, status, http.StatusTooManyRequests)
+	s.finishProfile(prof, status, http.StatusTooManyRequests, time.Now())
 	s.observeTenant(p.Tenant, string(p.Op), time.Since(start), true)
 	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), QueryID: qid})
 }

@@ -14,8 +14,6 @@ package queryd
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -505,21 +503,16 @@ func planScanQuery(p *plan.Plan) colstore.ScanQuery {
 // comes from the per-table scanner, and staleness needs no guard: table
 // data is immutable, and re-encoding preserves values.
 func planKey(p *plan.Plan) string {
-	preds := make([]string, len(p.Preds))
-	for i, pr := range p.Preds {
-		preds[i] = fmt.Sprintf("%s\x00%d\x00%d", pr.Column, pr.Op, pr.Value)
-	}
-	sort.Strings(preds)
-	return fmt.Sprintf("%s|%d|%s|%s|%s", p.Op, p.Agg, p.Column, p.Key, strings.Join(preds, "\x01"))
+	return fmt.Sprintf("%s|%d|%s|%s|%s", p.Op, p.Agg, p.Column, p.Key, colstore.PredSignature(p.Preds))
 }
 
 // decideEnroll scores enrollment for a predicated table plan at the
 // given batch estimate: the query's zone prune statistics feed the
 // foldShare/resolvedShare the adaptive score compares against the
-// amortized cooperative pass. Unpredicated plans always bypass — their
-// independent fast paths (zone-root min/max, pure fused folds) leave no
-// mask walk to share — as do plans whose columns fail to resolve (the
-// independent path owns the error report).
+// amortized cooperative pass. Unpredicated plans always bypass — they
+// are answered without a scan (COUNT(*), zone-root min/max) or by pure
+// fused folds, so there is no mask walk to share — as do plans whose
+// columns fail to resolve (the independent run owns the error report).
 func decideEnroll(tbl *colstore.Table, p *plan.Plan, est int) (adapt.SharedScanScore, bool) {
 	if len(p.Preds) == 0 {
 		return adapt.SharedScanScore{}, false
