@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # Allowed ns/op regression (percent) for the bench gate.
 MAX_REGRESS ?= 25
 
-.PHONY: all build test race fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured load-smoke ci
+.PHONY: all build test race fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs load-smoke ci
 
 all: build
 
@@ -28,9 +28,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. Skips gracefully when staticcheck is not on
-# PATH (no-network sandboxes); the CI lint job installs a pinned version.
+# Static analysis beyond vet, plus a syntax check of the one bash script no
+# CI target runs (bench-pairs takes minutes). Skips gracefully when
+# staticcheck is not on PATH (no-network sandboxes); the CI lint job
+# installs a pinned version.
 lint:
+	bash -n scripts/bench_pairs.sh
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -70,6 +73,15 @@ bench-selftest:
 # Not a CI target — timing on shared runners is not evidence.
 bench-measured:
 	bash benchmark/run.sh
+
+# Paired parent/change runs of one workload, the evidence behind any
+# "faster" or "did not move" claim (scripts/bench_pairs.sh; about a
+# minute per pair). Not a CI target, for the same reason.
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(WORKLOAD)" && test -n "$(PARENT)" || \
+		{ echo "usage: make bench-pairs WORKLOAD=<name> PARENT=<rev> [PAIRS=10]"; exit 2; }
+	bash scripts/bench_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
 
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous

@@ -7,27 +7,94 @@ import (
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
+	"smartarrays/internal/obs"
 )
 
+// pruningRows sizes the fixtures queriesMatchScalar runs on: five super
+// zones and a ragged last chunk, so plan-time pruning has whole runs to
+// drop and boundaries of every kind to get wrong.
+const pruningRows = 5*superRows + 37
+
+// addPruningColumns gives the fixture the two columns whose zone maps
+// prune at the super-zone level: id, the row number, and cluster, whose
+// value 0 occupies one 1024-row plateau in every 8192 rows — survivors of
+// "cluster = 0" are disjoint runs, one in every other super zone.
+func (f *fixture) addPruningColumns(t *testing.T) {
+	t.Helper()
+	rows := f.table.Rows()
+	id := make([]uint64, rows)
+	cluster := make([]uint64, rows)
+	for i := range id {
+		id[i] = uint64(i)
+		cluster[i] = uint64(i) / 1024 % 8
+	}
+	for name, vals := range map[string][]uint64{"id": id, "cluster": cluster} {
+		if _, err := f.table.AddColumn(name, vals, Options{Placement: memsim.Interleaved}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// idWindow is the conjunction lo <= id < hi.
+func idWindow(lo, hi uint64) []Pred {
+	return []Pred{{Column: "id", Op: Ge, Value: lo}, {Column: "id", Op: Lt, Value: hi}}
+}
+
+// scalarResult answers q through the per-row oracles.
+func scalarResult(t *testing.T, tbl *Table, q ScanQuery) ScanResult {
+	t.Helper()
+	if q.Key == "" {
+		v, err := tbl.aggregateScalar(q.Agg, q.Column, q.Preds...)
+		if err != nil {
+			t.Fatalf("aggregateScalar: %v", err)
+		}
+		return ScanResult{Value: v}
+	}
+	groups, err := tbl.groupByScalar(q.Key, q.Agg, q.Column, q.Preds...)
+	if err != nil {
+		t.Fatalf("groupByScalar: %v", err)
+	}
+	return ScanResult{Groups: groups}
+}
+
 // queriesMatchScalar pins the one scan executor against the per-row
-// scalar references on the fixture's current column representations:
-// every aggregate × {0, 1, 2 predicates} × {scalar, dense GroupBy, wide
-// GroupBy}. The shapes that once had paths of their own — COUNT(*),
+// scalar references on the fixture's current column representations
+// (which must include addPruningColumns'): every aggregate × {0, 1, 2
+// predicates} × {scalar, dense GroupBy, wide GroupBy}, then the plans
+// plan-time pruning cuts down to a few batches or to none, with one
+// aggregate each where a full per-row oracle pass per aggregate would only
+// repeat itself. The shapes that once had paths of their own — COUNT(*),
 // single-predicate COUNT, zone-root MIN/MAX, unpredicated SUM — are rows
-// of this table like any other.
+// of this table like any other. It then drives several signatures through
+// one pass and through a segmented, rotated pass, where the live runs of
+// each call differ.
 func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 	t.Helper()
-	preds := [][]Pred{
-		nil,
-		{{Column: "qty", Op: Gt, Value: 500}},
-		{{Column: "qty", Op: Le, Value: 700}, {Column: "region", Op: Ne, Value: 2}},
-		{{Column: "region", Op: Eq, Value: 3}},
+	rows := f.table.Rows()
+	type planShape struct {
+		preds []Pred
+		aggs  []Agg
+	}
+	every := []Agg{Sum, Count, Min, Max}
+	plans := []planShape{
+		{nil, every},
+		{[]Pred{{Column: "qty", Op: Gt, Value: 500}}, every},
+		{[]Pred{{Column: "qty", Op: Le, Value: 700}, {Column: "region", Op: Ne, Value: 2}}, every},
+		{[]Pred{{Column: "region", Op: Eq, Value: 3}}, every},
+		{idWindow(128, 192), []Agg{Sum}},                            // one chunk
+		{idWindow(superRows+64, superRows+64+65*64), []Agg{Max}},    // 65 chunks, into the next super zone
+		{idWindow(superRows-6, superRows+4), []Agg{Count}},          // straddles a super-zone boundary
+		{idWindow(rows-3, rows+100), []Agg{Min}},                    // the ragged last chunk
+		{idWindow(rows+10, rows+20), every},                         // past the table: every run dead, no loop
+		{[]Pred{{Column: "cluster", Op: Eq, Value: 0}}, []Agg{Sum}}, // many disjoint runs
+		{[]Pred{{Column: "qty", Op: Gt, Value: 500}, {Column: "cluster", Op: Eq, Value: 0}, {Column: "id", Op: Ge, Value: 3 * superRows}}, []Agg{Max}},
 	}
 	// region is 3 bits wide (dense slice-indexed groups), price 16 (past
 	// denseKeyMaxBits: per-worker hash maps).
 	groupings := []struct{ key, target string }{{"region", "price"}, {"price", "qty"}}
-	for _, ps := range preds {
-		for _, agg := range []Agg{Sum, Count, Min, Max} {
+	for _, pl := range plans {
+		ps := pl.preds
+		for _, agg := range pl.aggs {
 			got, err := f.table.Aggregate(agg, "price", ps...)
 			if err != nil {
 				t.Fatalf("%s: Aggregate: %v", label, err)
@@ -54,6 +121,65 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 			}
 		}
 	}
+
+	// Several signatures in one pass. The loop covers the union of their
+	// live runs: with the zero-predicate state aboard that is the whole
+	// table, and each selective state must still see only its own rows.
+	selective := []ScanQuery{
+		{Agg: Sum, Column: "price", Preds: idWindow(128, 192)},
+		{Agg: Max, Column: "qty", Key: "region", Preds: []Pred{{Column: "cluster", Op: Eq, Value: 0}}},
+		{Agg: Count, Column: "qty", Key: "price", Preds: idWindow(superRows-6, superRows+4)},
+		{Agg: Min, Column: "price", Preds: idWindow(rows+10, rows+20)},
+	}
+	shared := append([]ScanQuery{{Agg: Sum, Column: "price"}}, selective...)
+	results, err := f.table.MultiScan(shared)
+	if err != nil {
+		t.Fatalf("%s: MultiScan: %v", label, err)
+	}
+	for i, q := range shared {
+		if want := scalarResult(t, f.table, q); !reflect.DeepEqual(results[i], want) {
+			t.Errorf("%s: shared pass query %d = %+v, want %+v", label, i, results[i], want)
+		}
+	}
+
+	// The selective states alone, segment by segment from mid-table, on
+	// the coordinator's boundaries: on the chunk grid, off the super-zone
+	// grid. Every call prunes its own range, most segments run no loop, and
+	// the per-column chunk accounting must still add up over the wraparound.
+	const segments = 7
+	bound := func(i int) uint64 {
+		if i >= segments {
+			return rows
+		}
+		return (uint64(i)*rows/segments + 32) / 64 * 64
+	}
+	states := make([]*ScanState, len(selective))
+	profs := make([]*obs.QueryProfile, len(selective))
+	for i, q := range selective {
+		st, err := f.table.NewScanState(q)
+		if err != nil {
+			t.Fatalf("%s: NewScanState: %v", label, err)
+		}
+		profs[i] = obs.NewQueryProfile(uint64(i))
+		st.EnableProfile(profs[i], len(f.table.rt.Workers()))
+		states[i] = st
+	}
+	for k := 0; k < segments; k++ {
+		seg := (3 + k) % segments
+		f.table.ScanRange(bound(seg), bound(seg+1), states)
+	}
+	for i, q := range selective {
+		states[i].FoldProfile()
+		if got, want := states[i].Result(), scalarResult(t, f.table, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: segmented query %d = %+v, want %+v", label, i, got, want)
+		}
+		for _, c := range profs[i].Columns {
+			if c.ChunksScanned+c.ChunksPruned != c.Chunks {
+				t.Errorf("%s: segmented query %d column %s (%s): scanned %d + pruned %d != chunks %d",
+					label, i, c.Column, c.Role, c.ChunksScanned, c.ChunksPruned, c.Chunks)
+			}
+		}
+	}
 }
 
 // TestQueriesOnEveryEncoding re-encodes every column through every codec,
@@ -63,7 +189,8 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 func TestQueriesOnEveryEncoding(t *testing.T) {
 	for _, kind := range encoding.Kinds {
 		for _, zones := range []bool{true, false} {
-			f := newFixture(t, 6_000, memsim.Interleaved)
+			f := newFixture(t, pruningRows, memsim.Interleaved)
+			f.addPruningColumns(t)
 			for _, name := range f.table.Columns() {
 				c, _ := f.table.Column(name)
 				if !zones {
@@ -91,7 +218,8 @@ func TestQueriesOnEveryEncoding(t *testing.T) {
 // representation — predicate columns and target columns may disagree and
 // the pipeline must still compose their kernels.
 func TestQueriesOnMixedEncodings(t *testing.T) {
-	f := newFixture(t, 6_000, memsim.Interleaved)
+	f := newFixture(t, pruningRows, memsim.Interleaved)
+	f.addPruningColumns(t)
 	for name, kind := range map[string]encoding.Kind{
 		"qty": encoding.Delta, "price": encoding.FoR, "region": encoding.RLE,
 	} {

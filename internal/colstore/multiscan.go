@@ -14,12 +14,13 @@
 package colstore
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
-	"strings"
+	"strconv"
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
 )
@@ -87,6 +88,10 @@ type ScanState struct {
 	// from their lead's still attribute correctly.
 	prof     *obs.QueryProfile
 	profRows [][]core.ScanCounts
+	// deadChunks counts the chunks of the dead runs plan-time pruning kept
+	// out of every loop so far: pruned for each of the state's columns,
+	// added by ScanRange at the control plane, where no worker row is owned.
+	deadChunks uint64
 }
 
 // paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 48
@@ -103,20 +108,37 @@ type paddedAgg struct {
 // sorted terms — two queries whose orderPreds ordering diverged
 // (telemetry drift) still share the identical resulting mask.
 func canonicalPreds(preds []Pred) (pos []int, sig string) {
-	keys := make([]string, len(preds))
+	// Every term ("column\x00op\x00value") is appended to one buffer;
+	// term i is buf[off[i]:off[i+1]].
+	buf := make([]byte, 0, 32*len(preds))
+	off := make([]int, len(preds)+1)
 	idx := make([]int, len(preds))
 	for i, p := range preds {
-		keys[i] = fmt.Sprintf("%s\x00%d\x00%d", p.Column, p.Op, p.Value)
+		buf = append(buf, p.Column...)
+		buf = append(buf, 0)
+		buf = strconv.AppendInt(buf, int64(p.Op), 10)
+		buf = append(buf, 0)
+		buf = strconv.AppendUint(buf, p.Value, 10)
+		off[i+1] = len(buf)
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	term := func(i int) []byte { return buf[off[i]:off[i+1]] }
+	// Stable insertion sort: conjunctions are a handful of terms.
+	for a := 1; a < len(idx); a++ {
+		for b := a; b > 0 && bytes.Compare(term(idx[b]), term(idx[b-1])) < 0; b-- {
+			idx[b], idx[b-1] = idx[b-1], idx[b]
+		}
+	}
 	pos = make([]int, len(preds))
-	sorted := make([]string, len(preds))
+	joined := make([]byte, 0, len(buf)+len(preds))
 	for c, i := range idx {
 		pos[i] = c
-		sorted[c] = keys[i]
+		if c > 0 {
+			joined = append(joined, 1)
+		}
+		joined = append(joined, term(i)...)
 	}
-	return pos, strings.Join(sorted, "\x01")
+	return pos, string(joined)
 }
 
 // PredSignature is the canonical signature of a conjunction on its own —
@@ -251,6 +273,9 @@ func (s *ScanState) FoldProfile() {
 		return
 	}
 	totals := make([]core.ScanCounts, s.numProfSlots())
+	for i := range totals {
+		totals[i].Pruned = s.deadChunks
+	}
 	for _, r := range s.profRows {
 		if r == nil {
 			continue
@@ -289,30 +314,38 @@ func countScratch(slot *[]core.ScanCounts, n int) []core.ScanCounts {
 }
 
 // ScanRange advances every state over rows [lo, hi) in one parallel
-// pass — the only parallel loop colstore starts. Per batch, states are
-// grouped by predicate signature: the group leader builds the selection
-// bitmap once (into the table's per-worker mask scratch), then every
-// member folds the surviving rows — N queries pay one decode. Runs
-// through the receiver's runtime, so a coordinator can submit each
-// segment on a priority view of the enrolled queries.
+// pass — the only parallel loop colstore starts. Pruning happens first, at
+// plan time (liveRuns): the loop covers only the row runs some group's
+// conjunction can still match, and the rest is accounted in bulk here at
+// the control plane. Per batch, states are grouped by predicate signature:
+// the group leader builds the selection bitmap once (into the table's
+// per-worker mask scratch), then every member folds the surviving rows —
+// N queries pay one decode. Runs through the receiver's runtime, so a
+// coordinator can submit each segment on a priority view of the enrolled
+// queries.
 func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 	if lo >= hi || len(states) == 0 {
 		return
 	}
 	groups := groupScanStates(states)
+	runs, dead := liveRuns(lo, hi, groups)
 	// Control plane, once per call: which groups carry a profiled member
 	// (their shared mask build is counted and attributed to every one),
-	// and fresh per-worker row folds for the grouped states.
+	// the dead runs' chunks (no morsel will ever see them), and fresh
+	// per-worker row folds for the grouped states.
 	profiled := make([]bool, len(groups))
 	for gi, grp := range groups {
 		for _, s := range grp {
-			profiled[gi] = profiled[gi] || s.prof != nil
+			if s.prof != nil {
+				profiled[gi] = true
+				s.deadChunks += dead
+			}
 			for w := range s.rowFolds {
 				s.rowFolds[w] = nil
 			}
 		}
 	}
-	t.rt.ParallelFor(lo, hi, 0, func(w *rts.Worker, blo, bhi uint64) {
+	t.rt.ParallelForSpans(runs, 0, func(w *rts.Worker, blo, bhi uint64) {
 		for gi, grp := range groups {
 			lead := grp[0]
 			if len(lead.preds) == 0 {
@@ -348,6 +381,71 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 			}
 		}
 	})
+}
+
+// superRows is the row span of one super zone, the granularity of
+// plan-time pruning.
+const superRows = encoding.ZoneFanout * bitpack.ChunkSize
+
+// liveRuns is the plan-time pruning step. It resolves each group's
+// conjunction against the super-zone level of its predicate columns' zone
+// indexes over rows [lo, hi) — one SuperVerdict per 4096 rows, never a
+// fine entry; a super zone is dead for a group when any one predicate
+// proves it empty — and returns the maximal row runs that are live for at
+// least one group (everything, for a group with nothing to prune by).
+// dead is the number of chunks of [lo, hi) in no run. Inside a run nothing
+// is decided here: the mask build still resolves fine zone entries and
+// evaluates the rest.
+//
+// The zone indexes are loaded afresh on every call and never kept on a
+// state (the rowFolds rule): a state outlives many calls, and a Reencode
+// in between swaps the index. Any snapshot is sound to prune by, since
+// every representation's index bounds the same values. Memory is per run,
+// not per super zone or batch: a full-table pass that prunes nothing
+// allocates one span.
+func liveRuns(lo, hi uint64, groups [][]*ScanState) (runs []rts.Span, dead uint64) {
+	// One pruner per predicate that has an index to prune by, per group.
+	type pruner struct {
+		zones *encoding.ZoneIndex
+		op    bitpack.Cmp
+		value uint64
+	}
+	pruners := make([][]pruner, len(groups))
+	for gi, grp := range groups {
+		lead := grp[0]
+		for i, col := range lead.predCols {
+			if z := col.arr.ZoneIndex(); z != nil {
+				pruners[gi] = append(pruners[gi], pruner{z, lead.preds[i].Op.cmp(), lead.preds[i].Value})
+			}
+		}
+	}
+	superLive := func(s uint64) bool {
+	nextGroup:
+		for _, grp := range pruners {
+			for i := range grp {
+				if p := &grp[i]; p.zones.SuperVerdict(s, p.op, p.value) == encoding.ZoneNone {
+					continue nextGroup
+				}
+			}
+			return true
+		}
+		return false
+	}
+	_, dead = core.MaskChunks(lo, hi)
+	for s, end := lo/superRows, (hi-1)/superRows+1; s < end; s++ {
+		if !superLive(s) {
+			continue
+		}
+		run := rts.Span{Lo: max(lo, s*superRows)}
+		for s+1 < end && superLive(s+1) {
+			s++
+		}
+		run.Hi = min(hi, (s+1)*superRows)
+		_, chunks := core.MaskChunks(run.Lo, run.Hi)
+		dead -= chunks
+		runs = append(runs, run)
+	}
+	return runs, dead
 }
 
 // groupScanStates buckets states by predicate signature, preserving

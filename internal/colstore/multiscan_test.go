@@ -2,6 +2,9 @@ package colstore
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,5 +190,44 @@ func TestMultiScanErrors(t *testing.T) {
 	}
 	if _, err := f.table.MultiScan([]ScanQuery{{Agg: Sum, Column: "qty", Key: "nope"}}); err == nil {
 		t.Error("unknown key column should error")
+	}
+}
+
+// TestCanonicalPredsSignature pins the signature bytes to the format the
+// coalescing key and the shared-scan grouping have always used — sorted
+// "column\x00op\x00value" terms joined by \x01 — and the positions to a
+// stable sort, duplicates included.
+func TestCanonicalPredsSignature(t *testing.T) {
+	cases := [][]Pred{
+		nil,
+		{{Column: "id", Op: Ge, Value: 10}},
+		{{Column: "id", Op: Lt, Value: 4096}, {Column: "id", Op: Ge, Value: 10}},
+		{{Column: "qty", Op: Le, Value: ^uint64(0)}, {Column: "amount", Op: Eq, Value: 0}, {Column: "qty", Op: Le, Value: 7}},
+		{{Column: "a", Op: Ne, Value: 1}, {Column: "a", Op: Ne, Value: 1}, {Column: "", Op: Gt, Value: 3}},
+		{{Column: "id", Op: Lt, Value: 100}, {Column: "id", Op: Lt, Value: 99}, {Column: "id", Op: Lt, Value: 1000}},
+	}
+	for _, preds := range cases {
+		keys := make([]string, len(preds))
+		idx := make([]int, len(preds))
+		for i, p := range preds {
+			keys[i] = fmt.Sprintf("%s\x00%d\x00%d", p.Column, p.Op, p.Value)
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+		wantPos := make([]int, len(preds))
+		sorted := make([]string, len(preds))
+		for c, i := range idx {
+			wantPos[i] = c
+			sorted[c] = keys[i]
+		}
+		wantSig := strings.Join(sorted, "\x01")
+
+		pos, sig := canonicalPreds(preds)
+		if sig != wantSig || !reflect.DeepEqual(pos, wantPos) {
+			t.Errorf("canonicalPreds(%v) = %v %q, want %v %q", preds, pos, sig, wantPos, wantSig)
+		}
+		if got := PredSignature(preds); got != wantSig {
+			t.Errorf("PredSignature(%v) = %q, want %q", preds, got, wantSig)
+		}
 	}
 }

@@ -54,20 +54,33 @@ func (a *SmartArray) ZoneBounds() (mn, mx uint64, ok bool) {
 	return mn, mx, true
 }
 
+// superWindow reports whether a window of remaining chunks starting at
+// chunk covers a whole super zone from its first chunk, so one coarse
+// verdict can stand for all of its fine entries.
+func superWindow(chunk, remaining uint64) bool {
+	return chunk%encoding.ZoneFanout == 0 && remaining >= encoding.ZoneFanout
+}
+
 // zoneMaskFill fills masks[0:n] for chunks [first, first+n) by resolving
 // each chunk through the zone index where possible and comparing the
 // payload for the rest. Whole super zones inside the window resolve with
 // one coarse check per encoding.ZoneFanout chunks — on clustered or sorted
-// data most of the window never reads even the fine zone entries.
-// Zone-resolved chunks accumulate into sc as pruned, compared chunks as
-// scanned (sc may be nil).
+// data most of the window never reads even the fine zone entries. That
+// shortcut needs a window of at least ZoneFanout aligned chunks, which no
+// table scan passes: colstore's batches are 32 chunks, and its plan-time
+// step (colstore.liveRuns) drops empty super zones before any batch
+// exists. The callers that reach it mask a whole column in one call —
+// internal/bench/pruning.go's timed sweep and the measured benchmark's
+// core.zone_prune_ns_per_chunk probe and answer oracle. Zone-resolved
+// chunks accumulate into sc as pruned, compared chunks as scanned (sc may
+// be nil).
 func zoneMaskFill(v *View, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) {
 	z := v.zones
 	c := uint64(0)
 	var scanned uint64
 	for c < n {
 		chunk := first + c
-		if chunk%encoding.ZoneFanout == 0 && n-c >= encoding.ZoneFanout {
+		if superWindow(chunk, n-c) {
 			switch z.SuperVerdict(chunk/encoding.ZoneFanout, op, threshold) {
 			case encoding.ZoneNone:
 				for i := uint64(0); i < encoding.ZoneFanout; i++ {

@@ -200,3 +200,64 @@ func TestZoneReencodeWithoutIndex(t *testing.T) {
 		t.Fatal("Reencode built a zone index the array never asked for")
 	}
 }
+
+// TestZoneMaskFillSuperWindow pins the in-kernel super-zone shortcut to
+// the callers that can reach it: a window of at least ZoneFanout aligned
+// chunks takes it, a table scan's 32-chunk batch never does, and the two
+// produce the same masks and the same scanned/pruned counts.
+func TestZoneMaskFillSuperWindow(t *testing.T) {
+	const superRows = encoding.ZoneFanout * bitpack.ChunkSize
+	const batchRows = superRows / 2 // a table-scan batch: 32 chunks
+	for _, w := range []struct {
+		chunk, remaining uint64
+		want             bool
+	}{
+		{0, encoding.ZoneFanout, true},
+		{encoding.ZoneFanout, 3 * encoding.ZoneFanout, true},
+		{0, encoding.ZoneFanout / 2, false},                   // batch at a super's start
+		{encoding.ZoneFanout / 2, encoding.ZoneFanout, false}, // long but unaligned
+		{encoding.ZoneFanout, encoding.ZoneFanout - 1, false},
+	} {
+		if got := superWindow(w.chunk, w.remaining); got != w.want {
+			t.Errorf("superWindow(%d, %d) = %v, want %v", w.chunk, w.remaining, got, w.want)
+		}
+	}
+
+	// A sorted ramp over three super zones plus a ragged tail: per
+	// threshold the supers are all-match, mixed and no-match.
+	const n = 3*superRows + 100
+	mem := memsim.New(machine.X52Large())
+	a, err := Allocate(mem, Config{Length: n, Bits: 14, Placement: memsim.Interleaved})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Free()
+	for i := uint64(0); i < n; i++ {
+		a.Init(0, i, i)
+	}
+	a.BuildZoneIndex()
+	ops := []bitpack.Cmp{bitpack.CmpEq, bitpack.CmpNe, bitpack.CmpLt, bitpack.CmpLe, bitpack.CmpGt, bitpack.CmpGe}
+	for _, op := range ops {
+		for _, thr := range []uint64{0, superRows - 1, superRows, superRows + 70, 2 * superRows, n - 1, n + 5} {
+			_, nc := MaskChunks(0, n)
+			whole := make([]uint64, nc)
+			var wholeCounts ScanCounts
+			MaskRangeCounted(a, 0, 0, n, op, thr, whole, &wholeCounts)
+
+			batched := make([]uint64, nc)
+			var batchedCounts ScanCounts
+			for lo := uint64(0); lo < n; lo += batchRows {
+				hi := min(lo+batchRows, n)
+				MaskRangeCounted(a, 0, lo, hi, op, thr, batched[lo/bitpack.ChunkSize:], &batchedCounts)
+			}
+			for c := range whole {
+				if whole[c] != batched[c] {
+					t.Fatalf("op %v thr %d chunk %d: whole-column mask %#x, batched %#x", op, thr, c, whole[c], batched[c])
+				}
+			}
+			if wholeCounts != batchedCounts || wholeCounts.Total() != nc {
+				t.Fatalf("op %v thr %d: whole-column counts %+v, batched %+v, chunks %d", op, thr, wholeCounts, batchedCounts, nc)
+			}
+		}
+	}
+}

@@ -302,25 +302,39 @@ type PruneStats struct {
 	SuperResolvedShare  float64
 }
 
-// PruneStatsFor evaluates op/threshold against every entry.
+// PruneStatsFor resolves op/threshold against the whole index with a
+// two-level walk: each super zone's verdict first, fine entries only
+// inside the super zones the coarse level leaves mixed — any other super
+// verdict holds for every chunk it summarizes.
 func (z *ZoneIndex) PruneStatsFor(op bitpack.Cmp, threshold uint64) PruneStats {
 	var st PruneStats
 	if len(z.mins) == 0 {
 		return st
 	}
-	var none, all uint64
-	for c := range z.mins {
-		switch z.Verdict(uint64(c), op, threshold) {
-		case ZoneNone:
-			none++
-		case ZoneAll:
-			all++
-		}
-	}
-	var resolved uint64
+	var none, all, resolved uint64
 	for s := range z.smins {
-		if zoneVerdict(z.smins[s], z.smaxs[s], op, threshold) != ZoneMixed {
+		lo := uint64(s) * ZoneFanout
+		hi := lo + ZoneFanout
+		if hi > uint64(len(z.mins)) {
+			hi = uint64(len(z.mins))
+		}
+		switch zoneVerdict(z.smins[s], z.smaxs[s], op, threshold) {
+		case ZoneNone:
+			none += hi - lo
 			resolved++
+		case ZoneAll:
+			all += hi - lo
+			resolved++
+		default:
+			maxs := z.maxs[lo:hi]
+			for i, mn := range z.mins[lo:hi] {
+				switch zoneVerdict(mn, maxs[i], op, threshold) {
+				case ZoneNone:
+					none++
+				case ZoneAll:
+					all++
+				}
+			}
 		}
 	}
 	st.NoneShare = float64(none) / float64(len(z.mins))

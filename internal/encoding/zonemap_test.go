@@ -141,3 +141,79 @@ func TestZoneConstantAndStats(t *testing.T) {
 		t.Fatalf("SuperResolvedShare = %v, want 1 (sorted data, aligned boundary)", st.SuperResolvedShare)
 	}
 }
+
+// pruneStatsFlat is the flat walk PruneStatsFor used to be — one verdict
+// per fine entry, then one per super zone — kept as the oracle the
+// two-level walk must equal bit for bit.
+func pruneStatsFlat(z *ZoneIndex, op bitpack.Cmp, threshold uint64) PruneStats {
+	var st PruneStats
+	if len(z.mins) == 0 {
+		return st
+	}
+	var none, all uint64
+	for c := range z.mins {
+		switch z.Verdict(uint64(c), op, threshold) {
+		case ZoneNone:
+			none++
+		case ZoneAll:
+			all++
+		}
+	}
+	var resolved uint64
+	for s := range z.smins {
+		if zoneVerdict(z.smins[s], z.smaxs[s], op, threshold) != ZoneMixed {
+			resolved++
+		}
+	}
+	st.NoneShare = float64(none) / float64(len(z.mins))
+	st.AllShare = float64(all) / float64(len(z.mins))
+	st.SuperResolvedShare = float64(resolved) / float64(len(z.smins))
+	return st
+}
+
+// TestTwoLevelWalkMatchesFlat property-tests the two-level walk against
+// the flat oracle for every operator with thresholds at and around every
+// chunk's min and max, on lengths that are not multiples of the chunk or
+// super-zone size.
+func TestTwoLevelWalkMatchesFlat(t *testing.T) {
+	shapes := map[string]func(n int) []uint64{
+		"mixed": zoneTestValues,
+		"sorted": func(n int) []uint64 {
+			v := make([]uint64, n)
+			for i := range v {
+				v[i] = uint64(i)
+			}
+			return v
+		},
+		"plateaus": func(n int) []uint64 {
+			v := make([]uint64, n)
+			for i := range v {
+				v[i] = uint64(i/5000) % 3 // clustered, values recur in disjoint runs
+			}
+			return v
+		},
+	}
+	for name, gen := range shapes {
+		for _, n := range []int{1, 100, 4096, 4097, 64*64*3 + 1000} {
+			z := NewZoneIndexFromValues(gen(n))
+			seen := map[uint64]bool{}
+			var thresholds []uint64
+			for c := uint64(0); c < z.Chunks(); c++ {
+				mn, mx := z.ChunkBounds(c)
+				for _, thr := range []uint64{mn - 1, mn, mn + 1, mx - 1, mx, mx + 1} {
+					if !seen[thr] {
+						seen[thr] = true
+						thresholds = append(thresholds, thr)
+					}
+				}
+			}
+			for _, op := range zoneCmps {
+				for _, thr := range thresholds {
+					if got, want := z.PruneStatsFor(op, thr), pruneStatsFlat(z, op, thr); got != want {
+						t.Fatalf("%s n=%d op %v thr %d: two-level %+v, flat %+v", name, n, op, thr, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -190,6 +190,83 @@ func TestExplainGroupByProfile(t *testing.T) {
 	checkChunkInvariant(t, p, uint64((testRows+63)/64))
 }
 
+// TestExplainPlanTimePruning pins what EXPLAIN shows of plan-time zone
+// pruning on the sorted id column: a 64-row window costs one loop of at
+// most the four morsels two super zones cut into (a full pass is ten), a
+// window past the table costs no loop at all and answers the aggregate's
+// identity, and in both the dead runs' chunks are accounted as pruned for
+// every column, so scanned + pruned == chunks still holds.
+func TestExplainPlanTimePruning(t *testing.T) {
+	_, ts := newTestServer(t, DefaultConfig())
+	chunks := uint64((testRows + 63) / 64)
+	window := func(lo, hi uint64) []map[string]any {
+		return []map[string]any{{"column": "id", "op": ">=", "value": lo}, {"column": "id", "op": "<", "value": hi}}
+	}
+	shapes := []map[string]any{
+		{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount"},
+		{"dataset": "demo", "op": "groupby", "key": "region", "agg": "sum", "column": "amount"},
+	}
+	for _, shape := range shapes {
+		grouped := shape["op"] == "groupby"
+		wantColumns := 3 // id twice (one entry per predicate) + target
+		if grouped {
+			wantColumns = 4 // + key
+		}
+		run := func(lo, hi uint64) (*obs.QueryProfile, map[string]json.RawMessage) {
+			body := map[string]any{"explain": true, "where": window(lo, hi)}
+			for k, v := range shape {
+				body[k] = v
+			}
+			status, env := postQuery(t, ts, body)
+			if status != http.StatusOK {
+				t.Fatalf("%s [%d,%d): status %d: %s", shape["op"], lo, hi, status, env["error"])
+			}
+			p := profileOf(t, env)
+			if len(p.Columns) != wantColumns {
+				t.Fatalf("%s [%d,%d): profiled %d columns, want %d: %+v", shape["op"], lo, hi, len(p.Columns), wantColumns, p.Columns)
+			}
+			checkChunkInvariant(t, p, chunks)
+			return p, env
+		}
+
+		// 64 rows straddling the first super-zone boundary.
+		p, env := run(4096-32, 4096+32)
+		if p.Loops != 1 || p.MorselsClaimed == 0 || p.MorselsClaimed > 4 {
+			t.Errorf("%s 64-row window: loops=%d morsels_claimed=%d, want one loop of at most 4", shape["op"], p.Loops, p.MorselsClaimed)
+		}
+		for _, c := range p.Columns {
+			if c.ChunksScanned > 2 {
+				t.Errorf("%s 64-row window: column %s (%s) scanned %d chunks, the window touches 2", shape["op"], c.Column, c.Role, c.ChunksScanned)
+			}
+		}
+		if grouped {
+			if groups := resultField[[]GroupResult](t, env, "groups"); len(groups) == 0 {
+				t.Errorf("groupby 64-row window returned no groups")
+			}
+		} else if v := resultField[uint64](t, env, "value"); v == 0 {
+			t.Errorf("aggregate 64-row window summed to 0")
+		}
+
+		// Past the last row: nothing survives the plan.
+		p, env = run(testRows+100, testRows+200)
+		if p.Loops != 0 || p.MorselsClaimed != 0 {
+			t.Errorf("%s dead window: loops=%d morsels_claimed=%d, want no loop", shape["op"], p.Loops, p.MorselsClaimed)
+		}
+		for _, c := range p.Columns {
+			if c.ChunksScanned != 0 {
+				t.Errorf("%s dead window: column %s (%s) scanned %d chunks", shape["op"], c.Column, c.Role, c.ChunksScanned)
+			}
+		}
+		if grouped {
+			if groups := resultField[[]GroupResult](t, env, "groups"); len(groups) != 0 {
+				t.Errorf("groupby dead window returned groups %+v", groups)
+			}
+		} else if v := resultField[uint64](t, env, "value"); v != 0 {
+			t.Errorf("aggregate dead window = %d, want 0", v)
+		}
+	}
+}
+
 // TestExplainParityBypassedVsEnrolled runs the same plans through the
 // independent path (execute) and through the shared-scan coordinator
 // (submit) and requires the same EXPLAIN column report from both: same

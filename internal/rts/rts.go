@@ -17,6 +17,7 @@ package rts
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,8 +282,42 @@ func (r *Runtime) ParallelForBounds(bounds []uint64, body func(w *Worker, lo, hi
 	}, body)
 }
 
+// Span is a half-open index range [Lo, Hi).
+type Span struct{ Lo, Hi uint64 }
+
+// ParallelForSpans is ParallelFor over the listed ranges only: each span
+// is cut into batches of about grain iterations, and the indices between
+// spans are never visited and cost no claims — the shape of a scan whose
+// planner already proved most of the range empty. However fragmented,
+// the list is one loop (one admission, one barrier, one loop event), and
+// it costs memory per span, not per batch. Spans must be non-empty,
+// ascending and disjoint; an empty list runs no loop. grain <= 0 selects
+// DefaultGrain.
+func (r *Runtime) ParallelForSpans(spans []Span, grain int64, body func(w *Worker, lo, hi uint64)) {
+	if len(spans) == 0 {
+		return
+	}
+	g := uint64(grain)
+	if grain <= 0 {
+		g = DefaultGrain
+	}
+	sh := loopShape{
+		begin: spans[0].Lo, end: spans[len(spans)-1].Hi, grain: g,
+		spans: spans, firstBatch: make([]uint64, len(spans)),
+	}
+	for i, sp := range spans {
+		if sp.Lo >= sp.Hi || (i > 0 && sp.Lo < spans[i-1].Hi) {
+			panic(fmt.Sprintf("rts: span %d [%d,%d) empty or not past its predecessor", i, sp.Lo, sp.Hi))
+		}
+		sh.firstBatch[i] = sh.numBatches
+		sh.numBatches += (sp.Hi - sp.Lo + g - 1) / g
+	}
+	r.runLoop(sh, body)
+}
+
 // loopShape describes one parallel loop's batch decomposition: uniform
-// batches of grain iterations, or explicit boundaries for weighted splits.
+// batches of grain iterations over one range or over a list of spans with
+// gaps, or explicit boundaries for weighted splits.
 type loopShape struct {
 	begin, end uint64
 	// grain is the uniform batch size, 0 for bounds-driven loops.
@@ -290,17 +325,30 @@ type loopShape struct {
 	numBatches uint64
 	// bounds, when non-nil, gives batch b the range [bounds[b], bounds[b+1]).
 	bounds []uint64
+	// spans, when non-nil, restricts the loop to these ranges, each cut
+	// into grain-sized batches; span i's first batch is firstBatch[i].
+	spans      []Span
+	firstBatch []uint64
 }
 
-// batch returns the index range of batch b.
+// batch returns the index range of batch b — the one place a claim turns
+// into a range, for both loop engines.
 func (sh *loopShape) batch(b uint64) (lo, hi uint64) {
 	if sh.bounds != nil {
 		return sh.bounds[b], sh.bounds[b+1]
 	}
-	lo = sh.begin + b*sh.grain
+	begin, end := sh.begin, sh.end
+	if sh.spans != nil {
+		// The last span whose first batch is at or before b (firstBatch[0]
+		// is 0, so there always is one).
+		i := sort.Search(len(sh.firstBatch), func(i int) bool { return sh.firstBatch[i] > b }) - 1
+		b -= sh.firstBatch[i]
+		begin, end = sh.spans[i].Lo, sh.spans[i].Hi
+	}
+	lo = begin + b*sh.grain
 	hi = lo + sh.grain
-	if hi > sh.end {
-		hi = sh.end
+	if hi > end {
+		hi = end
 	}
 	return lo, hi
 }

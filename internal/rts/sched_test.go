@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"smartarrays/internal/machine"
+	"smartarrays/internal/obs"
 )
 
 // newSchedRuntime returns a runtime with an attached scheduler and a
@@ -195,4 +196,92 @@ func TestSchedulerPriorityPreemption(t *testing.T) {
 	if lowAfter == 0 {
 		t.Fatalf("no low-priority batches were pending behind the high loop (test vacuous): order %q", order)
 	}
+}
+
+// TestParallelForSpansCoverage runs gap-list loops on both engines: every
+// index of every span is visited exactly once, nothing in a gap or outside
+// the list is touched, no batch crosses a span's end or exceeds the grain,
+// and the list is one loop — the profile counts one loop whose claims are
+// the spans' batch counts — including the single-batch and empty lists.
+// Under -race this also covers the claim path of both engines for the
+// list shape.
+func TestParallelForSpansCoverage(t *testing.T) {
+	const n = 50_000
+	fragmented := []Span{
+		{Lo: 0, Hi: 1}, {Lo: 64, Hi: 2112}, {Lo: 2112, Hi: 4096}, // adjacent spans: no gap needed
+		{Lo: 8192, Hi: 10240 + 5},
+	}
+	for lo := uint64(12_288); lo < 30_000; lo += 4096 { // many short runs
+		fragmented = append(fragmented, Span{Lo: lo, Hi: lo + 100})
+	}
+	fragmented = append(fragmented, Span{Lo: 30_000, Hi: 40_001}, Span{Lo: n - 7, Hi: n})
+	lists := map[string][]Span{
+		"empty":      nil,
+		"single":     {{Lo: 4096, Hi: 4160}},
+		"one-span":   {{Lo: 100, Hi: 9_000}},
+		"fragmented": fragmented,
+	}
+	engines := map[string]*Runtime{
+		"library":   New(machine.X52Small()),
+		"scheduler": newSchedRuntime(t, machine.X52Small()),
+	}
+	for ename, rt := range engines {
+		for lname, spans := range lists {
+			for _, grain := range []int64{0, 64, 1000} {
+				g := uint64(grain)
+				if grain == 0 {
+					g = DefaultGrain
+				}
+				want := make([]uint32, n)
+				var batches uint64
+				for _, sp := range spans {
+					batches += (sp.Hi - sp.Lo + g - 1) / g
+					for i := sp.Lo; i < sp.Hi; i++ {
+						want[i] = 1
+					}
+				}
+				seen := make([]atomic.Uint32, n)
+				var misshapen atomic.Uint32
+				prof := obs.NewQueryProfile(1)
+				rt.WithProfile(prof).ParallelForSpans(spans, grain, func(w *Worker, lo, hi uint64) {
+					inSpan := false
+					for _, sp := range spans {
+						inSpan = inSpan || (sp.Lo <= lo && hi <= sp.Hi)
+					}
+					if !inSpan || lo >= hi || hi-lo > g {
+						misshapen.Add(1)
+					}
+					for i := lo; i < hi; i++ {
+						seen[i].Add(1)
+					}
+				})
+				for i := range seen {
+					if got := seen[i].Load(); got != want[i] {
+						t.Fatalf("%s/%s grain %d: index %d visited %d times, want %d", ename, lname, grain, i, got, want[i])
+					}
+				}
+				if misshapen.Load() != 0 {
+					t.Errorf("%s/%s grain %d: %d batches crossed a span end or exceeded the grain", ename, lname, grain, misshapen.Load())
+				}
+				prof.Finalize("ok", 200)
+				loops := uint64(1)
+				if len(spans) == 0 {
+					loops = 0
+				}
+				if prof.Loops != loops || prof.MorselsClaimed != batches {
+					t.Errorf("%s/%s grain %d: loops=%d claimed=%d, want %d loop(s) of %d batches",
+						ename, lname, grain, prof.Loops, prof.MorselsClaimed, loops, batches)
+				}
+			}
+		}
+	}
+}
+
+func TestParallelForSpansPanicsOnOverlap(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	New(machine.UMA(2)).ParallelForSpans([]Span{{Lo: 0, Hi: 10}, {Lo: 9, Hi: 20}}, 0, func(w *Worker, lo, hi uint64) {})
 }
