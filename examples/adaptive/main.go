@@ -36,9 +36,11 @@ func decideFor(spec *smartarrays.Machine) {
 		panic(err)
 	}
 	defer arr.Free()
-	for i := uint64(0); i < n; i++ {
-		arr.Init(0, i, i&((1<<33)-1))
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(i) & ((1 << 33) - 1)
 	}
+	arr.InitRange(0, 0, values)
 
 	// Measure: the profile captures execution rate, bandwidth, and access
 	// counts of the scan workload (modeled at the paper's 4 GB scale).

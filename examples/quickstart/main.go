@@ -27,9 +27,11 @@ func main() {
 	}
 	defer arr.Free()
 
-	for i := uint64(0); i < n; i++ {
-		arr.Init(0, i, i*8000) // socket 0 initializes
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(i) * 8000
 	}
+	arr.InitRange(0, 0, values) // socket 0 initializes; Init is the one-element form
 
 	// Parallel aggregation over all simulated hardware threads; each
 	// worker reads its own socket's replica.

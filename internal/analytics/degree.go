@@ -38,9 +38,11 @@ func DegreeCentrality(rt *rts.Runtime, g *graph.SmartCSR) (*core.SmartArray, per
 		rbegins := make([]uint64, nv+1)
 		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
 		core.ReadRange(g.RBegin, w.Socket, lo, hi+1, rbegins)
-		for i := uint64(0); i < nv; i++ {
-			out.Init(w.Socket, lo+i, (begins[i+1]-begins[i])+(rbegins[i+1]-rbegins[i]))
+		degrees := begins[:nv] // begins[i] is dead once degree i is computed
+		for i := range degrees {
+			degrees[i] = (begins[i+1] - begins[i]) + (rbegins[i+1] - rbegins[i])
 		}
+		out.InitRange(w.Socket, lo, degrees)
 	})
 
 	beginBits := g.Begin.Bits()

@@ -84,6 +84,74 @@ func TestPageRankFastMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPageRankSegmentsCrossEmitBoundaries is the shape the segmented
+// accumulate has to get right: hubs whose in-edge segments are longer than
+// one decoded run (prEdgeBufLen), so a vertex's sum is carried across emit
+// calls and a run ends mid-vertex, between long stretches of in-degree-0
+// vertices the segment walk must skip. Every rank is held bit-for-bit to
+// PageRankRef and to the per-edge oracle, under stealing.
+func TestPageRankSegmentsCrossEmitBoundaries(t *testing.T) {
+	const n = 9000
+	const hubA, hubB, hubC = 3000, 6500, n - 1
+	var edges []graph.Edge32
+	// [0, 3000) and the stretches between the hubs have no in-edges at all.
+	for src := uint32(0); src < hubA; src++ {
+		edges = append(edges, graph.Edge32{Src: src, Dst: hubA}) // 3000 in-edges: three runs
+		if src%2 == 0 {
+			edges = append(edges, graph.Edge32{Src: src, Dst: hubB}) // 1500, starting mid-run
+		}
+		if src < prEdgeBufLen+1 {
+			edges = append(edges, graph.Edge32{Src: src, Dst: hubC}) // one edge over a run, last vertex
+		}
+	}
+	// The hubs feed a few low-degree vertices so ranks differ across iterations.
+	for i := uint32(0); i < 40; i++ {
+		edges = append(edges,
+			graph.Edge32{Src: hubA, Dst: 8000 + i},
+			graph.Edge32{Src: hubB, Dst: 8000 + i/2},
+			graph.Edge32{Src: 8000 + i, Dst: 8100 + i%7})
+	}
+	g, err := graph.Build(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deg := g.InDegree(hubA); deg <= 2*prEdgeBufLen {
+		t.Fatalf("hub in-degree %d does not span several %d-edge runs", deg, prEdgeBufLen)
+	}
+	cfg := DefaultPageRankConfig()
+	cfg.Tol = 1e-12 // keep iterating: later iterations gather unequal contributions
+	cfg.MaxIters = 8
+	want, wantIters := PageRankRef(g, cfg)
+
+	rt := newRT()
+	rt.SetStealing(true)
+	for _, layout := range []graph.Layout{
+		{},
+		{Placement: memsim.Replicated, CompressBegin: true, CompressEdge: true},
+	} {
+		s := smartGraph(t, rt, g, layout)
+		got, iters, _, err := PageRank(rt, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, _, err := pageRankScalar(rt, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iters != wantIters {
+			t.Errorf("layout %+v: iterations = %d, want %d", layout, iters, wantIters)
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("layout %+v: rank[%d] = %x, PageRankRef gives %x", layout, v, math.Float64bits(got[v]), math.Float64bits(want[v]))
+			}
+			if math.Abs(got[v]-scalar[v]) > 1e-12 {
+				t.Fatalf("layout %+v: rank[%d] = %g, per-edge oracle gives %g", layout, v, got[v], scalar[v])
+			}
+		}
+	}
+}
+
 // TestAnalyticsUnderStealing reruns the reference-agreement checks for the
 // rewired traversal kernels with stealing on — the steal path must not
 // duplicate or drop batches for any of them.

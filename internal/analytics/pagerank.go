@@ -43,10 +43,14 @@ type prState struct {
 	invDeg *core.SmartArray
 	// ranks/next are the 64-bit rank arrays, swapped each iteration.
 	ranks, next *core.SmartArray
+	// contrib/contribNext hold rank[v]*invDeg[v], what v hands each
+	// out-neighbour: the product is taken once per vertex when the rank is
+	// written, so an edge costs one gather. Swapped with ranks/next.
+	contrib, contribNext *core.SmartArray
 }
 
 func (st *prState) free() {
-	for _, a := range []*core.SmartArray{st.outDeg, st.invDeg, st.ranks, st.next} {
+	for _, a := range []*core.SmartArray{st.outDeg, st.invDeg, st.ranks, st.next, st.contrib, st.contribNext} {
 		if a != nil {
 			a.Free()
 		}
@@ -57,8 +61,8 @@ func (st *prState) free() {
 // as the paper's placement variations "apply to all arrays except for the
 // output array", and seeds them in one parallel pass: the begin array is
 // streamed once per batch through core.ReadRange, degrees come from
-// adjacent differences, and the inverse degrees are computed here — the
-// run's only divides.
+// adjacent differences, the inverse degrees are computed here — the run's
+// only divides — and each array is written with one InitRange per batch.
 func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*prState, error) {
 	n := g.NumVertices
 	layout := g.Layout()
@@ -82,69 +86,86 @@ func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*prState, 
 	st.invDeg = alloc(64, "inv-degrees", "inverse out-degrees")
 	st.ranks = alloc(64, "ranks", "ranks")
 	st.next = alloc(64, "next-ranks", "next ranks")
+	st.contrib = alloc(64, "rank-contribs", "rank contributions")
+	st.contribNext = alloc(64, "next-rank-contribs", "next rank contributions")
 	if err != nil {
 		st.free()
 		return nil, err
 	}
 
 	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		init := math.Float64bits(1 / float64(n))
-		begins := make([]uint64, hi-lo+1)
+		nv := hi - lo
+		init := 1 / float64(n)
+		begins := make([]uint64, nv+1)
 		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-		for i, e := range begins[1:] {
-			v := lo + uint64(i)
-			deg := e - begins[i]
-			st.outDeg.Init(w.Socket, v, deg)
-			var inv uint64
+		// One scratch block, four rows: degree, inverse, rank, contribution.
+		rows := make([]uint64, 4*nv)
+		degs, invs, ranks, contribs := rows[:nv], rows[nv:2*nv], rows[2*nv:3*nv], rows[3*nv:]
+		for i := range degs {
+			deg := begins[i+1] - begins[i]
+			var inv float64
 			if deg > 0 {
-				inv = math.Float64bits(1 / float64(deg))
+				inv = 1 / float64(deg)
 			}
-			st.invDeg.Init(w.Socket, v, inv)
-			st.ranks.Init(w.Socket, v, init)
+			degs[i] = deg
+			invs[i] = math.Float64bits(inv)
+			ranks[i] = math.Float64bits(init)
+			contribs[i] = math.Float64bits(init * inv)
 		}
+		st.outDeg.InitRange(w.Socket, lo, degs)
+		st.invDeg.InitRange(w.Socket, lo, invs)
+		st.ranks.InitRange(w.Socket, lo, ranks)
+		st.contrib.InitRange(w.Socket, lo, contribs)
 	})
 	return st, nil
 }
 
 // prScratch is one worker's iteration scratch: the begin run of the
-// current batch, per-vertex partial sums, and the edge/gather buffers the
-// streaming kernels fill. Sized once per run, reused across batches and
-// iterations; only the owning worker touches it.
+// current batch, per-vertex partial sums, two per-vertex rows (old rank
+// and inverse degree in, next rank and next contribution out — rewritten
+// in place), and the edge/gather buffers the streaming kernels fill.
+// Sized once per run, reused across batches and iterations; only the
+// owning worker touches it.
 type prScratch struct {
-	begins  []uint64
-	sums    []float64
-	edgeBuf []uint64
-	rankBuf []uint64
-	invBuf  []uint64
+	begins     []uint64
+	sums       []float64
+	ranks      []uint64
+	contribs   []uint64
+	edgeBuf    []uint64
+	contribBuf []uint64
 }
 
 // prEdgeBufLen is the edge-stream chunk length: a multiple of the bitpack
 // chunk so compressed widths decode whole chunks, big enough to amortize
 // the emit and gather call overhead, small enough to stay cache-resident
-// alongside the two gather buffers.
+// alongside the gather buffer.
 const prEdgeBufLen = 16 * bitpack.ChunkSize
 
 func (sc *prScratch) grow(vertices uint64) {
 	if uint64(len(sc.begins)) < vertices+1 {
 		sc.begins = make([]uint64, vertices+1)
 		sc.sums = make([]float64, vertices)
+		sc.ranks = make([]uint64, vertices)
+		sc.contribs = make([]uint64, vertices)
 	}
 	if sc.edgeBuf == nil {
 		sc.edgeBuf = make([]uint64, prEdgeBufLen)
-		sc.rankBuf = make([]uint64, prEdgeBufLen)
-		sc.invBuf = make([]uint64, prEdgeBufLen)
+		sc.contribBuf = make([]uint64, prEdgeBufLen)
 	}
 }
 
 // PageRank runs pull-based PageRank over the smart-array graph (paper
-// §5.2) on the graph fast path: each batch streams its reverse-begin run
-// and its reverse-edge runs through the chunk-decode kernels
-// (core.ReadRange / core.StreamRange), batch-gathers the neighbours' ranks
-// and precomputed inverse out-degrees (core.Gather), and accumulates
-// rank*inv into per-vertex sums with a segmented walk — no per-edge Get,
-// no per-edge divide. Vertex ranges are split by in-degree
-// (rts.WeightedBounds), so power-law hubs do not serialize their batch;
-// enable rt.SetStealing for cross-socket balance on skewed graphs.
+// §5.2) on the graph fast path. Per-edge work is done once per edge: each
+// batch streams its reverse-begin run and its reverse-edge runs through
+// the chunk-decode kernels (core.ReadRange / core.StreamRange),
+// batch-gathers ONE property per edge — the neighbours' contributions
+// rank*invDeg (core.Gather) — and adds each vertex's in-edge segment of a
+// decoded run in a counted loop. Per-vertex work is done once per vertex:
+// the batch's old ranks and inverse degrees are read with core.ReadRange,
+// the new rank and its contribution are computed side by side, and each is
+// written with one InitRange per batch. Vertex ranges are split by
+// in-degree (rts.WeightedBounds), so power-law hubs do not serialize their
+// batch; enable rt.SetStealing for cross-socket balance on skewed graphs.
 //
 // Ranks are double-precision values stored bit-cast in 64-bit smart
 // arrays; the out-degree property is a smart array at cfg.DegreeBits. All
@@ -195,32 +216,43 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 				sums[i] = 0
 			}
 			if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
-				vi := uint64(0)
+				vi := 0 // vertex whose in-edge segment the stream is inside
 				core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, func(eBase uint64, srcs []uint64) {
-					rb := sc.rankBuf[:len(srcs)]
-					ib := sc.invBuf[:len(srcs)]
-					core.Gather(st.ranks, w.Socket, srcs, rb)
-					core.Gather(st.invDeg, w.Socket, srcs, ib)
-					for j := range srcs {
-						e := eBase + uint64(j)
+					cb := sc.contribBuf[:len(srcs)]
+					core.Gather(st.contrib, w.Socket, srcs, cb)
+					runEnd := eBase + uint64(len(srcs))
+					for e := eBase; e < runEnd; {
 						for e >= begins[vi+1] {
-							vi++ // advance past (possibly in-degree-0) vertices
+							vi++ // past finished (and in-degree-0) vertices
 						}
-						sums[vi] += math.Float64frombits(rb[j]) * math.Float64frombits(ib[j])
+						segEnd := min(begins[vi+1], runEnd)
+						sum := sums[vi]
+						for _, c := range cb[e-eBase : segEnd-eBase] {
+							sum += math.Float64frombits(c)
+						}
+						sums[vi] = sum
+						e = segEnd
 					}
 				})
 			}
-			ranksRep := st.ranks.GetReplica(w.Socket)
+			// Both rows turn over in place: old rank -> next rank, inverse
+			// degree -> next contribution.
+			ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
+			core.ReadRange(st.ranks, w.Socket, lo, hi, ranks)
+			core.ReadRange(st.invDeg, w.Socket, lo, hi, contribs)
 			var localDiff float64
 			for i, sum := range sums {
-				v := lo + uint64(i)
 				newRank := base + cfg.Damping*sum
-				localDiff += math.Abs(newRank - math.Float64frombits(st.ranks.Get(ranksRep, v)))
-				st.next.Init(w.Socket, v, math.Float64bits(newRank))
+				localDiff += math.Abs(newRank - math.Float64frombits(ranks[i]))
+				ranks[i] = math.Float64bits(newRank)
+				contribs[i] = math.Float64bits(newRank * math.Float64frombits(contribs[i]))
 			}
+			st.next.InitRange(w.Socket, lo, ranks)
+			st.contribNext.InitRange(w.Socket, lo, contribs)
 			return localDiff
 		})
 		st.ranks, st.next = st.next, st.ranks
+		st.contrib, st.contribNext = st.contribNext, st.contrib
 		iters++
 		if totalDiff < cfg.Tol {
 			break
@@ -228,9 +260,13 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 	}
 
 	out := make([]float64, n)
-	rep := st.ranks.GetReplica(0)
-	for v := uint64(0); v < n; v++ {
-		out[v] = math.Float64frombits(st.ranks.Get(rep, v))
+	var buf [rts.DefaultGrain]uint64
+	for lo := uint64(0); lo < n; lo += uint64(len(buf)) {
+		hi := min(lo+uint64(len(buf)), n)
+		core.ReadRange(st.ranks, 0, lo, hi, buf[:])
+		for i, bits := range buf[:hi-lo] {
+			out[lo+uint64(i)] = math.Float64frombits(bits)
+		}
 	}
 
 	work := pageRankWorkload(rt, g, st, iters)
@@ -247,73 +283,12 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 	return nil
 }
 
-// pageRankScalar is the pre-fast-path implementation — edge-at-a-time
-// Gets with a per-edge divide, uniform vertex-count batches. Kept as the
-// measured "before" baseline for the fast path's speedup experiments
-// (EXPERIMENTS.md) and as a second independent implementation for
-// agreement tests.
-func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64, int, error) {
-	if err := checkPageRankConfig(cfg); err != nil {
-		return nil, 0, err
-	}
-	degBits := cfg.DegreeBits
-	if degBits == 0 {
-		degBits = 64
-	}
-	n := g.NumVertices
-	st, err := allocPageRank(rt, g, degBits)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer st.free()
-
-	base := (1 - cfg.Damping) / float64(n)
-	iters := 0
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		totalDiff := rt.ReduceSumFloat64(0, n, 0, func(w *rts.Worker, lo, hi uint64) float64 {
-			rbeginRep := g.RBegin.GetReplica(w.Socket)
-			redgeRep := g.REdge.GetReplica(w.Socket)
-			ranksRep := st.ranks.GetReplica(w.Socket)
-			degRep := st.outDeg.GetReplica(w.Socket)
-			var localDiff float64
-			ePrev := g.RBegin.Get(rbeginRep, lo)
-			for v := lo; v < hi; v++ {
-				eEnd := g.RBegin.Get(rbeginRep, v+1)
-				var sum float64
-				for e := ePrev; e < eEnd; e++ {
-					u := g.REdge.Get(redgeRep, e)
-					deg := st.outDeg.Get(degRep, u)
-					if deg > 0 {
-						sum += math.Float64frombits(st.ranks.Get(ranksRep, u)) / float64(deg)
-					}
-				}
-				ePrev = eEnd
-				newRank := base + cfg.Damping*sum
-				localDiff += math.Abs(newRank - math.Float64frombits(st.ranks.Get(ranksRep, v)))
-				st.next.Init(w.Socket, v, math.Float64bits(newRank))
-			}
-			return localDiff
-		})
-		st.ranks, st.next = st.next, st.ranks
-		iters++
-		if totalDiff < cfg.Tol {
-			break
-		}
-	}
-
-	out := make([]float64, n)
-	rep := st.ranks.GetReplica(0)
-	for v := uint64(0); v < n; v++ {
-		out[v] = math.Float64frombits(st.ranks.Get(rep, v))
-	}
-	return out, iters, nil
-}
-
 // pageRankWorkload builds the model descriptor for `iters` PageRank
 // iterations on the fast path: per iteration the algorithm streams rbegin
-// and redge once through the chunk-decode kernels, batch-gathers ranks and
-// inverse out-degrees once per edge (semi-random, power-law locality),
-// reads the old rank per vertex, and writes the next-rank array.
+// and redge once through the chunk-decode kernels, batch-gathers one
+// contribution per edge (semi-random, power-law locality), and per vertex
+// reads the old rank and the inverse degree and writes the next rank and
+// the next contribution.
 func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int) perfmodel.Workload {
 	llc := rt.Spec().LLCMB * 1e6
 	it := float64(iters)
@@ -321,21 +296,20 @@ func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int
 	v := float64(g.NumVertices)
 
 	perEdge := perfmodel.CostStream(g.REdge.Bits()) + // stream the edge
-		2*perfmodel.CostGather(64) + // rank + inverse-degree gathers
-		2 // multiply and accumulate
-	perVertex := perfmodel.CostStream(g.RBegin.Bits()) + perfmodel.CostInit(64) + 8
+		perfmodel.CostGather(64) + // contribution gather
+		1 // accumulate
+	perVertex := perfmodel.CostStream(g.RBegin.Bits()) + // stream the begin entry
+		2*perfmodel.CostStream(64) + 2*perfmodel.CostInit(64) + // rank + inverse in, rank + contribution out
+		9 // damping, diff, the rank*inverse multiply
 
-	// As in PageRankWorkloadFor: the inverse-degree gather hits the same
-	// hot vertices as the rank gather, so only its instruction cost is
-	// charged; its lines co-reside in cache with the rank lines.
 	return perfmodel.Workload{
 		Instructions: it * (e*perEdge + v*perVertex),
 		Streams: []perfmodel.Stream{
 			scanStream(g.RBegin, it),
 			scanStream(g.REdge, it),
-			randomStream(st.ranks, it*e, llc, perfmodel.PowerLawLocalityBoost),
-			scanStream(st.ranks, it), // old rank read for the diff
-			writeStream(st.next, it),
+			randomStream(st.contrib, it*e, llc, perfmodel.PowerLawLocalityBoost),
+			scanStream(st.ranks, 2*it), // old rank + inverse degree (same shape)
+			writeStream(st.next, 2*it), // next rank + next contribution
 		},
 	}
 }
@@ -343,9 +317,10 @@ func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int
 // PageRankRef is the sequential reference implementation over a plain CSR,
 // used by tests and by the "original" (no smart arrays) variant of the
 // paper's Figure 12. Like the smart-array fast path it multiplies by a
-// precomputed inverse out-degree — the same rounding at every step, so
-// the two implementations agree bit-for-bit per vertex, not just within
-// tolerance.
+// precomputed inverse out-degree and rounds the product before adding it
+// (the fast path stores it; the conversion here keeps a compiler from
+// fusing multiply and add) — the same rounding at every step, so the two
+// implementations agree bit-for-bit per vertex, not just within tolerance.
 func PageRankRef(g *graph.CSR, cfg PageRankConfig) ([]float64, int) {
 	n := g.NumVertices
 	ranks := make([]float64, n)
@@ -364,7 +339,7 @@ func PageRankRef(g *graph.CSR, cfg PageRankConfig) ([]float64, int) {
 		for v := uint64(0); v < n; v++ {
 			var sum float64
 			for _, u := range g.InNeighbors(uint32(v)) {
-				sum += ranks[u] * inv[u]
+				sum += float64(ranks[u] * inv[u])
 			}
 			next[v] = base + cfg.Damping*sum
 			diff += math.Abs(next[v] - ranks[v])

@@ -83,36 +83,29 @@ func DegreeWorkloadFor(p ShapeParams) perfmodel.Workload {
 
 // PageRankWorkloadFor is the allocation-free equivalent of the workload
 // PageRank returns, for Iters iterations at the shape's sizes: per
-// iteration one streamed pass over rbegin and redge, two batched gathers
-// per edge (ranks and inverse out-degrees, power-law locality), the
-// old-rank read and the next-rank write. The per-edge divide of the
-// original formulation is gone — inverse degrees are precomputed once per
-// run, so DegreeBits affects footprint and initialization, not the
-// per-edge instruction stream.
+// iteration one streamed pass over rbegin and redge and one batched gather
+// per edge (the contribution rank*inverse-degree, power-law locality); per
+// vertex the old-rank and inverse-degree reads and the next-rank and
+// next-contribution writes. The divide and the multiply by the inverse
+// degree are per-vertex work, so DegreeBits affects footprint and
+// initialization, not the per-edge instruction stream.
 func PageRankWorkloadFor(spec *machine.Spec, p ShapeParams) perfmodel.Workload {
 	bb, eb := p.beginBits(), p.edgeBits()
 	it := float64(p.Iters)
 	e := float64(p.E)
 	v := float64(p.V)
 
-	perEdge := perfmodel.CostStream(eb) + 2*perfmodel.CostGather(64) + 2
-	perVertex := perfmodel.CostStream(bb) + perfmodel.CostInit(64) + 8
+	perEdge := perfmodel.CostStream(eb) + perfmodel.CostGather(64) + 1
+	perVertex := perfmodel.CostStream(bb) + 2*perfmodel.CostStream(64) + 2*perfmodel.CostInit(64) + 9
 
-	// The inverse-degree gather targets exactly the vertices the rank
-	// gather just touched; the hot lines of both property arrays co-reside
-	// in cache, so the model folds the inverse-degree gather's DRAM
-	// traffic into the rank gather (its instruction cost stays in
-	// perEdge). This matches the paper's observation that compressing the
-	// vertex property arrays ("V") "does not have a significant impact on
-	// performance" (§5.2).
 	return perfmodel.Workload{
 		Instructions: it * (e*perEdge + v*perVertex),
 		Streams: []perfmodel.Stream{
 			p.stream(p.V+1, bb, perfmodel.Read, it),
 			p.stream(p.E, eb, perfmodel.Read, it),
 			p.randomStreamFor(spec, p.V, 64, it*e, perfmodel.PowerLawLocalityBoost),
-			p.stream(p.V, 64, perfmodel.Read, it),
-			p.stream(p.V, 64, perfmodel.Write, it),
+			p.stream(p.V, 64, perfmodel.Read, 2*it),  // old rank + inverse degree
+			p.stream(p.V, 64, perfmodel.Write, 2*it), // next rank + next contribution
 		},
 	}
 }

@@ -118,9 +118,7 @@ func BuildWeights(rt *rts.Runtime, g *graph.SmartCSR, weights []uint64) (*core.S
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range weights {
-		arr.Init(layout.Socket, uint64(i), w)
-	}
+	arr.InitRange(layout.Socket, 0, weights)
 	return arr, nil
 }
 

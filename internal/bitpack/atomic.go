@@ -1,7 +1,6 @@
 package bitpack
 
 import (
-	"fmt"
 	"sync/atomic"
 )
 
@@ -13,7 +12,7 @@ import (
 // element still race (last CAS wins per word), as with any store.
 func (c Codec) SetAtomic(data []uint64, index uint64, value uint64) {
 	if !c.Fits(value) {
-		panic(fmt.Sprintf("bitpack: value %#x does not fit in %d bits", value, c.bits))
+		c.panicUnfit(value)
 	}
 	casUpdate := func(word uint64, clear, set uint64) {
 		addr := &data[word]

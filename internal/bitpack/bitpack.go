@@ -7,10 +7,11 @@
 // regardless of BITS. That alignment is what lets the same get/init/unpack
 // logic run unchanged for every width (paper §4.2).
 //
-// The three kernels mirror the paper's pseudo code:
+// The kernels mirror the paper's pseudo code:
 //
 //	Codec.Get    — Function 1 (BitCompressedArray::get)
 //	Codec.Set    — Function 2 (BitCompressedArray::init), single replica
+//	Codec.Pack   — Function 2 for a whole chunk (the mirror of Unpack)
 //	Codec.Unpack — Function 3 (BitCompressedArray::unpack)
 //
 // The paper specializes BITS = 32 and BITS = 64 into dedicated classes that
@@ -89,6 +90,12 @@ func (c Codec) CompressedBytes(n uint64) uint64 { return c.WordsFor(n) * 8 }
 // Fits reports whether v is representable at this width.
 func (c Codec) Fits(v uint64) bool { return v&^c.mask == 0 }
 
+// panicUnfit is the one overflow report of the write kernels (Set,
+// SetAtomic, Pack).
+func (c Codec) panicUnfit(v uint64) {
+	panic(fmt.Sprintf("bitpack: value %#x does not fit in %d bits", v, c.bits))
+}
+
 // Get extracts element index from the packed words. It is a direct
 // transcription of the paper's Function 1.
 func (c Codec) Get(data []uint64, index uint64) uint64 {
@@ -119,7 +126,7 @@ func (c Codec) Get(data []uint64, index uint64) uint64 {
 // neighbouring elements.
 func (c Codec) Set(data []uint64, index uint64, value uint64) {
 	if !c.Fits(value) {
-		panic(fmt.Sprintf("bitpack: value %#x does not fit in %d bits", value, c.bits))
+		c.panicUnfit(value)
 	}
 	switch c.bits {
 	case 64:
@@ -195,11 +202,67 @@ func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 	}
 }
 
-// PackSlice compresses src into a freshly allocated packed buffer.
+// Pack encodes one whole chunk (64 elements) from in — the mirror of
+// Unpack and the batch form of Function 2. Each of the chunk's BITS words
+// is assembled in a register and stored once: the destination words are
+// never read, so a writer that owns the whole chunk touches nothing else.
+// The value-fits check is one OR-reduction per chunk; on overflow Pack
+// panics with Set's message for the first offending value, before writing
+// anything.
+func (c Codec) Pack(data []uint64, chunk uint64, in *[ChunkSize]uint64) {
+	if c.bits == 64 {
+		copy(data[chunk*ChunkSize:chunk*ChunkSize+ChunkSize], in[:])
+		return
+	}
+	var or uint64
+	for _, v := range in {
+		or |= v
+	}
+	if !c.Fits(or) {
+		for _, v := range in {
+			if !c.Fits(v) {
+				c.panicUnfit(v)
+			}
+		}
+	}
+	out := data[chunk*c.wordsPerChunk : (chunk+1)*c.wordsPerChunk]
+	if c.bits == 32 {
+		for i := range out {
+			out[i] = in[2*i] | in[2*i+1]<<32
+		}
+		return
+	}
+	bitsPer := c.bits
+	var acc uint64 // the word being assembled
+	var fill uint  // bits of acc already occupied
+	word := 0
+	for _, v := range in {
+		acc |= v << (fill & 63)
+		fill += bitsPer
+		if fill >= 64 {
+			out[word] = acc
+			word++
+			fill -= 64
+			// The part of v that did not fit in the stored word (none when
+			// v ended exactly on the boundary: v >> bitsPer is 0).
+			acc = v >> ((bitsPer - fill) & 63)
+		}
+	}
+}
+
+// PackSlice compresses src into a freshly allocated packed buffer. A
+// ragged tail is packed as a zero-padded chunk: the buffer is sized in
+// whole chunks and the padding elements belong to nobody.
 func (c Codec) PackSlice(src []uint64) []uint64 {
 	data := make([]uint64, c.WordsFor(uint64(len(src))))
-	for i, v := range src {
-		c.Set(data, uint64(i), v)
+	whole := len(src) / ChunkSize
+	for ch := 0; ch < whole; ch++ {
+		c.Pack(data, uint64(ch), (*[ChunkSize]uint64)(src[ch*ChunkSize:]))
+	}
+	if tail := src[whole*ChunkSize:]; len(tail) > 0 {
+		var buf [ChunkSize]uint64
+		copy(buf[:], tail)
+		c.Pack(data, uint64(whole), &buf)
 	}
 	return data
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzRoundTrip packs fuzzer-chosen values at a fuzzer-chosen width and
-// verifies Get, Unpack, and UnpackSlice agree with the input.
 // FuzzCmpMask packs fuzzer-chosen values at a fuzzer-chosen width and
 // verifies CmpMaskChunk against per-element Get + Eval for a
 // fuzzer-chosen operator and (unclamped, possibly out-of-range)
@@ -58,6 +56,9 @@ func FuzzCmpMask(f *testing.F) {
 	})
 }
 
+// FuzzRoundTrip packs fuzzer-chosen values at a fuzzer-chosen width and
+// verifies that Pack (through PackSlice) writes the words per-element Set
+// writes, and that Get, Unpack, and UnpackSlice agree with the input.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(33), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), []byte{255, 255})
@@ -77,6 +78,11 @@ func FuzzRoundTrip(f *testing.F) {
 			values[i] = binary.LittleEndian.Uint64(raw[i*8:]) & c.Mask()
 		}
 		data := c.PackSlice(values)
+		for w, want := range setSlice(c, values) {
+			if data[w] != want {
+				t.Fatalf("bits=%d: Pack wrote word %d = %#x, Set writes %#x", bits, w, data[w], want)
+			}
+		}
 		for i, want := range values {
 			if got := c.Get(data, uint64(i)); got != want {
 				t.Fatalf("bits=%d: Get(%d) = %#x, want %#x", bits, i, got, want)

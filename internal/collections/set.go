@@ -54,9 +54,7 @@ func NewSmartSet(mem *memsim.Memory, values []uint64, placement memsim.Placement
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range unique {
-		arr.Init(socket, uint64(i), v)
-	}
+	arr.InitRange(socket, 0, unique)
 	return &SmartSet{arr: arr}, nil
 }
 

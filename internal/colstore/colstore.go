@@ -141,9 +141,7 @@ func (t *Table) AddColumn(name string, values []uint64, opts Options) (*Column, 
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range values {
-		arr.Init(opts.Socket, uint64(i), v)
-	}
+	arr.InitRange(opts.Socket, 0, values)
 	if opts.AutoEncode {
 		best, bestBytes := encoding.BitPacked, arr.CompressedBytes()
 		stats := encoding.Analyze(values)

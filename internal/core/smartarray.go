@@ -71,9 +71,10 @@ type SmartArray struct {
 	// branch to a single integer check.
 	id  uint64
 	reg *obs.ArrayRegistry
-	// gen counts content and representation revisions (Init writes,
-	// Reencode swaps). External caches key on it: any revision makes every
-	// old key unreachable, so stale results can never serve.
+	// gen counts content and representation revisions: one per Init or
+	// InitRange call (not per element written) and one per Reencode swap.
+	// External caches key on it: any revision makes every old key
+	// unreachable, so stale results can never serve.
 	gen atomic.Uint64
 }
 
@@ -112,9 +113,7 @@ func AllocateFor(mem *memsim.Memory, values []uint64, placement memsim.Placement
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range values {
-		a.Init(socket, uint64(i), v)
-	}
+	a.InitRange(socket, 0, values)
 	return a, nil
 }
 
@@ -207,25 +206,84 @@ func (a *SmartArray) GetFrom(socket int, index uint64) uint64 {
 // page for OS-default placement. socket is the initializing thread's
 // socket. Init is not safe for concurrent writers to the same word; the
 // paper's workloads initialize ranges in parallel but disjointly. Arrays
-// are read-only once re-encoded.
+// are read-only once re-encoded. Init is the one-element form; anything
+// that fills a range uses InitRange.
 func (a *SmartArray) Init(socket int, index, value uint64) {
 	if index >= a.length {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
 	}
+	rp := a.beginWrite("Init")
+	rp.region.Touch(a.WordOf(index), socket)
+	for _, replica := range rp.region.AllReplicas() {
+		a.codec.Set(replica, index, value)
+	}
+}
+
+// beginWrite is what every write pays once per call, whatever it covers:
+// load the representation, refuse a re-encoded (read-only) array, drop any
+// attached zone index, and bump the revision counter so result caches
+// keyed on Generation can never serve stale values.
+func (a *SmartArray) beginWrite(op string) *repr {
 	rp := a.rep.Load()
 	if rp.enc != nil {
-		panic("core: Init on a re-encoded array (re-encoded arrays are read-only)")
+		panic("core: " + op + " on a re-encoded array (re-encoded arrays are read-only)")
 	}
-	// A write invalidates any attached zone index and bumps the revision
-	// counter so result caches keyed on Generation can never serve stale
-	// values.
 	if rp.zones.Load() != nil {
 		rp.zones.Store(nil)
 	}
 	a.gen.Add(1)
-	rp.region.Touch(a.WordOf(index), socket)
-	for _, replica := range rp.region.AllReplicas() {
-		a.codec.Set(replica, index, value)
+	return rp
+}
+
+// InitRange sets elements [lo, lo+len(values)) in every replica — the
+// batch form of Init, leaving the array, its first-touch page map and its
+// zone index exactly as len(values) Init calls from socket would, but
+// checking, invalidating and bumping Generation once per call (Generation
+// counts revisions, not elements). 64-bit arrays are a copy per replica;
+// narrower ones pack whole chunks with bitpack.Codec.Pack into the first
+// replica and copy the packed words to the others, and write the ragged
+// head and tail with Codec.Set. Concurrent callers follow Init's contract:
+// ranges must not share a packed word. Whole chunks are stored without
+// being read and ragged ends touch only the words their elements occupy,
+// so a writer never touches a word outside its range. An empty values is
+// a no-op.
+func (a *SmartArray) InitRange(socket int, lo uint64, values []uint64) {
+	n := uint64(len(values))
+	if lo > a.length || n > a.length-lo {
+		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, lo+n, a.length))
+	}
+	if n == 0 {
+		return
+	}
+	hi := lo + n
+	rp := a.beginWrite("InitRange")
+	loWord, hiWord := a.WordRange(lo, hi)
+	rp.region.TouchRange(loWord, hiWord-loWord, socket)
+	replicas := rp.region.AllReplicas()
+	if a.codec.Bits() == 64 {
+		for _, replica := range replicas {
+			copy(replica[lo:hi], values)
+		}
+		return
+	}
+	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
+	if chunkLo < chunkHi {
+		first := replicas[0]
+		for ch := chunkLo; ch < chunkHi; ch++ {
+			a.codec.Pack(first, ch, (*[bitpack.ChunkSize]uint64)(values[ch*bitpack.ChunkSize-lo:]))
+		}
+		wpc := a.codec.WordsPerChunk()
+		for _, replica := range replicas[1:] {
+			copy(replica[chunkLo*wpc:chunkHi*wpc], first[chunkLo*wpc:chunkHi*wpc])
+		}
+	}
+	for _, replica := range replicas {
+		for i := lo; i < headEnd; i++ {
+			a.codec.Set(replica, i, values[i-lo])
+		}
+		for i := tailStart; i < hi; i++ {
+			a.codec.Set(replica, i, values[i-lo])
+		}
 	}
 }
 

@@ -90,15 +90,24 @@ func NewSmartCSR(mem *memsim.Memory, g *CSR, layout Layout) (*SmartCSR, error) {
 		return nil, fmt.Errorf("graph: redge: %w", err)
 	}
 
-	for v := uint64(0); v <= g.NumVertices; v++ {
-		s.Begin.Init(0, v, g.Begin[v])
-		s.RBegin.Init(0, v, g.RBegin[v])
-	}
-	for i := uint64(0); i < g.NumEdges; i++ {
-		s.Edge.Init(0, i, uint64(g.Edge[i]))
-		s.REdge.Init(0, i, uint64(g.REdge[i]))
-	}
+	s.Begin.InitRange(0, 0, g.Begin[:g.NumVertices+1])
+	s.RBegin.InitRange(0, 0, g.RBegin[:g.NumVertices+1])
+	initEdges(s.Edge, g.Edge[:g.NumEdges])
+	initEdges(s.REdge, g.REdge[:g.NumEdges])
 	return s, nil
+}
+
+// initEdges writes the 32-bit vertex ids of a plain CSR edge array into a
+// smart array from socket 0, widening them through a chunk-aligned buffer.
+func initEdges(dst *core.SmartArray, src []uint32) {
+	var buf [64 * bitpack.ChunkSize]uint64
+	for lo := 0; lo < len(src); lo += len(buf) {
+		n := min(len(src)-lo, len(buf))
+		for i, e := range src[lo : lo+n] {
+			buf[i] = uint64(e)
+		}
+		dst.InitRange(0, uint64(lo), buf[:n])
+	}
 }
 
 // Free releases all graph arrays.

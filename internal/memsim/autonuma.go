@@ -98,8 +98,8 @@ func (m *Memory) AutoNUMABalance() (migrated int) {
 					best, bestBytes = s, b
 				}
 			}
-			if best >= 0 && r.pageSocket[page] != uint8(best) {
-				r.pageSocket[page] = uint8(best)
+			if best >= 0 && r.pageSocket[page].Load() != uint32(best) {
+				r.pageSocket[page].Store(uint32(best))
 				migrated++
 			}
 			r.tally.bytes[page] = nil

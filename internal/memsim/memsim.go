@@ -188,10 +188,7 @@ func (m *Memory) Alloc(words uint64, p Placement, socket int) (*Region, error) {
 		}
 	case OSDefault:
 		r.replicas = [][]uint64{make([]uint64, words)}
-		r.pageSocket = make([]uint8, pages)
-		for i := range r.pageSocket {
-			r.pageSocket[i] = untouched
-		}
+		r.pageSocket = untouchedPages(pages)
 		r.tally = &autoTally{}
 	default:
 		r.replicas = [][]uint64{make([]uint64, words)}
@@ -247,8 +244,10 @@ type Region struct {
 	// replicas[0] is the only copy.
 	replicas [][]uint64
 	// pageSocket[p] is the home socket of page p under OSDefault;
-	// untouched until first touch.
-	pageSocket []uint8
+	// untouched until first touch. Atomic because first touch is a race by
+	// design: parallel initializers whose ranges meet inside a page both
+	// touch it, and whoever gets there first homes it.
+	pageSocket []atomic.Uint32
 	// tally accumulates per-page access bytes for the AutoNUMA simulation
 	// (OSDefault regions only; see autonuma.go).
 	tally *autoTally
@@ -309,10 +308,21 @@ func (r *Region) Touch(word uint64, socket int) {
 	if r.placement != OSDefault {
 		return
 	}
-	p := word / PageWords
-	if r.pageSocket[p] == untouched {
-		r.pageSocket[p] = uint8(socket)
+	r.firstTouch(word/PageWords, socket)
+}
+
+func (r *Region) firstTouch(page uint64, socket int) {
+	if p := &r.pageSocket[page]; p.Load() == untouched {
+		p.CompareAndSwap(untouched, uint32(socket))
 	}
+}
+
+func untouchedPages(pages int) []atomic.Uint32 {
+	m := make([]atomic.Uint32, pages)
+	for i := range m {
+		m[i].Store(untouched)
+	}
+	return m
 }
 
 // TouchRange first-touches all pages in [startWord, startWord+nWords).
@@ -323,9 +333,7 @@ func (r *Region) TouchRange(startWord, nWords uint64, socket int) {
 	first := startWord / PageWords
 	last := (startWord + nWords - 1) / PageWords
 	for p := first; p <= last; p++ {
-		if r.pageSocket[p] == untouched {
-			r.pageSocket[p] = uint8(socket)
-		}
+		r.firstTouch(p, socket)
 	}
 }
 
@@ -342,7 +350,7 @@ func (r *Region) HomeSocket(word uint64, readerSocket int) int {
 	case Interleaved:
 		return int(word/PageWords) % r.mem.spec.Sockets
 	default: // OSDefault
-		s := r.pageSocket[word/PageWords]
+		s := r.pageSocket[word/PageWords].Load()
 		if s == untouched {
 			return 0
 		}
@@ -516,11 +524,7 @@ func (r *Region) Migrate(p Placement, socket int) (trafficBytes uint64, err erro
 		trafficBytes = 2 * r.words * 8 * uint64(r.mem.spec.Sockets-1)
 	case OSDefault:
 		r.replicas = [][]uint64{src}
-		pages := int((r.words + PageWords - 1) / PageWords)
-		r.pageSocket = make([]uint8, pages)
-		for i := range r.pageSocket {
-			r.pageSocket[i] = untouched
-		}
+		r.pageSocket = untouchedPages(int((r.words + PageWords - 1) / PageWords))
 		trafficBytes = 0
 	default:
 		r.replicas = [][]uint64{src}

@@ -106,21 +106,19 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 			return nil, err
 		}
 		d.Table = tbl
-		cols := map[string][]uint64{
-			"id":     make([]uint64, spec.Rows),
-			"region": make([]uint64, spec.Rows),
-			"amount": make([]uint64, spec.Rows),
-			"flag":   make([]uint64, spec.Rows),
-		}
+		id, region := make([]uint64, spec.Rows), make([]uint64, spec.Rows)
+		amount, flag := make([]uint64, spec.Rows), make([]uint64, spec.Rows)
 		x := spec.Seed | 1
-		for i := uint64(0); i < spec.Rows; i++ {
+		for i := range id {
+
 			x = xorshift64(x)
-			cols["id"][i] = i
-			cols["region"][i] = x % 16
-			cols["amount"][i] = (x >> 16) % 65536
-			cols["flag"][i] = (x >> 40) & 3 / 3 // 1 on ~25% of rows
+			id[i] = uint64(i)
+			region[i] = x % 16
+			amount[i] = (x >> 16) % 65536
+			flag[i] = (x >> 40) & 3 / 3 // 1 on ~25% of rows
 		}
 		opts := colstore.Options{Placement: memsim.Interleaved}
+		cols := map[string][]uint64{"id": id, "region": region, "amount": amount, "flag": flag}
 		for _, name := range []string{"id", "region", "amount", "flag"} {
 			values := cols[name]
 			col, err := tbl.AddColumn(name, values, opts)

@@ -7,7 +7,6 @@ package queryd
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"smartarrays/internal/analytics"
 	"smartarrays/internal/core"
@@ -148,20 +147,27 @@ func execute(ctx context.Context, qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (
 	}
 }
 
-// topRanks returns the k highest-ranked vertices in rank order.
+// topRanks returns the k highest-ranked vertices, highest first, equal
+// ranks by lower vertex id. One pass over ranks with a k-entry sorted
+// window: a vertex enters only by beating the window's last entry, so the
+// common case is one comparison and nothing is allocated beyond the reply.
 func topRanks(ranks []float64, k int) []VertexRank {
-	idx := make([]uint64, len(ranks))
-	for i := range idx {
-		idx[i] = uint64(i)
+	if k <= 0 {
+		return []VertexRank{}
 	}
-	// Full sort of the index slice is fine at the dataset sizes served.
-	sort.Slice(idx, func(a, b int) bool { return ranks[idx[a]] > ranks[idx[b]] })
-	if len(idx) > k {
-		idx = idx[:k]
-	}
-	top := make([]VertexRank, len(idx))
-	for i, v := range idx {
-		top[i] = VertexRank{Vertex: v, Rank: ranks[v]}
+	top := make([]VertexRank, 0, min(k, len(ranks)))
+	for v, r := range ranks {
+		if len(top) == k && !(r > top[k-1].Rank) {
+			continue // ties keep the earlier (lower) vertex
+		}
+		if len(top) < k {
+			top = append(top, VertexRank{})
+		}
+		i := len(top) - 1
+		for ; i > 0 && top[i-1].Rank < r; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = VertexRank{Vertex: uint64(v), Rank: r}
 	}
 	return top
 }

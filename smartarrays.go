@@ -17,9 +17,7 @@
 //	        Bits:      33,
 //	        Placement: smartarrays.Replicated,
 //	})
-//	for i := uint64(0); i < arr.Length(); i++ {
-//	        arr.Init(0, i, i)
-//	}
+//	sys.FillArray(arr, func(i uint64) uint64 { return i })
 //	sum := sys.SumArray(arr)
 //
 // Because Go cannot pin pages to NUMA nodes, the machine is simulated: a
@@ -177,9 +175,11 @@ func (s *System) SumArray(a *Array) uint64 {
 // the single-threaded loop of the paper's aggregation setup.
 func (s *System) FillArray(a *Array, fn func(index uint64) uint64) {
 	s.rt.ParallelFor(0, a.Length(), 0, func(w *Worker, lo, hi uint64) {
-		for i := lo; i < hi; i++ {
-			a.Init(w.Socket, i, fn(i))
+		values := make([]uint64, hi-lo)
+		for i := range values {
+			values[i] = fn(lo + uint64(i))
 		}
+		a.InitRange(w.Socket, lo, values)
 	})
 }
 
