@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # Allowed ns/op regression (percent) for the bench gate.
 MAX_REGRESS ?= 25
 
-.PHONY: all build test race fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs load-smoke ci
+.PHONY: all build test race rts-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs load-smoke ci
 
 all: build
 
@@ -18,6 +18,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The loop engine's claim, launch and yield races are timing-dependent and
+# internal/rts is the only concurrency kernel in the repo: one -race pass
+# is thin cover, so run its tests twenty times over.
+rts-stress:
+	$(GO) test -race -count=20 ./internal/rts
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -92,7 +98,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race fuzz-smoke bench-smoke bench-selftest load-smoke
+CI_TARGETS := build vet fmt lint test race rts-stress fuzz-smoke bench-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

@@ -73,7 +73,7 @@ type Options struct {
 	Arrays *obs.ArrayRegistry
 }
 
-// instrument wires the options' observability sinks and scheduler knobs
+// instrument wires the options' observability sinks and the stealing policy
 // into a freshly created runtime. Every experiment runner calls this right
 // after rts.New.
 func (o Options) instrument(rt *rts.Runtime) {

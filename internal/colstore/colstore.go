@@ -42,9 +42,9 @@ type Table struct {
 	byName  map[string]*Column
 	// scratch holds one mask buffer per worker, reused across ScanRange
 	// calls so the bitmap pipeline stops re-growing per-call slices. Slot i
-	// is touched only by worker i, which executes its batches serially
-	// (also across concurrent scheduled loops), so no locking is needed;
-	// WithRuntime views share the backing array.
+	// is touched only by whoever holds worker i's ownership flag, one
+	// goroutine at a time (also across concurrent loops), so no locking is
+	// needed; WithRuntime views share the backing array.
 	scratch [][]uint64
 	// pscratch is the per-worker scan-accounting buffer ScanRange uses to
 	// collect one batch's predicate counts before attributing them to
@@ -93,10 +93,9 @@ func (t *Table) Free() {
 func (t *Table) Rows() uint64 { return t.rows }
 
 // WithRuntime returns a read-only view of the table whose queries run
-// through rt — typically a scheduler-attached priority view
-// (rts.Runtime.WithPriority) of the runtime the table was built on, so
-// concurrent query handlers can tag their scans without mutating the
-// shared table. The view shares the columns; do not AddColumn, Migrate,
+// through rt — typically a priority view (rts.Runtime.WithPriority) of
+// the runtime the table was built on, so concurrent query handlers can
+// tag their scans without mutating the shared table. The view shares the columns; do not AddColumn, Migrate,
 // or Free through it.
 func (t *Table) WithRuntime(rt *rts.Runtime) *Table {
 	view := *t

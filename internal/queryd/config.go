@@ -15,7 +15,7 @@ import (
 // Config is the admission/quota configuration. The zero value is invalid;
 // start from DefaultConfig.
 type Config struct {
-	// MaxInFlight bounds queries executing concurrently on the scheduler.
+	// MaxInFlight bounds queries executing concurrently on the runtime.
 	MaxInFlight int `json:"max_in_flight"`
 	// MaxQueue bounds queries waiting for an in-flight slot; arrivals
 	// beyond it are shed immediately with 429.

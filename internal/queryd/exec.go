@@ -1,7 +1,7 @@
 // Plan execution: one validated plan against one immutable dataset, run
 // through a priority-tagged runtime view. Everything here is per-query
 // state; the only shared structures touched are the dataset's read-only
-// arrays and the scheduler's admission list.
+// arrays and the runtime's list of loops in flight.
 package queryd
 
 import (

@@ -6,7 +6,7 @@
 //
 //   - Data plane: POST /query parses a plan, passes admission control,
 //     and executes on a priority-tagged runtime view. Concurrency comes
-//     from the rts.Scheduler — every in-flight query's loops are
+//     from the rts loop engine — every in-flight query's loops are
 //     multiplexed onto the shared worker pool at batch granularity, so a
 //     cheap high-priority aggregate overtakes a long PageRank instead of
 //     queueing behind it. The hot path takes no lock: configuration and
@@ -63,10 +63,9 @@ const QueueWaitHistogram = "queryd.queue_wait"
 // Server is the query service. Create with NewServer, then Start (or
 // mount Handler under a test server).
 type Server struct {
-	rt    *rts.Runtime
-	sched *rts.Scheduler
-	rec   *obs.Recorder
-	reg   *obs.ArrayRegistry
+	rt  *rts.Runtime
+	rec *obs.Recorder
+	reg *obs.ArrayRegistry
 
 	// snap is the immutable config+catalog snapshot; the data plane loads
 	// it exactly once per request.
@@ -104,10 +103,10 @@ type Server struct {
 	errs5xx atomic.Uint64
 }
 
-// NewServer builds a server over rt. It attaches a scheduler to rt
-// (taking ownership of loop execution — do not run exclusive-mode
-// benchmarks on the same runtime afterwards), and registers the initial
-// datasets. rec and reg may be nil to serve without telemetry.
+// NewServer builds a server over rt and registers the initial datasets.
+// It turns stealing on for rt once they are built (see below), so do not
+// run attribution-sensitive benchmarks on the same runtime afterwards. rec
+// and reg may be nil to serve without telemetry.
 func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Recorder, reg *obs.ArrayRegistry) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -115,8 +114,8 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache(), shared: newSharedExec(rec)}
 	s.slowlog = obs.NewSlowLog(0, 0, cfg.slowQueryThreshold())
 
-	// Datasets are built before the scheduler attaches: initialization
-	// wants the exclusive loop engine's first-touch determinism.
+	// Datasets are built with stealing still off: initialization wants
+	// stripe-faithful claiming's first-touch determinism.
 	datasets := make(map[string]*Dataset, len(specs))
 	for _, spec := range specs {
 		if _, dup := datasets[spec.Name]; dup {
@@ -131,20 +130,22 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 	snap := &snapshot{cfg: cfg, datasets: datasets}
 	s.snap.Store(snap)
 
-	s.sched = rts.NewScheduler(rt)
-	rt.SetScheduler(s.sched)
+	// Serving wants throughput, not attribution: from here on any free
+	// worker may take any batch of any query's loop.
+	rt.SetStealing(true)
 	return s, nil
 }
 
-// Close shuts the scheduler down. The HTTP listener must be closed first
-// (Start's stop function does both, in order).
+// Close closes the runtime: it waits for the loops in flight and refuses
+// new ones. The HTTP listener must be closed first (Start's stop function
+// does both, in order).
 func (s *Server) Close() {
-	s.sched.Close()
+	s.rt.Close()
 }
 
 // Runtime returns the serving runtime (tests use it for direct-call
-// comparisons; its loops go through the scheduler too, so calls are safe
-// while serving).
+// comparisons; any number of goroutines may run loops on it, so calls are
+// safe while serving).
 func (s *Server) Runtime() *rts.Runtime { return s.rt }
 
 // Dataset resolves a dataset from the current snapshot.
@@ -179,7 +180,7 @@ func (s *Server) SwapConfig(cfg Config) error {
 }
 
 // AddDataset materializes spec and installs it in a fresh snapshot. The
-// build runs through the scheduler like any other work, so serving
+// build's loops share the worker pool like any other work, so serving
 // continues meanwhile; the new dataset becomes visible atomically.
 func (s *Server) AddDataset(spec DatasetSpec) error {
 	s.ctlMu.Lock()
@@ -223,7 +224,7 @@ func (s *Server) Handler() http.Handler {
 
 // Start binds addr (":0" picks a free port), serves in the background,
 // and returns the bound address plus a stop function that closes the
-// listener and then the scheduler.
+// listener and then the runtime.
 func (s *Server) Start(addr string) (string, func() error, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -611,8 +612,8 @@ type statsResponse struct {
 	Served     uint64          `json:"served"`
 	Errors4xx  uint64          `json:"errors_4xx"`
 	Errors5xx  uint64          `json:"errors_5xx"`
-	// ActiveLoops is the scheduler's in-flight loop count at snapshot
-	// time — the executor-level view of concurrency, alongside the
+	// ActiveLoops is the runtime's in-flight loop count at snapshot
+	// time — the worker-pool view of concurrency, alongside the
 	// admission-level in_flight.
 	ActiveLoops int               `json:"active_loops"`
 	LatencyMS   *latencyQuantiles `json:"latency_ms,omitempty"`
@@ -653,7 +654,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Served:      s.served.Load(),
 		Errors4xx:   s.errs4xx.Load(),
 		Errors5xx:   s.errs5xx.Load(),
-		ActiveLoops: s.sched.ActiveLoops(),
+		ActiveLoops: s.rt.ActiveLoops(),
 	}
 	if s.rec != nil {
 		resp.LatencyMS = quantilesOf(s.rec.Histogram(QueryHistogram).Snapshot())

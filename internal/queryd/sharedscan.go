@@ -364,7 +364,7 @@ func segBound(i int, rows uint64, n int) uint64 {
 // queries that wrapped around, repeat until empty. Runs on its own
 // goroutine so no handler is held captive driving other queries'
 // segments; it exits before the last enrolled handler returns, so the
-// server's close ordering (listener, then scheduler) still holds.
+// server's close ordering (listener, then runtime) still holds.
 //
 // When the table is small the wraparound outruns the inter-arrival gap
 // and every query would ride solo — no amortization at all. So the
@@ -446,8 +446,8 @@ func (sc *tableScanner) drive() {
 				prio = q.prio
 			}
 		}
-		// The segment's morsels dispatch through the scheduler like any
-		// other loop, so sharing composes with priorities and preemption.
+		// The segment's morsels share the worker pool like any other
+		// loop's, so sharing composes with priorities and preemption.
 		sc.tbl.WithRuntime(sc.rt.WithPriority(prio)).ScanRange(lo, hi, states)
 		// Fold the observed pass — pacing pause included, since arrivals
 		// during the pause ride this wraparound too — into the EWMA that

@@ -16,8 +16,8 @@ func TestNewCreatesAllWorkers(t *testing.T) {
 		t.Fatalf("workers = %d, want 32", got)
 	}
 	// Socket-major pinning.
-	if r.Worker(0).Socket != 0 || r.Worker(16).Socket != 1 {
-		t.Errorf("worker pinning wrong: w0=%d w16=%d", r.Worker(0).Socket, r.Worker(16).Socket)
+	if ws := r.Workers(); ws[0].Socket != 0 || ws[16].Socket != 1 {
+		t.Errorf("worker pinning wrong: w0=%d w16=%d", ws[0].Socket, ws[16].Socket)
 	}
 	for _, w := range r.Workers() {
 		if w.Counters == nil || w.Counters.Socket != w.Socket {
@@ -134,24 +134,12 @@ func TestReduceMinMax(t *testing.T) {
 	r := New(machine.X52Large())
 	const n = 1 << 16
 	data := make([]uint64, n)
-	wantMin, wantMax := ^uint64(0), uint64(0)
+	var wantMax uint64
 	for i := range data {
 		data[i] = uint64(i*2654435761) % (1 << 30)
-		if data[i] < wantMin {
-			wantMin = data[i]
-		}
 		if data[i] > wantMax {
 			wantMax = data[i]
 		}
-	}
-	rangeMin := func(w *Worker, lo, hi uint64) uint64 {
-		m := ^uint64(0)
-		for i := lo; i < hi; i++ {
-			if data[i] < m {
-				m = data[i]
-			}
-		}
-		return m
 	}
 	rangeMax := func(w *Worker, lo, hi uint64) uint64 {
 		var m uint64
@@ -162,16 +150,10 @@ func TestReduceMinMax(t *testing.T) {
 		}
 		return m
 	}
-	if got := r.ReduceMin(0, n, 2048, rangeMin); got != wantMin {
-		t.Errorf("ReduceMin = %d, want %d", got, wantMin)
-	}
 	if got := r.ReduceMax(0, n, 2048, rangeMax); got != wantMax {
 		t.Errorf("ReduceMax = %d, want %d", got, wantMax)
 	}
-	// Empty ranges return the fold identities.
-	if got := r.ReduceMin(5, 5, 0, rangeMin); got != ^uint64(0) {
-		t.Errorf("empty ReduceMin = %d", got)
-	}
+	// An empty range returns the fold identity.
 	if got := r.ReduceMax(5, 5, 0, rangeMax); got != 0 {
 		t.Errorf("empty ReduceMax = %d", got)
 	}
@@ -220,30 +202,6 @@ func TestParallelForSingleBatchRunsOnSocketZeroWorker(t *testing.T) {
 			t.Errorf("claims[%d] = %d, want %d", id, claims, want)
 		}
 	}
-}
-
-func TestSequentialFor(t *testing.T) {
-	r := New(machine.X52Small())
-	var gotW *Worker
-	var gotLo, gotHi uint64
-	r.SequentialFor(17, 3, 9, func(w *Worker, lo, hi uint64) {
-		gotW, gotLo, gotHi = w, lo, hi
-	})
-	if gotW == nil || gotW.ID != 17 || gotLo != 3 || gotHi != 9 {
-		t.Errorf("SequentialFor dispatched wrong: %+v [%d,%d)", gotW, gotLo, gotHi)
-	}
-	r.SequentialFor(0, 5, 5, func(w *Worker, lo, hi uint64) {
-		t.Error("body called for empty range")
-	})
-}
-
-func TestSequentialForPanicsOnBadThread(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(machine.UMA(2)).SequentialFor(99, 0, 1, func(w *Worker, lo, hi uint64) {})
 }
 
 func TestCountersAccumulateAcrossParallelFor(t *testing.T) {

@@ -1,30 +1,36 @@
-// Scheduler multiplexes many in-flight parallel loops onto one Runtime's
-// worker pool — the serving-mode replacement for the one-loop-at-a-time
-// exclusivity the benchmark harness runs under.
+// The loop engine: the one path from ParallelFor* to a body call.
 //
-// The design keeps the two invariants the rest of the repo is built on:
+// A loop is cut into batches; batch b belongs to the stripe of socket
+// b % sockets. A worker drains its home stripe first and — only if the
+// submitting runtime has stealing on — then claims from the stripe with the
+// most left, counted as a steal. Loops from any number of goroutines share
+// the pool: before every claim a worker re-picks the highest-priority
+// admitted loop (earliest first within a priority) that still has a batch
+// it may claim, so preemption is batch-granular.
 //
-//   - Worker shards stay owner-only. The scheduler owns one persistent
-//     goroutine per Worker; every batch of every loop that worker executes
-//     runs on that goroutine, so counters.Shard writes never gain a second
-//     writer no matter how many queries are in flight.
-//   - The data-plane hot path never takes a lock. The set of active loops
-//     is an immutable slice behind an atomic pointer (copy-on-write on
-//     admission/retirement, which is control-plane work); workers pick the
-//     next batch with an atomic load + scan + atomic cursor increment. The
-//     scheduler mutex is touched only to park idle workers and to swap the
-//     active-set pointer.
+// Being worker w is holding w's ownership flag. Whoever holds it — an
+// executor goroutine, or a submitter, which works on its own loop as an
+// idle socket-0 worker instead of sleeping through it — is the only
+// goroutine that runs bodies as w, writes w.Counters or indexes per-worker
+// scratch by w.ID. An executor lives while its worker has something to
+// claim, so an idle runtime owns no goroutine. The rules that make this
+// safe:
 //
-// Preemption is at batch granularity: a worker re-picks the
-// highest-priority runnable loop before every claim, so a long
-// low-priority scan yields the pool to a newly arrived high-priority
-// query within one batch (~DefaultGrain iterations), not at the end of
-// the scan. Within a priority, loops are served in admission order, which
-// approximates FIFO completion while still letting every worker
-// contribute to the oldest loop first.
+//   - Stripe fidelity: with stealing off, batch b only ever runs on a
+//     worker of socket b % sockets, whoever else is submitting.
+//   - Quiescent barrier: a worker folds its shard's array telemetry while
+//     it still holds the flag and before it reports its batches done, so
+//     nothing touches a shard on behalf of a loop that has returned.
+//   - No lost wake-up: a submitter publishes its loop, then takes idle
+//     flags; a holder drops its flag, then looks for work (yield). One of
+//     the two always sees the other.
+//   - A loop can always finish: every non-empty stripe gets a worker of
+//     its own socket unless all of them are already held, and each of
+//     those looks again before it goes.
 package rts
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,203 +42,311 @@ import (
 // Runtime view carries none. Higher values run sooner.
 const DefaultPriority = 0
 
-// schedLoop is one admitted parallel loop: its shape, body, and claim
-// state. Batches are claimed from a single global cursor (not per-socket
-// stripes): under concurrent serving the deterministic socket attribution
-// the benchmark harness wants is meaningless, and a single cursor lets
-// whichever workers are free make progress.
-type schedLoop struct {
-	shape loopShape
-	body  func(w *Worker, lo, hi uint64)
-	prio  int
-
-	// cursor is the next unclaimed batch; done counts completed ones. The
-	// loop is finished when done reaches shape.numBatches; the finishing
-	// worker closes finished. Go's sequentially consistent atomics make
-	// every worker's plain claims[w.ID] writes (owner-only slots) visible
-	// to the submitter that observes the close.
-	cursor   atomic.Uint64
-	done     atomic.Uint64
-	finished chan struct{}
-
-	// claims[i] counts batches worker i executed, allocated only when the
-	// submitting runtime records loop stats or attributes a query profile.
-	claims []uint64
-}
-
-// exhausted reports whether every batch has been claimed (not necessarily
-// completed).
-func (l *schedLoop) exhausted() bool {
-	return l.cursor.Load() >= l.shape.numBatches
-}
-
-// Scheduler runs loops from many goroutines concurrently over one worker
-// pool. Create with NewScheduler, attach with Runtime.SetScheduler, stop
-// with Close.
-type Scheduler struct {
-	rt *Runtime
-
-	// active is the immutable snapshot of admitted, unfinished loops in
-	// admission order. Workers only load it; run swaps it copy-on-write
-	// under mu.
+// engine is the state every view of one Runtime shares: the worker pool and
+// the set of admitted loops.
+type engine struct {
+	workers []*Worker
+	// bySocket[s] lists the workers pinned to socket s, lowest ID first.
+	bySocket [][]*Worker
+	// areg, when set, is the registry workers fold their shards' per-array
+	// access deltas into (see SetArrayProfiling).
+	areg *obs.ArrayRegistry
+	// active is the immutable list of admitted, unfinished loops in
+	// admission order. Workers only load it; run swaps in a copy under mu
+	// to admit and to retire, so the claim path never takes a lock.
 	active atomic.Pointer[[]*schedLoop]
-
 	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	wg     sync.WaitGroup
+	closed atomic.Bool
 }
 
-// NewScheduler creates a scheduler over rt's workers and starts one
-// executor goroutine per worker. The goroutines park when no loop has
-// unclaimed batches, so an idle scheduler costs nothing. Callers almost
-// always want rt.SetScheduler(s) immediately after, which routes every
-// ParallelFor/Reduce*/SequentialFor on rt (and its WithPriority views)
-// through s.
-func NewScheduler(rt *Runtime) *Scheduler {
-	s := &Scheduler{rt: rt}
-	s.cond = sync.NewCond(&s.mu)
-	empty := make([]*schedLoop, 0)
-	s.active.Store(&empty)
-	for _, w := range rt.workers {
-		s.wg.Add(1)
-		go s.worker(w)
+// stripe is one socket's share of a loop's batches: batches s, s+sockets,
+// s+2*sockets, … — n of them, next the first unclaimed. Padded to a cache
+// line so sockets claiming side by side do not share one.
+type stripe struct {
+	next atomic.Uint64
+	n    uint64
+	_    [48]byte
+}
+
+// schedLoop is one loop in flight: its shape, body and claim state.
+type schedLoop struct {
+	shape    loopShape
+	body     func(w *Worker, lo, hi uint64)
+	prio     int
+	stealing bool
+	stripes  []stripe
+
+	// done counts batches that have returned or were cancelled; whoever
+	// brings it to shape.numBatches opens the barrier the submitter waits
+	// on. The atomics order every worker's plain writes (claims, Reduce*
+	// partials, shards) before the submitter's reads.
+	done    atomic.Uint64
+	barrier sync.WaitGroup
+
+	// stolen totals cross-stripe claims; claims[i]/steals[i] break batches
+	// down by worker and exist only when a recorder wants the loop event.
+	// Workers add to them when they leave the loop, not per batch.
+	stolen         atomic.Uint64
+	claims, steals []uint64
+	// failed holds the first value a body panicked with.
+	failed atomic.Pointer[any]
+}
+
+// source returns the stripe a worker on socket home claims from next: its
+// home stripe while that has batches, otherwise — if the loop may steal —
+// the stripe with the most left; -1 when the loop has nothing for it.
+func (l *schedLoop) source(home int) int {
+	if st := &l.stripes[home]; st.next.Load() < st.n {
+		return home
 	}
-	return s
+	victim := -1
+	if l.stealing {
+		var most uint64
+		for v := range l.stripes {
+			st := &l.stripes[v]
+			if cur := st.next.Load(); cur < st.n && st.n-cur > most {
+				victim, most = v, st.n-cur
+			}
+		}
+	}
+	return victim
 }
 
-// Close stops the executor goroutines after the in-flight batch claims
-// drain. Loops still waiting for batches will stall forever; callers must
-// stop submitting (and drain submitters) first — the query service closes
-// its admission gate before closing the scheduler.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
+// call runs batch b as w — the one place a loop body is called. A panic
+// stops here, not at the top of a goroutine nobody can catch: the first
+// value is kept for the submitter and the loop's unclaimed batches are
+// cancelled, so the barrier opens as soon as the running ones return.
+func (l *schedLoop) call(w *Worker, b uint64) {
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		if p := recover(); p != nil && l.failed.CompareAndSwap(nil, &p) {
+			var cancelled uint64
+			for s := range l.stripes {
+				st := &l.stripes[s]
+				if cur := st.next.Swap(st.n); cur < st.n {
+					cancelled += st.n - cur
+				}
+			}
+			l.complete(cancelled)
+		}
+	}()
+	lo, hi := l.shape.batch(b)
+	l.body(w, lo, hi)
+	returned = true
 }
 
-// ActiveLoops reports how many admitted loops are currently in flight —
-// a lock-free load of the active-set snapshot. Serving layers use it as
-// a live concurrency signal (e.g. the shared-scan batch estimate and
-// /stats) without touching the admission bookkeeping.
-func (s *Scheduler) ActiveLoops() int {
-	return len(*s.active.Load())
+// complete reports n more batches finished.
+func (l *schedLoop) complete(n uint64) {
+	if l.done.Add(n) == l.shape.numBatches {
+		l.barrier.Done()
+	}
 }
 
-// pick returns the highest-priority loop with unclaimed batches, or nil.
-// Ties go to the earliest-admitted loop. Lock-free: one atomic pointer
-// load plus a scan of the (typically tiny) active set.
-func (s *Scheduler) pick() *schedLoop {
-	var best *schedLoop
-	for _, l := range *s.active.Load() {
-		if l.exhausted() {
+// pick returns the loop w should claim from next, and the stripe: the
+// highest-priority admitted loop with a batch w may claim, the earliest
+// admitted among equals. Lock-free.
+func (e *engine) pick(w *Worker) (best *schedLoop, from int) {
+	for _, l := range *e.active.Load() {
+		if best != nil && l.prio <= best.prio {
 			continue
 		}
-		if best == nil || l.prio > best.prio {
-			best = l
+		if s := l.source(w.Socket); s >= 0 {
+			best, from = l, s
 		}
 	}
-	return best
+	return best, from
 }
 
-// worker is one executor goroutine: claim the next batch of the best
-// runnable loop, run it, repeat; park when nothing is runnable.
-func (s *Scheduler) worker(w *Worker) {
-	defer s.wg.Done()
+// serve runs batches as w, whose flag the caller holds, until no admitted
+// loop has one w may claim — or, for a submitter working on its own loop,
+// until w's next batch would come from any loop but only.
+func (e *engine) serve(w *Worker, only *schedLoop) {
+	var cur *schedLoop
+	var ran, stolen uint64
 	for {
-		l := s.pick()
+		l, s := e.pick(w)
+		if only != nil && l != only {
+			l = nil
+		}
+		if l != cur {
+			e.leave(w, cur, ran, stolen)
+			cur, ran, stolen = l, 0, 0
+		}
 		if l == nil {
-			// Nothing runnable: fold this worker's pending per-array
-			// telemetry (owner-only, so only the worker itself may do it —
-			// the loop-barrier fold runLoop uses is unavailable while other
-			// loops keep the shards hot) and park until a submit wakes us.
-			if reg := s.rt.areg; reg != nil {
-				reg.FoldShard(w.Counters)
-			}
-			s.mu.Lock()
-			for !s.closed && s.pick() == nil {
-				s.cond.Wait()
-			}
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
+			return
 		}
-		k := l.cursor.Add(1) - 1
-		if k >= l.shape.numBatches {
-			continue // lost the race to the last batch; re-pick
+		st := &l.stripes[s]
+		k := st.next.Add(1) - 1
+		if k >= st.n {
+			continue // lost the race for the stripe's last batch
 		}
-		lo, hi := l.shape.batch(k)
-		l.body(w, lo, hi)
-		if l.claims != nil {
-			l.claims[w.ID]++
+		if ran == 0 && k+1 < st.n {
+			// First batch here and more behind it in the stripe: pass the
+			// launch on, so a loop gets workers as fast as it can use them
+			// and one that is over in a microsecond never pays for a pool.
+			e.start(e.bySocket[w.Socket])
 		}
-		if l.done.Add(1) == l.shape.numBatches {
-			// Last batch done: fold our own shard so short-query telemetry
-			// surfaces promptly even on a busy pool, then signal the
-			// submitter.
-			if reg := s.rt.areg; reg != nil {
-				reg.FoldShard(w.Counters)
-			}
-			close(l.finished)
+		l.call(w, k*uint64(len(l.stripes))+uint64(s))
+		ran++
+		if s != w.Socket {
+			stolen++
 		}
 	}
 }
 
-// run executes one loop to completion on behalf of the submitting runtime
-// view r (which carries the priority and the recorder). It blocks the
-// calling goroutine — the query handler — until every batch has run,
-// exactly like runLoop does, so callers such as ReduceSum need no changes.
-func (s *Scheduler) run(r *Runtime, sh loopShape, body func(w *Worker, lo, hi uint64)) {
-	l := &schedLoop{shape: sh, body: body, prio: r.prio, finished: make(chan struct{})}
-	var start time.Time
-	if r.rec != nil || r.prof != nil {
-		l.claims = make([]uint64, len(s.rt.workers))
-		start = time.Now()
+// leave ends w's stay in l after ran batches: per-worker counts, the shard
+// fold, and only then the completion report (the quiescent barrier).
+func (e *engine) leave(w *Worker, l *schedLoop, ran, stolen uint64) {
+	if ran == 0 {
+		return
 	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic("rts: loop submitted to a closed scheduler")
+	if l.claims != nil {
+		l.claims[w.ID] += ran
+		l.steals[w.ID] += stolen
 	}
-	cur := *s.active.Load()
-	next := make([]*schedLoop, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, l)
-	s.active.Store(&next)
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	if stolen > 0 {
+		l.stolen.Add(stolen)
+	}
+	e.areg.FoldShard(w.Counters)
+	l.complete(ran)
+}
 
-	<-l.finished
+// yield drops w's flag and takes it straight back if a loop admitted in
+// the meantime has work for w — its submitter saw the flag held and
+// started nobody. It reports whether the caller still holds w.
+func (e *engine) yield(w *Worker) bool {
+	w.held.Store(false)
+	l, _ := e.pick(w)
+	return l != nil && w.held.CompareAndSwap(false, true)
+}
 
-	// Retire: copy-on-write removal keeps pick()'s scan short.
-	s.mu.Lock()
-	cur = *s.active.Load()
-	rest := make([]*schedLoop, 0, len(cur)-1)
-	for _, o := range cur {
-		if o != l {
-			rest = append(rest, o)
+// execute is an executor goroutine: it owns w until w has nothing to claim.
+func (e *engine) execute(w *Worker) {
+	for {
+		e.serve(w, nil)
+		if !e.yield(w) {
+			return
 		}
 	}
-	s.active.Store(&rest)
-	s.mu.Unlock()
+}
 
+// take claims the flag of the first idle worker in ws, nil if all are held.
+func take(ws []*Worker) *Worker {
+	for _, w := range ws {
+		// Look before the swap: a failed swap would still pull the line
+		// the holder reads w.Socket and w.Counters from on every batch.
+		if !w.held.Load() && w.held.CompareAndSwap(false, true) {
+			return w
+		}
+	}
+	return nil
+}
+
+// start gives an idle worker of ws to a new executor, if there is one. A
+// held worker needs none: its holder yields before it goes.
+func (e *engine) start(ws []*Worker) bool {
+	w := take(ws)
+	if w != nil {
+		go e.execute(w)
+	}
+	return w != nil
+}
+
+// run executes one loop to completion on behalf of view r, which carries
+// the priority, the stealing policy, the recorder and the query profile,
+// and blocks the caller until every batch has returned.
+func (r *Runtime) run(sh loopShape, body func(w *Worker, lo, hi uint64)) {
+	e := r.engine
+	if e.closed.Load() {
+		panic("rts: loop submitted to a closed runtime")
+	}
+	var start time.Time
+	l := &schedLoop{shape: sh, body: body, prio: r.prio, stealing: r.stealing}
+	l.barrier.Add(1)
+	if r.rec != nil {
+		start = time.Now()
+		counts := make([]uint64, 2*len(e.workers))
+		l.claims, l.steals = counts[:len(e.workers)], counts[len(e.workers):]
+	}
+
+	// The submitter works too, as an idle socket-0 worker if there is one
+	// (batch 0 is socket 0's, so that socket always has something). A
+	// one-batch loop then needs nobody else: no admission, no goroutine,
+	// no wake-up.
+	me := take(e.bySocket[0])
+	admitted := me == nil || sh.numBatches > 1
+	if !admitted {
+		l.call(me, 0)
+		e.leave(me, l, 1, 0)
+	} else {
+		sockets := uint64(len(e.bySocket))
+		l.stripes = make([]stripe, sockets)
+		for s := uint64(0); s < sockets && s < sh.numBatches; s++ {
+			l.stripes[s].n = (sh.numBatches-1-s)/sockets + 1
+		}
+		e.mu.Lock()
+		next := append(slices.Clip(*e.active.Load()), l)
+		e.active.Store(&next)
+		e.mu.Unlock()
+
+		// One executor per non-empty stripe the submitter is not already
+		// on, from the stripe's own socket; serve passes the launch on
+		// while batches remain. With stealing on, a stripe whose socket is
+		// fully held borrows an idle worker from anywhere.
+		short := 0
+		for s, ws := range e.bySocket {
+			if l.stripes[s].n > 0 && (s > 0 || me == nil) && !e.start(ws) {
+				short++
+			}
+		}
+		for l.stealing && short > 0 && e.start(e.workers) {
+			short--
+		}
+		if me != nil {
+			e.serve(me, l)
+		}
+	}
+	if me != nil && e.yield(me) {
+		go e.execute(me)
+	}
+	l.barrier.Wait()
+
+	if admitted {
+		e.mu.Lock()
+		rest := slices.DeleteFunc(slices.Clone(*e.active.Load()), func(o *schedLoop) bool { return o == l })
+		e.active.Store(&rest)
+		e.mu.Unlock()
+	}
+	if p := l.failed.Load(); p != nil {
+		// A body panicked: raise its value again here, where the caller's
+		// defers (and net/http's recover) can see it.
+		panic(*p)
+	}
 	if r.rec != nil {
 		r.rec.Histogram(LoopHistogram).ObserveSince(start)
-		r.rec.RecordLoop(obs.NewLoopStats(sh.begin, sh.end, sh.grain, l.claims, nil, s.rt.workerSockets()))
+		r.rec.RecordLoop(obs.NewLoopStats(sh.begin, sh.end, sh.grain, l.claims, l.steals, r.workerSockets()))
 	}
-	if r.prof != nil {
-		// Morsel attribution: in scheduled mode every batch is a claim
-		// from the global cursor (there are no stripes to steal across).
-		var claimed uint64
-		for _, c := range l.claims {
-			claimed += c
+	r.prof.AddLoop(sh.numBatches, l.stolen.Load())
+}
+
+// ActiveLoops reports how many admitted loops are in flight — a lock-free
+// load serving layers use as a live concurrency signal.
+func (e *engine) ActiveLoops() int { return len(*e.active.Load()) }
+
+// Close refuses further loops (submitting one panics) and returns once the
+// loops already admitted have finished and no goroutine holds a worker. A
+// runtime that is simply dropped needs no Close.
+func (e *engine) Close() {
+	e.closed.Store(true)
+	for e.ActiveLoops() > 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	for _, w := range e.workers {
+		for w.held.Load() {
+			time.Sleep(50 * time.Microsecond)
 		}
-		r.prof.AddLoop(claimed, 0)
 	}
 }

@@ -10,70 +10,64 @@ import (
 	"smartarrays/internal/obs"
 )
 
-// newSchedRuntime returns a runtime with an attached scheduler and a
-// cleanup that closes it.
-func newSchedRuntime(t *testing.T, spec *machine.Spec) *Runtime {
-	t.Helper()
+// newServingRuntime returns a runtime configured the way the query service
+// runs it: stealing on, so any free worker may take any batch.
+func newServingRuntime(spec *machine.Spec) *Runtime {
 	rt := New(spec)
-	s := NewScheduler(rt)
-	rt.SetScheduler(s)
-	t.Cleanup(s.Close)
+	rt.SetStealing(true)
 	return rt
 }
 
-// TestSchedulerMatchesExclusive pins scheduled loop results against the
-// exclusive (per-loop goroutine) engine for the reduce wrappers and for
-// full range coverage.
-func TestSchedulerMatchesExclusive(t *testing.T) {
+// TestLoopsMatchSequentialOracle pins the reduce wrappers and full range
+// coverage against a plain sequential loop, with stealing off and on.
+func TestLoopsMatchSequentialOracle(t *testing.T) {
 	const n = 100_003
-	excl := New(machine.X52Small())
-	sched := newSchedRuntime(t, machine.X52Small())
-
-	sum := func(rt *Runtime) uint64 {
-		return rt.ReduceSum(0, n, 1024, func(w *Worker, lo, hi uint64) uint64 {
+	var want uint64
+	for i := uint64(0); i < n; i++ {
+		want += i * i
+	}
+	for name, rt := range map[string]*Runtime{"stealing-off": New(machine.X52Small()), "stealing-on": newServingRuntime(machine.X52Small())} {
+		got := rt.ReduceSum(0, n, 1024, func(w *Worker, lo, hi uint64) uint64 {
 			var s uint64
 			for i := lo; i < hi; i++ {
 				s += i * i
 			}
 			return s
 		})
-	}
-	if got, want := sum(sched), sum(excl); got != want {
-		t.Fatalf("scheduled ReduceSum = %d, exclusive = %d", got, want)
-	}
+		if got != want {
+			t.Fatalf("%s: ReduceSum = %d, sequential = %d", name, got, want)
+		}
+		if got := rt.ReduceMax(0, n, 1024, func(w *Worker, lo, hi uint64) uint64 { return (hi - 1) * (hi - 1) }); got != (n-1)*(n-1) {
+			t.Fatalf("%s: ReduceMax = %d, sequential = %d", name, got, uint64((n-1)*(n-1)))
+		}
+		if got := rt.ReduceSumFloat64(0, n, 1024, func(w *Worker, lo, hi uint64) float64 { return float64(hi - lo) }); got != n {
+			t.Fatalf("%s: ReduceSumFloat64 = %v, sequential = %d", name, got, n)
+		}
 
-	// Every index covered exactly once, including the ragged tail and the
-	// single-batch path.
-	for _, total := range []uint64{1, 5, DefaultGrain, DefaultGrain + 1, 3*DefaultGrain + 17} {
-		seen := make([]atomic.Uint32, total)
-		sched.ParallelFor(0, total, 0, func(w *Worker, lo, hi uint64) {
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-		})
-		for i := range seen {
-			if c := seen[i].Load(); c != 1 {
-				t.Fatalf("total=%d: index %d covered %d times", total, i, c)
+		// Every index covered exactly once, including the ragged tail and
+		// the single-batch path.
+		for _, total := range []uint64{1, 5, DefaultGrain, DefaultGrain + 1, 3*DefaultGrain + 17} {
+			seen := make([]atomic.Uint32, total)
+			rt.ParallelFor(0, total, 0, func(w *Worker, lo, hi uint64) {
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("%s total=%d: index %d covered %d times", name, total, i, c)
+				}
 			}
 		}
-	}
-
-	// SequentialFor under a scheduler still covers its range once.
-	var hits atomic.Uint64
-	sched.SequentialFor(0, 10, 20, func(w *Worker, lo, hi uint64) {
-		hits.Add(hi - lo)
-	})
-	if hits.Load() != 10 {
-		t.Fatalf("scheduled SequentialFor covered %d of 10", hits.Load())
 	}
 }
 
 // TestSchedulerConcurrentLoops drives many goroutines through the same
-// scheduler at once (the serving shape) and checks every loop's reduction.
-// Run with -race this also polices the owner-only worker-shard invariant
-// the scheduler exists to preserve.
+// runtime at once (the serving shape) and checks every loop's reduction.
+// Run with -race this also polices the one-writer-per-worker invariant
+// the ownership flag exists to preserve.
 func TestSchedulerConcurrentLoops(t *testing.T) {
-	rt := newSchedRuntime(t, machine.X52Small())
+	rt := newServingRuntime(machine.X52Small())
 	const (
 		clients = 12
 		loops   = 8
@@ -117,7 +111,7 @@ func TestSchedulerConcurrentLoops(t *testing.T) {
 // high-priority batch, and some low-priority work must still run after
 // the high loop (proving it was pending, not already drained).
 func TestSchedulerPriorityPreemption(t *testing.T) {
-	rt := newSchedRuntime(t, machine.UMA(4))
+	rt := newServingRuntime(machine.UMA(4))
 	workers := len(rt.Workers())
 
 	gate := make(chan struct{})                   // holds the wedged executors
@@ -198,13 +192,14 @@ func TestSchedulerPriorityPreemption(t *testing.T) {
 	}
 }
 
-// TestParallelForSpansCoverage runs gap-list loops on both engines: every
+// TestParallelForSpansCoverage runs gap-list loops with stealing off and
+// on: every
 // index of every span is visited exactly once, nothing in a gap or outside
 // the list is touched, no batch crosses a span's end or exceeds the grain,
 // and the list is one loop — the profile counts one loop whose claims are
 // the spans' batch counts — including the single-batch and empty lists.
-// Under -race this also covers the claim path of both engines for the
-// list shape.
+// Under -race this also covers the home-stripe and the steal claim path
+// for the list shape.
 func TestParallelForSpansCoverage(t *testing.T) {
 	const n = 50_000
 	fragmented := []Span{
@@ -222,8 +217,8 @@ func TestParallelForSpansCoverage(t *testing.T) {
 		"fragmented": fragmented,
 	}
 	engines := map[string]*Runtime{
-		"library":   New(machine.X52Small()),
-		"scheduler": newSchedRuntime(t, machine.X52Small()),
+		"stealing-off": New(machine.X52Small()),
+		"stealing-on":  newServingRuntime(machine.X52Small()),
 	}
 	for ename, rt := range engines {
 		for lname, spans := range lists {
