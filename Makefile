@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # Allowed ns/op regression (percent) for the bench gate.
 MAX_REGRESS ?= 25
 
-.PHONY: all build test race rts-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs load-smoke ci
+.PHONY: all build test race rts-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
 
 all: build
 
@@ -88,6 +88,16 @@ bench-pairs:
 	@test -n "$(WORKLOAD)" && test -n "$(PARENT)" || \
 		{ echo "usage: make bench-pairs WORKLOAD=<name> PARENT=<rev> [PAIRS=10]"; exit 2; }
 	bash scripts/bench_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
+
+# The predicated-scan sizing benchmarks, in process: bitpack's compare and
+# masked-sum kernels per width (ns/elem next to a same-run plain 64-bit
+# sum, and the sparse/dense sweep behind MaskSparseCutoff) and the four
+# scan_unique plan shapes through the query handler on the served 4 Mi-row
+# dataset. Run it on both trees when sizing a kernel change, before paying
+# for bench-pairs. Not a CI target.
+bench-scan:
+	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff' -benchtime 20x -count 5 -cpu 1
+	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
 
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous

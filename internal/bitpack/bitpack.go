@@ -173,6 +173,23 @@ func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 			out[2*i+1] = w >> 32
 		}
 		return
+	case 1, 2, 4, 8, 16:
+		// The fields tile the words and no element straddles. One inlined
+		// copy of the loop per width makes its shifts constants.
+		words := data[chunk*c.wordsPerChunk : (chunk+1)*c.wordsPerChunk]
+		switch c.bits {
+		case 1:
+			unpackTiled(words, out, 1, c.mask)
+		case 2:
+			unpackTiled(words, out, 2, c.mask)
+		case 4:
+			unpackTiled(words, out, 4, c.mask)
+		case 8:
+			unpackTiled(words, out, 8, c.mask)
+		default:
+			unpackTiled(words, out, 16, c.mask)
+		}
+		return
 	}
 	bitsPer := uint64(c.bits)
 	chunkStart := chunk * c.wordsPerChunk // F3 line 1
@@ -198,6 +215,21 @@ func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 			bitInWord = bitInWord + bitsPer - 64
 			word = nextWord
 			value = nextValue
+		}
+	}
+}
+
+// unpackTiled decodes a chunk whose width divides 64 (and is at most 16,
+// so a word holds a multiple of four fields): every word is shifted out
+// four fields at a time.
+func unpackTiled(words []uint64, out *[ChunkSize]uint64, width uint, mask uint64) {
+	o := out[:]
+	for _, w := range words {
+		for k := uint(0); k < 64; k += 4 * width {
+			o[3] = w >> (3 * width) & mask
+			o[0], o[1], o[2] = w&mask, w>>width&mask, w>>(2*width)&mask
+			w >>= 4 * width
+			o = o[4:]
 		}
 	}
 }

@@ -101,7 +101,7 @@ func TestRoundTripNonMultipleOfChunk(t *testing.T) {
 
 func TestUnpackMatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, b := range []uint{1, 2, 5, 10, 31, 32, 33, 50, 63, 64} {
+	for _, b := range []uint{1, 2, 4, 5, 8, 10, 16, 31, 32, 33, 50, 63, 64} {
 		c := MustNew(b)
 		const n = 2 * ChunkSize
 		src := make([]uint64, n)

@@ -8,7 +8,8 @@ import (
 // FuzzCmpMask packs fuzzer-chosen values at a fuzzer-chosen width and
 // verifies CmpMaskChunk against per-element Get + Eval for a
 // fuzzer-chosen operator and (unclamped, possibly out-of-range)
-// threshold, along with the masked sum against its reference.
+// threshold, the range forms CmpMaskChunks/CmpMaskChunksAnd over the
+// whole span against it, and the masked sum against its reference.
 func FuzzCmpMask(f *testing.F) {
 	f.Add(uint8(13), uint8(2), uint64(100), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add(uint8(32), uint8(0), uint64(0), []byte{255, 255, 255, 255, 255, 255, 255, 255})
@@ -43,6 +44,35 @@ func FuzzCmpMask(f *testing.F) {
 						bits, op, threshold, ch*ChunkSize+uint64(i), got, want)
 				}
 			}
+		}
+		// The range forms over the whole multi-chunk span: the fill must
+		// reproduce the single-chunk masks, and the And form — over a
+		// running conjunction drawn from the fuzzer's bytes, with every
+		// third word dead — their intersection, evaluating only live words.
+		span := make([]uint64, chunks)
+		c.CmpMaskChunks(data, 0, chunks, op, threshold, span)
+		and := make([]uint64, chunks)
+		for ch := range and {
+			if ch%3 != 2 {
+				and[ch] = values[ch%n]*0x9E3779B97F4A7C15 | 1
+			}
+		}
+		prior := append([]uint64(nil), and...)
+		evaluated := c.CmpMaskChunksAnd(data, 0, chunks, op, threshold, and)
+		var live uint64
+		for ch := range span {
+			if span[ch] != masks[ch] {
+				t.Fatalf("bits=%d op=%s thr=%d: CmpMaskChunks word %d = %#x, CmpMaskChunk %#x", bits, op, threshold, ch, span[ch], masks[ch])
+			}
+			if and[ch] != prior[ch]&masks[ch] {
+				t.Fatalf("bits=%d op=%s thr=%d: CmpMaskChunksAnd word %d = %#x, want %#x", bits, op, threshold, ch, and[ch], prior[ch]&masks[ch])
+			}
+			if prior[ch] != 0 {
+				live++
+			}
+		}
+		if evaluated != live {
+			t.Fatalf("bits=%d op=%s thr=%d: CmpMaskChunksAnd evaluated %d chunks, %d were live", bits, op, threshold, evaluated, live)
 		}
 		var want uint64
 		for i := uint64(0); i < chunks*ChunkSize; i++ {

@@ -50,6 +50,9 @@ type Table struct {
 	// collect one batch's predicate counts before attributing them to
 	// every profiled group member — same ownership rule as scratch.
 	pscratch [][]core.ScanCounts
+	// decode is the per-worker pair of chunk buffers the grouped fold
+	// decodes a dense chunk's key and target into — same ownership rule.
+	decode []decodeBufs
 }
 
 // Options configure column storage.
@@ -77,6 +80,7 @@ func NewTable(rt *rts.Runtime, rows uint64) (*Table, error) {
 		byName:   map[string]*Column{},
 		scratch:  make([][]uint64, len(rt.Workers())),
 		pscratch: make([][]core.ScanCounts, len(rt.Workers())),
+		decode:   make([]decodeBufs, len(rt.Workers())),
 	}, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"smartarrays/internal/bitpack"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
 	"smartarrays/internal/rts"
@@ -560,6 +562,76 @@ func TestAggregateFastPathsMatchGeneralScan(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("count op %d = %d, want %d", op, got, want)
+		}
+	}
+}
+
+// TestGroupByAcrossSparseCutoff pins the grouped fold's two row sources
+// against each other and the per-row oracle: a selector column gives chunk
+// c exactly pops[c%len] selected rows — none, one, the sparse cutoff and
+// its neighbours (Get per row on one side, decode-once on the other),
+// half, all but one, all — under a narrow key (dense accumulators), the
+// same keys stored wide (hash accumulators) and a re-encoded target (the
+// chunk codec's decode), for every aggregate, with and without the
+// predicate, on a ragged row count.
+func TestGroupByAcrossSparseCutoff(t *testing.T) {
+	rt := rts.New(machine.X52Small())
+	pops := []int{0, 1, bitpack.MaskSparseCutoff - 1, bitpack.MaskSparseCutoff, bitpack.MaskSparseCutoff + 1, bitpack.MaskSparseCutoff + 2, 32, 63, 64}
+	const rows = 70*bitpack.ChunkSize + 13
+	rng := rand.New(rand.NewSource(11))
+	sel := make([]uint64, rows)
+	keys := make([]uint64, rows)
+	wideKeys := make([]uint64, rows)
+	vals := make([]uint64, rows)
+	for i := range sel {
+		keys[i] = uint64(rng.Intn(40))
+		wideKeys[i] = keys[i] << 20
+		vals[i] = uint64(rng.Intn(1 << 16))
+	}
+	for c := 0; c*bitpack.ChunkSize < rows; c++ {
+		for _, i := range rng.Perm(bitpack.ChunkSize)[:pops[c%len(pops)]] {
+			if row := c*bitpack.ChunkSize + i; row < rows {
+				sel[row] = 1
+			}
+		}
+	}
+	tbl, err := NewTable(rt, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Free()
+	for name, col := range map[string][]uint64{"sel": sel, "k": keys, "wide": wideKeys, "v": vals, "venc": vals} {
+		if _, err := tbl.AddColumn(name, col, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.ReencodeColumn("venc", encoding.FoR, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, preds := range [][]Pred{{{Column: "sel", Op: Eq, Value: 1}}, nil} {
+		for _, agg := range []Agg{Sum, Count, Min, Max} {
+			want, err := tbl.groupByScalar("k", agg, "v", preds...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []struct{ key, target string }{{"k", "v"}, {"wide", "v"}, {"k", "venc"}} {
+				got, err := tbl.GroupBy(q.key, agg, q.target, preds...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("agg %d key %s target %s preds %v: %d groups, want %d", agg, q.key, q.target, preds, len(got), len(want))
+				}
+				for i, g := range got {
+					wantKey := want[i].Key
+					if q.key == "wide" {
+						wantKey <<= 20
+					}
+					if g.Key != wantKey || g.Value != want[i].Value {
+						t.Fatalf("agg %d key %s target %s preds %v: group %d = %+v, want {%d %d}", agg, q.key, q.target, preds, i, g, wantKey, want[i].Value)
+					}
+				}
+			}
 		}
 	}
 }

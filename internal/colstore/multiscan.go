@@ -15,6 +15,7 @@ package colstore
 
 import (
 	"bytes"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -72,14 +73,14 @@ type ScanState struct {
 	domain      uint64
 	denseStates [][]aggState
 	maps        []map[uint64]*aggState
-	// rowFolds[w] is worker w's grouped per-row fold for the ScanRange
-	// call in progress: key/target representation snapshots (core.View)
-	// and the accumulate closure, built on the worker's first batch of the
-	// call and dropped at the next call's entry. Never reused across
-	// calls — a state outlives many ScanRange calls, and holding replicas
-	// across them would let a Reencode or Migrate in between pair a stale
-	// replica with the new representation's decode.
-	rowFolds []func(row uint64)
+	// rowFolds[w] is worker w's grouped fold for the ScanRange call in
+	// progress: key/target representation snapshots (core.View) and the
+	// worker's accumulators, built on the worker's first batch of the call
+	// and dropped at the next call's entry. Never reused across calls — a
+	// state outlives many ScanRange calls, and holding replicas across
+	// them would let a Reencode or Migrate in between pair a stale replica
+	// with the new representation's decode.
+	rowFolds []*rowFold
 
 	// Scan profiling (EnableProfile): per-worker ScanCounts rows laid out
 	// as [canonical predicates..., key (grouped only), target]. Predicate
@@ -178,7 +179,7 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 		}
 		s.grouped = true
 		s.key = key
-		s.rowFolds = make([]func(row uint64), n)
+		s.rowFolds = make([]*rowFold, n)
 		if key.arr.Bits() <= denseKeyMaxBits {
 			s.dense = true
 			s.domain = key.arr.Codec().MaxValue() + 1
@@ -350,7 +351,7 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 			lead := grp[0]
 			if len(lead.preds) == 0 {
 				for _, s := range grp {
-					s.foldAll(w, blo, bhi)
+					s.foldAll(w, blo, bhi, &t.decode[w.ID])
 				}
 				continue
 			}
@@ -377,7 +378,7 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 				continue
 			}
 			for _, s := range grp {
-				s.foldMasked(w, blo, bhi, masks)
+				s.foldMasked(w, blo, bhi, masks, &t.decode[w.ID])
 			}
 		}
 	})
@@ -466,8 +467,8 @@ func groupScanStates(states []*ScanState) [][]*ScanState {
 }
 
 // foldAll folds the unpredicated batch: fused range reductions for
-// scalar aggregates, a plain row loop for grouped ones.
-func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
+// scalar aggregates, the grouped fold over every row for grouped ones.
+func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
 	if s.grouped {
 		if s.prof != nil {
 			_, n := core.MaskChunks(lo, hi)
@@ -475,7 +476,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
 			row[s.keySlot()].Scanned += n
 			row[s.targetSlot()].Scanned += n
 		}
-		s.foldRows(w, lo, hi, nil)
+		s.foldRows(w, lo, hi, nil, bufs)
 		return
 	}
 	var sc *core.ScanCounts
@@ -502,7 +503,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
 
 // foldMasked folds the batch's surviving rows under the shared selection
 // bitmap: a popcount for the count, a masked fused fold for the rest.
-func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
+func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
 	if s.prof != nil {
 		row := s.profRow(w.ID)
 		if s.grouped {
@@ -513,7 +514,7 @@ func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 		}
 	}
 	if s.grouped {
-		s.foldRows(w, lo, hi, masks)
+		s.foldRows(w, lo, hi, masks, bufs)
 		return
 	}
 	local := &s.locals[w.ID].aggState
@@ -533,58 +534,99 @@ func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 	}
 }
 
-// foldRows feeds the batch's selected rows (all of them when masks is
-// nil) into the grouped accumulators through the worker's row fold.
-func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64) {
-	add := s.rowFolds[w.ID]
-	if add == nil {
-		add = s.newRowFold(w)
-		s.rowFolds[w.ID] = add
-	}
-	if masks == nil {
-		for row := lo; row < hi; row++ {
-			add(row)
-		}
+// rowFold is one worker's grouped fold: the key and target snapshots it
+// reads and the accumulators it feeds, dense (slice-indexed by key) or
+// wide (hash map).
+type rowFold struct {
+	key, target core.View
+	agg         Agg
+	dense       []aggState
+	wide        map[uint64]*aggState
+}
+
+func (f *rowFold) add(k, v uint64) {
+	if f.dense != nil {
+		f.dense[k].add(v)
 		return
 	}
-	core.ForEachMasked(lo, hi, masks, add)
+	st, ok := f.wide[k]
+	if !ok {
+		n := newAggState(f.agg)
+		st = &n
+		f.wide[k] = st
+	}
+	st.add(v)
+}
+
+// decodeBufs is one worker's pair of chunk decode buffers for the grouped
+// fold (Table.decode).
+type decodeBufs struct {
+	key, val [bitpack.ChunkSize]uint64
+}
+
+// foldRows feeds the batch's selected rows (all of them when masks is
+// nil) into the grouped accumulators, chunk by chunk. A chunk whose mask
+// is denser than bitpack.MaskSparseCutoff has its key and target decoded
+// once into bufs and indexed per set bit; a sparser one pays two Gets per
+// selected row, which is cheaper than two whole-chunk decodes there.
+func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
+	f := s.rowFolds[w.ID]
+	if f == nil {
+		f = s.newRowFold(w)
+		s.rowFolds[w.ID] = f
+	}
+	first, n := core.MaskChunks(lo, hi)
+	for c := uint64(0); c < n; c++ {
+		base := (first + c) * bitpack.ChunkSize
+		m := ^uint64(0)
+		if masks != nil {
+			m = masks[c]
+		} else {
+			if base < lo {
+				m &= ^uint64(0) << (lo - base)
+			}
+			if end := base + bitpack.ChunkSize; end > hi {
+				m &= ^uint64(0) >> (end - hi)
+			}
+		}
+		if bits.OnesCount64(m) <= bitpack.MaskSparseCutoff {
+			for ; m != 0; m &= m - 1 {
+				row := base + uint64(bits.TrailingZeros64(m))
+				f.add(f.key.Get(row), f.target.Get(row))
+			}
+			continue
+		}
+		f.key.DecodeChunk(first+c, &bufs.key)
+		f.target.DecodeChunk(first+c, &bufs.val)
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			f.add(bufs.key[i], bufs.val[i])
+		}
+	}
 }
 
 // newRowFold resolves the key and target representation snapshots for
-// worker w and returns its per-row accumulate closure. Built once per
-// worker per ScanRange call (see rowFolds), not once per batch: the view
-// resolution and closure allocation are per-query, not per-morsel, cost.
-func (s *ScanState) newRowFold(w *rts.Worker) func(row uint64) {
-	keyView := s.key.arr.View(w.Socket)
-	targetView := s.target.arr.View(w.Socket)
+// worker w and its accumulators. Built once per worker per ScanRange call
+// (see rowFolds), not once per batch: the view resolution is per-query,
+// not per-morsel, cost.
+func (s *ScanState) newRowFold(w *rts.Worker) *rowFold {
+	f := &rowFold{key: s.key.arr.View(w.Socket), target: s.target.arr.View(w.Socket), agg: s.agg}
 	if s.dense {
-		st := s.denseStates[w.ID]
-		if st == nil {
-			st = make([]aggState, s.domain)
+		if s.denseStates[w.ID] == nil {
+			st := make([]aggState, s.domain)
 			for k := range st {
 				st[k] = newAggState(s.agg)
 			}
 			s.denseStates[w.ID] = st
 		}
-		return func(row uint64) {
-			st[keyView.Get(row)].add(targetView.Get(row))
-		}
+		f.dense = s.denseStates[w.ID]
+		return f
 	}
-	local := s.maps[w.ID]
-	if local == nil {
-		local = map[uint64]*aggState{}
-		s.maps[w.ID] = local
+	if s.maps[w.ID] == nil {
+		s.maps[w.ID] = map[uint64]*aggState{}
 	}
-	return func(row uint64) {
-		k := keyView.Get(row)
-		st, ok := local[k]
-		if !ok {
-			n := newAggState(s.agg)
-			st = &n
-			local[k] = st
-		}
-		st.add(targetView.Get(row))
-	}
+	f.wide = s.maps[w.ID]
+	return f
 }
 
 // Result merges the per-worker accumulators into the final answer. Call

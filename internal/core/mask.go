@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"smartarrays/internal/bitpack"
-	"smartarrays/internal/encoding"
 )
 
 // Selection-bitmap scans: the predicated counterpart of the fused
@@ -47,14 +46,7 @@ func MaskRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, 
 	a.checkRange(lo, hi)
 	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
-	if v.zones != nil {
-		zoneMaskFill(&v, first, n, op, threshold, masks, sc)
-	} else {
-		for c := uint64(0); c < n; c++ {
-			masks[c] = v.cmpMaskChunk(first+c, op, threshold)
-		}
-		sc.addScanned(n)
-	}
+	v.maskChunks(first, n, op, threshold, masks, false, sc)
 	// Clamp the ragged head and tail: only the first and last covering
 	// chunks can have bits outside [lo, hi).
 	if head := lo - first*bitpack.ChunkSize; head != 0 {
@@ -87,28 +79,8 @@ func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cm
 	a.checkRange(lo, hi)
 	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
-	var live, scanned uint64
-	for c := uint64(0); c < n; c++ {
-		if masks[c] == 0 {
-			continue
-		}
-		if v.zones != nil {
-			switch v.zones.Verdict(first+c, op, threshold) {
-			case encoding.ZoneNone:
-				masks[c] = 0
-				continue
-			case encoding.ZoneAll:
-				live |= masks[c]
-				continue
-			}
-		}
-		masks[c] &= v.cmpMaskChunk(first+c, op, threshold)
-		live |= masks[c]
-		scanned++
-	}
-	sc.addScanned(scanned)
-	sc.addPruned(n - scanned)
-	return live != 0
+	v.maskChunks(first, n, op, threshold, masks, true, sc)
+	return !bitpack.AllZeroMasks(masks[:n])
 }
 
 // ReduceRangeMasked folds the selected elements of [lo, hi) with op for a
@@ -173,20 +145,4 @@ func reduceMaskedZones(v *View, first, n uint64, op ReduceOp, masks []uint64) ui
 	}
 	foldSpan(spanLo, n)
 	return acc
-}
-
-// ForEachMasked calls fn with every selected row index of [lo, hi) in
-// ascending order — the per-row escape hatch for consumers (like GroupBy)
-// that need the row position, not just a fold.
-func ForEachMasked(lo, hi uint64, masks []uint64, fn func(row uint64)) {
-	if lo >= hi {
-		return
-	}
-	first, n := MaskChunks(lo, hi)
-	for c := uint64(0); c < n; c++ {
-		base := (first + c) * bitpack.ChunkSize
-		for m := masks[c]; m != 0; m &= m - 1 {
-			fn(base + uint64(bits.TrailingZeros64(m)))
-		}
-	}
 }

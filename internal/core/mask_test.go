@@ -205,33 +205,6 @@ func TestReduceRangeMaskedEmptyRange(t *testing.T) {
 	}
 }
 
-func TestForEachMasked(t *testing.T) {
-	const n = 3 * bitpack.ChunkSize
-	a, values := maskFixture(t, 10, n)
-	thr := a.Codec().Mask() / 2
-	lo, hi := uint64(40), uint64(170)
-	_, num := MaskChunks(lo, hi)
-	masks := make([]uint64, num)
-	MaskRange(a, 0, lo, hi, bitpack.CmpLt, thr, masks)
-	var got []uint64
-	ForEachMasked(lo, hi, masks, func(row uint64) { got = append(got, row) })
-	var want []uint64
-	for i := lo; i < hi; i++ {
-		if values[i] < thr {
-			want = append(want, i)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ForEachMasked yielded %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row[%d] = %d, want %d (ascending order required)", i, got[i], want[i])
-		}
-	}
-	ForEachMasked(10, 10, nil, func(uint64) { t.Fatal("empty range must not yield rows") })
-}
-
 // TestMaskChunks pins the covering-chunk arithmetic.
 func TestMaskChunks(t *testing.T) {
 	cases := []struct{ lo, hi, first, num uint64 }{

@@ -52,6 +52,18 @@ func (v *View) Get(index uint64) uint64 {
 	return v.codec.Get(v.replica, index)
 }
 
+// DecodeChunk materializes chunk's 64 elements from the snapshot into out
+// — for consumers (like GroupBy) that need many values of one chunk and
+// would otherwise pay a Get each. A partial tail chunk decodes its
+// padding as zeros.
+func (v *View) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
+	if v.enc != nil {
+		v.enc.DecodeChunk(chunk, out)
+		return
+	}
+	v.codec.Unpack(v.replica, chunk, out)
+}
+
 // reduceChunks folds the whole chunks [chunkLo, chunkHi) with op.
 func (v *View) reduceChunks(op ReduceOp, chunkLo, chunkHi uint64) uint64 {
 	if enc := v.enc; enc != nil {
@@ -106,10 +118,29 @@ func (v *View) countWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uin
 	return v.codec.CountWhere(v.replica, chunkLo, chunkHi, op, threshold)
 }
 
-// cmpMaskChunk evaluates the predicate over one chunk into a bitmap.
-func (v *View) cmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	if v.enc != nil {
-		return v.enc.CmpMaskChunk(chunk, op, threshold)
+// cmpMaskChunks evaluates the predicate over chunks [chunkLo, chunkHi)
+// into masks (one word per chunk). With and set it ANDs into masks
+// instead and skips chunks whose word is already dead. It returns the
+// number of chunks evaluated. Native words take bitpack's range kernel in
+// one call; a chunk codec is asked chunk by chunk.
+func (v *View) cmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	if v.enc == nil {
+		if and {
+			return v.codec.CmpMaskChunksAnd(v.replica, chunkLo, chunkHi, op, threshold, masks)
+		}
+		v.codec.CmpMaskChunks(v.replica, chunkLo, chunkHi, op, threshold, masks)
+		return chunkHi - chunkLo
 	}
-	return v.codec.CmpMaskChunk(v.replica, chunk, op, threshold)
+	var evaluated uint64
+	for i := range masks[:chunkHi-chunkLo] {
+		keep := ^uint64(0)
+		if and {
+			if keep = masks[i]; keep == 0 {
+				continue
+			}
+		}
+		masks[i] = keep & v.enc.CmpMaskChunk(chunkLo+uint64(i), op, threshold)
+		evaluated++
+	}
+	return evaluated
 }

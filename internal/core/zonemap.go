@@ -61,52 +61,78 @@ func superWindow(chunk, remaining uint64) bool {
 	return chunk%encoding.ZoneFanout == 0 && remaining >= encoding.ZoneFanout
 }
 
-// zoneMaskFill fills masks[0:n] for chunks [first, first+n) by resolving
-// each chunk through the zone index where possible and comparing the
-// payload for the rest. Whole super zones inside the window resolve with
-// one coarse check per encoding.ZoneFanout chunks — on clustered or sorted
-// data most of the window never reads even the fine zone entries. That
-// shortcut needs a window of at least ZoneFanout aligned chunks, which no
-// table scan passes: colstore's batches are 32 chunks, and its plan-time
-// step (colstore.liveRuns) drops empty super zones before any batch
-// exists. The callers that reach it mask a whole column in one call —
+// maskChunks builds the match masks of chunks [first, first+n): filled
+// into masks[0:n], or with and set ANDed into them, chunks whose word is
+// already dead left alone. Without a zone index that is one range-kernel
+// call. With one, every chunk the index decides (all rows match, or none)
+// is resolved without touching the payload, and each maximal run of
+// undecided chunks between them goes to the kernel in one call — the
+// representation is dispatched on once per run, never per chunk. A fill
+// also resolves whole super zones inside the window with one coarse check
+// per encoding.ZoneFanout chunks — on clustered or sorted data most of
+// the window never reads even the fine zone entries. That shortcut needs
+// a window of at least ZoneFanout aligned chunks, which no table scan
+// passes: colstore's batches are 32 chunks, and its plan-time step
+// (colstore.liveRuns) drops empty super zones before any batch exists.
+// The callers that reach it mask a whole column in one call —
 // internal/bench/pruning.go's timed sweep and the measured benchmark's
-// core.zone_prune_ns_per_chunk probe and answer oracle. Zone-resolved
-// chunks accumulate into sc as pruned, compared chunks as scanned (sc may
+// core.zone_prune_ns_per_chunk probe and answer oracle. Chunks the kernel
+// evaluated accumulate into sc as scanned, all others as pruned (sc may
 // be nil).
-func zoneMaskFill(v *View, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) {
+func (v *View) maskChunks(first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool, sc *ScanCounts) {
 	z := v.zones
-	c := uint64(0)
+	if z == nil {
+		scanned := v.cmpMaskChunks(first, first+n, op, threshold, masks, and)
+		sc.addScanned(scanned)
+		sc.addPruned(n - scanned)
+		return
+	}
 	var scanned uint64
-	for c < n {
-		chunk := first + c
-		if superWindow(chunk, n-c) {
-			switch z.SuperVerdict(chunk/encoding.ZoneFanout, op, threshold) {
-			case encoding.ZoneNone:
-				for i := uint64(0); i < encoding.ZoneFanout; i++ {
-					masks[c+i] = 0
-				}
-				c += encoding.ZoneFanout
-				continue
-			case encoding.ZoneAll:
-				for i := uint64(0); i < encoding.ZoneFanout; i++ {
-					masks[c+i] = ^uint64(0)
-				}
-				c += encoding.ZoneFanout
+	run := uint64(0) // start of the current run of undecided chunks
+	flush := func(end uint64) {
+		if run < end {
+			scanned += v.cmpMaskChunks(first+run, first+end, op, threshold, masks[run:end], and)
+		}
+	}
+	for c := uint64(0); c < n; c++ {
+		if and {
+			// A dead word stays in its run (the kernel skips it) and so
+			// does one the index empties; only a chunk where every row
+			// matches, whose word must be kept as it is, ends the run.
+			if masks[c] == 0 {
 				continue
 			}
+			switch z.Verdict(first+c, op, threshold) {
+			case encoding.ZoneNone:
+				masks[c] = 0
+			case encoding.ZoneAll:
+				flush(c)
+				run = c + 1
+			}
+			continue
 		}
-		switch z.Verdict(chunk, op, threshold) {
-		case encoding.ZoneNone:
-			masks[c] = 0
-		case encoding.ZoneAll:
-			masks[c] = ^uint64(0)
-		default:
-			masks[c] = v.cmpMaskChunk(chunk, op, threshold)
-			scanned++
+		verdict, span := encoding.ZoneMixed, uint64(1)
+		if superWindow(first+c, n-c) {
+			verdict, span = z.SuperVerdict((first+c)/encoding.ZoneFanout, op, threshold), encoding.ZoneFanout
 		}
-		c++
+		if verdict == encoding.ZoneMixed {
+			verdict, span = z.Verdict(first+c, op, threshold), 1
+		}
+		if verdict == encoding.ZoneMixed {
+			continue
+		}
+		flush(c)
+		fill := uint64(0)
+		if verdict == encoding.ZoneAll {
+			fill = ^uint64(0)
+		}
+		for i := c; i < c+span; i++ {
+			masks[i] = fill
+		}
+		c += span - 1
+		run = c + 1
 	}
+	flush(n)
 	sc.addScanned(scanned)
 	sc.addPruned(n - scanned)
 }

@@ -261,3 +261,103 @@ func TestZoneMaskFillSuperWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskRangeAlternatingZoneVerdicts drives the per-run dispatch: a
+// column whose chunks alternate between constant (the index decides them:
+// every row matches, or none) and mixed (the kernel must evaluate them),
+// in runs of one, two and three chunks, natively packed and re-encoded.
+// MaskRange and MaskRangeAnd with the index attached must produce the
+// masks of the same array without one, and account exactly the undecided
+// live chunks as scanned.
+func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
+	const chunks = 37
+	const n = chunks*bitpack.ChunkSize - 11 // ragged tail
+	values := make([]uint64, n)
+	mixed := make([]bool, chunks) // chunk holds values on both sides of every threshold
+	state := uint64(99)
+	for c, run := 0, 0; c < chunks; run++ {
+		for k := 0; k <= run%3 && c < chunks; k, c = k+1, c+1 {
+			mixed[c] = run%2 == 1
+			for i := c * bitpack.ChunkSize; i < min((c+1)*bitpack.ChunkSize, n); i++ {
+				if mixed[c] {
+					state = state*6364136223846793005 + 1442695040888963407
+					values[i] = state >> 54 // 0..1023
+				} else {
+					values[i] = uint64(run%4) * 300 // constant chunk: 0, 300, 600, 900
+				}
+			}
+		}
+	}
+	mem := memsim.New(machine.X52Large())
+	for _, kind := range []encoding.Kind{encoding.BitPacked, encoding.FoR} {
+		indexed, err := Allocate(mem, Config{Length: n, Bits: 10, Placement: memsim.Interleaved})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer indexed.Free()
+		plain, err := Allocate(mem, Config{Length: n, Bits: 10, Placement: memsim.Interleaved})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Free()
+		for _, a := range []*SmartArray{indexed, plain} {
+			a.InitRange(0, 0, values)
+			if kind != encoding.BitPacked {
+				if _, err := a.Reencode(kind, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		z := indexed.BuildZoneIndex()
+		plain.rep.Load().zones.Store(nil)
+		for _, op := range []bitpack.Cmp{bitpack.CmpEq, bitpack.CmpNe, bitpack.CmpLt, bitpack.CmpLe, bitpack.CmpGt, bitpack.CmpGe} {
+			for _, thr := range []uint64{300, 450, 600} {
+				for _, r := range [][2]uint64{{0, n}, {70, n - 70}, {3 * bitpack.ChunkSize, 9 * bitpack.ChunkSize}} {
+					lo, hi := r[0], r[1]
+					first, nc := MaskChunks(lo, hi)
+					got, want := make([]uint64, nc), make([]uint64, nc)
+					var counts ScanCounts
+					MaskRangeCounted(indexed, 0, lo, hi, op, thr, got, &counts)
+					MaskRange(plain, 0, lo, hi, op, thr, want)
+					var undecided uint64
+					for c := uint64(0); c < nc; c++ {
+						if got[c] != want[c] {
+							t.Fatalf("%v op %v thr %d [%d,%d) chunk %d: mask %#x with the index, %#x without", kind, op, thr, lo, hi, first+c, got[c], want[c])
+						}
+						if z.Verdict(first+c, op, thr) == encoding.ZoneMixed {
+							undecided++
+						}
+					}
+					if counts.Scanned != undecided || counts.Total() != nc {
+						t.Fatalf("%v op %v thr %d [%d,%d): counts %+v, want %d scanned of %d", kind, op, thr, lo, hi, counts, undecided, nc)
+					}
+
+					// The conjunction with a prior selection that has dead,
+					// full and irregular words.
+					prior := make([]uint64, nc)
+					MaskRange(plain, 0, lo, hi, bitpack.CmpGe, 0, prior) // every row of [lo, hi)
+					for c := range prior {
+						prior[c] &= [...]uint64{^uint64(0), 0, 0x0F0F0F0F0F0F0F0F, want[c]}[c%4]
+					}
+					gotAnd := append([]uint64(nil), prior...)
+					wantAnd := append([]uint64(nil), prior...)
+					counts = ScanCounts{}
+					liveGot := MaskRangeAndCounted(indexed, 0, lo, hi, op, thr, gotAnd, &counts)
+					liveWant := MaskRangeAnd(plain, 0, lo, hi, op, thr, wantAnd)
+					undecided = 0
+					for c := uint64(0); c < nc; c++ {
+						if gotAnd[c] != wantAnd[c] {
+							t.Fatalf("%v op %v thr %d [%d,%d) chunk %d: And mask %#x with the index, %#x without", kind, op, thr, lo, hi, first+c, gotAnd[c], wantAnd[c])
+						}
+						if prior[c] != 0 && z.Verdict(first+c, op, thr) == encoding.ZoneMixed {
+							undecided++
+						}
+					}
+					if liveGot != liveWant || counts.Scanned != undecided || counts.Total() != nc {
+						t.Fatalf("%v op %v thr %d [%d,%d): And live %v/%v counts %+v, want %d scanned of %d", kind, op, thr, lo, hi, liveGot, liveWant, counts, undecided, nc)
+					}
+				}
+			}
+		}
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -127,6 +128,11 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 		}
 		datasets[spec.Name] = d
 	}
+	// BuildDataset stages every column as a plain []uint64 before packing
+	// it — an order of magnitude more than the payload it leaves behind,
+	// and at a serving allocation rate no GC cycle would come to collect
+	// it. Hand it back to the OS before the first request.
+	debug.FreeOSMemory()
 	snap := &snapshot{cfg: cfg, datasets: datasets}
 	s.snap.Store(snap)
 
@@ -192,6 +198,7 @@ func (s *Server) AddDataset(spec DatasetSpec) error {
 	if err != nil {
 		return err
 	}
+	debug.FreeOSMemory() // the build's staging slices, as in NewServer
 	old := s.snap.Load()
 	datasets := make(map[string]*Dataset, len(old.datasets)+1)
 	for k, v := range old.datasets {
