@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # Allowed ns/op regression (percent) for the bench gate.
 MAX_REGRESS ?= 25
 
-.PHONY: all build test race rts-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
+.PHONY: all build test race rts-stress queryd-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
 
 all: build
 
@@ -24,6 +24,12 @@ race:
 # is thin cover, so run its tests twenty times over.
 rts-stress:
 	$(GO) test -race -count=20 ./internal/rts
+
+# The shared-scan driver's attach/retire/fail ordering against enrolling
+# and coalescing handlers is timing-dependent in the same way: repeat the
+# coordinator's tests under -race (about 15 s).
+queryd-stress:
+	$(GO) test -race -count=5 -run 'SharedScan|ArrivalWindow|ProfileShared|ExplainParity' ./internal/queryd
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -93,11 +99,14 @@ bench-pairs:
 # masked-sum kernels per width (ns/elem next to a same-run plain 64-bit
 # sum, and the sparse/dense sweep behind MaskSparseCutoff) and the four
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
-# dataset. Run it on both trees when sizing a kernel change, before paying
-# for bench-pairs. Not a CI target.
+# dataset, from one caller and from two (distinct thresholds, one signature
+# under two aggregates, identical plans — the measurement behind
+# perfmodel.SharedScanRideOverhead). Run it on both trees when sizing a
+# kernel change, before paying for bench-pairs. Not a CI target.
 bench-scan:
 	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
+	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2
 
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous
@@ -108,7 +117,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race rts-stress fuzz-smoke bench-smoke bench-selftest load-smoke
+CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress fuzz-smoke bench-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

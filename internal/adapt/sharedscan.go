@@ -6,26 +6,26 @@ import (
 )
 
 // Shared-scan enrollment scoring: should this query ride the table's
-// cooperative pass or run its own zone-pruned scan? The DimmWitted
-// tradeoff applied to the scan cursor — sharing amortizes the chunk
-// decode across the batch but costs a wraparound wait, so it wins
-// exactly when the independent scan still pays for the walk (un-prunable
-// predicates under concurrency) and loses when the zone index already
-// resolves almost everything (highly selective clustered predicates,
-// whose independent cost sits near the zone-check floor).
+// circular scan or run its own zone-pruned scan? The DimmWitted tradeoff
+// applied to the scan cursor — a ride splits the mask walk with the
+// riders that have the same predicate signature (the only thing the
+// executor shares) and costs the ride overhead, so it wins when the walk
+// is a large part of the query and someone is there to split it with, and
+// loses for a query without mates or one whose walk the zone index
+// already resolves (independent cost near the zone-check floor).
 
 // SharedScanScore is the modeled per-element choice for one query.
 type SharedScanScore struct {
 	// Independent is the query's own zone-pruned scan (mask + fold).
 	Independent float64
-	// Shared is the query's share of a cooperative pass of Batch queries.
+	// Shared is the query's cost riding with Mates same-signature riders.
 	Shared float64
-	// Batch is the enrollment estimate the score was taken at.
-	Batch int
+	// Mates is the same-signature rider estimate the score was taken at.
+	Mates int
 	// Gain is Independent / Shared — >1 means enrolling wins.
 	Gain float64
-	// Enroll is the decision: sharing beats the independent scan and
-	// there is someone to share with.
+	// Enroll is the decision: the ride beats the independent scan. Never
+	// at zero mates — the ride is then the same work plus the overhead.
 	Enroll bool
 }
 
@@ -34,19 +34,16 @@ type SharedScanScore struct {
 // resolves outright for the query's predicates (no payload touched);
 // foldShare is the share still carrying live mask bits into the fold
 // (both from encoding.ZoneIndex.PruneStatsFor, conservatively combined
-// over the conjunction). batch is the expected cooperative batch size —
-// the coordinator's current enrollment plus the admission backlog.
-func ScoreSharedScan(cs encoding.CostStats, foldShare, resolvedShare float64, batch int) SharedScanScore {
-	if batch < 1 {
-		batch = 1
-	}
+// over the conjunction). mates is the number of other queries with the
+// same predicate signature expected on the ring during this ride.
+func ScoreSharedScan(cs encoding.CostStats, foldShare, resolvedShare float64, mates int) SharedScanScore {
 	independent := perfmodel.CostEncodedPrunedMask(cs, resolvedShare) +
 		perfmodel.CostEncodedPrunedMaskedReduce(cs, foldShare)
-	shared := perfmodel.CostSharedScan(cs, foldShare, batch)
-	s := SharedScanScore{Independent: independent, Shared: shared, Batch: batch}
+	shared := perfmodel.CostSharedScan(cs, foldShare, resolvedShare, mates)
+	s := SharedScanScore{Independent: independent, Shared: shared, Mates: mates}
 	if shared > 0 {
 		s.Gain = independent / shared
 	}
-	s.Enroll = batch >= 2 && shared < independent
+	s.Enroll = shared < independent
 	return s
 }

@@ -9,24 +9,21 @@ import (
 	"smartarrays/internal/rts"
 )
 
-// Shared-scan benchmark: the cooperative fused pass versus independent
-// selective scans. Each cell really runs a MultiScan batch over a live
-// column-store table on the simulated 18-core machine, verifies every
-// enrolled query bit-identical against its independent Aggregate/GroupBy
-// execution, and models the paper-scale per-query cost: the independent
-// row pays a full mask walk plus masked fold per query, the batched row
-// amortizes the walk (and its payload read) across the whole batch with
-// the coordinator's wait overhead added — the N-queries ≈ 1-scan + N-folds
-// economics the coordinator exists for. Both rows gate.
+// Shared-scan benchmark: one cooperative pass versus independent scans.
+// Each cell really runs a MultiScan batch over a live column-store table
+// on the simulated 18-core machine, verifies every query bit-identical
+// against its independent Aggregate/GroupBy execution, and models the
+// paper-scale per-query cost: the independent row pays a full mask walk
+// plus masked fold per query; the batched row is the mean over the batch
+// of perfmodel.CostSharedScan at each query's own same-signature mate
+// count — a pass shares a mask build between equal signatures and nothing
+// else, so a batch of mostly distinct predicates costs about as many
+// scans as it has queries, plus the ride. Both rows gate.
 
-// sharedScanBatch is the modeled batch size — the load harness's default
-// admission depth plus queued arrivals, and the regime the acceptance
-// experiment (64 clients) saturates easily.
-const sharedScanBatch = 8
-
-// sharedScanQueries builds the benchmark batch: distinct predicated
-// aggregates plus a grouped query, all over uniform (un-prunable) data so
-// every query walks every chunk — the shape where sharing pays most.
+// sharedScanQueries builds the benchmark batch: predicated aggregates and
+// grouped queries over uniform (un-prunable) data, so every query walks
+// every chunk. Queries 0 and 4 have the same signature — the batch's one
+// shared mask build; the other six are alone with theirs.
 func sharedScanQueries() []colstore.ScanQuery {
 	return []colstore.ScanQuery{
 		{Agg: colstore.Sum, Column: "val", Preds: []colstore.Pred{{Column: "val", Op: colstore.Le, Value: 1 << 14}}},
@@ -111,21 +108,32 @@ func RunSharedScanKernels(opts Options) ([]KernelResult, error) {
 	// Model the paper-scale per-query pair. Uniform data leaves the zone
 	// index nothing to resolve (foldShare 1, resolvedShare 0), so the
 	// independent query pays a full mask walk plus a full masked fold —
-	// two payload passes — while the batched query shares one walk (and
-	// its payload read) across the batch and pays the coordinator's
-	// modeled wait on top.
+	// two payload passes. In the batch each signature is walked once and
+	// every query folds once; a query splits its walk only with the
+	// queries of its own signature.
 	target, err := tbl.Column("val")
 	if err != nil {
 		return nil, err
 	}
 	cs := target.Array().EncodingStats()
 	indepInstr := perfmodel.CostEncodedPrunedMask(cs, 0) + perfmodel.CostEncodedPrunedMaskedReduce(cs, 1)
-	sharedInstr := perfmodel.CostSharedScan(cs, 1, sharedScanBatch)
-	sharedPasses := (1.0 + 1.0) / sharedScanBatch
+	sigs := make([]string, len(queries))
+	riders := map[string]int{}
+	for i, q := range queries {
+		sigs[i] = colstore.PredSignature(q.Preds)
+		riders[sigs[i]]++
+	}
+	var sharedInstr float64
+	for _, sig := range sigs {
+		sharedInstr += perfmodel.CostSharedScan(cs, 1, 0, riders[sig]-1)
+	}
+	n := float64(len(queries))
+	sharedInstr /= n
+	sharedPasses := (float64(len(riders)) + n) / n
 
 	return []KernelResult{
 		modelKernel(spec, "shared-scan-indep/uniform", bits, indepInstr, 2, verified),
-		modelKernel(spec, fmt.Sprintf("shared-scan-%dq/uniform", sharedScanBatch), bits,
+		modelKernel(spec, fmt.Sprintf("shared-scan-%dq/uniform", len(queries)), bits,
 			sharedInstr, sharedPasses, verified),
 	}, nil
 }

@@ -196,6 +196,11 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 	return s, nil
 }
 
+// Signature is the state's canonical predicate signature (PredSignature of
+// its conjunction): states with equal signatures share one mask build per
+// batch in ScanRange, states with different ones share nothing.
+func (s *ScanState) Signature() string { return s.sig }
+
 // EnableProfile attaches a query profile to the state: every subsequent
 // ScanRange accounts the state's share of the cooperative pass (the
 // chunks logically scanned or pruned on its behalf, even when a group
@@ -321,7 +326,8 @@ func countScratch(slot *[]core.ScanCounts, n int) []core.ScanCounts {
 // the control plane. Per batch, states are grouped by predicate signature:
 // the group leader builds the selection bitmap once (into the table's
 // per-worker mask scratch), then every member folds the surviving rows —
-// N queries pay one decode. Runs through the receiver's runtime, so a
+// the N members of a group pay one decode, groups share nothing with each
+// other. Runs through the receiver's runtime, so a
 // coordinator can submit each segment on a priority view of the enrolled
 // queries.
 func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {

@@ -71,6 +71,11 @@ type SharedScanProfile struct {
 	// Mode is one of SharedEnrolled, SharedCoalesced, SharedBypassed,
 	// SharedOff.
 	Mode string `json:"mode"`
+	// Mates is the number of other queries with the same predicate
+	// signature the ride-or-bypass decision counted (riders on the ring or
+	// arrivals inside the window) — the "why was this bypassed" answer:
+	// zero mates means there was no one to share a mask build with.
+	Mates int `json:"mates"`
 	// SegmentsFolded is the number of circular-scan segments the query's
 	// state was driven through (a full wraparound) when enrolled.
 	SegmentsFolded int `json:"segments_folded,omitempty"`
@@ -166,17 +171,29 @@ func (p *QueryProfile) AddColumn(cp ColumnProfile) {
 	p.mu.Unlock()
 }
 
-// NoteShared records the shared-scan outcome.
-func (p *QueryProfile) NoteShared(mode string, segments int, wrap time.Duration) {
+// NoteShared records the shared-scan decision: the outcome mode and the
+// same-signature mate count it was taken at.
+func (p *QueryProfile) NoteShared(mode string, mates int) {
 	if p == nil {
 		return
 	}
-	sp := &SharedScanProfile{Mode: mode, SegmentsFolded: segments}
-	if wrap > 0 {
-		sp.WraparoundNs = uint64(wrap)
+	p.mu.Lock()
+	p.Shared = &SharedScanProfile{Mode: mode, Mates: mates}
+	p.mu.Unlock()
+}
+
+// NoteRide completes the section of a query that rode the ring: how it
+// rode (SharedEnrolled, or SharedCoalesced onto an identical rider) and
+// what the ride cost. The decision's mate count, if noted, is kept.
+func (p *QueryProfile) NoteRide(mode string, segments int, wrap time.Duration) {
+	if p == nil {
+		return
 	}
 	p.mu.Lock()
-	p.Shared = sp
+	if p.Shared == nil {
+		p.Shared = &SharedScanProfile{}
+	}
+	p.Shared.Mode, p.Shared.SegmentsFolded, p.Shared.WraparoundNs = mode, segments, uint64(max(wrap, 0))
 	p.mu.Unlock()
 }
 

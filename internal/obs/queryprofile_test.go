@@ -38,7 +38,8 @@ func sampleProfile() *QueryProfile {
 		Column: "amount", Role: RoleTarget, Codec: "bitpack",
 		Chunks: 16, ChunksScanned: 10, ChunksPruned: 6, BytesDecoded: 7680,
 	})
-	p.NoteShared(SharedEnrolled, 8, 910*time.Microsecond)
+	p.NoteShared(SharedEnrolled, 3)
+	p.NoteRide(SharedEnrolled, 8, 910*time.Microsecond)
 	p.Finalize("ok", 200)
 	p.TotalNs = 957300 // pin the only wall-clock field after Finalize
 	return p
@@ -110,7 +111,8 @@ func TestQueryProfileNilSafe(t *testing.T) {
 	p.Stage("x", time.Millisecond)
 	p.AddLoop(1, 1)
 	p.AddColumn(ColumnProfile{})
-	p.NoteShared(SharedBypassed, 0, 0)
+	p.NoteShared(SharedBypassed, 0)
+	p.NoteRide(SharedCoalesced, 0, 0)
 	p.Finalize("ok", 200)
 	if p.Finalized() {
 		t.Fatal("nil profile reports finalized")

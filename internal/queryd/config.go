@@ -40,9 +40,12 @@ type Config struct {
 	CacheEntries int `json:"cache_entries"`
 	// SharedScan enables the cooperative shared-scan coordinator (off by
 	// default; saserve turns it on): concurrently admitted predicated
-	// Aggregate/GroupBy plans over one table batch into circular-scan
-	// passes that decode each chunk once for the whole batch. Enrollment
-	// stays adaptive per query — see internal/adapt.ScoreSharedScan.
+	// Aggregate/GroupBy plans over one table may ride one circular scan,
+	// where identical plans are answered by one state and plans with the
+	// same predicate signature share one mask build per batch; plans
+	// with different predicates would share nothing and are not enrolled.
+	// Enrollment stays adaptive per query, on the query's same-signature
+	// mate count — see internal/adapt.ScoreSharedScan.
 	SharedScan bool `json:"shared_scan"`
 	// SharedScanSegments is the circular scan's segment count (0 = the
 	// default, 8): late arrivals attach at the next segment boundary and

@@ -386,7 +386,11 @@ func TestProfileCacheAgreement(t *testing.T) {
 // TestProfileSharedAgreement fires concurrent identical explain queries
 // through the shared-scan coordinator and reconciles the per-profile
 // enrollment modes with the coordinator's /stats counters — every query
-// took exactly one path, and both sides counted it.
+// took exactly one path, and both sides counted it. The mate count each
+// profile carries must explain its path: this un-prunable plan rides
+// exactly when the decision counted a same-signature mate, so the
+// profiles with mates are the queries /stats counts as enrolled or
+// coalesced, and the ones without are its bypasses.
 func TestProfileSharedAgreement(t *testing.T) {
 	srv, ts := newSharedTestServer(t, sharedConfig())
 	body := sharedTestBodies()[0]
@@ -394,7 +398,7 @@ func TestProfileSharedAgreement(t *testing.T) {
 
 	const clients, rounds = 8, 3
 	var wg sync.WaitGroup
-	var enrolled, coalesced, bypassed, missing atomic.Uint64
+	var enrolled, coalesced, bypassed, missing, withMates atomic.Uint64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
@@ -409,6 +413,9 @@ func TestProfileSharedAgreement(t *testing.T) {
 				if p.Shared == nil {
 					missing.Add(1)
 					continue
+				}
+				if p.Shared.Mates > 0 {
+					withMates.Add(1)
 				}
 				switch p.Shared.Mode {
 				case obs.SharedEnrolled:
@@ -438,6 +445,10 @@ func TestProfileSharedAgreement(t *testing.T) {
 	}
 	if total := enrolled.Load() + coalesced.Load() + bypassed.Load(); total != clients*rounds {
 		t.Errorf("modes sum to %d, want %d", total, clients*rounds)
+	}
+	if withMates.Load() != stats.Enrolled+stats.Coalesced {
+		t.Errorf("%d profiles counted a mate, /stats has %d enrolled + %d coalesced (bypassed %d)",
+			withMates.Load(), stats.Enrolled, stats.Coalesced, stats.Bypassed)
 	}
 }
 

@@ -6,12 +6,52 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
+)
+
+// newScanUniqueServer builds a server configured as saserve ships over the
+// 4 Mi-row dataset the benchmark harness serves, cache sized to entries.
+func newScanUniqueServer(b *testing.B, cacheEntries int) *Server {
+	rec := obs.NewRecorder(0)
+	reg := obs.NewArrayRegistry()
+	prev := core.ActiveArrayRegistry()
+	core.SetArrayRegistry(reg)
+	b.Cleanup(func() { core.SetArrayRegistry(prev) })
+	rt := rts.New(machine.X52Small())
+	rt.SetRecorder(rec)
+	rt.SetArrayProfiling(reg)
+	cfg := DefaultConfig()
+	cfg.CacheEntries, cfg.SharedScan, cfg.ProfileSample = cacheEntries, true, 16
+	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Rows: 1 << 22, Seed: 1}}, rec, reg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	return srv
+}
+
+// serveQuery sends one /query body through the handler, failing the
+// benchmark on anything but a 200.
+func serveQuery(b *testing.B, handler http.Handler, body string) {
+	w := httptest.NewRecorder()
+	handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	if w.Code != http.StatusOK {
+		msg, _ := io.ReadAll(w.Body)
+		b.Errorf("status %d: %s", w.Code, msg)
+	}
+}
+
+// The scan_unique threshold range (benchmark/workloads.go).
+const (
+	thresholdLo   = 1 << 13
+	thresholdSpan = 3 << 14
 )
 
 // BenchmarkScanUniqueTemplates is the benchmark's scan_unique workload
@@ -22,26 +62,7 @@ import (
 // and a full predicated scan. ns/op is wall time per query from one
 // caller; `make bench-scan` runs it next to the bitpack kernel grid.
 func BenchmarkScanUniqueTemplates(b *testing.B) {
-	const (
-		thresholdLo   = 1 << 13
-		thresholdSpan = 3 << 14
-	)
-	rec := obs.NewRecorder(0)
-	reg := obs.NewArrayRegistry()
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	b.Cleanup(func() { core.SetArrayRegistry(prev) })
-	rt := rts.New(machine.X52Small())
-	rt.SetRecorder(rec)
-	rt.SetArrayProfiling(reg)
-	cfg := DefaultConfig()
-	cfg.CacheEntries, cfg.SharedScan, cfg.ProfileSample = 1024, true, 16
-	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Rows: 1 << 22, Seed: 1}}, rec, reg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
-	handler := srv.Handler()
+	handler := newScanUniqueServer(b, 1024).Handler()
 
 	templates := []struct {
 		name string
@@ -69,13 +90,61 @@ func BenchmarkScanUniqueTemplates(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k++
 				body := tpl.body(thresholdLo+(k*40507)%thresholdSpan, k)
-				w := httptest.NewRecorder()
-				handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
-				if w.Code != http.StatusOK {
-					msg, _ := io.ReadAll(w.Body)
-					b.Fatalf("status %d: %s", w.Code, msg)
-				}
+				serveQuery(b, handler, body)
 			}
+		})
+	}
+}
+
+// BenchmarkScanUniqueTwoCallers sizes the ride: two closed-loop callers
+// through Server.Handler() on the same server, sending what the ring can
+// share least, partly and wholly. Caller 0 asks for min(amount), caller 1
+// for max(amount) — two folds of one cost, so the three cases compare —
+// both under scan_unique's `amount < t`. "distinct" gives every request a
+// threshold of its own — no mates, every query its own ScanRange on the
+// whole pool. "same_signature" holds t fixed: the callers ride together,
+// one mask build per batch and two folds. "identical" is the fixed-t min
+// from both: one enrolls, the other coalesces onto it, one wave answers
+// both. The result cache is off (as in load_smoke's shared phase) so the
+// repeated plans execute. ms/query is what each caller waits per query;
+// rode is the share of queries that enrolled or coalesced. The
+// identical:distinct ratio, less the 0.5 a free ride would read, is
+// perfmodel.SharedScanRideOverhead.
+func BenchmarkScanUniqueTwoCallers(b *testing.B) {
+	srv := newScanUniqueServer(b, 0)
+	handler := srv.Handler()
+	body := func(agg string, t uint64) string {
+		return fmt.Sprintf(`{"dataset":"demo","op":"aggregate","agg":%q,"column":"amount","where":[{"column":"amount","op":"<","value":%d}]}`, agg, t)
+	}
+	aggs := [2]string{"min", "max"}
+	const fixed = thresholdLo + thresholdSpan/2
+	var k atomic.Uint64
+	cases := []struct {
+		name string
+		body func(caller int) string
+	}{
+		{"distinct", func(caller int) string { return body(aggs[caller], thresholdLo+(k.Add(1)*40507)%thresholdSpan) }},
+		{"same_signature", func(caller int) string { return body(aggs[caller], fixed) }},
+		{"identical", func(int) string { return body(aggs[0], fixed) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			before := srv.SharedStats()
+			var wg sync.WaitGroup
+			for caller := 0; caller < 2; caller++ {
+				wg.Add(1)
+				go func(caller int) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						serveQuery(b, handler, c.body(caller))
+					}
+				}(caller)
+			}
+			wg.Wait()
+			after := srv.SharedStats()
+			rode := after.Enrolled + after.Coalesced - before.Enrolled - before.Coalesced
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/query")
+			b.ReportMetric(float64(rode)/float64(2*b.N), "rode")
 		})
 	}
 }

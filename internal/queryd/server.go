@@ -419,7 +419,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// plan-shaped issues, which keeps the "zero 5xx" load gate
 		// meaningful for real internal failures.
 		lap("execute")
-		s.failQuery(w, http.StatusUnprocessableEntity, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, errPassPanicked) {
+			status = http.StatusInternalServerError
+		}
+		s.failQuery(w, status, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
 		return
 	}
 	if cacheable {
@@ -501,33 +505,27 @@ func (s *Server) failQuery(w http.ResponseWriter, status int, err error, qid uin
 	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: qid})
 }
 
-// executeMaybeShared routes an eligible plan through the shared-scan
-// coordinator when the adaptive score says a cooperative pass beats the
-// query's own zone-pruned scan at the current concurrency estimate, and
-// falls through to independent execution otherwise. The estimate is the
-// coordinator's live enrollment plus the larger of the admission
-// backlog and the recent-arrival count: the census sees a standing
-// queue (many-core hosts), the arrival window sees concurrency the OS
-// serializes before admission (few-core hosts) — either way it reflects
-// the batch one wraparound would serve. For a solo query both halves
-// are 1 and the score always bypasses.
+// executeMaybeShared routes an eligible plan onto the table's circular
+// scan when the adaptive score says riding beats the query's own
+// zone-pruned scan, and falls through to independent execution
+// otherwise. The score is taken at the query's same-signature mate
+// estimate (tableScanner.mates) — the only queries a ride shares a mask
+// build with. A solo query, or one whose predicate values nobody else
+// is asking about, has no mates and always bypasses.
 func (s *Server) executeMaybeShared(ctx context.Context, snap *snapshot, ds *Dataset, p *plan.Plan, qrt *rts.Runtime, handoff func()) (any, bool, error) {
 	prof := obs.ProfileFromContext(ctx)
 	tableOp := ds.Table != nil && (p.Op == plan.OpAggregate || p.Op == plan.OpGroupBy)
 	if snap.cfg.SharedScan && tableOp {
 		sc := s.shared.scanner(ds.Table, s.rt)
-		adm := s.adm.Stats()
-		census := adm.InFlight + adm.Queued
 		// Only predicated plans note an arrival: unpredicated ones never
-		// enroll, so they must not count as potential batch mates.
+		// enroll, so they are nobody's mate.
+		mates := 0
 		if len(p.Preds) > 0 {
-			if recent := sc.noteArrival(time.Now()); recent > census {
-				census = recent
-			}
+			mates = sc.mates(colstore.PredSignature(p.Preds), time.Now())
 		}
-		est := sc.population() + census
-		if _, enroll := decideEnroll(ds.Table, p, est); enroll {
+		if decideEnroll(ds.Table, p, mates).Enroll {
 			handoff()
+			prof.NoteShared(obs.SharedEnrolled, mates)
 			res, err := sc.submit(planScanQuery(p), planKey(p), qrt.Priority(), snap.cfg.sharedSegments(), prof)
 			if err != nil {
 				return nil, true, err
@@ -535,7 +533,7 @@ func (s *Server) executeMaybeShared(ctx context.Context, snap *snapshot, ds *Dat
 			return wireScanResult(p, res), true, nil
 		}
 		s.shared.bypassed.Add(1)
-		prof.NoteShared(obs.SharedBypassed, 0, 0)
+		prof.NoteShared(obs.SharedBypassed, mates)
 		if len(p.Preds) > 0 {
 			// A bypassed predicated scan costs about one wraparound —
 			// feed its latency back as the arrival-window seed.
@@ -548,7 +546,7 @@ func (s *Server) executeMaybeShared(ctx context.Context, snap *snapshot, ds *Dat
 	if tableOp && prof != nil && prof.Shared == nil {
 		// An otherwise shareable table op ran with the coordinator
 		// disabled — distinct from a bypass decision.
-		prof.NoteShared(obs.SharedOff, 0, 0)
+		prof.NoteShared(obs.SharedOff, 0)
 	}
 	result, err := execute(ctx, qrt, ds, p)
 	return result, false, err

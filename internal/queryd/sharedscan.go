@@ -1,18 +1,22 @@
-// Shared scans: the per-table coordinator that coalesces concurrently
-// admitted Aggregate/GroupBy plans into cooperative fused passes. N
-// enrolled queries cost one chunk decode plus N folds instead of N full
-// scans (DimmWitted's sharing tradeoff applied to the scan cursor): the
-// table is walked in segments as a circular scan, a driver goroutine
-// runs one colstore.ScanRange per segment with every enrolled query's
-// state attached, late arrivals attach at the current cursor and
-// complete on wraparound (Crescando-style), and identical plans
-// piggyback on one enrollment outright. Enrollment is adaptive — the
-// server scores modeled sharing against the query's own zone-pruned
-// scan (adapt.ScoreSharedScan) and bypasses when pruning already wins,
-// e.g. highly selective zone-resolved predicates.
+// Shared scans: the per-table coordinator that lets concurrently admitted
+// Aggregate/GroupBy plans ride one circular scan. What a ride shares is
+// what colstore.ScanRange shares and nothing more: identical plans
+// coalesce onto one enrollment outright (one state, one answer), plans
+// with the same predicate signature share one mask build per batch and
+// fold separately, and plans with different signatures share nothing —
+// in one pass they cost as many scans as there are signatures. The table
+// is walked in segments (DimmWitted's sharing tradeoff applied to the
+// scan cursor): a driver goroutine runs one colstore.ScanRange per
+// segment with every enrolled state attached, late arrivals attach at
+// the current cursor and complete on wraparound (Crescando-style).
+// Enrollment is adaptive and counts only what is shared — the server
+// estimates the query's same-signature mates and scores the ride against
+// the query's own zone-pruned scan (adapt.ScoreSharedScan); a query with
+// no mate, or one the zone index already resolves, bypasses the ring.
 package queryd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -126,7 +130,14 @@ type sharedQuery struct {
 	dups []*sharedQuery
 	done chan struct{}
 	res  colstore.ScanResult
+	// err is set instead of res when the pass carrying the query panicked.
+	err error
 }
+
+// errPassPanicked marks a ride that ended because a segment pass
+// panicked — a server-side failure (500), unlike a plan the executor
+// rejects.
+var errPassPanicked = errors.New("queryd: shared scan pass panicked")
 
 // tableScanner is the per-table circular-scan coordinator. The first
 // enrollment starts a driver goroutine that runs one cooperative
@@ -157,18 +168,16 @@ type tableScanner struct {
 	// scan, and without the seed a slow table never sees two arrivals
 	// inside the bootstrap floor, so nothing would ever enroll.
 	indepNS atomic.Int64
-	// arrivalSeq counts eligible decisions ever noted; the driver diffs it
-	// across passes to tell flowing multi-client load (pace the scan so
-	// arrivals batch) from a lone sequential client (never pace — its next
-	// query only arrives after this one returns).
-	arrivalSeq atomic.Uint64
-	// gapNS is the windowed mean inter-arrival gap — the pause that lets
-	// one more query join the current pass.
-	gapNS atomic.Int64
-	// arrivals holds recent eligible-decision timestamps (newest last),
-	// pruned to the window on every note.
+	// arrivals holds recent enrollment decisions (newest last), each with
+	// its predicate signature, pruned to the window on every note.
 	arrivalMu sync.Mutex
-	arrivals  []time.Time
+	arrivals  []arrival
+}
+
+// arrival is one noted enrollment decision.
+type arrival struct {
+	at  time.Time
+	sig string
 }
 
 // Arrival-window clamps: below the floor a window can't observe
@@ -180,37 +189,35 @@ const (
 	arrivalWindowMax = 200 * time.Millisecond
 )
 
-// noteArrival records one eligible enrollment decision and returns the
-// number of such decisions (this one included) inside the current
-// arrival window. This is the forward-looking half of the batch
-// estimate: the admission census (in-flight + queued) only sees a
-// standing backlog, which never forms when the host serializes request
-// handling — yet queries arriving within one wraparound of each other
-// would still ride the same circular scan.
-func (sc *tableScanner) noteArrival(now time.Time) int {
-	window := sc.window()
-	cut := now.Add(-window)
+// noteArrival records one enrollment decision for a plan with predicate
+// signature sig and returns the number of such decisions (this one
+// included) inside the current arrival window. Arrivals of any other
+// signature are kept (they age the window) but never counted: they would
+// share nothing with this query. This is the forward-looking half of the
+// mate estimate — queries arriving within one wraparound of each other
+// ride the same circular scan, whether or not one is on it right now.
+func (sc *tableScanner) noteArrival(sig string, now time.Time) int {
+	cut := now.Add(-sc.window())
 	sc.arrivalMu.Lock()
 	defer sc.arrivalMu.Unlock()
-	keep := 0
-	for _, t := range sc.arrivals {
-		if t.After(cut) {
-			break
+	keep, n := 0, 1
+	for i, a := range sc.arrivals {
+		if !a.at.After(cut) {
+			keep = i + 1
+		} else if a.sig == sig {
+			n++
 		}
-		keep++
 	}
-	sc.arrivals = append(sc.arrivals[keep:], now)
+	sc.arrivals = append(sc.arrivals[keep:], arrival{now, sig})
 	// Cap the ring: past a few thousand the estimate can't change any
 	// enrollment decision, so dropping the oldest only bounds memory.
 	if len(sc.arrivals) > 4096 {
 		sc.arrivals = sc.arrivals[len(sc.arrivals)-4096:]
 	}
-	sc.arrivalSeq.Add(1)
-	sc.gapNS.Store(int64(window) / int64(len(sc.arrivals)))
-	return len(sc.arrivals)
+	return n
 }
 
-// window is the horizon over which arrivals count as batch mates: the
+// window is the horizon over which arrivals count as mates: the
 // measured wraparound (independent-scan latency until one exists),
 // clamped so a tiny table still observes serialized concurrency and a
 // huge one doesn't resurrect long-gone queries.
@@ -219,51 +226,45 @@ func (sc *tableScanner) window() time.Duration {
 	if w == 0 {
 		w = time.Duration(sc.indepNS.Load())
 	}
-	if w < arrivalWindowMin {
-		return arrivalWindowMin
-	}
-	if w > arrivalWindowMax {
-		return arrivalWindowMax
-	}
-	return w
+	return min(max(w, arrivalWindowMin), arrivalWindowMax)
 }
 
 // noteIndependent folds one bypassed predicated scan's latency into the
 // window seed.
-func (sc *tableScanner) noteIndependent(d time.Duration) {
-	n := int64(d)
+func (sc *tableScanner) noteIndependent(d time.Duration) { foldEWMA(&sc.indepNS, int64(d)) }
+
+// foldEWMA folds a positive sample into a 3:1 old:new moving average
+// (smooths scheduler jitter); the first sample seeds it.
+func foldEWMA(avg *atomic.Int64, n int64) {
 	if n <= 0 {
 		return
 	}
-	if old := sc.indepNS.Load(); old > 0 {
+	if old := avg.Load(); old > 0 {
 		n = (3*old + n) / 4
 	}
-	sc.indepNS.Store(n)
+	avg.Store(n)
 }
 
-// recentArrivals counts the enrollable decisions inside the current
-// window without noting a new one — the driver's view of how many
-// queries are concurrently flowing at this table.
-func (sc *tableScanner) recentArrivals(now time.Time) int {
-	cut := now.Add(-sc.window())
-	sc.arrivalMu.Lock()
-	defer sc.arrivalMu.Unlock()
-	n := 0
-	for i := len(sc.arrivals) - 1; i >= 0; i-- {
-		if !sc.arrivals[i].After(cut) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// population is the current enrollment (active + pending) — one input
-// to the server's batch-size estimate.
-func (sc *tableScanner) population() int {
+// mates notes the arrival of a plan with predicate signature sig and
+// returns the estimate of how many other queries would share its mask
+// builds on the ring: the same-signature states enrolled now (active +
+// pending) or, when larger, the other same-signature arrivals of the last
+// window. The two overlap (a rider arrived within about one wraparound),
+// so they are not added. The admission census is deliberately absent: it
+// counts PageRank runs, unpredicated plans and other signatures, none of
+// which share anything with this query.
+func (sc *tableScanner) mates(sig string, now time.Time) int {
+	riders := 0
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.active) + len(sc.pending)
+	for _, list := range [2][]*sharedQuery{sc.active, sc.pending} {
+		for _, q := range list {
+			if q.st.Signature() == sig {
+				riders++
+			}
+		}
+	}
+	sc.mu.Unlock()
+	return max(riders, sc.noteArrival(sig, now)-1)
 }
 
 // submit enrolls one query and blocks until the circular scan has
@@ -271,8 +272,8 @@ func (sc *tableScanner) population() int {
 // the data is immutable, so a twin's answer is this query's answer.
 // When prof is non-nil the enrollment's per-column chunk accounting is
 // attached to the scan state (folded by the driver before completion)
-// and the coordinator outcome — mode, segments ridden, wraparound
-// latency — is noted on the profile.
+// and the ride — mode, segments ridden, wraparound latency — is noted on
+// the profile. A ride whose pass panicked returns errPassPanicked.
 func (sc *tableScanner) submit(q colstore.ScanQuery, key string, prio, segments int, prof *obs.QueryProfile) (colstore.ScanResult, error) {
 	submitStart := time.Now()
 	sc.mu.Lock()
@@ -284,8 +285,8 @@ func (sc *tableScanner) submit(q colstore.ScanQuery, key string, prio, segments 
 		<-me.done
 		// A coalesced twin rode another query's state: no column detail
 		// to report, just the outcome and the wait.
-		prof.NoteShared(obs.SharedCoalesced, 0, time.Since(submitStart))
-		return me.res, nil
+		prof.NoteRide(obs.SharedCoalesced, 0, time.Since(submitStart))
+		return me.res, me.err
 	}
 	st, err := sc.tbl.NewScanState(q)
 	if err != nil {
@@ -310,34 +311,23 @@ func (sc *tableScanner) submit(q colstore.ScanQuery, key string, prio, segments 
 	sc.mu.Unlock()
 	sc.se.enrolled.Add(1)
 	<-me.done
-	prof.NoteShared(obs.SharedEnrolled, segs, time.Since(submitStart))
-	return me.res, nil
+	prof.NoteRide(obs.SharedEnrolled, segs, time.Since(submitStart))
+	return me.res, me.err
 }
 
 // findTwin returns an enrolled query with the same plan key, if any.
 // Only pending/active queries qualify — a retired query's dups list is
 // frozen. Linear scan: enrollments number tens, not thousands.
 func (sc *tableScanner) findTwin(key string) *sharedQuery {
-	for _, q := range sc.pending {
-		if q.key == key {
-			return q
-		}
-	}
-	for _, q := range sc.active {
-		if q.key == key {
-			return q
+	for _, list := range [2][]*sharedQuery{sc.pending, sc.active} {
+		for _, q := range list {
+			if q.key == key {
+				return q
+			}
 		}
 	}
 	return nil
 }
-
-// Pacing bounds: a flowing-load pause never exceeds the cap, so a full
-// wraparound stretches by at most segments × cap; past the batch bound
-// the walk is already amortized and stretching only adds latency.
-const (
-	sharedPaceCap      = 2 * time.Millisecond
-	sharedPaceMaxBatch = 64
-)
 
 // segBound is boundary i of n equal-ish segments over rows, rounded to
 // the 64-row chunk grid so a cooperative pass never splits a chunk
@@ -364,35 +354,14 @@ func segBound(i int, rows uint64, n int) uint64 {
 // queries that wrapped around, repeat until empty. Runs on its own
 // goroutine so no handler is held captive driving other queries'
 // segments; it exits before the last enrolled handler returns, so the
-// server's close ordering (listener, then runtime) still holds.
-//
-// When the table is small the wraparound outruns the inter-arrival gap
-// and every query would ride solo — no amortization at all. So the
-// driver paces itself: any eligible decision noted while a pass was
-// running is genuine concurrency (a lone sequential client cannot
-// produce one — its next query only arrives after the current one
-// returns and the driver has drained), and the driver lingers one
-// windowed inter-arrival gap before the next pass so the flow batches
-// onto the current scan instead of each arrival getting a private
-// wraparound.
+// server's close ordering (listener, then runtime) still holds. Passes
+// run back to back: a twin coalesces at any time and a same-signature
+// mate attaches at the next segment boundary, so waiting between passes
+// for more arrivals would only put every rider aboard to sleep.
 func (sc *tableScanner) drive() {
 	rows := sc.tbl.Rows()
-	lastSeq := sc.arrivalSeq.Load()
-	pace := time.Duration(0)
-	// Bootstrap the flow deadline from the arrival history: on a fast
-	// table the driver drains and restarts in about a wraparound, so a
-	// fresh driver would otherwise finish before seeing a single new
-	// decision and never pace. Starting with company in the window (the
-	// enrolling query plus at least one other) IS flow.
-	var flowUntil time.Time
-	if now := time.Now(); sc.recentArrivals(now) >= 2 {
-		flowUntil = now.Add(sc.window())
-	}
 	for {
 		passStart := time.Now()
-		if pace > 0 {
-			time.Sleep(pace)
-		}
 		sc.mu.Lock()
 		for _, q := range sc.pending {
 			q.remaining = sc.segments
@@ -414,50 +383,12 @@ func (sc *tableScanner) drive() {
 		seg, segments := sc.cursor, sc.segments
 		sc.mu.Unlock()
 
-		// Flow persists for one arrival window after the last observed
-		// decision — a single pass is far too short a sample at any
-		// arrival rate worth batching for. The pause is proportional to
-		// the deficit between the flowing demand (arrivals in the window)
-		// and what this pass already serves: once the batch has absorbed
-		// the flow, or the flow stops, pacing stops with it — a closed
-		// loop whose equilibrium batch is the concurrent eligible demand.
-		now := time.Now()
-		if seqNow := sc.arrivalSeq.Load(); seqNow != lastSeq {
-			lastSeq = seqNow
-			flowUntil = now.Add(sc.window())
+		if err := sc.pass(segBound(seg, rows, segments), segBound(seg+1, rows, segments), batch); err != nil {
+			sc.fail(err)
+			return
 		}
-		pace = 0
-		if now.Before(flowUntil) && served < sharedPaceMaxBatch {
-			if deficit := sc.recentArrivals(now) - served; deficit > 0 {
-				pace = time.Duration(sc.gapNS.Load()) * time.Duration(deficit)
-				if pace > sharedPaceCap {
-					pace = sharedPaceCap
-				}
-			}
-		}
-
-		lo := segBound(seg, rows, segments)
-		hi := segBound(seg+1, rows, segments)
-		states := make([]*colstore.ScanState, len(batch))
-		prio := batch[0].prio
-		for i, q := range batch {
-			states[i] = q.st
-			if q.prio > prio {
-				prio = q.prio
-			}
-		}
-		// The segment's morsels share the worker pool like any other
-		// loop's, so sharing composes with priorities and preemption.
-		sc.tbl.WithRuntime(sc.rt.WithPriority(prio)).ScanRange(lo, hi, states)
-		// Fold the observed pass — pacing pause included, since arrivals
-		// during the pause ride this wraparound too — into the EWMA that
-		// sizes the arrival window (3:1 old:new smooths scheduler jitter).
-		if wrap := int64(time.Since(passStart)) * int64(segments); wrap > 0 {
-			if old := sc.wrapNS.Load(); old > 0 {
-				wrap = (3*old + wrap) / 4
-			}
-			sc.wrapNS.Store(wrap)
-		}
+		// The observed pass, scaled to a wraparound, sizes the arrival window.
+		foldEWMA(&sc.wrapNS, int64(time.Since(passStart))*int64(segments))
 		sc.se.notePass(served)
 
 		var finished []*sharedQuery
@@ -480,13 +411,57 @@ func (sc *tableScanner) drive() {
 			// handler.
 			q.st.FoldProfile()
 			q.res = q.st.Result()
-			for _, d := range q.dups {
-				d.res = q.res
-				close(d.done)
-			}
-			close(q.done)
+			q.complete()
 		}
 	}
+}
+
+// pass runs one cooperative ScanRange over rows [lo, hi) for the batch.
+// The segment's morsels share the worker pool like any other loop's, so
+// sharing composes with priorities and preemption. A kernel panic — the
+// runtime re-raises a loop body's panic on the submitter, which here is
+// the driver goroutine, where nothing above could catch it — comes back
+// as an error instead of taking the process down.
+func (sc *tableScanner) pass(lo, hi uint64, batch []*sharedQuery) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPassPanicked, p)
+		}
+	}()
+	states := make([]*colstore.ScanState, len(batch))
+	prio := batch[0].prio
+	for i, q := range batch {
+		states[i] = q.st
+		prio = max(prio, q.prio)
+	}
+	sc.tbl.WithRuntime(sc.rt.WithPriority(prio)).ScanRange(lo, hi, states)
+	return nil
+}
+
+// fail ends the driver after a panicked pass: every rider — attached or
+// still pending, and the twins coalesced onto them — completes with err
+// (their accumulators may be half-written), and the ring is left idle so
+// the next enrollment starts a fresh driver at segment 0.
+func (sc *tableScanner) fail(err error) {
+	sc.mu.Lock()
+	riders := append(sc.active, sc.pending...)
+	sc.active, sc.pending, sc.running = nil, nil, false
+	sc.mu.Unlock()
+	for _, q := range riders {
+		q.err = err
+		q.complete()
+	}
+}
+
+// complete publishes q's res/err to its handler and to every twin
+// coalesced onto it. Called once, after the driver has taken q off the
+// ring (which freezes dups).
+func (q *sharedQuery) complete() {
+	for _, d := range q.dups {
+		d.res, d.err = q.res, q.err
+		close(d.done)
+	}
+	close(q.done)
 }
 
 // planScanQuery converts an eligible table plan into its scan form.
@@ -506,26 +481,28 @@ func planKey(p *plan.Plan) string {
 	return fmt.Sprintf("%s|%d|%s|%s|%s", p.Op, p.Agg, p.Column, p.Key, colstore.PredSignature(p.Preds))
 }
 
-// decideEnroll scores enrollment for a predicated table plan at the
-// given batch estimate: the query's zone prune statistics feed the
-// foldShare/resolvedShare the adaptive score compares against the
-// amortized cooperative pass. Unpredicated plans always bypass — they
-// are answered without a scan (COUNT(*), zone-root min/max) or by pure
-// fused folds, so there is no mask walk to share — as do plans whose
-// columns fail to resolve (the independent run owns the error report).
-func decideEnroll(tbl *colstore.Table, p *plan.Plan, est int) (adapt.SharedScanScore, bool) {
-	if len(p.Preds) == 0 {
-		return adapt.SharedScanScore{}, false
+// decideEnroll scores enrollment for a table plan with the given
+// same-signature mate estimate; the zero score means bypass. The cheap
+// questions come first: an unpredicated plan has no mask walk to share
+// (it is answered without a scan — COUNT(*), zone-root min/max — or by
+// pure fused folds) and a plan without a mate has no one to share it
+// with, so neither touches the zone index. Otherwise the query's zone
+// prune statistics feed the foldShare/resolvedShare the adaptive score
+// prices the ride and the independent scan at. Plans whose columns fail
+// to resolve bypass too (the independent run owns the error report).
+func decideEnroll(tbl *colstore.Table, p *plan.Plan, mates int) adapt.SharedScanScore {
+	if len(p.Preds) == 0 || mates < 1 {
+		return adapt.SharedScanScore{}
 	}
 	target, err := tbl.Column(p.Column)
 	if err != nil {
-		return adapt.SharedScanScore{}, false
+		return adapt.SharedScanScore{}
 	}
 	foldShare, resolved := 1.0, 0.0
 	for _, pr := range p.Preds {
 		c, err := tbl.Column(pr.Column)
 		if err != nil {
-			return adapt.SharedScanScore{}, false
+			return adapt.SharedScanScore{}
 		}
 		z := c.Array().ZoneIndex()
 		if z == nil {
@@ -534,13 +511,8 @@ func decideEnroll(tbl *colstore.Table, p *plan.Plan, est int) (adapt.SharedScanS
 		ps := z.PruneStatsFor(pr.Op.Cmp(), pr.Value)
 		// Conjunction: the fold only visits chunks every predicate leaves
 		// live; the walk skips whatever the best single predicate resolves.
-		if fs := 1 - ps.NoneShare; fs < foldShare {
-			foldShare = fs
-		}
-		if r := ps.NoneShare + ps.AllShare; r > resolved {
-			resolved = r
-		}
+		foldShare = min(foldShare, 1-ps.NoneShare)
+		resolved = max(resolved, ps.NoneShare+ps.AllShare)
 	}
-	score := adapt.ScoreSharedScan(target.Array().EncodingStats(), foldShare, resolved, est)
-	return score, score.Enroll
+	return adapt.ScoreSharedScan(target.Array().EncodingStats(), foldShare, resolved, mates)
 }

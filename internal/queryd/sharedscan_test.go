@@ -1,13 +1,16 @@
 // Shared-scan coordinator tests: served answers bit-identical to direct
-// library calls while queries coalesce, adaptive bypass on resolvable
-// predicates, and the -race exercise of batching against config swaps and
-// live re-encoding.
+// library calls while queries coalesce, the ride-or-bypass decision on
+// what is really shared (distinct signatures bypass, equal signatures
+// ride, identical plans coalesce, resolvable predicates bypass), a
+// panicking pass answered with 500s by a server that lives on, and the
+// -race exercise of batching against config swaps and live re-encoding.
 package queryd
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,8 +33,8 @@ func sharedConfig() Config {
 }
 
 // newSharedTestServer builds a table-only server big enough that scans
-// take long enough for an admission backlog — and therefore a batch — to
-// actually form under concurrent clients; on the tiny fixture every query
+// take long enough for concurrent clients' queries to overlap on the ring
+// — and therefore a batch to form; on the tiny fixture every query
 // finishes before the next arrives and the estimate correctly bypasses.
 func newSharedTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -181,10 +184,11 @@ func TestSharedScanMatchesIndependent(t *testing.T) {
 }
 
 // TestSharedScanAdaptiveBypass scores the enrollment decision directly:
-// un-prunable uniform predicates must enroll at a multi-query batch
-// estimate, while a selective range on the sorted id column (which the
-// zone index resolves almost everywhere) must bypass at any batch size —
-// sharing would charge it the whole batch's walk.
+// un-prunable uniform predicates must enroll once a same-signature mate
+// is there to split the walk with and never without one, while a
+// selective range on the sorted id column (which the zone index resolves
+// almost everywhere) must bypass at any mate count — there is next to no
+// walk left to split.
 func TestSharedScanAdaptiveBypass(t *testing.T) {
 	srv, _ := newTestServer(t, sharedConfig())
 	ds, err := srv.Dataset("demo")
@@ -194,57 +198,317 @@ func TestSharedScanAdaptiveBypass(t *testing.T) {
 
 	uniform := &plan.Plan{Op: plan.OpAggregate, Agg: colstore.Sum, Column: "amount",
 		Preds: []colstore.Pred{{Column: "region", Op: colstore.Lt, Value: 8}}}
-	score, enroll := decideEnroll(ds.Table, uniform, 8)
-	if !enroll {
-		t.Errorf("uniform predicate should enroll at batch 8: %+v", score)
+	for _, mates := range []int{1, 7} {
+		if score := decideEnroll(ds.Table, uniform, mates); !score.Enroll {
+			t.Errorf("uniform predicate should enroll with %d mates: %+v", mates, score)
+		}
 	}
-	if _, enroll := decideEnroll(ds.Table, uniform, 1); enroll {
-		t.Error("a solo query must not enroll (no one to share with)")
+	if score := decideEnroll(ds.Table, uniform, 0); score.Enroll {
+		t.Errorf("a query without mates must not enroll (no one to share with): %+v", score)
 	}
 
 	selective := &plan.Plan{Op: plan.OpAggregate, Agg: colstore.Sum, Column: "amount",
 		Preds: []colstore.Pred{{Column: "id", Op: colstore.Lt, Value: 100}}}
-	for _, batch := range []int{2, 8, 64} {
-		if score, enroll := decideEnroll(ds.Table, selective, batch); enroll {
-			t.Errorf("selective zone-resolved predicate should bypass at batch %d: %+v", batch, score)
+	for _, mates := range []int{1, 7, 63} {
+		if score := decideEnroll(ds.Table, selective, mates); score.Enroll {
+			t.Errorf("selective zone-resolved predicate should bypass with %d mates: %+v", mates, score)
 		}
 	}
 
 	unpredicated := &plan.Plan{Op: plan.OpAggregate, Agg: colstore.Sum, Column: "amount"}
-	if _, enroll := decideEnroll(ds.Table, unpredicated, 8); enroll {
+	if score := decideEnroll(ds.Table, unpredicated, 7); score.Enroll {
 		t.Error("unpredicated plans must bypass (no mask walk to share)")
 	}
 }
 
-// TestArrivalWindowEstimate pins the forward-looking half of the batch
-// estimate: near-simultaneous arrivals count each other even when the
-// admission census is empty (few-core hosts serialize handlers before a
-// backlog forms), and arrivals older than one wraparound fall out.
+// TestArrivalWindowEstimate pins the forward-looking half of the mate
+// estimate: near-simultaneous arrivals of one predicate signature count
+// each other even when none of them is on the ring, arrivals of another
+// signature never count (they would share nothing), and arrivals older
+// than one wraparound fall out.
 func TestArrivalWindowEstimate(t *testing.T) {
 	sc := &tableScanner{}
 	base := time.Now()
-	if got := sc.noteArrival(base); got != 1 {
+	if got := sc.noteArrival("a", base); got != 1 {
 		t.Fatalf("first arrival counted %d", got)
 	}
-	if got := sc.noteArrival(base.Add(time.Millisecond)); got != 2 {
+	if got := sc.noteArrival("b", base.Add(500*time.Microsecond)); got != 1 {
+		t.Fatalf("arrival of another signature counted %d", got)
+	}
+	if got := sc.noteArrival("a", base.Add(time.Millisecond)); got != 2 {
 		t.Fatalf("arrival inside the window counted %d", got)
+	}
+	// mates is the same count without the query itself (nothing is
+	// enrolled on this scanner, so the population half is zero).
+	if got := sc.mates("b", base.Add(time.Millisecond)); got != 1 {
+		t.Fatalf("second arrival of a signature has %d mates, want 1", got)
+	}
+	if got := sc.mates("c", base.Add(time.Millisecond)); got != 0 {
+		t.Fatalf("a signature nobody else asked about has %d mates", got)
 	}
 	// Default window is arrivalWindowMin (no passes measured yet): a
 	// later arrival sees neither.
-	if got := sc.noteArrival(base.Add(time.Second)); got != 1 {
+	if got := sc.noteArrival("a", base.Add(time.Second)); got != 1 {
 		t.Fatalf("stale arrivals survived the window: %d", got)
 	}
 
 	// A measured wraparound widens the window up to the cap.
 	sc.wrapNS.Store(int64(50 * time.Millisecond))
 	far := base.Add(2 * time.Second)
-	sc.noteArrival(far)
-	if got := sc.noteArrival(far.Add(40 * time.Millisecond)); got != 2 {
+	sc.noteArrival("a", far)
+	if got := sc.noteArrival("a", far.Add(40*time.Millisecond)); got != 2 {
 		t.Fatalf("arrival inside the measured wraparound counted %d", got)
 	}
 	sc.wrapNS.Store(int64(time.Hour))
-	if got := sc.noteArrival(far.Add(arrivalWindowMax + 400*time.Millisecond)); got != 1 {
+	if got := sc.noteArrival("a", far.Add(arrivalWindowMax+400*time.Millisecond)); got != 1 {
 		t.Fatalf("window cap not enforced: %d", got)
+	}
+}
+
+// driveClients runs closed-loop clients against ts: client c's round r
+// sends request(c, r) and checks the served answer against the direct
+// library answer returned with it. Clients stop once done(stats) holds
+// (checked between rounds, after at least minRounds) or at maxRounds.
+func driveClients(t *testing.T, srv *Server, ts *httptest.Server, clients, minRounds, maxRounds int,
+	request func(c, r int) (map[string]any, any), done func(SharedScanStats) bool) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < maxRounds && (r < minRounds || !done(srv.SharedStats())); r++ {
+				body, want := request(c, r)
+				code, env := postQuery(t, ts, body)
+				if code != http.StatusOK {
+					t.Errorf("client %d round %d: status %d", c, r, code)
+					continue
+				}
+				checkServedAnswer(t, env, want, body["op"].(string))
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestSharedScanDistinctSignaturesBypass is the scan_unique shape: two
+// concurrent clients sending the benchmark's four plan templates, every
+// request with a threshold of its own. No two queries ever have the same
+// predicate signature, so a pass would share nothing between them — every
+// one must bypass the ring (Enrolled stays 0 whatever the concurrency)
+// and answer exactly as the direct Table call does.
+func TestSharedScanDistinctSignaturesBypass(t *testing.T) {
+	srv, ts := newSharedTestServer(t, sharedConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, rounds = 2, 12
+	request := func(c, r int) (map[string]any, any) {
+		k := uint64(c*rounds + r)
+		thr := 1<<13 + k*397
+		where := func(op string, extra ...map[string]any) []map[string]any {
+			return append([]map[string]any{{"column": "amount", "op": op, "value": thr}}, extra...)
+		}
+		direct := func(v any, err error) any {
+			if err != nil {
+				t.Error(err)
+			}
+			return v
+		}
+		amount := func(op colstore.CmpOp) colstore.Pred { return colstore.Pred{Column: "amount", Op: op, Value: thr} }
+		switch r % 4 {
+		case 0:
+			return map[string]any{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount", "where": where("<")},
+				direct(ds.Table.Aggregate(colstore.Sum, "amount", amount(colstore.Lt)))
+		case 1:
+			return map[string]any{"dataset": "demo", "op": "aggregate", "agg": "count", "column": "id",
+					"where": where(">=", map[string]any{"column": "flag", "op": "=", "value": 1})},
+				direct(ds.Table.Aggregate(colstore.Count, "id", amount(colstore.Ge), colstore.Pred{Column: "flag", Op: colstore.Eq, Value: 1}))
+		case 2:
+			return map[string]any{"dataset": "demo", "op": "groupby", "key": "region", "agg": "sum", "column": "amount", "where": where(">")},
+				direct(ds.Table.GroupBy("region", colstore.Sum, "amount", amount(colstore.Gt)))
+		default:
+			return map[string]any{"dataset": "demo", "op": "aggregate", "agg": "max", "column": "id",
+					"where": where("<=", map[string]any{"column": "region", "op": "<", "value": 1 + k%15})},
+				direct(ds.Table.Aggregate(colstore.Max, "id", amount(colstore.Le), colstore.Pred{Column: "region", Op: colstore.Lt, Value: 1 + k%15}))
+		}
+	}
+	driveClients(t, srv, ts, clients, rounds, rounds, request, func(SharedScanStats) bool { return false })
+
+	stats := srv.SharedStats()
+	if stats.Enrolled != 0 || stats.Coalesced != 0 || stats.SegmentPasses != 0 {
+		t.Errorf("distinct signatures rode the ring: %+v", stats)
+	}
+	if stats.Bypassed != clients*rounds {
+		t.Errorf("bypassed %d of %d distinct-signature queries", stats.Bypassed, clients*rounds)
+	}
+}
+
+// TestSharedScanSameSignatureRides sends one predicate set under five
+// different aggregates, one per client: no two plans are identical (so
+// nothing coalesces) but all have the same signature, so they are each
+// other's mates — they must enroll and form multi-state batches, whose
+// one mask build per batch every rider folds under.
+func TestSharedScanSameSignatureRides(t *testing.T) {
+	srv, ts := newSharedTestServer(t, sharedConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := colstore.Pred{Column: "region", Op: colstore.Lt, Value: 8}
+	where := []map[string]any{{"column": "region", "op": "<", "value": 8}}
+	aggs := []struct {
+		name string
+		agg  colstore.Agg
+	}{{"sum", colstore.Sum}, {"count", colstore.Count}, {"min", colstore.Min}, {"max", colstore.Max}}
+	var bodies []map[string]any
+	var want []any
+	for _, a := range aggs {
+		v, err := ds.Table.Aggregate(a.agg, "amount", pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, map[string]any{"dataset": "demo", "op": "aggregate", "agg": a.name, "column": "amount", "where": where})
+		want = append(want, v)
+	}
+	groups, err := ds.Table.GroupBy("flag", colstore.Sum, "amount", pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies = append(bodies, map[string]any{"dataset": "demo", "op": "groupby", "key": "flag", "agg": "sum", "column": "amount", "where": where})
+	want = append(want, groups)
+
+	driveClients(t, srv, ts, len(bodies), 8, 2000,
+		func(c, _ int) (map[string]any, any) { return bodies[c], want[c] },
+		func(st SharedScanStats) bool { return st.SharedBatches > 0 })
+
+	stats := srv.SharedStats()
+	if stats.Enrolled == 0 || stats.SharedBatches == 0 {
+		t.Errorf("same-signature plans did not share passes: %+v", stats)
+	}
+	if stats.Coalesced != 0 {
+		t.Errorf("%d plans coalesced though no two were identical", stats.Coalesced)
+	}
+}
+
+// TestSharedScanIdenticalPlansCoalesce sends one plan from every client:
+// whoever finds a twin on the ring piggybacks on its state outright.
+func TestSharedScanIdenticalPlansCoalesce(t *testing.T) {
+	srv, ts := newSharedTestServer(t, sharedConfig())
+	body, want := sharedTestBodies()[0], directAnswers(t, srv)[0]
+	driveClients(t, srv, ts, 6, 8, 2000,
+		func(int, int) (map[string]any, any) { return body, want },
+		func(st SharedScanStats) bool { return st.Coalesced > 0 })
+	if stats := srv.SharedStats(); stats.Coalesced == 0 || stats.Enrolled == 0 {
+		t.Errorf("identical plans did not coalesce: %+v", stats)
+	}
+}
+
+// TestSharedScanPassPanic makes a segment pass panic in a kernel, on a
+// chosen chunk: the ring of the served table is pointed at a copy whose
+// target column is freed and whose predicate only matches from row
+// panicRow on, so the first segments fold nothing and pass, and the
+// masked fold of the chunk holding panicRow dereferences the freed
+// array inside a worker's loop body. The runtime re-raises that on the
+// loop's submitter — the driver goroutine. Every rider (attached,
+// pending or coalesced) must get a 500, the process must live, and once
+// the ring scans the real table again the next riders must get a fresh
+// driver and correct answers.
+func TestSharedScanPassPanic(t *testing.T) {
+	srv, ts := newTestServer(t, sharedConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const panicRow = testRows / 2
+	broken, err := colstore.NewTable(srv.rt, testRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(broken.Free)
+	region, amount := make([]uint64, testRows), make([]uint64, testRows)
+	for i := range region {
+		amount[i] = uint64(i)
+		if i < panicRow {
+			region[i] = 15
+		}
+	}
+	if _, err := broken.AddColumn("region", region, colstore.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	target, err := broken.AddColumn("amount", amount, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.Array().Free()
+
+	bodies := sharedTestBodies()
+	bodies = []map[string]any{bodies[0], bodies[0], {"dataset": "demo", "op": "aggregate", "agg": "max", "column": "amount", "where": bodies[0]["where"]}}
+	wantSum, err := ds.Table.Aggregate(colstore.Sum, "amount", colstore.Pred{Column: "region", Op: colstore.Lt, Value: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMax, err := ds.Table.Aggregate(colstore.Max, "amount", colstore.Pred{Column: "region", Op: colstore.Lt, Value: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{wantSum, wantSum, wantMax}
+
+	// The decision reads the served table; only the ride scans sc.tbl. A
+	// noted arrival inside a wide window gives every query below a mate,
+	// so all of them ride.
+	sc := srv.shared.scanner(ds.Table, srv.rt)
+	sig := colstore.PredSignature([]colstore.Pred{{Column: "region", Op: colstore.Lt, Value: 8}})
+	sc.indepNS.Store(int64(arrivalWindowMax))
+	// round fires the bodies concurrently and returns each one's status
+	// and error text; 200s are checked against the direct answers.
+	round := func() ([]int, []string) {
+		sc.noteArrival(sig, time.Now())
+		codes, errs := make([]int, len(bodies)), make([]string, len(bodies))
+		var wg sync.WaitGroup
+		for i := range bodies {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				code, env := postQuery(t, ts, bodies[i])
+				if codes[i], errs[i] = code, string(env["error"]); code == http.StatusOK {
+					checkServedAnswer(t, env, want[i], "aggregate")
+				}
+			}(i)
+		}
+		wg.Wait()
+		return codes, errs
+	}
+
+	sc.mu.Lock()
+	sc.tbl = broken
+	sc.mu.Unlock()
+	codes, errs := round()
+	for i, code := range codes {
+		if code != http.StatusInternalServerError || !strings.Contains(errs[i], errPassPanicked.Error()) {
+			t.Errorf("rider of a panicked pass got status %d (%s), want 500 naming the panic", code, errs[i])
+		}
+	}
+	stats := srv.SharedStats()
+	if stats.Enrolled+stats.Coalesced != uint64(len(bodies)) || stats.SegmentPasses == 0 {
+		t.Errorf("want every query riding and the panic past the first segment: %+v", stats)
+	}
+
+	sc.mu.Lock()
+	if sc.running || len(sc.active)+len(sc.pending) != 0 {
+		t.Errorf("ring not idle after the panic: running=%v active=%d pending=%d", sc.running, len(sc.active), len(sc.pending))
+	}
+	sc.tbl = ds.Table
+	sc.mu.Unlock()
+	codes, errs = round()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("query after the panic got status %d (%s)", code, errs[i])
+		}
+	}
+	if after := srv.SharedStats(); after.Enrolled+after.Coalesced != 2*uint64(len(bodies)) {
+		t.Errorf("queries after the panic did not ride a fresh driver: %+v", after)
 	}
 }
 
