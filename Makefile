@@ -3,10 +3,8 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-# Allowed ns/op regression (percent) for the bench gate.
-MAX_REGRESS ?= 25
 
-.PHONY: all build test race rts-stress queryd-stress fmt vet lint fuzz-smoke bench-smoke bench-baseline bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
+.PHONY: all build test race rts-stress queryd-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
 
 all: build
 
@@ -62,18 +60,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJNIDispatch$$' -fuzztime $(FUZZTIME) ./internal/interop
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodingRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/encoding
 
-# Bench gate: regenerate the Figure 2 smoke report and diff its modeled
-# ns/op against the checked-in baseline. The model is deterministic, so
-# any drift is a real change. Override with BENCH_GATE_OVERRIDE=1 (or the
-# "perf-intentional" PR label in CI), or regenerate the baseline with
-# `make bench-baseline` when the change is intentional.
-bench-smoke:
-	$(GO) run ./cmd/sabench -fig 2 -kernels -codecs -elements 65536 -metrics-out bench_report.json
-	$(GO) run ./cmd/sagate -baseline bench_baseline.json -current bench_report.json -max-regress-pct $(MAX_REGRESS)
-
-bench-baseline:
-	$(GO) run ./cmd/sabench -fig 2 -kernels -elements 65536 -metrics-out bench_baseline.json
-
 # The measured benchmark (BENCHMARK.json, benchmark/) is a Go module of
 # its own, so the root `go vet ./...` and `go test ./...` never see the
 # harness: bench-selftest vets it and runs its own fast tests (catalog vs
@@ -117,7 +103,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress fuzz-smoke bench-smoke bench-selftest load-smoke
+CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress fuzz-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

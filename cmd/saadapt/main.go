@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -76,14 +75,6 @@ func main() {
 		bench.PrintAdaptReport(os.Stdout, rep, *verbose)
 	}
 
-	if of.MetricsOut != "" {
-		f, err := os.Create(of.MetricsOut)
-		exitOn(err)
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		exitOn(enc.Encode(rec.Metrics()))
-		exitOn(f.Close())
-	}
 	exitOn(of.Finish(rec))
 }
 

@@ -9,11 +9,12 @@
 // against plain references; the model evaluates the paper-scale datasets
 // (1.5G vertices / 42M-vertex 1.5G-edge Twitter).
 //
-// Observability: -metrics-out writes the machine-readable
-// bench_report.json, -trace the structured event log (RTS loop
-// statistics) as JSONL, -serve exposes the live introspection endpoints
-// (/metrics /arrays /trace /decisions) with per-array telemetry enabled,
-// and -pprof/-cpuprofile/-memprofile profile the harness itself.
+// Observability: -metrics-out writes the run's aggregate metrics as JSON,
+// -trace the structured event log (RTS loop statistics) as JSONL, -serve
+// exposes the live introspection endpoints (/metrics /arrays /trace
+// /decisions) with per-array telemetry enabled, and
+// -pprof/-cpuprofile/-memprofile profile the harness itself. Any of the
+// first three also prints a work-stealing summary of the recorded loops.
 package main
 
 import (
@@ -52,9 +53,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sagraph: introspection server on http://%s\n", addr)
 	}
 	opts := bench.Options{Elements: 1 << 18, GraphVertices: *vertices, Verify: *verify, Recorder: rec, Steal: *steal, Arrays: reg}
-	tool := fmt.Sprintf("sagraph -fig %d", *fig)
 
-	var report *obs.BenchReport
 	switch *fig {
 	case 1:
 		orig, repl, err := bench.RunFigure1(opts)
@@ -64,7 +63,6 @@ func main() {
 		fmt.Printf("  smart arrays w/ repl.  %7.0f ms   %5.1f GB/s\n", repl.TimeMs, repl.BandwidthGBs)
 		fmt.Printf("  speedup %.2fx, bandwidth ratio %.2fx\n",
 			orig.TimeMs/repl.TimeMs, repl.BandwidthGBs/orig.BandwidthGBs)
-		report = bench.GraphBenchReport(tool, "pagerank", []bench.GraphResult{orig, repl})
 	case 11:
 		rows, err := bench.RunFigure11(opts)
 		exitOn(err)
@@ -72,7 +70,6 @@ func main() {
 			fmt.Sprintf("Figure 11: degree centrality (modeled at %d vertices, degree %d)",
 				uint64(bench.PaperDegreeVertices), bench.PaperDegreeDegree), rows)
 		exitOn(writeCSV(*csvPath, rows))
-		report = bench.GraphBenchReport(tool, "degree-centrality", rows)
 	case 12:
 		rows, err := bench.RunFigure12(opts)
 		exitOn(err)
@@ -81,20 +78,12 @@ func main() {
 				bench.PaperTwitterVertices/1_000_000, bench.PaperTwitterEdges/1_000_000, bench.PaperPageRankIters), rows)
 		printMemorySavings(rows)
 		exitOn(writeCSV(*csvPath, rows))
-		report = bench.GraphBenchReport(tool, "pagerank", rows)
 	default:
 		fmt.Fprintf(os.Stderr, "sagraph: unknown figure %d (want 1, 11, or 12)\n", *fig)
 		os.Exit(2)
 	}
 
-	if of.MetricsOut != "" {
-		printStealStats(rec)
-		if rec != nil {
-			m := rec.Metrics()
-			report.Metrics = &m
-		}
-		exitOn(report.WriteFile(of.MetricsOut))
-	}
+	printStealStats(rec)
 	exitOn(of.Finish(rec))
 }
 

@@ -99,6 +99,9 @@ func TestReencoderFollowsAccessDrift(t *testing.T) {
 	}
 
 	f.scan(t, 3)
+	if p, _ := f.reg.Profile(f.arr.TelemetryID()); p.Access.ReduceElems != 3*f.n {
+		t.Fatalf("registry attributed %d reduced elements, want %d", p.Access.ReduceElems, 3*f.n)
+	}
 	events := re.CheckOnce()
 	if len(events) != 1 {
 		t.Fatalf("scan-mix check produced %d events, want 1", len(events))

@@ -39,14 +39,6 @@ type AggResult struct {
 	BandwidthGBs  float64
 	InstructionsG float64
 	Bottleneck    string
-	// Ops is the paper-scale element-access count; NsPerOp the modeled
-	// cost per access (the bench gate's quantity).
-	Ops     uint64
-	NsPerOp float64
-	// LocalBytes / RemoteBytes split the modeled traffic by whether it
-	// crossed a socket boundary.
-	LocalBytes  float64
-	RemoteBytes float64
 	// Sum is the real run's aggregation result; Verified reports that it
 	// matched the plain reference.
 	Sum      uint64
@@ -135,7 +127,6 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 	}
 
 	res := modelAggregation(cfg)
-	ops := 2 * PaperAggElements // one access per element, two arrays
 	return AggResult{
 		AggConfig:      cfg,
 		PlacementLabel: aggPlacementLabel(cfg.Placement),
@@ -143,10 +134,6 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 		BandwidthGBs:   res.MemBandwidthGBs,
 		InstructionsG:  res.Instructions / 1e9,
 		Bottleneck:     string(res.Bottleneck),
-		Ops:            uint64(ops),
-		NsPerOp:        res.Seconds * 1e9 / float64(ops),
-		LocalBytes:     res.LocalBytes,
-		RemoteBytes:    res.RemoteBytes,
 		Sum:            sum,
 		Verified:       verified,
 	}, nil

@@ -35,14 +35,6 @@ type GraphResult struct {
 	BandwidthGBs  float64
 	InstructionsG float64
 	Bottleneck    string
-	// Ops is the paper-scale element-access count; NsPerOp the modeled
-	// cost per access (the bench gate's quantity).
-	Ops     uint64
-	NsPerOp float64
-	// LocalBytes / RemoteBytes split the modeled traffic by whether it
-	// crossed a socket boundary.
-	LocalBytes  float64
-	RemoteBytes float64
 	// MemoryBytes is the dataset's payload footprint at paper scale (the
 	// §5.2 memory-space formula), for the "V+E saves ~21%" comparison.
 	MemoryBytes uint64
@@ -138,17 +130,12 @@ func runDegreeVariant(rt *rts.Runtime, g *graph.CSR, spec *machine.Spec, v Graph
 		Layout: effectiveLayout(v),
 	}
 	res := perfmodel.Solve(spec, analytics.DegreeWorkloadFor(shape))
-	ops := shape.V + shape.E // begin-array scans plus edge visits
 	return GraphResult{
 		GraphVariant: v, Machine: spec.Name,
 		TimeMs:        res.Seconds * 1e3,
 		BandwidthGBs:  res.MemBandwidthGBs,
 		InstructionsG: res.Instructions / 1e9,
 		Bottleneck:    string(res.Bottleneck),
-		Ops:           ops,
-		NsPerOp:       res.Seconds * 1e9 / float64(ops),
-		LocalBytes:    res.LocalBytes,
-		RemoteBytes:   res.RemoteBytes,
 		Verified:      verified,
 	}, nil
 }
@@ -235,17 +222,12 @@ func runPageRankVariant(rt *rts.Runtime, g *graph.CSR, spec *machine.Spec, v Gra
 		Iters:      PaperPageRankIters,
 	}
 	res := perfmodel.Solve(spec, analytics.PageRankWorkloadFor(spec, shape))
-	ops := uint64(shape.Iters) * (shape.V + shape.E)
 	return GraphResult{
 		GraphVariant: v, Machine: spec.Name,
 		TimeMs:        res.Seconds * 1e3,
 		BandwidthGBs:  res.MemBandwidthGBs,
 		InstructionsG: res.Instructions / 1e9,
 		Bottleneck:    string(res.Bottleneck),
-		Ops:           ops,
-		NsPerOp:       res.Seconds * 1e9 / float64(ops),
-		LocalBytes:    res.LocalBytes,
-		RemoteBytes:   res.RemoteBytes,
 		MemoryBytes:   analytics.PageRankMemoryBytes(shape),
 		Verified:      verified,
 		Iterations:    iters,

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"smartarrays/internal/encoding"
 	"smartarrays/internal/obs"
 )
 
@@ -54,66 +53,5 @@ func TestRunLiveReencoding(t *testing.T) {
 	}
 	if reencodes != 2 {
 		t.Errorf("recorded %d reencode events, want 2", reencodes)
-	}
-}
-
-// TestRunCodecKernels pins the gated codec rows: every codec x dataset x
-// kernel cell runs, verifies against the plain reference, and models a
-// positive paper-scale time.
-func TestRunCodecKernels(t *testing.T) {
-	rows, err := RunCodecKernels(Options{Elements: 1 << 13, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(codecDatasets) * len(encoding.Kinds) * 2
-	if len(rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rows), want)
-	}
-	byKernel := make(map[string]KernelResult, len(rows))
-	for _, r := range rows {
-		if !r.Verified {
-			t.Errorf("%s not verified", r.Kernel)
-		}
-		if r.NsPerOp <= 0 || r.TimeMs <= 0 {
-			t.Errorf("%s: non-positive modeled time %+v", r.Kernel, r)
-		}
-		byKernel[r.Kernel] = r
-	}
-	// The run-skipping fold must model far cheaper than the bit-packed
-	// decode on clustered data — the >10x the docs claim.
-	rle, bp := byKernel["codec-sum/rle/clustered"], byKernel["codec-sum/bitpacked/clustered"]
-	if rle.TimeMs == 0 || bp.TimeMs == 0 {
-		t.Fatal("missing clustered sum rows")
-	}
-	if bp.TimeMs < 10*rle.TimeMs {
-		t.Errorf("clustered RLE fold %.3f ms vs bitpacked %.3f ms: modeled speedup below 10x",
-			rle.TimeMs, bp.TimeMs)
-	}
-}
-
-// TestMeasureCodecScans runs the wall-clock codec folds at a small size:
-// every cell must verify; on clustered data the RLE fold must beat the
-// bit-packed decode outright even at this size.
-func TestMeasureCodecScans(t *testing.T) {
-	rows := MeasureCodecScans(1<<16, 3)
-	if len(rows) != len(codecDatasets)*len(encoding.Kinds) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(codecDatasets)*len(encoding.Kinds))
-	}
-	for _, r := range rows {
-		if !r.Verified {
-			t.Errorf("%s/%v fold mismatched the reference", r.Dataset, r.Kind)
-		}
-		if r.NsPerElem <= 0 {
-			t.Errorf("%s/%v: non-positive timing", r.Dataset, r.Kind)
-		}
-	}
-	var rleSpeedup float64
-	for _, r := range rows {
-		if r.Dataset == "clustered" && r.Kind == encoding.RLE {
-			rleSpeedup = r.Speedup
-		}
-	}
-	if rleSpeedup < 2 {
-		t.Errorf("clustered RLE measured speedup %.1fx, want comfortably above the bit-packed fold", rleSpeedup)
 	}
 }

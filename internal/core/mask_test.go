@@ -124,10 +124,12 @@ func TestMaskRangeAndConjunction(t *testing.T) {
 			live = MaskRangeAnd(a, 0, lo, hi, bitpack.CmpLe, thrHi, masks)
 		}
 		var wantLive bool
+		var wantSum uint64
 		for i := lo; i < hi; i++ {
 			expect := values[i] >= thrLo && values[i] <= thrHi
 			if expect {
 				wantLive = true
+				wantSum += values[i]
 			}
 			bit := masks[i/bitpack.ChunkSize-first] >> (i % bitpack.ChunkSize) & 1
 			if (bit == 1) != expect {
@@ -136,6 +138,9 @@ func TestMaskRangeAndConjunction(t *testing.T) {
 		}
 		if live != wantLive {
 			t.Fatalf("[%d,%d): live=%v, want %v", lo, hi, live, wantLive)
+		}
+		if got := ReduceRangeMasked(a, 0, lo, hi, ReduceSum, masks); got != wantSum {
+			t.Fatalf("[%d,%d): two-predicate masked sum = %d, want %d", lo, hi, got, wantSum)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func superWindow(chunk, remaining uint64) bool {
 // passes: colstore's batches are 32 chunks, and its plan-time step
 // (colstore.liveRuns) drops empty super zones before any batch exists.
 // The callers that reach it mask a whole column in one call —
-// internal/bench/pruning.go's timed sweep and the measured benchmark's
+// BenchmarkPrunedScan's timed sweep and the measured benchmark's
 // core.zone_prune_ns_per_chunk probe and answer oracle. Chunks the kernel
 // evaluated accumulate into sc as scanned, all others as pruned (sc may
 // be nil).

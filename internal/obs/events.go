@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"smartarrays/internal/counters"
-	"smartarrays/internal/machine"
-)
+import "smartarrays/internal/counters"
 
 // Kind tags an Event with its payload type.
 type Kind string
@@ -320,33 +317,4 @@ type ReencodeEvent struct {
 	TrafficBytes uint64 `json:"trafficBytes,omitempty"`
 	// Reason explains the flip (which signal dominated the re-score).
 	Reason string `json:"reason,omitempty"`
-}
-
-// MachineRecord is the JSON form of the machine spec a report ran on —
-// the Table 1 fields the model consumes.
-type MachineRecord struct {
-	Name           string  `json:"name"`
-	CPU            string  `json:"cpu"`
-	Sockets        int     `json:"sockets"`
-	CoresPerSocket int     `json:"coresPerSocket"`
-	ThreadsPerCore int     `json:"threadsPerCore"`
-	ClockGHz       float64 `json:"clockGHz"`
-	MemPerSocketGB int     `json:"memPerSocketGB"`
-	LocalBWGBs     float64 `json:"localBWGBs"`
-	RemoteBWGBs    float64 `json:"remoteBWGBs"`
-}
-
-// MachineRecordOf snapshots a machine spec.
-func MachineRecordOf(spec *machine.Spec) MachineRecord {
-	return MachineRecord{
-		Name:           spec.Name,
-		CPU:            spec.CPU,
-		Sockets:        spec.Sockets,
-		CoresPerSocket: spec.CoresPerSocket,
-		ThreadsPerCore: spec.ThreadsPerCore,
-		ClockGHz:       spec.ClockGHz,
-		MemPerSocketGB: spec.MemPerSocketGB,
-		LocalBWGBs:     spec.LocalBWGBs,
-		RemoteBWGBs:    spec.RemoteBWGBs,
-	}
 }

@@ -42,8 +42,8 @@ func (s *LoopSummary) add(ls *LoopStats) {
 }
 
 // Metrics is the registry snapshot: everything the recorder knows,
-// aggregated into one JSON-serializable record. It is the "metrics-out"
-// payload of the CLIs and rides along inside BenchReport.
+// aggregated into one JSON-serializable record. It is what the CLIs'
+// -metrics-out writes (Flags.Finish).
 type Metrics struct {
 	// Events/Dropped describe the trace ring's occupancy.
 	Events  uint64 `json:"events"`

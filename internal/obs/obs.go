@@ -1,6 +1,6 @@
 // Package obs is the observability layer: structured traces, metrics
-// snapshots, and machine-readable benchmark reports for the smart-array
-// runtime and its adaptivity engine.
+// snapshots, latency histograms and per-array/per-query profiles for the
+// smart-array runtime and its adaptivity engine.
 //
 // The paper's adaptivity algorithm (§6) is driven entirely by measured
 // counters, so *why* a configuration was chosen is exactly as important as
@@ -14,11 +14,7 @@
 //   - Metrics is a JSON-serializable snapshot of the counter fabric's
 //     per-socket aggregates, RTS worker/loop statistics (batches claimed
 //     per worker, claim imbalance, grain efficiency), and adaptivity
-//     decision outcomes.
-//   - BenchReport (report.go) is the stable bench_report.json schema the
-//     CI bench gate consumes: one row per benchmark cell with ns/op and
-//     modeled local/remote traffic, comparable against a checked-in
-//     baseline.
+//     decision outcomes — what the CLIs' -metrics-out writes (Flags).
 //
 // All Recorder methods are safe on a nil receiver, so instrumented code
 // paths need no branches: an un-instrumented run records into nil at zero

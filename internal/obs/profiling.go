@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
@@ -53,7 +55,7 @@ func WriteHeapProfile(path string) error {
 // Flags is the shared observability flag bundle the CLIs register:
 //
 //	-trace FILE        write the structured event trace as JSONL
-//	-metrics-out FILE  write the run's report/metrics JSON
+//	-metrics-out FILE  write the run's aggregate Metrics as JSON at exit
 //	-serve ADDR        serve live introspection endpoints while running
 //	-pprof ADDR        serve net/http/pprof on ADDR while running
 //	-cpuprofile FILE   write a CPU profile
@@ -76,7 +78,7 @@ type Flags struct {
 // Register installs the flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write the structured event trace (JSONL) to this file")
-	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the machine-readable report/metrics JSON to this file")
+	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the run's aggregate metrics (JSON) to this file at exit")
 	fs.StringVar(&f.Serve, "serve", "", "serve live introspection (/metrics /arrays /trace /decisions) on this address while running")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -105,8 +107,9 @@ func (f *Flags) Start() error {
 	return nil
 }
 
-// Finish stops profiles, writes the heap profile, and drains the
-// recorder's trace to -trace if requested. rec may be nil.
+// Finish stops profiles, writes the heap profile, drains the recorder's
+// trace to -trace and writes its Metrics to -metrics-out, each if
+// requested. rec may be nil.
 func (f *Flags) Finish(rec *Recorder) error {
 	if f.stopCPU != nil {
 		if err := f.stopCPU(); err != nil {
@@ -120,14 +123,30 @@ func (f *Flags) Finish(rec *Recorder) error {
 		}
 	}
 	if f.Trace != "" {
-		out, err := os.Create(f.Trace)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		if err := rec.WriteTrace(out); err != nil {
+		if err := writeFile(f.Trace, rec.WriteTrace); err != nil {
 			return err
 		}
 	}
+	if f.MetricsOut != "" {
+		return writeFile(f.MetricsOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rec.Metrics())
+		})
+	}
 	return nil
+}
+
+// writeFile creates path, fills it with write and closes it, reporting the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

@@ -5,6 +5,7 @@ import (
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/counters"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
 )
@@ -287,5 +288,74 @@ func TestEightSocketPlacements(t *testing.T) {
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("8-socket work shares not normalized: %v", repl.WorkShare)
+	}
+}
+
+// modeledScanMs is the paper-scale (~500M-element) time on the 18-core
+// machine of a scan that executes instrPerElem modeled instructions and
+// streams bytesPerElem bytes per element.
+func modeledScanMs(instrPerElem, bytesPerElem float64) float64 {
+	const elems = 4 * machine.GB / 8
+	return ms(Solve(machine.X52Large(), Workload{
+		Instructions: elems * instrPerElem,
+		Streams:      []Stream{{Kind: Read, Bytes: elems * bytesPerElem, Placement: memsim.Interleaved}},
+	}))
+}
+
+// TestModeledSkipPathsTenfold pins the order-of-magnitude claims the docs
+// make for the model's two skip paths, with the cost inputs taken from
+// small 16-bit arrays: a run-skipping RLE fold over clustered data (runs
+// of 512) models at least 10x cheaper than the bit-packed decode, and a
+// zone-pruned selective scan (5 % of the value range) of sorted data at
+// least 10x cheaper than the unpruned one, while on uniform data the
+// pruned scan is no worse.
+func TestModeledSkipPathsTenfold(t *testing.T) {
+	const n = 1 << 16
+	const bits = 16
+	const mask = 1<<bits - 1
+	hash := func(i uint64) uint64 {
+		h := i*6364136223846793005 + 1442695040888963407
+		return (h ^ h>>31) & mask
+	}
+	build := func(kind encoding.Kind, value func(i uint64) uint64) encoding.ChunkCodec {
+		values := make([]uint64, n)
+		for i := range values {
+			values[i] = value(uint64(i))
+		}
+		e, err := encoding.Build(kind, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.(encoding.ChunkCodec)
+	}
+
+	clustered := func(i uint64) uint64 { return hash(i / 512) }
+	fold := func(kind encoding.Kind) float64 {
+		cs := encoding.CostStatsOf(build(kind, clustered))
+		return modeledScanMs(CostEncodedReduce(cs), cs.PayloadBitsPerElem/8)
+	}
+	if rle, packed := fold(encoding.RLE), fold(encoding.BitPacked); packed < 10*rle {
+		t.Errorf("clustered fold: rle %.2f ms vs bitpacked %.2f ms, want >= 10x", rle, packed)
+	}
+
+	// The selective scan: a mask build plus a masked fold of the chunks
+	// with live rows. Pruned, the index resolves whole chunks and its own
+	// entries are read instead: the super level always, the fine level
+	// inside the supers it leaves mixed.
+	const thr = mask / 20
+	scan := func(value func(i uint64) uint64) (unpruned, pruned float64) {
+		ps := encoding.BuildZoneIndex(build(encoding.BitPacked, value)).PruneStatsFor(bitpack.CmpLe, thr)
+		resolved, live := ps.NoneShare+ps.AllShare, 1-ps.NoneShare
+		zoneBytes := 16.0/(encoding.ZoneFanout*bitpack.ChunkSize) + (1-ps.SuperResolvedShare)*16/bitpack.ChunkSize
+		unpruned = modeledScanMs(CostMask(bits)+live*CostMaskedReduce(bits), (1+live)*bits/8)
+		pruned = modeledScanMs(CostPrunedMask(bits, resolved)+CostPrunedMaskedReduce(bits, live),
+			(1-resolved+live)*bits/8+zoneBytes)
+		return unpruned, pruned
+	}
+	if unpruned, pruned := scan(func(i uint64) uint64 { return i * (mask + 1) / n }); unpruned < 10*pruned {
+		t.Errorf("sorted selective scan: pruned %.2f ms vs unpruned %.2f ms, want >= 10x", pruned, unpruned)
+	}
+	if unpruned, pruned := scan(hash); pruned > unpruned {
+		t.Errorf("uniform selective scan: pruned %.2f ms is worse than unpruned %.2f ms", pruned, unpruned)
 	}
 }

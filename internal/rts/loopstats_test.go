@@ -50,6 +50,9 @@ func TestParallelForRecordsLoopStats(t *testing.T) {
 	if ls.Begin != 0 || ls.End != n || ls.Grain != grain {
 		t.Fatalf("loop shape %d..%d/%d not recorded faithfully", ls.Begin, ls.End, ls.Grain)
 	}
+	if got := rec.Metrics().Histograms[LoopHistogram].Count; got != 1 {
+		t.Fatalf("loop histogram counted %d loops, want 1", got)
+	}
 }
 
 // TestParallelForSingleBatchRecords covers the degenerate single-batch
