@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race rts-stress queryd-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
+.PHONY: all build test race rts-stress queryd-stress core-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
 
 all: build
 
@@ -28,6 +28,13 @@ rts-stress:
 # coordinator's tests under -race (about 15 s).
 queryd-stress:
 	$(GO) test -race -count=5 -run 'SharedScan|ArrivalWindow|ProfileShared|ExplainParity' ./internal/queryd
+
+# A smart array's representation is one atomically swapped snapshot:
+# Reencode and Migrate publish a new one while readers finish on theirs.
+# Whether a reader ever sees a half-published swap is timing-dependent in
+# the same way, so repeat the swap tests under -race.
+core-stress:
+	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View' ./internal/core
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -87,12 +94,17 @@ bench-pairs:
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
 # dataset, from one caller and from two (distinct thresholds, one signature
 # under two aggregates, identical plans — the measurement behind
-# perfmodel.SharedScanRideOverhead). Run it on both trees when sizing a
-# kernel change, before paying for bench-pairs. Not a CI target.
+# perfmodel.SharedScanRideOverhead), then the graph_rank request
+# (BenchmarkServedPageRank: gathers and streams over the CSR) and the
+# zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
+# per-call codec dispatch would show. Run it on both trees when sizing a
+# kernel or core change, before paying for bench-pairs. Not a CI target.
 bench-scan:
 	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2
+	$(GO) test ./internal/queryd -run '^$$' -bench ServedPageRank -benchtime 200x -count 5 -cpu 2
+	$(GO) test ./internal/core -run '^$$' -bench PrunedScan -count 5 -cpu 1
 
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous
@@ -103,7 +115,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress fuzz-smoke bench-selftest load-smoke
+CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress core-stress fuzz-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

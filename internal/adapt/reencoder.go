@@ -205,8 +205,8 @@ func (r *Reencoder) checkOne(w watchedArray) *obs.ReencodeEvent {
 		}
 		cs := encoding.EstimateCostStats(kind, w.stats)
 		if kind == encoding.BitPacked {
-			// Reencode(BitPacked) restores the native packed words at the
-			// array's logical width, not the value-derived minimum.
+			// Reencode(BitPacked) packs at the array's logical width, not
+			// the value-derived minimum.
 			cs.CodeBits = w.arr.Bits()
 			cs.PayloadBitsPerElem = float64(cs.CodeBits)
 		}

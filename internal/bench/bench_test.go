@@ -147,16 +147,25 @@ func TestFigure10JavaCompetitiveWithCPP(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	rows, err := RunFigure3(Options{Elements: 1 << 15, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
-	}
+	// Each path is one wall-clock pass of about a millisecond, so a single
+	// GC pause or preemption can swamp it. Keep each path's fastest of a
+	// few runs: the figure contrasts steady-state per-element costs.
+	var rows []InteropResult
 	byName := map[string]InteropResult{}
-	for _, r := range rows {
-		byName[r.Path] = r
+	for run := 0; run < 3; run++ {
+		var err error
+		rows, err = RunFigure3(Options{Elements: 1 << 15, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 5 {
+			t.Fatalf("rows = %d, want 5", len(rows))
+		}
+		for _, r := range rows {
+			if best, ok := byName[r.Path]; !ok || r.NsPerElem < best.NsPerElem {
+				byName[r.Path] = r
+			}
+		}
 	}
 	jni := byName["Java with JNI"]
 	smart := byName["Java with smart arrays"]

@@ -87,6 +87,12 @@ func (c Codec) WordsFor(n uint64) uint64 {
 // CompressedBytes is the storage footprint of n elements in bytes.
 func (c Codec) CompressedBytes(n uint64) uint64 { return c.WordsFor(n) * 8 }
 
+// WordOf returns the index of the word holding element index's first bit —
+// the exact element-to-word map page placement and traffic accounting use.
+func (c Codec) WordOf(index uint64) uint64 {
+	return index/ChunkSize*c.wordsPerChunk + index%ChunkSize*uint64(c.bits)/64
+}
+
 // Fits reports whether v is representable at this width.
 func (c Codec) Fits(v uint64) bool { return v&^c.mask == 0 }
 

@@ -62,9 +62,9 @@ type Options struct {
 	// Socket is the SingleSocket target.
 	Socket int
 	// AutoEncode re-encodes each added column to the smallest-payload
-	// representation when one beats the native packed words (sorted or
-	// clustered columns typically land on RLE or delta, low-cardinality
-	// ones on a dictionary). Queries are unaffected: every scan pipeline
+	// representation when one beats bit packing at the column's width
+	// (sorted or clustered columns typically land on RLE or delta,
+	// low-cardinality ones on a dictionary). Queries are unaffected: every scan pipeline
 	// dispatches over the column's chunk codec.
 	AutoEncode bool
 }

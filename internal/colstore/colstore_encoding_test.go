@@ -22,13 +22,12 @@ const pruningRows = 5*superRows + 37
 func (f *fixture) addPruningColumns(t *testing.T) {
 	t.Helper()
 	rows := f.table.Rows()
-	id := make([]uint64, rows)
-	cluster := make([]uint64, rows)
-	for i := range id {
-		id[i] = uint64(i)
-		cluster[i] = uint64(i) / 1024 % 8
+	f.id, f.cluster = make([]uint64, rows), make([]uint64, rows)
+	for i := range f.id {
+		f.id[i] = uint64(i)
+		f.cluster[i] = uint64(i) / 1024 % 8
 	}
-	for name, vals := range map[string][]uint64{"id": id, "cluster": cluster} {
+	for name, vals := range map[string][]uint64{"id": f.id, "cluster": f.cluster} {
 		if _, err := f.table.AddColumn(name, vals, Options{Placement: memsim.Interleaved}); err != nil {
 			t.Fatal(err)
 		}
@@ -183,33 +182,67 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 }
 
 // TestQueriesOnEveryEncoding re-encodes every column through every codec,
-// with and without a zone index, and pins the whole query surface against
-// the per-row references — the chunk-codec dispatch and the zone
-// shortcuts must both be invisible to results.
+// with and without a zone index, interleaved and replicated, and pins the
+// whole query surface against the per-row references — the chunk-codec
+// dispatch, the zone shortcuts and the per-socket codec binding must all
+// be invisible to results. A replicated table is also read row by row
+// from each socket, so each replica's own codec is checked against the
+// column's source values.
 func TestQueriesOnEveryEncoding(t *testing.T) {
 	for _, kind := range encoding.Kinds {
 		for _, zones := range []bool{true, false} {
-			f := newFixture(t, pruningRows, memsim.Interleaved)
-			f.addPruningColumns(t)
-			for _, name := range f.table.Columns() {
-				c, _ := f.table.Column(name)
-				if !zones {
-					// A write drops the index AddColumn built (rewriting row
-					// 0's own value keeps the content), and Reencode only
-					// rebuilds an index that exists.
-					c.Array().Init(0, 0, c.Array().GetFrom(0, 0))
+			for _, placement := range []memsim.Placement{memsim.Interleaved, memsim.Replicated} {
+				f := newFixture(t, pruningRows, memsim.Interleaved)
+				f.addPruningColumns(t)
+				for _, name := range f.table.Columns() {
+					c, _ := f.table.Column(name)
+					if !zones {
+						// A write drops the index AddColumn built (rewriting
+						// row 0's own value keeps the content), and Reencode
+						// only rebuilds an index that exists.
+						c.Array().Init(0, 0, c.Array().GetFrom(0, 0))
+					}
+					if _, err := f.table.ReencodeColumn(name, kind, 0); err != nil {
+						t.Fatalf("reencode %q to %v: %v", name, kind, err)
+					}
+					if got := c.Array().EncodingKind(); got != kind {
+						t.Fatalf("column %q encoding = %v, want %v", name, got, kind)
+					}
 				}
-				if _, err := f.table.ReencodeColumn(name, kind, 0); err != nil {
-					t.Fatalf("reencode %q to %v: %v", name, kind, err)
+				if err := f.table.Migrate(placement, 0); err != nil {
+					t.Fatalf("migrate to %v: %v", placement, err)
 				}
-				if got := c.Array().EncodingKind(); got != kind {
-					t.Fatalf("column %q encoding = %v, want %v", name, got, kind)
+				label := fmt.Sprintf("%v zones=%v %v", kind, zones, placement)
+				for _, name := range f.table.Columns() {
+					c, _ := f.table.Column(name)
+					if got := c.Array().ZoneIndex() != nil; got != zones {
+						t.Fatalf("%s: column %q zone index present = %v, want %v", label, name, got, zones)
+					}
 				}
-				if got := c.Array().ZoneIndex() != nil; got != zones {
-					t.Fatalf("column %q zone index present = %v, want %v", name, got, zones)
+				if placement == memsim.Replicated {
+					f.readEverySocket(t, label)
+				}
+				queriesMatchScalar(t, f, label)
+			}
+		}
+	}
+}
+
+// readEverySocket reads every column row by row from each socket and
+// compares it with the values the column was built from.
+func (f *fixture) readEverySocket(t *testing.T, label string) {
+	t.Helper()
+	for name, want := range map[string][]uint64{
+		"qty": f.qty, "price": f.price, "region": f.region, "id": f.id, "cluster": f.cluster,
+	} {
+		c, _ := f.table.Column(name)
+		for s := 0; s < f.table.rt.Spec().Sockets; s++ {
+			v := c.Array().View(s)
+			for row, w := range want {
+				if got := v.Get(uint64(row)); got != w {
+					t.Fatalf("%s: column %q row %d from socket %d = %d, want %d", label, name, row, s, got, w)
 				}
 			}
-			queriesMatchScalar(t, f, fmt.Sprintf("%v zones=%v", kind, zones))
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // contiguous edge runs (stream) and index-vector lookups of per-vertex
 // state (gather) — and both were previously per-element Get calls. These
 // wrappers validate once per batch and hand the whole vector or range to
-// the bitpack kernels.
+// the bound codec's batched kernels (bitpack's, for bit-packed arrays).
 
 // Gather decodes out[i] = element idx[i] for a reader on socket. Indices
 // may repeat and appear in any order; the whole vector is bounds-checked
@@ -23,26 +23,21 @@ func Gather(a *SmartArray, socket int, idx []uint64, out []uint64) {
 	if len(idx) == 0 {
 		return
 	}
+	cc := a.View(socket).codec
 	length := a.length
 	for _, x := range idx {
 		if x >= length {
 			panic(fmt.Sprintf("core: gather index %d out of range [0,%d)", x, length))
 		}
 	}
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		for i, x := range idx {
-			out[i] = enc.Get(x)
-		}
-		return
-	}
-	a.codec.Gather(rp.region.Replica(socket), idx, out)
+	cc.Gather(idx, out)
 }
 
 // ReadRange decodes elements [lo, hi) into out for a reader on socket.
 // len(out) must be at least hi-lo. It is StreamRange flattened into a
 // caller-owned destination — for small per-batch scratch (CSR begin runs,
 // weight runs) where the caller wants plain indexed access afterwards.
+// Whole chunks decode straight into out; the ragged ends go per element.
 func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
 	if lo >= hi {
 		return
@@ -51,50 +46,16 @@ func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
 	if uint64(len(out)) < hi-lo {
 		panic(fmt.Sprintf("core: ReadRange destination holds %d elements, need %d", len(out), hi-lo))
 	}
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-		for i := lo; i < headEnd; i++ {
-			out[i-lo] = enc.Get(i)
-		}
-		if chunkLo < chunkHi {
-			var buf [bitpack.ChunkSize]uint64
-			for ch := chunkLo; ch < chunkHi; ch++ {
-				enc.DecodeChunk(ch, &buf)
-				copy(out[ch*bitpack.ChunkSize-lo:], buf[:])
-			}
-		}
-		for i := tailStart; i < hi; i++ {
-			out[i-lo] = enc.Get(i)
-		}
-		return
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
-	switch a.Bits() {
-	case 64:
-		copy(out, replica[lo:hi])
-		return
-	case 32:
-		for i := lo; i < hi; i++ {
-			w := replica[i>>1]
-			out[i-lo] = (w >> ((i & 1) * 32)) & 0xFFFFFFFF
-		}
-		return
-	}
+	cc := a.View(socket).codec
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	for i := lo; i < headEnd; i++ {
-		out[i-lo] = codec.Get(replica, i)
+		out[i-lo] = cc.Get(i)
 	}
-	if chunkLo < chunkHi {
-		var buf [bitpack.ChunkSize]uint64
-		for ch := chunkLo; ch < chunkHi; ch++ {
-			codec.Unpack(replica, ch, &buf)
-			copy(out[ch*bitpack.ChunkSize-lo:], buf[:])
-		}
+	for ch := chunkLo; ch < chunkHi; ch++ {
+		cc.DecodeChunk(ch, (*[bitpack.ChunkSize]uint64)(out[ch*bitpack.ChunkSize-lo:]))
 	}
 	for i := tailStart; i < hi; i++ {
-		out[i-lo] = codec.Get(replica, i)
+		out[i-lo] = cc.Get(i)
 	}
 }
 
@@ -107,44 +68,14 @@ func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit fu
 		return
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		// Chunk-wise decode-and-emit: each emitted run is the overlap of a
-		// decoded chunk with [lo, hi), satisfying the UnpackRange contract
-		// (in-order, contiguous, vals valid only during the call).
-		var chunkBuf [bitpack.ChunkSize]uint64
-		for base := lo; base < hi; {
-			chunk := base / bitpack.ChunkSize
-			enc.DecodeChunk(chunk, &chunkBuf)
-			start := base % bitpack.ChunkSize
-			end := uint64(bitpack.ChunkSize)
-			if chunkEnd := (chunk + 1) * bitpack.ChunkSize; chunkEnd > hi {
-				end = bitpack.ChunkSize - (chunkEnd - hi)
-			}
-			emit(base, chunkBuf[start:end])
-			base += end - start
-		}
-		return
-	}
-	a.codec.UnpackRange(rp.region.Replica(socket), lo, hi, buf, emit)
+	a.View(socket).codec.UnpackRange(lo, hi, buf, emit)
 }
 
 // AccountGather charges n batched random element reads: the same amplified
 // DRAM traffic as AccountRandomGets, but the batched per-element decode
 // cost (perfmodel.CostGather) instead of Function 1's per-call cost.
 func (a *SmartArray) AccountGather(sh *counters.Shard, n uint64, localityBoost float64) {
-	if n == 0 {
-		return
-	}
-	rp := a.rep.Load()
-	t := a.track(sh)
-	spec := a.mem.Spec()
-	elemBytes := float64(a.CompressedBytes()) / float64(a.length)
-	eff := perfmodel.RandomReadBytes(float64(a.CompressedBytes()), elemBytes, spec.LLCMB*1e6, localityBoost)
-	rp.region.AccountRandom(sh, n, uint64(eff))
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costGather(a)))
-	if aa := t.done(sh); aa != nil {
+	if aa := a.accountRandom(sh, n, localityBoost, perfmodel.CostEncodedGather); aa != nil {
 		aa.Gathers++
 		aa.GatherElems += n
 	}
@@ -155,18 +86,8 @@ func (a *SmartArray) AccountGather(sh *counters.Shard, n uint64, localityBoost f
 // the chunk-at-a-time decode cost (perfmodel.CostStream) in place of the
 // iterator's per-element cost.
 func (a *SmartArray) AccountStream(sh *counters.Shard, lo, hi uint64) {
-	if lo >= hi {
-		return
-	}
-	rp := a.rep.Load()
-	t := a.track(sh)
-	loWord, hiWord := rp.wordRange(a, lo, hi)
-	rp.region.AccountScan(sh, loWord, hiWord-loWord)
-	n := hi - lo
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costStream(a)))
-	if aa := t.done(sh); aa != nil {
+	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedStream); aa != nil {
 		aa.Streams++
-		aa.StreamElems += n
+		aa.StreamElems += hi - lo
 	}
 }

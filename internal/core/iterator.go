@@ -24,30 +24,21 @@ type Iterator interface {
 // NewIterator allocates an iterator over a starting at index for a reader
 // on the given socket (paper: SmartArrayIterator::allocate, which picks
 // the replica via getReplica and the concrete subclass via the bit
-// count).
+// count). The 64- and 32-bit iterators index the words directly, so they
+// are picked only when the bound layout is BitPacked at that width.
 func NewIterator(a *SmartArray, socket int, index uint64) Iterator {
-	replica := a.GetReplica(socket)
-	if a.rep.Load().enc != nil {
-		// Re-encoded arrays iterate through the chunk buffer regardless of
-		// width: Unpack dispatches to the codec's DecodeChunk.
-		it := &CompressedIterator{array: a, replica: replica}
-		it.Reset(index)
-		return it
-	}
-	switch a.Bits() {
-	case 64:
-		it := &U64Iterator{data: replica}
-		it.Reset(index)
-		return it
-	case 32:
-		it := &U32Iterator{data: replica}
-		it.Reset(index)
-		return it
+	v := a.View(socket)
+	var it Iterator
+	switch words, bits, packed := v.Packed(); {
+	case packed && bits == 64:
+		it = &U64Iterator{data: words}
+	case packed && bits == 32:
+		it = &U32Iterator{data: words}
 	default:
-		it := &CompressedIterator{array: a, replica: replica}
-		it.Reset(index)
-		return it
+		it = &CompressedIterator{view: v}
 	}
+	it.Reset(index)
+	return it
 }
 
 // U64Iterator is the specialized uncompressed 64-bit iterator: compiled
@@ -85,14 +76,13 @@ func (it *U32Iterator) Get() uint64 {
 // Reset repositions the iterator.
 func (it *U32Iterator) Reset(index uint64) { it.index = index }
 
-// CompressedIterator handles every other width: it keeps a 64-element
-// buffer and refills it with the array's unpack() whenever the position
-// crosses into a new chunk (paper Figure 9: CompressedIterator with
-// data[64] and dataIndex).
+// CompressedIterator handles every other layout: it keeps a 64-element
+// buffer and refills it with the codec's chunk decode (unpack() for bit
+// packing) whenever the position crosses into a new chunk (paper Figure 9:
+// CompressedIterator with data[64] and dataIndex).
 type CompressedIterator struct {
-	array   *SmartArray
-	replica []uint64
-	buf     [bitpack.ChunkSize]uint64
+	view View
+	buf  [bitpack.ChunkSize]uint64
 	// chunk is the currently buffered chunk index; dataIndex the position
 	// within it.
 	chunk     uint64
@@ -116,7 +106,7 @@ func (it *CompressedIterator) Next() {
 // will not read (important for the last, possibly partial, chunk).
 func (it *CompressedIterator) Get() uint64 {
 	if !it.loaded {
-		it.array.Unpack(it.replica, it.chunk, &it.buf)
+		it.view.DecodeChunk(it.chunk, &it.buf)
 		it.loaded = true
 	}
 	return it.buf[it.dataIndex]
@@ -178,44 +168,19 @@ func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 }
 
 // Map applies fn to every element of [lo, hi) for a reader on socket,
-// unpacking whole chunks at once. This is the §7 "alternative unified API"
+// decoding whole chunks at once. This is the §7 "alternative unified API"
 // (bounded map with a lambda) that removes the iterator's per-element
 // chunk-boundary branch.
 func Map(a *SmartArray, socket int, lo, hi uint64, fn func(index, value uint64)) {
 	if lo >= hi {
 		return
 	}
-	rp := a.rep.Load()
-	replica := rp.region.Replica(socket)
-	if rp.enc == nil {
-		switch a.Bits() {
-		case 64:
-			for i := lo; i < hi; i++ {
-				fn(i, replica[i])
-			}
-			return
-		case 32:
-			for i := lo; i < hi; i++ {
-				w := replica[i>>1]
-				fn(i, (w>>((i&1)*32))&0xFFFFFFFF)
-			}
-			return
-		}
-	}
+	v := a.View(socket)
 	var buf [bitpack.ChunkSize]uint64
-	i := lo
-	for i < hi {
+	for i := lo; i < hi; {
 		chunk := i / bitpack.ChunkSize
-		if rp.enc != nil {
-			rp.enc.DecodeChunk(chunk, &buf)
-		} else {
-			a.codec.Unpack(replica, chunk, &buf)
-		}
-		end := (chunk + 1) * bitpack.ChunkSize
-		if end > hi {
-			end = hi
-		}
-		for ; i < end; i++ {
+		v.DecodeChunk(chunk, &buf)
+		for end := min((chunk+1)*bitpack.ChunkSize, hi); i < end; i++ {
 			fn(i, buf[i%bitpack.ChunkSize])
 		}
 	}

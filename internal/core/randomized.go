@@ -116,10 +116,8 @@ func (a *SmartArray) InitAtomic(socket int, index, value uint64) {
 		panic("core: index out of range")
 	}
 	rp := a.rep.Load()
-	if rp.enc != nil {
-		panic("core: InitAtomic on a re-encoded array (re-encoded arrays are read-only)")
-	}
-	rp.region.Touch(a.WordOf(index), socket)
+	checkWritable(rp, "InitAtomic")
+	rp.region.Touch(a.codec.WordOf(index), socket)
 	for _, replica := range rp.region.AllReplicas() {
 		a.codec.SetAtomic(replica, index, value)
 	}

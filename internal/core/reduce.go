@@ -182,7 +182,7 @@ func CountRange(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, thresh
 	if v.zones != nil {
 		count += zoneCountChunks(&v, chunkLo, chunkHi, op, threshold)
 	} else {
-		count += v.countWhere(chunkLo, chunkHi, op, threshold)
+		count += v.codec.CountWhere(chunkLo, chunkHi, op, threshold)
 	}
 	for i := tailStart; i < hi; i++ {
 		if op.Eval(v.Get(i), threshold) {
@@ -202,15 +202,15 @@ func zoneCountChunks(v *View, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold
 	for c := chunkLo; c < chunkHi; c++ {
 		switch v.zones.Verdict(c, op, threshold) {
 		case encoding.ZoneNone:
-			count += v.countWhere(spanLo, c, op, threshold)
+			count += v.codec.CountWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
 		case encoding.ZoneAll:
-			count += v.countWhere(spanLo, c, op, threshold)
+			count += v.codec.CountWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
 			count += bitpack.ChunkSize
 		}
 	}
-	return count + v.countWhere(spanLo, chunkHi, op, threshold)
+	return count + v.codec.CountWhere(spanLo, chunkHi, op, threshold)
 }
 
 // FoldRange folds an arbitrary accumulator function over [lo, hi) for a

@@ -1,11 +1,11 @@
-// Live re-encoding: the representation axis of §6's on-the-fly
-// adaptation. A SmartArray's storage is a repr snapshot — either native
-// packed words in a placed region, or an alternative encoding behind
-// encoding.ChunkCodec with a region-sized accounting mirror — swapped
-// atomically by Reencode. Readers load the snapshot once per call and
-// finish on whatever representation they started with (the simulator's
-// Free only drops references; in-flight readers keep the old slices
-// alive), so re-encoding is safe under concurrent scans.
+// The representation: a SmartArray's storage is a repr snapshot — one
+// encoding.ChunkCodec per replica of a placed region, each reading the
+// payload words of its own replica — swapped atomically by Reencode (the
+// representation axis of §6's on-the-fly adaptation) and Migrate (the
+// placement axis). Readers load the snapshot once per call and finish on
+// whatever representation they started with (the simulator's Free only
+// drops references; in-flight readers keep the old slices alive), so both
+// are safe under concurrent scans.
 package core
 
 import (
@@ -15,22 +15,17 @@ import (
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
-	"smartarrays/internal/perfmodel"
 )
 
 // repr is one immutable representation snapshot.
 type repr struct {
-	// region is the placed storage: the packed words themselves when enc
-	// is nil, otherwise an accounting mirror sized to the encoding's
-	// payload (so placement, footprint, and traffic stay honest in the
-	// memory simulator while the codec owns the real payload).
+	// region is the placed storage: every replica holds the whole payload.
 	region *memsim.Region
-	// enc is the alternative encoding; nil means native bit-packed words.
-	enc encoding.ChunkCodec
-	// cost summarizes enc for the per-codec perfmodel entries.
+	// codecs[s] reads replica s of region; one entry unless Replicated.
+	// Nil once the array is freed, so any read of a freed array panics.
+	codecs []encoding.ChunkCodec
+	// cost summarizes the encoding for the per-codec perfmodel entries.
 	cost encoding.CostStats
-	// words is the mirror's word count (element→word traffic mapping).
-	words uint64
 	// zones is the optional zone index over this representation's values
 	// (see zonemap.go); nil until BuildZoneIndex. It lives on the snapshot
 	// so a representation swap can never pair stale bounds with new
@@ -38,180 +33,109 @@ type repr struct {
 	zones atomic.Pointer[encoding.ZoneIndex]
 }
 
-// kind is the representation's encoding kind; native storage reports
-// BitPacked (the paper's §4.2 default).
-func (rp *repr) kind() encoding.Kind {
-	if rp.enc == nil {
-		return encoding.BitPacked
+// bind makes the snapshot for region, whose replicas each hold cc's
+// payload: one codec per replica, each bound to its own copy.
+func bind(region *memsim.Region, cc encoding.ChunkCodec) *repr {
+	rp := &repr{region: region, cost: encoding.CostStatsOf(cc)}
+	for _, replica := range region.AllReplicas() {
+		rp.codecs = append(rp.codecs, cc.Bind(replica))
 	}
-	return rp.enc.Kind()
+	return rp
 }
 
-// wordRange maps an element range to the words its access touches: the
-// native codec layout, or a payload-proportional span of the mirror.
-func (rp *repr) wordRange(a *SmartArray, lo, hi uint64) (loWord, hiWord uint64) {
-	if rp.enc == nil {
-		return a.WordRange(lo, hi)
+// codec returns the codec a reader on socket uses: its local replica's
+// when replicated, the single copy's otherwise (paper: getReplica()).
+func (rp *repr) codec(socket int) encoding.ChunkCodec {
+	if len(rp.codecs) > 1 {
+		return rp.codecs[socket]
 	}
-	if lo >= hi {
-		return 0, 0
-	}
-	loWord = lo * rp.words / a.length
-	hiWord = hi * rp.words / a.length
-	if hiWord <= loWord {
-		hiWord = loWord + 1
-	}
-	return loWord, hiWord
+	return rp.codecs[0]
 }
 
-// costScan/costReduce/costMask/costMaskedReduce/costGet/costGather/
-// costStream return the modeled per-element instruction cost of the
-// representation: the native width-parameterized entries, or the
-// per-codec encoded entries.
-
-func (rp *repr) costScan(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostScan(a.codec.Bits())
+// on returns the codec bound to replica, a slice GetReplica returned. A
+// replica of an earlier representation reads through the current one:
+// the values are the same.
+func (rp *repr) on(replica []uint64) encoding.ChunkCodec {
+	for _, c := range rp.codecs[1:] {
+		if &c.PayloadWords()[0] == &replica[0] {
+			return c
+		}
 	}
-	return perfmodel.CostEncodedScan(rp.cost)
+	return rp.codecs[0]
 }
 
-func (rp *repr) costReduce(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostReduce(a.codec.Bits())
+// place allocates a region with placement p whose every replica holds a
+// copy of cc's payload, and binds it.
+func (a *SmartArray) place(cc encoding.ChunkCodec, p memsim.Placement, socket int) (*repr, error) {
+	words := cc.PayloadWords()
+	region, err := a.mem.Alloc(uint64(len(words)), p, socket)
+	if err != nil {
+		return nil, err
 	}
-	return perfmodel.CostEncodedReduce(rp.cost)
+	for _, replica := range region.AllReplicas() {
+		copy(replica, words)
+	}
+	return bind(region, cc), nil
 }
 
-func (rp *repr) costMask(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostMask(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedMask(rp.cost)
-}
-
-func (rp *repr) costMaskedReduce(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostMaskedReduce(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedMaskedReduce(rp.cost)
-}
-
-func (rp *repr) costGet(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostGet(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedGet(rp.cost)
-}
-
-func (rp *repr) costGather(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostGather(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedGather(rp.cost)
-}
-
-func (rp *repr) costStream(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostStream(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedStream(rp.cost)
-}
-
-// EncodingKind is the array's current representation (BitPacked for the
-// native packed words it is allocated with).
+// EncodingKind is the array's current representation (BitPacked at the
+// logical width for a freshly allocated array).
 func (a *SmartArray) EncodingKind() encoding.Kind {
-	return a.rep.Load().kind()
+	return a.rep.Load().cost.Kind
 }
 
 // EncodingStats summarizes the current representation for the cost model.
-// Native storage reports a BitPacked summary at the logical width.
 func (a *SmartArray) EncodingStats() encoding.CostStats {
-	rp := a.rep.Load()
-	if rp.enc == nil {
-		var density float64
-		if a.length > 0 {
-			density = float64(a.codec.CompressedBytes(a.length)*8) / float64(a.length)
-		}
-		return encoding.CostStats{
-			Kind:               encoding.BitPacked,
-			CodeBits:           a.codec.Bits(),
-			PayloadBitsPerElem: density,
-		}
-	}
-	return rp.cost
+	return a.rep.Load().cost
 }
 
 // DecodeAll materializes the array's logical content, whatever the
 // current representation. Intended for re-encoding and serialization,
 // not hot paths.
 func (a *SmartArray) DecodeAll() []uint64 {
-	return a.rep.Load().decodeAll(a)
+	return encoding.Decode(a.rep.Load().codecs[0])
 }
 
-func (rp *repr) decodeAll(a *SmartArray) []uint64 {
-	if rp.enc != nil {
-		return encoding.Decode(rp.enc)
+// build encodes values as kind. BitPacked packs at the array's logical
+// width, the one its writes use, so re-encoding back to it restores a
+// writable array.
+func (a *SmartArray) build(kind encoding.Kind, values []uint64) (encoding.ChunkCodec, error) {
+	if kind == encoding.BitPacked {
+		return encoding.NewBitPackedAt(a.Bits(), values), nil
 	}
-	return a.codec.UnpackSlice(rp.region.Replica(0), a.length)
+	enc, err := encoding.Build(kind, values)
+	if err != nil {
+		return nil, err
+	}
+	return enc.(encoding.ChunkCodec), nil
 }
 
-// Reencode migrates the array to the given encoding in place, returning
-// the traffic the re-encoding generates (read the old payload, write the
-// new) — the representation analogue of Migrate. BitPacked restores the
-// native packed words at the array's logical width. Concurrent readers
-// are safe: they finish on the snapshot they loaded. Re-encoding to the
-// current representation is a no-op.
+// Reencode migrates the array to the given encoding, returning the
+// traffic the re-encoding generates (read the old payload, write the
+// new) — the representation analogue of Migrate. The new payload is
+// placed like the old one and first-touched from socket. Concurrent
+// readers are safe: they finish on the snapshot they loaded. Re-encoding
+// to the current representation is a no-op.
 func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint64, err error) {
 	a.reencodeMu.Lock()
 	defer a.reencodeMu.Unlock()
 	old := a.rep.Load()
-	if old.region == nil {
+	if old.codecs == nil {
 		return 0, errors.New("core: Reencode on a freed array")
 	}
-	if old.kind() == kind {
+	if old.cost.Kind == kind {
 		return 0, nil
 	}
-	values := old.decodeAll(a)
-	oldBytes := old.region.FootprintBytes()
-	placement := old.region.Placement()
-
-	var next *repr
-	var newBytes uint64
-	if kind == encoding.BitPacked {
-		region, aerr := a.mem.Alloc(a.codec.WordsFor(a.length), placement, socket)
-		if aerr != nil {
-			return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, aerr)
-		}
-		packed := a.codec.PackSlice(values)
-		for _, replica := range region.AllReplicas() {
-			copy(replica, packed)
-		}
-		region.TouchRange(0, uint64(len(packed)), socket)
-		next = &repr{region: region}
-		newBytes = region.FootprintBytes()
-	} else {
-		enc, berr := encoding.Build(kind, values)
-		if berr != nil {
-			return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, berr)
-		}
-		cc, ok := enc.(encoding.ChunkCodec)
-		if !ok {
-			return 0, fmt.Errorf("core: encoding %v lacks chunk kernels", kind)
-		}
-		words := (enc.PayloadBytes() + 7) / 8
-		if words == 0 {
-			words = 1
-		}
-		region, aerr := a.mem.Alloc(words, placement, socket)
-		if aerr != nil {
-			return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, aerr)
-		}
-		region.TouchRange(0, words, socket)
-		next = &repr{region: region, enc: cc, cost: encoding.CostStatsOf(enc), words: words}
-		newBytes = region.FootprintBytes()
+	values := encoding.Decode(old.codecs[0])
+	cc, err := a.build(kind, values)
+	if err != nil {
+		return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, err)
 	}
-
+	next, err := a.place(cc, old.region.Placement(), socket)
+	if err != nil {
+		return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, err)
+	}
+	next.region.TouchRange(0, next.region.Words(), socket)
 	// Rebuild the zone index from the already-decoded values — a free
 	// extra pass — so the new snapshot carries fresh bounds atomically.
 	if old.zones.Load() != nil {
@@ -220,14 +144,40 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 	a.rep.Store(next)
 	a.gen.Add(1)
 	old.region.Free()
-	a.reg.SetEncoding(a.id, kind.String(), next.codeBits(a))
-	return oldBytes + newBytes, nil
+	a.reg.SetEncoding(a.id, kind.String(), next.cost.CodeBits)
+	return old.region.FootprintBytes() + next.region.FootprintBytes(), nil
 }
 
-// codeBits is the width the representation's decode shifts through.
-func (rp *repr) codeBits(a *SmartArray) uint {
-	if rp.enc == nil {
-		return a.codec.Bits()
+// Migrate moves the array to a new placement, returning the traffic the
+// restructuring generates (§6's on-the-fly adaptation): it publishes a
+// new snapshot whose region holds the payload in the new shape, and frees
+// the old one — so, like Reencode, it is safe under concurrent readers.
+// Pages start untouched under OSDefault.
+func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint64, err error) {
+	a.reencodeMu.Lock()
+	defer a.reencodeMu.Unlock()
+	old := a.rep.Load()
+	if old.codecs == nil {
+		return 0, errors.New("core: Migrate on a freed array")
 	}
-	return rp.cost.CodeBits
+	if p == old.region.Placement() && (p != memsim.SingleSocket || socket == old.region.PinnedSocket()) {
+		return 0, nil
+	}
+	next, err := a.place(old.codecs[0], p, socket)
+	if err != nil {
+		return 0, fmt.Errorf("core: migrating to %v: %w", p, err)
+	}
+	next.zones.Store(old.zones.Load())
+	a.rep.Store(next)
+	old.region.Free()
+	a.reg.SetPlacement(a.id, p.String())
+	bytes := old.region.Words() * 8
+	switch p {
+	case memsim.Replicated:
+		return 2 * bytes * uint64(a.mem.Spec().Sockets-1), nil
+	case memsim.OSDefault:
+		return 0, nil
+	default: // pages move through the interconnect
+		return 2 * bytes, nil
+	}
 }

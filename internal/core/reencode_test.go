@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smartarrays/internal/bitpack"
@@ -169,5 +171,191 @@ func TestReencodeUnderConcurrentScans(t *testing.T) {
 	case msg := <-errs:
 		t.Fatal(msg)
 	default:
+	}
+}
+
+// TestReplicatedPayloadPerSocket pins that every codec's payload really
+// lives in the placed region: each replica of a replicated array holds the
+// codec's payload words and its socket reads through its own copy, so a
+// word corrupted in replica 1 shows on socket 1 and nowhere else.
+func TestReplicatedPayloadPerSocket(t *testing.T) {
+	const n = 5*bitpack.ChunkSize + 17
+	mem := newMemory()
+	sockets := mem.Spec().Sockets
+	for _, kind := range encoding.Kinds {
+		a := mustAlloc(t, mem, Config{Length: n, Bits: 12, Placement: memsim.Replicated})
+		// Sixteen distinct values: every 4-bit dictionary id is valid, so
+		// flipping a bit of element 0's code still decodes.
+		values := make([]uint64, n)
+		for i := range values {
+			values[i] = uint64(i)/37%16*7 + 3
+		}
+		a.InitRange(0, 0, values)
+		if _, err := a.Reencode(kind, 0); err != nil {
+			t.Fatalf("Reencode(%v): %v", kind, err)
+		}
+		want, err := a.build(kind, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < sockets; s++ {
+			replica, bound := a.GetReplica(s), a.View(s).codec.PayloadWords()
+			if &replica[0] != &bound[0] || len(replica) != len(bound) {
+				t.Fatalf("%v: socket %d codec does not read its replica", kind, s)
+			}
+			if !slices.Equal(replica, want.PayloadWords()) {
+				t.Fatalf("%v: replica %d does not hold the codec's payload", kind, s)
+			}
+		}
+		if got, wantBytes := a.FootprintBytes(), uint64(sockets)*want.PayloadBytes(); got != wantBytes || a.CompressedBytes() != want.PayloadBytes() {
+			t.Fatalf("%v: footprint %d B, compressed %d B; want %d B = %d replicas x %d B",
+				kind, got, a.CompressedBytes(), wantBytes, sockets, want.PayloadBytes())
+		}
+
+		a.Region().Replica(1)[0] ^= 1
+		if got := a.GetFrom(1, 0); got == values[0] {
+			t.Errorf("%v: socket 1 read %d, missing the corrupted word of its replica", kind, got)
+		}
+		if got := a.GetFrom(0, 0); got != values[0] {
+			t.Errorf("%v: socket 0 read %d, want %d from its untouched replica", kind, got, values[0])
+		}
+	}
+}
+
+// TestMigrateUnderConcurrentScans moves the array between placements
+// while readers scan and random-access it from both sockets: under -race
+// this pins that Migrate publishes a new snapshot rather than rewriting
+// the region readers are on, and every observed result is exact.
+func TestMigrateUnderConcurrentScans(t *testing.T) {
+	const n = 8 * bitpack.ChunkSize
+	a, values := reencodeFixture(t, n)
+	a.BuildZoneIndex()
+	var refSum uint64
+	for _, v := range values {
+		refSum += v
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Uint64
+	errs := make(chan string, 4)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(socket int) {
+			defer wg.Done()
+			for i := uint64(0); ; i = (i + 97) % n {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := ReduceRange(a, socket, 0, n, ReduceSum); got != refSum {
+					errs <- "scan mismatch"
+					return
+				}
+				if got := a.GetFrom(socket, i); got != values[i] {
+					errs <- "get mismatch"
+					return
+				}
+				reads.Add(1)
+			}
+		}(g)
+	}
+	// Keep migrating until the readers have been at it for a while, so
+	// their reads interleave with the swaps.
+	for round := 0; round < 20 || reads.Load() < 400; round++ {
+		for _, p := range []memsim.Placement{memsim.Replicated, memsim.SingleSocket, memsim.Interleaved, memsim.OSDefault} {
+			if _, err := a.Migrate(p, round%2); err != nil {
+				t.Fatalf("round %d: Migrate(%v): %v", round, p, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+	if a.ZoneIndex() == nil {
+		t.Error("Migrate dropped the zone index")
+	}
+}
+
+// TestMigrateToReplicatedPreservesData checks a migration into Replicated
+// copies the payload: it reports traffic, socket 1 reads what was written
+// from socket 0, and socket 1 now holds a page of its own.
+func TestMigrateToReplicatedPreservesData(t *testing.T) {
+	mem := newMemory()
+	a := mustAlloc(t, mem, Config{Length: memsim.PageWords, Bits: 64, Placement: memsim.Interleaved})
+	a.Init(0, 5, 42)
+	traffic, err := a.Migrate(memsim.Replicated, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traffic == 0 {
+		t.Error("replication migration should report traffic")
+	}
+	if got := a.GetFrom(1, 5); got != 42 {
+		t.Errorf("socket 1 elem 5 = %d, want 42", got)
+	}
+	if got := mem.UsedBytes(1); got != memsim.PageBytes {
+		t.Errorf("socket1 used after migrate = %d, want %d", got, memsim.PageBytes)
+	}
+}
+
+// TestMigrateNoopIsFree checks Migrate's traffic: nothing for the current
+// placement, a copy per extra replica into Replicated, a move otherwise,
+// nothing into OSDefault (pages are first-touched later).
+func TestMigrateNoopIsFree(t *testing.T) {
+	mem := newMemory()
+	a := mustAlloc(t, mem, Config{Length: 1000, Bits: 33, Placement: memsim.Interleaved})
+	bytes := a.CompressedBytes()
+	sockets := uint64(mem.Spec().Sockets)
+	for _, step := range []struct {
+		p       memsim.Placement
+		socket  int
+		traffic uint64
+	}{
+		{memsim.Interleaved, 0, 0},
+		{memsim.Replicated, 0, 2 * bytes * (sockets - 1)},
+		{memsim.Replicated, 1, 0},
+		{memsim.SingleSocket, 1, 2 * bytes},
+		{memsim.SingleSocket, 1, 0},
+		{memsim.SingleSocket, 0, 2 * bytes},
+		{memsim.OSDefault, 0, 0},
+	} {
+		traffic, err := a.Migrate(step.p, step.socket)
+		if err != nil || traffic != step.traffic {
+			t.Fatalf("Migrate(%v, %d) = (%d, %v), want (%d, nil)", step.p, step.socket, traffic, err, step.traffic)
+		}
+		if a.Placement() != step.p {
+			t.Fatalf("placement %v after Migrate(%v)", a.Placement(), step.p)
+		}
+	}
+	if got := mem.TotalUsedBytes(); got != bytes {
+		t.Errorf("memory in use after migrations = %d B, want the one copy's %d B", got, bytes)
+	}
+}
+
+// TestMigrateOverCapacityFails checks a migration that does not fit leaves
+// the array as it was: same placement, same accounting, same values.
+func TestMigrateOverCapacityFails(t *testing.T) {
+	mem := newMemory()
+	mem.SetCapacityBytes(8 * memsim.PageBytes)
+	filler, err := mem.Alloc(mem.CapacityBytes()/8-memsim.PageWords, memsim.SingleSocket, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer filler.Free()
+	a := mustAlloc(t, mem, Config{Length: 2 * memsim.PageWords, Bits: 64, Placement: memsim.SingleSocket, Socket: 0})
+	a.Init(0, 7, 42)
+	if _, err := a.Migrate(memsim.Replicated, 0); err == nil {
+		t.Fatal("migration exceeding socket 1's capacity should fail")
+	}
+	if a.Placement() != memsim.SingleSocket || mem.UsedBytes(0) != 2*memsim.PageBytes {
+		t.Errorf("failed migration changed the array: %v, socket 0 holds %d B", a.Placement(), mem.UsedBytes(0))
+	}
+	if got := a.GetFrom(1, 7); got != 42 {
+		t.Errorf("element 7 = %d after a failed migration, want 42", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
 )
 
@@ -24,7 +25,7 @@ const (
 )
 
 // WriteTo serializes the array's logical content (header + packed words
-// of one replica). It returns the bytes written.
+// at the array's width). It returns the bytes written.
 func (a *SmartArray) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var header [20]byte
@@ -36,13 +37,9 @@ func (a *SmartArray) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	written := int64(len(header))
-	rp := a.rep.Load()
-	words := rp.region.Replica(0)
-	if rp.enc != nil {
-		// Serialize the logical content in the native packed layout the
-		// header describes, whatever the live representation.
-		words = a.codec.PackSlice(rp.decodeAll(a))
-	}
+	// The stream holds the logical content in the packed layout the header
+	// describes, whatever the live representation.
+	words := encoding.NewBitPackedAt(a.Bits(), a.DecodeAll()).PayloadWords()
 	var buf [8]byte
 	for _, word := range words {
 		binary.LittleEndian.PutUint64(buf[:], word)

@@ -5,12 +5,13 @@
 //
 // A SmartArray owns a placed memsim.Region: replication really
 // materializes one copy per socket, interleaving really round-robins pages,
-// and compressed arrays really store packed words. The class hierarchy of
-// the paper's Figure 9 (abstract SmartArray, BitCompressedArray<BITS>,
-// specialized <32>/<64>, and the iterator family) maps to a single struct
-// parameterized by a bitpack.Codec plus concrete iterator types selected by
-// width, mirroring how the paper's entry points branch on the profiled bit
-// count.
+// and every encoding's payload really lives in those words. The class
+// hierarchy of the paper's Figure 9 (abstract SmartArray,
+// BitCompressedArray<BITS>, specialized <32>/<64>, and the iterator family)
+// maps to a single struct reading through one encoding.ChunkCodec per
+// replica — bit packing at the array's width until a Reencode — plus
+// concrete iterator types selected by the bound layout, mirroring how the
+// paper's entry points branch on the profiled bit count.
 package core
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/counters"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/perfmodel"
@@ -51,15 +53,17 @@ type Config struct {
 // must synchronize externally (the paper's arrays are read-only after
 // initialization, §4.2).
 //
-// The array's representation — native packed words, or one of the
-// alternative encodings behind encoding.ChunkCodec — lives in an
-// atomically swapped repr snapshot (see reencode.go). Every read path
-// loads the snapshot once per call, so a live re-encode under concurrent
-// scans is safe: in-flight readers finish on the representation they
-// started with.
+// The array's representation — its region and the codec bound to each
+// replica — lives in an atomically swapped repr snapshot (see
+// reencode.go). Every read path loads the snapshot once per call, so a
+// live re-encode or migration under concurrent scans is safe: in-flight
+// readers finish on the representation they started with.
 type SmartArray struct {
-	mem    *memsim.Memory
-	codec  bitpack.Codec // native codec at the array's logical width
+	mem *memsim.Memory
+	// codec is the bit packing at the array's logical width: the layout
+	// Allocate binds and the one the writers (Init, InitRange, InitAtomic)
+	// pack with. Reads go through the snapshot's codecs.
+	codec  bitpack.Codec
 	length uint64
 	// rep is the current representation; never nil after Allocate.
 	rep atomic.Pointer[repr]
@@ -95,7 +99,7 @@ func Allocate(mem *memsim.Memory, cfg Config) (*SmartArray, error) {
 		return nil, fmt.Errorf("core: allocating %d elements at %d bits: %w", cfg.Length, cfg.Bits, err)
 	}
 	a := &SmartArray{mem: mem, codec: codec, length: cfg.Length}
-	a.rep.Store(&repr{region: region})
+	a.rep.Store(bind(region, encoding.BitPackedOn(codec, region.Replica(0), cfg.Length)))
 	a.register(cfg.Name)
 	return a, nil
 }
@@ -117,15 +121,14 @@ func AllocateFor(mem *memsim.Memory, values []uint64, placement memsim.Placement
 	return a, nil
 }
 
-// Free releases the array's simulated memory. The telemetry profile, if
-// any, is marked freed but kept for post-mortem inspection.
+// Free releases the array's simulated memory; any later read panics. The
+// telemetry profile, if any, is marked freed but kept for post-mortem
+// inspection.
 func (a *SmartArray) Free() {
 	a.reencodeMu.Lock()
 	rp := a.rep.Load()
-	if rp.region != nil {
-		rp.region.Free()
-		a.rep.Store(&repr{})
-	}
+	rp.region.Free()
+	a.rep.Store(&repr{region: rp.region, cost: rp.cost})
 	a.reencodeMu.Unlock()
 	a.reg.MarkFreed(a.id)
 }
@@ -139,12 +142,12 @@ func (a *SmartArray) Bits() uint { return a.codec.Bits() }
 // Placement is the array's NUMA placement policy.
 func (a *SmartArray) Placement() memsim.Placement { return a.rep.Load().region.Placement() }
 
-// Region exposes the underlying placed region for traffic accounting and
-// migration.
+// Region exposes the current placed region, for traffic accounting and
+// inspection.
 func (a *SmartArray) Region() *memsim.Region { return a.rep.Load().region }
 
-// Codec exposes the bit-compression codec (the native logical width; an
-// alternative encoding's code width is in EncodingStats).
+// Codec exposes the bit-compression codec at the array's logical width
+// (the writers' layout; a re-encoding's code width is in EncodingStats).
 func (a *SmartArray) Codec() bitpack.Codec { return a.codec }
 
 // FootprintBytes is the simulated DRAM consumed, including replicas.
@@ -152,53 +155,37 @@ func (a *SmartArray) FootprintBytes() uint64 { return a.rep.Load().region.Footpr
 
 // CompressedBytes is the payload size of one copy of the array in its
 // current representation.
-func (a *SmartArray) CompressedBytes() uint64 {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		return rp.enc.PayloadBytes()
-	}
-	return a.codec.CompressedBytes(a.length)
-}
+func (a *SmartArray) CompressedBytes() uint64 { return a.rep.Load().region.Words() * 8 }
 
 // UncompressedBytes is what one copy would occupy at 64 bits per element.
 func (a *SmartArray) UncompressedBytes() uint64 { return a.length * 8 }
 
-// GetReplica returns the storage a reader on socket should use: the local
-// replica when replicated, the single copy otherwise (paper:
-// getReplica()). For re-encoded arrays the returned words are the
-// accounting mirror, not decodable payload — Get ignores them.
+// GetReplica returns the payload words a reader on socket should use:
+// the local replica when replicated, the single copy otherwise (paper:
+// getReplica()).
 func (a *SmartArray) GetReplica(socket int) []uint64 {
 	return a.rep.Load().region.Replica(socket)
 }
 
-// Get extracts the element at index from the given replica (paper:
-// get(index, replica), Function 1). Fetch the replica once per scan with
-// GetReplica, not per element. Re-encoded arrays dispatch to the codec
-// and ignore replica.
+// Get extracts the element at index through the codec bound to replica
+// (paper: get(index, replica), Function 1). Fetch the replica once per
+// scan with GetReplica, not per element.
 func (a *SmartArray) Get(replica []uint64, index uint64) uint64 {
-	if index >= a.length {
-		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
-	}
-	if rp := a.rep.Load(); rp.enc != nil {
-		return rp.enc.Get(index)
-	}
-	return a.codec.Get(replica, index)
+	a.checkIndex(index)
+	return a.rep.Load().on(replica).Get(index)
 }
 
 // GetFrom is Get with replica selection folded in, for call sites that do
 // occasional random accesses rather than scans.
 func (a *SmartArray) GetFrom(socket int, index uint64) uint64 {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		if index >= a.length {
-			panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
-		}
-		return rp.enc.Get(index)
-	}
+	a.checkIndex(index)
+	return a.rep.Load().codec(socket).Get(index)
+}
+
+func (a *SmartArray) checkIndex(index uint64) {
 	if index >= a.length {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
 	}
-	return a.codec.Get(rp.region.Replica(socket), index)
 }
 
 // Init sets the element at index to value in every replica (paper: init,
@@ -209,11 +196,9 @@ func (a *SmartArray) GetFrom(socket int, index uint64) uint64 {
 // are read-only once re-encoded. Init is the one-element form; anything
 // that fills a range uses InitRange.
 func (a *SmartArray) Init(socket int, index, value uint64) {
-	if index >= a.length {
-		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
-	}
+	a.checkIndex(index)
 	rp := a.beginWrite("Init")
-	rp.region.Touch(a.WordOf(index), socket)
+	rp.region.Touch(a.codec.WordOf(index), socket)
 	for _, replica := range rp.region.AllReplicas() {
 		a.codec.Set(replica, index, value)
 	}
@@ -225,14 +210,20 @@ func (a *SmartArray) Init(socket int, index, value uint64) {
 // keyed on Generation can never serve stale values.
 func (a *SmartArray) beginWrite(op string) *repr {
 	rp := a.rep.Load()
-	if rp.enc != nil {
-		panic("core: " + op + " on a re-encoded array (re-encoded arrays are read-only)")
-	}
+	checkWritable(rp, op)
 	if rp.zones.Load() != nil {
 		rp.zones.Store(nil)
 	}
 	a.gen.Add(1)
 	return rp
+}
+
+// checkWritable refuses a write unless the bound codec is BitPacked — the
+// layout the writers pack with a.codec. Any other encoding is read-only.
+func checkWritable(rp *repr, op string) {
+	if rp.codecs[0].Kind() != encoding.BitPacked {
+		panic("core: " + op + " on a re-encoded array (re-encoded arrays are read-only)")
+	}
 }
 
 // InitRange sets elements [lo, lo+len(values)) in every replica — the
@@ -257,7 +248,7 @@ func (a *SmartArray) InitRange(socket int, lo uint64, values []uint64) {
 	}
 	hi := lo + n
 	rp := a.beginWrite("InitRange")
-	loWord, hiWord := a.WordRange(lo, hi)
+	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
 	rp.region.TouchRange(loWord, hiWord-loWord, socket)
 	replicas := rp.region.AllReplicas()
 	if a.codec.Bits() == 64 {
@@ -287,53 +278,17 @@ func (a *SmartArray) InitRange(socket int, lo uint64, values []uint64) {
 	}
 }
 
-// Unpack decodes chunk (64 elements) from the replica into out (paper:
-// unpack, Function 3). Re-encoded arrays dispatch to the codec's chunk
-// decode and ignore replica.
-func (a *SmartArray) Unpack(replica []uint64, chunk uint64, out *[bitpack.ChunkSize]uint64) {
-	if rp := a.rep.Load(); rp.enc != nil {
-		rp.enc.DecodeChunk(chunk, out)
-		return
-	}
-	a.codec.Unpack(replica, chunk, out)
-}
-
-// WordOf returns the word index containing element index — used for page
-// touch accounting.
+// WordOf returns the index of the payload word holding element index —
+// used for page touch accounting.
 func (a *SmartArray) WordOf(index uint64) uint64 {
-	b := uint64(a.codec.Bits())
-	switch b {
-	case 64:
-		return index
-	case 32:
-		return index >> 1
-	default:
-		chunk := index / bitpack.ChunkSize
-		bitInChunk := (index % bitpack.ChunkSize) * b
-		return chunk*a.codec.WordsPerChunk() + bitInChunk/64
-	}
+	w, _ := a.WordRange(index, index+1)
+	return w
 }
 
-// WordRange returns the half-open word range covering elements [lo, hi).
+// WordRange returns the half-open range of payload words covering
+// elements [lo, hi) in the current representation.
 func (a *SmartArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
-	if lo >= hi {
-		return 0, 0
-	}
-	loWord = a.WordOf(lo)
-	hiWord = a.WordOf(hi-1) + 1
-	return loWord, hiWord
-}
-
-// Migrate restructures the array to a new placement in place, returning
-// the traffic the restructuring generates (§6's on-the-fly adaptation).
-func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint64, err error) {
-	a.reencodeMu.Lock()
-	defer a.reencodeMu.Unlock()
-	trafficBytes, err = a.rep.Load().region.Migrate(p, socket)
-	if err == nil {
-		a.reg.SetPlacement(a.id, p.String())
-	}
-	return trafficBytes, err
+	return a.rep.Load().codecs[0].WordRange(lo, hi)
 }
 
 // AccountScan charges the traffic and instructions of sequentially reading
@@ -341,19 +296,9 @@ func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint6
 // serving sockets by the placement's page map, plus the width-dependent
 // per-element decode cost. Workloads call this once per loop batch.
 func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
-	if lo >= hi {
-		return
-	}
-	rp := a.rep.Load()
-	t := a.track(sh)
-	loWord, hiWord := rp.wordRange(a, lo, hi)
-	rp.region.AccountScan(sh, loWord, hiWord-loWord)
-	n := hi - lo
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costScan(a)))
-	if aa := t.done(sh); aa != nil {
+	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedScan); aa != nil {
 		aa.Scans++
-		aa.ScanElems += n
+		aa.ScanElems += hi - lo
 	}
 }
 
@@ -362,20 +307,27 @@ func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
 // payload traffic as a scan, but the fused per-element decode+fold cost
 // instead of the iterator's.
 func (a *SmartArray) AccountReduce(sh *counters.Shard, lo, hi uint64) {
+	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedReduce); aa != nil {
+		aa.Reduces++
+		aa.ReduceElems += hi - lo
+	}
+}
+
+// accountStream charges a sequential read of elements [lo, hi): the
+// payload words they map to, split by the page map, and cost instructions
+// per element. It returns the array's access accumulator (nil when
+// telemetry is off or the range is empty).
+func (a *SmartArray) accountStream(sh *counters.Shard, lo, hi uint64, cost func(encoding.CostStats) float64) *counters.ArrayAccess {
 	if lo >= hi {
-		return
+		return nil
 	}
 	rp := a.rep.Load()
 	t := a.track(sh)
-	loWord, hiWord := rp.wordRange(a, lo, hi)
+	loWord, hiWord := rp.codecs[0].WordRange(lo, hi)
 	rp.region.AccountScan(sh, loWord, hiWord-loWord)
-	n := hi - lo
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costReduce(a)))
-	if aa := t.done(sh); aa != nil {
-		aa.Reduces++
-		aa.ReduceElems += n
-	}
+	sh.Access(hi - lo)
+	sh.Instr(uint64(float64(hi-lo) * cost(rp.cost)))
+	return t.done(sh)
 }
 
 // AccountInit charges the traffic and instructions of initializing
@@ -386,7 +338,7 @@ func (a *SmartArray) AccountInit(sh *counters.Shard, lo, hi uint64) {
 	}
 	rp := a.rep.Load()
 	t := a.track(sh)
-	loWord, hiWord := rp.wordRange(a, lo, hi)
+	loWord, hiWord := rp.codecs[0].WordRange(lo, hi)
 	rp.region.AccountWrite(sh, loWord, hiWord-loWord)
 	n := hi - lo
 	sh.Instr(uint64(float64(n) * perfmodel.CostInit(a.codec.Bits()) * float64(rp.region.Replicas())))
@@ -401,19 +353,25 @@ func (a *SmartArray) AccountInit(sh *counters.Shard, lo, hi uint64) {
 // localityBoost models skewed access distributions (see
 // perfmodel.RandomReadBytes).
 func (a *SmartArray) AccountRandomGets(sh *counters.Shard, n uint64, localityBoost float64) {
-	if n == 0 {
-		return
-	}
-	rp := a.rep.Load()
-	spec := a.mem.Spec()
-	elemBytes := float64(a.CompressedBytes()) / float64(a.length)
-	t := a.track(sh)
-	eff := perfmodel.RandomReadBytes(float64(a.CompressedBytes()), elemBytes, spec.LLCMB*1e6, localityBoost)
-	rp.region.AccountRandom(sh, n, uint64(eff))
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costGet(a)))
-	if aa := t.done(sh); aa != nil {
+	if aa := a.accountRandom(sh, n, localityBoost, perfmodel.CostEncodedGet); aa != nil {
 		aa.Gets++
 		aa.GetElems += n
 	}
+}
+
+// accountRandom charges n random element reads of the payload and cost
+// instructions per element, returning the array's access accumulator
+// (nil when telemetry is off or n is 0).
+func (a *SmartArray) accountRandom(sh *counters.Shard, n uint64, localityBoost float64, cost func(encoding.CostStats) float64) *counters.ArrayAccess {
+	if n == 0 {
+		return nil
+	}
+	rp := a.rep.Load()
+	t := a.track(sh)
+	payload := float64(rp.region.Words() * 8)
+	eff := perfmodel.RandomReadBytes(payload, payload/float64(a.length), a.mem.Spec().LLCMB*1e6, localityBoost)
+	rp.region.AccountRandom(sh, n, uint64(eff))
+	sh.Access(n)
+	sh.Instr(uint64(float64(n) * cost(rp.cost)))
+	return t.done(sh)
 }

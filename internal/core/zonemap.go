@@ -14,25 +14,16 @@ import (
 // BuildZoneIndex computes per-chunk min/max statistics for the current
 // representation and attaches them to the snapshot, returning the index
 // (nil for a freed array). Codecs with per-chunk structure (RLE runs,
-// delta bases, dict ids) build without a full decode; native packed words
-// take one chunk-decode pass.
+// delta bases, dict ids) build without a full decode; the others take one
+// chunk-decode pass.
 func (a *SmartArray) BuildZoneIndex() *encoding.ZoneIndex {
 	a.reencodeMu.Lock()
 	defer a.reencodeMu.Unlock()
 	rp := a.rep.Load()
-	if rp.region == nil {
+	if rp.codecs == nil {
 		return nil
 	}
-	var z *encoding.ZoneIndex
-	if rp.enc != nil {
-		z = encoding.BuildZoneIndex(rp.enc)
-	} else {
-		replica := rp.region.Replica(0)
-		codec := a.codec
-		z = encoding.BuildZoneIndexFunc(a.length, func(chunk uint64, out *[bitpack.ChunkSize]uint64) {
-			codec.Unpack(replica, chunk, out)
-		})
-	}
+	z := encoding.BuildZoneIndex(rp.codecs[0])
 	rp.zones.Store(z)
 	return z
 }
@@ -66,8 +57,8 @@ func superWindow(chunk, remaining uint64) bool {
 // already dead left alone. Without a zone index that is one range-kernel
 // call. With one, every chunk the index decides (all rows match, or none)
 // is resolved without touching the payload, and each maximal run of
-// undecided chunks between them goes to the kernel in one call — the
-// representation is dispatched on once per run, never per chunk. A fill
+// undecided chunks between them goes to the codec's range compare in one
+// call — the layout is dispatched on once per run, never per chunk. A fill
 // also resolves whole super zones inside the window with one coarse check
 // per encoding.ZoneFanout chunks — on clustered or sorted data most of
 // the window never reads even the fine zone entries. That shortcut needs
@@ -82,7 +73,7 @@ func superWindow(chunk, remaining uint64) bool {
 func (v *View) maskChunks(first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool, sc *ScanCounts) {
 	z := v.zones
 	if z == nil {
-		scanned := v.cmpMaskChunks(first, first+n, op, threshold, masks, and)
+		scanned := v.codec.CmpMaskChunks(first, first+n, op, threshold, masks, and)
 		sc.addScanned(scanned)
 		sc.addPruned(n - scanned)
 		return
@@ -91,7 +82,7 @@ func (v *View) maskChunks(first, n uint64, op bitpack.Cmp, threshold uint64, mas
 	run := uint64(0) // start of the current run of undecided chunks
 	flush := func(end uint64) {
 		if run < end {
-			scanned += v.cmpMaskChunks(first+run, first+end, op, threshold, masks[run:end], and)
+			scanned += v.codec.CmpMaskChunks(first+run, first+end, op, threshold, masks[run:end], and)
 		}
 	}
 	for c := uint64(0); c < n; c++ {

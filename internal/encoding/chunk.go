@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 
@@ -47,6 +48,25 @@ type ChunkCodec interface {
 	MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
 	// MaxChunksMasked folds the selected elements into a maximum.
 	MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
+
+	// CmpMaskChunks sets masks[c-chunkLo] to CmpMaskChunk(c) for every
+	// chunk of [chunkLo, chunkHi); with and set it ANDs into masks
+	// instead and skips chunks whose word is already zero. It returns the
+	// number of chunks it evaluated.
+	CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64
+	// Gather sets out[i] to element idx[i]; every index must be in range.
+	Gather(idx, out []uint64)
+	// UnpackRange decodes elements [lo, hi) in order through buf (at least
+	// one chunk long), under bitpack.Codec.UnpackRange's emit contract.
+	UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64))
+	// WordRange maps elements [lo, hi) to the payload words reading them
+	// touches: exact for BitPacked, payload-proportional for the others.
+	WordRange(lo, hi uint64) (loWord, hiWord uint64)
+	// PayloadWords is the one word slice every section lives in.
+	PayloadWords() []uint64
+	// Bind returns the same encoding reading its payload from words, a
+	// copy of PayloadWords — one codec per replica of a placed region.
+	Bind(words []uint64) ChunkCodec
 }
 
 // Compile-time checks: every encoding implements the chunk-codec surface.
@@ -81,19 +101,105 @@ func chunkSpan(length, chunkLo, chunkHi uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
+// cmpMaskChunks is CmpMaskChunks for codecs without a range compare
+// kernel: one CmpMaskChunk per live chunk.
+func cmpMaskChunks(cc ChunkCodec, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) (evaluated uint64) {
+	for i := range masks[:chunkHi-chunkLo] {
+		keep := ^uint64(0)
+		if and {
+			if keep = masks[i]; keep == 0 {
+				continue
+			}
+		}
+		masks[i] = keep & cc.CmpMaskChunk(chunkLo+uint64(i), op, threshold)
+		evaluated++
+	}
+	return evaluated
+}
+
+// gather is Gather for codecs without a batched kernel: one Get per index.
+func gather(cc ChunkCodec, idx, out []uint64) {
+	for i, x := range idx {
+		out[i] = cc.Get(x)
+	}
+}
+
+// unpackRange is UnpackRange for codecs without a streaming kernel: whole
+// chunks decode into buf, and each emitted run is the part of the decoded
+// chunks inside [lo, hi).
+func unpackRange(cc ChunkCodec, lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	if len(buf) < bitpack.ChunkSize {
+		panic(fmt.Sprintf("encoding: UnpackRange buffer holds %d elements, need at least %d", len(buf), bitpack.ChunkSize))
+	}
+	perFill := uint64(len(buf)) / bitpack.ChunkSize
+	for p := lo; p < hi; {
+		first := p / bitpack.ChunkSize * bitpack.ChunkSize
+		var filled uint64
+		for ; filled < perFill*bitpack.ChunkSize && first+filled < hi; filled += bitpack.ChunkSize {
+			cc.DecodeChunk((first+filled)/bitpack.ChunkSize, (*[bitpack.ChunkSize]uint64)(buf[filled:]))
+		}
+		end := min(first+filled, hi)
+		emit(p, buf[p-first:end-first])
+		p = end
+	}
+}
+
+// The codecs below have no range kernel of their own for these entry
+// points; each answers through the shared helpers above.
+
+func (p *PlainArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	return cmpMaskChunks(p, chunkLo, chunkHi, op, threshold, masks, and)
+}
+func (p *PlainArray) Gather(idx, out []uint64) { gather(p, idx, out) }
+func (p *PlainArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	unpackRange(p, lo, hi, buf, emit)
+}
+
+func (d *DictArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	return cmpMaskChunks(d, chunkLo, chunkHi, op, threshold, masks, and)
+}
+func (d *DictArray) Gather(idx, out []uint64) { gather(d, idx, out) }
+func (d *DictArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	unpackRange(d, lo, hi, buf, emit)
+}
+
+func (r *RLEArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	return cmpMaskChunks(r, chunkLo, chunkHi, op, threshold, masks, and)
+}
+func (r *RLEArray) Gather(idx, out []uint64) { gather(r, idx, out) }
+func (r *RLEArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	unpackRange(r, lo, hi, buf, emit)
+}
+
+func (a *DeltaArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	return cmpMaskChunks(a, chunkLo, chunkHi, op, threshold, masks, and)
+}
+func (a *DeltaArray) Gather(idx, out []uint64) { gather(a, idx, out) }
+func (a *DeltaArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	unpackRange(a, lo, hi, buf, emit)
+}
+
+func (f *FoRArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	return cmpMaskChunks(f, chunkLo, chunkHi, op, threshold, masks, and)
+}
+func (f *FoRArray) Gather(idx, out []uint64) { gather(f, idx, out) }
+func (f *FoRArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	unpackRange(f, lo, hi, buf, emit)
+}
+
 // ---------------------------------------------------------------------------
 // Plain: direct slice kernels.
 
 // DecodeChunk materializes chunk's 64 elements into out.
 func (p *PlainArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
-	copy(out[:], p.values[chunk*bitpack.ChunkSize:])
+	copy(out[:], p.words[chunk*bitpack.ChunkSize:])
 }
 
 // SumChunks folds chunks [chunkLo, chunkHi) into a sum.
 func (p *PlainArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
 	var s uint64
-	for _, v := range p.values[lo:hi] {
+	for _, v := range p.words[lo:hi] {
 		s += v
 	}
 	return s
@@ -103,7 +209,7 @@ func (p *PlainArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
 func (p *PlainArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
 	m := ^uint64(0)
-	for _, v := range p.values[lo:hi] {
+	for _, v := range p.words[lo:hi] {
 		if v < m {
 			m = v
 		}
@@ -115,7 +221,7 @@ func (p *PlainArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
 func (p *PlainArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
 	var m uint64
-	for _, v := range p.values[lo:hi] {
+	for _, v := range p.words[lo:hi] {
 		if v > m {
 			m = v
 		}
@@ -127,7 +233,7 @@ func (p *PlainArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 func (p *PlainArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
 	var n uint64
-	for _, v := range p.values[lo:hi] {
+	for _, v := range p.words[lo:hi] {
 		if op.Eval(v, threshold) {
 			n++
 		}
@@ -139,7 +245,7 @@ func (p *PlainArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, thresho
 func (p *PlainArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunk, chunk+1)
 	var m uint64
-	for i, v := range p.values[lo:hi] {
+	for i, v := range p.words[lo:hi] {
 		if op.Eval(v, threshold) {
 			m |= uint64(1) << uint(i)
 		}
@@ -185,7 +291,7 @@ func (p *PlainArray) foldMasked(chunkLo, chunkHi uint64, masks []uint64, fn func
 		base := c * bitpack.ChunkSize
 		for m != 0 {
 			i := uint64(bits.TrailingZeros64(m))
-			fn(p.values[base+i])
+			fn(p.words[base+i])
 			m &= m - 1
 		}
 	}
@@ -196,47 +302,73 @@ func (p *PlainArray) foldMasked(chunkLo, chunkHi uint64, masks []uint64, fn func
 
 // DecodeChunk materializes chunk's 64 elements into out.
 func (b *BitPackedArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
-	b.codec.Unpack(b.data, chunk, out)
+	b.codec.Unpack(b.words, chunk, out)
 }
 
 // SumChunks folds chunks [chunkLo, chunkHi) into a sum.
 func (b *BitPackedArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.SumChunks(b.data, chunkLo, chunkHi)
+	return b.codec.SumChunks(b.words, chunkLo, chunkHi)
 }
 
 // MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
 func (b *BitPackedArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MinChunks(b.data, chunkLo, chunkHi)
+	return b.codec.MinChunks(b.words, chunkLo, chunkHi)
 }
 
 // MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
 func (b *BitPackedArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MaxChunks(b.data, chunkLo, chunkHi)
+	return b.codec.MaxChunks(b.words, chunkLo, chunkHi)
 }
 
 // CountWhere counts elements in [chunkLo, chunkHi) matching the predicate.
 func (b *BitPackedArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	return b.codec.CountWhere(b.data, chunkLo, chunkHi, op, threshold)
+	return b.codec.CountWhere(b.words, chunkLo, chunkHi, op, threshold)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap.
 func (b *BitPackedArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	return b.codec.CmpMaskChunk(b.data, chunk, op, threshold)
+	return b.codec.CmpMaskChunk(b.words, chunk, op, threshold)
 }
 
 // SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
 func (b *BitPackedArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.SumChunksMasked(b.data, chunkLo, chunkHi, masks)
+	return b.codec.SumChunksMasked(b.words, chunkLo, chunkHi, masks)
 }
 
 // MinChunksMasked folds the selected elements into a minimum.
 func (b *BitPackedArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MinChunksMasked(b.data, chunkLo, chunkHi, masks)
+	return b.codec.MinChunksMasked(b.words, chunkLo, chunkHi, masks)
 }
 
 // MaxChunksMasked folds the selected elements into a maximum.
 func (b *BitPackedArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MaxChunksMasked(b.data, chunkLo, chunkHi, masks)
+	return b.codec.MaxChunksMasked(b.words, chunkLo, chunkHi, masks)
+}
+
+// CmpMaskChunks runs bitpack's range compare: the predicate is resolved
+// once for the whole range.
+func (b *BitPackedArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	if and {
+		return b.codec.CmpMaskChunksAnd(b.words, chunkLo, chunkHi, op, threshold, masks)
+	}
+	b.codec.CmpMaskChunks(b.words, chunkLo, chunkHi, op, threshold, masks)
+	return chunkHi - chunkLo
+}
+
+// Gather is bitpack's batched gather.
+func (b *BitPackedArray) Gather(idx, out []uint64) { b.codec.Gather(b.words, idx, out) }
+
+// UnpackRange is bitpack's streaming decode; 64-bit runs alias the words.
+func (b *BitPackedArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
+	b.codec.UnpackRange(b.words, lo, hi, buf, emit)
+}
+
+// WordRange is the exact span of the words holding elements [lo, hi).
+func (b *BitPackedArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
+	if lo >= hi {
+		return 0, 0
+	}
+	return b.codec.WordOf(lo), b.codec.WordOf(hi-1) + 1
 }
 
 // ---------------------------------------------------------------------------

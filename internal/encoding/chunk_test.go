@@ -3,6 +3,7 @@ package encoding
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"smartarrays/internal/bitpack"
@@ -163,6 +164,86 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 		}
 		if got := cc.MaxChunksMasked(0, allChunks, masks); got != max {
 			t.Fatalf("MaxChunksMasked trial %d = %d, want %d", trial, got, max)
+		}
+	}
+	checkRangeKernels(t, cc, values, rng)
+}
+
+// checkRangeKernels pins the payload binding and the range entry points:
+// a codec bound to a copy of its payload words reads the same values, and
+// on it CmpMaskChunks (fill and AND) agrees with CmpMaskChunk chunk by
+// chunk, Gather and UnpackRange with the values, and WordRange stays
+// inside the payload.
+func checkRangeKernels(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Rand) {
+	t.Helper()
+	n := uint64(len(values))
+	chunks := (n + bitpack.ChunkSize - 1) / bitpack.ChunkSize
+	words := cc.PayloadWords()
+	if got := uint64(len(words)) * 8; got != cc.PayloadBytes() {
+		t.Fatalf("%v: %d payload words for %d payload bytes", cc.Kind(), len(words), cc.PayloadBytes())
+	}
+	bound := cc.Bind(slices.Clone(words))
+	checkRoundTrip(t, bound, values)
+
+	thr := values[rng.Intn(len(values))]
+	for _, op := range chunkTestCmps {
+		masks := make([]uint64, chunks)
+		if got := bound.CmpMaskChunks(0, chunks, op, thr, masks, false); got != chunks {
+			t.Fatalf("%v: CmpMaskChunks evaluated %d of %d chunks", cc.Kind(), got, chunks)
+		}
+		live := make([]uint64, chunks)
+		var wantEvaluated uint64
+		for c := range live {
+			if c%3 != 0 {
+				live[c] = rng.Uint64() | 1
+				wantEvaluated++
+			}
+		}
+		anded := slices.Clone(live)
+		if got := bound.CmpMaskChunks(0, chunks, op, thr, anded, true); got != wantEvaluated {
+			t.Fatalf("%v: CmpMaskChunks(and) evaluated %d chunks, want %d", cc.Kind(), got, wantEvaluated)
+		}
+		for c := uint64(0); c < chunks; c++ {
+			want := cc.CmpMaskChunk(c, op, thr)
+			if masks[c] != want || anded[c] != live[c]&want {
+				t.Fatalf("%v: CmpMaskChunks(%v, %d) chunk %d = %#x/%#x, want %#x/%#x",
+					cc.Kind(), op, thr, c, masks[c], anded[c], want, live[c]&want)
+			}
+		}
+	}
+
+	idx := make([]uint64, 2*n)
+	for i := range idx {
+		idx[i] = uint64(rng.Int63n(int64(n)))
+	}
+	out := make([]uint64, len(idx))
+	bound.Gather(idx, out)
+	for i, x := range idx {
+		if out[i] != values[x] {
+			t.Fatalf("%v: Gather[%d] (element %d) = %d, want %d", cc.Kind(), i, x, out[i], values[x])
+		}
+	}
+
+	for _, bufLen := range []int{bitpack.ChunkSize, 3*bitpack.ChunkSize + 5} {
+		lo := uint64(rng.Int63n(int64(n)))
+		hi := lo + uint64(rng.Int63n(int64(n-lo))) + 1
+		next := lo
+		bound.UnpackRange(lo, hi, make([]uint64, bufLen), func(base uint64, vals []uint64) {
+			if base != next || len(vals) == 0 || len(vals) > bufLen {
+				t.Fatalf("%v: UnpackRange run at %d of %d elements, want one at %d of 1..%d", cc.Kind(), base, len(vals), next, bufLen)
+			}
+			for j, v := range vals {
+				if v != values[base+uint64(j)] {
+					t.Fatalf("%v: UnpackRange element %d = %d, want %d", cc.Kind(), base+uint64(j), v, values[base+uint64(j)])
+				}
+			}
+			next += uint64(len(vals))
+		})
+		if next != hi {
+			t.Fatalf("%v: UnpackRange [%d,%d) stopped at %d", cc.Kind(), lo, hi, next)
+		}
+		if loWord, hiWord := bound.WordRange(lo, hi); loWord >= hiWord || hiWord > uint64(len(words)) {
+			t.Fatalf("%v: WordRange(%d, %d) = [%d,%d) outside %d payload words", cc.Kind(), lo, hi, loWord, hiWord, len(words))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"math/bits"
+	"slices"
 
 	"smartarrays/internal/bitpack"
 )
@@ -25,11 +26,12 @@ func unzigzag(z uint64) uint64 {
 // each chunk start, so chunks decode independently). Sorted or
 // slowly-varying data packs at the delta width instead of the value
 // width, and chunks whose deltas are all zero — constant spans — are
-// detected from the packed words and folded in O(1) per chunk.
+// detected from the packed words and folded in O(1) per chunk. The
+// payload is the packed bases followed by the packed deltas.
 type DeltaArray struct {
-	bases  *BitPackedArray // first value of each chunk
-	deltas *BitPackedArray // zigzag deltas, full length
-	length uint64
+	payload
+	bases  BitPackedArray // first value of each chunk
+	deltas BitPackedArray // zigzag deltas, full length
 	// constChunks counts chunks whose deltas are all zero, a cost-model
 	// signal for how much of the array folds without decoding.
 	constChunks uint64
@@ -50,23 +52,31 @@ func NewDelta(values []uint64) *DeltaArray {
 		}
 	}
 	a := &DeltaArray{
-		bases:  NewBitPacked(bases),
-		deltas: NewBitPacked(deltas),
-		length: n,
+		payload: payload{length: n},
+		bases:   *NewBitPacked(bases),
+		deltas:  *NewBitPacked(deltas),
 	}
 	for c := uint64(0); c < chunks; c++ {
 		if a.constChunk(c) {
 			a.constChunks++
 		}
 	}
-	return a
+	return a.Bind(slices.Concat(a.bases.words, a.deltas.words)).(*DeltaArray)
+}
+
+// Bind returns the encoding reading its payload from words.
+func (a *DeltaArray) Bind(words []uint64) ChunkCodec {
+	c := *a
+	c.words, c.bases = words, a.bases.at(words)
+	c.deltas = a.deltas.at(words[len(c.bases.words):])
+	return &c
 }
 
 // constChunk reports whether chunk's deltas are all zero (the chunk is a
 // single constant span) by testing the packed words directly — no decode.
 func (a *DeltaArray) constChunk(chunk uint64) bool {
 	wpc := a.deltas.codec.WordsPerChunk()
-	for _, w := range a.deltas.data[chunk*wpc : (chunk+1)*wpc] {
+	for _, w := range a.deltas.words[chunk*wpc : (chunk+1)*wpc] {
 		if w != 0 {
 			return false
 		}
@@ -85,14 +95,6 @@ func (a *DeltaArray) ConstChunkShare() float64 {
 
 // Kind identifies the technique.
 func (a *DeltaArray) Kind() Kind { return Delta }
-
-// Length is the element count.
-func (a *DeltaArray) Length() uint64 { return a.length }
-
-// PayloadBytes is chunk bases plus deltas.
-func (a *DeltaArray) PayloadBytes() uint64 {
-	return a.bases.PayloadBytes() + a.deltas.PayloadBytes()
-}
 
 // Get returns the element at index: the chunk base plus the prefix sum of
 // the chunk's deltas up to index — random access pays a partial chunk
@@ -122,7 +124,7 @@ func (a *DeltaArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 		}
 		return
 	}
-	a.deltas.codec.Unpack(a.deltas.data, chunk, out)
+	a.deltas.DecodeChunk(chunk, out)
 	for i := range out {
 		v += unzigzag(out[i])
 		out[i] = v

@@ -14,12 +14,15 @@
 // core.SmartArray and the colstore scan pipeline dispatch over the codec
 // instead of assuming bit packing. The encoded forms build on the bitpack
 // codec: dictionary IDs, run values, deltas, and residuals are themselves
-// bit-packed at their minimum widths.
+// bit-packed at their minimum widths. Every section of an encoding lives
+// in one word slice (PayloadWords), so a placed array can copy the payload
+// into each replica of its region and Bind one codec per replica.
 package encoding
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"smartarrays/internal/bitpack"
@@ -85,68 +88,115 @@ type Encoded interface {
 	PayloadBytes() uint64
 }
 
+// payload is what every encoding shares: the one word slice all of its
+// sections are laid out in, and the element count. Metadata that is not
+// payload (widths, FoR's reference, counts) rides in the codec value.
+type payload struct {
+	words  []uint64
+	length uint64
+}
+
+// Length is the element count.
+func (p *payload) Length() uint64 { return p.length }
+
+// PayloadBytes is the storage footprint: every section's words.
+func (p *payload) PayloadBytes() uint64 { return uint64(len(p.words)) * 8 }
+
+// PayloadWords is the word slice every section lives in.
+func (p *payload) PayloadWords() []uint64 { return p.words }
+
+// WordRange maps elements [lo, hi) to a payload-proportional word span,
+// at least one word wide — the traffic estimate for layouts whose words
+// do not map to elements one-to-one.
+func (p *payload) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
+	if lo >= hi {
+		return 0, 0
+	}
+	words := uint64(len(p.words))
+	loWord, hiWord = lo*words/p.length, hi*words/p.length
+	if hiWord <= loWord {
+		hiWord = loWord + 1
+	}
+	return loWord, hiWord
+}
+
 // PlainArray stores the values as-is (the baseline).
 type PlainArray struct {
-	values []uint64
+	payload
 }
 
 // NewPlain copies values into a plain encoding.
 func NewPlain(values []uint64) *PlainArray {
-	return &PlainArray{values: append([]uint64(nil), values...)}
+	return &PlainArray{payload{append([]uint64(nil), values...), uint64(len(values))}}
 }
 
 // Kind identifies the technique.
 func (p *PlainArray) Kind() Kind { return Plain }
 
-// Length is the element count.
-func (p *PlainArray) Length() uint64 { return uint64(len(p.values)) }
-
 // Get returns the element at index.
-func (p *PlainArray) Get(index uint64) uint64 { return p.values[index] }
+func (p *PlainArray) Get(index uint64) uint64 { return p.words[index] }
 
-// PayloadBytes is the storage footprint.
-func (p *PlainArray) PayloadBytes() uint64 { return uint64(len(p.values)) * 8 }
+// Bind returns the encoding reading its payload from words.
+func (p *PlainArray) Bind(words []uint64) ChunkCodec {
+	return &PlainArray{payload{words, p.length}}
+}
 
-// BitPackedArray is §4.2 bit compression at the minimum width.
+// BitPackedArray is §4.2 bit compression: every element at one width,
+// packed across the words in 64-element chunks.
 type BitPackedArray struct {
-	codec  bitpack.Codec
-	data   []uint64
-	length uint64
+	payload
+	codec bitpack.Codec
 }
 
 // NewBitPacked packs values at the minimum width for their maximum.
 func NewBitPacked(values []uint64) *BitPackedArray {
-	codec := bitpack.MustNew(bitpack.MinBitsFor(values))
-	return &BitPackedArray{
-		codec:  codec,
-		data:   codec.PackSlice(values),
-		length: uint64(len(values)),
-	}
+	return NewBitPackedAt(bitpack.MinBitsFor(values), values)
+}
+
+// NewBitPackedAt packs values at width bits; every value must fit.
+func NewBitPackedAt(bits uint, values []uint64) *BitPackedArray {
+	codec := bitpack.MustNew(bits)
+	return BitPackedOn(codec, codec.PackSlice(values), uint64(len(values)))
+}
+
+// BitPackedOn reads n elements packed by codec from words, which hold
+// codec.WordsFor(n) of them — how a placed array binds the zeroed replica
+// it is allocated with.
+func BitPackedOn(codec bitpack.Codec, words []uint64, n uint64) *BitPackedArray {
+	return &BitPackedArray{payload{words, n}, codec}
 }
 
 // Kind identifies the technique.
 func (b *BitPackedArray) Kind() Kind { return BitPacked }
 
-// Length is the element count.
-func (b *BitPackedArray) Length() uint64 { return b.length }
-
 // Get returns the element at index.
-func (b *BitPackedArray) Get(index uint64) uint64 { return b.codec.Get(b.data, index) }
-
-// PayloadBytes is the storage footprint.
-func (b *BitPackedArray) PayloadBytes() uint64 { return b.codec.CompressedBytes(b.length) }
+func (b *BitPackedArray) Get(index uint64) uint64 { return b.codec.Get(b.words, index) }
 
 // Bits is the packed width.
 func (b *BitPackedArray) Bits() uint { return b.codec.Bits() }
 
+// Bind returns the encoding reading its payload from words.
+func (b *BitPackedArray) Bind(words []uint64) ChunkCodec {
+	c := b.at(words)
+	return &c
+}
+
+// at is the section reading the front of words, as long as this one.
+func (b *BitPackedArray) at(words []uint64) BitPackedArray {
+	c := *b
+	c.words = words[:len(b.words)]
+	return c
+}
+
 // DictArray stores each element as a bit-packed ID into a sorted
 // dictionary of the distinct values — the standard column-store encoding
 // the paper cites (§4.2's related work). It shines when the number of
-// distinct values is small relative to their magnitudes.
+// distinct values is small relative to their magnitudes. The payload is
+// the packed IDs followed by the dictionary.
 type DictArray struct {
-	dict   []uint64
-	ids    *BitPackedArray
-	length uint64
+	payload
+	ids  BitPackedArray
+	dict []uint64
 }
 
 // NewDict builds a dictionary encoding of values.
@@ -168,21 +218,22 @@ func NewDict(values []uint64) *DictArray {
 	for i, v := range values {
 		ids[i] = idOf[v]
 	}
-	return &DictArray{dict: dict, ids: NewBitPacked(ids), length: uint64(len(values))}
+	d := &DictArray{payload: payload{length: uint64(len(values))}, ids: *NewBitPacked(ids)}
+	return d.Bind(slices.Concat(d.ids.words, dict)).(*DictArray)
 }
 
 // Kind identifies the technique.
 func (d *DictArray) Kind() Kind { return Dict }
 
-// Length is the element count.
-func (d *DictArray) Length() uint64 { return d.length }
-
 // Get returns the element at index (ID lookup then dictionary fetch).
 func (d *DictArray) Get(index uint64) uint64 { return d.dict[d.ids.Get(index)] }
 
-// PayloadBytes is IDs plus the dictionary itself.
-func (d *DictArray) PayloadBytes() uint64 {
-	return d.ids.PayloadBytes() + uint64(len(d.dict))*8
+// Bind returns the encoding reading its payload from words.
+func (d *DictArray) Bind(words []uint64) ChunkCodec {
+	c := *d
+	c.words, c.ids = words, d.ids.at(words)
+	c.dict = words[len(c.ids.words):]
+	return &c
 }
 
 // DistinctValues is the dictionary size.
@@ -205,52 +256,57 @@ const rleIndexStride = 32
 
 // RLEArray stores (value, runLength) pairs with a sparse prefix index for
 // random access. It wins on long runs (sorted or low-cardinality
-// clustered data).
+// clustered data). The payload is the packed run values, then the packed
+// run lengths, then the index.
 type RLEArray struct {
-	values  *BitPackedArray // run values
-	lengths *BitPackedArray // run lengths
+	payload
+	values  BitPackedArray // run values
+	lengths BitPackedArray // run lengths
 	// index[k] is the element offset of run k*rleIndexStride.
-	index  []uint64
-	runs   uint64
-	length uint64
+	index []uint64
+	runs  uint64
 }
 
 // NewRLE builds a run-length encoding of values.
 func NewRLE(values []uint64) *RLEArray {
-	var runVals, runLens []uint64
+	var runVals, runLens, index []uint64
+	var offset uint64
 	for i := 0; i < len(values); {
 		j := i
 		for j < len(values) && values[j] == values[i] {
 			j++
 		}
+		if len(runVals)%rleIndexStride == 0 {
+			index = append(index, offset)
+		}
 		runVals = append(runVals, values[i])
 		runLens = append(runLens, uint64(j-i))
+		offset += uint64(j - i)
 		i = j
 	}
 	r := &RLEArray{
-		runs:   uint64(len(runVals)),
-		length: uint64(len(values)),
+		payload: payload{length: uint64(len(values))},
+		values:  *NewBitPacked(runVals),
+		lengths: *NewBitPacked(runLens),
+		runs:    uint64(len(runVals)),
 	}
-	r.values = NewBitPacked(runVals)
-	r.lengths = NewBitPacked(runLens)
-	var offset uint64
-	for k := uint64(0); k < uint64(len(runVals)); k++ {
-		if k%rleIndexStride == 0 {
-			r.index = append(r.index, offset)
-		}
-		offset += runLens[k]
-	}
-	return r
+	return r.Bind(slices.Concat(r.values.words, r.lengths.words, index)).(*RLEArray)
 }
 
 // Kind identifies the technique.
 func (r *RLEArray) Kind() Kind { return RLE }
 
-// Length is the element count.
-func (r *RLEArray) Length() uint64 { return r.length }
-
 // Runs is the number of runs.
 func (r *RLEArray) Runs() uint64 { return r.runs }
+
+// Bind returns the encoding reading its payload from words.
+func (r *RLEArray) Bind(words []uint64) ChunkCodec {
+	c := *r
+	c.words, c.values = words, r.values.at(words)
+	c.lengths = r.lengths.at(words[len(c.values.words):])
+	c.index = words[len(c.values.words)+len(c.lengths.words):]
+	return &c
+}
 
 // seekRun locates the run containing element index: binary search the
 // sparse index for the last entry with offset <= index, then walk at most
@@ -302,11 +358,6 @@ func (r *RLEArray) DecodeInto(out []uint64) {
 	}
 }
 
-// PayloadBytes is runs (values + lengths) plus the sparse index.
-func (r *RLEArray) PayloadBytes() uint64 {
-	return r.values.PayloadBytes() + r.lengths.PayloadBytes() + uint64(len(r.index))*8
-}
-
 // BulkDecoder is implemented by encodings with a decode path cheaper than
 // per-element Get (RLE's linear run walk). Decode prefers it.
 type BulkDecoder interface {
@@ -328,7 +379,7 @@ func DecodeSlice(e Encoded, out []uint64) {
 	n := e.Length()
 	switch d := e.(type) {
 	case *PlainArray:
-		copy(out, d.values)
+		copy(out, d.words)
 	case BulkDecoder:
 		d.DecodeInto(out)
 	case ChunkCodec:

@@ -12,9 +12,9 @@ import (
 // reference algebra, and predicates rewrite their thresholds into
 // residual space so comparisons never decode.
 type FoRArray struct {
-	ref    uint64
-	resid  *BitPackedArray
-	length uint64
+	payload
+	ref   uint64
+	resid BitPackedArray
 }
 
 // NewFoR builds a frame-of-reference encoding of values.
@@ -32,14 +32,19 @@ func NewFoR(values []uint64) *FoRArray {
 	for i, v := range values {
 		resid[i] = v - ref
 	}
-	return &FoRArray{ref: ref, resid: NewBitPacked(resid), length: uint64(len(values))}
+	f := &FoRArray{payload: payload{length: uint64(len(values))}, ref: ref, resid: *NewBitPacked(resid)}
+	return f.Bind(f.resid.words).(*FoRArray)
 }
 
 // Kind identifies the technique.
 func (f *FoRArray) Kind() Kind { return FoR }
 
-// Length is the element count.
-func (f *FoRArray) Length() uint64 { return f.length }
+// Bind returns the encoding reading its payload (the residuals) from words.
+func (f *FoRArray) Bind(words []uint64) ChunkCodec {
+	c := *f
+	c.words, c.resid = words, f.resid.at(words)
+	return &c
+}
 
 // Ref is the reference value (the minimum).
 func (f *FoRArray) Ref() uint64 { return f.ref }
@@ -54,10 +59,6 @@ func (f *FoRArray) Get(index uint64) uint64 {
 	}
 	return f.ref + f.resid.Get(index)
 }
-
-// PayloadBytes is the residual payload (the reference rides in the
-// header, like the codec width).
-func (f *FoRArray) PayloadBytes() uint64 { return f.resid.PayloadBytes() }
 
 // DecodeChunk materializes chunk's 64 elements into out.
 func (f *FoRArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {

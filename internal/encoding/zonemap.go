@@ -113,11 +113,10 @@ func NewZoneIndexFromValues(values []uint64) *ZoneIndex {
 	return z.seal()
 }
 
-// BuildZoneIndexFunc builds the index from an arbitrary chunk decoder —
-// the hook core uses for native (non-re-encoded) representations. decode
-// must fill out with chunk c's elements; pad elements beyond the array
-// length are ignored here.
-func BuildZoneIndexFunc(length uint64, decode func(chunk uint64, out *[bitpack.ChunkSize]uint64)) *ZoneIndex {
+// buildZoneIndexFunc builds the index from an arbitrary chunk decoder.
+// decode must fill out with chunk c's elements; pad elements beyond the
+// array length are ignored here.
+func buildZoneIndexFunc(length uint64, decode func(chunk uint64, out *[bitpack.ChunkSize]uint64)) *ZoneIndex {
 	z := newZoneIndex(length)
 	var buf [bitpack.ChunkSize]uint64
 	for c := range z.mins {
@@ -145,7 +144,7 @@ func BuildZoneIndex(cc ChunkCodec) *ZoneIndex {
 	if zb, ok := cc.(zoneBuilder); ok {
 		return zb.buildZoneIndex()
 	}
-	return BuildZoneIndexFunc(cc.Length(), cc.DecodeChunk)
+	return buildZoneIndexFunc(cc.Length(), cc.DecodeChunk)
 }
 
 // buildZoneIndex (RLE): one pass over the runs, O(runs + chunks) — the
@@ -195,7 +194,7 @@ func (a *DeltaArray) buildZoneIndex() *ZoneIndex {
 // buildZoneIndex (dict): bound the packed ids, then map through the
 // dictionary — it is sorted, so min/max of ids are min/max of values.
 func (d *DictArray) buildZoneIndex() *ZoneIndex {
-	z := BuildZoneIndexFunc(d.ids.Length(), d.ids.DecodeChunk)
+	z := buildZoneIndexFunc(d.ids.Length(), d.ids.DecodeChunk)
 	for c := range z.mins {
 		z.mins[c] = d.dict[z.mins[c]]
 		z.maxs[c] = d.dict[z.maxs[c]]

@@ -96,7 +96,9 @@ func checkAccess(a *core.SmartArray, socket int, index uint64) error {
 // SmartArrayGetBits is the bits-taking variant: the entry point branches
 // on the passed width and dispatches to the specialized implementation,
 // "avoiding the overhead of the virtual dispatch" (§4.3). The passed bits
-// must match the array's width.
+// must match the array's width. The 64- and 32-bit paths index the words
+// directly, so they run only while the bound layout is BitPacked; a
+// re-encoded array reads through its codec.
 func (e *EntryPoints) SmartArrayGetBits(h int64, socket int, index uint64, bits uint) (uint64, error) {
 	a, err := e.reg.Array(h)
 	if err != nil {
@@ -108,16 +110,17 @@ func (e *EntryPoints) SmartArrayGetBits(h int64, socket int, index uint64, bits 
 	if err := checkAccess(a, socket, index); err != nil {
 		return 0, err
 	}
-	replica := a.GetReplica(socket)
-	switch bits {
-	case 64:
-		return replica[index], nil
-	case 32:
-		w := replica[index>>1]
-		return (w >> ((index & 1) * 32)) & 0xFFFFFFFF, nil
-	default:
-		return a.Get(replica, index), nil
+	v := a.View(socket)
+	if words, _, ok := v.Packed(); ok {
+		switch bits {
+		case 64:
+			return words[index], nil
+		case 32:
+			w := words[index>>1]
+			return (w >> ((index & 1) * 32)) & 0xFFFFFFFF, nil
+		}
 	}
+	return v.Get(index), nil
 }
 
 // SmartArrayInit initializes one element from socket.

@@ -3,6 +3,7 @@ package interop
 import (
 	"testing"
 
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
 )
@@ -206,5 +207,34 @@ func TestResolveArrayDirectPath(t *testing.T) {
 	}
 	if a.Length() != 50 {
 		t.Errorf("resolved array length = %d", a.Length())
+	}
+}
+
+// TestGetBitsOnReencodedArray: the bits-taking entry point may index the
+// words directly only while they are bit-packed at that width. Once the
+// array is re-encoded they hold another codec's payload, and every read
+// must still answer (and never panic — a guest must not crash the host).
+func TestGetBitsOnReencodedArray(t *testing.T) {
+	ep := newEP()
+	for _, bits := range []uint{32, 64} {
+		for _, kind := range encoding.Kinds {
+			h := allocFilled(t, ep, 200, bits)
+			want := make([]uint64, 200)
+			for i := range want {
+				want[i], _ = ep.SmartArrayGet(h, 0, uint64(i))
+			}
+			a, err := ep.ResolveArray(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Reencode(kind, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want {
+				if got, err := ep.SmartArrayGetBits(h, 0, uint64(i), bits); err != nil || got != w {
+					t.Fatalf("bits=%d %v: GetBits(%d) = %d, %v; want %d", bits, kind, i, got, err, w)
+				}
+			}
+		}
 	}
 }

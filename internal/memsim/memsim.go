@@ -489,48 +489,3 @@ func (r *Region) AccountRandom(sh *counters.Shard, n, elemBytes uint64) {
 		}
 	}
 }
-
-// Migrate restructures the region in place to a new placement (the "on the
-// fly" restructuring discussed in §6). Data is preserved; the simulated
-// DRAM accounting moves accordingly. Returns the bytes of traffic the
-// migration itself would generate (read + write), so callers can charge it.
-func (r *Region) Migrate(p Placement, socket int) (trafficBytes uint64, err error) {
-	if p == SingleSocket && (socket < 0 || socket >= r.mem.spec.Sockets) {
-		return 0, fmt.Errorf("memsim: socket %d out of range", socket)
-	}
-	if p == r.placement && (p != SingleSocket || socket == r.socket) {
-		return 0, nil
-	}
-	src := r.replicas[0]
-	// Remove old accounting before checking capacity for the new shape.
-	r.mem.account(r, -1)
-	oldPlacement, oldSocket := r.placement, r.socket
-	r.placement = p
-	r.socket = socket
-	if !r.mem.CanAlloc(r.words, p, socket) {
-		r.placement, r.socket = oldPlacement, oldSocket
-		r.mem.account(r, +1)
-		return 0, fmt.Errorf("memsim: out of simulated memory migrating to %v", p)
-	}
-	switch p {
-	case Replicated:
-		reps := make([][]uint64, r.mem.spec.Sockets)
-		reps[0] = src
-		for s := 1; s < r.mem.spec.Sockets; s++ {
-			reps[s] = make([]uint64, r.words)
-			copy(reps[s], src)
-		}
-		r.replicas = reps
-		trafficBytes = 2 * r.words * 8 * uint64(r.mem.spec.Sockets-1)
-	case OSDefault:
-		r.replicas = [][]uint64{src}
-		r.pageSocket = untouchedPages(int((r.words + PageWords - 1) / PageWords))
-		trafficBytes = 0
-	default:
-		r.replicas = [][]uint64{src}
-		r.pageSocket = nil
-		trafficBytes = 2 * r.words * 8 // pages move through the interconnect
-	}
-	r.mem.account(r, +1)
-	return trafficBytes, nil
-}

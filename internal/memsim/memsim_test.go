@@ -280,63 +280,6 @@ func TestAccountRandom(t *testing.T) {
 	}
 }
 
-func TestMigrateToReplicatedPreservesData(t *testing.T) {
-	m := newMem(t)
-	r, _ := m.Alloc(PageWords, Interleaved, 0)
-	defer r.Free()
-	r.Replica(0)[5] = 42
-	traffic, err := r.Migrate(Replicated, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traffic == 0 {
-		t.Error("replication migration should report traffic")
-	}
-	if got := r.Replica(1)[5]; got != 42 {
-		t.Errorf("replica1[5] = %d, want 42", got)
-	}
-	if got := m.UsedBytes(1); got != PageBytes {
-		t.Errorf("socket1 used after migrate = %d, want %d", got, PageBytes)
-	}
-}
-
-func TestMigrateNoopIsFree(t *testing.T) {
-	m := newMem(t)
-	r, _ := m.Alloc(8, Interleaved, 0)
-	defer r.Free()
-	traffic, err := r.Migrate(Interleaved, 0)
-	if err != nil || traffic != 0 {
-		t.Errorf("noop migrate = (%d, %v), want (0, nil)", traffic, err)
-	}
-}
-
-func TestMigrateOverCapacityFails(t *testing.T) {
-	m := newMem(t)
-	m.SetCapacityBytes(8 * PageBytes)
-	capWords := m.CapacityBytes() / 8
-	// Fill socket 1 so replication cannot fit.
-	filler, err := m.Alloc(capWords-PageWords, SingleSocket, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer filler.Free()
-	r, err := m.Alloc(2*PageWords, SingleSocket, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Free()
-	if _, err := r.Migrate(Replicated, 0); err == nil {
-		t.Error("migration exceeding socket1 capacity should fail")
-	}
-	// Region must be unchanged and still usable.
-	if r.Placement() != SingleSocket {
-		t.Errorf("placement changed to %v after failed migrate", r.Placement())
-	}
-	if got := m.UsedBytes(0); got != 2*PageBytes {
-		t.Errorf("socket0 accounting corrupted: %d", got)
-	}
-}
-
 func TestPlacementString(t *testing.T) {
 	names := map[Placement]string{
 		OSDefault:    "OS default",

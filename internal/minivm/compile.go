@@ -105,28 +105,30 @@ func (vm *VM) compileLoad(a uint8, slot int, c uint8, next int) (compiledFn, err
 			vm.regs[a] = v
 			return next, err
 		}, nil
-	default: // PathSmart: resolve once, profile the width, inline the access
+	default: // PathSmart: resolve once, profile the layout, inline the access
 		arr, err := bind.EP.ResolveArray(bind.Handle)
 		if err != nil {
 			return nil, err
 		}
-		replica := arr.GetReplica(bind.Socket)
-		switch arr.Bits() {
-		case 64:
-			return func(vm *VM) (int, error) { vm.regs[a] = replica[vm.regs[c]]; return next, nil }, nil
-		case 32:
-			return func(vm *VM) (int, error) {
-				i := vm.regs[c]
-				vm.regs[a] = (replica[i>>1] >> ((i & 1) * 32)) & 0xFFFFFFFF
-				return next, nil
-			}, nil
-		default:
-			codec := arr.Codec()
-			return func(vm *VM) (int, error) {
-				vm.regs[a] = codec.Get(replica, vm.regs[c])
-				return next, nil
-			}, nil
+		v := arr.View(bind.Socket)
+		// Direct word indexing only while the bound layout is BitPacked;
+		// anything else reads through the codec.
+		if words, bits, ok := v.Packed(); ok {
+			switch bits {
+			case 64:
+				return func(vm *VM) (int, error) { vm.regs[a] = words[vm.regs[c]]; return next, nil }, nil
+			case 32:
+				return func(vm *VM) (int, error) {
+					i := vm.regs[c]
+					vm.regs[a] = (words[i>>1] >> ((i & 1) * 32)) & 0xFFFFFFFF
+					return next, nil
+				}, nil
+			}
 		}
+		return func(vm *VM) (int, error) {
+			vm.regs[a] = v.Get(vm.regs[c])
+			return next, nil
+		}, nil
 	}
 }
 

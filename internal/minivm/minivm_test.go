@@ -3,6 +3,7 @@ package minivm
 import (
 	"testing"
 
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/interop"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
@@ -139,6 +140,36 @@ func TestIndexedLoadsAllPaths(t *testing.T) {
 		got, err = cp.Run()
 		if err != nil || got != hs.sum {
 			t.Errorf("compiled path %v: sum = %d, %v; want %d", path, got, err, hs.sum)
+		}
+	}
+}
+
+// TestCompiledLoadsOnReencodedArray: a compiled PathSmart load indexes
+// the words directly only while they are bit-packed at the profiled
+// width; on a re-encoded array it must read through the codec.
+func TestCompiledLoadsOnReencodedArray(t *testing.T) {
+	const n = 300
+	for _, bits := range []uint{32, 64} {
+		for _, kind := range encoding.Kinds {
+			hs := newHarness(t, n, bits)
+			a, err := hs.ep.ResolveArray(hs.handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Reencode(kind, 0); err != nil {
+				t.Fatal(err)
+			}
+			vm, err := New(SumIndexedProgram(n), []*ArrayBinding{hs.binding(t, PathSmart)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := vm.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cp.Run(); err != nil || got != hs.sum {
+				t.Errorf("bits=%d %v: compiled sum = %d, %v; want %d", bits, kind, got, err, hs.sum)
+			}
 		}
 	}
 }
