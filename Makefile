@@ -23,11 +23,12 @@ race:
 rts-stress:
 	$(GO) test -race -count=20 ./internal/rts
 
-# The shared-scan driver's attach/retire/fail ordering against enrolling
-# and coalescing handlers is timing-dependent in the same way: repeat the
-# coordinator's tests under -race (about 15 s).
+# Whether an identical arrival joins a flight, finds its answer cached or
+# executes itself depends on when the leader lands, which is
+# timing-dependent in the same way: repeat the flight tests under -race
+# (about 20 s).
 queryd-stress:
-	$(GO) test -race -count=5 -run 'SharedScan|ArrivalWindow|ProfileShared|ExplainParity' ./internal/queryd
+	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache' ./internal/queryd
 
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.
@@ -92,9 +93,8 @@ bench-pairs:
 # masked-sum kernels per width (ns/elem next to a same-run plain 64-bit
 # sum, and the sparse/dense sweep behind MaskSparseCutoff) and the four
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
-# dataset, from one caller and from two (distinct thresholds, one signature
-# under two aggregates, identical plans — the measurement behind
-# perfmodel.SharedScanRideOverhead), then the graph_rank request
+# dataset, from one caller and from two (distinct thresholds, identical
+# plans — what coalescing saves), then the graph_rank request
 # (BenchmarkServedPageRank: gathers and streams over the CSR) and the
 # zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
 # per-call codec dispatch would show. Run it on both trees when sizing a

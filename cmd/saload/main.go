@@ -45,7 +45,7 @@ func main() {
 	minQPS := flag.Float64("min-qps", 0, "gate: min successful queries/sec (0 = no gate)")
 	maxP99 := flag.Float64("max-p99-ms", 0, "gate: max client-side p99 in ms (0 = no gate)")
 	minCacheHits := flag.Uint64("min-cache-hits", 0, "gate: min server-side result-cache hits over the run (0 = no gate)")
-	minSharedBatches := flag.Uint64("min-shared-batches", 0, "gate: min server-side shared-scan batches (>=2 queries) over the run (0 = no gate)")
+	minCoalesced := flag.Uint64("min-coalesced", 0, "gate: min server-side queries answered by an identical plan in flight over the run (0 = no gate)")
 	baselineQPS := flag.Float64("baseline-qps", 0, "reference qps for the profiling-overhead gate")
 	maxProfileOverhead := flag.Float64("max-profile-overhead-pct", 0, "gate: max qps degradation vs -baseline-qps in percent (0 = no gate)")
 	minSlowlog := flag.Uint64("min-slowlog-entries", 0, "gate: min slow-query-log profiles observed over the run (0 = no gate)")
@@ -111,8 +111,8 @@ func main() {
 	if *minCacheHits > 0 {
 		gate(rep.CacheHits >= *minCacheHits, "%d cache hits below floor %d", rep.CacheHits, *minCacheHits)
 	}
-	if *minSharedBatches > 0 {
-		gate(rep.SharedBatches >= *minSharedBatches, "%d shared batches below floor %d", rep.SharedBatches, *minSharedBatches)
+	if *minCoalesced > 0 {
+		gate(rep.Coalesced >= *minCoalesced, "%d coalesced queries below floor %d", rep.Coalesced, *minCoalesced)
 	}
 	if *maxProfileOverhead > 0 && *baselineQPS > 0 {
 		overhead := 100 * (1 - rep.QPS / *baselineQPS)

@@ -46,12 +46,9 @@ func main() {
 	flag.IntVar(&cfg.MaxQueue, "max-queue", cfg.MaxQueue, "queued queries before shedding")
 	flag.Int64Var(&cfg.QueueTimeoutMS, "queue-timeout-ms", cfg.QueueTimeoutMS, "default queue deadline")
 	flag.IntVar(&cfg.TenantMaxInFlight, "tenant-quota", cfg.TenantMaxInFlight, "per-tenant in-flight cap (0 = unlimited)")
-	// Serving defaults to a bounded result cache and cooperative shared
-	// scans; the library defaults keep both off so embedded/test servers
-	// opt in explicitly.
+	// Serving defaults to a bounded result cache; the library default keeps
+	// it off so embedded/test servers opt in explicitly.
 	flag.IntVar(&cfg.CacheEntries, "cache", 1024, "result cache entries (0 = caching off)")
-	flag.BoolVar(&cfg.SharedScan, "shared", true, "coalesce concurrent aggregates into cooperative shared scans")
-	flag.IntVar(&cfg.SharedScanSegments, "shared-segments", 0, "shared-scan circular segments (0 = default)")
 	// Serving defaults to light profile sampling: 1-in-16 keeps the
 	// slow-query log and /debug/query lookups populated at negligible
 	// cost; "explain": true always profiles regardless.

@@ -40,13 +40,13 @@ type Table struct {
 	rows    uint64
 	columns []*Column
 	byName  map[string]*Column
-	// scratch holds one mask buffer per worker, reused across ScanRange
-	// calls so the bitmap pipeline stops re-growing per-call slices. Slot i
+	// scratch holds one mask buffer per worker, reused across passes so
+	// the bitmap pipeline stops re-growing per-pass slices. Slot i
 	// is touched only by whoever holds worker i's ownership flag, one
 	// goroutine at a time (also across concurrent loops), so no locking is
 	// needed; WithRuntime views share the backing array.
 	scratch [][]uint64
-	// pscratch is the per-worker scan-accounting buffer ScanRange uses to
+	// pscratch is the per-worker scan-accounting buffer a pass uses to
 	// collect one batch's predicate counts before attributing them to
 	// every profiled group member — same ownership rule as scratch.
 	pscratch [][]core.ScanCounts
@@ -213,8 +213,7 @@ func (op CmpOp) String() string {
 }
 
 // Cmp maps the operator to the bitpack fused-kernel predicate — exported
-// for callers that feed predicates to the zone index's prune statistics
-// (the shared-scan enrollment score does).
+// for callers that feed predicates to core's mask kernels directly.
 func (op CmpOp) Cmp() bitpack.Cmp { return op.cmp() }
 
 // cmp maps the operator to the bitpack fused-kernel predicate.
@@ -354,9 +353,9 @@ func orderPreds(predCols []*Column, preds []Pred) ([]*Column, []Pred) {
 }
 
 // Aggregate evaluates `SELECT agg(column) WHERE preds...` as a one-query
-// ScanRange over the whole table — the same executor the shared-scan
-// coordinator drives (multiscan.go), so there is one scan pipeline and one
-// per-query accounting. Two answers need no scan at all: COUNT(*) comes
+// pass over the whole table — the same executor MultiScan drives
+// (multiscan.go), so there is one scan pipeline and one per-query
+// accounting. Two answers need no scan at all: COUNT(*) comes
 // from the schema, and an unpredicated MIN/MAX reads the zone index root,
 // whose bounds are exact.
 func (t *Table) Aggregate(agg Agg, column string, preds ...Pred) (uint64, error) {
@@ -394,7 +393,7 @@ type GroupRow struct {
 const denseKeyMaxBits = 12
 
 // GroupBy evaluates `SELECT key, agg(column) GROUP BY key WHERE preds...`
-// as a one-query ScanRange, returning one row per distinct key value,
+// as a one-query pass, returning one row per distinct key value,
 // sorted by key. Only the rows surviving the selection bitmap pay the
 // key/target Gets; narrow key columns take the dense slice-indexed path,
 // wide ones per-worker hash maps merged once after the loop.
@@ -407,17 +406,14 @@ func (t *Table) GroupBy(keyColumn string, agg Agg, column string, preds ...Pred)
 	return res.Groups, err
 }
 
-// scan runs q as a one-state ScanRange over [0, rows), accounting into the
-// query profile of the runtime view the table runs through, if any.
+// scan runs q as a one-state pass, accounting into the query profile of
+// the runtime view the table runs through, if any.
 func (t *Table) scan(q ScanQuery) (ScanResult, error) {
-	st, err := t.NewScanState(q)
+	st, err := t.newScanState(q, t.rt.Profile())
 	if err != nil {
 		return ScanResult{}, err
 	}
-	st.EnableProfile(t.rt.Profile(), len(t.rt.Workers()))
-	t.ScanRange(0, t.rows, []*ScanState{st})
-	st.FoldProfile()
-	return st.Result(), nil
+	return t.run([]*scanState{st})[0], nil
 }
 
 func (t *Table) resolvePreds(preds []Pred) ([]*Column, error) {

@@ -141,40 +141,26 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 		}
 	}
 
-	// The selective states alone, segment by segment from mid-table, on
-	// the coordinator's boundaries: on the chunk grid, off the super-zone
-	// grid. Every call prunes its own range, most segments run no loop, and
-	// the per-column chunk accounting must still add up over the wraparound.
-	const segments = 7
-	bound := func(i int) uint64 {
-		if i >= segments {
-			return rows
-		}
-		return (uint64(i)*rows/segments + 32) / 64 * 64
-	}
-	states := make([]*ScanState, len(selective))
+	// The selective states alone, profiled, in one pass: most of the table
+	// is in no live run, and the per-column chunk accounting must still
+	// add up.
+	states := make([]*scanState, len(selective))
 	profs := make([]*obs.QueryProfile, len(selective))
 	for i, q := range selective {
-		st, err := f.table.NewScanState(q)
-		if err != nil {
-			t.Fatalf("%s: NewScanState: %v", label, err)
-		}
 		profs[i] = obs.NewQueryProfile(uint64(i))
-		st.EnableProfile(profs[i], len(f.table.rt.Workers()))
+		st, err := f.table.newScanState(q, profs[i])
+		if err != nil {
+			t.Fatalf("%s: newScanState: %v", label, err)
+		}
 		states[i] = st
 	}
-	for k := 0; k < segments; k++ {
-		seg := (3 + k) % segments
-		f.table.ScanRange(bound(seg), bound(seg+1), states)
-	}
-	for i, q := range selective {
-		states[i].FoldProfile()
-		if got, want := states[i].Result(), scalarResult(t, f.table, q); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: segmented query %d = %+v, want %+v", label, i, got, want)
+	for i, got := range f.table.run(states) {
+		if want := scalarResult(t, f.table, selective[i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: profiled query %d = %+v, want %+v", label, i, got, want)
 		}
 		for _, c := range profs[i].Columns {
 			if c.ChunksScanned+c.ChunksPruned != c.Chunks {
-				t.Errorf("%s: segmented query %d column %s (%s): scanned %d + pruned %d != chunks %d",
+				t.Errorf("%s: profiled query %d column %s (%s): scanned %d + pruned %d != chunks %d",
 					label, i, c.Column, c.Role, c.ChunksScanned, c.ChunksPruned, c.Chunks)
 			}
 		}

@@ -1,16 +1,13 @@
-// The table scan executor. One parallel pass over a row range advances N
-// queries at once — each batch is decoded once per predicate signature
-// (predicates evaluate chunk-at-a-time into 64-bit match masks through
-// the columns' chunk-codec dispatch and zone pruning, the masks AND
-// across predicates with dead chunks short-circuiting later ones), then
-// every query folds the surviving rows into its own per-worker
+// The table scan executor. One parallel pass over the whole table
+// advances N queries at once — each batch is decoded once per predicate
+// signature (predicates evaluate chunk-at-a-time into 64-bit match masks
+// through the columns' chunk-codec dispatch and zone pruning, the masks
+// AND across predicates with dead chunks short-circuiting later ones),
+// then every query folds the surviving rows into its own per-worker
 // accumulators, merged once after the loop barrier. Table.Aggregate and
-// Table.GroupBy are the N = 1, whole-table case; the query service's
-// shared-scan coordinator drives long-lived states segment by segment,
-// so a query can attach at the current cursor and complete after a full
-// wraparound (Crescando-style circular scan). Either way the per-batch
-// work is this file's — shared results are bit-identical to independent
-// execution because there is no second pipeline to diverge from.
+// Table.GroupBy are the N = 1 case and MultiScan the N-query one: there
+// is no second pipeline, so shared results are bit-identical to
+// independent execution.
 package colstore
 
 import (
@@ -26,9 +23,8 @@ import (
 	"smartarrays/internal/rts"
 )
 
-// ScanQuery describes one consumer of a cooperative pass: an Aggregate
-// (empty Key) or GroupBy (Key set) with a conjunctive predicate list —
-// exactly the plan shapes the query service enrolls.
+// ScanQuery describes one consumer of a pass: an Aggregate (empty Key) or
+// GroupBy (Key set) with a conjunctive predicate list.
 type ScanQuery struct {
 	Agg    Agg
 	Column string
@@ -44,13 +40,10 @@ type ScanResult struct {
 	Groups []GroupRow
 }
 
-// ScanState is one enrolled query's scan-position-independent state:
-// resolved columns, the ordered predicate list, and per-worker
-// accumulators. It is advanced by ScanRange over disjoint row ranges in
-// any order (the folds commute) and finalized once by Result. A state
-// must only be driven by one ScanRange call at a time; different states
-// are independent.
-type ScanState struct {
+// scanState is one query's state for a single whole-table pass: resolved
+// columns, the ordered predicate list, and per-worker accumulators. run
+// drives it once and returns its result.
+type scanState struct {
 	agg     Agg
 	grouped bool
 	target  *Column
@@ -73,26 +66,18 @@ type ScanState struct {
 	domain      uint64
 	denseStates [][]aggState
 	maps        []map[uint64]*aggState
-	// rowFolds[w] is worker w's grouped fold for the ScanRange call in
-	// progress: key/target representation snapshots (core.View) and the
-	// worker's accumulators, built on the worker's first batch of the call
-	// and dropped at the next call's entry. Never reused across calls — a
-	// state outlives many ScanRange calls, and holding replicas across
-	// them would let a Reencode or Migrate in between pair a stale replica
-	// with the new representation's decode.
+	// rowFolds[w] is worker w's grouped fold: key/target representation
+	// snapshots (core.View) and the worker's accumulators, built on the
+	// worker's first batch of the pass.
 	rowFolds []*rowFold
 
-	// Scan profiling (EnableProfile): per-worker ScanCounts rows laid out
+	// Scan profiling (a non-nil prof): per-worker ScanCounts rows laid out
 	// as [canonical predicates..., key (grouped only), target]. Predicate
 	// counts arrive in the group lead's evaluation order and are stored
 	// at canonical positions, so states whose orderPreds ordering diverged
 	// from their lead's still attribute correctly.
 	prof     *obs.QueryProfile
 	profRows [][]core.ScanCounts
-	// deadChunks counts the chunks of the dead runs plan-time pruning kept
-	// out of every loop so far: pruned for each of the state's columns,
-	// added by ScanRange at the control plane, where no worker row is owned.
-	deadChunks uint64
 }
 
 // paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 48
@@ -142,18 +127,10 @@ func canonicalPreds(preds []Pred) (pos []int, sig string) {
 	return pos, string(joined)
 }
 
-// PredSignature is the canonical signature of a conjunction on its own —
-// the predicate part of any plan identity that must ignore AND order
-// (the query service's coalescing key).
-func PredSignature(preds []Pred) string {
-	_, sig := canonicalPreds(preds)
-	return sig
-}
-
-// NewScanState resolves q against the table and allocates its per-worker
-// accumulators. The state is cheap (lazy group storage), so coordinators
-// can create one per enrolling query without staging.
-func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
+// newScanState resolves q against the table and allocates its per-worker
+// accumulators (group storage is lazy). A non-nil prof turns on the
+// state's chunk accounting, folded into prof when the pass ends.
+func (t *Table) newScanState(q ScanQuery, prof *obs.QueryProfile) (*scanState, error) {
 	target, err := t.Column(q.Column)
 	if err != nil {
 		return nil, err
@@ -164,14 +141,18 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 	}
 	preds := append([]Pred(nil), q.Preds...)
 	predCols, preds = orderPreds(predCols, preds)
-	s := &ScanState{
+	n := len(t.rt.Workers())
+	s := &scanState{
 		agg:      q.Agg,
 		target:   target,
 		predCols: predCols,
 		preds:    preds,
 	}
 	s.canonPos, s.sig = canonicalPreds(preds)
-	n := len(t.rt.Workers())
+	if prof != nil {
+		s.prof = prof
+		s.profRows = make([][]core.ScanCounts, n)
+	}
 	if q.Key != "" {
 		key, err := t.Column(q.Key)
 		if err != nil {
@@ -196,26 +177,7 @@ func (t *Table) NewScanState(q ScanQuery) (*ScanState, error) {
 	return s, nil
 }
 
-// Signature is the state's canonical predicate signature (PredSignature of
-// its conjunction): states with equal signatures share one mask build per
-// batch in ScanRange, states with different ones share nothing.
-func (s *ScanState) Signature() string { return s.sig }
-
-// EnableProfile attaches a query profile to the state: every subsequent
-// ScanRange accounts the state's share of the cooperative pass (the
-// chunks logically scanned or pruned on its behalf, even when a group
-// lead did the decode) into per-worker rows, folded into prof by
-// FoldProfile. workers is the driving runtime's worker count. Must be
-// called before the state's first ScanRange.
-func (s *ScanState) EnableProfile(prof *obs.QueryProfile, workers int) {
-	if prof == nil {
-		return
-	}
-	s.prof = prof
-	s.profRows = make([][]core.ScanCounts, workers)
-}
-
-func (s *ScanState) numProfSlots() int {
+func (s *scanState) numProfSlots() int {
 	n := len(s.preds) + 1
 	if s.grouped {
 		n++
@@ -223,9 +185,9 @@ func (s *ScanState) numProfSlots() int {
 	return n
 }
 
-func (s *ScanState) keySlot() int { return len(s.preds) }
+func (s *scanState) keySlot() int { return len(s.preds) }
 
-func (s *ScanState) targetSlot() int {
+func (s *scanState) targetSlot() int {
 	if s.grouped {
 		return len(s.preds) + 1
 	}
@@ -234,7 +196,7 @@ func (s *ScanState) targetSlot() int {
 
 // profRow returns worker wid's accounting row, allocating on first use
 // (owner-only, like the aggregation accumulators).
-func (s *ScanState) profRow(wid int) []core.ScanCounts {
+func (s *scanState) profRow(wid int) []core.ScanCounts {
 	r := s.profRows[wid]
 	if r == nil {
 		r = make([]core.ScanCounts, s.numProfSlots())
@@ -246,7 +208,7 @@ func (s *ScanState) profRow(wid int) []core.ScanCounts {
 // accountPreds attributes one batch's shared mask-build counts (in the
 // group lead's evaluation order; canonPos is the lead's map from that
 // order to the canonical slot) to this state.
-func (s *ScanState) accountPreds(w *rts.Worker, counts []core.ScanCounts, canonPos []int) {
+func (s *scanState) accountPreds(w *rts.Worker, counts []core.ScanCounts, canonPos []int) {
 	if s.prof == nil {
 		return
 	}
@@ -258,7 +220,7 @@ func (s *ScanState) accountPreds(w *rts.Worker, counts []core.ScanCounts, canonP
 
 // accountDead accounts a batch whose conjunction died: the key and
 // target columns' n chunks were never touched.
-func (s *ScanState) accountDead(w *rts.Worker, n uint64) {
+func (s *scanState) accountDead(w *rts.Worker, n uint64) {
 	if s.prof == nil {
 		return
 	}
@@ -271,16 +233,14 @@ func (s *ScanState) accountDead(w *rts.Worker, n uint64) {
 	}
 }
 
-// FoldProfile folds the per-worker accounting rows into the attached
-// profile as ColumnProfile entries. The coordinator calls it once,
-// after the state's final ScanRange and before publishing the result.
-func (s *ScanState) FoldProfile() {
-	if s.prof == nil {
-		return
-	}
+// foldProfile folds the per-worker accounting rows into the attached
+// profile as ColumnProfile entries, once, after the pass. dead is the
+// chunk count of the runs plan-time pruning kept out of the loop: pruned
+// for every one of the state's columns.
+func (s *scanState) foldProfile(dead uint64) {
 	totals := make([]core.ScanCounts, s.numProfSlots())
 	for i := range totals {
-		totals[i].Pruned = s.deadChunks
+		totals[i].Pruned = dead
 	}
 	for _, r := range s.profRows {
 		if r == nil {
@@ -319,37 +279,24 @@ func countScratch(slot *[]core.ScanCounts, n int) []core.ScanCounts {
 	return s
 }
 
-// ScanRange advances every state over rows [lo, hi) in one parallel
-// pass — the only parallel loop colstore starts. Pruning happens first, at
-// plan time (liveRuns): the loop covers only the row runs some group's
-// conjunction can still match, and the rest is accounted in bulk here at
-// the control plane. Per batch, states are grouped by predicate signature:
-// the group leader builds the selection bitmap once (into the table's
-// per-worker mask scratch), then every member folds the surviving rows —
-// the N members of a group pay one decode, groups share nothing with each
-// other. Runs through the receiver's runtime, so a
-// coordinator can submit each segment on a priority view of the enrolled
-// queries.
-func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
-	if lo >= hi || len(states) == 0 {
-		return
-	}
+// run advances every state over the whole table in one parallel pass —
+// the only parallel loop colstore starts — and returns their results in
+// order. Pruning happens first, at plan time (liveRuns): the loop covers
+// only the row runs some group's conjunction can still match, and the
+// rest is accounted in bulk after it. Per batch, states are grouped by
+// predicate signature: the group leader builds the selection bitmap once
+// (into the table's per-worker mask scratch), then every member folds the
+// surviving rows — the N members of a group pay one decode, groups share
+// nothing with each other. Runs through the receiver's runtime.
+func (t *Table) run(states []*scanState) []ScanResult {
 	groups := groupScanStates(states)
-	runs, dead := liveRuns(lo, hi, groups)
-	// Control plane, once per call: which groups carry a profiled member
-	// (their shared mask build is counted and attributed to every one),
-	// the dead runs' chunks (no morsel will ever see them), and fresh
-	// per-worker row folds for the grouped states.
+	runs, dead := liveRuns(t.rows, groups)
+	// Which groups carry a profiled member: their shared mask build is
+	// counted and attributed to every one.
 	profiled := make([]bool, len(groups))
 	for gi, grp := range groups {
 		for _, s := range grp {
-			if s.prof != nil {
-				profiled[gi] = true
-				s.deadChunks += dead
-			}
-			for w := range s.rowFolds {
-				s.rowFolds[w] = nil
-			}
+			profiled[gi] = profiled[gi] || s.prof != nil
 		}
 	}
 	t.rt.ParallelForSpans(runs, 0, func(w *rts.Worker, blo, bhi uint64) {
@@ -388,6 +335,14 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 			}
 		}
 	})
+	results := make([]ScanResult, len(states))
+	for i, s := range states {
+		if s.prof != nil {
+			s.foldProfile(dead)
+		}
+		results[i] = s.result()
+	}
+	return results
 }
 
 // superRows is the row span of one super zone, the granularity of
@@ -396,21 +351,19 @@ const superRows = encoding.ZoneFanout * bitpack.ChunkSize
 
 // liveRuns is the plan-time pruning step. It resolves each group's
 // conjunction against the super-zone level of its predicate columns' zone
-// indexes over rows [lo, hi) — one SuperVerdict per 4096 rows, never a
+// indexes over rows [0, rows) — one SuperVerdict per 4096 rows, never a
 // fine entry; a super zone is dead for a group when any one predicate
 // proves it empty — and returns the maximal row runs that are live for at
 // least one group (everything, for a group with nothing to prune by).
-// dead is the number of chunks of [lo, hi) in no run. Inside a run nothing
-// is decided here: the mask build still resolves fine zone entries and
-// evaluates the rest.
+// dead is the number of chunks in no run. Inside a run nothing is decided
+// here: the mask build still resolves fine zone entries and evaluates the
+// rest.
 //
-// The zone indexes are loaded afresh on every call and never kept on a
-// state (the rowFolds rule): a state outlives many calls, and a Reencode
-// in between swaps the index. Any snapshot is sound to prune by, since
-// every representation's index bounds the same values. Memory is per run,
-// not per super zone or batch: a full-table pass that prunes nothing
-// allocates one span.
-func liveRuns(lo, hi uint64, groups [][]*ScanState) (runs []rts.Span, dead uint64) {
+// Any zone-index snapshot is sound to prune by, even one a concurrent
+// Reencode replaces mid-pass, since every representation's index bounds
+// the same values. Memory is per run, not per super zone or batch: a pass
+// that prunes nothing allocates one span.
+func liveRuns(rows uint64, groups [][]*scanState) (runs []rts.Span, dead uint64) {
 	// One pruner per predicate that has an index to prune by, per group.
 	type pruner struct {
 		zones *encoding.ZoneIndex
@@ -438,16 +391,16 @@ func liveRuns(lo, hi uint64, groups [][]*ScanState) (runs []rts.Span, dead uint6
 		}
 		return false
 	}
-	_, dead = core.MaskChunks(lo, hi)
-	for s, end := lo/superRows, (hi-1)/superRows+1; s < end; s++ {
+	_, dead = core.MaskChunks(0, rows)
+	for s, end := uint64(0), (rows-1)/superRows+1; s < end; s++ {
 		if !superLive(s) {
 			continue
 		}
-		run := rts.Span{Lo: max(lo, s*superRows)}
+		run := rts.Span{Lo: s * superRows}
 		for s+1 < end && superLive(s+1) {
 			s++
 		}
-		run.Hi = min(hi, (s+1)*superRows)
+		run.Hi = min(rows, (s+1)*superRows)
 		_, chunks := core.MaskChunks(run.Lo, run.Hi)
 		dead -= chunks
 		runs = append(runs, run)
@@ -458,23 +411,23 @@ func liveRuns(lo, hi uint64, groups [][]*ScanState) (runs []rts.Span, dead uint6
 // groupScanStates buckets states by predicate signature, preserving
 // first-seen order. The zero-predicate signature groups too: its members
 // skip the mask pipeline entirely.
-func groupScanStates(states []*ScanState) [][]*ScanState {
+func groupScanStates(states []*scanState) [][]*scanState {
 	order := make(map[string]int, len(states))
-	var groups [][]*ScanState
+	var groups [][]*scanState
 	for _, s := range states {
 		if i, ok := order[s.sig]; ok {
 			groups[i] = append(groups[i], s)
 			continue
 		}
 		order[s.sig] = len(groups)
-		groups = append(groups, []*ScanState{s})
+		groups = append(groups, []*scanState{s})
 	}
 	return groups
 }
 
 // foldAll folds the unpredicated batch: fused range reductions for
 // scalar aggregates, the grouped fold over every row for grouped ones.
-func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
+func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
 	if s.grouped {
 		if s.prof != nil {
 			_, n := core.MaskChunks(lo, hi)
@@ -509,7 +462,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
 
 // foldMasked folds the batch's surviving rows under the shared selection
 // bitmap: a popcount for the count, a masked fused fold for the rest.
-func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
+func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
 	if s.prof != nil {
 		row := s.profRow(w.ID)
 		if s.grouped {
@@ -575,7 +528,7 @@ type decodeBufs struct {
 // is denser than bitpack.MaskSparseCutoff has its key and target decoded
 // once into bufs and indexed per set bit; a sparser one pays two Gets per
 // selected row, which is cheaper than two whole-chunk decodes there.
-func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
+func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
 	f := s.rowFolds[w.ID]
 	if f == nil {
 		f = s.newRowFold(w)
@@ -612,10 +565,10 @@ func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs 
 }
 
 // newRowFold resolves the key and target representation snapshots for
-// worker w and its accumulators. Built once per worker per ScanRange call
-// (see rowFolds), not once per batch: the view resolution is per-query,
-// not per-morsel, cost.
-func (s *ScanState) newRowFold(w *rts.Worker) *rowFold {
+// worker w and its accumulators. Built once per worker per pass (see
+// rowFolds), not once per batch: the view resolution is per-query, not
+// per-morsel, cost.
+func (s *scanState) newRowFold(w *rts.Worker) *rowFold {
 	f := &rowFold{key: s.key.arr.View(w.Socket), target: s.target.arr.View(w.Socket), agg: s.agg}
 	if s.dense {
 		if s.denseStates[w.ID] == nil {
@@ -635,10 +588,8 @@ func (s *ScanState) newRowFold(w *rts.Worker) *rowFold {
 	return f
 }
 
-// Result merges the per-worker accumulators into the final answer. Call
-// once, after the state has covered every row exactly once; the folds
-// commute, so the answer does not depend on segment order.
-func (s *ScanState) Result() ScanResult {
+// result merges the per-worker accumulators into the final answer.
+func (s *scanState) result() ScanResult {
 	if !s.grouped {
 		total := newAggState(s.agg)
 		for i := range s.locals {
@@ -681,23 +632,18 @@ func (s *ScanState) Result() ScanResult {
 	return ScanResult{Groups: rows}
 }
 
-// MultiScan runs queries as one cooperative pass over the whole table
-// and returns their results in order — the one-shot N-query form of the
-// state/range API, used by tests and benchmarks to pin the shared pass
-// against one-query execution.
+// MultiScan runs queries as one pass over the whole table and returns
+// their results in order — the N-query form of the executor, used by
+// tests and benchmarks to pin the shared pass against one-query
+// execution.
 func (t *Table) MultiScan(queries []ScanQuery) ([]ScanResult, error) {
-	states := make([]*ScanState, len(queries))
+	states := make([]*scanState, len(queries))
 	for i, q := range queries {
-		st, err := t.NewScanState(q)
+		st, err := t.newScanState(q, nil)
 		if err != nil {
 			return nil, err
 		}
 		states[i] = st
 	}
-	t.ScanRange(0, t.rows, states)
-	results := make([]ScanResult, len(states))
-	for i, st := range states {
-		results[i] = st.Result()
-	}
-	return results, nil
+	return t.run(states), nil
 }

@@ -12,7 +12,7 @@ import (
 	"smartarrays/internal/memsim"
 )
 
-// multiScanQueries is the mixed batch the shared-scan tests drive: every
+// multiScanQueries is the mixed batch the MultiScan tests drive: every
 // aggregate, grouped and scalar, duplicate plans, multi-predicate
 // conjunctions, and a zero-predicate fold.
 func multiScanQueries() []ScanQuery {
@@ -93,39 +93,6 @@ func TestMultiScanAcrossCodecs(t *testing.T) {
 	}
 }
 
-// TestScanRangeSegmentedRotation drives the same states through a rotated
-// segmented pass — the circular-scan shape where a late query starts
-// mid-table and wraps — and asserts the answers match the one-shot pass:
-// the folds commute, so attachment position must not matter.
-func TestScanRangeSegmentedRotation(t *testing.T) {
-	f := newFixture(t, 10240, memsim.Interleaved)
-	queries := multiScanQueries()
-	rows := f.table.Rows()
-	const segments = 7
-
-	for start := 0; start < segments; start++ {
-		states := make([]*ScanState, len(queries))
-		for i, q := range queries {
-			st, err := f.table.NewScanState(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			states[i] = st
-		}
-		for k := 0; k < segments; k++ {
-			seg := (start + k) % segments
-			lo := uint64(seg) * rows / segments
-			hi := uint64(seg+1) * rows / segments
-			f.table.ScanRange(lo, hi, states)
-		}
-		results := make([]ScanResult, len(states))
-		for i, st := range states {
-			results[i] = st.Result()
-		}
-		checkAgainstIndependent(t, f.table, queries, results)
-	}
-}
-
 // TestMultiScanUnderReencode races cooperative passes against live
 // re-encoding of every column — the serving-path invariant that a codec
 // swap mid-pass never changes answers (values are preserved; each fold
@@ -193,10 +160,9 @@ func TestMultiScanErrors(t *testing.T) {
 	}
 }
 
-// TestCanonicalPredsSignature pins the signature bytes to the format the
-// coalescing key and the shared-scan grouping have always used — sorted
-// "column\x00op\x00value" terms joined by \x01 — and the positions to a
-// stable sort, duplicates included.
+// TestCanonicalPredsSignature pins the signature bytes the pass groups
+// states by — sorted "column\x00op\x00value" terms joined by \x01 — and
+// the positions to a stable sort, duplicates included.
 func TestCanonicalPredsSignature(t *testing.T) {
 	cases := [][]Pred{
 		nil,
@@ -225,9 +191,6 @@ func TestCanonicalPredsSignature(t *testing.T) {
 		pos, sig := canonicalPreds(preds)
 		if sig != wantSig || !reflect.DeepEqual(pos, wantPos) {
 			t.Errorf("canonicalPreds(%v) = %v %q, want %v %q", preds, pos, sig, wantPos, wantSig)
-		}
-		if got := PredSignature(preds); got != wantSig {
-			t.Errorf("PredSignature(%v) = %q, want %q", preds, got, wantSig)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // The per-row reference implementations every property test pins the scan
 // executor against (and the masked-vs-per-row benchmarks measure). They
-// share no code with ScanRange: one virtual Get per row per column.
+// share no code with it: one virtual Get per row per column.
 
 // eval applies the operator.
 func (op CmpOp) eval(a, b uint64) bool {

@@ -1,7 +1,7 @@
-// Per-query scan profiling for the table scan. When a ScanState carries
-// a query profile (ScanState.EnableProfile — Aggregate/GroupBy attach the
-// one on their runtime view, rts.Runtime.WithProfile), ScanRange routes
-// its chunk work through the counted core kernels and accumulates
+// Per-query scan profiling for the table scan. When a scan state carries
+// a query profile (Aggregate/GroupBy attach the one on their runtime
+// view, rts.Runtime.WithProfile), the pass routes its chunk work through
+// the counted core kernels and accumulates
 // per-column ScanCounts in the state's per-worker rows — the same
 // owner-writes/fold-at-barrier discipline as the counter shards, so
 // profiling adds no locks or shared atomics to the batch hot path. After

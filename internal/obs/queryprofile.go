@@ -1,9 +1,9 @@
 // Request-scoped query profiles: the per-query counterpart of the
 // array-level telemetry in counters/ArrayRegistry. A QueryProfile rides
 // the request context from admission to response and is annotated at
-// every layer it crosses — stage wall times in the query service, shared
-// scan enrollment in the coordinator, morsel claims in the scheduler,
-// and chunk-level codec/zone accounting in the column kernels. Hot-path
+// every layer it crosses — stage wall times and the cache outcome in the
+// query service, morsel claims in the scheduler, and chunk-level
+// codec/zone accounting in the column kernels. Hot-path
 // collection follows the same owner-writes/fold-at-barrier discipline as
 // counters.Shard: workers write into per-worker rows (allocated by the
 // layer that runs the loop) and the totals are folded into the profile
@@ -27,19 +27,12 @@ const (
 
 // Cache outcomes recorded on a profile.
 const (
-	CacheHit     = "hit"
-	CacheMiss    = "miss"
-	CacheBypass  = "bypass" // explain or uncacheable op skipped the cache
-	CacheOff     = "off"
-	CacheUnknown = ""
-)
-
-// Shared-scan enrollment outcomes.
-const (
-	SharedEnrolled  = "enrolled"  // rode a cooperative pass with its own state
-	SharedCoalesced = "coalesced" // identical twin already enrolled; shared its result
-	SharedBypassed  = "bypassed"  // executed independently by decision
-	SharedOff       = "off"       // coordinator disabled or op not shareable
+	CacheHit       = "hit"
+	CacheMiss      = "miss"
+	CacheCoalesced = "coalesced" // answered by an identical plan already executing
+	CacheBypass    = "bypass"    // explain or uncacheable op skipped the cache
+	CacheOff       = "off"
+	CacheUnknown   = ""
 )
 
 // ProfileStage is one timed span of the request lifecycle. Stages are
@@ -65,25 +58,6 @@ type ColumnProfile struct {
 	BytesDecoded  uint64 `json:"bytes_decoded"`
 }
 
-// SharedScanProfile records how the query interacted with the shared
-// scan coordinator.
-type SharedScanProfile struct {
-	// Mode is one of SharedEnrolled, SharedCoalesced, SharedBypassed,
-	// SharedOff.
-	Mode string `json:"mode"`
-	// Mates is the number of other queries with the same predicate
-	// signature the ride-or-bypass decision counted (riders on the ring or
-	// arrivals inside the window) — the "why was this bypassed" answer:
-	// zero mates means there was no one to share a mask build with.
-	Mates int `json:"mates"`
-	// SegmentsFolded is the number of circular-scan segments the query's
-	// state was driven through (a full wraparound) when enrolled.
-	SegmentsFolded int `json:"segments_folded,omitempty"`
-	// WraparoundNs is the submit-to-completion latency inside the
-	// coordinator — the cost of riding the circular scan.
-	WraparoundNs uint64 `json:"wraparound_ns,omitempty"`
-}
-
 // QueryProfile is the wire-visible execution profile of one request.
 // During collection it is written by the owning request goroutine plus
 // (for loop counters) the scheduler via atomics; Finalize folds the
@@ -103,8 +77,7 @@ type QueryProfile struct {
 	HTTPStatus int    `json:"http_status"`
 	Error      string `json:"error,omitempty"`
 
-	Cache  string             `json:"cache,omitempty"`
-	Shared *SharedScanProfile `json:"shared,omitempty"`
+	Cache string `json:"cache,omitempty"`
 
 	Stages      []ProfileStage `json:"stages"`
 	QueueWaitNs uint64         `json:"queue_wait_ns"`
@@ -168,32 +141,6 @@ func (p *QueryProfile) AddColumn(cp ColumnProfile) {
 	}
 	p.mu.Lock()
 	p.Columns = append(p.Columns, cp)
-	p.mu.Unlock()
-}
-
-// NoteShared records the shared-scan decision: the outcome mode and the
-// same-signature mate count it was taken at.
-func (p *QueryProfile) NoteShared(mode string, mates int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.Shared = &SharedScanProfile{Mode: mode, Mates: mates}
-	p.mu.Unlock()
-}
-
-// NoteRide completes the section of a query that rode the ring: how it
-// rode (SharedEnrolled, or SharedCoalesced onto an identical rider) and
-// what the ride cost. The decision's mate count, if noted, is kept.
-func (p *QueryProfile) NoteRide(mode string, segments int, wrap time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.Shared == nil {
-		p.Shared = &SharedScanProfile{}
-	}
-	p.Shared.Mode, p.Shared.SegmentsFolded, p.Shared.WraparoundNs = mode, segments, uint64(max(wrap, 0))
 	p.mu.Unlock()
 }
 

@@ -38,8 +38,6 @@ func sampleProfile() *QueryProfile {
 		Column: "amount", Role: RoleTarget, Codec: "bitpack",
 		Chunks: 16, ChunksScanned: 10, ChunksPruned: 6, BytesDecoded: 7680,
 	})
-	p.NoteShared(SharedEnrolled, 3)
-	p.NoteRide(SharedEnrolled, 8, 910*time.Microsecond)
 	p.Finalize("ok", 200)
 	p.TotalNs = 957300 // pin the only wall-clock field after Finalize
 	return p
@@ -97,8 +95,8 @@ func TestQueryProfileRoundTrip(t *testing.T) {
 	if len(back.Stages) != 4 || len(back.Columns) != 2 {
 		t.Errorf("stages/columns lost: %d stages, %d columns", len(back.Stages), len(back.Columns))
 	}
-	if back.Shared == nil || back.Shared.Mode != SharedEnrolled || back.Shared.SegmentsFolded != 8 {
-		t.Errorf("shared-scan section lost: %+v", back.Shared)
+	if back.Cache != CacheMiss {
+		t.Errorf("cache outcome lost: %q", back.Cache)
 	}
 	if back.Loops != 2 || back.MorselsClaimed != 14 || back.MorselsStolen != 2 {
 		t.Errorf("loop counters lost: loops=%d claimed=%d stolen=%d",
@@ -111,8 +109,6 @@ func TestQueryProfileNilSafe(t *testing.T) {
 	p.Stage("x", time.Millisecond)
 	p.AddLoop(1, 1)
 	p.AddColumn(ColumnProfile{})
-	p.NoteShared(SharedBypassed, 0)
-	p.NoteRide(SharedCoalesced, 0, 0)
 	p.Finalize("ok", 200)
 	if p.Finalized() {
 		t.Fatal("nil profile reports finalized")

@@ -1,10 +1,13 @@
-// Result cache for the query service: a bounded LRU over executed query
-// results, keyed on the canonical plan plus every version counter that
-// could change the answer — the catalog snapshot version and, for table
-// queries, the generation of each touched column's smart array. Staleness
-// never needs an explicit invalidation pass: a control-plane swap bumps
-// the snapshot version and a Reencode/Init bumps the array generation, so
-// stale entries simply stop being addressable and age out of the LRU.
+// Result cache and flight table for the query service. The cache is a
+// bounded LRU over executed query results; the flight table holds the
+// plans executing right now, so an identical arrival waits for that
+// answer instead of computing it again. Both are keyed by one cacheKey:
+// the canonical plan plus every version counter that could change the
+// answer — the catalog snapshot version and, for table queries, the
+// generation of each touched column's smart array. Staleness never needs
+// an explicit invalidation pass: a control-plane swap bumps the snapshot
+// version and a Reencode/Init bumps the array generation, so stale entries
+// and flights simply stop being addressable (entries age out of the LRU).
 package queryd
 
 import (
@@ -18,17 +21,27 @@ import (
 	"smartarrays/internal/queryd/plan"
 )
 
-// resultCache is a mutex-guarded LRU. The lock covers only map+list
-// bookkeeping (no execution happens under it); cached results are
-// immutable wire structs shared by reference.
+// resultCache is a mutex-guarded LRU plus the flight table. The lock
+// covers only map+list bookkeeping (no execution happens under it);
+// results are immutable wire structs shared by reference.
 type resultCache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
+	flights map[string]*flight
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
+	coalesced atomic.Uint64
 	evictions atomic.Uint64
+}
+
+// flight is one executing plan. Its leader sets result/err before closing
+// done; followers read them after.
+type flight struct {
+	done   chan struct{}
+	result any
+	err    error
 }
 
 type cacheEntry struct {
@@ -37,33 +50,68 @@ type cacheEntry struct {
 }
 
 func newResultCache() *resultCache {
-	return &resultCache{entries: map[string]*list.Element{}, lru: list.New()}
+	return &resultCache{entries: map[string]*list.Element{}, lru: list.New(), flights: map[string]*flight{}}
 }
 
-// get returns the cached result for key, refreshing its LRU position.
-func (c *resultCache) get(key string) (any, bool) {
+// join looks key up: the cached result when the cache is on (capacity >
+// 0) and holds it, else the flight executing key, else neither — the
+// caller then executes the plan itself. Each call lands in exactly one of
+// hits, coalesced and (cache on) misses, the outcomes a profile records.
+func (c *resultCache) join(key string, capacity int) (result any, f *flight, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
+	if capacity > 0 {
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			c.hits.Add(1)
+			return el.Value.(*cacheEntry).result, nil, true
+		}
 	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).result, true
+	if f = c.flights[key]; f != nil {
+		c.coalesced.Add(1)
+		return nil, f, false
+	}
+	if capacity > 0 {
+		c.misses.Add(1)
+	}
+	return nil, nil, false
 }
 
-// put inserts (or refreshes) key under the given capacity, evicting from
-// the LRU tail. Capacity is passed per call because it lives in the
+// lead registers a flight for key that later identical arrivals join. It
+// replaces any flight registered meanwhile: that one's followers still
+// hold it and get its answer.
+func (c *resultCache) lead(key string) *flight {
+	f := &flight{done: make(chan struct{})}
+	c.mu.Lock()
+	c.flights[key] = f
+	c.mu.Unlock()
+	return f
+}
+
+// land publishes a leader's outcome. Under one lock the flight leaves the
+// table and a success enters the cache, so an identical arrival finds one
+// or the other; then every follower wakes.
+func (c *resultCache) land(key string, f *flight, result any, err error, capacity int) {
+	f.result, f.err = result, err
+	c.mu.Lock()
+	if c.flights[key] == f {
+		delete(c.flights, key)
+	}
+	if err == nil {
+		c.putLocked(key, result, capacity)
+	}
+	c.mu.Unlock()
+	close(f.done)
+}
+
+// putLocked inserts (or refreshes) key under the given capacity, evicting
+// from the LRU tail. Capacity is passed per call because it lives in the
 // atomically-swapped config snapshot: a shrunk limit takes effect on the
 // next insert without a resize pass.
-func (c *resultCache) put(key string, result any, capacity int) {
+func (c *resultCache) putLocked(key string, result any, capacity int) {
 	if capacity <= 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).result = result
 		c.lru.MoveToFront(el)
@@ -78,10 +126,12 @@ func (c *resultCache) put(key string, result any, capacity int) {
 	}
 }
 
-// CacheStats is the /stats wire form of the cache counters.
+// CacheStats is the /stats wire form of the cache counters. Coalesced
+// counts queries answered by an identical plan in flight.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
+	Coalesced uint64 `json:"coalesced"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
 }
@@ -93,13 +143,15 @@ func (c *resultCache) stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Coalesced: c.coalesced.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   n,
 	}
 }
 
-// cacheKey canonicalizes p into a cache key, or reports that the query is
-// uncacheable (unknown columns are left for the executor to reject).
+// cacheKey canonicalizes p into a cache and flight key, or reports that
+// the query is uncacheable (unknown columns are left for the executor to
+// reject).
 // Admission metadata (priority, tenant, deadline) is deliberately
 // excluded: it shapes scheduling, never the result. Predicates are sorted
 // because conjunctions commute. Each table column is keyed as

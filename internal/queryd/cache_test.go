@@ -1,7 +1,7 @@
 package queryd
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
@@ -9,22 +9,24 @@ import (
 )
 
 // TestResultCacheLRU unit-tests the LRU mechanics: bound respected,
-// least-recently-used entry evicted first, counters accurate.
+// least-recently-used entry evicted first, counters accurate. Results
+// enter the cache the way served ones do, by landing a flight.
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache()
-	c.put("a", 1, 2)
-	c.put("b", 2, 2)
-	if _, ok := c.get("a"); !ok { // refresh a; b is now LRU
+	put := func(key string, v any, capacity int) { c.land(key, c.lead(key), v, nil, capacity) }
+	put("a", 1, 2)
+	put("b", 2, 2)
+	if _, _, ok := c.join("a", 2); !ok { // refresh a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", 3, 2) // evicts b
-	if _, ok := c.get("b"); ok {
+	put("c", 3, 2) // evicts b
+	if _, _, ok := c.join("b", 2); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.get("a"); !ok || v.(int) != 1 {
+	if v, _, ok := c.join("a", 2); !ok || v.(int) != 1 {
 		t.Fatalf("a = %v, %v", v, ok)
 	}
-	if v, ok := c.get("c"); !ok || v.(int) != 3 {
+	if v, _, ok := c.join("c", 2); !ok || v.(int) != 3 {
 		t.Fatalf("c = %v, %v", v, ok)
 	}
 	st := c.stats()
@@ -34,27 +36,48 @@ func TestResultCacheLRU(t *testing.T) {
 	if st.Hits != 3 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 3 hits 1 miss", st)
 	}
-	// Capacity 0 means off: put is a no-op.
+	// Capacity 0 means off: landing caches nothing.
 	c2 := newResultCache()
-	c2.put("x", 1, 0)
-	if _, ok := c2.get("x"); ok {
+	c2.land("x", c2.lead("x"), 1, nil, 0)
+	if _, _, ok := c2.join("x", 0); ok {
 		t.Fatal("capacity 0 cached an entry")
 	}
 }
 
-// cachedFlag extracts the "cached" field of a /query response envelope
-// (absent means false — the flag is omitempty).
-func cachedFlag(t *testing.T, env map[string]json.RawMessage) bool {
-	t.Helper()
-	raw, ok := env["cached"]
-	if !ok {
-		return false
+// TestFlightJoinAndLand unit-tests the flight table: an arrival joins the
+// flight executing its key whatever the capacity, a flight registered
+// meanwhile takes over new arrivals while the old one's followers keep
+// theirs, and landing hands every follower the leader's outcome — a
+// failure included, which is never cached.
+func TestFlightJoinAndLand(t *testing.T) {
+	c := newResultCache()
+	first := c.lead("k")
+	if _, f, _ := c.join("k", 0); f != first {
+		t.Fatal("arrival did not join the flight in progress")
 	}
-	var b bool
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
+	second := c.lead("k")
+	if _, f, _ := c.join("k", 0); f != second {
+		t.Fatal("arrival did not join the newest flight")
 	}
-	return b
+	c.land("k", first, 1, nil, 4)
+	<-first.done
+	if first.result != 1 {
+		t.Fatalf("first flight result = %v", first.result)
+	}
+	if _, f, hit := c.join("k", 4); !hit || f != nil {
+		t.Fatalf("landed result not cached: hit=%v flight=%v", hit, f)
+	}
+	boom := errors.New("boom")
+	c.land("k", second, nil, boom, 4)
+	if second.err != boom {
+		t.Fatalf("second flight err = %v", second.err)
+	}
+	if _, f, _ := c.join("k", 0); f != nil {
+		t.Fatal("a landed flight is still joinable")
+	}
+	if st := c.stats(); st.Coalesced != 2 || st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 coalesced, 1 hit, 0 misses, 1 entry", st)
+	}
 }
 
 // TestQueryCacheHitsRepeatedQueries checks the serving behavior: the
@@ -77,11 +100,11 @@ func TestQueryCacheHitsRepeatedQueries(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, env1["error"])
 	}
-	if cachedFlag(t, env1) {
+	if envFlag(t, env1, "cached") {
 		t.Fatal("first execution claimed a cache hit")
 	}
 	status, env2 := postQuery(t, ts, body)
-	if status != http.StatusOK || !cachedFlag(t, env2) {
+	if status != http.StatusOK || !envFlag(t, env2, "cached") {
 		t.Fatalf("repeat not served from cache (status %d)", status)
 	}
 	if string(env1["result"]) != string(env2["result"]) {
@@ -93,7 +116,7 @@ func TestQueryCacheHitsRepeatedQueries(t *testing.T) {
 		{"column": "region", "op": "<", "value": 8},
 		{"column": "flag", "op": "=", "value": 1},
 	}
-	if _, env3 := postQuery(t, ts, body); !cachedFlag(t, env3) {
+	if _, env3 := postQuery(t, ts, body); !envFlag(t, env3, "cached") {
 		t.Fatal("commuted predicates missed the cache")
 	}
 
@@ -113,7 +136,7 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 	body := map[string]any{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount"}
 
 	postQuery(t, ts, body)
-	if _, env := postQuery(t, ts, body); !cachedFlag(t, env) {
+	if _, env := postQuery(t, ts, body); !envFlag(t, env, "cached") {
 		t.Fatal("warm-up repeat did not hit")
 	}
 
@@ -121,10 +144,10 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 	if err := srv.SwapConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, env := postQuery(t, ts, body); cachedFlag(t, env) {
+	if _, env := postQuery(t, ts, body); envFlag(t, env, "cached") {
 		t.Fatal("cache served across a config swap")
 	}
-	if _, env := postQuery(t, ts, body); !cachedFlag(t, env) {
+	if _, env := postQuery(t, ts, body); !envFlag(t, env, "cached") {
 		t.Fatal("cache did not repopulate after the swap")
 	}
 
@@ -138,7 +161,7 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, env := postQuery(t, ts, body)
-	if cachedFlag(t, env) {
+	if envFlag(t, env, "cached") {
 		t.Fatal("cache served a result for a re-encoded column")
 	}
 
@@ -148,8 +171,8 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	status, env2 := postQuery(t, ts, body)
-	if status != http.StatusOK || cachedFlag(t, env2) {
-		t.Fatalf("post-AddDataset query: status %d cached %v", status, cachedFlag(t, env2))
+	if status != http.StatusOK || envFlag(t, env2, "cached") {
+		t.Fatalf("post-AddDataset query: status %d cached %v", status, envFlag(t, env2, "cached"))
 	}
 	if string(env["result"]) != string(env2["result"]) {
 		t.Fatalf("recomputed result drifted: %s != %s", env["result"], env2["result"])
@@ -162,7 +185,7 @@ func TestQueryCacheOffByDefault(t *testing.T) {
 	srv, ts := newTestServer(t, DefaultConfig())
 	body := map[string]any{"dataset": "demo", "op": "degree"}
 	postQuery(t, ts, body)
-	if _, env := postQuery(t, ts, body); cachedFlag(t, env) {
+	if _, env := postQuery(t, ts, body); envFlag(t, env, "cached") {
 		t.Fatal("cache served with CacheEntries = 0")
 	}
 	if st := srv.cache.stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {

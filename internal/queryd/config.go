@@ -38,24 +38,10 @@ type Config struct {
 	// once; entries are keyed on catalog version and column generations,
 	// so swaps and re-encodes invalidate without a flush pass.
 	CacheEntries int `json:"cache_entries"`
-	// SharedScan enables the cooperative shared-scan coordinator (off by
-	// default; saserve turns it on): concurrently admitted predicated
-	// Aggregate/GroupBy plans over one table may ride one circular scan,
-	// where identical plans are answered by one state and plans with the
-	// same predicate signature share one mask build per batch; plans
-	// with different predicates would share nothing and are not enrolled.
-	// Enrollment stays adaptive per query, on the query's same-signature
-	// mate count — see internal/adapt.ScoreSharedScan.
-	SharedScan bool `json:"shared_scan"`
-	// SharedScanSegments is the circular scan's segment count (0 = the
-	// default, 8): late arrivals attach at the next segment boundary and
-	// complete after a full wraparound, so more segments mean finer
-	// attachment latency but more per-pass loop overhead.
-	SharedScanSegments int `json:"shared_scan_segments"`
 	// ProfileSample controls query profiling: 0 disables it, 1 profiles
 	// every query, N profiles one in N. A profiled query carries a
-	// QueryProfile through every layer (stage timings, shared-scan
-	// outcome, per-column chunk accounting, morsel claims) and lands in
+	// QueryProfile through every layer (stage timings, cache outcome,
+	// per-column chunk accounting, morsel claims) and lands in
 	// the slow-query log. "explain": true forces a profile regardless of
 	// the rate. Per-tenant RED metrics are always recorded, unsampled.
 	ProfileSample int `json:"profile_sample"`
@@ -100,10 +86,6 @@ func (c Config) Validate() error {
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("queryd: cache_entries must be non-negative, got %d", c.CacheEntries)
 	}
-	if c.SharedScanSegments < 0 || c.SharedScanSegments > maxSharedScanSegments {
-		return fmt.Errorf("queryd: shared_scan_segments must be in [0, %d], got %d",
-			maxSharedScanSegments, c.SharedScanSegments)
-	}
 	if c.ProfileSample < 0 {
 		return fmt.Errorf("queryd: profile_sample must be non-negative, got %d", c.ProfileSample)
 	}
@@ -124,23 +106,6 @@ func (c Config) slowQueryThreshold() time.Duration {
 		ms = defaultSlowQueryMS
 	}
 	return time.Duration(ms) * time.Millisecond
-}
-
-// defaultSharedScanSegments balances attachment latency (a late query
-// waits at most one segment before scanning) against per-pass loop
-// overhead; maxSharedScanSegments keeps a config from degenerating the
-// scan into per-row passes.
-const (
-	defaultSharedScanSegments = 8
-	maxSharedScanSegments     = 1024
-)
-
-// sharedSegments resolves the configured segment count.
-func (c Config) sharedSegments() int {
-	if c.SharedScanSegments <= 0 {
-		return defaultSharedScanSegments
-	}
-	return c.SharedScanSegments
 }
 
 // queueTimeout resolves the admission deadline for a query that asked for

@@ -64,7 +64,8 @@ type Options struct {
 	// server's first dataset.
 	Mix []QuerySpec
 	// AggOnly restricts the mix to table scans (aggregate/groupby) — the
-	// shared-scan phases use it so graph kernels don't dilute the signal.
+	// coalescing and profiling phases use it so graph kernels don't dilute
+	// the signal.
 	AggOnly bool
 	// Tenants spreads the workload over N synthetic tenant identities
 	// (tenant-0 .. tenant-N-1) injected into each request body, so the
@@ -110,15 +111,13 @@ type Report struct {
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
-	// Server-side shared-scan deltas over the run (zero when the server
-	// runs with sharing off or /stats is unreachable).
-	SharedEnrolled  uint64 `json:"shared_enrolled"`
-	SharedCoalesced uint64 `json:"shared_coalesced"`
-	SharedBypassed  uint64 `json:"shared_bypassed"`
-	SharedBatches   uint64 `json:"shared_batches"`
+	// Coalesced is the server-side count of queries answered by an
+	// identical plan in flight over the run (zero when /stats is
+	// unreachable).
+	Coalesced uint64 `json:"coalesced"`
 
-	// PerOp carries one latency summary per plan type, so a shared-scan
-	// win on aggregates isn't masked by graph kernels in a mixed run.
+	// PerOp carries one latency summary per plan type, so a win on
+	// aggregates isn't masked by graph kernels in a mixed run.
 	PerOp map[string]OpLatency `json:"per_op"`
 
 	// PerTenant carries one client-side latency/throughput summary per
@@ -174,9 +173,8 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "  cache: %d hits  %d misses  (%.1f%% hit rate)\n",
 			r.CacheHits, r.CacheMisses, 100*r.CacheHitRate)
 	}
-	if r.SharedEnrolled+r.SharedCoalesced+r.SharedBypassed > 0 {
-		fmt.Fprintf(&b, "  shared: %d enrolled  %d coalesced  %d bypassed  %d shared batches\n",
-			r.SharedEnrolled, r.SharedCoalesced, r.SharedBypassed, r.SharedBatches)
+	if r.Coalesced > 0 {
+		fmt.Fprintf(&b, "  coalesced: %d answered by an identical plan in flight\n", r.Coalesced)
 	}
 	if r.SlowlogObserved > 0 {
 		fmt.Fprintf(&b, "  profiles: %d observed  %d slow  (%d tenant series)\n",
@@ -226,12 +224,11 @@ func FetchMeta(addr string) ([]queryd.Meta, error) {
 
 // serverStats is the /stats slice the load harness compares across a run.
 type serverStats struct {
-	Cache   queryd.CacheStats      `json:"cache"`
-	Shared  queryd.SharedScanStats `json:"shared_scan"`
-	Tenants []json.RawMessage      `json:"tenants"`
+	Cache   queryd.CacheStats `json:"cache"`
+	Tenants []json.RawMessage `json:"tenants"`
 }
 
-// fetchServerStats reads the cumulative cache and shared-scan counters.
+// fetchServerStats reads the cumulative cache counters.
 func fetchServerStats(addr string) (serverStats, error) {
 	resp, err := http.Get("http://" + addr + "/stats")
 	if err != nil {
@@ -243,12 +240,6 @@ func fetchServerStats(addr string) (serverStats, error) {
 		return serverStats{}, fmt.Errorf("loadgen: decoding stats: %w", err)
 	}
 	return payload, nil
-}
-
-// FetchCacheStats reads the server's result-cache counters from /stats.
-func FetchCacheStats(addr string) (queryd.CacheStats, error) {
-	s, err := fetchServerStats(addr)
-	return s.Cache, err
 }
 
 // slowlogStats is the /debug/slowlog slice the harness diffs across a
@@ -356,8 +347,8 @@ func DefaultMix(m queryd.Meta) []QuerySpec {
 }
 
 // TableOnly filters a mix down to table-scan plans (aggregate/groupby) by
-// inspecting each body's op field — the shape the shared-scan smoke phase
-// drives so every request is a coalescing candidate.
+// inspecting each body's op field — the shape the coalescing smoke phase
+// drives so every request is a table scan.
 func TableOnly(mix []QuerySpec) []QuerySpec {
 	var out []QuerySpec
 	for _, s := range mix {
@@ -566,10 +557,9 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 
-	// Cache, shared-scan, and slow-query-log counters are cumulative on
-	// the server; snapshot before and after so the report carries this
-	// run's delta. A fetch failure only zeroes those fields, never fails
-	// the run.
+	// Cache and slow-query-log counters are cumulative on the server;
+	// snapshot before and after so the report carries this run's delta. A
+	// fetch failure only zeroes those fields, never fails the run.
 	statsBefore, statsErr := fetchServerStats(opts.Addr)
 	slowBefore, slowErr := fetchSlowlog(opts.Addr)
 
@@ -680,10 +670,7 @@ func Run(opts Options) (*Report, error) {
 			if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 				rep.CacheHitRate = float64(rep.CacheHits) / float64(total)
 			}
-			rep.SharedEnrolled = statsAfter.Shared.Enrolled - statsBefore.Shared.Enrolled
-			rep.SharedCoalesced = statsAfter.Shared.Coalesced - statsBefore.Shared.Coalesced
-			rep.SharedBypassed = statsAfter.Shared.Bypassed - statsBefore.Shared.Bypassed
-			rep.SharedBatches = statsAfter.Shared.SharedBatches - statsBefore.Shared.SharedBatches
+			rep.Coalesced = statsAfter.Cache.Coalesced - statsBefore.Cache.Coalesced
 			rep.TenantSeries = len(statsAfter.Tenants)
 		}
 	}

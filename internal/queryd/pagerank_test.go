@@ -61,7 +61,7 @@ func TestTopRanksMatchesFullSort(t *testing.T) {
 
 // BenchmarkServedPageRank is the benchmark's graph_rank workload without
 // the harness: its request body through Server.Handler() on a server
-// configured as saserve ships (small machine, cache and shared scans on,
+// configured as saserve ships (small machine, cache on,
 // 1-in-16 profiling, array registry attached, 100 000 vertices — no table,
 // the plan never touches one), from 2 concurrent callers. ns/op is wall
 // time per query; profile it with -cpuprofile.
@@ -76,7 +76,7 @@ func BenchmarkServedPageRank(b *testing.B) {
 	rt.SetRecorder(rec)
 	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
-	cfg.CacheEntries, cfg.SharedScan, cfg.ProfileSample = 1024, true, 16
+	cfg.CacheEntries, cfg.ProfileSample = 1024, 16
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Vertices: 100000, Degree: 8, Seed: 1}}, rec, reg)
 	if err != nil {
 		b.Fatal(err)

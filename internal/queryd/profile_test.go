@@ -1,25 +1,23 @@
 // End-to-end tests for query profiling: "explain": true on both table
 // ops, the chunk-accounting invariant, agreement between profile fields
-// and the /stats counters (cache, shared scan, admission), the
+// and the /stats counters (cache and flights, admission), the
 // /debug/slowlog and /debug/query/<id> surfaces, and the -race exercise
 // of profiled queries against config swaps and live re-encoding.
 package queryd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"smartarrays/internal/colstore"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/obs"
-	"smartarrays/internal/queryd/plan"
 )
 
 // profileOf decodes the inline profile from an explain response.
@@ -87,7 +85,7 @@ func stageNames(p *obs.QueryProfile) []string {
 }
 
 // TestExplainAggregateProfile runs EXPLAIN ANALYZE on a predicated
-// aggregate with cache and sharing off: the profile must name every
+// aggregate with the cache off: the profile must name every
 // lifecycle stage, satisfy the chunk invariant on both touched columns,
 // and record the scheduler's morsel work.
 func TestExplainAggregateProfile(t *testing.T) {
@@ -112,11 +110,8 @@ func TestExplainAggregateProfile(t *testing.T) {
 	if p.Op != "aggregate" || p.Dataset != "demo" || p.Plan == "" {
 		t.Errorf("identity fields: %+v", p)
 	}
-	if p.Cache != obs.CacheOff && p.Cache != obs.CacheBypass {
-		t.Errorf("cache = %q with caching disabled", p.Cache)
-	}
-	if p.Shared == nil || p.Shared.Mode != obs.SharedOff {
-		t.Errorf("shared = %+v, want mode off (coordinator disabled)", p.Shared)
+	if p.Cache != obs.CacheBypass {
+		t.Errorf("cache = %q, want bypass (explain skips cache and flights)", p.Cache)
 	}
 
 	want := map[string]bool{"parse": false, "admission": false, "execute": false}
@@ -161,7 +156,8 @@ func TestExplainAggregateProfile(t *testing.T) {
 }
 
 // TestExplainGroupByProfile is the group-by half of the acceptance
-// check: three roles (predicate, key, target), same invariants.
+// check: three roles (predicate, key, target), same invariants, and
+// predicates listed in canonical order on both ops.
 func TestExplainGroupByProfile(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
 	status, env := postQuery(t, ts, map[string]any{
@@ -188,6 +184,34 @@ func TestExplainGroupByProfile(t *testing.T) {
 		t.Errorf("column roles = %v", roles)
 	}
 	checkChunkInvariant(t, p, uint64((testRows+63)/64))
+
+	// Predicates are reported in canonical signature order whatever order
+	// the caller wrote them in: "region…" sorts after "flag…".
+	where := []map[string]any{{"column": "region", "op": "<", "value": 8}, {"column": "flag", "op": "=", "value": 1}}
+	for _, tc := range []struct {
+		body map[string]any
+		want []string
+	}{
+		{map[string]any{"op": "aggregate", "agg": "sum", "column": "amount", "where": where},
+			[]string{"flag/predicate", "region/predicate", "amount/target"}},
+		{map[string]any{"op": "aggregate", "agg": "count", "column": "amount", "where": where[:1]},
+			[]string{"region/predicate"}},
+		{map[string]any{"op": "groupby", "key": "region", "agg": "max", "column": "amount", "where": where},
+			[]string{"flag/predicate", "region/predicate", "region/key", "amount/target"}},
+	} {
+		tc.body["dataset"], tc.body["explain"] = "demo", true
+		status, env := postQuery(t, ts, tc.body)
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, env["error"])
+		}
+		var order []string
+		for _, c := range profileOf(t, env).Columns {
+			order = append(order, c.Column+"/"+c.Role)
+		}
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("%v: columns %v, want %v", tc.body, order, tc.want)
+		}
+	}
 }
 
 // TestExplainPlanTimePruning pins what EXPLAIN shows of plan-time zone
@@ -267,70 +291,6 @@ func TestExplainPlanTimePruning(t *testing.T) {
 	}
 }
 
-// TestExplainParityBypassedVsEnrolled runs the same plans through the
-// independent path (execute) and through the shared-scan coordinator
-// (submit) and requires the same EXPLAIN column report from both: same
-// columns, roles and codecs in the same order — predicates in canonical
-// signature order, whatever order the caller wrote them in — and the
-// chunk invariant on each. Both paths are one ScanState over the whole
-// table, so any difference would be an accounting fork.
-func TestExplainParityBypassedVsEnrolled(t *testing.T) {
-	srv, _ := newTestServer(t, sharedConfig())
-	ds, err := srv.Dataset("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Written in non-canonical order: "region…" sorts after "flag…".
-	preds := []colstore.Pred{
-		{Column: "region", Op: colstore.Lt, Value: 8},
-		{Column: "flag", Op: colstore.Eq, Value: 1},
-	}
-	plans := []*plan.Plan{
-		{Dataset: "demo", Op: plan.OpAggregate, Agg: colstore.Sum, Column: "amount", Preds: preds},
-		{Dataset: "demo", Op: plan.OpAggregate, Agg: colstore.Count, Column: "amount", Preds: preds[:1]},
-		{Dataset: "demo", Op: plan.OpGroupBy, Agg: colstore.Max, Column: "amount", Key: "region", Preds: preds},
-	}
-	wantOrder := [][]string{
-		{"flag/predicate", "region/predicate", "amount/target"},
-		{"region/predicate"},
-		{"flag/predicate", "region/predicate", "region/key", "amount/target"},
-	}
-	chunks := uint64((testRows + 63) / 64)
-	for i, p := range plans {
-		bypassed := obs.NewQueryProfile(1)
-		direct, err := execute(obs.ContextWithProfile(context.Background(), bypassed), srv.rt, ds, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enrolled := obs.NewQueryProfile(2)
-		res, err := srv.shared.scanner(ds.Table, srv.rt).submit(planScanQuery(p), planKey(p), 0, 4, enrolled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared := wireScanResult(p, res); !reflect.DeepEqual(direct, shared) {
-			t.Errorf("plan %d: bypassed answer %+v, enrolled %+v", i, direct, shared)
-		}
-		var order []string
-		for _, c := range bypassed.Columns {
-			order = append(order, c.Column+"/"+c.Role)
-		}
-		if !reflect.DeepEqual(order, wantOrder[i]) {
-			t.Errorf("plan %d: bypassed columns %v, want %v", i, order, wantOrder[i])
-		}
-		if len(enrolled.Columns) != len(bypassed.Columns) {
-			t.Fatalf("plan %d: enrolled reports %d columns, bypassed %d", i, len(enrolled.Columns), len(bypassed.Columns))
-		}
-		for j, b := range bypassed.Columns {
-			e := enrolled.Columns[j]
-			if e.Column != b.Column || e.Role != b.Role || e.Codec != b.Codec || e.Chunks != b.Chunks {
-				t.Errorf("plan %d column %d: enrolled %+v, bypassed %+v", i, j, e, b)
-			}
-		}
-		checkChunkInvariant(t, bypassed, chunks)
-		checkChunkInvariant(t, enrolled, chunks)
-	}
-}
-
 // TestProfileCacheAgreement samples every query and checks the profile
 // cache outcomes against the /stats cache counters: one miss then one
 // hit, with explain bypassing both lookup and fill.
@@ -383,78 +343,102 @@ func TestProfileCacheAgreement(t *testing.T) {
 	}
 }
 
-// TestProfileSharedAgreement fires concurrent identical explain queries
-// through the shared-scan coordinator and reconciles the per-profile
-// enrollment modes with the coordinator's /stats counters — every query
-// took exactly one path, and both sides counted it. The mate count each
-// profile carries must explain its path: this un-prunable plan rides
-// exactly when the decision counted a same-signature mate, so the
-// profiles with mates are the queries /stats counts as enrolled or
-// coalesced, and the ones without are its bypasses.
+// TestProfileSharedAgreement samples every query and reconciles three
+// views of each one's cache outcome: its profile, its reply and /stats.
+// With the cache on, concurrent identical queries split into misses
+// (executed), hits and coalesced followers; every query lands in exactly
+// one, counted once by /stats, recorded once on its profile and flagged
+// cached or shared on its reply to match. Explain lands in none.
 func TestProfileSharedAgreement(t *testing.T) {
-	srv, ts := newSharedTestServer(t, sharedConfig())
-	body := sharedTestBodies()[0]
-	body["explain"] = true
+	cfg := flightConfig()
+	cfg.CacheEntries = 64
+	cfg.ProfileSample = 1
+	srv, ts := newFlightTestServer(t, cfg)
+	bodies := flightTestBodies()
 
-	const clients, rounds = 8, 3
-	var wg sync.WaitGroup
-	var enrolled, coalesced, bypassed, missing, withMates atomic.Uint64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				status, env := postQuery(t, ts, body)
-				if status != http.StatusOK {
-					t.Errorf("status %d", status)
-					continue
-				}
-				p := profileOf(t, env)
-				if p.Shared == nil {
-					missing.Add(1)
-					continue
-				}
-				if p.Shared.Mates > 0 {
-					withMates.Add(1)
-				}
-				switch p.Shared.Mode {
-				case obs.SharedEnrolled:
-					enrolled.Add(1)
-					if p.Shared.SegmentsFolded == 0 || p.Shared.WraparoundNs == 0 {
-						t.Errorf("enrolled profile without wraparound accounting: %+v", p.Shared)
-					}
-				case obs.SharedCoalesced:
-					coalesced.Add(1)
-				case obs.SharedBypassed:
-					bypassed.Add(1)
-				default:
-					t.Errorf("unexpected shared mode %q with coordinator on", p.Shared.Mode)
-				}
-			}
-		}()
+	var mu sync.Mutex
+	var qids []uint64
+	flags := map[string]uint64{}
+	send := func(body map[string]any) {
+		status, env, err := post(ts, body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if status != http.StatusOK {
+			t.Errorf("status %d: %s", status, env["error"])
+			return
+		}
+		var qid uint64
+		if err := json.Unmarshal(env["query_id"], &qid); err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		qids = append(qids, qid)
+		switch {
+		case envFlag(t, env, "cached"):
+			flags[obs.CacheHit]++
+		case envFlag(t, env, "shared"):
+			flags[obs.CacheCoalesced]++
+		default:
+			flags[obs.CacheMiss]++
+		}
 	}
-	wg.Wait()
-	if missing.Load() != 0 {
-		t.Fatalf("%d table-op profiles had no shared section", missing.Load())
+	// Each round starts cold (a swap moves every key on) and sends every
+	// body from two clients at once, until some query has coalesced. The
+	// query count stays under the slow log's ring, so every profile is
+	// retained.
+	for round := 0; round < 20 && srv.cache.stats().Coalesced == 0; round++ {
+		if err := srv.SwapConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 2*len(bodies); c++ {
+			wg.Add(1)
+			go func(body map[string]any) {
+				defer wg.Done()
+				send(body)
+			}(bodies[c%len(bodies)])
+		}
+		wg.Wait()
 	}
-	stats := srv.SharedStats()
-	if stats.Enrolled != enrolled.Load() || stats.Coalesced != coalesced.Load() || stats.Bypassed != bypassed.Load() {
-		t.Errorf("profiles saw enrolled/coalesced/bypassed %d/%d/%d, /stats counted %d/%d/%d",
-			enrolled.Load(), coalesced.Load(), bypassed.Load(),
-			stats.Enrolled, stats.Coalesced, stats.Bypassed)
+	explain := maps.Clone(bodies[0])
+	explain["explain"] = true
+	status, env := postQuery(t, ts, explain)
+	if status != http.StatusOK {
+		t.Fatalf("explain status %d", status)
 	}
-	if total := enrolled.Load() + coalesced.Load() + bypassed.Load(); total != clients*rounds {
-		t.Errorf("modes sum to %d, want %d", total, clients*rounds)
+	if p := profileOf(t, env); p.Cache != obs.CacheBypass {
+		t.Errorf("explain profile cache = %q, want bypass", p.Cache)
 	}
-	if withMates.Load() != stats.Enrolled+stats.Coalesced {
-		t.Errorf("%d profiles counted a mate, /stats has %d enrolled + %d coalesced (bypassed %d)",
-			withMates.Load(), stats.Enrolled, stats.Coalesced, stats.Bypassed)
+
+	profiled := map[string]uint64{}
+	for _, qid := range qids {
+		profiled[fetchProfile(t, ts, qid).Cache]++
+	}
+	st := fetchStats(t, ts).Cache
+	counted := map[string]uint64{obs.CacheHit: st.Hits, obs.CacheMiss: st.Misses, obs.CacheCoalesced: st.Coalesced}
+	var total uint64
+	for outcome, n := range counted {
+		total += n
+		if profiled[outcome] != n || flags[outcome] != n {
+			t.Errorf("%s: %d profiles, %d replies, /stats %d", outcome, profiled[outcome], flags[outcome], n)
+		}
+	}
+	if total != uint64(len(qids)) {
+		t.Errorf("/stats counted %d outcomes for %d queries (profiles %v)", total, len(qids), profiled)
+	}
+	if st.Coalesced == 0 {
+		t.Error("no query coalesced")
 	}
 }
 
-// TestShedProfileAgreement saturates admission with every query sampled:
-// shed queries must emit minimal 429 profiles, and the slow-query log
-// and per-tenant error series must agree with the admission counters.
+// TestShedProfileAgreement saturates admission with distinct queries,
+// every one sampled: shed queries must emit minimal 429 profiles, and the
+// slow-query log and per-tenant error series must agree with the
+// admission counters.
 func TestShedProfileAgreement(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInFlight = 1
@@ -467,10 +451,10 @@ func TestShedProfileAgreement(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
-			go func() {
+			go func(i int) {
 				defer wg.Done()
 				status, _ := postQuery(t, ts, map[string]any{
-					"dataset": "demo", "op": "pagerank", "iters": 30, "tenant": "acme",
+					"dataset": "demo", "op": "pagerank", "iters": 30 + i, "tenant": "acme",
 				})
 				switch status {
 				case http.StatusOK:
@@ -478,7 +462,7 @@ func TestShedProfileAgreement(t *testing.T) {
 				case http.StatusTooManyRequests:
 					rejected.Add(1)
 				}
-			}()
+			}(i)
 		}
 		wg.Wait()
 	}
@@ -568,10 +552,10 @@ func TestDebugQuerySurfaces(t *testing.T) {
 
 // TestProfilesUnderSwapAndReencode is the -race exercise: explain
 // queries hammer both table ops while the control plane toggles
-// profiling/sharing and the scanned columns re-encode live. Profiles
+// profiling/caching and the scanned columns re-encode live. Profiles
 // must stay well-formed and the chunk invariant must hold throughout.
 func TestProfilesUnderSwapAndReencode(t *testing.T) {
-	srv, ts := newTestServer(t, sharedConfig())
+	srv, ts := newTestServer(t, flightConfig())
 	ds, err := srv.Dataset("demo")
 	if err != nil {
 		t.Fatal(err)
@@ -596,9 +580,9 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 				return
 			default:
 			}
-			cfg := sharedConfig()
+			cfg := flightConfig()
 			cfg.ProfileSample = []int{0, 1, 16}[i%3]
-			cfg.SharedScan = i%2 == 0
+			cfg.CacheEntries = []int{0, 64}[i%2]
 			cfg.SlowQueryMS = int64(1 + i%100)
 			if err := srv.SwapConfig(cfg); err != nil {
 				t.Error(err)
@@ -638,9 +622,8 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 					t.Errorf("profile status %q under chaos", p.Status)
 				}
 				checkStageSum(t, p)
-				coalesced := p.Shared != nil && p.Shared.Mode == obs.SharedCoalesced
-				if !coalesced && len(p.Columns) == 0 {
-					t.Errorf("non-coalesced profile lost its columns: %+v", p)
+				if len(p.Columns) == 0 {
+					t.Errorf("profile lost its columns: %+v", p)
 				}
 				checkChunkInvariant(t, p, uint64((testRows+63)/64))
 			}

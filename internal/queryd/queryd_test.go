@@ -51,20 +51,30 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // postQuery POSTs a /query body and decodes the response envelope.
 func postQuery(t *testing.T, ts *httptest.Server, body map[string]any) (int, map[string]json.RawMessage) {
 	t.Helper()
-	data, err := json.Marshal(body)
+	code, env, err := post(ts, body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code, env
+}
+
+// post is postQuery for goroutines other than the test's own: it returns
+// the error instead of failing the test.
+func post(ts *httptest.Server, body map[string]any) (int, map[string]json.RawMessage, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, err
+	}
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var env map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("decoding response: %v", err)
+		return 0, nil, fmt.Errorf("decoding response: %w", err)
 	}
-	return resp.StatusCode, env
+	return resp.StatusCode, env, nil
 }
 
 func resultField[T any](t *testing.T, env map[string]json.RawMessage, field string) T {
@@ -287,8 +297,9 @@ func TestQueryErrors(t *testing.T) {
 }
 
 // TestQuerySaturation429 narrows admission to one slot with no queue and
-// fires concurrent queries: some must be served, the overflow must be
-// 429, and nothing may 5xx.
+// fires concurrent distinct queries (identical ones would wait on each
+// other's flight instead): some must be served, the overflow must be 429,
+// and nothing may 5xx.
 func TestQuerySaturation429(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInFlight = 1
@@ -300,10 +311,10 @@ func TestQuerySaturation429(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
-			go func() {
+			go func(i int) {
 				defer wg.Done()
 				status, _ := postQuery(t, ts, map[string]any{
-					"dataset": "demo", "op": "pagerank", "iters": 30,
+					"dataset": "demo", "op": "pagerank", "iters": 30 + i,
 				})
 				switch status {
 				case http.StatusOK:
@@ -313,7 +324,7 @@ func TestQuerySaturation429(t *testing.T) {
 				default:
 					other.Add(1)
 				}
-			}()
+			}(i)
 		}
 		wg.Wait()
 	}

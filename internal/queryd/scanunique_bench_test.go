@@ -28,7 +28,7 @@ func newScanUniqueServer(b *testing.B, cacheEntries int) *Server {
 	rt.SetRecorder(rec)
 	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
-	cfg.CacheEntries, cfg.SharedScan, cfg.ProfileSample = cacheEntries, true, 16
+	cfg.CacheEntries, cfg.ProfileSample = cacheEntries, 16
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Rows: 1 << 22, Seed: 1}}, rec, reg)
 	if err != nil {
 		b.Fatal(err)
@@ -96,55 +96,45 @@ func BenchmarkScanUniqueTemplates(b *testing.B) {
 	}
 }
 
-// BenchmarkScanUniqueTwoCallers sizes the ride: two closed-loop callers
-// through Server.Handler() on the same server, sending what the ring can
-// share least, partly and wholly. Caller 0 asks for min(amount), caller 1
-// for max(amount) — two folds of one cost, so the three cases compare —
-// both under scan_unique's `amount < t`. "distinct" gives every request a
-// threshold of its own — no mates, every query its own ScanRange on the
-// whole pool. "same_signature" holds t fixed: the callers ride together,
-// one mask build per batch and two folds. "identical" is the fixed-t min
-// from both: one enrolls, the other coalesces onto it, one wave answers
-// both. The result cache is off (as in load_smoke's shared phase) so the
+// BenchmarkScanUniqueTwoCallers sizes coalescing: two closed-loop callers
+// through Server.Handler() on the same server, both asking for
+// min(amount) under scan_unique's `amount < t`. "distinct" gives every
+// request a threshold of its own, so each executes; "identical" holds t
+// fixed, so a caller that finds its twin executing waits for that answer.
+// The result cache is off (as in load_smoke's coalescing phase) so the
 // repeated plans execute. ms/query is what each caller waits per query;
-// rode is the share of queries that enrolled or coalesced. The
-// identical:distinct ratio, less the 0.5 a free ride would read, is
-// perfmodel.SharedScanRideOverhead.
+// coalesced is the share of queries answered by the other's execution.
 func BenchmarkScanUniqueTwoCallers(b *testing.B) {
 	srv := newScanUniqueServer(b, 0)
 	handler := srv.Handler()
-	body := func(agg string, t uint64) string {
-		return fmt.Sprintf(`{"dataset":"demo","op":"aggregate","agg":%q,"column":"amount","where":[{"column":"amount","op":"<","value":%d}]}`, agg, t)
+	body := func(t uint64) string {
+		return fmt.Sprintf(`{"dataset":"demo","op":"aggregate","agg":"min","column":"amount","where":[{"column":"amount","op":"<","value":%d}]}`, t)
 	}
-	aggs := [2]string{"min", "max"}
-	const fixed = thresholdLo + thresholdSpan/2
 	var k atomic.Uint64
 	cases := []struct {
 		name string
-		body func(caller int) string
+		body func() string
 	}{
-		{"distinct", func(caller int) string { return body(aggs[caller], thresholdLo+(k.Add(1)*40507)%thresholdSpan) }},
-		{"same_signature", func(caller int) string { return body(aggs[caller], fixed) }},
-		{"identical", func(int) string { return body(aggs[0], fixed) }},
+		{"distinct", func() string { return body(thresholdLo + (k.Add(1)*40507)%thresholdSpan) }},
+		{"identical", func() string { return body(thresholdLo + thresholdSpan/2) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			before := srv.SharedStats()
+			before := srv.cache.stats().Coalesced
 			var wg sync.WaitGroup
 			for caller := 0; caller < 2; caller++ {
 				wg.Add(1)
-				go func(caller int) {
+				go func() {
 					defer wg.Done()
 					for i := 0; i < b.N; i++ {
-						serveQuery(b, handler, c.body(caller))
+						serveQuery(b, handler, c.body())
 					}
-				}(caller)
+				}()
 			}
 			wg.Wait()
-			after := srv.SharedStats()
-			rode := after.Enrolled + after.Coalesced - before.Enrolled - before.Coalesced
+			coalesced := srv.cache.stats().Coalesced - before
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/query")
-			b.ReportMetric(float64(rode)/float64(2*b.N), "rode")
+			b.ReportMetric(float64(coalesced)/float64(2*b.N), "coalesced")
 		})
 	}
 }

@@ -29,7 +29,6 @@
 package queryd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smartarrays/internal/colstore"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/obs/serve"
 	"smartarrays/internal/queryd/plan"
@@ -77,16 +75,11 @@ type Server struct {
 
 	adm *admission
 
-	// cache is the bounded result LRU (see cache.go). Always allocated;
-	// the capacity in the current snapshot's config decides whether it is
-	// consulted, so a config swap can turn caching on or off live.
+	// cache is the bounded result LRU and the flight table (see cache.go).
+	// Always allocated; the capacity in the current snapshot's config
+	// decides whether the LRU is consulted, so a config swap can turn
+	// caching on or off live. Flights are consulted whatever the capacity.
 	cache *resultCache
-
-	// shared is the shared-scan coordinator (see sharedscan.go). Always
-	// allocated; the current snapshot's config decides whether eligible
-	// queries consult it, so a swap can turn sharing on or off live
-	// (in-flight waves simply drain).
-	shared *sharedExec
 
 	// slowlog retains finalized query profiles: the last N profiled
 	// queries, the over-threshold slow ring, and the top-K slowest —
@@ -112,7 +105,7 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache(), shared: newSharedExec(rec)}
+	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache()}
 	s.slowlog = obs.NewSlowLog(0, 0, cfg.slowQueryThreshold())
 
 	// Datasets are built with stealing still off: initialization wants
@@ -162,11 +155,6 @@ func (s *Server) Dataset(name string) (*Dataset, error) {
 // Config returns the current admission configuration.
 func (s *Server) Config() Config {
 	return s.snap.Load().cfg
-}
-
-// SharedStats snapshots the shared-scan coordinator counters.
-func (s *Server) SharedStats() SharedScanStats {
-	return s.shared.Stats()
 }
 
 // SwapConfig validates and atomically installs a new configuration,
@@ -258,8 +246,9 @@ type queryResponse struct {
 	// Cached marks a result served from the result cache (the query
 	// skipped admission and execution entirely).
 	Cached bool `json:"cached,omitempty"`
-	// Shared marks a result computed by a cooperative shared-scan pass
-	// (enrolled or coalesced) rather than an independent scan.
+	// Shared marks a result answered by an identical plan that was
+	// already executing: the query waited for that answer instead of
+	// executing (and took no admission slot).
 	Shared bool `json:"shared,omitempty"`
 	// Profile is the inline execution profile, present only when the
 	// request set "explain": true.
@@ -325,117 +314,94 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cache lookup runs before admission: a hit costs two map operations
-	// and skips the queue entirely, which is where the repeated-query
-	// throughput win comes from. The key embeds the snapshot version and
-	// the touched columns' generations, so a stale entry is unreachable
-	// by construction. Explain skips both lookup and fill: a cached
-	// answer has no execution to profile, and a profiled run must not
-	// poison repeat-latency measurements with its own result.
-	var key string
-	cacheable := false
+	// The cache and the flight table are consulted before admission: a hit
+	// costs two map operations and skips the queue entirely, which is where
+	// the repeated-query throughput win comes from, and a query whose twin
+	// is executing waits for that answer without taking a slot — so it can
+	// never be shed for another query's load. The key embeds the snapshot
+	// version and the touched columns' generations, so a stale entry or
+	// flight is unreachable by construction. Explain skips both: a cached
+	// or borrowed answer has no execution to profile, and a profiled run
+	// must not poison repeat-latency measurements with its own result.
+	var (
+		key            string
+		result         any
+		joined         *flight
+		cacheable, hit bool
+	)
 	if p.Explain {
 		prof.Cache = obs.CacheBypass
-	} else if snap.cfg.CacheEntries <= 0 {
-		if prof != nil {
-			prof.Cache = obs.CacheOff
-		}
 	} else {
 		key, cacheable = cacheKey(snap, ds, p)
-		var result any
-		hit := false
 		if cacheable {
-			result, hit = s.cache.get(key)
+			result, joined, hit = s.cache.join(key, snap.cfg.CacheEntries)
 		}
 		if prof != nil {
 			switch {
+			case !cacheable:
+				prof.Cache = obs.CacheBypass
 			case hit:
 				prof.Cache = obs.CacheHit
-			case cacheable:
+			case joined != nil:
+				prof.Cache = obs.CacheCoalesced
+			case snap.cfg.CacheEntries > 0:
 				prof.Cache = obs.CacheMiss
 			default:
-				prof.Cache = obs.CacheBypass
+				prof.Cache = obs.CacheOff
 			}
 		}
-		if !hit {
-			lap("cache")
-		} else {
-			wall := time.Since(qStart)
-			if s.rec != nil {
-				s.rec.Histogram(QueryHistogram).Observe(uint64(wall.Nanoseconds()))
-				s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
-			}
-			s.observeTenant(p.Tenant, string(p.Op), wall, false)
-			lap("cache")
-			s.finishProfile(prof, "ok", http.StatusOK, lapStart)
-			s.served.Add(1)
-			writeJSON(w, http.StatusOK, queryResponse{
-				Op:       string(p.Op),
-				Dataset:  p.Dataset,
-				QueryID:  qid,
-				Result:   result,
-				WallMS:   float64(wall.Nanoseconds()) / 1e6,
-				Priority: snap.cfg.clampPriority(p.Priority),
-				Cached:   true,
-			})
+		lap("cache")
+	}
+
+	switch {
+	case hit:
+		// The cache answered: nothing to wait for or execute.
+	case joined != nil:
+		<-joined.done
+		result, err = joined.result, joined.err
+		lap("execute")
+	default:
+		err = s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS)
+		queueWait := lap("admission")
+		if prof != nil {
+			prof.QueueWaitNs = uint64(queueWait)
+		}
+		if err != nil {
+			s.reject(w, snap.cfg, err, qid, prof, p, qStart)
 			return
 		}
-	}
-
-	err = s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS)
-	queueWait := lap("admission")
-	if prof != nil {
-		prof.QueueWaitNs = uint64(queueWait)
-	}
-	if err != nil {
-		s.reject(w, snap.cfg, err, qid, prof, p, qStart)
-		return
-	}
-	if s.rec != nil {
-		s.rec.Histogram(QueueWaitHistogram).Observe(uint64(queueWait.Nanoseconds()))
-	}
-	defer s.adm.ReleaseTenant(p.Tenant)
-	// releaseSlot frees the in-flight slot exactly once, reading the
-	// *latest* config so a raised limit drains the queue at the new
-	// width. Shared-scan enrollment calls it early (admission →
-	// enrollment handoff): an enrolled query's work belongs to the
-	// coordinator's cooperative pass, so holding its slot would cap the
-	// batch at MaxInFlight instead of letting the queue drain into it.
-	released := false
-	releaseSlot := func() {
-		if !released {
-			released = true
-			s.adm.Release(s.snap.Load().cfg)
+		if s.rec != nil {
+			s.rec.Histogram(QueueWaitHistogram).Observe(uint64(queueWait.Nanoseconds()))
 		}
-	}
-	defer releaseSlot()
+		defer s.adm.ReleaseTenant(p.Tenant)
+		// The slot is released against the *latest* config, so a raised
+		// limit drains the queue at the new width.
+		defer func() { s.adm.Release(s.snap.Load().cfg) }()
 
-	qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority))
-	ctx := obs.ContextWithProfile(r.Context(), prof)
-	result, shared, err := s.executeMaybeShared(ctx, snap, ds, p, qrt, releaseSlot)
-	if err != nil {
-		// Post-admission failures are server-side: the plan validated but
-		// execution rejected it (e.g. unknown column) — report 422 for
-		// plan-shaped issues, which keeps the "zero 5xx" load gate
-		// meaningful for real internal failures.
+		// Only an admitted query leads a flight: its followers wait on the
+		// slot it already holds.
+		var f *flight
+		if cacheable {
+			f = s.cache.lead(key)
+		}
+		qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority))
+		result, err = execute(obs.ContextWithProfile(r.Context(), prof), qrt, ds, p)
+		if f != nil {
+			s.cache.land(key, f, result, err, snap.cfg.CacheEntries)
+		}
 		lap("execute")
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, errPassPanicked) {
-			status = http.StatusInternalServerError
-		}
-		s.failQuery(w, status, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
+	}
+	if err != nil {
+		s.failExecution(w, err, qid, prof, p, qStart)
 		return
 	}
-	if cacheable {
-		s.cache.put(key, result, snap.cfg.CacheEntries)
-	}
+
 	wall := time.Since(qStart)
 	if s.rec != nil {
 		s.rec.Histogram(QueryHistogram).Observe(uint64(wall.Nanoseconds()))
 		s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
 	}
 	s.observeTenant(p.Tenant, string(p.Op), wall, false)
-	lap("execute")
 	s.finishProfile(prof, "ok", http.StatusOK, lapStart)
 	s.served.Add(1)
 	resp := queryResponse{
@@ -444,13 +410,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		QueryID:  qid,
 		Result:   result,
 		WallMS:   float64(wall.Nanoseconds()) / 1e6,
-		Priority: qrt.Priority(),
-		Shared:   shared,
+		Priority: snap.cfg.clampPriority(p.Priority),
+		Cached:   hit,
+		Shared:   joined != nil,
 	}
 	if p.Explain {
 		resp.Profile = prof
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// failExecution reports a plan that failed past the cache: a panic in
+// execution is a server-side failure (500); anything else is the plan's
+// fault — it validated but the executor rejected it (e.g. unknown column)
+// — and a 422, which keeps the "zero 5xx" load gate meaningful for real
+// internal failures.
+func (s *Server) failExecution(w http.ResponseWriter, err error, qid uint64, prof *obs.QueryProfile, p *plan.Plan, start time.Time) {
+	status := http.StatusUnprocessableEntity
+	if errors.Is(err, errExecPanicked) {
+		status = http.StatusInternalServerError
+	}
+	s.failQuery(w, status, err, qid, prof, "error", p.Tenant, string(p.Op), start)
 }
 
 // maybeProfile decides sampling for one request: explain always
@@ -505,66 +485,6 @@ func (s *Server) failQuery(w http.ResponseWriter, status int, err error, qid uin
 	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: qid})
 }
 
-// executeMaybeShared routes an eligible plan onto the table's circular
-// scan when the adaptive score says riding beats the query's own
-// zone-pruned scan, and falls through to independent execution
-// otherwise. The score is taken at the query's same-signature mate
-// estimate (tableScanner.mates) — the only queries a ride shares a mask
-// build with. A solo query, or one whose predicate values nobody else
-// is asking about, has no mates and always bypasses.
-func (s *Server) executeMaybeShared(ctx context.Context, snap *snapshot, ds *Dataset, p *plan.Plan, qrt *rts.Runtime, handoff func()) (any, bool, error) {
-	prof := obs.ProfileFromContext(ctx)
-	tableOp := ds.Table != nil && (p.Op == plan.OpAggregate || p.Op == plan.OpGroupBy)
-	if snap.cfg.SharedScan && tableOp {
-		sc := s.shared.scanner(ds.Table, s.rt)
-		// Only predicated plans note an arrival: unpredicated ones never
-		// enroll, so they are nobody's mate.
-		mates := 0
-		if len(p.Preds) > 0 {
-			mates = sc.mates(colstore.PredSignature(p.Preds), time.Now())
-		}
-		if decideEnroll(ds.Table, p, mates).Enroll {
-			handoff()
-			prof.NoteShared(obs.SharedEnrolled, mates)
-			res, err := sc.submit(planScanQuery(p), planKey(p), qrt.Priority(), snap.cfg.sharedSegments(), prof)
-			if err != nil {
-				return nil, true, err
-			}
-			return wireScanResult(p, res), true, nil
-		}
-		s.shared.bypassed.Add(1)
-		prof.NoteShared(obs.SharedBypassed, mates)
-		if len(p.Preds) > 0 {
-			// A bypassed predicated scan costs about one wraparound —
-			// feed its latency back as the arrival-window seed.
-			start := time.Now()
-			result, err := execute(ctx, qrt, ds, p)
-			sc.noteIndependent(time.Since(start))
-			return result, false, err
-		}
-	}
-	if tableOp && prof != nil && prof.Shared == nil {
-		// An otherwise shareable table op ran with the coordinator
-		// disabled — distinct from a bypass decision.
-		prof.NoteShared(obs.SharedOff, 0)
-	}
-	result, err := execute(ctx, qrt, ds, p)
-	return result, false, err
-}
-
-// wireScanResult converts a shared-scan result into the same wire form
-// independent execution produces.
-func wireScanResult(p *plan.Plan, res colstore.ScanResult) any {
-	if p.Op == plan.OpAggregate {
-		return AggregateResult{Value: res.Value}
-	}
-	groups := make([]GroupResult, len(res.Groups))
-	for i, r := range res.Groups {
-		groups[i] = GroupResult{Key: r.Key, Value: r.Value}
-	}
-	return GroupByResult{Groups: groups}
-}
-
 // reject maps admission errors onto 429 with a Retry-After hint. A
 // sampled rejection still emits a (minimal) profile whose status names
 // the shed reason, so the slow-query log and tenant error series agree
@@ -611,12 +531,11 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 // statsResponse is the /stats wire form: admission counters plus the
 // served-query latency quantiles from the obs histogram.
 type statsResponse struct {
-	Admission  AdmissionStats  `json:"admission"`
-	Cache      CacheStats      `json:"cache"`
-	SharedScan SharedScanStats `json:"shared_scan"`
-	Served     uint64          `json:"served"`
-	Errors4xx  uint64          `json:"errors_4xx"`
-	Errors5xx  uint64          `json:"errors_5xx"`
+	Admission AdmissionStats `json:"admission"`
+	Cache     CacheStats     `json:"cache"`
+	Served    uint64         `json:"served"`
+	Errors4xx uint64         `json:"errors_4xx"`
+	Errors5xx uint64         `json:"errors_5xx"`
 	// ActiveLoops is the runtime's in-flight loop count at snapshot
 	// time — the worker-pool view of concurrency, alongside the
 	// admission-level in_flight.
@@ -625,10 +544,6 @@ type statsResponse struct {
 	// QueueWaitMS quantifies admission delay (arrival to in-flight slot)
 	// for admitted queries — the queue-pressure signal that precedes 429s.
 	QueueWaitMS *latencyQuantiles `json:"queue_wait_ms,omitempty"`
-	// SharedBatch is the distribution of queries served per cooperative
-	// segment pass (raw batch sizes, not milliseconds) — the "how much
-	// sharing actually happens" signal behind shared_scan's counters.
-	SharedBatch *countQuantiles `json:"shared_batch,omitempty"`
 	// Tenants is the per-tenant × per-op RED/SLO series (also exported
 	// in Prometheus form at /metrics).
 	Tenants []obs.TenantOpSnapshot `json:"tenants,omitempty"`
@@ -641,21 +556,10 @@ type latencyQuantiles struct {
 	P99   float64 `json:"p99"`
 }
 
-// countQuantiles is a count-valued distribution (batch sizes), kept
-// distinct from latencyQuantiles so the units are unambiguous on the
-// wire.
-type countQuantiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{
 		Admission:   s.adm.Stats(),
 		Cache:       s.cache.stats(),
-		SharedScan:  s.shared.Stats(),
 		Served:      s.served.Load(),
 		Errors4xx:   s.errs4xx.Load(),
 		Errors5xx:   s.errs5xx.Load(),
@@ -664,7 +568,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.rec != nil {
 		resp.LatencyMS = quantilesOf(s.rec.Histogram(QueryHistogram).Snapshot())
 		resp.QueueWaitMS = quantilesOf(s.rec.Histogram(QueueWaitHistogram).Snapshot())
-		resp.SharedBatch = countQuantilesOf(s.rec.Histogram(SharedBatchHistogram).Snapshot())
 		resp.Tenants = s.rec.Tenants().Snapshot()
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -705,20 +608,6 @@ func quantilesOf(snap obs.HistogramSnapshot) *latencyQuantiles {
 		P50:   snap.Quantile(0.50) / 1e6,
 		P95:   snap.Quantile(0.95) / 1e6,
 		P99:   snap.Quantile(0.99) / 1e6,
-	}
-}
-
-// countQuantilesOf converts a count-valued histogram snapshot to wire
-// quantiles (nil when empty).
-func countQuantilesOf(snap obs.HistogramSnapshot) *countQuantiles {
-	if snap.Count == 0 {
-		return nil
-	}
-	return &countQuantiles{
-		Count: snap.Count,
-		P50:   snap.Quantile(0.50),
-		P95:   snap.Quantile(0.95),
-		P99:   snap.Quantile(0.99),
 	}
 }
 

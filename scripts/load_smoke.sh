@@ -75,15 +75,16 @@ echo "load-smoke: repeated-query phase (result cache)"
     -spot-check=false -report saload_cache_report.json \
     -max-5xx 0 -min-qps 1 -min-cache-hits 1
 
-# Shared-scan phase: a second server with the result cache OFF (so every
-# duplicate plan actually executes) and sharing on. Many clients hammering
-# the small table-scan mix must coalesce into cooperative batches:
-# -min-shared-batches asserts at least one multi-query pass happened, and
-# the qps floor catches a coordinator that serializes instead of sharing.
-echo "load-smoke: shared-scan phase (cache off, high-concurrency duplicate plans)"
+# Coalescing phase: a second server with the result cache OFF, so a
+# duplicate plan is answered only by executing or by waiting on an
+# identical plan already in flight. Many clients hammering the small
+# table-scan mix must coalesce: -min-coalesced asserts at least one query
+# was answered by a flight, and the qps floor catches a flight table that
+# serializes instead of sharing.
+echo "load-smoke: coalescing phase (cache off, high-concurrency duplicate plans)"
 SHARED_CONCURRENCY="${LOAD_SMOKE_SHARED_CONCURRENCY:-32}"
 "$WORK/saserve" -addr 127.0.0.1:0 -addr-file "$WORK/addr2" \
-    -rows "$ROWS" -vertices 0 -cache 0 -shared 2>"$WORK/saserve2.log" &
+    -rows "$ROWS" -vertices 0 -cache 0 2>"$WORK/saserve2.log" &
 SERVER2_PID=$!
 cleanup2() {
     if [ -n "$SERVER2_PID" ]; then
@@ -97,28 +98,26 @@ i=0
 while [ ! -s "$WORK/addr2" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "load-smoke: shared-scan server never came up" >&2
+        echo "load-smoke: coalescing server never came up" >&2
         cat "$WORK/saserve2.log" >&2
         exit 1
     fi
     if ! kill -0 "$SERVER2_PID" 2>/dev/null; then
-        echo "load-smoke: shared-scan server exited during startup" >&2
+        echo "load-smoke: coalescing server exited during startup" >&2
         cat "$WORK/saserve2.log" >&2
         exit 1
     fi
     sleep 0.1
 done
 ADDR2="$(cat "$WORK/addr2")"
-echo "load-smoke: shared-scan server on $ADDR2 (pid $SERVER2_PID)"
+echo "load-smoke: coalescing server on $ADDR2 (pid $SERVER2_PID)"
 
 "$WORK/saload" -addr "$ADDR2" -duration 1s -concurrency "$SHARED_CONCURRENCY" \
-    -agg-only -spot-check=false -report saload_shared_report.json \
-    -max-5xx 0 -min-qps 1 -min-shared-batches 1
+    -agg-only -spot-check=false -report saload_coalesce_report.json \
+    -max-5xx 0 -min-qps 1 -min-coalesced 1
 
-# Profiling phase: a third server with BOTH the cache and shared scans
-# off — every query actually executes, and execution cost is stable run
-# to run (cooperative batching is adaptive, so a shared server's qps is
-# legitimately bimodal and would flake a tight A/B gate). Two runs
+# Profiling phase: a third server with the cache off — every query
+# executes or waits on an identical one in flight. Two runs
 # distinguished only by the profile sampling rate swapped through the
 # control plane: the baseline runs unprofiled, the profiled run samples
 # every query and spreads load over two tenants, and the gates assert
@@ -128,7 +127,7 @@ echo "load-smoke: shared-scan server on $ADDR2 (pid $SERVER2_PID)"
 MAX_PROFILE_OVERHEAD_PCT="${LOAD_SMOKE_MAX_PROFILE_OVERHEAD_PCT:-5}"
 echo "load-smoke: profiling phase (always-on profiles vs unprofiled baseline)"
 "$WORK/saserve" -addr 127.0.0.1:0 -addr-file "$WORK/addr3" \
-    -rows "$ROWS" -vertices 0 -cache 0 -shared=false 2>"$WORK/saserve3.log" &
+    -rows "$ROWS" -vertices 0 -cache 0 2>"$WORK/saserve3.log" &
 SERVER3_PID=$!
 cleanup3() {
     if [ -n "$SERVER3_PID" ]; then
@@ -194,4 +193,4 @@ while :; do
     echo "load-smoke: profiling gate flaked, retrying (attempt $attempt of 3)"
 done
 
-echo "load-smoke: PASSED (reports in saload_report.json, saload_cache_report.json, saload_shared_report.json, saload_baseline_report.json, saload_profile_report.json)"
+echo "load-smoke: PASSED (reports in saload_report.json, saload_cache_report.json, saload_coalesce_report.json, saload_baseline_report.json, saload_profile_report.json)"
