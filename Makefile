@@ -28,7 +28,7 @@ rts-stress:
 # timing-dependent in the same way: repeat the flight tests under -race
 # (about 20 s).
 queryd-stress:
-	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache' ./internal/queryd
+	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder' ./internal/queryd
 
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.
@@ -93,7 +93,9 @@ bench-pairs:
 # masked-sum kernels per width (ns/elem next to a same-run plain 64-bit
 # sum, and the sparse/dense sweep behind MaskSparseCutoff) and the four
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
-# dataset, from one caller and from two (distinct thresholds, identical
+# dataset, then three MIN/MAX plans through colstore's zone walk (its best
+# case, a uniform target, and the case that degrades to a whole pass), the
+# scan_unique shapes from two callers (distinct thresholds, identical
 # plans — what coalescing saves), then the graph_rank request
 # (BenchmarkServedPageRank: gathers and streams over the CSR) and the
 # zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
@@ -102,6 +104,7 @@ bench-pairs:
 bench-scan:
 	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
+	$(GO) test ./internal/queryd -run '^$$' -bench ZoneOrderedExtremes -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ServedPageRank -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/core -run '^$$' -bench PrunedScan -count 5 -cpu 1

@@ -253,42 +253,24 @@ const (
 	Max
 )
 
-// aggState folds values.
+// aggState folds values. count is the number of rows folded; min and max
+// hold their identities (^0 and 0) until one is, so states merge without
+// asking whether they saw a row.
 type aggState struct {
 	agg   Agg
 	sum   uint64
 	count uint64
 	min   uint64
 	max   uint64
-	any   bool
 }
 
 func newAggState(a Agg) aggState { return aggState{agg: a, min: ^uint64(0)} }
 
-func (s *aggState) add(v uint64) {
-	s.sum += v
-	s.count++
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
-	s.any = true
-}
-
 func (s *aggState) merge(o aggState) {
 	s.sum += o.sum
 	s.count += o.count
-	if o.any {
-		if o.min < s.min {
-			s.min = o.min
-		}
-		if o.max > s.max {
-			s.max = o.max
-		}
-		s.any = true
-	}
+	s.min = min(s.min, o.min)
+	s.max = max(s.max, o.max)
 }
 
 func (s *aggState) result() uint64 {
@@ -298,14 +280,11 @@ func (s *aggState) result() uint64 {
 	case Count:
 		return s.count
 	case Min:
-		if !s.any {
+		if s.count == 0 {
 			return 0
 		}
 		return s.min
 	default:
-		if !s.any {
-			return 0
-		}
 		return s.max
 	}
 }
@@ -355,25 +334,15 @@ func orderPreds(predCols []*Column, preds []Pred) ([]*Column, []Pred) {
 // Aggregate evaluates `SELECT agg(column) WHERE preds...` as a one-query
 // pass over the whole table — the same executor MultiScan drives
 // (multiscan.go), so there is one scan pipeline and one per-query
-// accounting. Two answers need no scan at all: COUNT(*) comes
-// from the schema, and an unpredicated MIN/MAX reads the zone index root,
-// whose bounds are exact.
+// accounting. Only COUNT(*) needs no scan: it comes from the schema. An
+// unpredicated MIN/MAX is the zone walk's first wave, folded from one
+// super zone's chunk bounds.
 func (t *Table) Aggregate(agg Agg, column string, preds ...Pred) (uint64, error) {
-	if len(preds) == 0 && agg != Sum {
-		target, err := t.Column(column)
-		if err != nil {
+	if len(preds) == 0 && agg == Count {
+		if _, err := t.Column(column); err != nil {
 			return 0, err
 		}
-		if agg == Count {
-			return t.rows, nil
-		}
-		if mn, mx, ok := target.arr.ZoneBounds(); ok {
-			recordZoneAnswered(t.rt.Profile(), target)
-			if agg == Min {
-				return mn, nil
-			}
-			return mx, nil
-		}
+		return t.rows, nil
 	}
 	res, err := t.scan(ScanQuery{Agg: agg, Column: column, Preds: preds})
 	return res.Value, err

@@ -18,16 +18,36 @@ const pruningRows = 5*superRows + 37
 // addPruningColumns gives the fixture the two columns whose zone maps
 // prune at the super-zone level: id, the row number, and cluster, whose
 // value 0 occupies one 1024-row plateau in every 8192 rows — survivors of
-// "cluster = 0" are disjoint runs, one in every other super zone.
+// "cluster = 0" are disjoint runs, one in every other super zone. Three
+// more are MIN/MAX targets for the zone walk: rev, id reversed; flat, one
+// constant; and peak, whose minimum 0 and maximum 5000 each recur in
+// several super zones, on both sides of super-zone boundaries and (5000)
+// in the ragged last chunk, with values one and two steps inside them
+// placed so that "peak != 0" and "peak != 5000" leave a super zone whose
+// bound beats the answer so far by exactly one.
 func (f *fixture) addPruningColumns(t *testing.T) {
 	t.Helper()
 	rows := f.table.Rows()
 	f.id, f.cluster = make([]uint64, rows), make([]uint64, rows)
+	f.rev, f.flat, f.peak = make([]uint64, rows), make([]uint64, rows), make([]uint64, rows)
 	for i := range f.id {
 		f.id[i] = uint64(i)
 		f.cluster[i] = uint64(i) / 1024 % 8
+		f.rev[i] = rows - 1 - uint64(i)
+		f.flat[i] = 7
+		f.peak[i] = 3 + uint64(i)*7919%1000
 	}
-	for name, vals := range map[string][]uint64{"id": f.id, "cluster": f.cluster} {
+	for _, row := range []uint64{superRows - 1, superRows, 3*superRows + 5, rows - 1} {
+		f.peak[row] = 5000
+	}
+	for _, row := range []uint64{0, 2*superRows - 1, 2 * superRows, 4*superRows + 100} {
+		f.peak[row] = 0
+	}
+	f.peak[70], f.peak[3*superRows+9] = 2, 1
+	f.peak[3*superRows+6], f.peak[2*superRows+7] = 4998, 4999
+	for name, vals := range map[string][]uint64{
+		"id": f.id, "cluster": f.cluster, "rev": f.rev, "flat": f.flat, "peak": f.peak,
+	} {
 		if _, err := f.table.AddColumn(name, vals, Options{Placement: memsim.Interleaved}); err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +84,10 @@ func scalarResult(t *testing.T, tbl *Table, q ScanQuery) ScanResult {
 // aggregate each where a full per-row oracle pass per aggregate would only
 // repeat itself. The shapes that once had paths of their own — COUNT(*),
 // single-predicate COUNT, zone-root MIN/MAX, unpredicated SUM — are rows
-// of this table like any other. It then drives several signatures through
-// one pass and through a segmented, rotated pass, where the live runs of
-// each call differ.
+// of this table like any other. MIN and MAX then run over every target
+// shape the zone walk orders differently. It then drives several
+// signatures through one pass and through a segmented, rotated pass, where
+// the live runs of each call differ.
 func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 	t.Helper()
 	rows := f.table.Rows()
@@ -116,6 +137,56 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: GroupBy %s agg %v preds %v = %+v, want %+v", label, g.key, agg, ps, got, want)
+				}
+			}
+		}
+	}
+
+	// MIN and MAX, which the zone walk answers super zone by super zone,
+	// best bound first, stopping early: over a monotone, a reversed, a
+	// uniform, a constant and a tied target, with the extreme in the first
+	// chunk, the last full chunk, the ragged tail, either side of a
+	// super-zone boundary or in no selected row, and under predicates on
+	// the target itself, which clamp its bounds. Each is profiled: the
+	// super zones the walk never visits must still be accounted for.
+	for name, vals := range map[string][]uint64{
+		"id": f.id, "rev": f.rev, "price": f.price, "flat": f.flat, "peak": f.peak,
+	} {
+		v := vals[superRows+100]
+		for _, ps := range [][]Pred{
+			nil,
+			idWindow(0, 64),
+			idWindow(rows-37-64, rows-37),
+			idWindow(rows-37, rows),
+			idWindow(2*superRows-64, 2*superRows+64),
+			{{Column: "qty", Op: Gt, Value: 500}, {Column: "qty", Op: Lt, Value: 501}}, // no row, nothing pruned
+			{{Column: "qty", Op: Le, Value: 300}, {Column: "region", Op: Lt, Value: 3}},
+			{{Column: "qty", Op: Ge, Value: 998}},
+			{{Column: name, Op: Le, Value: v}},
+			{{Column: name, Op: Lt, Value: v}},
+			{{Column: name, Op: Ge, Value: v}},
+			{{Column: name, Op: Gt, Value: v}},
+			{{Column: name, Op: Eq, Value: v}},
+			{{Column: name, Op: Ne, Value: 0}},
+			{{Column: name, Op: Ne, Value: 5000}},
+			{{Column: name, Op: Lt, Value: 0}},
+			{{Column: name, Op: Gt, Value: ^uint64(0)}},
+			{{Column: name, Op: Le, Value: v}, {Column: "qty", Op: Gt, Value: 500}},
+		} {
+			for _, agg := range []Agg{Min, Max} {
+				prof := obs.NewQueryProfile(1)
+				got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).Aggregate(agg, name, ps...)
+				if err != nil {
+					t.Fatalf("%s: Aggregate: %v", label, err)
+				}
+				if want := scalarResult(t, f.table, ScanQuery{Agg: agg, Column: name, Preds: ps}); got != want.Value {
+					t.Errorf("%s: %v(%s) preds %v = %d, want %d", label, agg, name, ps, got, want.Value)
+				}
+				for _, c := range prof.Columns {
+					if c.ChunksScanned+c.ChunksPruned != c.Chunks {
+						t.Errorf("%s: %v(%s) preds %v column %s (%s): scanned %d + pruned %d != chunks %d",
+							label, agg, name, ps, c.Column, c.Role, c.ChunksScanned, c.ChunksPruned, c.Chunks)
+					}
 				}
 			}
 		}
@@ -220,6 +291,7 @@ func (f *fixture) readEverySocket(t *testing.T, label string) {
 	t.Helper()
 	for name, want := range map[string][]uint64{
 		"qty": f.qty, "price": f.price, "region": f.region, "id": f.id, "cluster": f.cluster,
+		"rev": f.rev, "flat": f.flat, "peak": f.peak,
 	} {
 		c, _ := f.table.Column(name)
 		for s := 0; s < f.table.rt.Spec().Sockets; s++ {

@@ -7,6 +7,7 @@ import (
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
+	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
 )
 
@@ -144,20 +145,26 @@ func TestPrunedGroupByMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestZeroPredMinMaxUsesZoneBounds pins the satellite fast path: with no
-// predicates, Min/Max answer straight off the zone index root without a
-// scan, and the answer matches the scalar fold.
+// TestZeroPredMinMaxUsesZoneBounds pins what the zone walk makes of an
+// unpredicated Min/Max: the zone index root's value, the scalar fold's
+// answer, folded from chunk bounds with no full chunk decoded — only the
+// ragged last chunk, which has no bound of its own to the row, counts as
+// scanned.
 func TestZeroPredMinMaxUsesZoneBounds(t *testing.T) {
-	f := newPruningFixture(t, 3000)
+	// The last super zone is half full, its last chunk ragged.
+	f := newPruningFixture(t, 3*superRows/2+7)
 	c, err := f.table.Column("band")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.arr.ZoneIndex() == nil {
+	z := c.arr.ZoneIndex()
+	if z == nil {
 		t.Fatal("AddColumn did not build a zone index")
 	}
+	mn, mx := z.Bounds()
 	for _, agg := range []Agg{Min, Max} {
-		got, err := f.table.Aggregate(agg, "band")
+		prof := obs.NewQueryProfile(1)
+		got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).Aggregate(agg, "band")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,18 +172,73 @@ func TestZeroPredMinMaxUsesZoneBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("zero-pred %v = %d, want %d", agg, got, want)
+		root := map[Agg]uint64{Min: mn, Max: mx}[agg]
+		if got != want || got != root {
+			t.Fatalf("zero-pred %v = %d, want %d (zone root %d)", agg, got, want, root)
+		}
+		if len(prof.Columns) != 1 {
+			t.Fatalf("zero-pred %v profiled %d columns, want the target", agg, len(prof.Columns))
+		}
+		if cp := prof.Columns[0]; cp.ChunksScanned > 1 || cp.ChunksScanned+cp.ChunksPruned != cp.Chunks {
+			t.Errorf("zero-pred %v: scanned %d + pruned %d of %d chunks, want at most the ragged one scanned",
+				agg, cp.ChunksScanned, cp.ChunksPruned, cp.Chunks)
 		}
 	}
-	mn, mx, ok := c.arr.ZoneBounds()
-	if !ok {
-		t.Fatal("ZoneBounds not available despite index")
+}
+
+// TestZoneWalkWaves pins the zone walk's wave schedule on a table of 17
+// super zones, the last one ragged. MAX(id) stops after one wave of one
+// super zone; a MIN(id) that no row satisfies, under predicates no zone
+// can prune, visits them all in waves of 1, 2, 4, 8 and the last 2 — five
+// loops, within ceil(log2(17))+1 — and a constant target's keys all tie,
+// so its walk is one loop over everything. Unvisited super zones are
+// pruned for every column.
+func TestZoneWalkWaves(t *testing.T) {
+	const rows = 17*superRows - 100
+	table, err := NewTable(rts.New(machine.X52Small()), rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gotMin, _ := f.table.Aggregate(Min, "band")
-	gotMax, _ := f.table.Aggregate(Max, "band")
-	if gotMin != mn || gotMax != mx {
-		t.Fatalf("fast path (%d,%d) disagrees with zone root (%d,%d)", gotMin, gotMax, mn, mx)
+	t.Cleanup(table.Free)
+	id, noise, flat := make([]uint64, rows), make([]uint64, rows), make([]uint64, rows)
+	for i := range id {
+		id[i], noise[i], flat[i] = uint64(i), uint64(i)*7919%1000, 7
+	}
+	for name, vals := range map[string][]uint64{"id": id, "noise": noise, "flat": flat} {
+		if _, err := table.AddColumn(name, vals, Options{Placement: memsim.Interleaved}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	none := []Pred{{Column: "noise", Op: Gt, Value: 500}, {Column: "noise", Op: Lt, Value: 501}}
+	for _, tc := range []struct {
+		agg        Agg
+		column     string
+		preds      []Pred
+		loops      uint64
+		maxScanned uint64
+	}{
+		{Max, "id", []Pred{{Column: "noise", Op: Ge, Value: 500}}, 1, encoding.ZoneFanout},
+		{Min, "id", none, 5, 17 * encoding.ZoneFanout},
+		{Min, "flat", []Pred{{Column: "noise", Op: Lt, Value: 500}}, 1, 17 * encoding.ZoneFanout},
+	} {
+		prof := obs.NewQueryProfile(1)
+		got, err := table.WithRuntime(table.rt.WithProfile(prof)).Aggregate(tc.agg, tc.column, tc.preds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof.Finalize("ok", 200)
+		if want, _ := table.aggregateScalar(tc.agg, tc.column, tc.preds...); got != want {
+			t.Errorf("%v(%s) preds %v = %d, want %d", tc.agg, tc.column, tc.preds, got, want)
+		}
+		if prof.Loops != tc.loops {
+			t.Errorf("%v(%s) preds %v ran %d loops, want %d", tc.agg, tc.column, tc.preds, prof.Loops, tc.loops)
+		}
+		for _, c := range prof.Columns {
+			if c.ChunksScanned > tc.maxScanned || c.ChunksScanned+c.ChunksPruned != c.Chunks {
+				t.Errorf("%v(%s) preds %v column %s (%s): scanned %d + pruned %d of %d chunks, want at most %d scanned",
+					tc.agg, tc.column, tc.preds, c.Column, c.Role, c.ChunksScanned, c.ChunksPruned, c.Chunks, tc.maxScanned)
+			}
+		}
 	}
 }
 

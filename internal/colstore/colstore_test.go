@@ -19,8 +19,8 @@ type fixture struct {
 	qty    []uint64
 	price  []uint64
 	region []uint64
-	// id and cluster shadow addPruningColumns' columns once added.
-	id, cluster []uint64
+	// The rest shadow addPruningColumns' columns once added.
+	id, cluster, rev, flat, peak []uint64
 }
 
 func newFixture(t *testing.T, rows uint64, placement memsim.Placement) *fixture {

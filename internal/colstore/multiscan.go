@@ -7,7 +7,8 @@
 // accumulators, merged once after the loop barrier. Table.Aggregate and
 // Table.GroupBy are the N = 1 case and MultiScan the N-query one: there
 // is no second pipeline, so shared results are bit-identical to
-// independent execution.
+// independent execution. A lone MIN/MAX runs the same loop body over its
+// best super zones first, in waves (zoneWalk), merging between them.
 package colstore
 
 import (
@@ -60,15 +61,12 @@ type scanState struct {
 
 	// locals accumulates the scalar aggregate, one padded slot per worker.
 	locals []paddedAgg
-	// Grouped accumulators, dense (slice-indexed) or wide (hash maps),
-	// lazily allocated on each worker's first surviving batch.
-	dense       bool
-	domain      uint64
-	denseStates [][]aggState
-	maps        []map[uint64]*aggState
 	// rowFolds[w] is worker w's grouped fold: key/target representation
 	// snapshots (core.View) and the worker's accumulators, built on the
-	// worker's first batch of the pass.
+	// worker's first surviving batch of the pass. Dense keys (domain slots)
+	// index the accumulators directly, wide ones through a map.
+	dense    bool
+	domain   uint64
 	rowFolds []*rowFold
 
 	// Scan profiling (a non-nil prof): per-worker ScanCounts rows laid out
@@ -80,13 +78,13 @@ type scanState struct {
 	profRows [][]core.ScanCounts
 }
 
-// paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 48
+// paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 40
 // bytes), as rts.ReduceSum's partials are: every batch writes its worker's
 // slot, so neighbours must not share a line. The dense GroupBy vectors
 // are not padded — 4096 slots per worker already spread the writes.
 type paddedAgg struct {
 	aggState
-	_ [16]byte
+	_ [24]byte
 }
 
 // canonicalPreds canonicalizes a conjunction: AND commutes, so the terms
@@ -164,9 +162,6 @@ func (t *Table) newScanState(q ScanQuery, prof *obs.QueryProfile) (*scanState, e
 		if key.arr.Bits() <= denseKeyMaxBits {
 			s.dense = true
 			s.domain = key.arr.Codec().MaxValue() + 1
-			s.denseStates = make([][]aggState, n)
-		} else {
-			s.maps = make([]map[uint64]*aggState, n)
 		}
 	} else {
 		s.locals = make([]paddedAgg, n)
@@ -283,11 +278,14 @@ func countScratch(slot *[]core.ScanCounts, n int) []core.ScanCounts {
 // the only parallel loop colstore starts — and returns their results in
 // order. Pruning happens first, at plan time (liveRuns): the loop covers
 // only the row runs some group's conjunction can still match, and the
-// rest is accounted in bulk after it. Per batch, states are grouped by
-// predicate signature: the group leader builds the selection bitmap once
-// (into the table's per-worker mask scratch), then every member folds the
-// surviving rows — the N members of a group pay one decode, groups share
-// nothing with each other. Runs through the receiver's runtime.
+// rest is accounted in bulk after it. A lone scalar MIN/MAX over an
+// indexed column runs the same loop once per wave of its zone walk
+// instead, and stops once no live super zone left can beat its answer.
+// Per batch, states are grouped by predicate signature: the group leader
+// builds the selection bitmap once (into the table's per-worker mask
+// scratch), then every member folds the surviving rows — the N members of
+// a group pay one decode, groups share nothing with each other. Runs
+// through the receiver's runtime.
 func (t *Table) run(states []*scanState) []ScanResult {
 	groups := groupScanStates(states)
 	runs, dead := liveRuns(t.rows, groups)
@@ -299,7 +297,7 @@ func (t *Table) run(states []*scanState) []ScanResult {
 			profiled[gi] = profiled[gi] || s.prof != nil
 		}
 	}
-	t.rt.ParallelForSpans(runs, 0, func(w *rts.Worker, blo, bhi uint64) {
+	body := func(w *rts.Worker, blo, bhi uint64) {
 		for gi, grp := range groups {
 			lead := grp[0]
 			if len(lead.preds) == 0 {
@@ -334,7 +332,20 @@ func (t *Table) run(states []*scanState) []ScanResult {
 				s.foldMasked(w, blo, bhi, masks, &t.decode[w.ID])
 			}
 		}
-	})
+	}
+	spans, walk := runs, newZoneWalk(states, runs)
+	if walk != nil {
+		spans = walk.next()
+	}
+	for len(spans) > 0 {
+		t.rt.ParallelForSpans(spans, 0, body)
+		spans = walk.next()
+	}
+	if walk != nil {
+		// Live super zones the walk never visited are dead runs too.
+		_, chunks := core.MaskChunks(0, t.rows)
+		dead = chunks - walk.chunks
+	}
 	results := make([]ScanResult, len(states))
 	for i, s := range states {
 		if s.prof != nil {
@@ -408,6 +419,152 @@ func liveRuns(rows uint64, groups [][]*scanState) (runs []rts.Span, dead uint64)
 	return runs, dead
 }
 
+// zoneWalk is the plan-time step that orders a lone scalar MIN or MAX
+// over a column with a zone index: run visits the super zones liveRuns
+// left live best bound first, in waves — one super zone first, then each
+// wave at least one more than all before it, so at most
+// ceil(log2(supers))+1 loops — merging the workers' partials between
+// waves, and stops at the first unvisited super zone whose bound cannot
+// strictly beat the answer so far.
+//
+// A super zone's key orders the walk ascending: its zone max, bitwise
+// inverted, for MAX; its zone min for MIN. A predicate on the target
+// column clamps the bound (`amount <= t` caps a MAX at t), so no key is
+// below clamp. A wave is every unvisited key up to a threshold picked by
+// radix select over the keys, ties included: the walk keeps one span list
+// and a few counters, never a per-super-zone slice.
+type zoneWalk struct {
+	state *scanState
+	zones *encoding.ZoneIndex
+	runs  []rts.Span
+	max   bool
+	clamp uint64
+	// Keys below from are visited; done once every key is.
+	from    uint64
+	done    bool
+	visited uint64 // super zones
+	chunks  uint64 // in the visited super zones; the rest are dead
+	spans   []rts.Span
+}
+
+// newZoneWalk returns the walk of a pass whose only state is a scalar MIN
+// or MAX over a column with a zone index, and nil for every other pass.
+func newZoneWalk(states []*scanState, runs []rts.Span) *zoneWalk {
+	if len(states) != 1 {
+		return nil
+	}
+	s := states[0]
+	z := s.target.arr.ZoneIndex()
+	if s.grouped || (s.agg != Min && s.agg != Max) || z == nil {
+		return nil
+	}
+	w := &zoneWalk{state: s, zones: z, runs: runs, max: s.agg == Max}
+	for i, col := range s.predCols {
+		if col != s.target {
+			continue
+		}
+		// The bound a predicate puts on every row it selects. Lt 0 and
+		// Gt ^0 select nothing, so the bound their wrap-around gives is
+		// as sound as any.
+		switch p := s.preds[i]; {
+		case p.Op == Eq, w.max && p.Op == Le, !w.max && p.Op == Ge:
+			w.clamp = max(w.clamp, w.key(p.Value))
+		case w.max && p.Op == Lt:
+			w.clamp = max(w.clamp, w.key(p.Value-1))
+		case !w.max && p.Op == Gt:
+			w.clamp = max(w.clamp, w.key(p.Value+1))
+		}
+	}
+	return w
+}
+
+// key maps a value to walk order: ascending for MIN, descending for MAX.
+func (w *zoneWalk) key(v uint64) uint64 {
+	if w.max {
+		return ^v
+	}
+	return v
+}
+
+// each calls fn with the rows and key of every unvisited live super zone,
+// in table order.
+func (w *zoneWalk) each(fn func(sp rts.Span, k uint64)) {
+	for _, r := range w.runs {
+		for lo := r.Lo; lo < r.Hi; lo += superRows {
+			mn, mx := w.zones.SuperBounds(lo / superRows)
+			k := mn
+			if w.max {
+				k = ^mx
+			}
+			if k = max(k, w.clamp); k >= w.from {
+				fn(rts.Span{Lo: lo, Hi: min(r.Hi, lo+superRows)}, k)
+			}
+		}
+	}
+}
+
+// next returns the next wave's spans, or nil when the walk is over (nil
+// for a nil walk): no live super zone is left, or none whose key beats
+// the answer the waves so far merged to.
+func (w *zoneWalk) next() []rts.Span {
+	if w == nil || w.done {
+		return nil
+	}
+	var lo, hi, left uint64 = ^uint64(0), 0, 0
+	w.each(func(_ rts.Span, k uint64) { lo, hi, left = min(lo, k), max(hi, k), left+1 })
+	best := w.state.total()
+	if left == 0 || best.count > 0 && lo >= w.key(best.result()) {
+		w.done = true
+		return nil
+	}
+	// The wave ends at the n-th smallest key, n one more than the super
+	// zones visited so far: the smallest, first, which needs no select.
+	theta, n := hi, w.visited+1
+	switch {
+	case n == 1:
+		theta = lo
+	case n < left:
+		theta = w.nth(lo, hi, n)
+	}
+	w.spans = w.spans[:0]
+	w.each(func(sp rts.Span, k uint64) {
+		if k > theta {
+			return
+		}
+		w.visited++
+		_, c := core.MaskChunks(sp.Lo, sp.Hi)
+		w.chunks += c
+		if n := len(w.spans); n > 0 && w.spans[n-1].Hi == sp.Lo {
+			w.spans[n-1].Hi = sp.Hi
+		} else {
+			w.spans = append(w.spans, sp)
+		}
+	})
+	w.from, w.done = theta+1, theta == ^uint64(0)
+	return w.spans
+}
+
+// nth returns the n-th smallest unvisited key, all of which lie in
+// [lo, hi]: a radix select, one histogram pass per byte lo and hi differ
+// in.
+func (w *zoneWalk) nth(lo, hi, n uint64) uint64 {
+	key := lo
+	for shift := (bits.Len64(lo^hi)+7)/8*8 - 8; shift >= 0; shift -= 8 {
+		var hist [256]uint64
+		w.each(func(_ rts.Span, k uint64) {
+			if k>>(shift+8) == key>>(shift+8) {
+				hist[k>>shift&255]++
+			}
+		})
+		d := uint64(0)
+		for ; n > hist[d]; d++ {
+			n -= hist[d]
+		}
+		key = key&^(255<<shift) | d<<shift
+	}
+	return key
+}
+
 // groupScanStates buckets states by predicate signature, preserving
 // first-seen order. The zero-predicate signature groups too: its members
 // skip the mask pipeline entirely.
@@ -443,21 +600,15 @@ func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
 		sc = &s.profRow(w.ID)[s.targetSlot()]
 	}
 	local := &s.locals[w.ID].aggState
+	local.count += hi - lo
 	switch s.agg {
-	case Count:
-		local.count += hi - lo
 	case Sum:
 		local.sum += core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceSum, sc)
 	case Min:
-		if v := core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMin, sc); v < local.min {
-			local.min = v
-		}
+		local.min = min(local.min, core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMin, sc))
 	case Max:
-		if v := core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMax, sc); v > local.max {
-			local.max = v
-		}
+		local.max = max(local.max, core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMax, sc))
 	}
-	local.any = true
 }
 
 // foldMasked folds the batch's surviving rows under the shared selection
@@ -478,43 +629,77 @@ func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, buf
 	}
 	local := &s.locals[w.ID].aggState
 	local.count += bitpack.PopcountMasks(masks)
-	local.any = true
 	switch s.agg {
 	case Sum:
 		local.sum += core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceSum, masks)
 	case Min:
-		if v := core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMin, masks); v < local.min {
-			local.min = v
-		}
+		local.min = min(local.min, core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMin, masks))
 	case Max:
-		if v := core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMax, masks); v > local.max {
-			local.max = v
-		}
+		local.max = max(local.max, core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMax, masks))
 	}
 }
 
 // rowFold is one worker's grouped fold: the key and target snapshots it
-// reads and the accumulators it feeds, dense (slice-indexed by key) or
-// wide (hash map).
+// reads and one accumulator per group, indexed by key for dense keys and
+// through slots, a key's index in states, for wide ones.
 type rowFold struct {
 	key, target core.View
 	agg         Agg
-	dense       []aggState
-	wide        map[uint64]*aggState
+	states      []aggState
+	slots       map[uint64]uint64
 }
 
-func (f *rowFold) add(k, v uint64) {
-	if f.dense != nil {
-		f.dense[k].add(v)
-		return
+// fold adds the rows m selects, whose keys and values sit at m's set bits
+// in b, to the accumulators. Wide keys are first replaced by their slots;
+// then one loop per aggregate does only that aggregate's updates, so the
+// aggregate is dispatched on per chunk, never per row.
+func (f *rowFold) fold(m uint64, b *decodeBufs) {
+	if f.slots != nil {
+		for r := m; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			b.key[i] = f.slot(b.key[i])
+		}
 	}
-	st, ok := f.wide[k]
+	st := f.states
+	switch f.agg {
+	case Sum:
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			g := &st[b.key[i]]
+			g.sum += b.val[i]
+			g.count++
+		}
+	case Count:
+		for ; m != 0; m &= m - 1 {
+			st[b.key[bits.TrailingZeros64(m)]].count++
+		}
+	case Min:
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			g := &st[b.key[i]]
+			g.min = min(g.min, b.val[i])
+			g.count++
+		}
+	case Max:
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			g := &st[b.key[i]]
+			g.max = max(g.max, b.val[i])
+			g.count++
+		}
+	}
+}
+
+// slot returns wide key k's index in states, adding a state for a key
+// the worker has not seen.
+func (f *rowFold) slot(k uint64) uint64 {
+	i, ok := f.slots[k]
 	if !ok {
-		n := newAggState(f.agg)
-		st = &n
-		f.wide[k] = st
+		i = uint64(len(f.states))
+		f.slots[k] = i
+		f.states = append(f.states, newAggState(f.agg))
 	}
-	st.add(v)
+	return i
 }
 
 // decodeBufs is one worker's pair of chunk decode buffers for the grouped
@@ -526,8 +711,8 @@ type decodeBufs struct {
 // foldRows feeds the batch's selected rows (all of them when masks is
 // nil) into the grouped accumulators, chunk by chunk. A chunk whose mask
 // is denser than bitpack.MaskSparseCutoff has its key and target decoded
-// once into bufs and indexed per set bit; a sparser one pays two Gets per
-// selected row, which is cheaper than two whole-chunk decodes there.
+// once into bufs; a sparser one pays two Gets per selected row into the
+// same slots, which is cheaper than two whole-chunk decodes there.
 func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
 	f := s.rowFolds[w.ID]
 	if f == nil {
@@ -549,18 +734,15 @@ func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs 
 			}
 		}
 		if bits.OnesCount64(m) <= bitpack.MaskSparseCutoff {
-			for ; m != 0; m &= m - 1 {
-				row := base + uint64(bits.TrailingZeros64(m))
-				f.add(f.key.Get(row), f.target.Get(row))
+			for r := m; r != 0; r &= r - 1 {
+				i := bits.TrailingZeros64(r)
+				bufs.key[i], bufs.val[i] = f.key.Get(base+uint64(i)), f.target.Get(base+uint64(i))
 			}
-			continue
+		} else {
+			f.key.DecodeChunk(first+c, &bufs.key)
+			f.target.DecodeChunk(first+c, &bufs.val)
 		}
-		f.key.DecodeChunk(first+c, &bufs.key)
-		f.target.DecodeChunk(first+c, &bufs.val)
-		for ; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			f.add(bufs.key[i], bufs.val[i])
-		}
+		f.fold(m, bufs)
 	}
 }
 
@@ -570,40 +752,39 @@ func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs 
 // per-morsel, cost.
 func (s *scanState) newRowFold(w *rts.Worker) *rowFold {
 	f := &rowFold{key: s.key.arr.View(w.Socket), target: s.target.arr.View(w.Socket), agg: s.agg}
-	if s.dense {
-		if s.denseStates[w.ID] == nil {
-			st := make([]aggState, s.domain)
-			for k := range st {
-				st[k] = newAggState(s.agg)
-			}
-			s.denseStates[w.ID] = st
-		}
-		f.dense = s.denseStates[w.ID]
+	if !s.dense {
+		f.slots = map[uint64]uint64{}
 		return f
 	}
-	if s.maps[w.ID] == nil {
-		s.maps[w.ID] = map[uint64]*aggState{}
+	f.states = make([]aggState, s.domain)
+	for k := range f.states {
+		f.states[k] = newAggState(s.agg)
 	}
-	f.wide = s.maps[w.ID]
 	return f
+}
+
+// total merges the per-worker scalar accumulators.
+func (s *scanState) total() aggState {
+	total := newAggState(s.agg)
+	for i := range s.locals {
+		total.merge(s.locals[i].aggState)
+	}
+	return total
 }
 
 // result merges the per-worker accumulators into the final answer.
 func (s *scanState) result() ScanResult {
 	if !s.grouped {
-		total := newAggState(s.agg)
-		for i := range s.locals {
-			total.merge(s.locals[i].aggState)
-		}
+		total := s.total()
 		return ScanResult{Value: total.result()}
 	}
 	if s.dense {
 		rows := make([]GroupRow, 0)
 		for k := uint64(0); k < s.domain; k++ {
 			total := newAggState(s.agg)
-			for _, st := range s.denseStates {
-				if st != nil {
-					total.merge(st[k])
+			for _, f := range s.rowFolds {
+				if f != nil {
+					total.merge(f.states[k])
 				}
 			}
 			if total.count > 0 {
@@ -612,16 +793,18 @@ func (s *scanState) result() ScanResult {
 		}
 		return ScanResult{Groups: rows}
 	}
-	groups := map[uint64]*aggState{}
-	for _, local := range s.maps {
-		for k, st := range local {
+	groups := map[uint64]aggState{}
+	for _, f := range s.rowFolds {
+		if f == nil {
+			continue
+		}
+		for k, i := range f.slots {
 			g, ok := groups[k]
 			if !ok {
-				n := newAggState(s.agg)
-				g = &n
-				groups[k] = g
+				g = newAggState(s.agg)
 			}
-			g.merge(*st)
+			g.merge(f.states[i])
+			groups[k] = g
 		}
 	}
 	rows := make([]GroupRow, 0, len(groups))

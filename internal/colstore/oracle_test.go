@@ -30,6 +30,15 @@ func (op CmpOp) eval(a, b uint64) bool {
 	}
 }
 
+// add folds one row into every field of the state, whatever its
+// aggregate.
+func (s *aggState) add(v uint64) {
+	s.sum += v
+	s.count++
+	s.min = min(s.min, v)
+	s.max = max(s.max, v)
+}
+
 // aggregateScalar is the pre-bitmap per-row general path (one virtual Get
 // per row per column), kept as the reference implementation the property
 // tests pin Aggregate against and the masked-vs-per-row benchmarks

@@ -44,16 +44,6 @@ func columnChunks(arr *core.SmartArray) uint64 {
 	return (arr.Length() + bitpack.ChunkSize - 1) / bitpack.ChunkSize
 }
 
-// recordZoneAnswered credits a query answered entirely from the zone
-// index root (unpredicated min/max): every chunk pruned, nothing
-// decoded.
-func recordZoneAnswered(prof *obs.QueryProfile, col *Column) {
-	if prof == nil {
-		return
-	}
-	prof.AddColumn(columnProfile(col, obs.RoleTarget, core.ScanCounts{Pruned: columnChunks(col.arr)}))
-}
-
 // accountMasked splits a batch's n chunks for a column consumed under a
 // selection bitmap: chunks whose mask went dead are never touched
 // (pruned), live ones are decoded (scanned).

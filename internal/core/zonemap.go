@@ -34,17 +34,6 @@ func (a *SmartArray) ZoneIndex() *encoding.ZoneIndex {
 	return a.rep.Load().zones.Load()
 }
 
-// ZoneBounds returns the whole array's min/max from the zone index root;
-// ok is false when no index is attached.
-func (a *SmartArray) ZoneBounds() (mn, mx uint64, ok bool) {
-	z := a.ZoneIndex()
-	if z == nil {
-		return 0, 0, false
-	}
-	mn, mx = z.Bounds()
-	return mn, mx, true
-}
-
 // superWindow reports whether a window of remaining chunks starting at
 // chunk covers a whole super zone from its first chunk, so one coarse
 // verdict can stand for all of its fine entries.

@@ -171,10 +171,10 @@ func TestZoneIndexLifecycle(t *testing.T) {
 	if a.Generation() <= gInit {
 		t.Fatal("Reencode did not bump generation")
 	}
-	mn, mx, ok := a.ZoneBounds()
+	mn, mx := z2.Bounds()
 	wantMn, wantMx := ReduceRange(a, 0, 0, 1000, ReduceMin), ReduceRange(a, 0, 0, 1000, ReduceMax)
-	if !ok || mn != wantMn || mx != wantMx {
-		t.Fatalf("ZoneBounds = (%d,%d,%v), want (%d,%d,true)", mn, mx, ok, wantMn, wantMx)
+	if mn != wantMn || mx != wantMx {
+		t.Fatalf("zone root bounds = (%d,%d), want (%d,%d)", mn, mx, wantMn, wantMx)
 	}
 
 	gRe := a.Generation()

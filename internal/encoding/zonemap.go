@@ -216,6 +216,11 @@ func (z *ZoneIndex) ChunkBounds(chunk uint64) (mn, mx uint64) {
 	return z.mins[chunk], z.maxs[chunk]
 }
 
+// SuperBounds returns super zone super's value bounds.
+func (z *ZoneIndex) SuperBounds(super uint64) (mn, mx uint64) {
+	return z.smins[super], z.smaxs[super]
+}
+
 // Bounds returns the whole array's value bounds.
 func (z *ZoneIndex) Bounds() (mn, mx uint64) { return z.rootMin, z.rootMax }
 

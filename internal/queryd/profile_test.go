@@ -1,21 +1,25 @@
 // End-to-end tests for query profiling: "explain": true on both table
 // ops, the chunk-accounting invariant, agreement between profile fields
 // and the /stats counters (cache and flights, admission), the
-// /debug/slowlog and /debug/query/<id> surfaces, and the -race exercise
-// of profiled queries against config swaps and live re-encoding.
+// /debug/slowlog and /debug/query/<id> surfaces, what EXPLAIN shows of
+// the MIN/MAX zone walk, and the -race exercises of profiled and
+// early-stopped queries against config swaps and live re-encoding.
 package queryd
 
 import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"smartarrays/internal/colstore"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/obs"
 )
@@ -144,8 +148,9 @@ func TestExplainAggregateProfile(t *testing.T) {
 		t.Errorf("no scheduler work recorded: loops=%d claimed=%d", p.Loops, p.MorselsClaimed)
 	}
 
-	// An unpredicated min resolves from the zone index root: all chunks
-	// pruned, nothing decoded — the invariant still holds.
+	// An unpredicated min folds one super zone's chunk bounds and accounts
+	// the super zones the zone walk never visits as pruned: the invariant
+	// still holds.
 	status, env = postQuery(t, ts, map[string]any{
 		"dataset": "demo", "op": "aggregate", "agg": "min", "column": "amount", "explain": true,
 	})
@@ -626,6 +631,226 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 					t.Errorf("profile lost its columns: %+v", p)
 				}
 				checkChunkInvariant(t, p, uint64((testRows+63)/64))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	chaos.Wait()
+}
+
+// extremeQuery is a MIN or MAX plan for the zone-walk tests (or a SUM,
+// which has no oracle here, to compare a whole pass against).
+type extremeQuery struct {
+	agg   string // "min", "max" or "sum"
+	col   string
+	preds []colstore.Pred
+}
+
+// body is q's /query body.
+func (q extremeQuery) body(explain bool) map[string]any {
+	where := make([]map[string]any, len(q.preds))
+	for i, p := range q.preds {
+		where[i] = map[string]any{"column": p.Column, "op": p.Op.String(), "value": p.Value}
+	}
+	return map[string]any{"dataset": "demo", "op": "aggregate", "agg": q.agg, "column": q.col, "where": where, "explain": explain}
+}
+
+// oracle answers q row by row over cols (columnValues).
+func (q extremeQuery) oracle(cols map[string][]uint64) uint64 {
+	var best uint64
+	found := false
+rows:
+	for row, v := range cols[q.col] {
+		for _, p := range q.preds {
+			if !p.Op.Cmp().Eval(cols[p.Column][row], p.Value) {
+				continue rows
+			}
+		}
+		if !found || q.agg == "max" && v > best || q.agg == "min" && v < best {
+			best, found = v, true
+		}
+	}
+	return best
+}
+
+// columnValues reads every column of ds's table row by row.
+func columnValues(ds *Dataset) map[string][]uint64 {
+	cols := map[string][]uint64{}
+	for _, name := range ds.Table.Columns() {
+		c, _ := ds.Table.Column(name)
+		v := c.Array().View(0)
+		vals := make([]uint64, ds.Rows)
+		for i := range vals {
+			vals[i] = v.Get(uint64(i))
+		}
+		cols[name] = vals
+	}
+	return cols
+}
+
+// serveExplain sends body through the handler and decodes the reply.
+func serveExplain(t *testing.T, handler http.Handler, body map[string]any) map[string]json.RawMessage {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.NewDecoder(serveQuery(t, handler, string(data)).Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// TestExplainZoneWalk pins what EXPLAIN shows of the zone walk on the
+// served 4 Mi-row shape. scan_unique's MAX(id) template visits one wave
+// of one super zone — id is the row number, so the last super zone holds
+// the answer and no other can beat it — in one loop of at most four
+// morsels, every column scanning at most two super zones' chunks and
+// accounting the rest as pruned. MAX(amount) WHERE amount <= t, whose
+// clamped bounds all tie at t, degrades to one whole pass: no more chunks
+// scanned than the same predicate's SUM, a full pass, and at most
+// ceil(log2(supers)) + 1 loops. Every answer matches the per-row oracle.
+func TestExplainZoneWalk(t *testing.T) {
+	srv := newScanUniqueServer(t, 0)
+	handler := srv.Handler()
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := columnValues(ds)
+	chunks := (ds.Rows + 63) / 64
+	supers := (chunks + encoding.ZoneFanout - 1) / encoding.ZoneFanout
+	maxLoops := uint64(bits.Len64(supers-1)) + 1
+	explain := func(q extremeQuery) *obs.QueryProfile {
+		env := serveExplain(t, handler, q.body(true))
+		if q.agg != "sum" {
+			if got, want := resultField[uint64](t, env, "value"), q.oracle(cols); got != want {
+				t.Errorf("%v = %d, want %d", q, got, want)
+			}
+		}
+		p := profileOf(t, env)
+		checkChunkInvariant(t, p, chunks)
+		return p
+	}
+	for _, thr := range []uint64{thresholdLo, thresholdLo + thresholdSpan/2, thresholdLo + thresholdSpan - 1} {
+		for _, k := range []uint64{1, 8, 15} {
+			q := extremeQuery{"max", "id", []colstore.Pred{
+				{Column: "amount", Op: colstore.Le, Value: thr}, {Column: "region", Op: colstore.Lt, Value: k},
+			}}
+			p := explain(q)
+			if p.Loops != 1 || p.MorselsClaimed == 0 || p.MorselsClaimed > 4 {
+				t.Errorf("%v: loops=%d morsels_claimed=%d, want one loop of at most 4", q, p.Loops, p.MorselsClaimed)
+			}
+			for _, c := range p.Columns {
+				if c.ChunksScanned > 2*encoding.ZoneFanout {
+					t.Errorf("%v: column %s (%s) scanned %d chunks, more than two super zones", q, c.Column, c.Role, c.ChunksScanned)
+				}
+			}
+		}
+
+		pred := []colstore.Pred{{Column: "amount", Op: colstore.Le, Value: thr}}
+		full := map[string]uint64{}
+		for _, c := range explain(extremeQuery{"sum", "amount", pred}).Columns {
+			full[c.Column+"/"+c.Role] = c.ChunksScanned
+		}
+		q := extremeQuery{"max", "amount", pred}
+		p := explain(q)
+		if p.Loops == 0 || p.Loops > maxLoops {
+			t.Errorf("%v: %d loops, want 1 to %d", q, p.Loops, maxLoops)
+		}
+		for _, c := range p.Columns {
+			if whole, ok := full[c.Column+"/"+c.Role]; !ok || c.ChunksScanned > whole {
+				t.Errorf("%v: column %s (%s) scanned %d chunks, a full pass %d", q, c.Column, c.Role, c.ChunksScanned, whole)
+			}
+		}
+	}
+}
+
+// TestZoneWalkUnderSwapAndReencode races early-stopped MIN/MAX queries against
+// live re-encoding of their target and predicate columns through every
+// codec and against config swaps that turn the result cache on and off:
+// every answer must equal the per-row oracle's. Run with -race.
+func TestZoneWalkUnderSwapAndReencode(t *testing.T) {
+	srv, ts := newTestServer(t, flightConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := columnValues(ds)
+	queries := []extremeQuery{
+		{"max", "id", []colstore.Pred{{Column: "amount", Op: colstore.Le, Value: 30000}, {Column: "region", Op: colstore.Lt, Value: 3}}},
+		{"min", "id", []colstore.Pred{{Column: "flag", Op: colstore.Eq, Value: 1}}},
+		{"max", "id", nil},
+		{"min", "amount", nil},
+		{"max", "amount", []colstore.Pred{{Column: "amount", Op: colstore.Le, Value: 30000}}},
+		{"min", "amount", []colstore.Pred{{Column: "amount", Op: colstore.Ge, Value: 30000}, {Column: "region", Op: colstore.Eq, Value: 3}}},
+		{"max", "amount", []colstore.Pred{{Column: "region", Op: colstore.Lt, Value: 2}}},
+	}
+	want := make([]uint64, len(queries))
+	for i, q := range queries {
+		want[i] = q.oracle(cols)
+	}
+
+	stop := make(chan struct{})
+	var chaos sync.WaitGroup
+	chaos.Add(2)
+	go func() {
+		defer chaos.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cfg := flightConfig()
+			cfg.CacheEntries = []int{0, 64}[i%2]
+			if err := srv.SwapConfig(cfg); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	go func() {
+		defer chaos.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, col := range []string{"id", "amount", "region"} {
+				if _, err := ds.Table.ReencodeColumn(col, encoding.Kinds[i%len(encoding.Kinds)], 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+
+	const clients, rounds = 4, 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, q := range queries {
+					code, env, err := post(ts, q.body(r%2 == 1))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if code != http.StatusOK {
+						t.Errorf("%v: status %d: %s", q, code, env["error"])
+						continue
+					}
+					if got := resultField[uint64](t, env, "value"); got != want[i] {
+						t.Errorf("%v under chaos = %d, want %d", q, got, want[i])
+					}
+				}
 			}
 		}()
 	}

@@ -18,7 +18,7 @@ import (
 
 // newScanUniqueServer builds a server configured as saserve ships over the
 // 4 Mi-row dataset the benchmark harness serves, cache sized to entries.
-func newScanUniqueServer(b *testing.B, cacheEntries int) *Server {
+func newScanUniqueServer(b testing.TB, cacheEntries int) *Server {
 	rec := obs.NewRecorder(0)
 	reg := obs.NewArrayRegistry()
 	prev := core.ActiveArrayRegistry()
@@ -38,14 +38,15 @@ func newScanUniqueServer(b *testing.B, cacheEntries int) *Server {
 }
 
 // serveQuery sends one /query body through the handler, failing the
-// benchmark on anything but a 200.
-func serveQuery(b *testing.B, handler http.Handler, body string) {
+// caller on anything but a 200, and returns the response.
+func serveQuery(b testing.TB, handler http.Handler, body string) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
 	if w.Code != http.StatusOK {
 		msg, _ := io.ReadAll(w.Body)
 		b.Errorf("status %d: %s", w.Code, msg)
 	}
+	return w
 }
 
 // The scan_unique threshold range (benchmark/workloads.go).
@@ -91,6 +92,41 @@ func BenchmarkScanUniqueTemplates(b *testing.B) {
 				k++
 				body := tpl.body(thresholdLo+(k*40507)%thresholdSpan, k)
 				serveQuery(b, handler, body)
+			}
+		})
+	}
+}
+
+// BenchmarkZoneOrderedExtremes sizes colstore's zone walk for MIN/MAX
+// through Server.Handler() on the same server and dataset, result cache
+// off so every request executes: MIN(id), the ascending walk's best case
+// (one super zone, folded from chunk bounds); MAX(amount) under a
+// predicate on another column, a uniform target whose super-zone maxima
+// nearly tie; and MAX(amount) WHERE amount <= t, whose clamped bounds all
+// tie at t — the case that degrades to one whole pass. `make bench-scan`
+// runs it after BenchmarkScanUniqueTemplates.
+func BenchmarkZoneOrderedExtremes(b *testing.B) {
+	handler := newScanUniqueServer(b, 0).Handler()
+	cases := []struct {
+		name string
+		body func(t, k uint64) string
+	}{
+		{"min_id", func(_, _ uint64) string {
+			return `{"dataset":"demo","op":"aggregate","agg":"min","column":"id"}`
+		}},
+		{"max_region", func(_, k uint64) string {
+			return fmt.Sprintf(`{"dataset":"demo","op":"aggregate","agg":"max","column":"amount","where":[{"column":"region","op":"<","value":%d}]}`, 1+k%15)
+		}},
+		{"max_le_degrade", func(t, _ uint64) string {
+			return fmt.Sprintf(`{"dataset":"demo","op":"aggregate","agg":"max","column":"amount","where":[{"column":"amount","op":"<=","value":%d}]}`, t)
+		}},
+	}
+	var k uint64
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k++
+				serveQuery(b, handler, c.body(thresholdLo+(k*40507)%thresholdSpan, k))
 			}
 		})
 	}
