@@ -89,9 +89,10 @@ bench-pairs:
 		{ echo "usage: make bench-pairs WORKLOAD=<name> PARENT=<rev> [PAIRS=10]"; exit 2; }
 	bash scripts/bench_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
 
-# The predicated-scan sizing benchmarks, in process: bitpack's compare and
-# masked-sum kernels per width (ns/elem next to a same-run plain 64-bit
-# sum, and the sparse/dense sweep behind MaskSparseCutoff) and the four
+# The predicated-scan sizing benchmarks, in process: bitpack's compare,
+# masked-sum and straddling-width chunk-decode kernels per width (ns/elem
+# next to a same-run plain 64-bit sum, and the sparse/dense sweep behind
+# MaskSparseCutoff) and the four
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
 # dataset, then three MIN/MAX plans through colstore's zone walk (its best
 # case, a uniform target, and the case that degrades to a whole pass), the
@@ -102,7 +103,7 @@ bench-pairs:
 # per-call codec dispatch would show. Run it on both trees when sizing a
 # kernel or core change, before paying for bench-pairs. Not a CI target.
 bench-scan:
-	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff' -benchtime 20x -count 5 -cpu 1
+	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff|Unpack' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ZoneOrderedExtremes -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2

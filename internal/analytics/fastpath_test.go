@@ -3,8 +3,10 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/memsim"
@@ -149,6 +151,37 @@ func TestPageRankSegmentsCrossEmitBoundaries(t *testing.T) {
 				t.Fatalf("layout %+v: rank[%d] = %g, per-edge oracle gives %g", layout, v, got[v], scalar[v])
 			}
 		}
+	}
+}
+
+// TestPageRankEdgePastLastVertexPanics corrupts one reverse edge to name
+// vertex n: a value the edge width still holds, and — n being no multiple
+// of 64 — an index inside the chunk padding of the contribution payload.
+// The contribution read fused into the segment sum must still bounds-check
+// it against the array's length, so PageRank panics instead of summing a
+// padding word.
+func TestPageRankEdgePastLastVertexPanics(t *testing.T) {
+	const n = 1000
+	g, err := graph.GenerateUniform(n, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newRT()
+	for _, layout := range []graph.Layout{{}, {CompressBegin: true, CompressEdge: true}} {
+		s := smartGraph(t, rt, g, layout)
+		if !bitpack.MustNew(s.REdge.Bits()).Fits(n) {
+			t.Fatalf("layout %+v: vertex id %d does not fit the %d-bit edge width", layout, n, s.REdge.Bits())
+		}
+		s.REdge.Init(0, g.NumEdges/2, n)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("index out of range [%d] with length %d", n, n)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("layout %+v: PageRank over an edge to vertex %d recovered %v, want a panic naming %q", layout, n, r, want)
+				}
+			}()
+			PageRank(rt, s, DefaultPageRankConfig())
+		}()
 	}
 }
 

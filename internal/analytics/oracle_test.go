@@ -21,7 +21,7 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 		degBits = 64
 	}
 	n := g.NumVertices
-	st, err := allocPageRank(rt, g, degBits)
+	st, err := allocPageRank(rt, g, degBits, newPRScratches(rt, nil))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -45,7 +45,7 @@ type prState struct {
 	ranks, next *core.SmartArray
 	// contrib/contribNext hold rank[v]*invDeg[v], what v hands each
 	// out-neighbour: the product is taken once per vertex when the rank is
-	// written, so an edge costs one gather. Swapped with ranks/next.
+	// written, so an edge costs one 64-bit read. Swapped with ranks/next.
 	contrib, contribNext *core.SmartArray
 }
 
@@ -63,7 +63,10 @@ func (st *prState) free() {
 // streamed once per batch through core.ReadRange, degrees come from
 // adjacent differences, the inverse degrees are computed here — the run's
 // only divides — and each array is written with one InitRange per batch.
-func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*prState, error) {
+// The batches are uniform rts.DefaultGrain ranges, whole bitpack chunks,
+// so no two writers share a packed word of the out-degrees at a width
+// below 64. The rows are the per-worker scratch the iterations reuse.
+func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint, scratch *prScratches) (*prState, error) {
 	n := g.NumVertices
 	layout := g.Layout()
 	st := &prState{}
@@ -93,79 +96,118 @@ func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*prState, 
 		return nil, err
 	}
 
-	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
+	init := 1 / float64(n)
+	rt.ParallelFor(0, n, rts.DefaultGrain, func(w *rts.Worker, lo, hi uint64) {
+		sc := scratch.of(w)
 		nv := hi - lo
-		init := 1 / float64(n)
-		begins := make([]uint64, nv+1)
+		begins := sc.begins[:nv+1]
 		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-		// One scratch block, four rows: degree, inverse, rank, contribution.
-		rows := make([]uint64, 4*nv)
-		degs, invs, ranks, contribs := rows[:nv], rows[nv:2*nv], rows[2*nv:3*nv], rows[3*nv:]
-		for i := range degs {
+		// Both rows turn over in place once written out: degree -> rank,
+		// inverse degree -> contribution.
+		ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
+		for i := range ranks {
 			deg := begins[i+1] - begins[i]
 			var inv float64
 			if deg > 0 {
 				inv = 1 / float64(deg)
 			}
-			degs[i] = deg
-			invs[i] = math.Float64bits(inv)
-			ranks[i] = math.Float64bits(init)
-			contribs[i] = math.Float64bits(init * inv)
+			ranks[i] = deg
+			contribs[i] = math.Float64bits(inv)
 		}
-		st.outDeg.InitRange(w.Socket, lo, degs)
-		st.invDeg.InitRange(w.Socket, lo, invs)
+		st.outDeg.InitRange(w.Socket, lo, ranks)
+		st.invDeg.InitRange(w.Socket, lo, contribs)
+		for i := range ranks {
+			ranks[i] = math.Float64bits(init)
+			contribs[i] = math.Float64bits(init * math.Float64frombits(contribs[i]))
+		}
 		st.ranks.InitRange(w.Socket, lo, ranks)
 		st.contrib.InitRange(w.Socket, lo, contribs)
 	})
 	return st, nil
 }
 
-// prScratch is one worker's iteration scratch: the begin run of the
-// current batch, per-vertex partial sums, two per-vertex rows (old rank
-// and inverse degree in, next rank and next contribution out — rewritten
-// in place), and the edge/gather buffers the streaming kernels fill.
-// Sized once per run, reused across batches and iterations; only the
-// owning worker touches it.
+// prScratch is one worker's scratch: the begin run of the current batch,
+// per-vertex partial sums, two per-vertex rows (old rank and inverse
+// degree in, next rank and next contribution out — rewritten in place),
+// and the buffer the edge stream decodes into. Only the owning worker
+// touches it.
 type prScratch struct {
-	begins     []uint64
-	sums       []float64
-	ranks      []uint64
-	contribs   []uint64
-	edgeBuf    []uint64
-	contribBuf []uint64
+	begins   []uint64
+	sums     []float64
+	ranks    []uint64
+	contribs []uint64
+	edgeBuf  []uint64
 }
 
 // prEdgeBufLen is the edge-stream chunk length: a multiple of the bitpack
 // chunk so compressed widths decode whole chunks, big enough to amortize
-// the emit and gather call overhead, small enough to stay cache-resident
-// alongside the gather buffer.
+// the emit call, small enough to stay cache-resident.
 const prEdgeBufLen = 16 * bitpack.ChunkSize
 
-func (sc *prScratch) grow(vertices uint64) {
-	if uint64(len(sc.begins)) < vertices+1 {
-		sc.begins = make([]uint64, vertices+1)
-		sc.sums = make([]float64, vertices)
-		sc.ranks = make([]uint64, vertices)
-		sc.contribs = make([]uint64, vertices)
+// prScratches is one run's per-worker scratch, shared by the seeding pass
+// (uniform rts.DefaultGrain batches) and every iteration (the run's
+// degree-weighted bounds).
+type prScratches struct {
+	maxBatch uint64 // vertices in the largest batch of either
+	workers  []prScratch
+}
+
+// newPRScratches sizes one run's scratch for rt's workers, the seeding
+// batches and the iterations' bounds; it allocates no rows yet.
+func newPRScratches(rt *rts.Runtime, bounds []uint64) *prScratches {
+	p := &prScratches{maxBatch: rts.DefaultGrain, workers: make([]prScratch, len(rt.Workers()))}
+	for i := 1; i < len(bounds); i++ {
+		p.maxBatch = max(p.maxBatch, bounds[i]-bounds[i-1])
 	}
+	return p
+}
+
+// of returns w's scratch. A worker's first batch of the run allocates it
+// for the largest batch, so no later batch regrows it, and a worker that
+// never claims a batch allocates nothing.
+func (p *prScratches) of(w *rts.Worker) *prScratch {
+	sc := &p.workers[w.ID]
 	if sc.edgeBuf == nil {
-		sc.edgeBuf = make([]uint64, prEdgeBufLen)
-		sc.contribBuf = make([]uint64, prEdgeBufLen)
+		*sc = prScratch{
+			begins:   make([]uint64, p.maxBatch+1),
+			sums:     make([]float64, p.maxBatch),
+			ranks:    make([]uint64, p.maxBatch),
+			contribs: make([]uint64, p.maxBatch),
+			edgeBuf:  make([]uint64, prEdgeBufLen),
+		}
 	}
+	return sc
+}
+
+// contribWords returns the words of a contribution array's snapshot for a
+// reader on socket, cut to its length, so that indexing them with a vertex
+// id bounds-checks the id against the array and not against the chunk
+// padding of its payload. PageRank allocates the contributions bit-packed
+// at 64 bits and never re-encodes them, so a word is an element; any other
+// layout is a broken invariant, not a slower path.
+func contribWords(a *core.SmartArray, socket int) []uint64 {
+	v := a.View(socket)
+	words, bits, ok := v.Packed()
+	if !ok || bits != 64 {
+		panic("analytics: PageRank contributions are not bit-packed at 64 bits")
+	}
+	return words[:a.Length()]
 }
 
 // PageRank runs pull-based PageRank over the smart-array graph (paper
-// §5.2) on the graph fast path. Per-edge work is done once per edge: each
-// batch streams its reverse-begin run and its reverse-edge runs through
-// the chunk-decode kernels (core.ReadRange / core.StreamRange),
-// batch-gathers ONE property per edge — the neighbours' contributions
-// rank*invDeg (core.Gather) — and adds each vertex's in-edge segment of a
-// decoded run in a counted loop. Per-vertex work is done once per vertex:
-// the batch's old ranks and inverse degrees are read with core.ReadRange,
-// the new rank and its contribution are computed side by side, and each is
-// written with one InitRange per batch. Vertex ranges are split by
-// in-degree (rts.WeightedBounds), so power-law hubs do not serialize their
-// batch; enable rt.SetStealing for cross-socket balance on skewed graphs.
+// §5.2) on the graph fast path. Per-edge work is one pass over each
+// decoded edge run: each batch streams its reverse-begin run and its
+// reverse-edge runs through the chunk-decode kernels (core.ReadRange /
+// core.StreamRange) and, for each vertex's in-edge segment of a run, adds
+// the neighbours' contributions rank*invDeg in a counted loop that reads
+// each one where it is summed — straight from contrib's 64-bit payload
+// words, through the View every width-specialised reader uses. Per-vertex
+// work is done once per vertex: the batch's old ranks and inverse degrees
+// are read with core.ReadRange, the new rank and its contribution are
+// computed side by side, and each is written with one InitRange per
+// batch. Vertex ranges are split by in-degree (rts.WeightedBounds), so
+// power-law hubs do not serialize their batch; enable rt.SetStealing for
+// cross-socket balance on skewed graphs.
 //
 // Ranks are double-precision values stored bit-cast in 64-bit smart
 // arrays; the out-degree property is a smart array at cfg.DegreeBits. All
@@ -182,15 +224,11 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 		degBits = 64
 	}
 	n := g.NumVertices
-	st, err := allocPageRank(rt, g, degBits)
-	if err != nil {
-		return nil, 0, perfmodel.Workload{}, err
-	}
-	defer st.free()
 
 	// Degree-aware batch boundaries: weight vertex v as 1 + in-degree so
 	// each batch carries about the same edge traffic. Computed once — the
-	// graph is immutable across iterations.
+	// graph is immutable across iterations — and before the seeding pass,
+	// so one scratch size serves the whole run.
 	rbeginRep0 := g.RBegin.GetReplica(0)
 	totalWeight := n + g.NumEdges
 	nbTarget := (n + rts.DefaultGrain - 1) / rts.DefaultGrain
@@ -199,16 +237,21 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 		return g.RBegin.Get(rbeginRep0, v) + v
 	})
 
-	scratch := make([]prScratch, len(rt.Workers()))
+	scratch := newPRScratches(rt, bounds)
+	st, err := allocPageRank(rt, g, degBits, scratch)
+	if err != nil {
+		return nil, 0, perfmodel.Workload{}, err
+	}
+	defer st.free()
+
 	base := (1 - cfg.Damping) / float64(n)
 	iters := 0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Per-worker float partials, combined once per worker after the
 		// loop — no mutex (or atomic) per batch on the diff accumulation.
 		totalDiff := rt.ReduceSumFloat64Bounds(bounds, func(w *rts.Worker, lo, hi uint64) float64 {
-			sc := &scratch[w.ID]
+			sc := scratch.of(w)
 			nv := hi - lo
-			sc.grow(nv)
 			begins := sc.begins[:nv+1]
 			core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
 			sums := sc.sums[:nv]
@@ -216,10 +259,9 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 				sums[i] = 0
 			}
 			if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
+				cw := contribWords(st.contrib, w.Socket)
 				vi := 0 // vertex whose in-edge segment the stream is inside
 				core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, func(eBase uint64, srcs []uint64) {
-					cb := sc.contribBuf[:len(srcs)]
-					core.Gather(st.contrib, w.Socket, srcs, cb)
 					runEnd := eBase + uint64(len(srcs))
 					for e := eBase; e < runEnd; {
 						for e >= begins[vi+1] {
@@ -227,8 +269,8 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 						}
 						segEnd := min(begins[vi+1], runEnd)
 						sum := sums[vi]
-						for _, c := range cb[e-eBase : segEnd-eBase] {
-							sum += math.Float64frombits(c)
+						for _, src := range srcs[e-eBase : segEnd-eBase] {
+							sum += math.Float64frombits(cw[src])
 						}
 						sums[vi] = sum
 						e = segEnd
@@ -285,10 +327,10 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 
 // pageRankWorkload builds the model descriptor for `iters` PageRank
 // iterations on the fast path: per iteration the algorithm streams rbegin
-// and redge once through the chunk-decode kernels, batch-gathers one
-// contribution per edge (semi-random, power-law locality), and per vertex
-// reads the old rank and the inverse degree and writes the next rank and
-// the next contribution.
+// and redge once through the chunk-decode kernels, reads one contribution
+// per edge (semi-random, power-law locality; priced as a 64-bit gather,
+// which is the load it is), and per vertex reads the old rank and the
+// inverse degree and writes the next rank and the next contribution.
 func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int) perfmodel.Workload {
 	llc := rt.Spec().LLCMB * 1e6
 	it := float64(iters)

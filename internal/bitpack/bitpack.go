@@ -17,6 +17,10 @@
 // The paper specializes BITS = 32 and BITS = 64 into dedicated classes that
 // skip shifting and masking; here those specializations are fast paths
 // inside the same methods plus dedicated helpers used by the iterators.
+// Unpack decodes what Function 3 decodes without its per-element branch:
+// widths dividing 64 shift whole words apart, and every other (straddling)
+// width walks the chunk's words once, finishing the field a word boundary
+// cut from the bits carried over it.
 package bitpack
 
 import (
@@ -162,10 +166,16 @@ func (c Codec) Set(data []uint64, index uint64, value uint64) {
 	}
 }
 
-// Unpack decodes one whole chunk (64 elements) into out. It transcribes the
-// paper's Function 3, which exists because scans are the dominant operation
-// in analytics and amortizing the decode across a chunk removes per-element
-// branching.
+// Unpack decodes one whole chunk (64 elements) into out. It is the paper's
+// Function 3, which exists because scans are the dominant operation in
+// analytics and amortizing the decode across a chunk removes per-element
+// branching. Function 3 still branches per element on where the field
+// sits in its word; here no width does. Widths 32 and 64 are word copies
+// and shifts, widths 1–16 dividing 64 shift four fields out of a word at a
+// time, and every straddling width goes through unpackWalk, which makes
+// that decision once per word. It reads only the chunk's own words.
+// UnpackRange, UnpackSlice and a BitPacked array's DecodeChunk (so core's
+// ReadRange and StreamRange) decode through it.
 func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 	switch c.bits {
 	case 64:
@@ -197,31 +207,32 @@ func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 		}
 		return
 	}
-	bitsPer := uint64(c.bits)
-	chunkStart := chunk * c.wordsPerChunk // F3 line 1
-	word := chunkStart                    // F3 line 2
-	value := data[word]                   // F3 line 3
-	bitInWord := uint64(0)                // F3 line 4
-	for i := 0; i < ChunkSize; i++ {      // F3 line 5
-		switch {
-		case bitInWord+bitsPer < 64: // F3 line 6
-			out[i] = (value >> bitInWord) & c.mask
-			bitInWord += bitsPer
-		case bitInWord+bitsPer == 64: // F3 line 9
-			out[i] = (value >> bitInWord) & c.mask
-			bitInWord = 0
-			word++
-			if i < ChunkSize-1 {
-				value = data[word]
-			}
-		default: // F3 line 14: element crosses into the next word
-			nextWord := word + 1
-			nextValue := data[nextWord]
-			out[i] = c.mask & ((value >> bitInWord) | (nextValue << (64 - bitInWord)))
-			bitInWord = bitInWord + bitsPer - 64
-			word = nextWord
-			value = nextValue
+	unpackWalk(data[chunk*c.wordsPerChunk:(chunk+1)*c.wordsPerChunk], out, c.bits, c.mask)
+}
+
+// unpackWalk decodes a chunk at a straddling width — one that does not
+// divide 64 — in one pass over its words. It computes what Function 3
+// computes, with the per-element three-way branch (field inside the word,
+// ending on its boundary, crossing it) moved to the word: each word first
+// finishes the field the previous word began, from the carried bits, then
+// shifts out every field that lies wholly inside it, and carries what is
+// left. Only the chunk's own words are read.
+func unpackWalk(words []uint64, out *[ChunkSize]uint64, width uint, mask uint64) {
+	var carry uint64 // the low bits of a field begun in the previous word
+	var have uint    // how many; 0 when that word ended on a field boundary
+	i := 0
+	for _, w := range words {
+		pos := uint(0) // the next field's first bit in w
+		if have != 0 {
+			out[i] = (carry | w<<(have&63)) & mask
+			i++
+			pos = width - have
 		}
+		for ; pos+width <= 64; pos += width {
+			out[i] = w >> (pos & 63) & mask
+			i++
+		}
+		carry, have = w>>(pos&63), 64-pos
 	}
 }
 

@@ -88,7 +88,8 @@ func FuzzCmpMask(f *testing.F) {
 
 // FuzzRoundTrip packs fuzzer-chosen values at a fuzzer-chosen width and
 // verifies that Pack (through PackSlice) writes the words per-element Set
-// writes, and that Get, Unpack, and UnpackSlice agree with the input.
+// writes, that Get and UnpackSlice agree with the input, and that per-chunk
+// Unpack agrees with Get.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(33), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), []byte{255, 255})
@@ -116,6 +117,17 @@ func FuzzRoundTrip(f *testing.F) {
 		for i, want := range values {
 			if got := c.Get(data, uint64(i)); got != want {
 				t.Fatalf("bits=%d: Get(%d) = %#x, want %#x", bits, i, got, want)
+			}
+		}
+		// Every chunk, the zero-padded tail included, decodes to what Get
+		// reads, from a payload that ends at the chunk's last word.
+		var out [ChunkSize]uint64
+		for ch := uint64(0); ch < c.WordsFor(uint64(n))/c.WordsPerChunk(); ch++ {
+			c.Unpack(data[:(ch+1)*c.WordsPerChunk()], ch, &out)
+			for i, got := range out {
+				if want := c.Get(data, ch*ChunkSize+uint64(i)); got != want {
+					t.Fatalf("bits=%d: Unpack chunk %d [%d] = %#x, Get %#x", bits, ch, i, got, want)
+				}
 			}
 		}
 		dec := c.UnpackSlice(data, uint64(n))

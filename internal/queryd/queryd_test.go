@@ -10,11 +10,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"smartarrays/internal/analytics"
+	"smartarrays/internal/bitpack"
 	"smartarrays/internal/colstore"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
@@ -258,6 +260,42 @@ func TestQueryGraphMatchesDirect(t *testing.T) {
 	top := resultField[[]VertexRank](t, env, "top")
 	if len(top) == 0 || top[0].Vertex != uint64(topV) {
 		t.Fatalf("pagerank top vertex %+v, direct argmax %d", top, topV)
+	}
+}
+
+// TestPageRankCorruptEdgeIs500 serves PageRank over a graph one of whose
+// reverse edges names vertex n — a value the edge width holds, one past the
+// last vertex. The contribution read fused into PageRank's segment sum must
+// bounds-check it: the query is a 500 from execute's recover naming the
+// index, and once the edge is restored the next query succeeds.
+func TestPageRankCorruptEdgeIs500(t *testing.T) {
+	srv, ts := newTestServer(t, DefaultConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	n := g.NumVertices
+	if n%bitpack.ChunkSize == 0 || !bitpack.MustNew(g.REdge.Bits()).Fits(n) {
+		t.Fatalf("%d vertices at a %d-bit edge width: vertex id %d must fit and fall inside a chunk's padding", n, g.REdge.Bits(), n)
+	}
+	e := g.NumEdges / 2
+	orig := g.REdge.GetFrom(0, e)
+	g.REdge.Init(0, e, n)
+	body := map[string]any{"dataset": "demo", "op": "pagerank", "iters": 5}
+	status, env := postQuery(t, ts, body)
+	want := fmt.Sprintf("index out of range [%d] with length %d", n, n)
+	if msg := string(env["error"]); status != http.StatusInternalServerError ||
+		!strings.Contains(msg, errExecPanicked.Error()) || !strings.Contains(msg, want) {
+		t.Fatalf("corrupt edge: status %d (%s), want 500 naming the panic and %q", status, msg, want)
+	}
+	g.REdge.Init(0, e, orig)
+	status, env = postQuery(t, ts, body)
+	if status != http.StatusOK {
+		t.Fatalf("restored graph: status %d (%s)", status, env["error"])
+	}
+	if iters := resultField[int](t, env, "iters"); iters < 1 || iters > 5 {
+		t.Fatalf("restored graph: pagerank iters %d, want 1..5", iters)
 	}
 }
 
