@@ -33,9 +33,10 @@ queryd-stress:
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.
 # Whether a reader ever sees a half-published swap is timing-dependent in
-# the same way, so repeat the swap tests under -race.
+# the same way, so repeat the swap tests under -race — in core and in
+# colstore, whose scan passes keep per-worker state across live re-encodes.
 core-stress:
-	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View' ./internal/core
+	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View' ./internal/core ./internal/colstore
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -5,9 +5,10 @@
 // work).
 //
 // A Table is a set of named columns, each a bit-compressed smart array
-// packed at the minimum width for its values. Queries are scan pipelines:
-// predicate filters evaluated column-at-a-time over unpacked chunks,
-// followed by aggregation (sum/count/min/max) or group-by. All scans run
+// packed at the minimum width for its values. Each query is one scan pass
+// (scan.go): its predicates build a selection bitmap chunk by chunk, and
+// the surviving rows fold into an aggregate (sum/count/min/max) or a
+// group-by. All scans run
 // through the Callisto-style runtime, so placement and compression behave
 // exactly as for raw smart arrays — a Table is just a bundle of them.
 package colstore
@@ -46,10 +47,6 @@ type Table struct {
 	// goroutine at a time (also across concurrent loops), so no locking is
 	// needed; WithRuntime views share the backing array.
 	scratch [][]uint64
-	// pscratch is the per-worker scan-accounting buffer a pass uses to
-	// collect one batch's predicate counts before attributing them to
-	// every profiled group member — same ownership rule as scratch.
-	pscratch [][]core.ScanCounts
 	// decode is the per-worker pair of chunk buffers the grouped fold
 	// decodes a dense chunk's key and target into — same ownership rule.
 	decode []decodeBufs
@@ -75,12 +72,11 @@ func NewTable(rt *rts.Runtime, rows uint64) (*Table, error) {
 		return nil, errors.New("colstore: zero rows")
 	}
 	return &Table{
-		rt:       rt,
-		rows:     rows,
-		byName:   map[string]*Column{},
-		scratch:  make([][]uint64, len(rt.Workers())),
-		pscratch: make([][]core.ScanCounts, len(rt.Workers())),
-		decode:   make([]decodeBufs, len(rt.Workers())),
+		rt:      rt,
+		rows:    rows,
+		byName:  map[string]*Column{},
+		scratch: make([][]uint64, len(rt.Workers())),
+		decode:  make([]decodeBufs, len(rt.Workers())),
 	}, nil
 }
 
@@ -331,10 +327,9 @@ func orderPreds(predCols []*Column, preds []Pred) ([]*Column, []Pred) {
 	return oc, op
 }
 
-// Aggregate evaluates `SELECT agg(column) WHERE preds...` as a one-query
-// pass over the whole table — the same executor MultiScan drives
-// (multiscan.go), so there is one scan pipeline and one per-query
-// accounting. Only COUNT(*) needs no scan: it comes from the schema. An
+// Aggregate evaluates `SELECT agg(column) WHERE preds...` as one pass of
+// the scan executor (scan.go), the same pass GroupBy and MultiScan run.
+// Only COUNT(*) needs no scan: it comes from the schema. An
 // unpredicated MIN/MAX is the zone walk's first wave, folded from one
 // super zone's chunk bounds.
 func (t *Table) Aggregate(agg Agg, column string, preds ...Pred) (uint64, error) {
@@ -382,7 +377,7 @@ func (t *Table) scan(q ScanQuery) (ScanResult, error) {
 	if err != nil {
 		return ScanResult{}, err
 	}
-	return t.run([]*scanState{st})[0], nil
+	return t.run(st), nil
 }
 
 func (t *Table) resolvePreds(preds []Pred) ([]*Column, error) {

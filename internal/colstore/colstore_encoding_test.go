@@ -85,9 +85,8 @@ func scalarResult(t *testing.T, tbl *Table, q ScanQuery) ScanResult {
 // repeat itself. The shapes that once had paths of their own — COUNT(*),
 // single-predicate COUNT, zone-root MIN/MAX, unpredicated SUM — are rows
 // of this table like any other. MIN and MAX then run over every target
-// shape the zone walk orders differently. It then drives several
-// signatures through one pass and through a segmented, rotated pass, where
-// the live runs of each call differ.
+// shape the zone walk orders differently. It then runs selective plans as
+// profiled passes, whose chunk accounting must add up.
 func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 	t.Helper()
 	rows := f.table.Rows()
@@ -192,44 +191,25 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 		}
 	}
 
-	// Several signatures in one pass. The loop covers the union of their
-	// live runs: with the zero-predicate state aboard that is the whole
-	// table, and each selective state must still see only its own rows.
-	selective := []ScanQuery{
+	// Selective plans, scalar and grouped (dense and wide keys), as
+	// profiled passes: most of the table is in no live run, or all of it,
+	// and the per-column chunk accounting must still add up.
+	for i, q := range []ScanQuery{
 		{Agg: Sum, Column: "price", Preds: idWindow(128, 192)},
 		{Agg: Max, Column: "qty", Key: "region", Preds: []Pred{{Column: "cluster", Op: Eq, Value: 0}}},
 		{Agg: Count, Column: "qty", Key: "price", Preds: idWindow(superRows-6, superRows+4)},
 		{Agg: Min, Column: "price", Preds: idWindow(rows+10, rows+20)},
-	}
-	shared := append([]ScanQuery{{Agg: Sum, Column: "price"}}, selective...)
-	results, err := f.table.MultiScan(shared)
-	if err != nil {
-		t.Fatalf("%s: MultiScan: %v", label, err)
-	}
-	for i, q := range shared {
-		if want := scalarResult(t, f.table, q); !reflect.DeepEqual(results[i], want) {
-			t.Errorf("%s: shared pass query %d = %+v, want %+v", label, i, results[i], want)
-		}
-	}
-
-	// The selective states alone, profiled, in one pass: most of the table
-	// is in no live run, and the per-column chunk accounting must still
-	// add up.
-	states := make([]*scanState, len(selective))
-	profs := make([]*obs.QueryProfile, len(selective))
-	for i, q := range selective {
-		profs[i] = obs.NewQueryProfile(uint64(i))
-		st, err := f.table.newScanState(q, profs[i])
+		{Agg: Sum, Column: "price", Key: "region", Preds: idWindow(rows+10, rows+20)},
+	} {
+		prof := obs.NewQueryProfile(uint64(i))
+		st, err := f.table.newScanState(q, prof)
 		if err != nil {
 			t.Fatalf("%s: newScanState: %v", label, err)
 		}
-		states[i] = st
-	}
-	for i, got := range f.table.run(states) {
-		if want := scalarResult(t, f.table, selective[i]); !reflect.DeepEqual(got, want) {
+		if got, want := f.table.run(st), scalarResult(t, f.table, q); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: profiled query %d = %+v, want %+v", label, i, got, want)
 		}
-		for _, c := range profs[i].Columns {
+		for _, c := range prof.Columns {
 			if c.ChunksScanned+c.ChunksPruned != c.Chunks {
 				t.Errorf("%s: profiled query %d column %s (%s): scanned %d + pruned %d != chunks %d",
 					label, i, c.Column, c.Role, c.ChunksScanned, c.ChunksPruned, c.Chunks)

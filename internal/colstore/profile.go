@@ -62,8 +62,8 @@ func accountMasked(sc *core.ScanCounts, masks []uint64) {
 // access profile — the signal orderPreds consumes — at the cost of one
 // mask popcount per predicate, and only when telemetry is attached.
 //
-// counts[i] (when counts is non-nil) accumulates predicate i's chunk
-// counts in evaluation order. Chunks a predicate never saw because the
+// counts[i] (when counts is non-nil; the scan state's per-worker row)
+// accumulates predicate i's chunk counts in evaluation order. Chunks a predicate never saw because the
 // conjunction died earlier count as pruned for the remaining
 // predicates, preserving scanned+pruned == chunks per column.
 func buildMasksCounted(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64, counts []core.ScanCounts) bool {

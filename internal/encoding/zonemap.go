@@ -299,8 +299,9 @@ func (z *ZoneIndex) SuperVerdict(super uint64, op bitpack.Cmp, threshold uint64)
 
 // PruneStats summarizes how a predicate resolves against the index: the
 // share of chunks proven empty (ZoneNone) and full (ZoneAll), and the
-// share of super zones resolved without reading their fine entries. The
-// bench harness feeds these into the pruning cost model.
+// share of super zones resolved without reading their fine entries.
+// perfmodel's modeled skip-path check feeds these into its pruning cost
+// entries.
 type PruneStats struct {
 	NoneShare, AllShare float64
 	SuperResolvedShare  float64

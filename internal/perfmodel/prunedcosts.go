@@ -1,13 +1,11 @@
 package perfmodel
 
-import "smartarrays/internal/encoding"
-
 // Zone-map pruning entries: the cost of a predicated scan when a chunk
 // zone index (per-chunk min/max, see encoding.ZoneIndex) resolves part of
 // the range without touching the payload. The entries are parameterized
-// by the share of chunks the index resolves — the adaptive layer feeds in
-// observed selectivity and clustering, the bench harness feeds in the
-// exact shares measured on its datasets.
+// by the share of chunks the index resolves; the modeled skip-path check
+// (TestModeledSkipPathsTenfold) feeds in the exact shares
+// encoding.ZoneIndex.PruneStatsFor measures on its datasets.
 
 // CostZoneCheckPerElem is the amortized per-element cost of consulting
 // the per-chunk zone statistics: two loads and roughly two compares per
@@ -38,22 +36,4 @@ func CostPrunedMask(bits uint, resolvedShare float64) float64 {
 // masked kernel.
 func CostPrunedMaskedReduce(bits uint, foldShare float64) float64 {
 	return clampShare(foldShare) * CostMaskedReduce(bits)
-}
-
-// CostPrunedReduce prices an unmasked fold when the zone index answers
-// (1 - liveShare) of the chunks in O(1) — constant chunks for sums,
-// every chunk for min/max.
-func CostPrunedReduce(bits uint, liveShare float64) float64 {
-	return CostZoneCheckPerElem + clampShare(liveShare)*CostReduce(bits)
-}
-
-// CostEncodedPrunedMask is CostPrunedMask over an encoded representation.
-func CostEncodedPrunedMask(cs encoding.CostStats, resolvedShare float64) float64 {
-	return CostZoneCheckPerElem + (1-clampShare(resolvedShare))*CostEncodedMask(cs)
-}
-
-// CostEncodedPrunedMaskedReduce is CostPrunedMaskedReduce over an encoded
-// representation.
-func CostEncodedPrunedMaskedReduce(cs encoding.CostStats, foldShare float64) float64 {
-	return clampShare(foldShare) * CostEncodedMaskedReduce(cs)
 }
