@@ -93,7 +93,8 @@ bench-pairs:
 # The predicated-scan sizing benchmarks, in process: bitpack's compare,
 # masked-sum and straddling-width chunk-decode kernels per width (ns/elem
 # next to a same-run plain 64-bit sum, and the sparse/dense sweep behind
-# MaskSparseCutoff) and the four
+# MaskSparseCutoff), every codec's sum, masked sum, masked max and
+# compare-and-count through its ChunkCodec (BenchmarkCodecFold), the four
 # scan_unique plan shapes through the query handler on the served 4 Mi-row
 # dataset, then three MIN/MAX plans through colstore's zone walk (its best
 # case, a uniform target, and the case that degrades to a whole pass), the
@@ -105,6 +106,7 @@ bench-pairs:
 # kernel or core change, before paying for bench-pairs. Not a CI target.
 bench-scan:
 	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff|Unpack' -benchtime 20x -count 5 -cpu 1
+	$(GO) test ./internal/encoding -run '^$$' -bench CodecFold -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ZoneOrderedExtremes -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"smartarrays/internal/bench"
-	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/machine"
@@ -193,20 +192,6 @@ func BenchmarkFusedSumU64(b *testing.B)          { benchFusedSum(b, 64) }
 func BenchmarkFusedSumU32(b *testing.B)          { benchFusedSum(b, 32) }
 func BenchmarkFusedSumCompressed33(b *testing.B) { benchFusedSum(b, 33) }
 func BenchmarkFusedSumCompressed10(b *testing.B) { benchFusedSum(b, 10) }
-
-// BenchmarkFusedCountCompressed10 measures the fused predicate-count
-// kernel used by the column-store COUNT fast path.
-func BenchmarkFusedCountCompressed10(b *testing.B) {
-	a := scanFixture(b, 10)
-	n := a.Length()
-	thr := a.Codec().Mask() / 2
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += core.CountRange(a, 0, 0, n, bitpack.CmpLe, thr)
-	}
-	_ = sink
-}
 
 // BenchmarkParallelSum measures the runtime's dynamic loop distribution.
 func BenchmarkParallelSum(b *testing.B) {

@@ -17,7 +17,8 @@
 // shifting and masking entirely, mirroring the paper's specialized classes.
 package bitpack
 
-// Cmp is a threshold-predicate comparison operator for CountWhere.
+// Cmp is a threshold-predicate comparison operator for the mask kernels
+// (CmpMaskChunk, CmpMaskChunks).
 type Cmp int
 
 // Comparison operators, evaluated as "element <op> threshold".
@@ -127,20 +128,8 @@ func (c Codec) MinChunks(data []uint64, chunkLo, chunkHi uint64) uint64 {
 	return min
 }
 
-// CountWhere returns the number of elements v in chunks [chunkLo, chunkHi)
-// satisfying "v op threshold".
-func (c Codec) CountWhere(data []uint64, chunkLo, chunkHi uint64, op Cmp, threshold uint64) uint64 {
-	var count uint64
-	c.foldChunks(data, chunkLo, chunkHi, func(v uint64) {
-		if op.Eval(v, threshold) {
-			count++
-		}
-	})
-	return count
-}
-
 // foldChunks feeds every element of chunks [chunkLo, chunkHi) to fn in
-// index order, one packed-word load per word. It backs the max/min/count
+// index order, one packed-word load per word. It backs the max/min
 // kernels; the sum kernel is written out longhand because the accumulate
 // inlines there and that is the hottest path.
 func (c Codec) foldChunks(data []uint64, chunkLo, chunkHi uint64, fn func(v uint64)) {

@@ -186,20 +186,29 @@ func TestCmpMaskChunkConstantThresholds(t *testing.T) {
 	}
 }
 
-// TestMaskPopcountAgainstCountWhere ties the two predicate paths
-// together: popcount of the chunk masks must equal CountWhere.
-func TestMaskPopcountAgainstCountWhere(t *testing.T) {
+// TestMaskPopcountMatchesEval: a predicate count is the popcount of its
+// chunk masks, from the single-chunk and the range kernel alike, and must
+// equal the per-element Eval count for every operator.
+func TestMaskPopcountMatchesEval(t *testing.T) {
 	const chunks = 4
-	for _, bitsN := range []uint{5, 32, 47, 64} {
-		c, _, data := packedFixture(t, bitsN, chunks*ChunkSize)
+	for _, bitsN := range []uint{5, 7, 32, 47, 64} {
+		c, values, data := packedFixture(t, bitsN, chunks*ChunkSize)
 		thr := c.Mask() / 3
 		for _, op := range allCmps {
+			var want uint64
+			for _, v := range values {
+				if op.Eval(v, thr) {
+					want++
+				}
+			}
 			var pc uint64
 			for ch := uint64(0); ch < chunks; ch++ {
 				pc += uint64(bits.OnesCount64(c.CmpMaskChunk(data, ch, op, thr)))
 			}
-			if want := c.CountWhere(data, 0, chunks, op, thr); pc != want {
-				t.Errorf("bits=%d op=%s: mask popcount %d, CountWhere %d", bitsN, op, pc, want)
+			masks := make([]uint64, chunks)
+			c.CmpMaskChunks(data, 0, chunks, op, thr, masks)
+			if rc := PopcountMasks(masks); pc != want || rc != want {
+				t.Errorf("bits=%d op=%s: mask popcount %d (range kernel %d), want %d", bitsN, op, pc, rc, want)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smartarrays/internal/bitpack"
-	"smartarrays/internal/encoding"
 )
 
 // Fused reductions: the scan-aggregate hot path (paper Function 4) routed
@@ -159,65 +158,4 @@ func zoneReduceChunks(v *View, chunkLo, chunkHi uint64, op ReduceOp, acc uint64,
 	sc.addPruned(pruned)
 	sc.addScanned(chunkHi - chunkLo - pruned)
 	return acc + v.reduceChunks(ReduceSum, spanLo, chunkHi)
-}
-
-// CountRange counts elements v in [lo, hi) satisfying "v op threshold" for
-// a reader on socket, dispatching whole chunks to the fused CountWhere
-// kernel; chunks the zone index resolves (all rows match, or none do)
-// never touch the payload.
-func CountRange(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	if lo >= hi {
-		return 0
-	}
-	a.checkRange(lo, hi)
-	v := a.View(socket)
-	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-
-	var count uint64
-	for i := lo; i < headEnd; i++ {
-		if op.Eval(v.Get(i), threshold) {
-			count++
-		}
-	}
-	if v.zones != nil {
-		count += zoneCountChunks(&v, chunkLo, chunkHi, op, threshold)
-	} else {
-		count += v.codec.CountWhere(chunkLo, chunkHi, op, threshold)
-	}
-	for i := tailStart; i < hi; i++ {
-		if op.Eval(v.Get(i), threshold) {
-			count++
-		}
-	}
-	return count
-}
-
-// zoneCountChunks counts matches in whole chunks [chunkLo, chunkHi)
-// through the zone index: resolved chunks contribute 0 or ChunkSize
-// matches without touching the payload, and the mixed remainder batches
-// into contiguous countWhere spans.
-func zoneCountChunks(v *View, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	var count uint64
-	spanLo := chunkLo
-	for c := chunkLo; c < chunkHi; c++ {
-		switch v.zones.Verdict(c, op, threshold) {
-		case encoding.ZoneNone:
-			count += v.codec.CountWhere(spanLo, c, op, threshold)
-			spanLo = c + 1
-		case encoding.ZoneAll:
-			count += v.codec.CountWhere(spanLo, c, op, threshold)
-			spanLo = c + 1
-			count += bitpack.ChunkSize
-		}
-	}
-	return count + v.codec.CountWhere(spanLo, chunkHi, op, threshold)
-}
-
-// FoldRange folds an arbitrary accumulator function over [lo, hi) for a
-// reader on socket, decoding chunk-at-a-time (the bounded-map path). It is
-// the escape hatch for folds that have no fused kernel; known folds should
-// use ReduceRange/CountRange.
-func FoldRange(a *SmartArray, socket int, lo, hi uint64, acc uint64, fn func(acc, v uint64) uint64) uint64 {
-	Map(a, socket, lo, hi, func(_, v uint64) { acc = fn(acc, v) })
-	return acc
 }

@@ -76,9 +76,10 @@ func TestReduceRangeMatchesIteratorAllWidths(t *testing.T) {
 	}
 }
 
-// TestCountRangeMatchesReferenceAllWidths checks the fused count against a
-// per-element reference for every width and operator over ragged ranges.
-func TestCountRangeMatchesReferenceAllWidths(t *testing.T) {
+// TestMaskRangePopcountMatchesReferenceAllWidths checks a predicate count
+// — the popcount of MaskRange's masks — against a per-element reference
+// for every width and operator over ragged ranges.
+func TestMaskRangePopcountMatchesReferenceAllWidths(t *testing.T) {
 	const n = 3*bitpack.ChunkSize + 21
 	ops := []bitpack.Cmp{bitpack.CmpEq, bitpack.CmpNe, bitpack.CmpLt, bitpack.CmpLe, bitpack.CmpGt, bitpack.CmpGe}
 	for bits := uint(1); bits <= 64; bits++ {
@@ -86,6 +87,8 @@ func TestCountRangeMatchesReferenceAllWidths(t *testing.T) {
 		thr := a.Codec().Mask() / 2
 		for _, r := range reduceRanges(n) {
 			lo, hi := r[0], r[1]
+			_, nm := MaskChunks(lo, hi)
+			masks := make([]uint64, nm)
 			for _, op := range ops {
 				var want uint64
 				for i := lo; i < hi; i++ {
@@ -93,21 +96,13 @@ func TestCountRangeMatchesReferenceAllWidths(t *testing.T) {
 						want++
 					}
 				}
-				if got := CountRange(a, 0, lo, hi, op, thr); got != want {
-					t.Fatalf("bits=%d [%d,%d) op %s: CountRange = %d, want %d",
+				MaskRange(a, 0, lo, hi, op, thr, masks)
+				if got := bitpack.PopcountMasks(masks); got != want {
+					t.Fatalf("bits=%d [%d,%d) op %s: mask popcount = %d, want %d",
 						bits, lo, hi, op, got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestFoldRangeMatchesSum: the generic fold agrees with the fused sum.
-func TestFoldRangeMatchesSum(t *testing.T) {
-	a, _ := reduceFixture(t, 33, 200)
-	got := FoldRange(a, 0, 5, 190, 0, func(acc, v uint64) uint64 { return acc + v })
-	if want := SumRange(a, 0, 5, 190); got != want {
-		t.Errorf("FoldRange sum = %d, want %d", got, want)
 	}
 }
 
@@ -202,12 +197,12 @@ func TestKernelsResolveReplicaPerCall(t *testing.T) {
 					if got := ReduceRange(a, socket, 0, n, ReduceSum); got != wantSum {
 						t.Errorf("%s socket %d: sum = %d, want %d", stage, socket, got, wantSum)
 					}
-					if got := CountRange(a, socket, 0, n, bitpack.CmpLt, thr); got != wantCount {
-						t.Errorf("%s socket %d: count = %d, want %d", stage, socket, got, wantCount)
-					}
 					_, nm := MaskChunks(0, n)
 					masks := make([]uint64, nm)
 					MaskRange(a, socket, 0, n, bitpack.CmpLt, thr, masks)
+					if got := bitpack.PopcountMasks(masks); got != wantCount {
+						t.Errorf("%s socket %d: count = %d, want %d", stage, socket, got, wantCount)
+					}
 					MaskRangeAnd(a, socket, 0, n, bitpack.CmpGe, 1000, masks)
 					if got := ReduceRangeMasked(a, socket, 0, n, ReduceSum, masks); got != wantMaskedSum {
 						t.Errorf("%s socket %d: masked sum = %d, want %d", stage, socket, got, wantMaskedSum)

@@ -303,9 +303,9 @@ func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
 }
 
 // AccountReduce charges the traffic and instructions of a fused reduction
-// over elements [lo, hi) (ReduceRange/CountRange): the same streaming
-// payload traffic as a scan, but the fused per-element decode+fold cost
-// instead of the iterator's.
+// over elements [lo, hi) (ReduceRange, or MaskRange and a masked fold):
+// the same streaming payload traffic as a scan, but the fused per-element
+// decode+fold cost instead of the iterator's.
 func (a *SmartArray) AccountReduce(sh *counters.Shard, lo, hi uint64) {
 	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedReduce); aa != nil {
 		aa.Reduces++

@@ -1,6 +1,6 @@
 // Zone maps on the core hot path: a SmartArray can carry an
 // encoding.ZoneIndex on its repr snapshot. MaskRange, MaskRangeAnd,
-// CountRange, ReduceRange, and ReduceRangeMasked consult it to resolve
+// ReduceRange, and ReduceRangeMasked consult it to resolve
 // whole chunks (all rows match, or none do) without touching the packed
 // payload. The index rides the snapshot, so Reencode rebuilds it
 // atomically and a write through Init drops it before mutating.

@@ -11,22 +11,23 @@ import (
 // ChunkCodec is the chunk-granular kernel interface every encoding
 // implements, mirroring the fused bitpack kernels so core.SmartArray and
 // the colstore scan pipeline can dispatch over the representation instead
-// of assuming bit packing.
+// of assuming bit packing. A predicate is answered only as masks
+// (CmpMaskChunks); counting one is a popcount of those masks.
 //
 // Contract (same as core's range decomposition guarantees for bitpack):
 //
-//   - The unmasked whole-chunk folds (SumChunks, MinChunks, MaxChunks,
-//     CountWhere) are called only on ranges of full chunks — every element
-//     of [chunkLo*64, chunkHi*64) is a real element. Ragged heads and
-//     tails go through Get or the masked paths.
+//   - The unmasked whole-chunk folds (SumChunks, MinChunks, MaxChunks) are
+//     called only on ranges of full chunks — every element of
+//     [chunkLo*64, chunkHi*64) is a real element. Ragged heads and tails
+//     go through Get or the masked paths.
 //   - Masked folds receive selection bitmaps whose bits beyond the valid
 //     element range are clear (core.MaskRange clamps them), so a partial
 //     tail chunk is safe to include.
-//   - DecodeChunk and CmpMaskChunk may be called on a partial tail chunk;
-//     decoded pad values and pad mask bits are unspecified — callers must
-//     ignore positions at or beyond Length().
-//   - Fold identities match bitpack: sum/count/max of an empty selection
-//     is 0, min is ^uint64(0).
+//   - DecodeChunk and the mask kernels may be called on a partial tail
+//     chunk; decoded pad values and pad mask bits are unspecified —
+//     callers must ignore positions at or beyond Length().
+//   - Fold identities match bitpack: sum/max of an empty selection is 0,
+//     min is ^uint64(0).
 type ChunkCodec interface {
 	Encoded
 	// DecodeChunk materializes chunk's 64 elements into out.
@@ -37,8 +38,6 @@ type ChunkCodec interface {
 	MinChunks(chunkLo, chunkHi uint64) uint64
 	// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
 	MaxChunks(chunkLo, chunkHi uint64) uint64
-	// CountWhere counts elements in [chunkLo, chunkHi) matching op threshold.
-	CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64
 	// CmpMaskChunk evaluates the predicate over one chunk into a bitmap
 	// (bit i = element chunk*64+i matches).
 	CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64
@@ -147,17 +146,6 @@ func unpackRange(cc ChunkCodec, lo, hi uint64, buf []uint64, emit func(base uint
 // The codecs below have no range kernel of their own for these entry
 // points; each answers through the shared helpers above.
 
-func (p *PlainArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
-	return cmpMaskChunks(p, chunkLo, chunkHi, op, threshold, masks, and)
-}
-func (p *PlainArray) Gather(idx, out []uint64) { gather(p, idx, out) }
-func (p *PlainArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	unpackRange(p, lo, hi, buf, emit)
-}
-
-func (d *DictArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
-	return cmpMaskChunks(d, chunkLo, chunkHi, op, threshold, masks, and)
-}
 func (d *DictArray) Gather(idx, out []uint64) { gather(d, idx, out) }
 func (d *DictArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
 	unpackRange(d, lo, hi, buf, emit)
@@ -179,126 +167,14 @@ func (a *DeltaArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uin
 	unpackRange(a, lo, hi, buf, emit)
 }
 
-func (f *FoRArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
-	return cmpMaskChunks(f, chunkLo, chunkHi, op, threshold, masks, and)
-}
 func (f *FoRArray) Gather(idx, out []uint64) { gather(f, idx, out) }
 func (f *FoRArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
 	unpackRange(f, lo, hi, buf, emit)
 }
 
 // ---------------------------------------------------------------------------
-// Plain: direct slice kernels.
-
-// DecodeChunk materializes chunk's 64 elements into out.
-func (p *PlainArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
-	copy(out[:], p.words[chunk*bitpack.ChunkSize:])
-}
-
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-func (p *PlainArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	var s uint64
-	for _, v := range p.words[lo:hi] {
-		s += v
-	}
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (p *PlainArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	m := ^uint64(0)
-	for _, v := range p.words[lo:hi] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (p *PlainArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	var m uint64
-	for _, v := range p.words[lo:hi] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// CountWhere counts elements in [chunkLo, chunkHi) matching the predicate.
-func (p *PlainArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	var n uint64
-	for _, v := range p.words[lo:hi] {
-		if op.Eval(v, threshold) {
-			n++
-		}
-	}
-	return n
-}
-
-// CmpMaskChunk evaluates the predicate over one chunk into a bitmap.
-func (p *PlainArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunk, chunk+1)
-	var m uint64
-	for i, v := range p.words[lo:hi] {
-		if op.Eval(v, threshold) {
-			m |= uint64(1) << uint(i)
-		}
-	}
-	return m
-}
-
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (p *PlainArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var s uint64
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) { s += v })
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (p *PlainArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	m := ^uint64(0)
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (p *PlainArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var m uint64
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
-}
-
-func (p *PlainArray) foldMasked(chunkLo, chunkHi uint64, masks []uint64, fn func(v uint64)) {
-	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
-		}
-		base := c * bitpack.ChunkSize
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			fn(p.words[base+i])
-			m &= m - 1
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// BitPacked: straight delegation to the fused bitpack kernels.
+// BitPacked (and Plain, its 64-bit case): straight delegation to the fused
+// bitpack kernels.
 
 // DecodeChunk materializes chunk's 64 elements into out.
 func (b *BitPackedArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
@@ -318,11 +194,6 @@ func (b *BitPackedArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
 // MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
 func (b *BitPackedArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	return b.codec.MaxChunks(b.words, chunkLo, chunkHi)
-}
-
-// CountWhere counts elements in [chunkLo, chunkHi) matching the predicate.
-func (b *BitPackedArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	return b.codec.CountWhere(b.words, chunkLo, chunkHi, op, threshold)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap.
@@ -376,68 +247,33 @@ func (b *BitPackedArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
 // the sorted dictionary makes order comparisons order-preserving on IDs),
 // min/max fold over IDs, sums decode chunk-at-a-time.
 
-// idPredicate is a value-space predicate rewritten into dictionary-ID
-// space. Either the outcome is constant for every element (constKnown),
-// or (op, thr) is the equivalent ID-space comparison.
-type idPredicate struct {
-	constKnown bool
-	constAll   bool // with constKnown: true = every element matches
-	op         bitpack.Cmp
-	thr        uint64
-}
-
 // rewritePredicate maps (op, value) into ID space via binary search on
-// the sorted dictionary. Comparisons then run on bit-packed IDs without
-// decoding any values.
-func (d *DictArray) rewritePredicate(op bitpack.Cmp, value uint64) idPredicate {
-	nd := uint64(len(d.dict))
+// the sorted dictionary: dict[id] < value exactly when id < i, the first
+// ID whose value is >= value. Comparisons then run on the bit-packed IDs
+// without decoding any values. A value absent from the dictionary makes
+// Eq match nothing ("id < 0") and Ne everything ("id >= 0"), outcomes
+// bitpack resolves without reading the IDs.
+func (d *DictArray) rewritePredicate(op bitpack.Cmp, value uint64) (bitpack.Cmp, uint64) {
 	i := uint64(sort.Search(len(d.dict), func(i int) bool { return d.dict[i] >= value }))
-	exact := i < nd && d.dict[i] == value
-	constOf := func(all bool) idPredicate { return idPredicate{constKnown: true, constAll: all} }
+	exact := i < uint64(len(d.dict)) && d.dict[i] == value
 	switch op {
-	case bitpack.CmpEq:
+	case bitpack.CmpEq, bitpack.CmpNe:
 		if exact {
-			return idPredicate{op: bitpack.CmpEq, thr: i}
+			return op, i
 		}
-		return constOf(false)
-	case bitpack.CmpNe:
-		if exact {
-			return idPredicate{op: bitpack.CmpNe, thr: i}
+		if op == bitpack.CmpEq {
+			return bitpack.CmpLt, 0
 		}
-		return constOf(true)
-	case bitpack.CmpLt, bitpack.CmpGe:
-		// value <  dict[id] for id >= i; value > dict[id] for id < i.
-		j := i
-		lt := op == bitpack.CmpLt
-		if j == 0 {
-			return constOf(!lt)
-		}
-		if j == nd {
-			return constOf(lt)
-		}
-		if lt {
-			return idPredicate{op: bitpack.CmpLt, thr: j}
-		}
-		return idPredicate{op: bitpack.CmpGe, thr: j}
+		return bitpack.CmpGe, 0
 	case bitpack.CmpLe, bitpack.CmpGt:
-		j := i
 		if exact {
-			j++
+			i++ // v <= value  ⇔  v < the next dictionary value
 		}
-		le := op == bitpack.CmpLe
-		if j == 0 {
-			return constOf(!le)
-		}
-		if j == nd {
-			return constOf(le)
-		}
-		if le {
-			return idPredicate{op: bitpack.CmpLt, thr: j}
-		}
-		return idPredicate{op: bitpack.CmpGe, thr: j}
-	default:
-		panic("encoding: unknown comparison")
 	}
+	if op == bitpack.CmpLt || op == bitpack.CmpLe {
+		return bitpack.CmpLt, i
+	}
+	return bitpack.CmpGe, i
 }
 
 // DecodeChunk materializes chunk's 64 elements into out (pad IDs beyond
@@ -479,31 +315,17 @@ func (d *DictArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	return d.dict[d.ids.MaxChunks(chunkLo, chunkHi)]
 }
 
-// CountWhere counts matching elements without decoding: the predicate is
-// rewritten into ID space and evaluated on the packed IDs.
-func (d *DictArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	p := d.rewritePredicate(op, threshold)
-	if p.constKnown {
-		if !p.constAll {
-			return 0
-		}
-		lo, hi := chunkSpan(d.length, chunkLo, chunkHi)
-		return hi - lo
-	}
-	return d.ids.CountWhere(chunkLo, chunkHi, p.op, p.thr)
-}
-
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap, in
 // ID space.
 func (d *DictArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	p := d.rewritePredicate(op, threshold)
-	if p.constKnown {
-		if !p.constAll {
-			return 0
-		}
-		return ^uint64(0)
-	}
-	return d.ids.CmpMaskChunk(chunk, p.op, p.thr)
+	op, t := d.rewritePredicate(op, threshold)
+	return d.ids.CmpMaskChunk(chunk, op, t)
+}
+
+// CmpMaskChunks is the IDs' range compare, the predicate rewritten once.
+func (d *DictArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	op, t := d.rewritePredicate(op, threshold)
+	return d.ids.CmpMaskChunks(chunkLo, chunkHi, op, t, masks, and)
 }
 
 // SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
@@ -610,17 +432,6 @@ func (r *RLEArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 		}
 	})
 	return m
-}
-
-// CountWhere counts matching elements: one predicate evaluation per run.
-func (r *RLEArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	var count uint64
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, n uint64) {
-		if op.Eval(v, threshold) {
-			count += n
-		}
-	})
-	return count
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap: one

@@ -95,6 +95,8 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 		if got := cc.MaxChunks(win[0], win[1]); got != max {
 			t.Fatalf("MaxChunks%v = %d, want %d", win, got, max)
 		}
+		// A predicate count is the popcount of the window's masks.
+		masks := make([]uint64, win[1]-win[0])
 		for _, op := range chunkTestCmps {
 			for _, thr := range thresholds {
 				var count uint64
@@ -103,8 +105,9 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 						count++
 					}
 				}
-				if got := cc.CountWhere(win[0], win[1], op, thr); got != count {
-					t.Fatalf("CountWhere%v(%v, %d) = %d, want %d", win, op, thr, got, count)
+				cc.CmpMaskChunks(win[0], win[1], op, thr, masks, false)
+				if got := bitpack.PopcountMasks(masks); got != count {
+					t.Fatalf("PopcountMasks(CmpMaskChunks%v(%v, %d)) = %d, want %d", win, op, thr, got, count)
 				}
 			}
 		}
@@ -419,12 +422,24 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 // whole-column SumChunks fold of every codec over 4 Mi 16-bit values,
 // clustered (equal-value runs of 512) and uniform (the paper's
 // initialization formula), in ns/elem — compare each cell with the
-// bitpacked one of its dataset.
+// bitpacked one of its dataset. Each codec also gets a masked_sum and a
+// masked_max row under one seeded random 50 % selection, and a cmpmask
+// row: CmpMaskChunks of "v < 2^15" over the column plus the popcount that
+// checks it — a predicate count, the way every caller counts. Every
+// row fails on a wrong answer.
 //
 //	go test ./internal/encoding -run '^$' -bench CodecFold
 func BenchmarkCodecFold(b *testing.B) {
 	const n = 1 << 22
+	const chunks = n / bitpack.ChunkSize
 	const mask = 1<<16 - 1
+	const threshold = 1 << 15
+	rng := rand.New(rand.NewSource(1))
+	selection := make([]uint64, chunks)
+	for i := range selection {
+		selection[i] = rng.Uint64()
+	}
+	cmpMasks := make([]uint64, chunks)
 	for _, d := range []struct {
 		name  string
 		value func(i uint64) uint64
@@ -442,10 +457,18 @@ func BenchmarkCodecFold(b *testing.B) {
 		}},
 	} {
 		values := make([]uint64, n)
-		var want uint64
+		var sum, maskedSum, maskedMax, count uint64
 		for i := range values {
-			values[i] = d.value(uint64(i))
-			want += values[i]
+			v := d.value(uint64(i))
+			values[i] = v
+			sum += v
+			if selection[i/bitpack.ChunkSize]>>(i%bitpack.ChunkSize)&1 == 1 {
+				maskedSum += v
+				maskedMax = max(maskedMax, v)
+			}
+			if v < threshold {
+				count++
+			}
 		}
 		for _, kind := range Kinds {
 			enc, err := Build(kind, values)
@@ -453,14 +476,28 @@ func BenchmarkCodecFold(b *testing.B) {
 				b.Fatal(err)
 			}
 			cc := enc.(ChunkCodec)
-			b.Run(fmt.Sprintf("%s/%v", d.name, kind), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if got := cc.SumChunks(0, n/bitpack.ChunkSize); got != want {
-						b.Fatalf("sum = %d, want %d", got, want)
+			for _, row := range []struct {
+				name string
+				fold func() uint64
+				want uint64
+			}{
+				{"", func() uint64 { return cc.SumChunks(0, chunks) }, sum},
+				{"/masked_sum", func() uint64 { return cc.SumChunksMasked(0, chunks, selection) }, maskedSum},
+				{"/masked_max", func() uint64 { return cc.MaxChunksMasked(0, chunks, selection) }, maskedMax},
+				{"/cmpmask", func() uint64 {
+					cc.CmpMaskChunks(0, chunks, bitpack.CmpLt, threshold, cmpMasks, false)
+					return bitpack.PopcountMasks(cmpMasks)
+				}, count},
+			} {
+				b.Run(fmt.Sprintf("%s/%v%s", d.name, kind, row.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if got := row.fold(); got != row.want {
+							b.Fatalf("got %d, want %d", got, row.want)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+				})
+			}
 		}
 	}
 }

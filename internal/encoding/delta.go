@@ -152,7 +152,7 @@ func (a *DeltaArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
 // MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
 func (a *DeltaArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
 	m := ^uint64(0)
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
+	a.foldChunks(chunkLo, chunkHi, func(v uint64) {
 		if v < m {
 			m = v
 		}
@@ -163,7 +163,7 @@ func (a *DeltaArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
 // MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
 func (a *DeltaArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	var m uint64
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
+	a.foldChunks(chunkLo, chunkHi, func(v uint64) {
 		if v > m {
 			m = v
 		}
@@ -171,30 +171,18 @@ func (a *DeltaArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	return m
 }
 
-// CountWhere counts elements matching the predicate; constant chunks are
-// one evaluation for 64 elements.
-func (a *DeltaArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	var count uint64
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
-		if op.Eval(v, threshold) {
-			count += n
-		}
-	})
-	return count
-}
-
-// foldChunks invokes fn(value, multiplicity) — constant chunks once with
-// multiplicity 64, decoded chunks per element with multiplicity 1.
-func (a *DeltaArray) foldChunks(chunkLo, chunkHi uint64, fn func(v uint64, n uint64)) {
+// foldChunks invokes fn on every value of chunks [chunkLo, chunkHi) —
+// once per constant chunk, which min and max need no more often.
+func (a *DeltaArray) foldChunks(chunkLo, chunkHi uint64, fn func(v uint64)) {
 	var buf [bitpack.ChunkSize]uint64
 	for c := chunkLo; c < chunkHi; c++ {
 		if a.constChunk(c) {
-			fn(a.bases.Get(c), bitpack.ChunkSize)
+			fn(a.bases.Get(c))
 			continue
 		}
 		a.DecodeChunk(c, &buf)
 		for _, v := range buf {
-			fn(v, 1)
+			fn(v)
 		}
 	}
 }

@@ -120,25 +120,22 @@ func (p *payload) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
 	return loWord, hiWord
 }
 
-// PlainArray stores the values as-is (the baseline).
-type PlainArray struct {
-	payload
-}
+// PlainArray stores the values uncompressed (the baseline): §4.2 bit
+// compression at 64 bits, so every kernel is BitPacked's 64-bit one. Only
+// the kind differs, and it survives re-binding.
+type PlainArray struct{ BitPackedArray }
 
 // NewPlain copies values into a plain encoding.
 func NewPlain(values []uint64) *PlainArray {
-	return &PlainArray{payload{append([]uint64(nil), values...), uint64(len(values))}}
+	return &PlainArray{*NewBitPackedAt(64, values)}
 }
 
 // Kind identifies the technique.
 func (p *PlainArray) Kind() Kind { return Plain }
 
-// Get returns the element at index.
-func (p *PlainArray) Get(index uint64) uint64 { return p.words[index] }
-
 // Bind returns the encoding reading its payload from words.
 func (p *PlainArray) Bind(words []uint64) ChunkCodec {
-	return &PlainArray{payload{words, p.length}}
+	return &PlainArray{p.at(words)}
 }
 
 // BitPackedArray is §4.2 bit compression: every element at one width,
@@ -344,60 +341,28 @@ func (r *RLEArray) Get(index uint64) uint64 {
 	return r.values.Get(run)
 }
 
-// DecodeInto materializes the whole array into out (which must have
-// Length() elements) with one linear walk over the runs — O(n + runs)
-// instead of Decode-via-Get's per-element binary search.
-func (r *RLEArray) DecodeInto(out []uint64) {
-	pos := 0
-	for run := uint64(0); run < r.runs; run++ {
-		v := r.values.Get(run)
-		n := r.lengths.Get(run)
-		for end := pos + int(n); pos < end; pos++ {
-			out[pos] = v
+// Decode materializes any encoding back to a plain slice, chunk by chunk
+// through DecodeChunk — except RLE, which fills the runs in one linear
+// walk, O(n + runs).
+func Decode(cc ChunkCodec) []uint64 {
+	n := cc.Length()
+	out := make([]uint64, n)
+	if r, ok := cc.(*RLEArray); ok {
+		pos := uint64(0)
+		for run := uint64(0); run < r.runs; run++ {
+			v, end := r.values.Get(run), pos+r.lengths.Get(run)
+			for ; pos < end; pos++ {
+				out[pos] = v
+			}
 		}
+		return out
 	}
-}
-
-// BulkDecoder is implemented by encodings with a decode path cheaper than
-// per-element Get (RLE's linear run walk). Decode prefers it.
-type BulkDecoder interface {
-	DecodeInto(out []uint64)
-}
-
-// Decode materializes any encoding back to a plain slice. It routes
-// through the cheapest decode the encoding offers: a bulk decoder if one
-// is implemented, then chunk-granular decode for ChunkCodecs, then
-// per-element Get as the last resort.
-func Decode(e Encoded) []uint64 {
-	out := make([]uint64, e.Length())
-	DecodeSlice(e, out)
+	var buf [bitpack.ChunkSize]uint64
+	for c := uint64(0); c*bitpack.ChunkSize < n; c++ {
+		cc.DecodeChunk(c, &buf)
+		copy(out[c*bitpack.ChunkSize:], buf[:])
+	}
 	return out
-}
-
-// DecodeSlice is Decode into a caller-provided slice of Length() elements.
-func DecodeSlice(e Encoded, out []uint64) {
-	n := e.Length()
-	switch d := e.(type) {
-	case *PlainArray:
-		copy(out, d.words)
-	case BulkDecoder:
-		d.DecodeInto(out)
-	case ChunkCodec:
-		var buf [bitpack.ChunkSize]uint64
-		chunks := n / bitpack.ChunkSize
-		for c := uint64(0); c < chunks; c++ {
-			d.DecodeChunk(c, &buf)
-			copy(out[c*bitpack.ChunkSize:], buf[:])
-		}
-		if tail := chunks * bitpack.ChunkSize; tail < n {
-			d.DecodeChunk(chunks, &buf)
-			copy(out[tail:n], buf[:n-tail])
-		}
-	default:
-		for i := uint64(0); i < n; i++ {
-			out[i] = e.Get(i)
-		}
-	}
 }
 
 // Build constructs the requested encoding of values.

@@ -44,7 +44,7 @@ func TestAllEncodingsRoundTrip(t *testing.T) {
 		for _, e := range []Encoded{NewPlain(values), NewBitPacked(values), NewDict(values), NewRLE(values)} {
 			t.Run(name+"/"+e.Kind().String(), func(t *testing.T) {
 				checkRoundTrip(t, e, values)
-				dec := Decode(e)
+				dec := Decode(e.(ChunkCodec))
 				for i := range values {
 					if dec[i] != values[i] {
 						t.Fatalf("Decode mismatch at %d", i)

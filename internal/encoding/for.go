@@ -92,47 +92,35 @@ func (f *FoRArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
 	return f.ref + f.resid.MaxChunks(chunkLo, chunkHi)
 }
 
-// rewriteThreshold maps a value-space threshold into residual space.
-// When threshold < ref every element compares greater, so the outcome is
-// constant per operator; otherwise threshold-ref is exact (the fused
-// bitpack kernels already handle thresholds beyond the packed width).
-func (f *FoRArray) rewriteThreshold(op bitpack.Cmp, threshold uint64) (resid uint64, constKnown, constAll bool) {
+// rewritePredicate maps a value-space predicate into residual space:
+// threshold-ref is exact (the fused bitpack kernels already handle
+// thresholds beyond the packed width). Below ref every element compares
+// greater, so Eq/Lt/Le match nothing ("r < 0") and Ne/Gt/Ge everything
+// ("r >= 0"), outcomes bitpack resolves without reading the residuals.
+func (f *FoRArray) rewritePredicate(op bitpack.Cmp, threshold uint64) (bitpack.Cmp, uint64) {
 	if threshold >= f.ref {
-		return threshold - f.ref, false, false
+		return op, threshold - f.ref
 	}
-	// Every value >= ref > threshold.
 	switch op {
 	case bitpack.CmpEq, bitpack.CmpLt, bitpack.CmpLe:
-		return 0, true, false
+		return bitpack.CmpLt, 0
 	default: // Ne, Gt, Ge
-		return 0, true, true
+		return bitpack.CmpGe, 0
 	}
-}
-
-// CountWhere counts elements matching the predicate, in residual space.
-func (f *FoRArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	t, constKnown, constAll := f.rewriteThreshold(op, threshold)
-	if constKnown {
-		if !constAll {
-			return 0
-		}
-		lo, hi := chunkSpan(f.length, chunkLo, chunkHi)
-		return hi - lo
-	}
-	return f.resid.CountWhere(chunkLo, chunkHi, op, t)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap, in
 // residual space.
 func (f *FoRArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	t, constKnown, constAll := f.rewriteThreshold(op, threshold)
-	if constKnown {
-		if !constAll {
-			return 0
-		}
-		return ^uint64(0)
-	}
+	op, t := f.rewritePredicate(op, threshold)
 	return f.resid.CmpMaskChunk(chunk, op, t)
+}
+
+// CmpMaskChunks is the residuals' range compare, the predicate rewritten
+// once.
+func (f *FoRArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
+	op, t := f.rewritePredicate(op, threshold)
+	return f.resid.CmpMaskChunks(chunkLo, chunkHi, op, t, masks, and)
 }
 
 // SumChunksMasked sums the selected elements: residual masked sum plus

@@ -79,7 +79,7 @@ func EstimatePayloadBytes(kind Kind, s Stats) uint64 {
 	}
 	switch kind {
 	case Plain:
-		return s.N * 8
+		return bitpack.MustNew(64).CompressedBytes(s.N)
 	case BitPacked:
 		return bitpack.MustNew(bitpack.MinBits(s.Max)).CompressedBytes(s.N)
 	case Dict:

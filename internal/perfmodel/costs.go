@@ -117,7 +117,7 @@ func CostScan(bits uint) float64 {
 
 // CostReduce returns the modeled instructions per element for folding a
 // smart array stored at the given width through the fused packed-scan
-// kernels (bitpack.SumChunks/MaxChunks/CountWhere via core.ReduceRange).
+// kernels (bitpack.SumChunks/MinChunks/MaxChunks via core.ReduceRange).
 // It is strictly below CostScan at every width: the fused path decodes and
 // folds in one pass over the packed words.
 func CostReduce(bits uint) float64 {
