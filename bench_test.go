@@ -133,7 +133,7 @@ func BenchmarkFigure12PageRank(b *testing.B) {
 func BenchmarkAdaptivity(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		rep := bench.RunAdaptivity()
+		rep := bench.RunAdaptivity(nil)
 		acc = 100 * float64(rep.Correct) / float64(rep.Cases)
 	}
 	b.ReportMetric(acc, "%-correct")

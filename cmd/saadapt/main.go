@@ -71,7 +71,7 @@ func main() {
 		rep := bench.RunLiveReencoding(bench.ReencodeConfig{Recorder: rec, Arrays: reg})
 		bench.PrintReencodeReport(os.Stdout, rep)
 	default:
-		rep := bench.RunAdaptivityRecorded(rec)
+		rep := bench.RunAdaptivity(rec)
 		bench.PrintAdaptReport(os.Stdout, rep, *verbose)
 	}
 
@@ -92,7 +92,7 @@ func runMulti(rec *obs.Recorder) {
 	const instr = 50e9
 	fmt.Printf("Multi-array placement for PageRank on %s (one iteration)\n", spec.Name)
 	for _, budget := range []uint64{128 << 30, 7 << 30, 4 << 30} {
-		ds, res := adapt.DecideMultiRecorded(spec, budget, instr, usages, rec)
+		ds, res := adapt.DecideMulti(spec, budget, instr, usages, rec)
 		fmt.Printf("  memory budget %3d GB/socket -> %.0f ms/iter, bottleneck %s\n",
 			budget>>30, res.Seconds*1e3, res.Bottleneck)
 		for _, d := range ds {

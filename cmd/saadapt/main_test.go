@@ -34,13 +34,12 @@ func TestTraceEmitsOneDecisionPerStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	evs, err := obs.ReadTrace(f)
-	if err != nil {
-		t.Fatalf("trace is not valid JSONL: %v", err)
-	}
-
 	decisions := 0
-	for _, ev := range evs {
+	for dec := json.NewDecoder(f); dec.More(); {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("trace is not valid JSONL: %v", err)
+		}
 		if ev.Kind != obs.KindDecision {
 			continue
 		}
@@ -57,7 +56,7 @@ func TestTraceEmitsOneDecisionPerStep(t *testing.T) {
 		}
 	}
 
-	want := bench.RunAdaptivity().Cases
+	want := bench.RunAdaptivity(nil).Cases
 	if decisions != want {
 		t.Fatalf("trace has %d decision events, want one per adaptivity step (%d)",
 			decisions, want)

@@ -149,17 +149,6 @@ func (m *Monitor) Check(p obs.AccessProfile) (Candidate, *obs.DriftEvent) {
 	return chosen, ev
 }
 
-// CheckRecorded is Check with the drift event recorded on rec (which may
-// be nil). It reports whether a drift occurred.
-func (m *Monitor) CheckRecorded(p obs.AccessProfile, rec *obs.Recorder) (Candidate, bool) {
-	chosen, ev := m.Check(p)
-	if ev == nil {
-		return chosen, false
-	}
-	rec.RecordDrift(*ev)
-	return chosen, true
-}
-
 // String summarizes the monitor state for reports.
 func (m *Monitor) String() string {
 	return fmt.Sprintf("adapt.Monitor{%s: %s, %d checks, %d drifts}",

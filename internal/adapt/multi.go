@@ -58,16 +58,11 @@ func (d MultiDecision) String() string {
 // DecideMulti jointly places the arrays on the machine, given the
 // workload's total instruction count per iteration and the per-socket
 // memory capacity. It returns the decisions (aligned with usages) and the
-// modeled result of the chosen configuration.
-func DecideMulti(spec *machine.Spec, capPerSocket uint64, instructions float64, usages []ArrayUsage) ([]MultiDecision, perfmodel.Result) {
-	ds, res, _, _ := decideMulti(spec, capPerSocket, instructions, usages)
-	return ds, res
-}
-
-// DecideMultiRecorded is DecideMulti with tracing: one MultiDecisionEvent
-// per joint decision, recording the per-array placements, the model-solve
-// budget the search spent, and the modeled outcome. rec may be nil.
-func DecideMultiRecorded(spec *machine.Spec, capPerSocket uint64, instructions float64, usages []ArrayUsage, rec *obs.Recorder) ([]MultiDecision, perfmodel.Result) {
+// modeled result of the chosen configuration, and records one
+// MultiDecisionEvent on rec (nil records nothing): the per-array
+// placements, the model-solve budget the search spent, and the modeled
+// outcome.
+func DecideMulti(spec *machine.Spec, capPerSocket uint64, instructions float64, usages []ArrayUsage, rec *obs.Recorder) ([]MultiDecision, perfmodel.Result) {
 	ds, res, evals, fits := decideMulti(spec, capPerSocket, instructions, usages)
 	if rec != nil {
 		ev := obs.MultiDecisionEvent{
@@ -88,7 +83,7 @@ func DecideMultiRecorded(spec *machine.Spec, capPerSocket uint64, instructions f
 	return ds, res
 }
 
-// decideMulti is the shared coordinate-descent core; it additionally
+// decideMulti is DecideMulti's coordinate-descent search; it additionally
 // reports how many model evaluations the search spent and whether the
 // final configuration fits the capacity budget.
 func decideMulti(spec *machine.Spec, capPerSocket uint64, instructions float64, usages []ArrayUsage) ([]MultiDecision, perfmodel.Result, int, bool) {

@@ -35,7 +35,7 @@ func findDecision(t *testing.T, ds []MultiDecision, name string) MultiDecision {
 
 func TestDecideMultiReplicatesHotReadOnlyArrays(t *testing.T) {
 	spec := machine.X52Small()
-	ds, res := DecideMulti(spec, 128<<30, 50e9, pageRankUsages())
+	ds, res := DecideMulti(spec, 128<<30, 50e9, pageRankUsages(), nil)
 	// With ample memory, the hot read-only arrays replicate.
 	if d := findDecision(t, ds, "ranks"); d.Placement != memsim.Replicated {
 		t.Errorf("ranks placement = %v, want replicated", d)
@@ -63,7 +63,7 @@ func TestDecideMultiRespectsCapacity(t *testing.T) {
 	// top of everything else at 6.5 GB/socket cap).
 	usages := pageRankUsages()
 	capPerSocket := uint64(6.5e9)
-	ds, _ := DecideMulti(spec, capPerSocket, 50e9, usages)
+	ds, _ := DecideMulti(spec, capPerSocket, 50e9, usages, nil)
 	if !fitsCapacity(spec, capPerSocket, usages, ds) {
 		t.Fatalf("decision exceeds capacity: %v", ds)
 	}
@@ -79,7 +79,7 @@ func TestDecideMultiRespectsCapacity(t *testing.T) {
 func TestDecideMultiInfeasibleStartReportsAsIs(t *testing.T) {
 	spec := machine.X52Small()
 	usages := []ArrayUsage{{Name: "huge", PayloadBytes: 100e9, ScanBytes: 1e9, ReadOnly: true}}
-	ds, _ := DecideMulti(spec, 1e9, 1e9, usages)
+	ds, _ := DecideMulti(spec, 1e9, 1e9, usages, nil)
 	// Nothing feasible: the engine leaves the flexible configuration.
 	if ds[0].Placement != memsim.Interleaved {
 		t.Errorf("infeasible case placement = %v, want interleaved", ds[0].Placement)

@@ -62,11 +62,3 @@ func DecideExplained(spec *machine.Spec, tr Traits, p *Profile, name string) (Ca
 	}
 	return chosen, ev
 }
-
-// DecideRecorded is Decide with tracing: the decision event is recorded
-// on rec (which may be nil, making it exactly Decide).
-func DecideRecorded(spec *machine.Spec, tr Traits, p *Profile, rec *obs.Recorder, name string) Candidate {
-	chosen, ev := DecideExplained(spec, tr, p, name)
-	rec.RecordDecision(ev)
-	return chosen
-}

@@ -29,8 +29,9 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 
 	base := (1 - cfg.Damping) / float64(n)
 	iters := 0
+	bounds := rts.WeightedBounds(0, n, rts.DefaultGrain, func(v uint64) uint64 { return v })
 	for iter := 0; iter < cfg.MaxIters; iter++ {
-		totalDiff := rt.ReduceSumFloat64(0, n, 0, func(w *rts.Worker, lo, hi uint64) float64 {
+		totalDiff := rt.ReduceSumFloat64Bounds(bounds, func(w *rts.Worker, lo, hi uint64) float64 {
 			rbeginRep := g.RBegin.GetReplica(w.Socket)
 			redgeRep := g.REdge.GetReplica(w.Socket)
 			ranksRep := st.ranks.GetReplica(w.Socket)

@@ -218,17 +218,11 @@ func degreeWorkloadAtBits(shape analytics.ShapeParams, bits uint) perfmodel.Work
 }
 
 // RunAdaptivity evaluates the §6 policy over the grid against the model's
-// ground truth, reproducing the §6.3 statistics.
-func RunAdaptivity() AdaptReport {
-	return RunAdaptivityRecorded(nil)
-}
-
-// RunAdaptivityRecorded is RunAdaptivity with tracing: one DecisionEvent
-// per grid case is recorded on rec (nil disables recording), enriched with
-// the model's ground truth — estimated vs realized cost and the grid
-// optimum — so a trace shows exactly why each pick was made and what it
-// cost.
-func RunAdaptivityRecorded(rec *obs.Recorder) AdaptReport {
+// ground truth, reproducing the §6.3 statistics. One DecisionEvent per
+// grid case is recorded on rec (nil disables recording), enriched with the
+// model's ground truth — estimated vs realized cost and the grid optimum —
+// so a trace shows exactly why each pick was made and what it cost.
+func RunAdaptivity(rec *obs.Recorder) AdaptReport {
 	cases := AdaptivityGrid()
 	report := AdaptReport{}
 	staticTotals := map[string]float64{}

@@ -113,6 +113,8 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 		}
 	default:
 		sum = rt.ReduceSum(0, opts.Elements, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
+			a1.AccountReduce(w.Counters, lo, hi)
+			a2.AccountReduce(w.Counters, lo, hi)
 			return core.SumRange(a1, w.Socket, lo, hi) + core.SumRange(a2, w.Socket, lo, hi)
 		})
 	}
@@ -157,6 +159,8 @@ func javaAggregate(rt *rts.Runtime, a1, a2 *core.SmartArray) (uint64, error) {
 		mu.Unlock()
 	}
 	sum := rt.ReduceSum(0, a1.Length(), 0, func(w *rts.Worker, lo, hi uint64) uint64 {
+		a1.AccountReduce(w.Counters, lo, hi)
+		a2.AccountReduce(w.Counters, lo, hi)
 		prog := minivm.SumTwoIterProgram(hi - lo)
 		bind := func() *minivm.ArrayBinding {
 			return &minivm.ArrayBinding{Path: minivm.PathSmart, EP: ep, Socket: w.Socket}

@@ -82,11 +82,6 @@ func (o Options) instrument(rt *rts.Runtime) {
 	rt.SetArrayProfiling(o.Arrays)
 }
 
-// DefaultOptions returns CI-friendly scales.
-func DefaultOptions() Options {
-	return Options{Elements: 1 << 18, GraphVertices: 5000, Verify: true}
-}
-
 // PaperAggElements is the paper's aggregation array length: a 4 GB array
 // of 64-bit integers (~500M elements, §5.1).
 const PaperAggElements = 4 * machine.GB / 8

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"smartarrays/internal/bitpack"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
+	"smartarrays/internal/obs"
 )
 
 func testOpts() Options {
@@ -53,6 +55,37 @@ func TestFigure2ShapeAndAnnotations(t *testing.T) {
 	within("replicated time", repl.TimeMs, 109, 0.25)
 	within("repl+compressed time", replC.TimeMs, 62, 0.25)
 	within("single bandwidth", single.BandwidthGBs, 43, 0.25)
+}
+
+// TestAggregationRecordsCounters checks the counter snapshot a recorded
+// aggregation cell emits: both arrays' payload read once, summed over
+// sockets, and a non-zero instruction count, on both language paths.
+func TestAggregationRecordsCounters(t *testing.T) {
+	const n, bits = 1 << 13, 33
+	want := 2 * bitpack.MustNew(bits).CompressedBytes(n)
+	for _, lang := range []Lang{LangCPP, LangJava} {
+		rec := obs.NewRecorder(0)
+		_, err := RunAggregation(AggConfig{Machine: machine.X52Large(), Lang: lang, Bits: bits, Placement: memsim.Interleaved},
+			Options{Elements: n, Verify: true, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var read, instr uint64
+		events := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind != obs.KindCounters {
+				continue
+			}
+			events++
+			for _, s := range ev.Counters.Sockets {
+				read += s.LocalReadBytes + s.RemoteReadBytes
+				instr += s.Instructions
+			}
+		}
+		if events != 1 || read != want || instr == 0 {
+			t.Errorf("%v: %d counters events, %d bytes read (want %d), %d instructions", lang, events, read, want, instr)
+		}
+	}
 }
 
 func TestFigure10SmallMachineShape(t *testing.T) {
@@ -317,7 +350,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestAdaptivityReport(t *testing.T) {
-	rep := RunAdaptivity()
+	rep := RunAdaptivity(nil)
 	if rep.Cases == 0 {
 		t.Fatal("no cases")
 	}
@@ -383,7 +416,7 @@ func TestPrintersProduceTables(t *testing.T) {
 	}
 
 	buf.Reset()
-	PrintAdaptReport(&buf, RunAdaptivity(), true)
+	PrintAdaptReport(&buf, RunAdaptivity(nil), true)
 	if !strings.Contains(buf.String(), "correct configuration") {
 		t.Error("adapt report missing summary")
 	}

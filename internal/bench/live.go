@@ -167,7 +167,8 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 		SpaceUncompressedRepl: false,
 		SpaceCompressedRepl:   true,
 	})
-	initial := adapt.DecideRecorded(spec, traits, base, rec, "live-adaptivity")
+	initial, decision := adapt.DecideExplained(spec, traits, base, "live-adaptivity")
+	rec.RecordDecision(decision)
 	mon := adapt.NewMonitor(adapt.MonitorConfig{
 		Spec: spec, Traits: traits, Base: base, Initial: initial,
 		Name: "live-adaptivity", CompressedBits: bits, UncompressedBits: 64,
@@ -202,8 +203,11 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 			return s
 		})
 		if p, ok := reg.Profile(a.TelemetryID()); ok {
-			if _, drifted := mon.CheckRecorded(p, rec); drifted && driftCheck == 0 {
-				driftCheck = loop + 1
+			if _, drift := mon.Check(p); drift != nil {
+				rec.RecordDrift(*drift)
+				if driftCheck == 0 {
+					driftCheck = loop + 1
+				}
 			}
 		}
 	}

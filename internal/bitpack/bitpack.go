@@ -174,8 +174,8 @@ func (c Codec) Set(data []uint64, index uint64, value uint64) {
 // and shifts, widths 1–16 dividing 64 shift four fields out of a word at a
 // time, and every straddling width goes through unpackWalk, which makes
 // that decision once per word. It reads only the chunk's own words.
-// UnpackRange, UnpackSlice and a BitPacked array's DecodeChunk (so core's
-// ReadRange and StreamRange) decode through it.
+// UnpackRange and a BitPacked array's DecodeChunk (so core's ReadRange and
+// StreamRange) decode through it.
 func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 	switch c.bits {
 	case 64:
@@ -314,21 +314,6 @@ func (c Codec) PackSlice(src []uint64) []uint64 {
 		c.Pack(data, uint64(whole), &buf)
 	}
 	return data
-}
-
-// UnpackSlice decompresses n elements from data into a new slice.
-func (c Codec) UnpackSlice(data []uint64, n uint64) []uint64 {
-	out := make([]uint64, n)
-	var buf [ChunkSize]uint64
-	chunks := n / ChunkSize
-	for ch := uint64(0); ch < chunks; ch++ {
-		c.Unpack(data, ch, &buf)
-		copy(out[ch*ChunkSize:], buf[:])
-	}
-	for i := chunks * ChunkSize; i < n; i++ {
-		out[i] = c.Get(data, i)
-	}
-	return out
 }
 
 // MinBits returns the minimum width able to represent maxValue, with a

@@ -90,7 +90,7 @@ func TestRoundTripNonMultipleOfChunk(t *testing.T) {
 				src[i] = uint64(i) & c.Mask()
 			}
 			data := c.PackSlice(src)
-			got := c.UnpackSlice(data, n)
+			got := unpackSlice(c, data, n)
 			for i := range src {
 				if got[i] != src[i] {
 					t.Fatalf("bits=%d n=%d: elem %d = %#x, want %#x", b, n, i, got[i], src[i])
@@ -248,7 +248,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: UnpackSlice inverts PackSlice for whole and partial chunks.
+// Property: Unpack inverts PackSlice for whole and partial chunks.
 func TestQuickUnpackSlice(t *testing.T) {
 	f := func(vals []uint64, width uint8) bool {
 		b := uint(width%64) + 1
@@ -260,7 +260,7 @@ func TestQuickUnpackSlice(t *testing.T) {
 			vals[i] &= c.Mask()
 		}
 		data := c.PackSlice(vals)
-		got := c.UnpackSlice(data, uint64(len(vals)))
+		got := unpackSlice(c, data, uint64(len(vals)))
 		for i := range vals {
 			if got[i] != vals[i] {
 				return false
@@ -340,4 +340,14 @@ func benchGet(b *testing.B, width uint) {
 		sink += c.Get(data, uint64(i)&(n-1))
 	}
 	_ = sink
+}
+
+// unpackSlice decodes the first n elements of a PackSlice payload chunk by
+// chunk through Unpack.
+func unpackSlice(c Codec, data []uint64, n uint64) []uint64 {
+	out := make([]uint64, (n+ChunkSize-1)/ChunkSize*ChunkSize)
+	for ch := uint64(0); ch*ChunkSize < n; ch++ {
+		c.Unpack(data, ch, (*[ChunkSize]uint64)(out[ch*ChunkSize:]))
+	}
+	return out[:n]
 }

@@ -106,10 +106,10 @@ func TestRoundTripExhaustiveBoundaryElements(t *testing.T) {
 				t.Fatalf("bits=%d: Get(%d) = %#x, want %#x", bits, i, got, values[i])
 			}
 		}
-		got := c.UnpackSlice(data, n)
+		got := unpackSlice(c, data, n)
 		for i := uint64(0); i < n; i++ {
 			if got[i] != values[i] {
-				t.Fatalf("bits=%d: UnpackSlice[%d] = %#x, want %#x", bits, i, got[i], values[i])
+				t.Fatalf("bits=%d: unpack[%d] = %#x, want %#x", bits, i, got[i], values[i])
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func FuzzCmpMask(f *testing.F) {
 
 // FuzzRoundTrip packs fuzzer-chosen values at a fuzzer-chosen width and
 // verifies that Pack (through PackSlice) writes the words per-element Set
-// writes, that Get and UnpackSlice agree with the input, and that per-chunk
+// writes, that Get and Unpack agree with the input, and that per-chunk
 // Unpack agrees with Get.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(33), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -130,10 +130,10 @@ func FuzzRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		dec := c.UnpackSlice(data, uint64(n))
+		dec := unpackSlice(c, data, uint64(n))
 		for i := range values {
 			if dec[i] != values[i] {
-				t.Fatalf("bits=%d: UnpackSlice[%d] mismatch", bits, i)
+				t.Fatalf("bits=%d: unpack[%d] mismatch", bits, i)
 			}
 		}
 	})

@@ -58,13 +58,6 @@ func (c Codec) Gather(data []uint64, idx []uint64, out []uint64) {
 	}
 }
 
-// GatherChunk is Gather over a fixed 64-index vector — the natural batch
-// size for callers that stream index vectors chunk-at-a-time. The array
-// pointers let the per-index loop run without slice-header reloads.
-func (c Codec) GatherChunk(data []uint64, idx *[ChunkSize]uint64, out *[ChunkSize]uint64) {
-	c.Gather(data, idx[:], out[:])
-}
-
 // UnpackRange decodes elements [lo, hi) in index order, invoking emit with
 // decoded runs: emit(base, vals) delivers elements base, base+1, ...,
 // base+len(vals)-1. Runs never exceed len(buf) elements, so callers can

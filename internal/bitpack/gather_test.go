@@ -39,25 +39,6 @@ func TestGatherAllWidths(t *testing.T) {
 	}
 }
 
-func TestGatherChunkMatchesGet(t *testing.T) {
-	const n = 500
-	for _, bits := range []uint{1, 7, 16, 22, 32, 33, 48, 64} {
-		c := MustNew(bits)
-		data, values := packRandom(t, c, n, int64(bits)+100)
-		var idx, out [ChunkSize]uint64
-		rng := rand.New(rand.NewSource(int64(bits)))
-		for i := range idx {
-			idx[i] = uint64(rng.Intn(n))
-		}
-		c.GatherChunk(data, &idx, &out)
-		for i, x := range idx {
-			if out[i] != values[x] {
-				t.Fatalf("bits=%d: GatherChunk out[%d] = %#x, want %#x", bits, i, out[i], values[x])
-			}
-		}
-	}
-}
-
 func TestGatherEmpty(t *testing.T) {
 	c := MustNew(13)
 	data := c.PackSlice([]uint64{1, 2, 3})

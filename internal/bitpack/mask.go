@@ -242,17 +242,6 @@ func borrowOperands(eq bool, t uint64) (a, b uint64) {
 	return 0, t
 }
 
-// AndMasks ANDs src into dst element-wise (the conjunction of two
-// predicates' selections) and reports whether any bit survives.
-func AndMasks(dst, src []uint64) bool {
-	var live uint64
-	for i := range dst {
-		dst[i] &= src[i]
-		live |= dst[i]
-	}
-	return live != 0
-}
-
 // PopcountMasks returns the total number of selected rows across masks.
 func PopcountMasks(masks []uint64) uint64 {
 	var n uint64

@@ -129,25 +129,15 @@ func TestMaskedFoldsSubranges(t *testing.T) {
 }
 
 func TestMaskCombinators(t *testing.T) {
-	dst := []uint64{0xFF00, 0x0F, 0}
-	src := []uint64{0x0F00, 0xF0, ^uint64(0)}
-	if !AndMasks(dst, src) {
-		t.Fatal("AndMasks reported dead, want live")
-	}
-	if dst[0] != 0x0F00 || dst[1] != 0 || dst[2] != 0 {
-		t.Fatalf("AndMasks result %#x", dst)
-	}
-	if got := PopcountMasks(dst); got != 4 {
-		t.Fatalf("PopcountMasks = %d, want 4", got)
+	dst := []uint64{0x0F00, 0x0F, 0}
+	if got := PopcountMasks(dst); got != 8 {
+		t.Fatalf("PopcountMasks = %d, want 8", got)
 	}
 	if AllZeroMasks(dst) {
 		t.Fatal("AllZeroMasks true on live masks")
 	}
-	if AndMasks(dst, []uint64{0, 0, 0}) {
-		t.Fatal("AndMasks with zero src should report dead")
-	}
-	if !AllZeroMasks(dst) {
-		t.Fatal("AllZeroMasks false after zero AND")
+	if !AllZeroMasks(make([]uint64, 3)) {
+		t.Fatal("AllZeroMasks false on zero masks")
 	}
 	if got := PopcountMasks(nil); got != 0 {
 		t.Fatalf("PopcountMasks(nil) = %d", got)

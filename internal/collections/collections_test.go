@@ -14,7 +14,7 @@ func newMem() *memsim.Memory { return memsim.New(machine.X52Small()) }
 func TestSmartSetMembership(t *testing.T) {
 	mem := newMem()
 	values := []uint64{5, 1, 9, 5, 3, 1, 1 << 30}
-	for _, p := range memsim.Placements {
+	for _, p := range []memsim.Placement{memsim.OSDefault, memsim.SingleSocket, memsim.Interleaved, memsim.Replicated} {
 		s, err := NewSmartSet(mem, values, p, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func TestSmartSetUsesMinBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Free()
-	if got := s.Array().Bits(); got != 10 {
+	if got := s.arr.Bits(); got != 10 {
 		t.Errorf("bits = %d, want 10", got)
 	}
 }
@@ -74,41 +74,9 @@ func TestSmartSetRankAndRange(t *testing.T) {
 	}
 }
 
-func TestSmartSetForEachSorted(t *testing.T) {
-	mem := newMem()
-	s, err := NewSmartSet(mem, []uint64{9, 1, 5}, memsim.Interleaved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Free()
-	var got []uint64
-	s.ForEach(1, func(v uint64) { got = append(got, v) })
-	want := []uint64{1, 5, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSmartSetRejectsEmpty(t *testing.T) {
 	if _, err := NewSmartSet(newMem(), nil, memsim.Interleaved, 0); err == nil {
 		t.Error("empty set should fail")
-	}
-}
-
-func TestSmartSetMigrate(t *testing.T) {
-	mem := newMem()
-	s, err := NewSmartSet(mem, []uint64{1, 2, 3}, memsim.Interleaved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Free()
-	if err := s.Migrate(memsim.Replicated, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains(1, 2) {
-		t.Error("membership lost after migration")
 	}
 }
 
@@ -196,53 +164,6 @@ func TestSmartMapCapacity(t *testing.T) {
 	}
 	if err := m.Put(1<<25, 1); err == nil {
 		t.Error("over-capacity insert should fail")
-	}
-}
-
-func TestSmartMapForEach(t *testing.T) {
-	mem := newMem()
-	m, err := NewSmartMap(mem, 10, 1000, 1000, memsim.Interleaved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Free()
-	want := map[uint64]uint64{3: 30, 5: 50, 7: 70}
-	for k, v := range want {
-		if err := m.Put(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[uint64]uint64{}
-	m.ForEach(1, func(k, v uint64) { got[k] = v })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("entry %d = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestSmartMapMigrate(t *testing.T) {
-	mem := newMem()
-	m, err := NewSmartMap(mem, 50, 1<<20, 1<<20, memsim.Interleaved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Free()
-	for i := uint64(0); i < 50; i++ {
-		if err := m.Put(i*11, i*13); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Migrate(memsim.Replicated, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 50; i++ {
-		if v, ok := m.Get(1, i*11); !ok || v != i*13 {
-			t.Fatalf("after migrate: Get(%d) = %d, %v", i*11, v, ok)
-		}
 	}
 }
 

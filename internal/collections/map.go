@@ -136,28 +136,6 @@ func (m *SmartMap) Get(socket int, key uint64) (value uint64, ok bool) {
 	}
 }
 
-// ForEach visits all entries (arbitrary order).
-func (m *SmartMap) ForEach(socket int, fn func(key, value uint64)) {
-	occRep := m.occupied.GetReplica(socket)
-	keyRep := m.keys.GetReplica(socket)
-	valRep := m.vals.GetReplica(socket)
-	for slot := uint64(0); slot <= m.mask; slot++ {
-		if m.occupied.Get(occRep, slot) == 1 {
-			fn(m.keys.Get(keyRep, slot), m.vals.Get(valRep, slot))
-		}
-	}
-}
-
-// Migrate restructures all three arrays to a new placement in place.
-func (m *SmartMap) Migrate(p memsim.Placement, socket int) error {
-	for _, a := range []*core.SmartArray{m.occupied, m.keys, m.vals} {
-		if _, err := a.Migrate(p, socket); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // String summarizes the map.
 func (m *SmartMap) String() string {
 	return fmt.Sprintf("SmartMap(len=%d, slots=%d, key=%d bits, val=%d bits, %v)",

@@ -69,9 +69,6 @@ func (s *SmartSet) Free() {
 // Len is the number of distinct elements.
 func (s *SmartSet) Len() uint64 { return s.arr.Length() }
 
-// Array exposes the backing smart array (for accounting or migration).
-func (s *SmartSet) Array() *core.SmartArray { return s.arr }
-
 // Contains reports membership for a reader on socket, binary-searching
 // the sorted smart array (log2 n probes, each a Function 1 get).
 func (s *SmartSet) Contains(socket int, v uint64) bool {
@@ -114,17 +111,6 @@ func (s *SmartSet) CountRange(socket int, lo, hi uint64) uint64 {
 		return 0
 	}
 	return s.Rank(socket, hi) - s.Rank(socket, lo)
-}
-
-// ForEach visits the elements in ascending order via the chunked map API.
-func (s *SmartSet) ForEach(socket int, fn func(v uint64)) {
-	core.Map(s.arr, socket, 0, s.arr.Length(), func(_, v uint64) { fn(v) })
-}
-
-// Migrate restructures the set's storage in place.
-func (s *SmartSet) Migrate(p memsim.Placement, socket int) error {
-	_, err := s.arr.Migrate(p, socket)
-	return err
 }
 
 // String summarizes the set.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
@@ -173,7 +174,7 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 			{{Column: name, Op: Le, Value: v}, {Column: "qty", Op: Gt, Value: 500}},
 		} {
 			for _, agg := range []Agg{Min, Max} {
-				prof := obs.NewQueryProfile(1)
+				prof := obs.NewQueryProfileAt(1, time.Now())
 				got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).Aggregate(agg, name, ps...)
 				if err != nil {
 					t.Fatalf("%s: Aggregate: %v", label, err)
@@ -201,7 +202,7 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 		{Agg: Min, Column: "price", Preds: idWindow(rows+10, rows+20)},
 		{Agg: Sum, Column: "price", Key: "region", Preds: idWindow(rows+10, rows+20)},
 	} {
-		prof := obs.NewQueryProfile(uint64(i))
+		prof := obs.NewQueryProfileAt(uint64(i), time.Now())
 		st, err := f.table.newScanState(q, prof)
 		if err != nil {
 			t.Fatalf("%s: newScanState: %v", label, err)

@@ -3,7 +3,9 @@ package colstore
 import (
 	"reflect"
 	"testing"
+	"time"
 
+	"smartarrays/internal/bitpack"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
@@ -161,9 +163,14 @@ func TestZeroPredMinMaxUsesZoneBounds(t *testing.T) {
 	if z == nil {
 		t.Fatal("AddColumn did not build a zone index")
 	}
-	mn, mx := z.Bounds()
+	mn, mx := ^uint64(0), uint64(0)
+	chunks := (c.arr.Length() + bitpack.ChunkSize - 1) / bitpack.ChunkSize
+	for s := uint64(0); s*encoding.ZoneFanout < chunks; s++ {
+		smn, smx := z.SuperBounds(s)
+		mn, mx = min(mn, smn), max(mx, smx)
+	}
 	for _, agg := range []Agg{Min, Max} {
-		prof := obs.NewQueryProfile(1)
+		prof := obs.NewQueryProfileAt(1, time.Now())
 		got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).Aggregate(agg, "band")
 		if err != nil {
 			t.Fatal(err)
@@ -221,12 +228,12 @@ func TestZoneWalkWaves(t *testing.T) {
 		{Min, "id", none, 5, 17 * encoding.ZoneFanout},
 		{Min, "flat", []Pred{{Column: "noise", Op: Lt, Value: 500}}, 1, 17 * encoding.ZoneFanout},
 	} {
-		prof := obs.NewQueryProfile(1)
+		prof := obs.NewQueryProfileAt(1, time.Now())
 		got, err := table.WithRuntime(table.rt.WithProfile(prof)).Aggregate(tc.agg, tc.column, tc.preds...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof.Finalize("ok", 200)
+		prof.FinalizeAt("ok", 200, time.Now())
 		if want, _ := table.aggregateScalar(tc.agg, tc.column, tc.preds...); got != want {
 			t.Errorf("%v(%s) preds %v = %d, want %d", tc.agg, tc.column, tc.preds, got, want)
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
@@ -122,7 +123,7 @@ func TestMultiScanUnderReencode(t *testing.T) {
 		// The same queries profiled: every worker writes its own
 		// accounting row while the columns swap representations.
 		for i, q := range queries {
-			prof := obs.NewQueryProfile(uint64(i))
+			prof := obs.NewQueryProfileAt(uint64(i), time.Now())
 			st, err := f.table.newScanState(q, prof)
 			if err != nil {
 				t.Fatal(err)
@@ -184,7 +185,7 @@ func TestProfileCountsFollowTheirColumn(t *testing.T) {
 			_, evalOrder := orderPreds(cols, preds)
 			idFirst[evalOrder[0].Column == "id"] = true
 
-			prof := obs.NewQueryProfile(1)
+			prof := obs.NewQueryProfileAt(1, time.Now())
 			got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).Aggregate(Sum, "price", preds...)
 			if err != nil {
 				t.Fatal(err)

@@ -71,23 +71,22 @@ func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit fu
 	a.View(socket).codec.UnpackRange(lo, hi, buf, emit)
 }
 
-// AccountGather charges n batched random element reads: the same amplified
-// DRAM traffic as AccountRandomGets, but the batched per-element decode
-// cost (perfmodel.CostGather) instead of Function 1's per-call cost.
+// AccountGather charges n batched random element reads: amplified DRAM
+// traffic (line fetches with an LLC hit credit, see
+// perfmodel.RandomReadBytes) plus the batched per-element decode cost.
 func (a *SmartArray) AccountGather(sh *counters.Shard, n uint64, localityBoost float64) {
-	if aa := a.accountRandom(sh, n, localityBoost, perfmodel.CostEncodedGather); aa != nil {
+	if n == 0 {
+		return
+	}
+	rp := a.rep.Load()
+	t := a.track(sh)
+	payload := float64(rp.region.Words() * 8)
+	eff := perfmodel.RandomReadBytes(payload, payload/float64(a.length), a.mem.Spec().LLCMB*1e6, localityBoost)
+	rp.region.AccountRandom(sh, n, uint64(eff))
+	sh.Access(n)
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedGather(rp.cost)))
+	if aa := t.done(sh); aa != nil {
 		aa.Gathers++
 		aa.GatherElems += n
-	}
-}
-
-// AccountStream charges the traffic and instructions of streaming elements
-// [lo, hi) through StreamRange/ReadRange: streaming payload traffic, with
-// the chunk-at-a-time decode cost (perfmodel.CostStream) in place of the
-// iterator's per-element cost.
-func (a *SmartArray) AccountStream(sh *counters.Shard, lo, hi uint64) {
-	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedStream); aa != nil {
-		aa.Streams++
-		aa.StreamElems += hi - lo
 	}
 }

@@ -35,7 +35,7 @@ func TestInitRangeMatchesInit(t *testing.T) {
 	mem := newMemory()
 	for bits := uint(1); bits <= 64; bits++ {
 		mask := bitpack.MustNew(bits).Mask()
-		for _, p := range memsim.Placements {
+		for _, p := range placements {
 			for _, lo := range []uint64{0, 64, 37, 500} {
 				for _, n := range []uint64{0, 1, 63, 64, 65, 5*64 + 17, 900} {
 					name := fmt.Sprintf("bits=%d %v lo=%d n=%d", bits, p, lo, n)

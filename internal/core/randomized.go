@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"smartarrays/internal/counters"
-)
+import "math/bits"
 
 // Permutation is a bijection on [0, n) built from an affine map over the
 // next power of two with cycle walking: p(i) = (i*A + B) mod 2^k, re-applied
@@ -70,9 +66,6 @@ func NewRandomized(a *SmartArray, seed uint64) *RandomizedArray {
 // Length is the element count.
 func (r *RandomizedArray) Length() uint64 { return r.arr.Length() }
 
-// Array exposes the underlying smart array.
-func (r *RandomizedArray) Array() *SmartArray { return r.arr }
-
 // Init stores value at logical index (physically at the permuted slot,
 // in every replica).
 func (r *RandomizedArray) Init(socket int, index, value uint64) {
@@ -82,11 +75,6 @@ func (r *RandomizedArray) Init(socket int, index, value uint64) {
 // GetFrom reads the logical index for a reader on socket.
 func (r *RandomizedArray) GetFrom(socket int, index uint64) uint64 {
 	return r.arr.GetFrom(socket, r.perm.Apply(index))
-}
-
-// Get reads the logical index from an already-fetched replica.
-func (r *RandomizedArray) Get(replica []uint64, index uint64) uint64 {
-	return r.arr.Get(replica, r.perm.Apply(index))
 }
 
 // HotSpotPages reports, for a burst of accesses to logical indices
@@ -101,12 +89,6 @@ func (r *RandomizedArray) HotSpotPages(lo, hi uint64) (plainSockets, randomizedS
 		seenRand[r.arr.Region().HomeSocket(r.arr.WordOf(r.perm.Apply(i)), 0)] = true
 	}
 	return len(seen), len(seenRand)
-}
-
-// AccountRandomGets charges n logical accesses; under randomization every
-// access is physically random regardless of the logical pattern.
-func (r *RandomizedArray) AccountRandomGets(sh *counters.Shard, n uint64) {
-	r.arr.AccountRandomGets(sh, n, 1)
 }
 
 // InitAtomic stores value at logical index with the CAS-based thread-safe

@@ -62,12 +62,8 @@ func TestRandomizedArrayRoundTrip(t *testing.T) {
 				t.Fatalf("bits=%d: logical %d = %d, want %d", bits, i, got, (i*3)&mask)
 			}
 		}
-		replica := a.GetReplica(0)
-		if got := r.Get(replica, 9); got != 27&mask {
-			t.Errorf("bits=%d: Get via replica = %d", bits, got)
-		}
-		if r.Length() != 500 || r.Array() != a {
-			t.Error("accessors wrong")
+		if r.Length() != 500 {
+			t.Error("Length wrong")
 		}
 	}
 }

@@ -32,6 +32,3 @@ func (c *ScanCounts) Add(o ScanCounts) {
 	c.Scanned += o.Scanned
 	c.Pruned += o.Pruned
 }
-
-// Total is the number of chunks accounted.
-func (c ScanCounts) Total() uint64 { return c.Scanned + c.Pruned }

@@ -122,15 +122,14 @@ func AllocateFor(mem *memsim.Memory, values []uint64, placement memsim.Placement
 }
 
 // Free releases the array's simulated memory; any later read panics. The
-// telemetry profile, if any, is marked freed but kept for post-mortem
-// inspection.
+// array's telemetry profile, if any, leaves the registry.
 func (a *SmartArray) Free() {
 	a.reencodeMu.Lock()
 	rp := a.rep.Load()
 	rp.region.Free()
 	a.rep.Store(&repr{region: rp.region, cost: rp.cost})
 	a.reencodeMu.Unlock()
-	a.reg.MarkFreed(a.id)
+	a.reg.Unregister(a.id)
 }
 
 // Length is the number of elements (paper: getLength()).
@@ -346,32 +345,4 @@ func (a *SmartArray) AccountInit(sh *counters.Shard, lo, hi uint64) {
 		aa.Inits++
 		aa.InitElems += n
 	}
-}
-
-// AccountRandomGets charges n random element reads: amplified DRAM traffic
-// (line fetches with an LLC hit credit) plus Function 1's decode cost.
-// localityBoost models skewed access distributions (see
-// perfmodel.RandomReadBytes).
-func (a *SmartArray) AccountRandomGets(sh *counters.Shard, n uint64, localityBoost float64) {
-	if aa := a.accountRandom(sh, n, localityBoost, perfmodel.CostEncodedGet); aa != nil {
-		aa.Gets++
-		aa.GetElems += n
-	}
-}
-
-// accountRandom charges n random element reads of the payload and cost
-// instructions per element, returning the array's access accumulator
-// (nil when telemetry is off or n is 0).
-func (a *SmartArray) accountRandom(sh *counters.Shard, n uint64, localityBoost float64, cost func(encoding.CostStats) float64) *counters.ArrayAccess {
-	if n == 0 {
-		return nil
-	}
-	rp := a.rep.Load()
-	t := a.track(sh)
-	payload := float64(rp.region.Words() * 8)
-	eff := perfmodel.RandomReadBytes(payload, payload/float64(a.length), a.mem.Spec().LLCMB*1e6, localityBoost)
-	rp.region.AccountRandom(sh, n, uint64(eff))
-	sh.Access(n)
-	sh.Instr(uint64(float64(n) * cost(rp.cost)))
-	return t.done(sh)
 }

@@ -40,7 +40,7 @@ func TestAllocateValidation(t *testing.T) {
 
 func TestInitGetRoundTripAllPlacements(t *testing.T) {
 	mem := newMemory()
-	for _, p := range memsim.Placements {
+	for _, p := range placements {
 		for _, bits := range []uint{10, 32, 33, 64} {
 			a := mustAlloc(t, mem, Config{Length: 200, Bits: bits, Placement: p})
 			mask := a.Codec().Mask()
@@ -195,10 +195,10 @@ func TestAccountScanChargesBytesAndInstructions(t *testing.T) {
 	if got := snap.Sockets[0].ReadBytesFrom[1]; got != 1024*8 {
 		t.Errorf("bytes = %d, want %d", got, 1024*8)
 	}
-	if got := snap.TotalInstructions(); got == 0 {
+	if got := sh.Instructions; got == 0 {
 		t.Error("instructions not charged")
 	}
-	if got := snap.TotalAccesses(); got != 1024 {
+	if got := sh.Accesses; got != 1024 {
 		t.Errorf("accesses = %d, want 1024", got)
 	}
 }
@@ -226,23 +226,21 @@ func TestAccountInitReplicated(t *testing.T) {
 	sh := f.NewShard(0)
 	a := mustAlloc(t, mem, Config{Length: 1024, Bits: 64, Placement: memsim.Replicated})
 	a.AccountInit(sh, 0, 1024)
-	snap := f.Snapshot()
-	if got := snap.TotalWriteBytes(); got != 2*1024*8 {
+	if got := sh.LocalWriteBytes + sh.RemoteWriteBytes; got != 2*1024*8 {
 		t.Errorf("write bytes = %d, want %d (both replicas)", got, 2*1024*8)
 	}
 }
 
-func TestAccountRandomGets(t *testing.T) {
+func TestAccountGather(t *testing.T) {
 	mem := newMemory()
 	f := counters.NewFabric(2)
 	sh := f.NewShard(0)
 	a := mustAlloc(t, mem, Config{Length: 1 << 20, Bits: 64, Placement: memsim.Interleaved})
-	a.AccountRandomGets(sh, 1000, 1)
-	snap := f.Snapshot()
-	if got := snap.TotalRandomAccesses(); got != 1000 {
+	a.AccountGather(sh, 1000, 1)
+	if got := sh.RandomAccesses; got != 1000 {
 		t.Errorf("random accesses = %d, want 1000", got)
 	}
-	if got := snap.TotalReadBytes(); got < 1000*8 {
+	if got := sh.LocalReadBytes + sh.RemoteReadBytes; got < 1000*8 {
 		t.Errorf("random bytes = %d, want >= payload", got)
 	}
 }
@@ -253,7 +251,7 @@ func TestQuickSmartArrayModel(t *testing.T) {
 	mem := newMemory()
 	f := func(vals []uint64, width uint8, placement uint8) bool {
 		bits := uint(width%64) + 1
-		p := memsim.Placements[int(placement)%len(memsim.Placements)]
+		p := placements[int(placement)%len(placements)]
 		if len(vals) == 0 {
 			vals = []uint64{0}
 		}
@@ -291,3 +289,6 @@ func TestChunkAlignmentInvariant(t *testing.T) {
 		}
 	}
 }
+
+// placements lists every placement policy.
+var placements = []memsim.Placement{memsim.OSDefault, memsim.SingleSocket, memsim.Interleaved, memsim.Replicated}

@@ -1,9 +1,8 @@
 // Per-array access telemetry: every smart array registers itself with the
 // process's obs.ArrayRegistry at construction (when one is attached), and
-// the existing counter-accounting hooks (AccountScan/Reduce/Init/
-// RandomGets/Gather/Stream) additionally attribute their elements and
-// traffic to the array through the worker-local counters.ArrayAccess
-// shards. The RTS folds those shards into the registry once per parallel
+// the existing counter-accounting hooks (AccountScan/Reduce/Init/Gather)
+// additionally attribute their elements and traffic to the array through
+// the worker-local counters.ArrayAccess shards. The RTS folds those shards into the registry once per parallel
 // loop, so the hot path never touches shared state.
 //
 // The nil-registry configuration is the default and costs nothing beyond
@@ -40,13 +39,6 @@ func ActiveArrayRegistry() *obs.ArrayRegistry {
 // TelemetryID is the array's registry ID (0 when allocated without a
 // registry attached).
 func (a *SmartArray) TelemetryID() uint64 { return a.id }
-
-// SetLabel renames the array in the registry — workloads label arrays
-// ("ranks", "edge", column names) once their role is known, so profiles
-// and the /arrays endpoint read like the paper's array sets.
-func (a *SmartArray) SetLabel(name string) {
-	a.reg.SetName(a.id, name)
-}
 
 // register runs at allocation: assign an ID and record the array's
 // identity when a registry is attached.

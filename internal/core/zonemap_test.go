@@ -174,7 +174,7 @@ func TestZoneIndexLifecycle(t *testing.T) {
 	if a.Generation() <= gInit {
 		t.Fatal("Reencode did not bump generation")
 	}
-	mn, mx := z2.Bounds()
+	mn, mx := z2.SuperBounds(0) // 1000 elements: one super zone
 	wantMn, wantMx := ReduceRange(a, 0, 0, 1000, ReduceMin), ReduceRange(a, 0, 0, 1000, ReduceMax)
 	if mn != wantMn || mx != wantMx {
 		t.Fatalf("zone root bounds = (%d,%d), want (%d,%d)", mn, mx, wantMn, wantMx)
@@ -259,7 +259,7 @@ func TestZoneMaskFillSuperWindow(t *testing.T) {
 					t.Fatalf("op %v thr %d chunk %d: whole-column mask %#x, batched %#x", op, thr, c, whole[c], batched[c])
 				}
 			}
-			if wholeCounts != batchedCounts || wholeCounts.Total() != nc {
+			if wholeCounts != batchedCounts || wholeCounts.Scanned+wholeCounts.Pruned != nc {
 				t.Fatalf("op %v thr %d: whole-column counts %+v, batched %+v, chunks %d", op, thr, wholeCounts, batchedCounts, nc)
 			}
 		}
@@ -332,7 +332,7 @@ func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
 							undecided++
 						}
 					}
-					if counts.Scanned != undecided || counts.Total() != nc {
+					if counts.Scanned != undecided || counts.Scanned+counts.Pruned != nc {
 						t.Fatalf("%v op %v thr %d [%d,%d): counts %+v, want %d scanned of %d", kind, op, thr, lo, hi, counts, undecided, nc)
 					}
 
@@ -357,7 +357,7 @@ func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
 							undecided++
 						}
 					}
-					if liveGot != liveWant || counts.Scanned != undecided || counts.Total() != nc {
+					if liveGot != liveWant || counts.Scanned != undecided || counts.Scanned+counts.Pruned != nc {
 						t.Fatalf("%v op %v thr %d [%d,%d): And live %v/%v counts %+v, want %d scanned of %d", kind, op, thr, lo, hi, liveGot, liveWant, counts, undecided, nc)
 					}
 				}

@@ -62,9 +62,6 @@ func (s *Shard) EnableArrayProfiling() {
 // DisableArrayProfiling drops the shard's per-array state.
 func (s *Shard) DisableArrayProfiling() { s.arrays = nil }
 
-// ArrayProfiling reports whether per-array accumulation is on.
-func (s *Shard) ArrayProfiling() bool { return s.arrays != nil }
-
 // Array returns the accumulator for array id, or nil when profiling is
 // disabled — callers guard their telemetry block on the nil result, which
 // keeps the disabled path to a single map-nil check.

@@ -149,24 +149,6 @@ func (t *SocketTotals) RemoteReadBytes(self int) uint64 {
 	return sum
 }
 
-// TotalReadBytes is all bytes read by threads on this socket.
-func (t *SocketTotals) TotalReadBytes() uint64 {
-	var sum uint64
-	for _, b := range t.ReadBytesFrom {
-		sum += b
-	}
-	return sum
-}
-
-// TotalWriteBytes is all bytes written by threads on this socket.
-func (t *SocketTotals) TotalWriteBytes() uint64 {
-	var sum uint64
-	for _, b := range t.WriteBytesTo {
-		sum += b
-	}
-	return sum
-}
-
 // Fabric aggregates shards machine-wide, mimicking a PCM snapshot.
 type Fabric struct {
 	sockets int
@@ -180,9 +162,6 @@ func NewFabric(sockets int) *Fabric {
 	}
 	return &Fabric{sockets: sockets}
 }
-
-// Sockets returns the machine's socket count.
-func (f *Fabric) Sockets() int { return f.sockets }
 
 // NewShard allocates and registers a shard for a worker on socket.
 func (f *Fabric) NewShard(socket int) *Shard {
@@ -226,94 +205,4 @@ func (f *Fabric) Snapshot() Snapshot {
 // Snapshot is an aggregated, immutable view of the fabric at one instant.
 type Snapshot struct {
 	Sockets []SocketTotals
-}
-
-// TotalInstructions across all sockets.
-func (s Snapshot) TotalInstructions() uint64 {
-	var sum uint64
-	for i := range s.Sockets {
-		sum += s.Sockets[i].Instructions
-	}
-	return sum
-}
-
-// TotalReadBytes across all sockets.
-func (s Snapshot) TotalReadBytes() uint64 {
-	var sum uint64
-	for i := range s.Sockets {
-		sum += s.Sockets[i].TotalReadBytes()
-	}
-	return sum
-}
-
-// TotalWriteBytes across all sockets.
-func (s Snapshot) TotalWriteBytes() uint64 {
-	var sum uint64
-	for i := range s.Sockets {
-		sum += s.Sockets[i].TotalWriteBytes()
-	}
-	return sum
-}
-
-// TotalBytes is reads plus writes.
-func (s Snapshot) TotalBytes() uint64 { return s.TotalReadBytes() + s.TotalWriteBytes() }
-
-// TotalRandomAccesses across all sockets.
-func (s Snapshot) TotalRandomAccesses() uint64 {
-	var sum uint64
-	for i := range s.Sockets {
-		sum += s.Sockets[i].RandomAccesses
-	}
-	return sum
-}
-
-// TotalAccesses across all sockets.
-func (s Snapshot) TotalAccesses() uint64 {
-	var sum uint64
-	for i := range s.Sockets {
-		sum += s.Sockets[i].Accesses
-	}
-	return sum
-}
-
-// InterconnectBytes is total bytes that crossed a socket boundary in either
-// direction (reads served remotely plus remote writes).
-func (s Snapshot) InterconnectBytes() uint64 {
-	var sum uint64
-	for self := range s.Sockets {
-		t := &s.Sockets[self]
-		sum += t.RemoteReadBytes(self)
-		for m, b := range t.WriteBytesTo {
-			if m != self {
-				sum += b
-			}
-		}
-	}
-	return sum
-}
-
-// Sub returns the delta s - prev; both snapshots must come from the same
-// fabric shape. Used to bracket a measured region PCM-style.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	if len(s.Sockets) != len(prev.Sockets) {
-		panic("counters: snapshot shape mismatch")
-	}
-	out := Snapshot{Sockets: make([]SocketTotals, len(s.Sockets))}
-	for i := range s.Sockets {
-		a, b := &s.Sockets[i], &prev.Sockets[i]
-		out.Sockets[i] = SocketTotals{
-			Instructions:   a.Instructions - b.Instructions,
-			RandomAccesses: a.RandomAccesses - b.RandomAccesses,
-			Accesses:       a.Accesses - b.Accesses,
-			ReadBytesFrom:  make([]uint64, len(a.ReadBytesFrom)),
-			WriteBytesTo:   make([]uint64, len(a.WriteBytesTo)),
-		}
-		for m := range a.ReadBytesFrom {
-			out.Sockets[i].ReadBytesFrom[m] = a.ReadBytesFrom[m] - b.ReadBytesFrom[m]
-		}
-		for m := range a.WriteBytesTo {
-			out.Sockets[i].WriteBytesTo[m] = a.WriteBytesTo[m] - b.WriteBytesTo[m]
-		}
-	}
-	return out
 }

@@ -73,41 +73,6 @@ func TestFabricSnapshotAggregates(t *testing.T) {
 	if s1.RandomAccesses != 3 || s1.Accesses != 9 {
 		t.Errorf("socket1 random/accesses = %d/%d, want 3/9", s1.RandomAccesses, s1.Accesses)
 	}
-
-	if got := snap.TotalInstructions(); got != 22 {
-		t.Errorf("TotalInstructions = %d, want 22", got)
-	}
-	if got := snap.TotalReadBytes(); got != 64+32+64+128 {
-		t.Errorf("TotalReadBytes = %d", got)
-	}
-	if got := snap.TotalWriteBytes(); got != 8 {
-		t.Errorf("TotalWriteBytes = %d, want 8", got)
-	}
-	// Remote reads (32) + remote writes (8) cross the interconnect.
-	if got := snap.InterconnectBytes(); got != 40 {
-		t.Errorf("InterconnectBytes = %d, want 40", got)
-	}
-}
-
-func TestSnapshotSub(t *testing.T) {
-	f := NewFabric(2)
-	sh := f.NewShard(0)
-	sh.Instr(100)
-	sh.Read(0, 1000)
-	before := f.Snapshot()
-	sh.Instr(50)
-	sh.Read(1, 500)
-	sh.Write(1, 20)
-	delta := f.Snapshot().Sub(before)
-	if got := delta.TotalInstructions(); got != 50 {
-		t.Errorf("delta instr = %d, want 50", got)
-	}
-	if got := delta.TotalReadBytes(); got != 500 {
-		t.Errorf("delta reads = %d, want 500", got)
-	}
-	if got := delta.InterconnectBytes(); got != 520 {
-		t.Errorf("delta interconnect = %d, want 520", got)
-	}
 }
 
 func TestFabricReset(t *testing.T) {
@@ -120,19 +85,8 @@ func TestFabricReset(t *testing.T) {
 	sh.Access(1)
 	f.Reset()
 	snap := f.Snapshot()
-	if snap.TotalInstructions() != 0 || snap.TotalBytes() != 0 ||
-		snap.TotalRandomAccesses() != 0 || snap.TotalAccesses() != 0 {
+	if s := snap.Sockets[0]; s.Instructions != 0 || s.ReadBytesFrom[0] != 0 ||
+		s.WriteBytesTo[0] != 0 || s.RandomAccesses != 0 || s.Accesses != 0 {
 		t.Errorf("reset left nonzero counters: %+v", snap)
 	}
-}
-
-func TestSubShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a := NewFabric(1).Snapshot()
-	b := NewFabric(2).Snapshot()
-	a.Sub(b)
 }

@@ -233,20 +233,6 @@ func (d *DictArray) Bind(words []uint64) ChunkCodec {
 	return &c
 }
 
-// DistinctValues is the dictionary size.
-func (d *DictArray) DistinctValues() int { return len(d.dict) }
-
-// LookupID returns the dictionary ID of value, for predicate rewriting
-// (evaluate comparisons on IDs without decoding — the classic dictionary
-// trick). ok is false when the value does not occur.
-func (d *DictArray) LookupID(value uint64) (id uint64, ok bool) {
-	i := sort.Search(len(d.dict), func(i int) bool { return d.dict[i] >= value })
-	if i < len(d.dict) && d.dict[i] == value {
-		return uint64(i), true
-	}
-	return 0, false
-}
-
 // rleIndexStride is how many runs share one sparse-index entry; random
 // access binary-searches the index then walks at most a stride of runs.
 const rleIndexStride = 32
@@ -292,9 +278,6 @@ func NewRLE(values []uint64) *RLEArray {
 
 // Kind identifies the technique.
 func (r *RLEArray) Kind() Kind { return RLE }
-
-// Runs is the number of runs.
-func (r *RLEArray) Runs() uint64 { return r.runs }
 
 // Bind returns the encoding reading its payload from words.
 func (r *RLEArray) Bind(words []uint64) ChunkCodec {

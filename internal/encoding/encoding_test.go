@@ -61,19 +61,13 @@ func TestDictCompactsFewDistinct(t *testing.T) {
 		values[i] = uint64(i%3) * 0xDEADBEEF00 // 3 distinct, huge magnitudes
 	}
 	d := NewDict(values)
-	if d.DistinctValues() != 3 {
-		t.Fatalf("distinct = %d, want 3", d.DistinctValues())
+	if len(d.dict) != 3 {
+		t.Fatalf("distinct = %d, want 3", len(d.dict))
 	}
 	// 2-bit IDs: ~2.5 KB vs 80 KB plain.
 	if d.PayloadBytes() >= NewBitPacked(values).PayloadBytes() {
 		t.Errorf("dict (%d B) should beat bitpacked (%d B) on few-distinct data",
 			d.PayloadBytes(), NewBitPacked(values).PayloadBytes())
-	}
-	if id, ok := d.LookupID(0xDEADBEEF00); !ok || id != 1 {
-		t.Errorf("LookupID = %d, %v", id, ok)
-	}
-	if _, ok := d.LookupID(12345); ok {
-		t.Error("LookupID of absent value should fail")
 	}
 }
 
@@ -83,8 +77,8 @@ func TestRLECompactsRuns(t *testing.T) {
 		values[i] = uint64(i / 10_000) // 10 long runs
 	}
 	r := NewRLE(values)
-	if r.Runs() != 10 {
-		t.Fatalf("runs = %d, want 10", r.Runs())
+	if r.runs != 10 {
+		t.Fatalf("runs = %d, want 10", r.runs)
 	}
 	if r.PayloadBytes() >= 1000 {
 		t.Errorf("RLE payload = %d B, want tiny for 10 runs", r.PayloadBytes())

@@ -46,9 +46,6 @@ func (f *FoRArray) Bind(words []uint64) ChunkCodec {
 	return &c
 }
 
-// Ref is the reference value (the minimum).
-func (f *FoRArray) Ref() uint64 { return f.ref }
-
 // Bits is the residual width.
 func (f *FoRArray) Bits() uint { return f.resid.Bits() }
 

@@ -36,8 +36,6 @@ type ZoneIndex struct {
 	mins, maxs   []uint64 // per chunk
 	smins, smaxs []uint64 // per super zone (ZoneFanout chunks)
 	length       uint64
-	rootMin      uint64
-	rootMax      uint64
 }
 
 // zoneBuilder is implemented by codecs with a cheaper-than-decode path
@@ -59,14 +57,12 @@ func newZoneIndex(length uint64) *ZoneIndex {
 	return z
 }
 
-// seal derives the super-zone level and root bounds from the per-chunk
-// bounds. Every builder finishes through here.
+// seal derives the super-zone level from the per-chunk bounds. Every
+// builder finishes through here.
 func (z *ZoneIndex) seal() *ZoneIndex {
 	supers := (uint64(len(z.mins)) + ZoneFanout - 1) / ZoneFanout
 	z.smins = make([]uint64, supers)
 	z.smaxs = make([]uint64, supers)
-	z.rootMin = ^uint64(0)
-	z.rootMax = 0
 	for s := uint64(0); s < supers; s++ {
 		mn, mx := ^uint64(0), uint64(0)
 		hi := (s + 1) * ZoneFanout
@@ -82,12 +78,6 @@ func (z *ZoneIndex) seal() *ZoneIndex {
 			}
 		}
 		z.smins[s], z.smaxs[s] = mn, mx
-		if mn < z.rootMin {
-			z.rootMin = mn
-		}
-		if mx > z.rootMax {
-			z.rootMax = mx
-		}
 	}
 	return z
 }
@@ -202,15 +192,6 @@ func (d *DictArray) buildZoneIndex() *ZoneIndex {
 	return z.seal()
 }
 
-// Length is the indexed array's element count.
-func (z *ZoneIndex) Length() uint64 { return z.length }
-
-// Chunks is the number of per-chunk entries.
-func (z *ZoneIndex) Chunks() uint64 { return uint64(len(z.mins)) }
-
-// Supers is the number of super-zone entries.
-func (z *ZoneIndex) Supers() uint64 { return uint64(len(z.smins)) }
-
 // ChunkBounds returns chunk's value bounds (valid elements only).
 func (z *ZoneIndex) ChunkBounds(chunk uint64) (mn, mx uint64) {
 	return z.mins[chunk], z.maxs[chunk]
@@ -221,20 +202,12 @@ func (z *ZoneIndex) SuperBounds(super uint64) (mn, mx uint64) {
 	return z.smins[super], z.smaxs[super]
 }
 
-// Bounds returns the whole array's value bounds.
-func (z *ZoneIndex) Bounds() (mn, mx uint64) { return z.rootMin, z.rootMax }
-
 // Constant reports whether chunk holds a single value, and which.
 func (z *ZoneIndex) Constant(chunk uint64) (v uint64, ok bool) {
 	if z.mins[chunk] == z.maxs[chunk] {
 		return z.mins[chunk], true
 	}
 	return 0, false
-}
-
-// PayloadBytes is the index's storage footprint (both levels).
-func (z *ZoneIndex) PayloadBytes() uint64 {
-	return uint64(len(z.mins)+len(z.maxs)+len(z.smins)+len(z.smaxs)) * 8
 }
 
 // zoneVerdict resolves op/threshold against one [mn, mx] interval.
@@ -295,55 +268,4 @@ func (z *ZoneIndex) Verdict(chunk uint64, op bitpack.Cmp, threshold uint64) Zone
 // non-Mixed verdict covers all of its chunks at once.
 func (z *ZoneIndex) SuperVerdict(super uint64, op bitpack.Cmp, threshold uint64) ZoneVerdict {
 	return zoneVerdict(z.smins[super], z.smaxs[super], op, threshold)
-}
-
-// PruneStats summarizes how a predicate resolves against the index: the
-// share of chunks proven empty (ZoneNone) and full (ZoneAll), and the
-// share of super zones resolved without reading their fine entries.
-// perfmodel's modeled skip-path check feeds these into its pruning cost
-// entries.
-type PruneStats struct {
-	NoneShare, AllShare float64
-	SuperResolvedShare  float64
-}
-
-// PruneStatsFor resolves op/threshold against the whole index with a
-// two-level walk: each super zone's verdict first, fine entries only
-// inside the super zones the coarse level leaves mixed — any other super
-// verdict holds for every chunk it summarizes.
-func (z *ZoneIndex) PruneStatsFor(op bitpack.Cmp, threshold uint64) PruneStats {
-	var st PruneStats
-	if len(z.mins) == 0 {
-		return st
-	}
-	var none, all, resolved uint64
-	for s := range z.smins {
-		lo := uint64(s) * ZoneFanout
-		hi := lo + ZoneFanout
-		if hi > uint64(len(z.mins)) {
-			hi = uint64(len(z.mins))
-		}
-		switch zoneVerdict(z.smins[s], z.smaxs[s], op, threshold) {
-		case ZoneNone:
-			none += hi - lo
-			resolved++
-		case ZoneAll:
-			all += hi - lo
-			resolved++
-		default:
-			maxs := z.maxs[lo:hi]
-			for i, mn := range z.mins[lo:hi] {
-				switch zoneVerdict(mn, maxs[i], op, threshold) {
-				case ZoneNone:
-					none++
-				case ZoneAll:
-					all++
-				}
-			}
-		}
-	}
-	st.NoneShare = float64(none) / float64(len(z.mins))
-	st.AllShare = float64(all) / float64(len(z.mins))
-	st.SuperResolvedShare = float64(resolved) / float64(len(z.smins))
-	return st
 }

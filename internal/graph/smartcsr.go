@@ -123,18 +123,6 @@ func (s *SmartCSR) Free() {
 // Layout returns the storage layout.
 func (s *SmartCSR) Layout() Layout { return s.layout }
 
-// FootprintBytes is the simulated DRAM held by all graph arrays, including
-// replicas.
-func (s *SmartCSR) FootprintBytes() uint64 {
-	var sum uint64
-	for _, a := range []*core.SmartArray{s.Begin, s.Edge, s.RBegin, s.REdge} {
-		if a != nil {
-			sum += a.FootprintBytes()
-		}
-	}
-	return sum
-}
-
 // PayloadBytes is the single-copy (no replicas) payload of all graph
 // arrays — the quantity behind the paper's "V+E reduces memory space
 // requirements by around 21%" formula.
@@ -153,10 +141,4 @@ func (s *SmartCSR) PayloadBytes() uint64 {
 func (s *SmartCSR) OutDegree(socket int, v uint64) uint64 {
 	replica := s.Begin.GetReplica(socket)
 	return s.Begin.Get(replica, v+1) - s.Begin.Get(replica, v)
-}
-
-// InDegree reads v's in-degree from the smart rbegin array.
-func (s *SmartCSR) InDegree(socket int, v uint64) uint64 {
-	replica := s.RBegin.GetReplica(socket)
-	return s.RBegin.Get(replica, v+1) - s.RBegin.Get(replica, v)
 }

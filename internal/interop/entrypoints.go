@@ -3,7 +3,6 @@ package interop
 import (
 	"fmt"
 
-	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/memsim"
 )
@@ -205,6 +204,3 @@ func (e *EntryPoints) UnsafeWords(h int64, socket int) ([]uint64, error) {
 func (e *EntryPoints) ResolveArray(h int64) (*core.SmartArray, error) {
 	return e.reg.Array(h)
 }
-
-// ChunkSize re-exports the chunk size for guest-language iterators.
-const ChunkSize = bitpack.ChunkSize

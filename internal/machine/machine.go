@@ -131,14 +131,6 @@ func (s *Spec) TotalLocalBWGBs() float64 {
 	return float64(s.Sockets) * s.LocalBWGBs
 }
 
-// LatencyRatio is remote/local memory latency; > 1 on any NUMA machine.
-func (s *Spec) LatencyRatio() float64 {
-	if s.Sockets == 1 {
-		return 1
-	}
-	return s.RemoteLatencyNs / s.LocalLatencyNs
-}
-
 // MemPerSocketBytes is the DRAM per socket in bytes.
 func (s *Spec) MemPerSocketBytes() uint64 {
 	return uint64(s.MemPerSocketGB) * GB

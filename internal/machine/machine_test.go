@@ -78,17 +78,6 @@ func TestExecRate(t *testing.T) {
 	}
 }
 
-func TestLatencyRatio(t *testing.T) {
-	if got := UMA(2).LatencyRatio(); got != 1 {
-		t.Errorf("UMA latency ratio = %v, want 1", got)
-	}
-	s := X52Small()
-	want := 130.0 / 77.0
-	if got := s.LatencyRatio(); got != want {
-		t.Errorf("latency ratio = %v, want %v", got, want)
-	}
-}
-
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	bad := []func(*Spec){
 		func(s *Spec) { s.Sockets = 0 },

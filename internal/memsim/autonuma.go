@@ -29,11 +29,6 @@ func (m *Memory) EnableAutoNUMA(on bool) {
 	m.autoNUMAFlag.Store(on)
 }
 
-// AutoNUMAEnabled reports the current setting.
-func (m *Memory) AutoNUMAEnabled() bool {
-	return m.autoNUMAFlag.Load()
-}
-
 // registerRegion / unregisterRegion maintain the balance pass's work list.
 func (m *Memory) registerRegion(r *Region) {
 	m.mu.Lock()

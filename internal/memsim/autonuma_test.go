@@ -90,7 +90,7 @@ func TestAutoNUMAConvergesUnderStablePattern(t *testing.T) {
 
 func TestAutoNUMADisabledDoesNothing(t *testing.T) {
 	m := New(machine.X52Small())
-	if m.AutoNUMAEnabled() {
+	if m.autoNUMAFlag.Load() {
 		t.Fatal("AutoNUMA should default off (as in the paper's evaluation)")
 	}
 	f := counters.NewFabric(2)

@@ -46,9 +46,6 @@ const (
 	Replicated
 )
 
-// Placements lists all placement policies in presentation order.
-var Placements = []Placement{OSDefault, SingleSocket, Interleaved, Replicated}
-
 // String returns the placement name as used in the paper's figures.
 func (p Placement) String() string {
 	switch p {

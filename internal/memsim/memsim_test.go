@@ -243,8 +243,8 @@ func TestAccountScanReplicatedIsLocal(t *testing.T) {
 	if got := snap.Sockets[1].LocalReadBytes(1); got != PageBytes {
 		t.Errorf("local = %d, want %d", got, PageBytes)
 	}
-	if got := snap.InterconnectBytes(); got != 0 {
-		t.Errorf("interconnect = %d, want 0", got)
+	if got := sh.RemoteReadBytes; got != 0 {
+		t.Errorf("remote = %d, want 0", got)
 	}
 }
 
@@ -255,8 +255,7 @@ func TestAccountWriteReplicatedChargesAllReplicas(t *testing.T) {
 	r, _ := m.Alloc(8, Replicated, 0)
 	defer r.Free()
 	r.AccountWrite(sh, 0, 8)
-	snap := f.Snapshot()
-	if got := snap.TotalWriteBytes(); got != 2*64 {
+	if got := sh.LocalWriteBytes + sh.RemoteWriteBytes; got != 2*64 {
 		t.Errorf("write bytes = %d, want 128 (both replicas)", got)
 	}
 }
@@ -269,10 +268,10 @@ func TestAccountRandom(t *testing.T) {
 	defer r.Free()
 	r.AccountRandom(sh, 100, 8)
 	snap := f.Snapshot()
-	if got := snap.TotalRandomAccesses(); got != 100 {
+	if got := sh.RandomAccesses; got != 100 {
 		t.Errorf("random accesses = %d, want 100", got)
 	}
-	if got := snap.TotalReadBytes(); got != 800 {
+	if got := sh.LocalReadBytes + sh.RemoteReadBytes; got != 800 {
 		t.Errorf("random bytes = %d, want 800", got)
 	}
 	if got := snap.Sockets[0].ReadBytesFrom[1]; got != 400 {

@@ -89,41 +89,3 @@ func (vm *VM) compileExt(pc int, in Instr) compiledFn {
 		return nil
 	}
 }
-
-// FilteredSumProgram builds the column-store guest query
-// `SELECT SUM(values[i] * weights[i]) WHERE values[i] > threshold` over
-// iterator slots 0 (values) and 1 (weights) of array slots 0 and 1.
-func FilteredSumProgram(n uint64, threshold uint64) Program {
-	const (
-		rSum  = 0
-		rI    = 1
-		rN    = 2
-		rVal  = 3
-		rW    = 4
-		rCond = 5
-		rProd = 6
-	)
-	return Program{
-		Arrays: 2,
-		Iters:  2,
-		Code: []Instr{
-			{Op: OpConst, A: rSum, Imm: 0},
-			{Op: OpConst, A: rI, Imm: 0},
-			{Op: OpConst, A: rN, Imm: n},
-			// loop: (pc 3)
-			{Op: OpIterGet, A: rVal, B: 0},
-			{Op: OpIterGet, A: rW, B: 1},
-			{Op: OpGtImm, A: rCond, B: rVal, Imm: threshold},
-			{Op: OpJz, A: rCond, Imm: 9}, // skip accumulation
-			{Op: OpMul, A: rProd, B: rVal, C: rW},
-			{Op: OpAdd, A: rSum, B: rSum, C: rProd},
-			// skip: (pc 9)
-			{Op: OpIterNext, B: 0},
-			{Op: OpIterNext, B: 1},
-			{Op: OpAddImm, A: rI, B: rI, Imm: 1},
-			{Op: OpLt, A: rCond, B: rI, C: rN},
-			{Op: OpJnz, A: rCond, Imm: 3},
-			{Op: OpHalt, A: rSum},
-		},
-	}
-}

@@ -61,23 +61,3 @@ func SumTwoIterProgram(n uint64) Program {
 		},
 	}
 }
-
-// SumIndexedProgram aggregates array slot 0 with random-access loads
-// (regs-indexed Get rather than an iterator) — the shape JNI is worst at.
-func SumIndexedProgram(n uint64) Program {
-	return Program{
-		Arrays: 1,
-		Code: []Instr{
-			{Op: OpConst, A: regSum, Imm: 0},
-			{Op: OpConst, A: regI, Imm: 0},
-			{Op: OpConst, A: regN, Imm: n},
-			// loop: (pc 3)
-			{Op: OpLoad, A: regTmp, B: 0, C: regI},
-			{Op: OpAdd, A: regSum, B: regSum, C: regTmp},
-			{Op: OpAddImm, A: regI, B: regI, Imm: 1},
-			{Op: OpLt, A: regCond, B: regI, C: regN},
-			{Op: OpJnz, A: regCond, Imm: 3},
-			{Op: OpHalt, A: regSum},
-		},
-	}
-}

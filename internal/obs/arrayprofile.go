@@ -13,8 +13,8 @@ import (
 // paper's §6 adaptivity algorithm wants but one-shot profiling cannot give
 // it: DimmWitted-style access-method/placement tradeoffs are per data
 // structure, so the registry keys profiles by array ID and the accounting
-// hooks in internal/core attribute every scan, stream, gather, and random
-// get to its array. The hot path stays worker-local (counters.ArrayAccess
+// hooks in internal/core attribute every scan, reduce, gather, and init
+// to its array. The hot path stays worker-local (counters.ArrayAccess
 // shards); the RTS folds shards into the registry once per parallel loop.
 
 // AccessProfile is one array's accumulated telemetry plus identity. The
@@ -36,9 +36,6 @@ type AccessProfile struct {
 	// track live re-encodings.
 	Encoding string `json:"encoding,omitempty"`
 	CodeBits uint   `json:"code_bits,omitempty"`
-	// Freed marks arrays whose memory was released; their profile is kept
-	// for post-mortem inspection.
-	Freed bool `json:"freed,omitempty"`
 	// Folds counts how many worker-shard drains contributed, i.e. how
 	// live the profile is.
 	Folds uint64 `json:"folds"`
@@ -144,19 +141,6 @@ func defaultArrayName(id uint64) string {
 	return "array-" + strconv.FormatUint(id, 10)
 }
 
-// SetName relabels an array (workloads label after allocation when the
-// role becomes known). Safe on nil / unknown IDs.
-func (r *ArrayRegistry) SetName(id uint64, name string) {
-	if r == nil || id == 0 || name == "" {
-		return
-	}
-	r.mu.Lock()
-	if p := r.arrays[id]; p != nil {
-		p.Name = name
-	}
-	r.mu.Unlock()
-}
-
 // SetPlacement records a migration. Safe on nil / unknown IDs.
 func (r *ArrayRegistry) SetPlacement(id uint64, placement string) {
 	if r == nil || id == 0 {
@@ -183,15 +167,13 @@ func (r *ArrayRegistry) SetEncoding(id uint64, encoding string, codeBits uint) {
 	r.mu.Unlock()
 }
 
-// MarkFreed flags the array's profile; the profile stays inspectable.
-func (r *ArrayRegistry) MarkFreed(id uint64) {
+// Unregister drops a freed array's profile. Safe on nil / unknown IDs.
+func (r *ArrayRegistry) Unregister(id uint64) {
 	if r == nil || id == 0 {
 		return
 	}
 	r.mu.Lock()
-	if p := r.arrays[id]; p != nil {
-		p.Freed = true
-	}
+	delete(r.arrays, id)
 	r.mu.Unlock()
 }
 

@@ -52,21 +52,19 @@ func TestArrayRegistryRegisterAndFold(t *testing.T) {
 		t.Fatalf("Selectivity = %v,%v, want 0.25,true", sel, ok)
 	}
 
-	// Lifecycle updates.
-	reg.SetName(id, "pageranks")
-	reg.SetPlacement(id, "replicated")
-	reg.MarkFreed(id)
-	p, _ = reg.Profile(id)
-	if p.Name != "pageranks" || p.Placement != "replicated" || !p.Freed {
-		t.Fatalf("lifecycle updates lost: %+v", p)
-	}
-
 	ps := reg.Profiles()
 	if len(ps) != 2 || ps[0].ID >= ps[1].ID {
 		t.Fatalf("Profiles = %+v, want 2 ordered by ID", ps)
 	}
-	if reg.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", reg.Len())
+
+	// Lifecycle updates: a migration is recorded, a freed array leaves.
+	reg.SetPlacement(id, "replicated")
+	if p, _ = reg.Profile(id); p.Placement != "replicated" {
+		t.Fatalf("placement update lost: %+v", p)
+	}
+	reg.Unregister(id)
+	if _, ok := reg.Profile(id); ok || reg.Len() != 1 {
+		t.Fatalf("Unregister kept the profile: Len = %d", reg.Len())
 	}
 }
 
@@ -110,9 +108,8 @@ func TestArrayRegistryNilSafe(t *testing.T) {
 	if id := reg.Register("x", 1, 1, "p"); id != 0 {
 		t.Fatalf("nil registry Register = %d, want 0", id)
 	}
-	reg.SetName(1, "y")
 	reg.SetPlacement(1, "p")
-	reg.MarkFreed(1)
+	reg.Unregister(1)
 	reg.Fold(1, &counters.ArrayAccess{})
 	reg.FoldShard(nil)
 	if _, ok := reg.Profile(1); ok {

@@ -14,8 +14,6 @@ const (
 	KindDecision Kind = "decision"
 	// KindMultiDecision is one joint multi-array placement decision.
 	KindMultiDecision Kind = "multi-decision"
-	// KindPhase is a free-form phase marker (Label payload only).
-	KindPhase Kind = "phase"
 	// KindSpan is a completed nested phase span (SpanEvent payload).
 	KindSpan Kind = "span"
 	// KindDrift is a live-telemetry adaptivity drift audit event

@@ -142,14 +142,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return lo + frac*(hi-lo)
 }
 
-// MeanNs is the average observed latency.
-func (s HistogramSnapshot) MeanNs() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNs) / float64(s.Count)
-}
-
 // histogramSet is the recorder's named-histogram table: created on demand,
 // read-mostly after warmup.
 type histogramSet struct {

@@ -29,8 +29,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %+v, want %+v", i, s.Buckets[i], b)
 		}
 	}
-	if got := s.MeanNs(); got != 25.0/7.0 {
-		t.Errorf("MeanNs = %v, want %v", got, 25.0/7.0)
+	if s.SumNs != 25 || s.Count != 7 {
+		t.Errorf("SumNs/Count = %d/%d, want 25/7", s.SumNs, s.Count)
 	}
 	if q := s.Quantile(1); q > 15 {
 		t.Errorf("Quantile(1) = %v, want <= top bucket bound 15", q)
@@ -75,9 +75,6 @@ func TestEmptySnapshotQuantile(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %v, want 0", q, v)
 		}
 	}
-	if m := s.MeanNs(); m != 0 {
-		t.Fatalf("empty MeanNs = %v, want 0", m)
-	}
 }
 
 func TestSingleObservationQuantile(t *testing.T) {
@@ -99,8 +96,8 @@ func TestSingleObservationQuantile(t *testing.T) {
 	if v := s.Quantile(2); v <= 63 || v > 127 {
 		t.Errorf("Quantile(2) = %v, want clamped to (63, 127]", v)
 	}
-	if m := s.MeanNs(); m != 100 {
-		t.Errorf("MeanNs = %v, want 100 (exact: sum is tracked outside buckets)", m)
+	if s.SumNs != 100 {
+		t.Errorf("SumNs = %v, want 100 (exact: sum is tracked outside buckets)", s.SumNs)
 	}
 }
 

@@ -141,29 +141,6 @@ func (r *Recorder) Len() int {
 	return int(n)
 }
 
-// Total is the number of events ever recorded, including overwritten ones.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped is how many events the ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total > uint64(len(r.ring)) {
-		return r.total - uint64(len(r.ring))
-	}
-	return 0
-}
-
 // Events returns the retained events oldest-first. Safe on nil (returns nil).
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -197,19 +174,4 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadTrace parses a JSONL trace produced by WriteTrace.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("obs: parse trace event %d: %w", len(out), err)
-		}
-		out = append(out, ev)
-	}
 }

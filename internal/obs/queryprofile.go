@@ -32,7 +32,6 @@ const (
 	CacheCoalesced = "coalesced" // answered by an identical plan already executing
 	CacheBypass    = "bypass"    // explain or uncacheable op skipped the cache
 	CacheOff       = "off"
-	CacheUnknown   = ""
 )
 
 // ProfileStage is one timed span of the request lifecycle. Stages are
@@ -60,7 +59,7 @@ type ColumnProfile struct {
 
 // QueryProfile is the wire-visible execution profile of one request.
 // During collection it is written by the owning request goroutine plus
-// (for loop counters) the scheduler via atomics; Finalize folds the
+// (for loop counters) the scheduler via atomics; FinalizeAt folds the
 // atomics into the exported fields, after which the profile is immutable
 // and safe to publish to the slow-query log and to marshal concurrently.
 type QueryProfile struct {
@@ -97,21 +96,12 @@ type QueryProfile struct {
 	final atomic.Bool
 }
 
-// NewQueryProfile starts a profile; the wall clock for TotalNs begins
-// now.
-func NewQueryProfile(id uint64) *QueryProfile {
-	return NewQueryProfileAt(id, time.Now())
-}
-
 // NewQueryProfileAt starts a profile whose wall clock began at start —
 // the request arrival time, which the serving layer stamps before it
 // knows whether the query will be sampled.
 func NewQueryProfileAt(id uint64, start time.Time) *QueryProfile {
 	return &QueryProfile{ID: id, start: start}
 }
-
-// Start returns when the profile's wall clock began.
-func (p *QueryProfile) Start() time.Time { return p.start }
 
 // Stage appends a timed span. Called only by the request goroutine.
 func (p *QueryProfile) Stage(name string, d time.Duration) {
@@ -144,17 +134,12 @@ func (p *QueryProfile) AddColumn(cp ColumnProfile) {
 	p.mu.Unlock()
 }
 
-// Finalize stamps the terminal status, folds the loop atomics into the
-// exported fields, and fixes TotalNs. After Finalize the profile must be
-// treated as immutable. Finalize is idempotent: only the first call
-// wins, so an error path that finalized early is not overwritten.
-func (p *QueryProfile) Finalize(status string, httpStatus int) {
-	p.FinalizeAt(status, httpStatus, time.Now())
-}
-
-// FinalizeAt is Finalize with the wall clock stopped at end — the instant
-// the caller's last stage closed, so contiguous stages sum to TotalNs
-// exactly instead of up to whatever ran between the two clock reads.
+// FinalizeAt stamps the terminal status, folds the loop atomics into the
+// exported fields, and stops the wall clock at end — the instant the
+// caller's last stage closed, so contiguous stages sum to TotalNs exactly.
+// After FinalizeAt the profile must be treated as immutable. Only the
+// first call wins, so an error path that finalized early is not
+// overwritten.
 func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) {
 	if p == nil || !p.final.CompareAndSwap(false, true) {
 		return
@@ -171,9 +156,6 @@ func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) 
 	}
 	p.mu.Unlock()
 }
-
-// Finalized reports whether Finalize has run.
-func (p *QueryProfile) Finalized() bool { return p != nil && p.final.Load() }
 
 type profileCtxKey struct{}
 

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // stack does, then pins the wall-clock-derived fields so the wire form
 // is deterministic.
 func sampleProfile() *QueryProfile {
-	p := NewQueryProfile(42)
+	p := NewQueryProfileAt(42, time.Now())
 	p.Op = "aggregate"
 	p.Dataset = "demo"
 	p.Tenant = "tenant-1"
@@ -38,7 +38,7 @@ func sampleProfile() *QueryProfile {
 		Column: "amount", Role: RoleTarget, Codec: "bitpack",
 		Chunks: 16, ChunksScanned: 10, ChunksPruned: 6, BytesDecoded: 7680,
 	})
-	p.Finalize("ok", 200)
+	p.FinalizeAt("ok", 200, time.Now())
 	p.TotalNs = 957300 // pin the only wall-clock field after Finalize
 	return p
 }
@@ -109,10 +109,7 @@ func TestQueryProfileNilSafe(t *testing.T) {
 	p.Stage("x", time.Millisecond)
 	p.AddLoop(1, 1)
 	p.AddColumn(ColumnProfile{})
-	p.Finalize("ok", 200)
-	if p.Finalized() {
-		t.Fatal("nil profile reports finalized")
-	}
+	p.FinalizeAt("ok", 200, time.Now())
 	ctx := ContextWithProfile(context.Background(), nil)
 	if ProfileFromContext(ctx) != nil {
 		t.Fatal("nil profile attached to context")
@@ -123,10 +120,10 @@ func TestQueryProfileNilSafe(t *testing.T) {
 }
 
 func TestQueryProfileFinalizeIdempotent(t *testing.T) {
-	p := NewQueryProfile(7)
-	p.Finalize("shed", 429)
+	p := NewQueryProfileAt(7, time.Now())
+	p.FinalizeAt("shed", 429, time.Now())
 	total := p.TotalNs
-	p.Finalize("ok", 200) // must not overwrite the first terminal state
+	p.FinalizeAt("ok", 200, time.Now()) // must not overwrite the first terminal state
 	if p.Status != "shed" || p.HTTPStatus != 429 || p.TotalNs != total {
 		t.Fatalf("second Finalize overwrote terminal state: %+v", p)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -11,15 +12,15 @@ import (
 func TestRecorderOrderAndWraparound(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 20; i++ {
-		r.Record(Event{Kind: KindPhase, Label: fmt.Sprintf("p%d", i)})
+		r.Record(Event{Kind: kindPhase, Label: fmt.Sprintf("p%d", i)})
 	}
-	if got := r.Total(); got != 20 {
+	if got := r.Metrics().Events; got != 20 {
 		t.Fatalf("Total = %d, want 20", got)
 	}
 	if got := r.Len(); got != 8 {
 		t.Fatalf("Len = %d, want ring capacity 8", got)
 	}
-	if got := r.Dropped(); got != 12 {
+	if got := r.Metrics().Dropped; got != 12 {
 		t.Fatalf("Dropped = %d, want 12", got)
 	}
 	evs := r.Events()
@@ -40,10 +41,10 @@ func TestRecorderOrderAndWraparound(t *testing.T) {
 func TestRecorderExactCapacityNoDrop(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 4; i++ {
-		r.Record(Event{Kind: KindPhase})
+		r.Record(Event{Kind: kindPhase})
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0 at exact capacity", r.Dropped())
+	if r.Metrics().Dropped != 0 {
+		t.Fatalf("Dropped = %d, want 0 at exact capacity", r.Metrics().Dropped)
 	}
 	if seqs := r.Events(); seqs[0].Seq != 0 || seqs[3].Seq != 3 {
 		t.Fatalf("unexpected seq range %d..%d", seqs[0].Seq, seqs[3].Seq)
@@ -69,7 +70,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Total(); got != writers*perWriter {
+	if got := r.Metrics().Events; got != writers*perWriter {
 		t.Fatalf("Total = %d, want %d", got, writers*perWriter)
 	}
 	evs := r.Events()
@@ -110,7 +111,7 @@ func TestRecorderMixedReadersWriters(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				switch i % 4 {
 				case 0:
-					r.Record(Event{Kind: KindPhase, Label: "p"})
+					r.Record(Event{Kind: kindPhase, Label: "p"})
 				case 1:
 					r.RecordLoop(LoopStats{Begin: 0, End: 64, Grain: 8, Batches: 8})
 				case 2:
@@ -147,14 +148,14 @@ func TestRecorderMixedReadersWriters(t *testing.T) {
 	// Spans record 2 events per case-2 iteration, the rest 1 each.
 	perW := perWriter/4*5 + perWriter%4
 	wantTotal := uint64(writers * perW)
-	if got := r.Total(); got != wantTotal {
+	if got := r.Metrics().Events; got != wantTotal {
 		t.Fatalf("Total = %d, want %d", got, wantTotal)
 	}
 	if r.Len() != 32 {
 		t.Fatalf("Len = %d, want full ring 32", r.Len())
 	}
-	if r.Dropped() != wantTotal-32 {
-		t.Fatalf("Dropped = %d, want %d", r.Dropped(), wantTotal-32)
+	if r.Metrics().Dropped != wantTotal-32 {
+		t.Fatalf("Dropped = %d, want %d", r.Metrics().Dropped, wantTotal-32)
 	}
 	m := r.Metrics()
 	if m.Drifts != writers*perWriter/4 {
@@ -170,12 +171,12 @@ func TestRecorderMixedReadersWriters(t *testing.T) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Record(Event{Kind: KindPhase})
+	r.Record(Event{Kind: kindPhase})
 	r.RecordLoop(LoopStats{})
 	r.RecordDecision(DecisionEvent{})
 	r.RecordMultiDecision(MultiDecisionEvent{})
 	r.RecordCounters("x", nil)
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Events() != nil {
+	if r.Len() != 0 || r.Metrics().Events != 0 || r.Metrics().Dropped != 0 || r.Events() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 	if m := r.Metrics(); m.Events != 0 {
@@ -202,7 +203,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadTrace(&buf)
+	evs, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +252,23 @@ func TestNewLoopStats(t *testing.T) {
 	}
 	if want := 750.0 / 800.0; ls.GrainEfficiency != want {
 		t.Fatalf("GrainEfficiency = %v, want %v", ls.GrainEfficiency, want)
+	}
+}
+
+// kindPhase is a free-form test event kind (Label payload only).
+const kindPhase Kind = "phase"
+
+// readTrace parses a JSONL trace produced by WriteTrace.
+func readTrace(r io.Reader) ([]Event, error) {
+	dec := json.NewDecoder(r)
+	var out []Event
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
 	}
 }

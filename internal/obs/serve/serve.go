@@ -196,12 +196,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		mw.sample("smartarrays_array_length", arr, float64(p.Length))
 		mw.head("smartarrays_array_bits", "gauge", "Array element width in bits.")
 		mw.sample("smartarrays_array_bits", arr, float64(p.Bits))
-		mw.head("smartarrays_array_freed", "gauge", "1 when the array's memory was released.")
-		freed := 0.0
-		if p.Freed {
-			freed = 1
-		}
-		mw.sample("smartarrays_array_freed", arr, freed)
 		mw.head("smartarrays_array_folds_total", "counter", "Worker-shard folds into this profile.")
 		mw.sample("smartarrays_array_folds_total", arr, float64(p.Folds))
 

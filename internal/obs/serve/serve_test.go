@@ -169,9 +169,13 @@ func TestServeEndpoints(t *testing.T) {
 		if ctype != "application/x-ndjson" {
 			t.Errorf("content type = %q", ctype)
 		}
-		events, err := obs.ReadTrace(strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("/trace not parseable JSONL: %v", err)
+		var events []obs.Event
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			var ev obs.Event
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("/trace not parseable JSONL: %v", err)
+			}
+			events = append(events, ev)
 		}
 		if len(events) != rec.Len() {
 			t.Errorf("trace has %d events, recorder holds %d", len(events), rec.Len())

@@ -83,9 +83,6 @@ func NewSlowLog(ringSize, topK int, threshold time.Duration) *SlowLog {
 // SetThreshold swaps the slow threshold (control-plane config swap).
 func (l *SlowLog) SetThreshold(d time.Duration) { l.thresholdNs.Store(int64(d)) }
 
-// Threshold returns the current slow threshold.
-func (l *SlowLog) Threshold() time.Duration { return time.Duration(l.thresholdNs.Load()) }
-
 // Observe publishes a finalized profile. The profile must not be
 // mutated after this call.
 func (l *SlowLog) Observe(p *QueryProfile) {

@@ -19,15 +19,13 @@ import (
 // under the latency SLO).
 const SLOObjective = 0.99
 
-// DefaultSLOLatency is the per-request latency SLO when the serving
-// layer does not configure one.
-const DefaultSLOLatency = 250 * time.Millisecond
+// SLOLatency is the per-request latency objective: a request slower than
+// this is SLO-bad.
+const SLOLatency = 250 * time.Millisecond
 
 // TenantMetrics is the per-tenant RED registry. The zero value is
 // ready to use.
 type TenantMetrics struct {
-	sloNs atomic.Int64
-
 	mu     sync.RWMutex
 	series map[tenantOpKey]*TenantOpSeries
 }
@@ -45,23 +43,6 @@ type TenantOpSeries struct {
 	errors     atomic.Uint64
 	sloBad     atomic.Uint64
 	latency    Histogram
-}
-
-// SetSLOLatency swaps the latency objective used to classify requests
-// as SLO-bad. Zero restores the default.
-func (t *TenantMetrics) SetSLOLatency(d time.Duration) {
-	if d <= 0 {
-		d = DefaultSLOLatency
-	}
-	t.sloNs.Store(int64(d))
-}
-
-// SLOLatency returns the active latency objective.
-func (t *TenantMetrics) SLOLatency() time.Duration {
-	if v := t.sloNs.Load(); v > 0 {
-		return time.Duration(v)
-	}
-	return DefaultSLOLatency
 }
 
 func (t *TenantMetrics) get(tenant, op string) *TenantOpSeries {
@@ -104,7 +85,7 @@ func (t *TenantMetrics) Observe(tenant, op string, d time.Duration, isErr bool) 
 	if isErr {
 		s.errors.Add(1)
 	}
-	if isErr || d > t.SLOLatency() {
+	if isErr || d > SLOLatency {
 		s.sloBad.Add(1)
 	}
 }

@@ -62,11 +62,8 @@ const (
 	// costMaskBase/costMaskPerBit parameterize the compressed mask build.
 	costMaskBase   = 7.0
 	costMaskPerBit = 0.25
-	// costMaskedFoldExtra is the per-element mask test a masked fold adds
-	// on top of the fused reduction.
-	costMaskedFoldExtra = 1.0
 
-	// Batched gather costs (bitpack.Gather/GatherChunk): decoding an index
+	// Batched gather costs (bitpack.Gather): decoding an index
 	// vector's elements with the codec fields hoisted out of the loop. One
 	// width dispatch per vector instead of per element puts every width well
 	// below the per-call CostGet.
@@ -145,13 +142,6 @@ func CostMask(bits uint) float64 {
 	default:
 		return costMaskBase + costMaskPerBit*float64(bits)
 	}
-}
-
-// CostMaskedReduce returns the modeled instructions per element for a
-// masked fused fold (bitpack.SumChunksMasked and friends) over chunks that
-// actually decode — dead chunks are skipped and cost nothing.
-func CostMaskedReduce(bits uint) float64 {
-	return CostReduce(bits) + costMaskedFoldExtra
 }
 
 // CostGather returns the modeled instructions per element for a batched

@@ -115,12 +115,6 @@ func CostEncodedMask(cs encoding.CostStats) float64 {
 	}
 }
 
-// CostEncodedMaskedReduce returns the modeled instructions per element
-// for a masked fold over the encoded representation.
-func CostEncodedMaskedReduce(cs encoding.CostStats) float64 {
-	return CostEncodedReduce(cs) + costMaskedFoldExtra
-}
-
 // CostEncodedGet returns the modeled instructions for one random Get.
 // This is where the fold-friendly codecs pay: RLE seeks, Delta decodes a
 // partial chunk.

@@ -199,9 +199,6 @@ func Solve(spec *machine.Spec, w Workload) Result {
 	return best
 }
 
-// EvaluateBalanced is an alias of Solve for readability at call sites.
-func EvaluateBalanced(spec *machine.Spec, w Workload) Result { return Solve(spec, w) }
-
 // evaluateSplit computes the modeled time when socket s performs share[s]
 // of the phase's work.
 func evaluateSplit(spec *machine.Spec, w Workload, share []float64) Result {

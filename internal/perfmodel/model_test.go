@@ -302,13 +302,10 @@ func modeledScanMs(instrPerElem, bytesPerElem float64) float64 {
 	}))
 }
 
-// TestModeledSkipPathsTenfold pins the order-of-magnitude claims the docs
-// make for the model's two skip paths, with the cost inputs taken from
+// TestModeledSkipPathsTenfold pins the order-of-magnitude claim the docs
+// make for the model's run-skipping path, with the cost inputs taken from
 // small 16-bit arrays: a run-skipping RLE fold over clustered data (runs
-// of 512) models at least 10x cheaper than the bit-packed decode, and a
-// zone-pruned selective scan (5 % of the value range) of sorted data at
-// least 10x cheaper than the unpruned one, while on uniform data the
-// pruned scan is no worse.
+// of 512) models at least 10x cheaper than the bit-packed decode.
 func TestModeledSkipPathsTenfold(t *testing.T) {
 	const n = 1 << 16
 	const bits = 16
@@ -336,26 +333,5 @@ func TestModeledSkipPathsTenfold(t *testing.T) {
 	}
 	if rle, packed := fold(encoding.RLE), fold(encoding.BitPacked); packed < 10*rle {
 		t.Errorf("clustered fold: rle %.2f ms vs bitpacked %.2f ms, want >= 10x", rle, packed)
-	}
-
-	// The selective scan: a mask build plus a masked fold of the chunks
-	// with live rows. Pruned, the index resolves whole chunks and its own
-	// entries are read instead: the super level always, the fine level
-	// inside the supers it leaves mixed.
-	const thr = mask / 20
-	scan := func(value func(i uint64) uint64) (unpruned, pruned float64) {
-		ps := encoding.BuildZoneIndex(build(encoding.BitPacked, value)).PruneStatsFor(bitpack.CmpLe, thr)
-		resolved, live := ps.NoneShare+ps.AllShare, 1-ps.NoneShare
-		zoneBytes := 16.0/(encoding.ZoneFanout*bitpack.ChunkSize) + (1-ps.SuperResolvedShare)*16/bitpack.ChunkSize
-		unpruned = modeledScanMs(CostMask(bits)+live*CostMaskedReduce(bits), (1+live)*bits/8)
-		pruned = modeledScanMs(CostPrunedMask(bits, resolved)+CostPrunedMaskedReduce(bits, live),
-			(1-resolved+live)*bits/8+zoneBytes)
-		return unpruned, pruned
-	}
-	if unpruned, pruned := scan(func(i uint64) uint64 { return i * (mask + 1) / n }); unpruned < 10*pruned {
-		t.Errorf("sorted selective scan: pruned %.2f ms vs unpruned %.2f ms, want >= 10x", pruned, unpruned)
-	}
-	if unpruned, pruned := scan(hash); pruned > unpruned {
-		t.Errorf("uniform selective scan: pruned %.2f ms is worse than unpruned %.2f ms", pruned, unpruned)
 	}
 }

@@ -25,7 +25,7 @@ func randomWorkload(bytes1, bytes2 uint64, instr uint64, p memsim.Placement) Wor
 func TestQuickMonotoneInBytes(t *testing.T) {
 	spec := machine.X52Large()
 	f := func(b1, b2, instr uint64, placement uint8) bool {
-		p := memsim.Placements[int(placement)%len(memsim.Placements)]
+		p := placements[int(placement)%len(placements)]
 		w := randomWorkload(b1, b2, instr, p)
 		bigger := w
 		bigger.Streams = append([]Stream(nil), w.Streams...)
@@ -69,7 +69,7 @@ func TestQuickReplicationDominatesSingleSocket(t *testing.T) {
 func TestQuickSolverBeatsEvenSplit(t *testing.T) {
 	spec := machine.X52Small()
 	f := func(b1, b2, instr uint64, placement uint8) bool {
-		p := memsim.Placements[int(placement)%len(memsim.Placements)]
+		p := placements[int(placement)%len(placements)]
 		w := randomWorkload(b1, b2, instr, p)
 		solved := Solve(spec, w)
 		even := evaluateSplit(spec, w, []float64{0.5, 0.5})
@@ -103,7 +103,7 @@ func TestQuickBandwidthBounded(t *testing.T) {
 	for _, spec := range []*machine.Spec{machine.X52Small(), machine.X52Large()} {
 		spec := spec
 		f := func(b1, b2, instr uint64, placement uint8) bool {
-			p := memsim.Placements[int(placement)%len(memsim.Placements)]
+			p := placements[int(placement)%len(placements)]
 			w := randomWorkload(b1, b2, instr, p)
 			r := Solve(spec, w)
 			return r.MemBandwidthGBs <= spec.TotalLocalBWGBs()*(1+1e-9)
@@ -118,7 +118,7 @@ func TestQuickBandwidthBounded(t *testing.T) {
 func TestQuickWorkSharesNormalized(t *testing.T) {
 	spec := machine.X52Large()
 	f := func(b1, b2, instr uint64, placement uint8) bool {
-		p := memsim.Placements[int(placement)%len(memsim.Placements)]
+		p := placements[int(placement)%len(placements)]
 		r := Solve(spec, randomWorkload(b1, b2, instr, p))
 		var sum float64
 		for _, s := range r.WorkShare {
@@ -133,3 +133,6 @@ func TestQuickWorkSharesNormalized(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// placements lists every placement policy for the property generators.
+var placements = []memsim.Placement{memsim.OSDefault, memsim.SingleSocket, memsim.Interleaved, memsim.Replicated}

@@ -184,17 +184,3 @@ func topRanks(ranks []float64, k int) []VertexRank {
 	}
 	return top
 }
-
-// spotCheck verifies a served aggregate against the dataset's build-time
-// column checksums — used by tests; saload does the same over HTTP.
-func spotCheck(ds *Dataset, column string, got uint64) error {
-	for _, c := range ds.Columns {
-		if c.Name == column {
-			if c.Sum != got {
-				return fmt.Errorf("queryd: sum(%s) = %d, build-time checksum %d", column, got, c.Sum)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("queryd: no checksum for column %q", column)
-}

@@ -59,6 +59,38 @@ func TestTopRanksMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestServedPageRankFreesProfiles runs the graph_rank request 50 times
+// against a server whose arrays register with a telemetry registry: every
+// execution allocates and frees its property arrays, so the registry must
+// end the run holding exactly the arrays it held before.
+func TestServedPageRankFreesProfiles(t *testing.T) {
+	const rankRequest = `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`
+	reg := obs.NewArrayRegistry()
+	prev := core.ActiveArrayRegistry()
+	core.SetArrayRegistry(reg)
+	t.Cleanup(func() { core.SetArrayRegistry(prev) })
+	rt := rts.New(machine.UMA(4))
+	rt.SetArrayProfiling(reg)
+	srv, err := NewServer(rt, DefaultConfig(), []DatasetSpec{{Name: "demo", Vertices: testVertices, Seed: 7}}, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	handler := srv.Handler()
+	before := reg.Len()
+	for i := 0; i < 50; i++ {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(rankRequest)))
+		if w.Code != http.StatusOK {
+			body, _ := io.ReadAll(w.Body)
+			t.Fatalf("status %d: %s", w.Code, body)
+		}
+	}
+	if after := reg.Len(); after != before {
+		t.Fatalf("registry holds %d arrays after 50 pageranks, %d before", after, before)
+	}
+}
+
 // BenchmarkServedPageRank is the benchmark's graph_rank workload without
 // the harness: its request body through Server.Handler() on a server
 // configured as saserve ships (small machine, cache on,

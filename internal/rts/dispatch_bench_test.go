@@ -45,7 +45,7 @@ func benchDispatch(b *testing.B, batches uint64, gap time.Duration, busy bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			low := rt.WithPriority(DefaultPriority - 1)
+			low := rt.WithPriority(-1)
 			for !stop.Load() {
 				low.ParallelFor(0, 4096, 1, func(*Worker, uint64, uint64) {
 					for t := time.Now(); time.Since(t) < 2*time.Microsecond; {

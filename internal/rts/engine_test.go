@@ -125,7 +125,7 @@ func TestServingStealCountsAreReal(t *testing.T) {
 	for _, stealing := range []bool{true, false} {
 		rt := New(machine.X52Small())
 		rt.SetStealing(stealing)
-		prof := obs.NewQueryProfile(1)
+		prof := obs.NewQueryProfileAt(1, time.Now())
 		var covered atomic.Uint64
 		rt.WithProfile(prof).ParallelForBounds(bounds, func(w *Worker, lo, hi uint64) {
 			if hi-lo > 1 {
@@ -133,7 +133,7 @@ func TestServingStealCountsAreReal(t *testing.T) {
 			}
 			covered.Add(hi - lo)
 		})
-		prof.Finalize("ok", 200)
+		prof.FinalizeAt("ok", 200, time.Now())
 		if covered.Load() != bounds[64] {
 			t.Fatalf("stealing=%v: covered %d of %d", stealing, covered.Load(), bounds[64])
 		}
@@ -164,8 +164,10 @@ func TestBarrierIsQuiescent(t *testing.T) {
 				w.Counters.Array(id).Gets++
 				w.Counters.Instr(1)
 			})
-			rt.FoldArrayProfiles()
-			if got := rt.Fabric().Snapshot().TotalInstructions(); got != n {
+			for _, w := range rt.Workers() {
+				reg.FoldShard(w.Counters)
+			}
+			if got := totalInstructions(rt.Fabric().Snapshot()); got != n {
 				t.Fatalf("round %d: %d instructions counted at the barrier, want %d", i, got, n)
 			}
 			rt.Fabric().Reset()

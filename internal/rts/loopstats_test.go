@@ -76,7 +76,7 @@ func TestParallelForSingleBatchRecords(t *testing.T) {
 func TestParallelForNoRecorderNoEvents(t *testing.T) {
 	rt := New(machine.UMA(4))
 	rt.ParallelFor(0, 100_000, 0, func(w *Worker, lo, hi uint64) {})
-	if rt.Recorder() != nil {
+	if rt.rec != nil {
 		t.Fatal("recorder must default to nil")
 	}
 }

@@ -117,9 +117,6 @@ func (r *Runtime) Workers() []*Worker { return r.workers }
 // Must not be called while a parallel loop is running.
 func (r *Runtime) SetRecorder(rec *obs.Recorder) { r.rec = rec }
 
-// Recorder returns the attached recorder (nil when not recording).
-func (r *Runtime) Recorder() *obs.Recorder { return r.rec }
-
 // SetArrayProfiling attaches an array-telemetry registry: every worker
 // shard starts accumulating per-array access deltas, which a worker folds
 // into reg whenever it leaves a loop (before it reports its batches done,
@@ -139,18 +136,8 @@ func (r *Runtime) SetArrayProfiling(reg *obs.ArrayRegistry) {
 	}
 }
 
-// FoldArrayProfiles folds every worker shard's pending per-array deltas
-// into the registry. Loops fold their own accesses; call this after code
-// that wrote worker shards outside any loop. Must not run concurrently
-// with a parallel loop.
-func (r *Runtime) FoldArrayProfiles() {
-	for _, w := range r.workers {
-		r.areg.FoldShard(w.Counters)
-	}
-}
-
 // WithPriority returns a read-only view of the runtime whose loops run at
-// priority p (higher runs sooner; DefaultPriority otherwise). The view
+// priority p (higher runs sooner; 0 otherwise). The view
 // shares the workers, memory, counters, recorder and loop engine of its
 // parent — it exists so concurrent query handlers can tag the loops
 // of one query without mutating the shared runtime. Set* calls on a view
@@ -161,9 +148,6 @@ func (r *Runtime) WithPriority(p int) *Runtime {
 	view.prio = p
 	return &view
 }
-
-// Priority reports the loop priority this runtime view submits at.
-func (r *Runtime) Priority() int { return r.prio }
 
 // WithProfile returns a read-only view of the runtime whose loops are
 // attributed to the given query profile: each loop run through the view
@@ -419,25 +403,11 @@ func (r *Runtime) ReduceMax(begin, end uint64, grain int64, body func(w *Worker,
 	return max
 }
 
-// ReduceSumFloat64 is ReduceSum for float partials — the shape of
-// PageRank's convergence-difference accumulation. Per-worker partials make
-// the result deterministic for a fixed worker count up to the final merge
-// order, which iterates workers in ID order.
-func (r *Runtime) ReduceSumFloat64(begin, end uint64, grain int64, body func(w *Worker, lo, hi uint64) float64) float64 {
-	partials := make([]paddedFloat64, len(r.workers))
-	r.ParallelFor(begin, end, grain, func(w *Worker, lo, hi uint64) {
-		partials[w.ID].v += body(w, lo, hi)
-	})
-	var total float64
-	for i := range partials {
-		total += partials[i].v
-	}
-	return total
-}
-
-// ReduceSumFloat64Bounds is ReduceSumFloat64 over explicit batch
-// boundaries (see ParallelForBounds) — the shape of PageRank iterations
-// over degree-weighted vertex ranges.
+// ReduceSumFloat64Bounds sums float partials over explicit batch
+// boundaries (see ParallelForBounds) — the shape of PageRank's
+// convergence-difference accumulation over degree-weighted vertex ranges.
+// Per-worker partials make the result deterministic for a fixed worker
+// count up to the final merge order, which iterates workers in ID order.
 func (r *Runtime) ReduceSumFloat64Bounds(bounds []uint64, body func(w *Worker, lo, hi uint64) float64) float64 {
 	partials := make([]paddedFloat64, len(r.workers))
 	r.ParallelForBounds(bounds, func(w *Worker, lo, hi uint64) {

@@ -38,10 +38,6 @@ import (
 	"smartarrays/internal/obs"
 )
 
-// DefaultPriority is the priority loops run at when the submitting
-// Runtime view carries none. Higher values run sooner.
-const DefaultPriority = 0
-
 // engine is the state every view of one Runtime shares: the worker pool and
 // the set of admitted loops.
 type engine struct {

@@ -40,8 +40,9 @@ func TestLoopsMatchSequentialOracle(t *testing.T) {
 		if got := rt.ReduceMax(0, n, 1024, func(w *Worker, lo, hi uint64) uint64 { return (hi - 1) * (hi - 1) }); got != (n-1)*(n-1) {
 			t.Fatalf("%s: ReduceMax = %d, sequential = %d", name, got, uint64((n-1)*(n-1)))
 		}
-		if got := rt.ReduceSumFloat64(0, n, 1024, func(w *Worker, lo, hi uint64) float64 { return float64(hi - lo) }); got != n {
-			t.Fatalf("%s: ReduceSumFloat64 = %v, sequential = %d", name, got, n)
+		bounds := WeightedBounds(0, n, 1024, func(v uint64) uint64 { return v })
+		if got := rt.ReduceSumFloat64Bounds(bounds, func(w *Worker, lo, hi uint64) float64 { return float64(hi - lo) }); got != n {
+			t.Fatalf("%s: ReduceSumFloat64Bounds = %v, sequential = %d", name, got, n)
 		}
 
 		// Every index covered exactly once, including the ragged tail and
@@ -237,7 +238,7 @@ func TestParallelForSpansCoverage(t *testing.T) {
 				}
 				seen := make([]atomic.Uint32, n)
 				var misshapen atomic.Uint32
-				prof := obs.NewQueryProfile(1)
+				prof := obs.NewQueryProfileAt(1, time.Now())
 				rt.WithProfile(prof).ParallelForSpans(spans, grain, func(w *Worker, lo, hi uint64) {
 					inSpan := false
 					for _, sp := range spans {
@@ -258,7 +259,7 @@ func TestParallelForSpansCoverage(t *testing.T) {
 				if misshapen.Load() != 0 {
 					t.Errorf("%s/%s grain %d: %d batches crossed a span end or exceeded the grain", ename, lname, grain, misshapen.Load())
 				}
-				prof.Finalize("ok", 200)
+				prof.FinalizeAt("ok", 200, time.Now())
 				loops := uint64(1)
 				if len(spans) == 0 {
 					loops = 0
