@@ -39,26 +39,16 @@ func main() {
 	spot := flag.Bool("spot-check", true, "verify results against dataset checksums before the run")
 	aggOnly := flag.Bool("agg-only", false, "restrict the mix to table scans (aggregate/groupby)")
 	tenants := flag.Int("tenants", 0, "spread load over N synthetic tenants (tenant-0..tenant-N-1; 0/1 = untagged)")
-	setSample := flag.Int("set-profile-sample", -1, "swap the server's profile_sample before the run (-1 = leave unchanged)")
 
 	max5xx := flag.Int("max-5xx", -1, "gate: max allowed 5xx responses (negative = no gate)")
 	minQPS := flag.Float64("min-qps", 0, "gate: min successful queries/sec (0 = no gate)")
 	maxP99 := flag.Float64("max-p99-ms", 0, "gate: max client-side p99 in ms (0 = no gate)")
 	minCacheHits := flag.Uint64("min-cache-hits", 0, "gate: min server-side result-cache hits over the run (0 = no gate)")
 	minCoalesced := flag.Uint64("min-coalesced", 0, "gate: min server-side queries answered by an identical plan in flight over the run (0 = no gate)")
-	baselineQPS := flag.Float64("baseline-qps", 0, "reference qps for the profiling-overhead gate")
-	maxProfileOverhead := flag.Float64("max-profile-overhead-pct", 0, "gate: max qps degradation vs -baseline-qps in percent (0 = no gate)")
 	minSlowlog := flag.Uint64("min-slowlog-entries", 0, "gate: min slow-query-log profiles observed over the run (0 = no gate)")
 	minTenantSeries := flag.Int("min-tenant-series", 0, "gate: min per-tenant RED series on the server after the run (0 = no gate)")
 	flag.Parse()
 
-	if *setSample >= 0 {
-		if err := loadgen.SetProfileSample(*addr, *setSample); err != nil {
-			fmt.Fprintln(os.Stderr, "saload:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "saload: server profile_sample set to %d\n", *setSample)
-	}
 	if *spot {
 		if err := loadgen.SpotCheck(*addr); err != nil {
 			fmt.Fprintln(os.Stderr, "saload: spot check FAILED:", err)
@@ -113,11 +103,6 @@ func main() {
 	}
 	if *minCoalesced > 0 {
 		gate(rep.Coalesced >= *minCoalesced, "%d coalesced queries below floor %d", rep.Coalesced, *minCoalesced)
-	}
-	if *maxProfileOverhead > 0 && *baselineQPS > 0 {
-		overhead := 100 * (1 - rep.QPS / *baselineQPS)
-		gate(overhead <= *maxProfileOverhead, "profiling overhead %.1f%% above bound %.1f%% (%.1f qps vs baseline %.1f)",
-			overhead, *maxProfileOverhead, rep.QPS, *baselineQPS)
 	}
 	if *minSlowlog > 0 {
 		gate(rep.SlowlogObserved >= *minSlowlog, "%d slowlog profiles below floor %d", rep.SlowlogObserved, *minSlowlog)

@@ -49,10 +49,6 @@ func main() {
 	// Serving defaults to a bounded result cache; the library default keeps
 	// it off so embedded/test servers opt in explicitly.
 	flag.IntVar(&cfg.CacheEntries, "cache", 1024, "result cache entries (0 = caching off)")
-	// Serving defaults to light profile sampling: 1-in-16 keeps the
-	// slow-query log and /debug/query lookups populated at negligible
-	// cost; "explain": true always profiles regardless.
-	flag.IntVar(&cfg.ProfileSample, "profile-sample", 16, "profile 1-in-N queries (0 = off, 1 = every query)")
 	flag.Int64Var(&cfg.SlowQueryMS, "slow-query-ms", 0, "slow-query-log threshold in ms (0 = default 250)")
 	flag.Parse()
 

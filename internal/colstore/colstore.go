@@ -373,7 +373,7 @@ func (t *Table) GroupBy(keyColumn string, agg Agg, column string, preds ...Pred)
 // scan runs q as a one-state pass, accounting into the query profile of
 // the runtime view the table runs through, if any.
 func (t *Table) scan(q ScanQuery) (ScanResult, error) {
-	st, err := t.newScanState(q, t.rt.Profile())
+	st, err := t.newScanState(q)
 	if err != nil {
 		return ScanResult{}, err
 	}

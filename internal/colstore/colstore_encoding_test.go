@@ -203,11 +203,11 @@ func queriesMatchScalar(t *testing.T, f *fixture, label string) {
 		{Agg: Sum, Column: "price", Key: "region", Preds: idWindow(rows+10, rows+20)},
 	} {
 		prof := obs.NewQueryProfileAt(uint64(i), time.Now())
-		st, err := f.table.newScanState(q, prof)
+		got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).scan(q)
 		if err != nil {
-			t.Fatalf("%s: newScanState: %v", label, err)
+			t.Fatalf("%s: scan: %v", label, err)
 		}
-		if got, want := f.table.run(st), scalarResult(t, f.table, q); !reflect.DeepEqual(got, want) {
+		if want := scalarResult(t, f.table, q); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: profiled query %d = %+v, want %+v", label, i, got, want)
 		}
 		for _, c := range prof.Columns {

@@ -1,13 +1,12 @@
-// Per-query scan profiling for the table scan. When a scan state carries
-// a query profile (Aggregate/GroupBy attach the one on their runtime
-// view, rts.Runtime.WithProfile), the pass routes its chunk work through
-// the counted core kernels and accumulates
-// per-column ScanCounts in the state's per-worker rows — the same
+// Per-query scan profiling for the table scan. Every pass routes its
+// chunk work through the counted core kernels and accumulates per-column
+// ScanCounts in the state's per-worker rows — the same
 // owner-writes/fold-at-barrier discipline as the counter shards, so
-// profiling adds no locks or shared atomics to the batch hot path. After
-// the loop barrier the rows fold into obs.ColumnProfile entries: codec
-// kind, chunks scanned vs pruned, and payload bytes attributed pro-rata
-// to the decoded chunks.
+// accounting adds no locks or shared atomics to the batch hot path. After
+// the loop barrier the rows fold into the query profile on the pass's
+// runtime view (rts.Runtime.WithProfile) as obs.ColumnProfile entries:
+// codec kind, chunks scanned vs pruned, and payload bytes attributed
+// pro-rata to the decoded chunks.
 package colstore
 
 import (
@@ -53,7 +52,7 @@ func accountMasked(sc *core.ScanCounts, masks []uint64) {
 	sc.Pruned += dead
 }
 
-// buildMasksCounted fills masks with the selection bitmap of the predicate
+// buildMasks fills masks with the selection bitmap of the predicate
 // conjunction over rows [lo, hi) and reports whether any row survives.
 // The first predicate overwrites, later ones AND in with already-dead
 // chunks skipped, so low-selectivity leading predicates short-circuit the
@@ -62,18 +61,12 @@ func accountMasked(sc *core.ScanCounts, masks []uint64) {
 // access profile — the signal orderPreds consumes — at the cost of one
 // mask popcount per predicate, and only when telemetry is attached.
 //
-// counts[i] (when counts is non-nil; the scan state's per-worker row)
-// accumulates predicate i's chunk counts in evaluation order. Chunks a predicate never saw because the
-// conjunction died earlier count as pruned for the remaining
+// counts[i] (the scan state's per-worker row) accumulates predicate i's
+// chunk counts in evaluation order. Chunks a predicate never saw because
+// the conjunction died earlier count as pruned for the remaining
 // predicates, preserving scanned+pruned == chunks per column.
-func buildMasksCounted(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64, counts []core.ScanCounts) bool {
-	sc := func(i int) *core.ScanCounts {
-		if counts == nil {
-			return nil
-		}
-		return &counts[i]
-	}
-	live := core.MaskRangeCounted(predCols[0].arr, w.Socket, lo, hi, preds[0].Op.cmp(), preds[0].Value, masks, sc(0))
+func buildMasks(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64, counts []core.ScanCounts) bool {
+	live := core.MaskRangeCounted(predCols[0].arr, w.Socket, lo, hi, preds[0].Op.cmp(), preds[0].Value, masks, &counts[0])
 	var prevHits uint64
 	prevKnown := predCols[0].arr.TelemetryID() != 0
 	if prevKnown {
@@ -86,7 +79,7 @@ func buildMasksCounted(w *rts.Worker, lo, hi uint64, predCols []*Column, preds [
 		if tele && !prevKnown {
 			prevHits = bitpack.PopcountMasks(masks)
 		}
-		live = core.MaskRangeAndCounted(predCols[i].arr, w.Socket, lo, hi, preds[i].Op.cmp(), preds[i].Value, masks, sc(i))
+		live = core.MaskRangeAndCounted(predCols[i].arr, w.Socket, lo, hi, preds[i].Op.cmp(), preds[i].Value, masks, &counts[i])
 		if tele {
 			hits := bitpack.PopcountMasks(masks)
 			predCols[i].arr.AccountPredicate(w.Counters, prevHits, hits)
@@ -94,12 +87,10 @@ func buildMasksCounted(w *rts.Worker, lo, hi uint64, predCols []*Column, preds [
 		}
 		prevKnown = tele
 	}
-	if counts != nil {
-		// Predicates short-circuited by a dead conjunction never touched
-		// this batch's chunks: all pruned for them.
-		for ; i < len(preds); i++ {
-			counts[i].Pruned += uint64(len(masks))
-		}
+	// Predicates short-circuited by a dead conjunction never touched this
+	// batch's chunks: all pruned for them.
+	for ; i < len(preds); i++ {
+		counts[i].Pruned += uint64(len(masks))
 	}
 	return live
 }

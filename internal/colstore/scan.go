@@ -61,11 +61,10 @@ type scanState struct {
 	domain   uint64
 	rowFolds []*rowFold
 
-	// Scan profiling (a non-nil prof): per-worker ScanCounts rows laid out
-	// as [predicates in evaluation order..., key (grouped only), target];
-	// foldProfile reports the predicates in canonical order.
-	prof     *obs.QueryProfile
-	profRows [][]core.ScanCounts
+	// counts[w] is worker w's chunk accounting, laid out as [predicates in
+	// evaluation order..., key (grouped only), target]; every pass keeps
+	// it, and foldProfile reports it, predicates in canonical order.
+	counts [][]core.ScanCounts
 }
 
 // paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 40
@@ -78,9 +77,8 @@ type paddedAgg struct {
 }
 
 // newScanState resolves q against the table and allocates its per-worker
-// accumulators (group storage is lazy). A non-nil prof turns on the
-// state's chunk accounting, folded into prof when the pass ends.
-func (t *Table) newScanState(q ScanQuery, prof *obs.QueryProfile) (*scanState, error) {
+// accumulators and accounting rows (group storage and rows are lazy).
+func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 	target, err := t.Column(q.Column)
 	if err != nil {
 		return nil, err
@@ -97,10 +95,7 @@ func (t *Table) newScanState(q ScanQuery, prof *obs.QueryProfile) (*scanState, e
 		target:   target,
 		predCols: predCols,
 		preds:    preds,
-	}
-	if prof != nil {
-		s.prof = prof
-		s.profRows = make([][]core.ScanCounts, n)
+		counts:   make([][]core.ScanCounts, n),
 	}
 	if q.Key != "" {
 		key, err := t.Column(q.Key)
@@ -123,7 +118,7 @@ func (t *Table) newScanState(q ScanQuery, prof *obs.QueryProfile) (*scanState, e
 	return s, nil
 }
 
-func (s *scanState) numProfSlots() int {
+func (s *scanState) numSlots() int {
 	n := len(s.preds) + 1
 	if s.grouped {
 		n++
@@ -140,24 +135,20 @@ func (s *scanState) targetSlot() int {
 	return len(s.preds)
 }
 
-// profRow returns worker wid's accounting row, allocating on first use
+// row returns worker wid's accounting row, allocating on first use
 // (owner-only, like the aggregation accumulators).
-func (s *scanState) profRow(wid int) []core.ScanCounts {
-	r := s.profRows[wid]
+func (s *scanState) row(wid int) []core.ScanCounts {
+	r := s.counts[wid]
 	if r == nil {
-		r = make([]core.ScanCounts, s.numProfSlots())
-		s.profRows[wid] = r
+		r = make([]core.ScanCounts, s.numSlots())
+		s.counts[wid] = r
 	}
 	return r
 }
 
 // accountDead accounts a batch whose conjunction died: the key and
 // target columns' n chunks were never touched.
-func (s *scanState) accountDead(w *rts.Worker, n uint64) {
-	if s.prof == nil {
-		return
-	}
-	row := s.profRow(w.ID)
+func (s *scanState) accountDead(row []core.ScanCounts, n uint64) {
 	if s.grouped {
 		row[s.keySlot()].Pruned += n
 	}
@@ -166,16 +157,20 @@ func (s *scanState) accountDead(w *rts.Worker, n uint64) {
 	}
 }
 
-// foldProfile folds the per-worker accounting rows into the attached
-// profile as ColumnProfile entries, once, after the pass. dead is the
-// chunk count of the runs plan-time pruning kept out of the loop: pruned
-// for every one of the state's columns.
-func (s *scanState) foldProfile(dead uint64) {
-	totals := make([]core.ScanCounts, s.numProfSlots())
+// foldProfile folds the per-worker accounting rows into prof as
+// ColumnProfile entries, once, after the pass; a pass outside a query
+// (nil prof) has nowhere to report them. dead is the chunk count of the
+// runs plan-time pruning kept out of the loop: pruned for every one of
+// the state's columns.
+func (s *scanState) foldProfile(prof *obs.QueryProfile, dead uint64) {
+	if prof == nil {
+		return
+	}
+	totals := make([]core.ScanCounts, s.numSlots())
 	for i := range totals {
 		totals[i].Pruned = dead
 	}
-	for _, r := range s.profRows {
+	for _, r := range s.counts {
 		if r == nil {
 			continue
 		}
@@ -195,15 +190,15 @@ func (s *scanState) foldProfile(dead uint64) {
 		return cmp.Or(cmp.Compare(pa.Column, pb.Column), cmp.Compare(pa.Op, pb.Op), cmp.Compare(pa.Value, pb.Value))
 	})
 	for _, i := range order {
-		s.prof.AddColumn(columnProfile(s.predCols[i], obs.RolePredicate, totals[i]))
+		prof.AddColumn(columnProfile(s.predCols[i], obs.RolePredicate, totals[i]))
 	}
 	if s.grouped {
-		s.prof.AddColumn(columnProfile(s.key, obs.RoleKey, totals[s.keySlot()]))
+		prof.AddColumn(columnProfile(s.key, obs.RoleKey, totals[s.keySlot()]))
 	}
 	if s.grouped || s.agg != Count {
 		// A scalar count never touches the target column; everything else
 		// folds it under the mask.
-		s.prof.AddColumn(columnProfile(s.target, obs.RoleTarget, totals[s.targetSlot()]))
+		prof.AddColumn(columnProfile(s.target, obs.RoleTarget, totals[s.targetSlot()]))
 	}
 }
 
@@ -215,25 +210,23 @@ func (s *scanState) foldProfile(dead uint64) {
 // of its zone walk instead, and stops once no live super zone left can
 // beat its answer. Per batch the selection bitmap is built into the
 // table's per-worker mask scratch, then the surviving rows fold. Runs
-// through the receiver's runtime.
+// through the receiver's runtime and reports its chunk accounting to that
+// view's query profile.
 func (t *Table) run(s *scanState) ScanResult {
 	runs, dead := liveRuns(t.rows, s)
 	body := func(w *rts.Worker, blo, bhi uint64) {
+		row := s.row(w.ID)
 		if len(s.preds) == 0 {
-			s.foldAll(w, blo, bhi, &t.decode[w.ID])
+			s.foldAll(w, blo, bhi, row, &t.decode[w.ID])
 			return
 		}
 		_, n := core.MaskChunks(blo, bhi)
 		masks := maskScratch(&t.scratch[w.ID], n)
-		var counts []core.ScanCounts
-		if s.prof != nil {
-			counts = s.profRow(w.ID)
-		}
-		if !buildMasksCounted(w, blo, bhi, s.predCols, s.preds, masks, counts) {
-			s.accountDead(w, n)
+		if !buildMasks(w, blo, bhi, s.predCols, s.preds, masks, row) {
+			s.accountDead(row, n)
 			return
 		}
-		s.foldMasked(w, blo, bhi, masks, &t.decode[w.ID])
+		s.foldMasked(w, blo, bhi, masks, row, &t.decode[w.ID])
 	}
 	spans, walk := runs, newZoneWalk(s, runs)
 	if walk != nil {
@@ -248,9 +241,7 @@ func (t *Table) run(s *scanState) ScanResult {
 		_, chunks := core.MaskChunks(0, t.rows)
 		dead = chunks - walk.chunks
 	}
-	if s.prof != nil {
-		s.foldProfile(dead)
-	}
+	s.foldProfile(t.rt.Profile(), dead)
 	return s.result()
 }
 
@@ -453,21 +444,15 @@ func (w *zoneWalk) nth(lo, hi, n uint64) uint64 {
 
 // foldAll folds the unpredicated batch: fused range reductions for
 // scalar aggregates, the grouped fold over every row for grouped ones.
-func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
+func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, row []core.ScanCounts, bufs *decodeBufs) {
 	if s.grouped {
-		if s.prof != nil {
-			_, n := core.MaskChunks(lo, hi)
-			row := s.profRow(w.ID)
-			row[s.keySlot()].Scanned += n
-			row[s.targetSlot()].Scanned += n
-		}
+		_, n := core.MaskChunks(lo, hi)
+		row[s.keySlot()].Scanned += n
+		row[s.targetSlot()].Scanned += n
 		s.foldRows(w, lo, hi, nil, bufs)
 		return
 	}
-	var sc *core.ScanCounts
-	if s.prof != nil && s.agg != Count {
-		sc = &s.profRow(w.ID)[s.targetSlot()]
-	}
+	sc := &row[s.targetSlot()]
 	local := &s.locals[w.ID].aggState
 	local.count += hi - lo
 	switch s.agg {
@@ -482,19 +467,15 @@ func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, bufs *decodeBufs) {
 
 // foldMasked folds the batch's surviving rows under the selection bitmap:
 // a popcount for the count, a masked fused fold for the rest.
-func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
-	if s.prof != nil {
-		row := s.profRow(w.ID)
-		if s.grouped {
-			accountMasked(&row[s.keySlot()], masks)
-			accountMasked(&row[s.targetSlot()], masks)
-		} else if s.agg != Count {
-			accountMasked(&row[s.targetSlot()], masks)
-		}
-	}
+func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, row []core.ScanCounts, bufs *decodeBufs) {
 	if s.grouped {
+		accountMasked(&row[s.keySlot()], masks)
+		accountMasked(&row[s.targetSlot()], masks)
 		s.foldRows(w, lo, hi, masks, bufs)
 		return
+	}
+	if s.agg != Count {
+		accountMasked(&row[s.targetSlot()], masks)
 	}
 	local := &s.locals[w.ID].aggState
 	local.count += bitpack.PopcountMasks(masks)
@@ -684,17 +665,17 @@ func (s *scanState) result() ScanResult {
 	return ScanResult{Groups: rows}
 }
 
-// MultiScan runs queries one after another, each its own one-query pass
-// (unprofiled), and returns their results in order. It shares nothing
-// between queries; it stays exported for the benchmark harness's probe.
+// MultiScan runs queries one after another, each its own one-query pass,
+// and returns their results in order. It shares nothing between queries;
+// it stays exported for the benchmark harness's probe.
 func (t *Table) MultiScan(queries []ScanQuery) ([]ScanResult, error) {
 	results := make([]ScanResult, len(queries))
 	for i, q := range queries {
-		st, err := t.newScanState(q, nil)
+		res, err := t.scan(q)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = t.run(st)
+		results[i] = res
 	}
 	return results, nil
 }

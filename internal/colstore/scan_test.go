@@ -120,15 +120,16 @@ func TestMultiScanUnderReencode(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkResults(t, fmt.Sprintf("pass %d under reencode:", pass), got, want)
-		// The same queries profiled: every worker writes its own
-		// accounting row while the columns swap representations.
+		// The same queries inside a query profile: every worker writes its
+		// own accounting row while the columns swap representations, and
+		// the rows must fold to whole columns.
 		for i, q := range queries {
 			prof := obs.NewQueryProfileAt(uint64(i), time.Now())
-			st, err := f.table.newScanState(q, prof)
+			got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).scan(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := f.table.run(st); !reflect.DeepEqual(got, want[i]) {
+			if !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("profiled pass %d query %d under reencode: got %+v, want %+v", pass, i, got, want[i])
 			}
 			for _, c := range prof.Columns {

@@ -8,8 +8,9 @@ package core
 // (MaskRangeCounted, ReduceRangeCounted, ...) accumulate into a caller
 // slot; across one full pass over a column, Scanned+Pruned equals the
 // column's chunk count. A nil *ScanCounts disables accounting — the
-// uncounted entry points pass nil, so the unprofiled hot path pays one
-// predictable nil check per chunk group, never per element.
+// uncounted entry points, which callers outside colstore's scan use,
+// pass nil, and pay one predictable nil check per chunk group, never per
+// element.
 type ScanCounts struct {
 	Scanned uint64
 	Pruned  uint64

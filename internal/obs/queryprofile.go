@@ -1,9 +1,11 @@
 // Request-scoped query profiles: the per-query counterpart of the
-// array-level telemetry in counters/ArrayRegistry. A QueryProfile rides
-// the request context from admission to response and is annotated at
-// every layer it crosses — stage wall times and the cache outcome in the
-// query service, morsel claims in the scheduler, and chunk-level
-// codec/zone accounting in the column kernels. Hot-path
+// array-level telemetry in counters/ArrayRegistry. The query service
+// profiles every query: a QueryProfile lives from arrival to response,
+// rides the query's runtime view (rts.Runtime.WithProfile) into
+// execution, and is annotated at every layer it crosses — stage wall
+// times and the cache outcome in the query service, morsel claims in the
+// scheduler, and chunk-level codec/zone accounting in the column
+// kernels. Hot-path
 // collection follows the same owner-writes/fold-at-barrier discipline as
 // counters.Shard: workers write into per-worker rows (allocated by the
 // layer that runs the loop) and the totals are folded into the profile
@@ -12,7 +14,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,23 +90,28 @@ type QueryProfile struct {
 	MorselsStolen  uint64 `json:"morsels_stolen"`
 
 	start time.Time
-	mu    sync.Mutex
-	loops atomic.Uint64
-	claim atomic.Uint64
-	steal atomic.Uint64
-	final atomic.Bool
+	// stages backs Stages: the query service records at most four (parse,
+	// cache, admission, execute), so a profile is one allocation.
+	stages [4]ProfileStage
+	mu     sync.Mutex
+	loops  atomic.Uint64
+	claim  atomic.Uint64
+	steal  atomic.Uint64
+	final  atomic.Bool
 }
 
 // NewQueryProfileAt starts a profile whose wall clock began at start —
-// the request arrival time, which the serving layer stamps before it
-// knows whether the query will be sampled.
+// the request arrival time, which the serving layer stamps before it has
+// parsed the request.
 func NewQueryProfileAt(id uint64, start time.Time) *QueryProfile {
-	return &QueryProfile{ID: id, start: start}
+	p := &QueryProfile{ID: id, start: start}
+	p.Stages = p.stages[:0]
+	return p
 }
 
 // Stage appends a timed span. Called only by the request goroutine.
 func (p *QueryProfile) Stage(name string, d time.Duration) {
-	if p == nil || d < 0 {
+	if d < 0 {
 		return
 	}
 	p.mu.Lock()
@@ -114,7 +120,8 @@ func (p *QueryProfile) Stage(name string, d time.Duration) {
 }
 
 // AddLoop credits one parallel loop's morsel counts to the query. Safe
-// to call concurrently (the scheduler attributes loops as they retire).
+// to call concurrently (the scheduler attributes loops as they retire),
+// and on a nil profile: loops outside a query attribute to nothing.
 func (p *QueryProfile) AddLoop(claimed, stolen uint64) {
 	if p == nil {
 		return
@@ -126,9 +133,6 @@ func (p *QueryProfile) AddLoop(claimed, stolen uint64) {
 
 // AddColumn appends one column's kernel accounting.
 func (p *QueryProfile) AddColumn(cp ColumnProfile) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.Columns = append(p.Columns, cp)
 	p.mu.Unlock()
@@ -141,7 +145,7 @@ func (p *QueryProfile) AddColumn(cp ColumnProfile) {
 // first call wins, so an error path that finalized early is not
 // overwritten.
 func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) {
-	if p == nil || !p.final.CompareAndSwap(false, true) {
+	if !p.final.CompareAndSwap(false, true) {
 		return
 	}
 	p.mu.Lock()
@@ -151,29 +155,5 @@ func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) 
 	p.Loops = p.loops.Load()
 	p.MorselsClaimed = p.claim.Load()
 	p.MorselsStolen = p.steal.Load()
-	if p.Stages == nil {
-		p.Stages = []ProfileStage{}
-	}
 	p.mu.Unlock()
-}
-
-type profileCtxKey struct{}
-
-// ContextWithProfile attaches a profile to the request context; every
-// layer below the query service recovers it with ProfileFromContext.
-func ContextWithProfile(ctx context.Context, p *QueryProfile) context.Context {
-	if p == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, profileCtxKey{}, p)
-}
-
-// ProfileFromContext returns the request's profile, or nil when the
-// request is not sampled.
-func ProfileFromContext(ctx context.Context) *QueryProfile {
-	if ctx == nil {
-		return nil
-	}
-	p, _ := ctx.Value(profileCtxKey{}).(*QueryProfile)
-	return p
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -104,19 +103,12 @@ func TestQueryProfileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryProfileNilSafe pins the one annotation the runtime makes
+// whether or not a query is running: a loop outside one attributes to a
+// nil profile.
 func TestQueryProfileNilSafe(t *testing.T) {
 	var p *QueryProfile
-	p.Stage("x", time.Millisecond)
 	p.AddLoop(1, 1)
-	p.AddColumn(ColumnProfile{})
-	p.FinalizeAt("ok", 200, time.Now())
-	ctx := ContextWithProfile(context.Background(), nil)
-	if ProfileFromContext(ctx) != nil {
-		t.Fatal("nil profile attached to context")
-	}
-	if ProfileFromContext(nil) != nil {
-		t.Fatal("nil context yielded a profile")
-	}
 }
 
 func TestQueryProfileFinalizeIdempotent(t *testing.T) {

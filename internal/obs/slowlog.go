@@ -65,7 +65,7 @@ func (r *ring) snapshot() []*QueryProfile {
 
 // NewSlowLog builds a log with the given ring size, top-K width, and
 // slow threshold. Zero sizes take the defaults; a zero threshold means
-// every profiled query lands in the slow ring.
+// every query lands in the slow ring.
 func NewSlowLog(ringSize, topK int, threshold time.Duration) *SlowLog {
 	if ringSize <= 0 {
 		ringSize = DefaultSlowLogRing
@@ -86,9 +86,6 @@ func (l *SlowLog) SetThreshold(d time.Duration) { l.thresholdNs.Store(int64(d)) 
 // Observe publishes a finalized profile. The profile must not be
 // mutated after this call.
 func (l *SlowLog) Observe(p *QueryProfile) {
-	if l == nil || p == nil {
-		return
-	}
 	l.recent.put(p)
 	if int64(p.TotalNs) >= l.thresholdNs.Load() {
 		l.slow.put(p)
@@ -151,8 +148,8 @@ func (l *SlowLog) Snapshot() SlowLogSnapshot {
 }
 
 // Lookup finds a retained profile by query ID — the /debug/query/<id>
-// endpoint. Returns nil when the profile was never sampled or has been
-// evicted from both rings.
+// endpoint. Returns nil when the profile has been evicted from both rings
+// and the top-K, or the ID was never issued.
 func (l *SlowLog) Lookup(id uint64) *QueryProfile {
 	for _, p := range l.recent.snapshot() {
 		if p.ID == id {

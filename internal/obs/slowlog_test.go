@@ -78,16 +78,6 @@ func TestSlowLogSetThreshold(t *testing.T) {
 	}
 }
 
-func TestSlowLogNilAndUnfinalized(t *testing.T) {
-	var l *SlowLog
-	l.Observe(finalized(1, 1)) // nil log must not panic
-	ll := NewSlowLog(0, 0, 0)
-	ll.Observe(nil) // nil profile must not panic
-	if s := ll.Snapshot(); s.Observed != 0 {
-		t.Fatalf("nil observe counted: %+v", s)
-	}
-}
-
 // TestSlowLogConcurrent is the -race exercise: concurrent publishers
 // against snapshot/lookup readers.
 func TestSlowLogConcurrent(t *testing.T) {

@@ -3,8 +3,7 @@
 // two-level structure mirroring histogramSet — an RWMutex map resolves
 // (tenant, op) to a series once, then all observation is atomic counter
 // bumps and a lock-free Histogram observe, cheap enough to record every
-// request unsampled (profiles sample; RED metrics must agree with
-// admission counters exactly).
+// request (RED metrics must agree with admission counters exactly).
 package obs
 
 import (

@@ -38,16 +38,12 @@ type Config struct {
 	// once; entries are keyed on catalog version and column generations,
 	// so swaps and re-encodes invalidate without a flush pass.
 	CacheEntries int `json:"cache_entries"`
-	// ProfileSample controls query profiling: 0 disables it, 1 profiles
-	// every query, N profiles one in N. A profiled query carries a
-	// QueryProfile through every layer (stage timings, cache outcome,
-	// per-column chunk accounting, morsel claims) and lands in
-	// the slow-query log. "explain": true forces a profile regardless of
-	// the rate. Per-tenant RED metrics are always recorded, unsampled.
-	ProfileSample int `json:"profile_sample"`
 	// SlowQueryMS is the slow-query-log threshold in milliseconds
-	// (0 = the default, 250): profiled queries at or over it enter the
-	// slow ring served at /debug/slowlog.
+	// (0 = the default, 250): queries at or over it enter the slow ring
+	// served at /debug/slowlog. Every query is profiled (stage timings,
+	// cache outcome, per-column chunk accounting, morsel claims) and its
+	// profile published to the log; "explain": true also returns it
+	// inline.
 	SlowQueryMS int64 `json:"slow_query_ms"`
 }
 
@@ -85,9 +81,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("queryd: cache_entries must be non-negative, got %d", c.CacheEntries)
-	}
-	if c.ProfileSample < 0 {
-		return fmt.Errorf("queryd: profile_sample must be non-negative, got %d", c.ProfileSample)
 	}
 	if c.SlowQueryMS < 0 {
 		return fmt.Errorf("queryd: slow_query_ms must be non-negative, got %d", c.SlowQueryMS)

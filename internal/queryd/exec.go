@@ -5,13 +5,11 @@
 package queryd
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"smartarrays/internal/analytics"
 	"smartarrays/internal/core"
-	"smartarrays/internal/obs"
 	"smartarrays/internal/queryd/plan"
 	"smartarrays/internal/rts"
 )
@@ -70,22 +68,19 @@ type DegreeResult struct {
 // failure (500), unlike a plan the executor rejects (422).
 var errExecPanicked = errors.New("queryd: plan execution panicked")
 
-// execute runs p against ds on the priority view qrt and returns the
-// wire-form result. When the request context carries a query profile it
-// is attached to the runtime view, so every loop the query runs — and
-// the colstore kernels under them — annotates that profile. Every plan
-// execution passes this one recover: a kernel panic, which the runtime
-// re-raises on the goroutine that submitted the loop, comes back as
-// errExecPanicked instead of unwinding the handler.
-func execute(ctx context.Context, qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
+// execute runs p against ds on the query's runtime view qrt — its
+// priority and its profile, so every loop the query runs, and the
+// colstore kernels under them, annotate that profile — and returns the
+// wire-form result. Every plan execution passes this one recover: a
+// kernel panic, which the runtime re-raises on the goroutine that
+// submitted the loop, comes back as errExecPanicked instead of unwinding
+// the handler.
+func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("%w: %v", errExecPanicked, v)
 		}
 	}()
-	if prof := obs.ProfileFromContext(ctx); prof != nil {
-		qrt = qrt.WithProfile(prof)
-	}
 	switch p.Op {
 	case plan.OpAggregate, plan.OpGroupBy:
 		if ds.Table == nil {

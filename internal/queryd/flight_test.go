@@ -7,7 +7,6 @@
 package queryd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -111,7 +110,7 @@ func executeJSON(t *testing.T, srv *Server, body map[string]any) string {
 		if err != nil {
 			return nil, err
 		}
-		res, err := execute(context.Background(), srv.rt, ds, p)
+		res, err := execute(srv.rt, ds, p)
 		if err != nil {
 			return nil, err
 		}
@@ -445,9 +444,7 @@ func installDataset(srv *Server, ds *Dataset) {
 // panic, counted in errors_5xx, with a profile whose status is "error";
 // and once the dataset is whole again the identical plan must succeed.
 func TestSharedScanPassPanic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ProfileSample = 1
-	srv, ts := newTestServer(t, cfg)
+	srv, ts := newTestServer(t, DefaultConfig())
 	demo, err := srv.Dataset("demo")
 	if err != nil {
 		t.Fatal(err)

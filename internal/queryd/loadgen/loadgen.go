@@ -125,9 +125,8 @@ type Report struct {
 	PerTenant map[string]TenantLatency `json:"per_tenant,omitempty"`
 
 	// SlowlogObserved/SlowlogSlow are the server slow-query-log deltas
-	// over the run — profiles published and profiles over the slow
-	// threshold (zero when profiling is off or /debug/slowlog is
-	// unreachable).
+	// over the run — profiles published (one per query) and profiles over
+	// the slow threshold (zero when /debug/slowlog is unreachable).
 	SlowlogObserved uint64 `json:"slowlog_observed"`
 	SlowlogSlow     uint64 `json:"slowlog_slow"`
 	// TenantSeries counts the per-tenant × per-op RED series the server
@@ -261,39 +260,6 @@ func fetchSlowlog(addr string) (slowlogStats, error) {
 		return slowlogStats{}, fmt.Errorf("loadgen: decoding slowlog: %w", err)
 	}
 	return payload, nil
-}
-
-// SetProfileSample swaps only the server's profile_sample knob through
-// the control plane: read the current config, change the one field,
-// POST the whole thing back (the control plane takes full configs).
-// The load harness uses it to compare profiled and unprofiled phases on
-// one server without restarting it.
-func SetProfileSample(addr string, n int) error {
-	resp, err := http.Get("http://" + addr + "/control/config")
-	if err != nil {
-		return fmt.Errorf("loadgen: fetching config: %w", err)
-	}
-	var cfg queryd.Config
-	err = json.NewDecoder(resp.Body).Decode(&cfg)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("loadgen: decoding config: %w", err)
-	}
-	cfg.ProfileSample = n
-	body, err := json.Marshal(map[string]any{"config": cfg})
-	if err != nil {
-		return err
-	}
-	post, err := http.Post("http://"+addr+"/control/config", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("loadgen: swapping config: %w", err)
-	}
-	defer post.Body.Close()
-	if post.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(post.Body)
-		return fmt.Errorf("loadgen: config swap got %d: %s", post.StatusCode, data)
-	}
-	return nil
 }
 
 // q builds a /query body.

@@ -94,7 +94,7 @@ func TestServedPageRankFreesProfiles(t *testing.T) {
 // BenchmarkServedPageRank is the benchmark's graph_rank workload without
 // the harness: its request body through Server.Handler() on a server
 // configured as saserve ships (small machine, cache on,
-// 1-in-16 profiling, array registry attached, 100 000 vertices — no table,
+// array registry attached, 100 000 vertices — no table,
 // the plan never touches one), from 2 concurrent callers. ns/op is wall
 // time per query; profile it with -cpuprofile.
 func BenchmarkServedPageRank(b *testing.B) {
@@ -108,7 +108,7 @@ func BenchmarkServedPageRank(b *testing.B) {
 	rt.SetRecorder(rec)
 	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
-	cfg.CacheEntries, cfg.ProfileSample = 1024, 16
+	cfg.CacheEntries = 1024
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Vertices: 100000, Degree: 8, Seed: 1}}, rec, reg)
 	if err != nil {
 		b.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"smartarrays/internal/colstore"
 )
@@ -84,9 +85,8 @@ type Plan struct {
 	DeadlineMS int64 // 0 = use the server's default queue deadline
 
 	// Explain requests the query's execution profile inline in the
-	// response (EXPLAIN ANALYZE). It forces profiling regardless of the
-	// server's sampling rate and bypasses the result cache — a cached
-	// answer has no execution to profile.
+	// response (EXPLAIN ANALYZE). It bypasses the result cache and the
+	// flight table — a cached or borrowed answer has no execution to show.
 	Explain bool
 }
 
@@ -207,18 +207,20 @@ func (p *Plan) parseAgg(req *request, grouped bool) error {
 	return nil
 }
 
-// String renders a compact query description for logs and span names.
+// String renders a compact query description for logs and profiles.
+// Every served query's profile carries one, so it is built by
+// concatenation: one allocation, where fmt boxes every argument.
 func (p *Plan) String() string {
 	switch p.Op {
 	case OpAggregate:
-		return fmt.Sprintf("%s(%s) on %s (%d preds)", AggName(p.Agg), p.Column, p.Dataset, len(p.Preds))
+		return AggName(p.Agg) + "(" + p.Column + ") on " + p.Dataset + " (" + strconv.Itoa(len(p.Preds)) + " preds)"
 	case OpGroupBy:
-		return fmt.Sprintf("%s(%s) by %s on %s (%d preds)", AggName(p.Agg), p.Column, p.Key, p.Dataset, len(p.Preds))
+		return AggName(p.Agg) + "(" + p.Column + ") by " + p.Key + " on " + p.Dataset + " (" + strconv.Itoa(len(p.Preds)) + " preds)"
 	case OpPageRank:
-		return fmt.Sprintf("pagerank(%d iters) on %s", p.Iters, p.Dataset)
+		return "pagerank(" + strconv.Itoa(p.Iters) + " iters) on " + p.Dataset
 	case OpBFS:
-		return fmt.Sprintf("bfs(from %d) on %s", p.Source, p.Dataset)
+		return "bfs(from " + strconv.FormatUint(p.Source, 10) + ") on " + p.Dataset
 	default:
-		return fmt.Sprintf("%s on %s", p.Op, p.Dataset)
+		return string(p.Op) + " on " + p.Dataset
 	}
 }

@@ -67,6 +67,26 @@ func TestParseValid(t *testing.T) {
 	}
 }
 
+// TestPlanString pins the description every query's profile carries
+// (the slow-query log's "plan" field), one case per op.
+func TestPlanString(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"dataset":"d","op":"aggregate","agg":"sum","column":"amount","where":[{"column":"region","op":"<","value":8}]}`: "sum(amount) on d (1 preds)",
+		`{"dataset":"d","op":"groupby","key":"region","agg":"count","column":"id"}`:                                       "count(id) by region on d (0 preds)",
+		`{"dataset":"d","op":"pagerank","iters":5}`:                                                                       "pagerank(5 iters) on d",
+		`{"dataset":"d","op":"bfs","source":42}`:                                                                          "bfs(from 42) on d",
+		`{"dataset":"d","op":"degree"}`:                                                                                   "degree on d",
+	} {
+		p, err := Parse([]byte(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.String(); got != want {
+			t.Errorf("%s: String() = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -296,13 +296,12 @@ func TestExplainPlanTimePruning(t *testing.T) {
 	}
 }
 
-// TestProfileCacheAgreement samples every query and checks the profile
-// cache outcomes against the /stats cache counters: one miss then one
-// hit, with explain bypassing both lookup and fill.
+// TestProfileCacheAgreement checks every query's profiled cache outcome
+// against the /stats cache counters: one miss then one hit, with explain
+// bypassing both lookup and fill.
 func TestProfileCacheAgreement(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheEntries = 64
-	cfg.ProfileSample = 1
 	_, ts := newTestServer(t, cfg)
 	body := map[string]any{
 		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
@@ -323,8 +322,8 @@ func TestProfileCacheAgreement(t *testing.T) {
 		}
 	}
 
-	// Sampled (non-explain) profiles are retained, not inlined: fetch
-	// them by ID and check the recorded outcomes.
+	// Non-explain profiles are retained, not inlined: fetch them by ID and
+	// check the recorded outcomes.
 	for qid, want := range map[uint64]string{1: obs.CacheMiss, 2: obs.CacheHit} {
 		p := fetchProfile(t, ts, qid)
 		if p.Cache != want {
@@ -348,8 +347,57 @@ func TestProfileCacheAgreement(t *testing.T) {
 	}
 }
 
-// TestProfileSharedAgreement samples every query and reconciles three
-// views of each one's cache outcome: its profile, its reply and /stats.
+// TestEveryQueryProfiled sends one query per outcome without explain —
+// an executed miss, a cache hit, a plan that fails to parse, an unknown
+// dataset, an unknown column — and checks that every reply's query_id
+// resolves to a profile with the reply's status, that the slow-query log
+// observed each one, and that the executed miss carries its scan's
+// column accounting.
+func TestEveryQueryProfiled(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 64
+	_, ts := newTestServer(t, cfg)
+	scan := map[string]any{
+		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
+		"where": []map[string]any{{"column": "region", "op": "<", "value": 8}},
+	}
+	for i, c := range []struct {
+		body   map[string]any
+		status int
+		cache  string
+	}{
+		{scan, http.StatusOK, obs.CacheMiss},
+		{scan, http.StatusOK, obs.CacheHit},
+		{map[string]any{"dataset": "demo", "op": "nonsense"}, http.StatusBadRequest, ""},
+		{map[string]any{"dataset": "nope", "op": "degree"}, http.StatusNotFound, ""},
+		{map[string]any{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "nope"}, http.StatusUnprocessableEntity, obs.CacheBypass},
+	} {
+		status, env := postQuery(t, ts, c.body)
+		if status != c.status {
+			t.Fatalf("query %d: status %d, want %d", i, status, c.status)
+		}
+		var qid uint64
+		if err := json.Unmarshal(env["query_id"], &qid); err != nil {
+			t.Fatalf("query %d: no query_id: %v", i, err)
+		}
+		p := fetchProfile(t, ts, qid)
+		if p.HTTPStatus != c.status || p.Cache != c.cache {
+			t.Errorf("query %d: profile http_status %d cache %q, want %d %q", i, p.HTTPStatus, p.Cache, c.status, c.cache)
+		}
+		if i == 0 {
+			if len(p.Columns) != 2 {
+				t.Errorf("executed miss profiled %d columns, want predicate + target", len(p.Columns))
+			}
+			checkChunkInvariant(t, p, 0)
+		}
+	}
+	if slog := fetchSlowlogSnapshot(t, ts); slog.Observed != 5 {
+		t.Errorf("slowlog observed %d profiles, want 5", slog.Observed)
+	}
+}
+
+// TestProfileSharedAgreement reconciles three views of every query's
+// cache outcome: its profile, its reply and /stats.
 // With the cache on, concurrent identical queries split into misses
 // (executed), hits and coalesced followers; every query lands in exactly
 // one, counted once by /stats, recorded once on its profile and flagged
@@ -357,7 +405,6 @@ func TestProfileCacheAgreement(t *testing.T) {
 func TestProfileSharedAgreement(t *testing.T) {
 	cfg := flightConfig()
 	cfg.CacheEntries = 64
-	cfg.ProfileSample = 1
 	srv, ts := newFlightTestServer(t, cfg)
 	bodies := flightTestBodies()
 
@@ -440,15 +487,13 @@ func TestProfileSharedAgreement(t *testing.T) {
 	}
 }
 
-// TestShedProfileAgreement saturates admission with distinct queries,
-// every one sampled: shed queries must emit minimal 429 profiles, and the
-// slow-query log and per-tenant error series must agree with the
-// admission counters.
+// TestShedProfileAgreement saturates admission with distinct queries:
+// shed queries must emit minimal 429 profiles, and the slow-query log and
+// per-tenant error series must agree with the admission counters.
 func TestShedProfileAgreement(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInFlight = 1
 	cfg.MaxQueue = 0
-	cfg.ProfileSample = 1
 	_, ts := newTestServer(t, cfg)
 
 	var ok, rejected atomic.Uint64
@@ -480,7 +525,7 @@ func TestShedProfileAgreement(t *testing.T) {
 		t.Errorf("admission shed %d, client saw %d 429s", stats.Admission.Shed, rejected.Load())
 	}
 
-	// Every query was sampled, so the slowlog's recent ring holds one
+	// Every query is profiled, so the slowlog's recent ring holds one
 	// profile per request, and the shed ones carry the shed status.
 	slog := fetchSlowlogSnapshot(t, ts)
 	if slog.Observed != ok.Load()+rejected.Load() {
@@ -556,9 +601,10 @@ func TestDebugQuerySurfaces(t *testing.T) {
 }
 
 // TestProfilesUnderSwapAndReencode is the -race exercise: explain
-// queries hammer both table ops while the control plane toggles
-// profiling/caching and the scanned columns re-encode live. Profiles
-// must stay well-formed and the chunk invariant must hold throughout.
+// queries hammer both table ops while the control plane toggles caching
+// and the slow threshold and the scanned columns re-encode live.
+// Profiles must stay well-formed and the chunk invariant must hold
+// throughout.
 func TestProfilesUnderSwapAndReencode(t *testing.T) {
 	srv, ts := newTestServer(t, flightConfig())
 	ds, err := srv.Dataset("demo")
@@ -586,7 +632,6 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 			default:
 			}
 			cfg := flightConfig()
-			cfg.ProfileSample = []int{0, 1, 16}[i%3]
 			cfg.CacheEntries = []int{0, 64}[i%2]
 			cfg.SlowQueryMS = int64(1 + i%100)
 			if err := srv.SwapConfig(cfg); err != nil {

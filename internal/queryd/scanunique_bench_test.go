@@ -28,7 +28,7 @@ func newScanUniqueServer(b testing.TB, cacheEntries int) *Server {
 	rt.SetRecorder(rec)
 	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
-	cfg.CacheEntries, cfg.ProfileSample = cacheEntries, 16
+	cfg.CacheEntries = cacheEntries
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Rows: 1 << 22, Seed: 1}}, rec, reg)
 	if err != nil {
 		b.Fatal(err)
@@ -94,6 +94,26 @@ func BenchmarkScanUniqueTemplates(b *testing.B) {
 				serveQuery(b, handler, body)
 			}
 		})
+	}
+}
+
+// BenchmarkServedCacheHit is the repeat_hot workload's hit path without
+// the harness: one predicated aggregate, answered once to fill the result
+// cache, then sent again and again through Server.Handler() on the server
+// scan_unique's benchmarks use. Every request is a cache hit, so ns/op and
+// allocs/op are what queryd itself costs a query: parse, cache key, the
+// query's profile and the slow-query log, the JSON reply.
+func BenchmarkServedCacheHit(b *testing.B) {
+	handler := newScanUniqueServer(b, 1024).Handler()
+	const body = `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount","where":[{"column":"region","op":"<","value":8}]}`
+	serveQuery(b, handler, body)
+	if w := serveQuery(b, handler, body); !strings.Contains(w.Body.String(), `"cached":true`) {
+		b.Fatalf("repeated query was not a cache hit: %s", w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveQuery(b, handler, body)
 	}
 }
 

@@ -81,14 +81,13 @@ type Server struct {
 	// caching on or off live. Flights are consulted whatever the capacity.
 	cache *resultCache
 
-	// slowlog retains finalized query profiles: the last N profiled
-	// queries, the over-threshold slow ring, and the top-K slowest —
-	// served at /debug/slowlog and /debug/query/<id>.
+	// slowlog retains finalized query profiles: the last N queries, the
+	// over-threshold slow ring, and the top-K slowest — served at
+	// /debug/slowlog and /debug/query/<id>.
 	slowlog *obs.SlowLog
-	// qid numbers every query (the /debug/query/<id> key); sampleCtr
-	// drives the 1-in-N profile sampling decision.
-	qid       atomic.Uint64
-	sampleCtr atomic.Uint64
+	// qid numbers every query (its profile's ID, the /debug/query/<id>
+	// key).
+	qid atomic.Uint64
 
 	// served counts successfully executed queries; errs5xx counts
 	// internal failures (the load gate requires this to stay zero).
@@ -273,26 +272,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	qid := s.qid.Add(1)
+	// Every query is profiled, its wall clock backdated to arrival; the
+	// profile lands in the slow-query log whatever the outcome.
+	prof := obs.NewQueryProfileAt(qid, qStart)
 	// One snapshot load; the rest of the request sees a consistent
 	// config+catalog no matter how many swaps land meanwhile.
 	snap := s.snap.Load()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
 	if err != nil {
-		s.failQuery(w, http.StatusBadRequest, err, qid, s.maybeProfile(snap.cfg, false, qid, qStart), "invalid", "", "", qStart)
+		s.failQuery(w, http.StatusBadRequest, err, prof, "invalid", qStart)
 		return
 	}
 	p, err := plan.Parse(body)
 	if err != nil {
-		s.failQuery(w, http.StatusBadRequest, err, qid, s.maybeProfile(snap.cfg, false, qid, qStart), "invalid", "", "", qStart)
+		s.failQuery(w, http.StatusBadRequest, err, prof, "invalid", qStart)
 		return
 	}
-	prof := s.maybeProfile(snap.cfg, p.Explain, qid, qStart)
-	if prof != nil {
-		prof.Op = string(p.Op)
-		prof.Dataset = p.Dataset
-		prof.Tenant = p.Tenant
-		prof.Plan = p.String()
-	}
+	prof.Op = string(p.Op)
+	prof.Dataset = p.Dataset
+	prof.Tenant = p.Tenant
+	prof.Plan = p.String()
 	// Stage times are contiguous laps from qStart: each stage ends where
 	// the next begins and the profile finalizes at the instant the last
 	// one closed (lapStart), so the stages tile the profile's wall time —
@@ -310,7 +309,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	lap("parse")
 	ds, err := snap.dataset(p.Dataset)
 	if err != nil {
-		s.failQuery(w, http.StatusNotFound, err, qid, prof, "error", p.Tenant, string(p.Op), qStart)
+		s.failQuery(w, http.StatusNotFound, err, prof, "error", qStart)
 		return
 	}
 
@@ -321,7 +320,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// never be shed for another query's load. The key embeds the snapshot
 	// version and the touched columns' generations, so a stale entry or
 	// flight is unreachable by construction. Explain skips both: a cached
-	// or borrowed answer has no execution to profile, and a profiled run
+	// or borrowed answer has no execution to show, and an explained run
 	// must not poison repeat-latency measurements with its own result.
 	var (
 		key            string
@@ -336,19 +335,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if cacheable {
 			result, joined, hit = s.cache.join(key, snap.cfg.CacheEntries)
 		}
-		if prof != nil {
-			switch {
-			case !cacheable:
-				prof.Cache = obs.CacheBypass
-			case hit:
-				prof.Cache = obs.CacheHit
-			case joined != nil:
-				prof.Cache = obs.CacheCoalesced
-			case snap.cfg.CacheEntries > 0:
-				prof.Cache = obs.CacheMiss
-			default:
-				prof.Cache = obs.CacheOff
-			}
+		switch {
+		case !cacheable:
+			prof.Cache = obs.CacheBypass
+		case hit:
+			prof.Cache = obs.CacheHit
+		case joined != nil:
+			prof.Cache = obs.CacheCoalesced
+		case snap.cfg.CacheEntries > 0:
+			prof.Cache = obs.CacheMiss
+		default:
+			prof.Cache = obs.CacheOff
 		}
 		lap("cache")
 	}
@@ -363,11 +360,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		err = s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS)
 		queueWait := lap("admission")
-		if prof != nil {
-			prof.QueueWaitNs = uint64(queueWait)
-		}
+		prof.QueueWaitNs = uint64(queueWait)
 		if err != nil {
-			s.reject(w, snap.cfg, err, qid, prof, p, qStart)
+			s.reject(w, snap.cfg, err, prof, qStart)
 			return
 		}
 		if s.rec != nil {
@@ -384,15 +379,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if cacheable {
 			f = s.cache.lead(key)
 		}
-		qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority))
-		result, err = execute(obs.ContextWithProfile(r.Context(), prof), qrt, ds, p)
+		qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority)).WithProfile(prof)
+		result, err = execute(qrt, ds, p)
 		if f != nil {
 			s.cache.land(key, f, result, err, snap.cfg.CacheEntries)
 		}
 		lap("execute")
 	}
 	if err != nil {
-		s.failExecution(w, err, qid, prof, p, qStart)
+		s.failExecution(w, err, prof, qStart)
 		return
 	}
 
@@ -425,72 +420,51 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // fault — it validated but the executor rejected it (e.g. unknown column)
 // — and a 422, which keeps the "zero 5xx" load gate meaningful for real
 // internal failures.
-func (s *Server) failExecution(w http.ResponseWriter, err error, qid uint64, prof *obs.QueryProfile, p *plan.Plan, start time.Time) {
+func (s *Server) failExecution(w http.ResponseWriter, err error, prof *obs.QueryProfile, start time.Time) {
 	status := http.StatusUnprocessableEntity
 	if errors.Is(err, errExecPanicked) {
 		status = http.StatusInternalServerError
 	}
-	s.failQuery(w, status, err, qid, prof, "error", p.Tenant, string(p.Op), start)
-}
-
-// maybeProfile decides sampling for one request: explain always
-// profiles, otherwise every Nth query per the configured rate (0 = off).
-// The profile's wall clock is backdated to the request arrival.
-func (s *Server) maybeProfile(cfg Config, explain bool, id uint64, start time.Time) *obs.QueryProfile {
-	if explain {
-		return obs.NewQueryProfileAt(id, start)
-	}
-	n := cfg.ProfileSample
-	if n <= 0 || s.sampleCtr.Add(1)%uint64(n) != 0 {
-		return nil
-	}
-	return obs.NewQueryProfileAt(id, start)
+	s.failQuery(w, status, err, prof, "error", start)
 }
 
 // finishProfile finalizes a profile, its wall clock stopped at end, and
-// publishes it to the slow-query log. Nil-safe: unsampled requests pay
-// one branch.
+// publishes it to the slow-query log.
 func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int, end time.Time) {
-	if prof == nil {
-		return
-	}
 	prof.FinalizeAt(status, httpStatus, end)
 	s.slowlog.Observe(prof)
 }
 
-// observeTenant records the always-on per-tenant RED observation. Every
-// terminal outcome — served, cached, shed, failed — lands here exactly
-// once, so the tenant series agree with the admission and error
-// counters regardless of profile sampling.
+// observeTenant records the per-tenant RED observation. Every terminal
+// outcome — served, cached, shed, failed — lands here exactly once, so
+// the tenant series agree with the admission and error counters.
 func (s *Server) observeTenant(tenant, op string, d time.Duration, isErr bool) {
 	if s.rec != nil {
 		s.rec.Tenants().Observe(tenant, op, d, isErr)
 	}
 }
 
-// failQuery is fail for requests that have a query ID: it finalizes the
-// profile (when sampled) with the given status so error paths appear in
-// the slow-query log, and records the RED error observation.
-func (s *Server) failQuery(w http.ResponseWriter, status int, err error, qid uint64, prof *obs.QueryProfile, profStatus, tenant, op string, start time.Time) {
+// failQuery is fail for a query: it finalizes the query's profile with
+// the given status so error paths appear in the slow-query log, and
+// records the RED error observation under the tenant and op the profile
+// names (empty for a request that never parsed).
+func (s *Server) failQuery(w http.ResponseWriter, status int, err error, prof *obs.QueryProfile, profStatus string, start time.Time) {
 	if status >= 500 {
 		s.errs5xx.Add(1)
 	} else {
 		s.errs4xx.Add(1)
 	}
-	if prof != nil {
-		prof.Error = err.Error()
-	}
+	prof.Error = err.Error()
 	s.finishProfile(prof, profStatus, status, time.Now())
-	s.observeTenant(tenant, op, time.Since(start), true)
-	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: qid})
+	s.observeTenant(prof.Tenant, prof.Op, time.Since(start), true)
+	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: prof.ID})
 }
 
 // reject maps admission errors onto 429 with a Retry-After hint. A
-// sampled rejection still emits a (minimal) profile whose status names
-// the shed reason, so the slow-query log and tenant error series agree
-// with the admission counters.
-func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, qid uint64, prof *obs.QueryProfile, p *plan.Plan, start time.Time) {
-	s.errs4xx.Add(1)
+// rejection still emits a (minimal) profile whose status names the shed
+// reason, so the slow-query log and tenant error series agree with the
+// admission counters.
+func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, prof *obs.QueryProfile, start time.Time) {
 	// Both shed and expired queries should back off about one queue
 	// drain; the timeout is the honest upper bound.
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", (cfg.QueueTimeoutMS+999)/1000))
@@ -498,12 +472,7 @@ func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, qid uint64
 	if errors.Is(err, ErrDeadline) {
 		status = "expired"
 	}
-	if prof != nil {
-		prof.Error = err.Error()
-	}
-	s.finishProfile(prof, status, http.StatusTooManyRequests, time.Now())
-	s.observeTenant(p.Tenant, string(p.Op), time.Since(start), true)
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), QueryID: qid})
+	s.failQuery(w, http.StatusTooManyRequests, err, prof, status, start)
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
@@ -580,8 +549,8 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleQueryLookup serves one retained profile by ID
-// (/debug/query/<id>). 404 means the query was never sampled or has
-// been evicted from the rings.
+// (/debug/query/<id>). 404 means the query's profile has been evicted
+// from the rings.
 func (s *Server) handleQueryLookup(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/query/")
 	id, err := strconv.ParseUint(idStr, 10, 64)

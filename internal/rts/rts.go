@@ -152,9 +152,8 @@ func (r *Runtime) WithPriority(p int) *Runtime {
 // WithProfile returns a read-only view of the runtime whose loops are
 // attributed to the given query profile: each loop run through the view
 // adds its claimed/stolen batch counts via QueryProfile.AddLoop. Like
-// WithPriority, the view shares everything else with its parent; a nil
-// profile returns a view that records nothing (the hot path stays
-// branch-only).
+// WithPriority, the view shares everything else with its parent. The
+// query service serves every query through such a view.
 func (r *Runtime) WithProfile(p *obs.QueryProfile) *Runtime {
 	view := *r
 	view.prof = p
@@ -162,9 +161,9 @@ func (r *Runtime) WithProfile(p *obs.QueryProfile) *Runtime {
 }
 
 // Profile returns the query profile this runtime view attributes loops
-// to (nil when the request is not sampled). Layers below the runtime —
-// colstore's scan kernels — use this to reach the request's profile
-// without threading it through every call signature.
+// to (nil outside a query: figures, probes, the paper's workloads).
+// Layers below the runtime — colstore's scan — use this to reach the
+// request's profile without threading it through every call signature.
 func (r *Runtime) Profile() *obs.QueryProfile { return r.prof }
 
 // SetStealing enables or disables Callisto's cross-socket work stealing: a
