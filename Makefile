@@ -25,10 +25,11 @@ rts-stress:
 
 # Whether an identical arrival joins a flight, finds its answer cached or
 # executes itself depends on when the leader lands, which is
-# timing-dependent in the same way: repeat the flight tests under -race
-# (about 20 s).
+# timing-dependent in the same way: repeat the flight tests under -race,
+# with the concurrent runs of one dataset's PageRanker, which lease their
+# rank arrays from its free list (about 30 s).
 queryd-stress:
-	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder' ./internal/queryd
+	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder|PageRankerLeases' ./internal/queryd ./internal/analytics
 
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.
@@ -100,7 +101,8 @@ bench-pairs:
 # case, a uniform target, and the case that degrades to a whole pass), the
 # scan_unique shapes from two callers (distinct thresholds, identical
 # plans — what coalescing saves), then the graph_rank request
-# (BenchmarkServedPageRank: gathers and streams over the CSR) and the
+# (BenchmarkServedPageRank: gathers and streams over the CSR, with the
+# B/op and allocs/op one served pagerank costs) and the
 # zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
 # per-call codec dispatch would show. Run it on both trees when sizing a
 # kernel or core change, before paying for bench-pairs. Not a CI target.

@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 
+	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/rts"
 )
@@ -11,7 +12,8 @@ import (
 // Gets with a per-edge divide, uniform vertex-count batches. Kept as the
 // measured "before" baseline for the fast path's speedup experiments
 // (EXPERIMENTS.md) and as a second independent implementation for
-// agreement tests.
+// agreement tests: it allocates and seeds its own out-degree and rank
+// arrays, element by element, and shares no state with PageRanker.
 func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64, int, error) {
 	if err := checkPageRankConfig(cfg); err != nil {
 		return nil, 0, err
@@ -21,11 +23,44 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 		degBits = 64
 	}
 	n := g.NumVertices
-	st, err := allocPageRank(rt, g, degBits, newPRScratches(rt, nil))
+	layout := g.Layout()
+	var arrays []*core.SmartArray
+	defer func() {
+		for _, a := range arrays {
+			a.Free()
+		}
+	}()
+	alloc := func(bits uint) (*core.SmartArray, error) {
+		a, err := core.Allocate(rt.Memory(), core.Config{
+			Length: n, Bits: bits,
+			Placement: layout.Placement, Socket: layout.Socket,
+		})
+		if err == nil {
+			arrays = append(arrays, a)
+		}
+		return a, err
+	}
+	outDeg, err := alloc(degBits)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer st.free()
+	ranks, err := alloc(64)
+	if err != nil {
+		return nil, 0, err
+	}
+	next, err := alloc(64)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Uniform rts.DefaultGrain batches are whole bitpack chunks, so no two
+	// writers share a packed out-degree word.
+	rt.ParallelFor(0, n, rts.DefaultGrain, func(w *rts.Worker, lo, hi uint64) {
+		beginRep := g.Begin.GetReplica(w.Socket)
+		for v := lo; v < hi; v++ {
+			outDeg.Init(w.Socket, v, g.Begin.Get(beginRep, v+1)-g.Begin.Get(beginRep, v))
+			ranks.Init(w.Socket, v, math.Float64bits(1/float64(n)))
+		}
+	})
 
 	base := (1 - cfg.Damping) / float64(n)
 	iters := 0
@@ -34,8 +69,8 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 		totalDiff := rt.ReduceSumFloat64Bounds(bounds, func(w *rts.Worker, lo, hi uint64) float64 {
 			rbeginRep := g.RBegin.GetReplica(w.Socket)
 			redgeRep := g.REdge.GetReplica(w.Socket)
-			ranksRep := st.ranks.GetReplica(w.Socket)
-			degRep := st.outDeg.GetReplica(w.Socket)
+			ranksRep := ranks.GetReplica(w.Socket)
+			degRep := outDeg.GetReplica(w.Socket)
 			var localDiff float64
 			ePrev := g.RBegin.Get(rbeginRep, lo)
 			for v := lo; v < hi; v++ {
@@ -43,19 +78,19 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 				var sum float64
 				for e := ePrev; e < eEnd; e++ {
 					u := g.REdge.Get(redgeRep, e)
-					deg := st.outDeg.Get(degRep, u)
+					deg := outDeg.Get(degRep, u)
 					if deg > 0 {
-						sum += math.Float64frombits(st.ranks.Get(ranksRep, u)) / float64(deg)
+						sum += math.Float64frombits(ranks.Get(ranksRep, u)) / float64(deg)
 					}
 				}
 				ePrev = eEnd
 				newRank := base + cfg.Damping*sum
-				localDiff += math.Abs(newRank - math.Float64frombits(st.ranks.Get(ranksRep, v)))
-				st.next.Init(w.Socket, v, math.Float64bits(newRank))
+				localDiff += math.Abs(newRank - math.Float64frombits(ranks.Get(ranksRep, v)))
+				next.Init(w.Socket, v, math.Float64bits(newRank))
 			}
 			return localDiff
 		})
-		st.ranks, st.next = st.next, st.ranks
+		ranks, next = next, ranks
 		iters++
 		if totalDiff < cfg.Tol {
 			break
@@ -63,9 +98,9 @@ func pageRankScalar(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]f
 	}
 
 	out := make([]float64, n)
-	rep := st.ranks.GetReplica(0)
+	rep := ranks.GetReplica(0)
 	for v := uint64(0); v < n; v++ {
-		out[v] = math.Float64frombits(st.ranks.Get(rep, v))
+		out[v] = math.Float64frombits(ranks.Get(rep, v))
 	}
 	return out, iters, nil
 }

@@ -3,10 +3,12 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/perfmodel"
 	"smartarrays/internal/rts"
 )
@@ -31,99 +33,221 @@ func DefaultPageRankConfig() PageRankConfig {
 	return PageRankConfig{Damping: 0.85, Tol: 1e-3, MaxIters: 100, DegreeBits: 64}
 }
 
-// prState is the property-array set one PageRank run allocates.
-type prState struct {
-	// outDeg is the out-degrees property at cfg.DegreeBits — the array the
-	// paper's "V" variants compress. The iteration itself multiplies by
-	// invDeg; outDeg stays allocated (and initialized) for the variant's
-	// memory footprint and for property queries.
+// PageRanker runs PageRank over one graph at one out-degree width. It is
+// built once per graph and caches what depends on the graph alone: the
+// iterations' degree-weighted batch bounds, the out-degree and inverse
+// out-degree property arrays, and iteration 0's contributions, invDeg/n.
+// Iteration 0's ranks are all 1/n and need no array. What a run writes —
+// two rank/contribution pairs — is a lease, taken from the ranker's free
+// list for the run and handed back after it. No cached array is written
+// after NewPageRanker returns, so any number of runs may share a ranker at
+// once, each on its own lease.
+//
+// The free list is a mutex-guarded slice and not a sync.Pool: a lease
+// owns smart arrays, whose simulated memory and registry entries only
+// their Free returns, and a pool drops what it holds at a GC unfreed.
+type PageRanker struct {
+	g       *graph.SmartCSR
+	mem     *memsim.Memory
+	degBits uint
+	// bounds are the iterations' batch boundaries.
+	bounds []uint64
+	// scratch is per worker, shared by every run: a worker runs one batch
+	// at a time, of whichever run, under its ownership flag, and a batch
+	// leaves nothing in its scratch that a later batch reads.
+	scratch prScratches
+	// outDeg is the out-degrees property at degBits — the array the
+	// paper's "V" variants compress. The iterations multiply by invDeg
+	// instead; outDeg stays for the variant's memory footprint and for
+	// property queries.
 	outDeg *core.SmartArray
-	// invDeg holds math.Float64bits(1/outDeg[v]) (0 for sinks): one divide
-	// per vertex per run instead of one per edge.
+	// invDeg holds math.Float64bits(1/outDeg[v]) (0 for sinks): the only
+	// divides PageRank does, once per vertex per graph.
 	invDeg *core.SmartArray
-	// ranks/next are the 64-bit rank arrays, swapped each iteration.
-	ranks, next *core.SmartArray
-	// contrib/contribNext hold rank[v]*invDeg[v], what v hands each
-	// out-neighbour: the product is taken once per vertex when the rank is
-	// written, so an edge costs one 64-bit read. Swapped with ranks/next.
-	contrib, contribNext *core.SmartArray
+	// contrib0 holds iteration 0's contributions, (1/n)*invDeg[v].
+	contrib0 *core.SmartArray
+
+	mu   sync.Mutex
+	idle []*prLease // leases no run holds
 }
 
-func (st *prState) free() {
-	for _, a := range []*core.SmartArray{st.outDeg, st.invDeg, st.ranks, st.next, st.contrib, st.contribNext} {
-		if a != nil {
-			a.Free()
+// prLease is what one run writes. Iteration 0 reads the ranker's cached
+// rows and writes pair 0; iteration i writes pair i%2 from the other, so
+// the runs ping-pong between the two pairs.
+type prLease struct {
+	pairs [2]prPair
+	// held is set while a run holds the lease and cleared, under the
+	// ranker's mu, when it goes back on the free list.
+	held bool
+}
+
+// prPair is one iteration's output: the 64-bit ranks and the
+// contributions rank*invDeg that v hands each out-neighbour. The product
+// is taken once per vertex when the rank is written, so an edge costs one
+// 64-bit read.
+type prPair struct {
+	ranks, contribs *core.SmartArray
+}
+
+func (l *prLease) free() {
+	for _, p := range l.pairs {
+		for _, a := range []*core.SmartArray{p.ranks, p.contribs} {
+			if a != nil {
+				a.Free()
+			}
 		}
 	}
 }
 
-// allocPageRank allocates the property arrays with the graph's placement,
-// as the paper's placement variations "apply to all arrays except for the
-// output array", and seeds them in one parallel pass: the begin array is
-// streamed once per batch through core.ReadRange, degrees come from
-// adjacent differences, the inverse degrees are computed here — the run's
-// only divides — and each array is written with one InitRange per batch.
-// The batches are uniform rts.DefaultGrain ranges, whole bitpack chunks,
-// so no two writers share a packed word of the out-degrees at a width
-// below 64. The rows are the per-worker scratch the iterations reuse.
-func allocPageRank(rt *rts.Runtime, g *graph.SmartCSR, degBits uint, scratch *prScratches) (*prState, error) {
+// NewPageRanker builds g's ranker at out-degree width degBits (0 = 64)
+// for runs on rt or on views of it. It allocates the property arrays with
+// the graph's placement, as the paper's placement variations "apply to all
+// arrays except for the output array", plus one lease, and fills the
+// cached arrays in one parallel pass: the begin array is streamed once
+// per batch through core.ReadRange, degrees come from adjacent
+// differences, the inverse degrees are computed here, and each array is
+// written with one InitRange per batch. The batches are uniform
+// rts.DefaultGrain ranges, whole bitpack chunks, so no two writers share a
+// packed word of the out-degrees at a width below 64.
+func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanker, error) {
+	if degBits == 0 {
+		degBits = 64
+	}
 	n := g.NumVertices
-	layout := g.Layout()
-	st := &prState{}
-	var err error
-	alloc := func(bits uint, name, what string) *core.SmartArray {
-		if err != nil {
-			return nil
-		}
-		a, e := core.Allocate(rt.Memory(), core.Config{
-			Name:   name,
-			Length: n, Bits: bits,
-			Placement: layout.Placement, Socket: layout.Socket,
-		})
-		if e != nil {
-			err = fmt.Errorf("analytics: %s: %w", what, e)
-		}
-		return a
+	p := &PageRanker{g: g, mem: rt.Memory(), degBits: degBits}
+
+	// Degree-aware batch boundaries: weight vertex v as 1 + in-degree so
+	// each batch carries about the same edge traffic.
+	rbeginRep0 := g.RBegin.GetReplica(0)
+	totalWeight := n + g.NumEdges
+	nbTarget := (n + rts.DefaultGrain - 1) / rts.DefaultGrain
+	grainWeight := (totalWeight + nbTarget - 1) / nbTarget
+	p.bounds = rts.WeightedBounds(0, n, grainWeight, func(v uint64) uint64 {
+		return g.RBegin.Get(rbeginRep0, v) + v
+	})
+	p.scratch = prScratches{maxBatch: rts.DefaultGrain, workers: make([]prScratch, len(rt.Workers()))}
+	for i := 1; i < len(p.bounds); i++ {
+		p.scratch.maxBatch = max(p.scratch.maxBatch, p.bounds[i]-p.bounds[i-1])
 	}
-	st.outDeg = alloc(degBits, "out-degrees", "out-degree property")
-	st.invDeg = alloc(64, "inv-degrees", "inverse out-degrees")
-	st.ranks = alloc(64, "ranks", "ranks")
-	st.next = alloc(64, "next-ranks", "next ranks")
-	st.contrib = alloc(64, "rank-contribs", "rank contributions")
-	st.contribNext = alloc(64, "next-rank-contribs", "next rank contributions")
+
+	var err error
+	if p.outDeg, err = p.alloc(degBits, "out-degrees"); err == nil {
+		if p.invDeg, err = p.alloc(64, "inv-degrees"); err == nil {
+			p.contrib0, err = p.alloc(64, "initial-rank-contribs")
+		}
+	}
+	var l *prLease
+	if err == nil {
+		l, err = p.newLease()
+	}
 	if err != nil {
-		st.free()
+		p.Free()
 		return nil, err
 	}
 
 	init := 1 / float64(n)
 	rt.ParallelFor(0, n, rts.DefaultGrain, func(w *rts.Worker, lo, hi uint64) {
-		sc := scratch.of(w)
+		sc := p.scratch.of(w)
 		nv := hi - lo
 		begins := sc.begins[:nv+1]
 		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-		// Both rows turn over in place once written out: degree -> rank,
-		// inverse degree -> contribution.
-		ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
-		for i := range ranks {
+		degs, invs := sc.ranks[:nv], sc.contribs[:nv]
+		for i := range degs {
 			deg := begins[i+1] - begins[i]
 			var inv float64
 			if deg > 0 {
 				inv = 1 / float64(deg)
 			}
-			ranks[i] = deg
-			contribs[i] = math.Float64bits(inv)
+			degs[i] = deg
+			invs[i] = math.Float64bits(inv)
 		}
-		st.outDeg.InitRange(w.Socket, lo, ranks)
-		st.invDeg.InitRange(w.Socket, lo, contribs)
-		for i := range ranks {
-			ranks[i] = math.Float64bits(init)
-			contribs[i] = math.Float64bits(init * math.Float64frombits(contribs[i]))
+		p.outDeg.InitRange(w.Socket, lo, degs)
+		p.invDeg.InitRange(w.Socket, lo, invs)
+		for i, inv := range invs {
+			invs[i] = math.Float64bits(init * math.Float64frombits(inv))
 		}
-		st.ranks.InitRange(w.Socket, lo, ranks)
-		st.contrib.InitRange(w.Socket, lo, contribs)
+		p.contrib0.InitRange(w.Socket, lo, invs)
 	})
-	return st, nil
+	p.idle = append(p.idle, l)
+	return p, nil
+}
+
+// alloc allocates one n-element property array with the graph's placement.
+func (p *PageRanker) alloc(bits uint, name string) (*core.SmartArray, error) {
+	layout := p.g.Layout()
+	a, err := core.Allocate(p.mem, core.Config{
+		Name:   name,
+		Length: p.g.NumVertices, Bits: bits,
+		Placement: layout.Placement, Socket: layout.Socket,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("analytics: PageRank %s: %w", name, err)
+	}
+	return a, nil
+}
+
+// newLease allocates a lease's four arrays.
+func (p *PageRanker) newLease() (*prLease, error) {
+	l := &prLease{}
+	names := [2][2]string{{"ranks", "rank-contribs"}, {"next-ranks", "next-rank-contribs"}}
+	for i := range l.pairs {
+		var err error
+		if l.pairs[i].ranks, err = p.alloc(64, names[i][0]); err == nil {
+			l.pairs[i].contribs, err = p.alloc(64, names[i][1])
+		}
+		if err != nil {
+			l.free()
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// acquire takes an idle lease, or allocates one when every lease is held,
+// so the free list grows to the peak number of concurrent runs.
+func (p *PageRanker) acquire() (*prLease, error) {
+	p.mu.Lock()
+	var l *prLease
+	if k := len(p.idle); k > 0 {
+		l, p.idle = p.idle[k-1], p.idle[:k-1]
+	}
+	p.mu.Unlock()
+	if l == nil {
+		var err error
+		if l, err = p.newLease(); err != nil {
+			return nil, err
+		}
+	}
+	l.held = true // the lease is this run's alone from here
+	return l, nil
+}
+
+// release hands l back to the free list; a second release of one
+// acquire would put it there twice, for two runs to take at once.
+func (p *PageRanker) release(l *prLease) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !l.held {
+		panic("analytics: PageRank lease released twice")
+	}
+	l.held = false
+	p.idle = append(p.idle, l)
+}
+
+// Free releases the cached arrays and every lease. No run may be in
+// flight, and the ranker must not be used again.
+func (p *PageRanker) Free() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, l := range p.idle {
+		l.free()
+	}
+	p.idle = nil
+	for _, a := range []*core.SmartArray{p.outDeg, p.invDeg, p.contrib0} {
+		if a != nil {
+			a.Free()
+		}
+	}
 }
 
 // prScratch is one worker's scratch: the begin run of the current batch,
@@ -137,6 +261,16 @@ type prScratch struct {
 	ranks    []uint64
 	contribs []uint64
 	edgeBuf  []uint64
+	// The segment walk over the batch in hand: its begin run and sums
+	// (cut to the batch), the contribution words it gathers from, and the
+	// vertex whose in-edge segment the stream is inside. sumRun, bound
+	// once to this scratch, is the emit function that walks them, so
+	// streaming a batch allocates no closure.
+	segBegins []uint64
+	segSums   []float64
+	cw        []uint64
+	vi        int
+	sumRun    func(eBase uint64, srcs []uint64)
 }
 
 // prEdgeBufLen is the edge-stream chunk length: a multiple of the bitpack
@@ -144,27 +278,17 @@ type prScratch struct {
 // the emit call, small enough to stay cache-resident.
 const prEdgeBufLen = 16 * bitpack.ChunkSize
 
-// prScratches is one run's per-worker scratch, shared by the seeding pass
-// (uniform rts.DefaultGrain batches) and every iteration (the run's
-// degree-weighted bounds).
+// prScratches is a ranker's per-worker scratch, shared by the build pass
+// (uniform rts.DefaultGrain batches) and every iteration of every run (the
+// ranker's degree-weighted bounds).
 type prScratches struct {
 	maxBatch uint64 // vertices in the largest batch of either
 	workers  []prScratch
 }
 
-// newPRScratches sizes one run's scratch for rt's workers, the seeding
-// batches and the iterations' bounds; it allocates no rows yet.
-func newPRScratches(rt *rts.Runtime, bounds []uint64) *prScratches {
-	p := &prScratches{maxBatch: rts.DefaultGrain, workers: make([]prScratch, len(rt.Workers()))}
-	for i := 1; i < len(bounds); i++ {
-		p.maxBatch = max(p.maxBatch, bounds[i]-bounds[i-1])
-	}
-	return p
-}
-
-// of returns w's scratch. A worker's first batch of the run allocates it
-// for the largest batch, so no later batch regrows it, and a worker that
-// never claims a batch allocates nothing.
+// of returns w's scratch. A worker's first batch on the ranker allocates
+// it for the largest batch, so no later batch regrows it, and a worker
+// that never claims a batch allocates nothing.
 func (p *prScratches) of(w *rts.Worker) *prScratch {
 	sc := &p.workers[w.ID]
 	if sc.edgeBuf == nil {
@@ -175,8 +299,31 @@ func (p *prScratches) of(w *rts.Worker) *prScratch {
 			contribs: make([]uint64, p.maxBatch),
 			edgeBuf:  make([]uint64, prEdgeBufLen),
 		}
+		sc.sumRun = sc.sumSegments
 	}
 	return sc
+}
+
+// sumSegments is the edge stream's emit function: for each vertex's
+// in-edge segment of the decoded run srcs (edges eBase, eBase+1, ...) it
+// adds the neighbours' contributions in a counted loop that reads each
+// one where it is summed. A segment may continue into the next run.
+func (sc *prScratch) sumSegments(eBase uint64, srcs []uint64) {
+	begins, sums, cw, vi := sc.segBegins, sc.segSums, sc.cw, sc.vi
+	runEnd := eBase + uint64(len(srcs))
+	for e := eBase; e < runEnd; {
+		for e >= begins[vi+1] {
+			vi++ // past finished (and in-degree-0) vertices
+		}
+		segEnd := min(begins[vi+1], runEnd)
+		sum := sums[vi]
+		for _, src := range srcs[e-eBase : segEnd-eBase] {
+			sum += math.Float64frombits(cw[src])
+		}
+		sums[vi] = sum
+		e = segEnd
+	}
+	sc.vi = vi
 }
 
 // contribWords returns the words of a contribution array's snapshot for a
@@ -194,63 +341,53 @@ func contribWords(a *core.SmartArray, socket int) []uint64 {
 	return words[:a.Length()]
 }
 
-// PageRank runs pull-based PageRank over the smart-array graph (paper
-// §5.2) on the graph fast path. Per-edge work is one pass over each
-// decoded edge run: each batch streams its reverse-begin run and its
-// reverse-edge runs through the chunk-decode kernels (core.ReadRange /
-// core.StreamRange) and, for each vertex's in-edge segment of a run, adds
-// the neighbours' contributions rank*invDeg in a counted loop that reads
-// each one where it is summed — straight from contrib's 64-bit payload
-// words, through the View every width-specialised reader uses. Per-vertex
-// work is done once per vertex: the batch's old ranks and inverse degrees
-// are read with core.ReadRange, the new rank and its contribution are
-// computed side by side, and each is written with one InitRange per
-// batch. Vertex ranges are split by in-degree (rts.WeightedBounds), so
-// power-law hubs do not serialize their batch; enable rt.SetStealing for
-// cross-socket balance on skewed graphs.
+// Run runs pull-based PageRank over the ranker's graph (paper §5.2) on
+// the graph fast path, on a lease, and calls visit with the final ranks —
+// doubles stored bit-cast in a 64-bit smart array — before the lease goes
+// back; visit must not keep the array. rt must be the runtime the ranker
+// was built with or a view of it, and cfg.DegreeBits 0 or the ranker's
+// width.
 //
-// Ranks are double-precision values stored bit-cast in 64-bit smart
-// arrays; the out-degree property is a smart array at cfg.DegreeBits. All
-// property arrays inherit the graph's placement.
+// Per-edge work is one pass over each decoded edge run: each batch
+// streams its reverse-begin run and its reverse-edge runs through the
+// chunk-decode kernels (core.ReadRange / core.StreamRange) and, for each
+// vertex's in-edge segment of a run, adds the neighbours' contributions
+// straight from the contribution array's 64-bit payload words, through
+// the View every width-specialised reader uses. Per-vertex work is done
+// once per vertex: the batch's old ranks and inverse degrees are read
+// with core.ReadRange, the new rank and its contribution are computed
+// side by side, and each is written with one InitRange per batch. Vertex
+// ranges are split by in-degree (rts.WeightedBounds), so power-law hubs
+// do not serialize their batch; enable rt.SetStealing for cross-socket
+// balance on skewed graphs.
 //
-// It returns the converged ranks, the iteration count, and a workload
-// descriptor covering the whole run (all iterations).
-func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64, int, perfmodel.Workload, error) {
+// It returns the iteration count and a workload descriptor covering the
+// whole run (all iterations).
+func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *core.SmartArray)) (int, perfmodel.Workload, error) {
 	if err := checkPageRankConfig(cfg); err != nil {
-		return nil, 0, perfmodel.Workload{}, err
+		return 0, perfmodel.Workload{}, err
 	}
-	degBits := cfg.DegreeBits
-	if degBits == 0 {
-		degBits = 64
+	if cfg.DegreeBits != 0 && cfg.DegreeBits != p.degBits {
+		return 0, perfmodel.Workload{}, fmt.Errorf("analytics: PageRank at %d-bit degrees on a %d-bit ranker", cfg.DegreeBits, p.degBits)
 	}
-	n := g.NumVertices
-
-	// Degree-aware batch boundaries: weight vertex v as 1 + in-degree so
-	// each batch carries about the same edge traffic. Computed once — the
-	// graph is immutable across iterations — and before the seeding pass,
-	// so one scratch size serves the whole run.
-	rbeginRep0 := g.RBegin.GetReplica(0)
-	totalWeight := n + g.NumEdges
-	nbTarget := (n + rts.DefaultGrain - 1) / rts.DefaultGrain
-	grainWeight := (totalWeight + nbTarget - 1) / nbTarget
-	bounds := rts.WeightedBounds(0, n, grainWeight, func(v uint64) uint64 {
-		return g.RBegin.Get(rbeginRep0, v) + v
-	})
-
-	scratch := newPRScratches(rt, bounds)
-	st, err := allocPageRank(rt, g, degBits, scratch)
+	l, err := p.acquire()
 	if err != nil {
-		return nil, 0, perfmodel.Workload{}, err
+		return 0, perfmodel.Workload{}, err
 	}
-	defer st.free()
+	defer p.release(l)
 
+	g := p.g
+	n := g.NumVertices
+	init := math.Float64bits(1 / float64(n))
 	base := (1 - cfg.Damping) / float64(n)
+	from := prPair{contribs: p.contrib0} // iteration 0: cached contributions, ranks all init
 	iters := 0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
+		to := l.pairs[iter%2]
 		// Per-worker float partials, combined once per worker after the
 		// loop — no mutex (or atomic) per batch on the diff accumulation.
-		totalDiff := rt.ReduceSumFloat64Bounds(bounds, func(w *rts.Worker, lo, hi uint64) float64 {
-			sc := scratch.of(w)
+		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, lo, hi uint64) float64 {
+			sc := p.scratch.of(w)
 			nv := hi - lo
 			begins := sc.begins[:nv+1]
 			core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
@@ -259,29 +396,21 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 				sums[i] = 0
 			}
 			if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
-				cw := contribWords(st.contrib, w.Socket)
-				vi := 0 // vertex whose in-edge segment the stream is inside
-				core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, func(eBase uint64, srcs []uint64) {
-					runEnd := eBase + uint64(len(srcs))
-					for e := eBase; e < runEnd; {
-						for e >= begins[vi+1] {
-							vi++ // past finished (and in-degree-0) vertices
-						}
-						segEnd := min(begins[vi+1], runEnd)
-						sum := sums[vi]
-						for _, src := range srcs[e-eBase : segEnd-eBase] {
-							sum += math.Float64frombits(cw[src])
-						}
-						sums[vi] = sum
-						e = segEnd
-					}
-				})
+				sc.segBegins, sc.segSums, sc.vi = begins, sums, 0
+				sc.cw = contribWords(from.contribs, w.Socket)
+				core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, sc.sumRun)
 			}
 			// Both rows turn over in place: old rank -> next rank, inverse
 			// degree -> next contribution.
 			ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
-			core.ReadRange(st.ranks, w.Socket, lo, hi, ranks)
-			core.ReadRange(st.invDeg, w.Socket, lo, hi, contribs)
+			if from.ranks != nil {
+				core.ReadRange(from.ranks, w.Socket, lo, hi, ranks)
+			} else {
+				for i := range ranks {
+					ranks[i] = init
+				}
+			}
+			core.ReadRange(p.invDeg, w.Socket, lo, hi, contribs)
 			var localDiff float64
 			for i, sum := range sums {
 				newRank := base + cfg.Damping*sum
@@ -289,29 +418,44 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 				ranks[i] = math.Float64bits(newRank)
 				contribs[i] = math.Float64bits(newRank * math.Float64frombits(contribs[i]))
 			}
-			st.next.InitRange(w.Socket, lo, ranks)
-			st.contribNext.InitRange(w.Socket, lo, contribs)
+			to.ranks.InitRange(w.Socket, lo, ranks)
+			to.contribs.InitRange(w.Socket, lo, contribs)
 			return localDiff
 		})
-		st.ranks, st.next = st.next, st.ranks
-		st.contrib, st.contribNext = st.contribNext, st.contrib
+		from = to
 		iters++
 		if totalDiff < cfg.Tol {
 			break
 		}
 	}
+	visit(from.ranks)
+	return iters, pageRankWorkload(rt, g, l, iters), nil
+}
 
-	out := make([]float64, n)
-	var buf [rts.DefaultGrain]uint64
-	for lo := uint64(0); lo < n; lo += uint64(len(buf)) {
-		hi := min(lo+uint64(len(buf)), n)
-		core.ReadRange(st.ranks, 0, lo, hi, buf[:])
-		for i, bits := range buf[:hi-lo] {
-			out[lo+uint64(i)] = math.Float64frombits(bits)
-		}
+// PageRank runs PageRank once over g: a ranker built for the call, one
+// Run that copies the converged ranks out, and Free. Servers that rank
+// one graph many times keep a PageRanker instead. It returns the ranks,
+// the iteration count, and the run's workload descriptor.
+func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64, int, perfmodel.Workload, error) {
+	p, err := NewPageRanker(rt, g, cfg.DegreeBits)
+	if err != nil {
+		return nil, 0, perfmodel.Workload{}, err
 	}
-
-	work := pageRankWorkload(rt, g, st, iters)
+	defer p.Free()
+	out := make([]float64, g.NumVertices)
+	iters, work, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
+		var buf [rts.DefaultGrain]uint64
+		for lo := uint64(0); lo < uint64(len(out)); lo += uint64(len(buf)) {
+			hi := min(lo+uint64(len(buf)), uint64(len(out)))
+			core.ReadRange(ranks, 0, lo, hi, buf[:])
+			for i, bits := range buf[:hi-lo] {
+				out[lo+uint64(i)] = math.Float64frombits(bits)
+			}
+		}
+	})
+	if err != nil {
+		return nil, 0, perfmodel.Workload{}, err
+	}
 	return out, iters, work, nil
 }
 
@@ -331,7 +475,7 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 // per edge (semi-random, power-law locality; priced as a 64-bit gather,
 // which is the load it is), and per vertex reads the old rank and the
 // inverse degree and writes the next rank and the next contribution.
-func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int) perfmodel.Workload {
+func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, l *prLease, iters int) perfmodel.Workload {
 	llc := rt.Spec().LLCMB * 1e6
 	it := float64(iters)
 	e := float64(g.NumEdges)
@@ -349,9 +493,9 @@ func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, st *prState, iters int
 		Streams: []perfmodel.Stream{
 			scanStream(g.RBegin, it),
 			scanStream(g.REdge, it),
-			randomStream(st.contrib, it*e, llc, perfmodel.PowerLawLocalityBoost),
-			scanStream(st.ranks, 2*it), // old rank + inverse degree (same shape)
-			writeStream(st.next, 2*it), // next rank + next contribution
+			randomStream(l.pairs[0].contribs, it*e, llc, perfmodel.PowerLawLocalityBoost),
+			scanStream(l.pairs[0].ranks, 2*it),  // old rank + inverse degree (same shape)
+			writeStream(l.pairs[1].ranks, 2*it), // next rank + next contribution
 		},
 	}
 }

@@ -8,6 +8,7 @@ package queryd
 import (
 	"fmt"
 
+	"smartarrays/internal/analytics"
 	"smartarrays/internal/colstore"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/memsim"
@@ -47,6 +48,11 @@ type Dataset struct {
 	Vertices uint64
 	Edges    uint64
 	Columns  []ColumnMeta
+
+	// Ranker serves pagerank over Graph at 64-bit out-degrees: the graph's
+	// PageRank invariants, built with the graph, and the rank arrays each
+	// run leases.
+	Ranker *analytics.PageRanker
 }
 
 // Meta is the /datasets wire form.
@@ -63,8 +69,12 @@ func (d *Dataset) Meta() Meta {
 	return Meta{Name: d.Name, Rows: d.Rows, Vertices: d.Vertices, Edges: d.Edges, Columns: d.Columns}
 }
 
-// Free releases the dataset's simulated memory.
+// Free releases the dataset's simulated memory. No query may be running
+// on it.
 func (d *Dataset) Free() {
+	if d.Ranker != nil {
+		d.Ranker.Free()
+	}
 	if d.Table != nil {
 		d.Table.Free()
 	}
@@ -90,7 +100,7 @@ func xorshift64(x uint64) uint64 {
 //
 // The graph is a Twitter-like power-law CSR with compressed begin/edge
 // arrays, interleaved like the table so concurrent scans spread across
-// sockets.
+// sockets, and comes with its PageRanker.
 func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("queryd: dataset needs a name")
@@ -155,6 +165,10 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 		}
 		d.Graph = sg
 		d.Edges = sg.NumEdges
+		if d.Ranker, err = analytics.NewPageRanker(rt, sg, 64); err != nil {
+			d.Free()
+			return nil, err
+		}
 	}
 	return d, nil
 }

@@ -7,6 +7,7 @@ package queryd
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smartarrays/internal/analytics"
 	"smartarrays/internal/core"
@@ -104,19 +105,19 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 		}
 		return GroupByResult{Groups: groups}, nil
 	case plan.OpPageRank:
-		if ds.Graph == nil {
+		if ds.Ranker == nil {
 			return nil, fmt.Errorf("queryd: dataset %q has no graph", ds.Name)
 		}
 		cfg := analytics.DefaultPageRankConfig()
 		cfg.MaxIters = p.Iters
-		ranks, iters, _, err := analytics.PageRank(qrt, ds.Graph, cfg)
+		var res PageRankResult
+		iters, _, err := ds.Ranker.Run(qrt, cfg, func(ranks *core.SmartArray) {
+			res.RankSum, res.Top = summarizeRanks(ranks)
+		})
 		if err != nil {
 			return nil, err
 		}
-		res := PageRankResult{Iters: iters, Top: topRanks(ranks, topK)}
-		for _, r := range ranks {
-			res.RankSum += r
-		}
+		res.Iters = iters
 		return res, nil
 	case plan.OpBFS:
 		if ds.Graph == nil {
@@ -155,27 +156,46 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 	}
 }
 
-// topRanks returns the k highest-ranked vertices, highest first, equal
-// ranks by lower vertex id. One pass over ranks with a k-entry sorted
-// window: a vertex enters only by beating the window's last entry, so the
-// common case is one comparison and nothing is allocated beyond the reply.
-func topRanks(ranks []float64, k int) []VertexRank {
-	if k <= 0 {
-		return []VertexRank{}
+// summarizeRanks reads a rank array in DefaultGrain chunks — the served
+// path never materializes the n-element vector — and returns the ranks'
+// sum, taken in vertex order, and the topK highest-ranked vertices.
+func summarizeRanks(ranks *core.SmartArray) (sum float64, top []VertexRank) {
+	n := ranks.Length()
+	top = make([]VertexRank, 0, min(topK, n))
+	var buf [rts.DefaultGrain]uint64
+	for lo := uint64(0); lo < n; lo += uint64(len(buf)) {
+		chunk := buf[:min(n-lo, uint64(len(buf)))]
+		core.ReadRange(ranks, 0, lo, lo+uint64(len(chunk)), chunk)
+		for _, bits := range chunk {
+			sum += math.Float64frombits(bits)
+		}
+		top = mergeTopRanks(top, topK, lo, chunk)
 	}
-	top := make([]VertexRank, 0, min(k, len(ranks)))
-	for v, r := range ranks {
+	return sum, top
+}
+
+// mergeTopRanks merges the ranks of vertices base, base+1, ... — doubles
+// bit-cast to uint64 — into top, a window of at most k entries, highest
+// first, equal ranks by lower vertex id. A vertex enters only by beating
+// the window's last entry, so the common case is one comparison, and the
+// window is never regrown past cap k.
+func mergeTopRanks(top []VertexRank, k int, base uint64, bits []uint64) []VertexRank {
+	if k <= 0 {
+		return top
+	}
+	for i, b := range bits {
+		r := math.Float64frombits(b)
 		if len(top) == k && !(r > top[k-1].Rank) {
 			continue // ties keep the earlier (lower) vertex
 		}
 		if len(top) < k {
 			top = append(top, VertexRank{})
 		}
-		i := len(top) - 1
-		for ; i > 0 && top[i-1].Rank < r; i-- {
-			top[i] = top[i-1]
+		j := len(top) - 1
+		for ; j > 0 && top[j-1].Rank < r; j-- {
+			top[j] = top[j-1]
 		}
-		top[i] = VertexRank{Vertex: uint64(v), Rank: r}
+		top[j] = VertexRank{Vertex: base + uint64(i), Rank: r}
 	}
 	return top
 }

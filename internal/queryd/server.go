@@ -53,6 +53,16 @@ import (
 // histograms are named QueryHistogram + "." + op.
 const QueryHistogram = "queryd.query"
 
+// opHistograms holds each op's histogram name, built once so a served
+// query does not build it.
+var opHistograms = map[plan.Op]string{
+	plan.OpAggregate: QueryHistogram + "." + string(plan.OpAggregate),
+	plan.OpGroupBy:   QueryHistogram + "." + string(plan.OpGroupBy),
+	plan.OpPageRank:  QueryHistogram + "." + string(plan.OpPageRank),
+	plan.OpBFS:       QueryHistogram + "." + string(plan.OpBFS),
+	plan.OpDegree:    QueryHistogram + "." + string(plan.OpDegree),
+}
+
 // QueueWaitHistogram is the recorder histogram receiving one admission
 // delay observation per admitted query — how long it sat between arrival
 // and holding an in-flight slot. /stats surfaces its quantiles next to
@@ -394,7 +404,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	wall := time.Since(qStart)
 	if s.rec != nil {
 		s.rec.Histogram(QueryHistogram).Observe(uint64(wall.Nanoseconds()))
-		s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
+		s.rec.Histogram(opHistograms[p.Op]).Observe(uint64(wall.Nanoseconds()))
 	}
 	s.observeTenant(p.Tenant, string(p.Op), wall, false)
 	s.finishProfile(prof, "ok", http.StatusOK, lapStart)
