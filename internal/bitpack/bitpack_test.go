@@ -304,13 +304,14 @@ func BenchmarkGet33(b *testing.B) { benchGet(b, 33) }
 func BenchmarkGet64(b *testing.B) { benchGet(b, 64) }
 
 // BenchmarkUnpack decodes every chunk of a benchElems column per pass at
-// straddling widths (the word walk; 17 and 20 are graph_rank's edge and
-// begin widths, 22 the served id), in ns/elem next to a same-run plain
-// 64-bit sum (`make bench-scan`).
+// straddling widths (the word walk; 17 is a "V+E" graph's edge width, 20
+// the served graph's begin width, 22 the served id) and at 32 bits (the
+// word split, the served graph's edge width), in ns/elem next to a
+// same-run plain 64-bit sum (`make bench-scan`).
 func BenchmarkUnpack(b *testing.B) {
 	b.Run("sum64", benchSum64)
 	const chunks = benchElems / ChunkSize
-	for _, width := range []uint{10, 17, 20, 22, 33} {
+	for _, width := range []uint{10, 17, 20, 22, 32, 33} {
 		c, data := benchColumn(width)
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
 			var out [ChunkSize]uint64
@@ -320,6 +321,32 @@ func BenchmarkUnpack(b *testing.B) {
 					benchSink += out[ch%ChunkSize]
 				}
 			}
+			reportPerElem(b)
+		})
+	}
+}
+
+// BenchmarkUnpackRange streams a whole benchElems column per pass through
+// UnpackRange in 1024-element runs, as PageRank streams redge, with an emit
+// that sums each run: 17 bits is a "V+E" graph's edge width (the word
+// walk), 32 the served graph's (Unpack's word split), 64 the zero-copy
+// payload. ns/elem next to a same-run plain 64-bit sum (`make bench-scan`).
+func BenchmarkUnpackRange(b *testing.B) {
+	b.Run("sum64", benchSum64)
+	buf := make([]uint64, 16*ChunkSize)
+	var sum uint64
+	emit := func(_ uint64, vals []uint64) {
+		for _, v := range vals {
+			sum += v
+		}
+	}
+	for _, width := range []uint{17, 32, 64} {
+		c, data := benchColumn(width)
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				c.UnpackRange(data, 0, benchElems, buf, emit)
+			}
+			benchSink += sum
 			reportPerElem(b)
 		})
 	}

@@ -11,9 +11,12 @@ import (
 // threshold, the range forms CmpMaskChunks/CmpMaskChunksAnd over the
 // whole span against it, and the masked sum against its reference.
 func FuzzCmpMask(f *testing.F) {
-	f.Add(uint8(13), uint8(2), uint64(100), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add(uint8(32), uint8(0), uint64(0), []byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add(uint8(64), uint8(5), ^uint64(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	// A seed's width byte w selects w%64 + 1 bits.
+	f.Add(uint8(13), uint8(2), uint64(100), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})         // 14 bits
+	f.Add(uint8(32), uint8(0), uint64(0), []byte{255, 255, 255, 255, 255, 255, 255, 255}) // 33 bits
+	f.Add(uint8(64), uint8(5), ^uint64(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})                // 1 bit
+	f.Add(uint8(31), uint8(1), uint64(1)<<31, seedBytes(2*ChunkSize+37))                  // 32 bits
+	f.Add(uint8(63), uint8(3), uint64(1)<<63, seedBytes(2*ChunkSize+37))                  // 64 bits
 	f.Fuzz(func(t *testing.T, width, opRaw uint8, threshold uint64, raw []byte) {
 		bits := uint(width%64) + 1
 		op := Cmp(opRaw % 6)
@@ -91,9 +94,12 @@ func FuzzCmpMask(f *testing.F) {
 // writes, that Get and Unpack agree with the input, and that per-chunk
 // Unpack agrees with Get.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint8(33), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	f.Add(uint8(1), []byte{255, 255})
-	f.Add(uint8(64), []byte{0})
+	// A seed's width byte w selects w%64 + 1 bits.
+	f.Add(uint8(33), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) // 34 bits
+	f.Add(uint8(1), seedBytes(ChunkSize+5))                 // 2 bits
+	f.Add(uint8(0), seedBytes(2*ChunkSize))                 // 1 bit
+	f.Add(uint8(31), seedBytes(2*ChunkSize+37))             // 32 bits
+	f.Add(uint8(63), seedBytes(2*ChunkSize+37))             // 64 bits
 	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
 		bits := uint(width%64) + 1
 		c := MustNew(bits)
@@ -137,4 +143,16 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seedBytes returns the bytes of n deterministic pseudo-random 64-bit
+// values, the raw input a seed corpus entry decodes into n elements: every
+// bit of every width is exercised, and n past ChunkSize spans chunks.
+func seedBytes(n int) []byte {
+	raw := make([]byte, 8*n)
+	state := uint64(n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(raw[8*i:], lcg(&state))
+	}
+	return raw
 }

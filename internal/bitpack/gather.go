@@ -17,8 +17,10 @@
 //
 // As everywhere in this package, widths 32 and 64 take dedicated fast
 // paths that skip shifting and masking, mirroring the paper's specialized
-// classes; the 64-bit UnpackRange emits sub-slices of the packed words
-// themselves (a 64-bit element *is* its word), making the stream zero-copy.
+// classes. UnpackRange has only the 64-bit one: it emits sub-slices of the
+// packed words themselves (a 64-bit element *is* its word), making the
+// stream zero-copy. At 32 bits the fast path is Unpack's whole-chunk word
+// split: a per-element loop measured no faster than the 17-bit word walk.
 
 package bitpack
 
@@ -64,9 +66,12 @@ func (c Codec) Gather(data []uint64, idx []uint64, out []uint64) {
 // size companion buffers (gather outputs, weight streams) off the buffer
 // they pass. buf must hold at least one chunk (ChunkSize elements).
 //
-// vals is only valid during the emit call and may alias either buf or the
-// packed words themselves (the 64-bit fast path emits data sub-slices);
-// consumers must not retain or mutate it.
+// A 64-bit element is its word, so 64-bit runs are sub-slices of the
+// packed words themselves. Every other width — 32 bits included — decodes
+// whole chunks through Unpack (at 32 bits, each word split into its low and
+// high half), with no per-element index or shift arithmetic. vals is only
+// valid during the emit call and may alias either buf or data; consumers
+// must not retain or mutate it.
 func (c Codec) UnpackRange(data []uint64, lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
 	if lo >= hi {
 		return
@@ -74,31 +79,14 @@ func (c Codec) UnpackRange(data []uint64, lo, hi uint64, buf []uint64, emit func
 	if len(buf) < ChunkSize {
 		panic(fmt.Sprintf("bitpack: UnpackRange buffer holds %d elements, need at least %d", len(buf), ChunkSize))
 	}
-	step := uint64(len(buf))
-	switch c.bits {
-	case 64:
-		// A 64-bit element is its word: emit the packed storage directly.
+	if c.bits == 64 {
+		step := uint64(len(buf))
 		for p := lo; p < hi; p += step {
 			end := p + step
 			if end > hi {
 				end = hi
 			}
 			emit(p, data[p:end])
-		}
-		return
-	case 32:
-		for p := lo; p < hi; p += step {
-			end := p + step
-			if end > hi {
-				end = hi
-			}
-			n := end - p
-			for j := uint64(0); j < n; j++ {
-				x := p + j
-				w := data[x>>1]
-				buf[j] = (w >> ((x & 1) * 32)) & 0xFFFFFFFF
-			}
-			emit(p, buf[:n])
 		}
 		return
 	}

@@ -110,9 +110,13 @@ func TestUnpackRangeSmallBufferPanics(t *testing.T) {
 // FuzzGather cross-checks Gather and UnpackRange against per-element Get
 // on fuzzer-chosen widths, values, index vectors, and range endpoints.
 func FuzzGather(f *testing.F) {
-	f.Add(uint8(13), uint16(3), uint16(90), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add(uint8(32), uint16(0), uint16(1), []byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add(uint8(64), uint16(65), uint16(200), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	// A seed's width byte w selects w%64 + 1 bits; lo and hi are reduced
+	// mod n and n+1 for n elements.
+	f.Add(uint8(13), uint16(3), uint16(90), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})          // 14 bits
+	f.Add(uint8(32), uint16(0), uint16(1), []byte{255, 255, 255, 255, 255, 255, 255, 255}) // 33 bits
+	f.Add(uint8(64), uint16(65), uint16(200), []byte{1, 2, 3, 4, 5, 6, 7, 8})              // 1 bit
+	f.Add(uint8(31), uint16(3), uint16(2*ChunkSize+37), seedBytes(2*ChunkSize+37))         // 32 bits, [3, n)
+	f.Add(uint8(63), uint16(65), uint16(200), seedBytes(3*ChunkSize+17))                   // 64 bits, [65, 200)
 	f.Fuzz(func(t *testing.T, width uint8, loRaw, hiRaw uint16, raw []byte) {
 		bits := uint(width%64) + 1
 		c := MustNew(bits)

@@ -91,6 +91,13 @@ func xorshift64(x uint64) uint64 {
 	return x
 }
 
+// The served graph's generator parameters: the average out-degree when
+// the spec leaves Degree at 0, and the power-law exponent.
+const (
+	defaultGraphDegree = 8
+	graphExponent      = 2.1
+)
+
 // BuildDataset materializes spec into rt's memory. Columns:
 //
 //	id      row number (monotone; selective range predicates)
@@ -98,9 +105,15 @@ func xorshift64(x uint64) uint64 {
 //	amount  pseudo-uniform in [0, 65536) (the aggregation target)
 //	flag    0/1 at ~25% selectivity (cheap predicate column)
 //
-// The graph is a Twitter-like power-law CSR with compressed begin/edge
-// arrays, interleaved like the table so concurrent scans spread across
-// sockets, and comes with its PageRanker.
+// The graph is a Twitter-like power-law CSR in the paper's "V" layout —
+// begin/rbegin bit-packed, edge/redge at 32 bits — interleaved like the
+// table so concurrent scans spread across sockets, and comes with its
+// PageRanker. The graph fits in the host's caches, so PageRank is
+// compute-bound: a 32-bit edge stream splits each word in two, which is
+// cheaper than the straddling-width decode "V+E" would need, and that
+// outweighs the bandwidth "V+E" saves (the paper's Figure 12 saw the same
+// on its 8-core machine). EXPERIMENTS.md "graph_rank at word width" has
+// the measurement.
 func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("queryd: dataset needs a name")
@@ -147,9 +160,9 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 	if spec.Vertices > 0 {
 		deg := spec.Degree
 		if deg <= 0 {
-			deg = 8
+			deg = defaultGraphDegree
 		}
-		csr, err := graph.GeneratePowerLaw(spec.Vertices, deg, 2.1, int64(spec.Seed)+1)
+		csr, err := graph.GeneratePowerLaw(spec.Vertices, deg, graphExponent, int64(spec.Seed)+1)
 		if err != nil {
 			d.Free()
 			return nil, err
@@ -157,7 +170,6 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 		sg, err := graph.NewSmartCSR(rt.Memory(), csr, graph.Layout{
 			Placement:     memsim.Interleaved,
 			CompressBegin: true,
-			CompressEdge:  true,
 		})
 		if err != nil {
 			d.Free()

@@ -12,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"smartarrays/internal/analytics"
 	"smartarrays/internal/core"
+	"smartarrays/internal/graph"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
@@ -72,6 +74,66 @@ func TestTopRanksMatchesFullSort(t *testing.T) {
 			}
 			if got == nil {
 				t.Errorf("%s k=%d: nil reply would serialize as null, not []", name, k)
+			}
+		}
+	}
+}
+
+// TestServedPageRankMatchesRef holds the served pagerank reply to
+// PageRankRef over the dataset's plain CSR, regenerated from
+// BuildDataset's generator parameters, bit for bit: the iteration count,
+// the rank sum in vertex order and every top-10 entry. The reference
+// never sees the smart-array layout, so the oracle holds whatever layout
+// the dataset serves; the layout itself is pinned here too ("V": edge ids
+// at 32 bits, begins bit-packed below 64), so changing it is deliberate.
+func TestServedPageRankMatchesRef(t *testing.T) {
+	srv, ts := newTestServer(t, DefaultConfig())
+	ds, err := srv.Dataset("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	if g.Edge.Bits() != 32 || g.REdge.Bits() != 32 {
+		t.Errorf("edge/redge at %d/%d bits, the served layout stores edge ids at 32", g.Edge.Bits(), g.REdge.Bits())
+	}
+	if g.Begin.Bits() >= 64 || g.RBegin.Bits() >= 64 {
+		t.Errorf("begin/rbegin at %d/%d bits, the served layout bit-packs them below 64", g.Begin.Bits(), g.RBegin.Bits())
+	}
+	// newTestServer's Seed is 7; BuildDataset seeds the generator with Seed+1.
+	csr, err := graph.GeneratePowerLaw(testVertices, defaultGraphDegree, graphExponent, 7+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csr.NumEdges != g.NumEdges {
+		t.Fatalf("regenerated CSR has %d edges, the served graph %d", csr.NumEdges, g.NumEdges)
+	}
+	for _, iters := range []int{5, analytics.DefaultPageRankConfig().MaxIters} {
+		cfg := analytics.DefaultPageRankConfig()
+		cfg.MaxIters = iters
+		ranks, wantIters := analytics.PageRankRef(csr, cfg)
+		var wantSum float64
+		for _, r := range ranks {
+			wantSum += r
+		}
+		wantTop := topRanksBySort(ranks, topK)
+
+		status, env := postQuery(t, ts, map[string]any{"dataset": "demo", "op": "pagerank", "iters": iters})
+		if status != http.StatusOK {
+			t.Fatalf("iters=%d: status %d: %s", iters, status, env["error"])
+		}
+		if got := resultField[int](t, env, "iters"); got != wantIters {
+			t.Errorf("iters=%d: served %d iterations, PageRankRef %d", iters, got, wantIters)
+		}
+		if got := resultField[float64](t, env, "rank_sum"); math.Float64bits(got) != math.Float64bits(wantSum) {
+			t.Errorf("iters=%d: rank_sum %v, PageRankRef's ranks sum to %v", iters, got, wantSum)
+		}
+		top := resultField[[]VertexRank](t, env, "top")
+		if len(top) != len(wantTop) {
+			t.Fatalf("iters=%d: %d top entries, want %d", iters, len(top), len(wantTop))
+		}
+		for i := range wantTop {
+			if top[i].Vertex != wantTop[i].Vertex || math.Float64bits(top[i].Rank) != math.Float64bits(wantTop[i].Rank) {
+				t.Errorf("iters=%d: top[%d] = %+v, PageRankRef gives %+v", iters, i, top[i], wantTop[i])
 			}
 		}
 	}
