@@ -29,7 +29,6 @@ import (
 
 	"smartarrays/internal/adapt"
 	"smartarrays/internal/bench"
-	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/obs/serve"
@@ -53,7 +52,6 @@ func main() {
 	var reg *obs.ArrayRegistry
 	if of.Serve != "" {
 		reg = obs.NewArrayRegistry()
-		core.SetArrayRegistry(reg)
 		addr, _, err := serve.New(rec, reg).Start(of.Serve)
 		exitOn(err)
 		fmt.Fprintf(os.Stderr, "saadapt: introspection server on http://%s\n", addr)

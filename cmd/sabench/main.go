@@ -33,7 +33,6 @@ import (
 	"text/tabwriter"
 
 	"smartarrays/internal/bench"
-	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/obs/serve"
@@ -73,7 +72,6 @@ func run(args []string, stdout io.Writer) error {
 	var reg *obs.ArrayRegistry
 	if of.Serve != "" {
 		reg = obs.NewArrayRegistry()
-		core.SetArrayRegistry(reg)
 		addr, _, err := serve.New(rec, reg).Start(of.Serve)
 		if err != nil {
 			return err

@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"smartarrays/internal/bench"
-	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/obs/serve"
@@ -47,7 +46,6 @@ func main() {
 	var reg *obs.ArrayRegistry
 	if of.Serve != "" {
 		reg = obs.NewArrayRegistry()
-		core.SetArrayRegistry(reg)
 		addr, _, err := serve.New(rec, reg).Start(of.Serve)
 		exitOn(err)
 		fmt.Fprintf(os.Stderr, "sagraph: introspection server on http://%s\n", addr)

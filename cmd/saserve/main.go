@@ -23,7 +23,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/queryd"
@@ -55,18 +54,11 @@ func main() {
 	spec, err := machine.ByName(*machineName)
 	exitOn(err)
 
-	rec := obs.NewRecorder(0)
-	reg := obs.NewArrayRegistry()
-	core.SetArrayRegistry(reg)
-
 	rt := rts.New(spec)
-	rt.SetRecorder(rec)
-	rt.SetArrayProfiling(reg)
-
 	specs := []queryd.DatasetSpec{{
 		Name: *dataset, Rows: *rows, Vertices: *vertices, Degree: *degree, Seed: *seed,
 	}}
-	srv, err := queryd.NewServer(rt, cfg, specs, rec, reg)
+	srv, err := queryd.NewServer(rt, cfg, specs, obs.NewRecorder(0), obs.NewArrayRegistry())
 	exitOn(err)
 
 	bound, stop, err := srv.Start(*addr)

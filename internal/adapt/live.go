@@ -69,10 +69,9 @@ func (m *Monitor) Drifts() int { return m.drifts }
 func (m *Monitor) liveTraits(p *obs.AccessProfile) Traits {
 	tr := m.cfg.Traits
 	if p.Length > 0 {
-		linear := p.Access.ScanElems + p.Access.StreamElems + p.Access.ReduceElems
-		random := p.Access.GatherElems + p.Access.GetElems
+		linear := p.Access.ScanElems + p.Access.ReduceElems
 		tr.MultipleLinearAccessesPerElement = linear > p.Length
-		tr.MultipleRandomAccessesPerElement = random > p.Length
+		tr.MultipleRandomAccessesPerElement = p.Access.GatherElems > p.Length
 	}
 	return tr
 }
@@ -81,10 +80,10 @@ func (m *Monitor) liveTraits(p *obs.AccessProfile) Traits {
 // profile:
 //
 //   - SignificantRandomAccesses comes from the observed random share
-//     (gathers + per-element gets over all reads), replacing the one-shot
+//     (gathers over all reads), replacing the one-shot
 //     workload-level estimate;
 //   - the §6.2 compressed-access cost is re-weighted by the observed
-//     access-method mix: chunk-decoded accesses (streams/reduces/scans)
+//     access-method mix: chunk-decoded accesses (scans and reduces)
 //     pay the fused decode delta, random accesses pay Function 1's
 //     per-call delta — a workload that drifted from scanning to gathering
 //     sees its compression cost rise accordingly;

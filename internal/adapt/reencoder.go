@@ -20,8 +20,8 @@ import (
 // arrays, re-scores the codec pick against that mix, and migrates an
 // array in place (core.SmartArray.Reencode) when the measured pattern
 // flips it — e.g. a clustered column that drifts from run-skipping scans
-// to random gets migrates RLE → bit-packed, because RLE's fold advantage
-// inverts into a per-Get seek penalty.
+// to random gathers migrates RLE → bit-packed, because RLE's fold
+// advantage inverts into a per-element seek penalty.
 
 // DefaultReencodeHysteresis is the modeled-cost advantage a challenger
 // representation must show before a migration is worth its traffic.
@@ -119,22 +119,20 @@ func (r *Reencoder) Migrations() int {
 // skip) and the random paths (where they seek) — the mix is exactly the
 // blend the live workload pays.
 type accessMix struct {
-	scan, stream, reduce, gather, get float64
+	scan, reduce, gather float64
 }
 
 func mixOf(p *obs.AccessProfile) (accessMix, bool) {
 	a := &p.Access
-	total := a.ScanElems + a.StreamElems + a.ReduceElems + a.GatherElems + a.GetElems
+	total := a.ScanElems + a.ReduceElems + a.GatherElems
 	if total == 0 {
 		return accessMix{}, false
 	}
 	t := float64(total)
 	return accessMix{
 		scan:   float64(a.ScanElems) / t,
-		stream: float64(a.StreamElems) / t,
 		reduce: float64(a.ReduceElems) / t,
 		gather: float64(a.GatherElems) / t,
-		get:    float64(a.GetElems) / t,
 	}, true
 }
 
@@ -151,12 +149,10 @@ const SeqBytePenalty = 1.5
 // entries weighted by the observed access-method shares, plus the
 // sequential-bandwidth term for the streaming share.
 func (m accessMix) score(cs encoding.CostStats) float64 {
-	seq := m.scan + m.stream + m.reduce
+	seq := m.scan + m.reduce
 	return m.scan*perfmodel.CostEncodedScan(cs) +
-		m.stream*perfmodel.CostEncodedStream(cs) +
 		m.reduce*perfmodel.CostEncodedReduce(cs) +
 		m.gather*perfmodel.CostEncodedGather(cs) +
-		m.get*perfmodel.CostEncodedGet(cs) +
 		seq*cs.PayloadBitsPerElem/8*SeqBytePenalty
 }
 

@@ -26,9 +26,6 @@ func newReencoderFixture(t *testing.T) *reencoderFixture {
 	t.Helper()
 	rt := rts.New(machine.X52Small())
 	reg := obs.NewArrayRegistry()
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	t.Cleanup(func() { core.SetArrayRegistry(prev) })
 	rt.SetArrayProfiling(reg)
 
 	const n = 1 << 15

@@ -67,9 +67,9 @@ type Options struct {
 	// Off by default so loop statistics stay stripe-attributed.
 	Steal bool
 	// Arrays, when non-nil, receives per-array access telemetry from every
-	// real run (worker-local accumulation, folded at loop barriers). The
-	// caller pairs it with core.SetArrayRegistry so allocations register;
-	// the introspection server's /arrays endpoint reads the same registry.
+	// real run: instrument attaches it to each run's runtime, whose arrays
+	// register with it and whose loops fold into it at their barriers. The
+	// introspection server's /arrays endpoint reads the same registry.
 	Arrays *obs.ArrayRegistry
 }
 

@@ -89,9 +89,6 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 	if reg == nil {
 		reg = obs.NewArrayRegistry()
 	}
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	defer core.SetArrayRegistry(prev)
 	rt.SetArrayProfiling(reg)
 	rt.SetRecorder(rec)
 

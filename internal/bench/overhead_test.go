@@ -25,9 +25,6 @@ func BenchmarkTelemetry(b *testing.B) {
 	run := func(b *testing.B, rec *obs.Recorder, reg *obs.ArrayRegistry) {
 		spec := machine.X52Large()
 		rt := rts.New(spec)
-		prev := core.ActiveArrayRegistry()
-		core.SetArrayRegistry(reg)
-		defer core.SetArrayRegistry(prev)
 		rt.SetRecorder(rec)
 		rt.SetArrayProfiling(reg)
 		a, err := core.Allocate(rt.Memory(), core.Config{

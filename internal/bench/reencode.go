@@ -96,9 +96,6 @@ func RunLiveReencoding(cfg ReencodeConfig) ReencodeReport {
 	if reg == nil {
 		reg = obs.NewArrayRegistry()
 	}
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	defer core.SetArrayRegistry(prev)
 	rt.SetArrayProfiling(reg)
 	rt.SetRecorder(rec)
 

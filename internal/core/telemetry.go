@@ -1,49 +1,26 @@
-// Per-array access telemetry: every smart array registers itself with the
-// process's obs.ArrayRegistry at construction (when one is attached), and
-// the existing counter-accounting hooks (AccountScan/Reduce/Init/Gather)
-// additionally attribute their elements and traffic to the array through
-// the worker-local counters.ArrayAccess shards. The RTS folds those shards into the registry once per parallel
-// loop, so the hot path never touches shared state.
+// Per-array access telemetry: every smart array registers itself at
+// construction with the obs.ArrayRegistry attached to the memory it is
+// allocated from (rts.Runtime.SetArrayProfiling attaches one), and the
+// counter-accounting hooks (AccountScan/Reduce/Init/Gather) additionally
+// attribute their elements and traffic to the array through the
+// worker-local counters.ArrayAccess shards. The RTS folds those shards into
+// the registry once per parallel loop, so the hot path never touches shared
+// state.
 //
 // The nil-registry configuration is the default and costs nothing beyond
-// one `a.id == 0` check per accounting call; with a registry attached but
-// shard profiling off, the extra cost is one nil-map check.
+// one `a.id == 0` check per accounting call.
 package core
 
-import (
-	"sync/atomic"
+import "smartarrays/internal/counters"
 
-	"smartarrays/internal/counters"
-	"smartarrays/internal/obs"
-)
-
-// arrayRegistry is the registry new arrays register with. Process-global
-// because allocation sites (graph builders, colstore, workloads) share one
-// runtime per process; tests swap it atomically.
-var arrayRegistry atomic.Pointer[obs.ArrayRegistry]
-
-// SetArrayRegistry attaches the registry subsequently allocated arrays
-// register with (nil detaches). Existing arrays keep their registration.
-// Pair with rts.Runtime.SetArrayProfiling, which enables the worker-shard
-// accumulation and the per-loop folds.
-func SetArrayRegistry(r *obs.ArrayRegistry) {
-	arrayRegistry.Store(r)
-}
-
-// ActiveArrayRegistry returns the currently attached registry (nil when
-// telemetry is off).
-func ActiveArrayRegistry() *obs.ArrayRegistry {
-	return arrayRegistry.Load()
-}
-
-// TelemetryID is the array's registry ID (0 when allocated without a
-// registry attached).
+// TelemetryID is the array's registry ID (0 when its memory had no
+// registry attached at allocation).
 func (a *SmartArray) TelemetryID() uint64 { return a.id }
 
 // register runs at allocation: assign an ID and record the array's
-// identity when a registry is attached.
+// identity when the array's memory has a registry attached.
 func (a *SmartArray) register(name string) {
-	reg := arrayRegistry.Load()
+	reg := a.mem.ArrayRegistry()
 	if reg == nil {
 		return
 	}
@@ -60,17 +37,13 @@ type accTrack struct {
 }
 
 // track begins per-array attribution for one accounting call. Returns the
-// zero tracker when the array is unregistered or the shard's profiling is
-// off — the only overhead of disabled telemetry.
+// zero tracker when the array is unregistered — the only overhead of
+// disabled telemetry.
 func (a *SmartArray) track(sh *counters.Shard) accTrack {
 	if a.id == 0 {
 		return accTrack{}
 	}
-	aa := sh.Array(a.id)
-	if aa == nil {
-		return accTrack{}
-	}
-	return accTrack{aa: aa,
+	return accTrack{aa: sh.Array(a.id),
 		lr: sh.LocalReadBytes, rr: sh.RemoteReadBytes,
 		lw: sh.LocalWriteBytes, rw: sh.RemoteWriteBytes}
 }
@@ -95,10 +68,9 @@ func (a *SmartArray) AccountPredicate(sh *counters.Shard, evals, hits uint64) {
 	if a.id == 0 {
 		return
 	}
-	if aa := sh.Array(a.id); aa != nil {
-		aa.PredEvals += evals
-		aa.PredHits += hits
-	}
+	aa := sh.Array(a.id)
+	aa.PredEvals += evals
+	aa.PredHits += hits
 }
 
 // ObservedSelectivity reads the array's accumulated predicate selectivity

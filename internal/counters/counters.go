@@ -43,8 +43,9 @@ type Shard struct {
 	remoteBySrc []uint64
 	// writesByDst[m] is bytes this thread wrote to socket m's memory.
 	writesByDst []uint64
-	// arrays, when non-nil, accumulates per-smart-array access telemetry
-	// between registry folds (see arrayaccess.go). nil = profiling off.
+	// arrays accumulates per-smart-array access telemetry between
+	// registry folds (see arrayaccess.go); nil until a registered array is
+	// accounted.
 	arrays map[uint64]*ArrayAccess
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"smartarrays/internal/counters"
 	"smartarrays/internal/machine"
+	"smartarrays/internal/obs"
 )
 
 // PageBytes is the simulated OS page size (4 KiB, Linux default).
@@ -77,6 +78,11 @@ type Memory struct {
 	// autoNUMAFlag gates access tallying on the hot accounting path (see
 	// autonuma.go); atomic so readers skip the mutex.
 	autoNUMAFlag atomic.Bool
+
+	// arrays is the array-telemetry registry: smart arrays allocated from
+	// this memory register with it, and the runtime owning the memory
+	// folds its workers' per-array deltas into it. nil = telemetry off.
+	arrays atomic.Pointer[obs.ArrayRegistry]
 }
 
 // New creates a Memory for the given machine.
@@ -111,6 +117,13 @@ func (m *Memory) capacityLocked() uint64 {
 	}
 	return m.spec.MemPerSocketBytes()
 }
+
+// ArrayRegistry is the attached array-telemetry registry (nil when off).
+func (m *Memory) ArrayRegistry() *obs.ArrayRegistry { return m.arrays.Load() }
+
+// AttachArrayRegistry is the storage behind rts.Runtime.SetArrayProfiling,
+// the switch for array telemetry; call that instead.
+func (m *Memory) AttachArrayRegistry(reg *obs.ArrayRegistry) { m.arrays.Store(reg) }
 
 // Spec returns the machine this memory belongs to.
 func (m *Memory) Spec() *machine.Spec { return m.spec }

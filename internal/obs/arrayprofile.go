@@ -46,33 +46,33 @@ type AccessProfile struct {
 // readElems is the total elements read through any access method.
 func (p *AccessProfile) readElems() uint64 {
 	a := &p.Access
-	return a.ScanElems + a.StreamElems + a.ReduceElems + a.GatherElems + a.GetElems
+	return a.ScanElems + a.ReduceElems + a.GatherElems
 }
 
 // TotalElems is every element access accounted to the array, reads and
 // writes.
 func (p *AccessProfile) TotalElems() uint64 { return p.readElems() + p.Access.InitElems }
 
-// RandomShare is the fraction of read accesses that were random (gathers
-// and per-element gets) — the §6 "significant random accesses" signal,
-// measured per array instead of assumed per workload.
+// RandomShare is the fraction of read accesses that were random (batched
+// gathers) — the §6 "significant random accesses" signal, measured per
+// array instead of assumed per workload.
 func (p *AccessProfile) RandomShare() float64 {
 	total := p.readElems()
 	if total == 0 {
 		return 0
 	}
-	return float64(p.Access.GatherElems+p.Access.GetElems) / float64(total)
+	return float64(p.Access.GatherElems) / float64(total)
 }
 
 // ChunkDecodeShare is the fraction of read accesses served by chunked
-// decode paths (streams, fused reduces, scans) rather than per-element
-// Get — high values mean compression's decode cost amortizes.
+// decode paths (scans and fused reduces) rather than random gathers —
+// high values mean compression's decode cost amortizes.
 func (p *AccessProfile) ChunkDecodeShare() float64 {
 	total := p.readElems()
 	if total == 0 {
 		return 0
 	}
-	return float64(p.Access.ScanElems+p.Access.StreamElems+p.Access.ReduceElems) / float64(total)
+	return float64(p.Access.ScanElems+p.Access.ReduceElems) / float64(total)
 }
 
 // Selectivity is observed predicate hit rate; ok is false when no
@@ -194,9 +194,10 @@ func (r *ArrayRegistry) Fold(id uint64, acc *counters.ArrayAccess) {
 
 // FoldShard drains the shard's per-array accumulators into the registry.
 // Call only while the shard's owning worker is quiescent (the RTS calls it
-// from the loop barrier). Safe on nil (the shard is left undrained).
+// from the loop barrier). A nil registry drains the shard and drops the
+// deltas (telemetry was detached after the arrays registered).
 func (r *ArrayRegistry) FoldShard(sh *counters.Shard) {
-	if r == nil || sh == nil {
+	if sh == nil {
 		return
 	}
 	sh.DrainArrays(func(id uint64, acc *counters.ArrayAccess) {

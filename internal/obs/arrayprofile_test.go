@@ -20,7 +20,7 @@ func TestArrayRegistryRegisterAndFold(t *testing.T) {
 
 	reg.Fold(id, &counters.ArrayAccess{
 		Reduces: 1, ReduceElems: 800,
-		Gets: 2, GetElems: 200,
+		Gathers: 2, GatherElems: 200,
 		LocalBytes: 3000, RemoteBytes: 1000,
 		PredEvals: 800, PredHits: 200,
 	})
@@ -85,11 +85,10 @@ func TestArrayRegistryFoldShard(t *testing.T) {
 	id := reg.Register("hot", 10, 64, "interleaved")
 
 	var sh counters.Shard
-	sh.EnableArrayProfiling()
 	aa := sh.Array(id)
 	aa.Scans, aa.ScanElems = 1, 64
 	// An ID the registry never saw (allocated pre-attach): dropped quietly.
-	sh.Array(id + 100).GetElems = 5
+	sh.Array(id + 100).GatherElems = 5
 
 	reg.FoldShard(&sh)
 	p, _ := reg.Profile(id)
@@ -138,7 +137,7 @@ func TestArrayRegistryConcurrent(t *testing.T) {
 		go func(f int) {
 			defer wg.Done()
 			for i := 0; i < perFolder; i++ {
-				reg.Fold(ids[i%arrays], &counters.ArrayAccess{Gets: 1, GetElems: 1})
+				reg.Fold(ids[i%arrays], &counters.ArrayAccess{Gathers: 1, GatherElems: 1})
 			}
 		}(f)
 	}
@@ -154,9 +153,9 @@ func TestArrayRegistryConcurrent(t *testing.T) {
 	<-done
 	var total uint64
 	for _, p := range reg.Profiles() {
-		total += p.Access.GetElems
+		total += p.Access.GatherElems
 	}
 	if want := uint64(folders * perFolder); total != want {
-		t.Fatalf("folded GetElems = %d, want %d", total, want)
+		t.Fatalf("folded GatherElems = %d, want %d", total, want)
 	}
 }

@@ -205,10 +205,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			n      uint64
 		}{
 			{"scan", p.Access.ScanElems},
-			{"stream", p.Access.StreamElems},
 			{"reduce", p.Access.ReduceElems},
 			{"gather", p.Access.GatherElems},
-			{"get", p.Access.GetElems},
 			{"init", p.Access.InitElems},
 		} {
 			mw.sample("smartarrays_array_elements_total", arr+`,method="`+me.method+`"`, float64(me.n))
@@ -217,7 +215,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		mw.sample("smartarrays_array_bytes_total", arr+`,locality="local"`, float64(p.Access.LocalBytes))
 		mw.sample("smartarrays_array_bytes_total", arr+`,locality="remote"`, float64(p.Access.RemoteBytes))
 
-		mw.head("smartarrays_array_random_share", "gauge", "Fraction of reads that were random (gathers + gets).")
+		mw.head("smartarrays_array_random_share", "gauge", "Fraction of reads that were random gathers.")
 		mw.sample("smartarrays_array_random_share", arr, p.RandomShare())
 		mw.head("smartarrays_array_chunk_decode_share", "gauge", "Fraction of reads served by chunked decode paths.")
 		mw.sample("smartarrays_array_chunk_decode_share", arr, p.ChunkDecodeShare())

@@ -20,7 +20,7 @@ import (
 //     index search.
 //   - Delta folds skip constant chunks entirely; decoded chunks pay the
 //     unpack schedule plus the prefix-sum add. Random access is the
-//     codec's weakness: it decodes a partial chunk per Get.
+//     codec's weakness: it decodes a partial chunk per element.
 const (
 	// costDictLookup is the in-cache dictionary fetch a value-producing
 	// Dict access adds on top of the ID decode.
@@ -115,26 +115,6 @@ func CostEncodedMask(cs encoding.CostStats) float64 {
 	}
 }
 
-// CostEncodedGet returns the modeled instructions for one random Get.
-// This is where the fold-friendly codecs pay: RLE seeks, Delta decodes a
-// partial chunk.
-func CostEncodedGet(cs encoding.CostStats) float64 {
-	switch cs.Kind {
-	case encoding.Plain:
-		return CostRandomGet
-	case encoding.Dict:
-		return CostGet(cs.CodeBits) + costDictLookup
-	case encoding.RLE:
-		return costRLESeek
-	case encoding.Delta:
-		return cs.ConstChunkShare*CostGet(cs.CodeBits) + (1-cs.ConstChunkShare)*costDeltaGet
-	case encoding.FoR:
-		return CostGet(cs.CodeBits) + costFoRAdd
-	default:
-		return CostGet(cs.CodeBits)
-	}
-}
-
 // CostEncodedGather returns the modeled instructions per batched gathered
 // element. Encodings without a batched kernel fall back to per-element
 // Get cost.
@@ -152,24 +132,5 @@ func CostEncodedGather(cs encoding.CostStats) float64 {
 		return CostGather(cs.CodeBits) + costFoRAdd
 	default:
 		return CostGather(cs.CodeBits)
-	}
-}
-
-// CostEncodedStream returns the modeled instructions per element for
-// streaming decoded runs out of the encoded representation.
-func CostEncodedStream(cs encoding.CostStats) float64 {
-	switch cs.Kind {
-	case encoding.Plain:
-		return CostStreamU64
-	case encoding.Dict:
-		return CostStream(cs.CodeBits) + costDictLookup
-	case encoding.RLE:
-		return rleFold(cs) + 1
-	case encoding.Delta:
-		return deltaMix(cs, CostStream(cs.CodeBits)+costDeltaPrefixAdd)
-	case encoding.FoR:
-		return CostStream(cs.CodeBits) + costFoRAdd
-	default:
-		return CostStream(cs.CodeBits)
 	}
 }

@@ -41,7 +41,6 @@ func newFlightTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	rec := obs.NewRecorder(0)
 	reg := obs.NewArrayRegistry()
 	rt := rts.New(machine.UMA(4))
-	rt.SetRecorder(rec)
 	srv, err := NewServer(rt, cfg, []DatasetSpec{
 		{Name: "demo", Rows: 200000, Seed: 7},
 	}, rec, reg)

@@ -57,12 +57,9 @@ func TestDefaultMixShape(t *testing.T) {
 // TestRunAgainstLiveServer runs the full generator (closed loop, then a
 // short open-loop burst) and the spot check against a real server.
 func TestRunAgainstLiveServer(t *testing.T) {
-	rec := obs.NewRecorder(0)
-	rt := rts.New(machine.UMA(4))
-	rt.SetRecorder(rec)
-	srv, err := queryd.NewServer(rt, queryd.DefaultConfig(), []queryd.DatasetSpec{
+	srv, err := queryd.NewServer(rts.New(machine.UMA(4)), queryd.DefaultConfig(), []queryd.DatasetSpec{
 		{Name: "demo", Rows: 10000, Vertices: 1000, Seed: 3},
-	}, rec, nil)
+	}, obs.NewRecorder(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"smartarrays/internal/analytics"
-	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
@@ -151,11 +150,7 @@ func TestServedPageRankMatchesRef(t *testing.T) {
 func TestServedPageRankFreesProfiles(t *testing.T) {
 	const rankRequest = `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`
 	reg := obs.NewArrayRegistry()
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	t.Cleanup(func() { core.SetArrayRegistry(prev) })
 	rt := rts.New(machine.UMA(4))
-	rt.SetArrayProfiling(reg)
 	mem := rt.Memory()
 	regEmpty, memEmpty := reg.Len(), mem.TotalUsedBytes()
 	srv, err := NewServer(rt, DefaultConfig(), []DatasetSpec{{Name: "demo", Vertices: testVertices, Seed: 7}}, nil, reg)
@@ -202,12 +197,7 @@ func BenchmarkServedPageRank(b *testing.B) {
 	const rankRequest = `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`
 	rec := obs.NewRecorder(0)
 	reg := obs.NewArrayRegistry()
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	b.Cleanup(func() { core.SetArrayRegistry(prev) })
 	rt := rts.New(machine.X52Small())
-	rt.SetRecorder(rec)
-	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
 	cfg.CacheEntries = 1024
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Vertices: 100000, Degree: 8, Seed: 1}}, rec, reg)

@@ -35,7 +35,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	rec := obs.NewRecorder(0)
 	reg := obs.NewArrayRegistry()
 	rt := rts.New(machine.UMA(4))
-	rt.SetRecorder(rec)
 	srv, err := NewServer(rt, cfg, []DatasetSpec{
 		{Name: "demo", Rows: testRows, Vertices: testVertices, Seed: 7},
 	}, rec, reg)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
@@ -21,12 +20,7 @@ import (
 func newScanUniqueServer(b testing.TB, cacheEntries int) *Server {
 	rec := obs.NewRecorder(0)
 	reg := obs.NewArrayRegistry()
-	prev := core.ActiveArrayRegistry()
-	core.SetArrayRegistry(reg)
-	b.Cleanup(func() { core.SetArrayRegistry(prev) })
 	rt := rts.New(machine.X52Small())
-	rt.SetRecorder(rec)
-	rt.SetArrayProfiling(reg)
 	cfg := DefaultConfig()
 	cfg.CacheEntries = cacheEntries
 	srv, err := NewServer(rt, cfg, []DatasetSpec{{Name: "demo", Rows: 1 << 22, Seed: 1}}, rec, reg)

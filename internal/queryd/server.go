@@ -107,15 +107,21 @@ type Server struct {
 }
 
 // NewServer builds a server over rt and registers the initial datasets.
-// It turns stealing on for rt once they are built (see below), so do not
-// run attribution-sensitive benchmarks on the same runtime afterwards. rec
-// and reg may be nil to serve without telemetry.
+// It attaches rec and reg to rt first (rts.Runtime.SetRecorder and
+// SetArrayProfiling), so the datasets' arrays register with reg and every
+// loop reports to both; the introspection endpoints serve the same two.
+// Either may be nil: that half of the telemetry is off and its endpoints
+// serve empty. It turns stealing on for rt once the datasets are built
+// (see below), so do not run attribution-sensitive benchmarks on the same
+// runtime afterwards.
 func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Recorder, reg *obs.ArrayRegistry) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache()}
 	s.slowlog = obs.NewSlowLog(0, 0, cfg.slowQueryThreshold())
+	rt.SetRecorder(rec)
+	rt.SetArrayProfiling(reg)
 
 	// Datasets are built with stealing still off: initialization wants
 	// stripe-faithful claiming's first-touch determinism.
@@ -217,11 +223,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	mux.HandleFunc("/debug/query/", s.handleQueryLookup)
 	mux.HandleFunc("/control/config", s.handleConfig)
-	if s.rec != nil {
-		intro := serve.New(s.rec, s.reg).Handler()
-		for _, path := range []string{"/metrics", "/arrays", "/trace", "/decisions"} {
-			mux.Handle(path, intro)
-		}
+	intro := serve.New(s.rec, s.reg).Handler()
+	for _, path := range []string{"/metrics", "/arrays", "/trace", "/decisions"} {
+		mux.Handle(path, intro)
 	}
 	return mux
 }

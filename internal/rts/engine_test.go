@@ -161,7 +161,7 @@ func TestBarrierIsQuiescent(t *testing.T) {
 	for i := uint64(1); i <= 50; i++ {
 		for _, n := range []uint64{1, 2, 300} {
 			rt.ParallelFor(0, n, 1, func(w *Worker, lo, hi uint64) {
-				w.Counters.Array(id).Gets++
+				w.Counters.Array(id).Gathers++
 				w.Counters.Instr(1)
 			})
 			for _, w := range rt.Workers() {
@@ -172,8 +172,8 @@ func TestBarrierIsQuiescent(t *testing.T) {
 			}
 			rt.Fabric().Reset()
 		}
-		if p, _ := reg.Profile(id); p.Access.Gets != i*303 {
-			t.Fatalf("round %d: registry holds %d gets, want %d", i, p.Access.Gets, i*303)
+		if p, _ := reg.Profile(id); p.Access.Gathers != i*303 {
+			t.Fatalf("round %d: registry holds %d gathers, want %d", i, p.Access.Gathers, i*303)
 		}
 	}
 }

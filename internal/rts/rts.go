@@ -55,7 +55,6 @@ type Worker struct {
 type Runtime struct {
 	spec   *machine.Spec
 	fabric *counters.Fabric
-	mem    *memsim.Memory
 	*engine
 	// rec, when set, receives one LoopStats event per loop. Claim counting
 	// stays in executor-local state until a worker leaves the loop, so
@@ -84,8 +83,7 @@ func New(spec *machine.Spec) *Runtime {
 	r := &Runtime{
 		spec:   spec,
 		fabric: counters.NewFabric(spec.Sockets),
-		mem:    memsim.New(spec),
-		engine: &engine{bySocket: make([][]*Worker, spec.Sockets)},
+		engine: &engine{mem: memsim.New(spec), bySocket: make([][]*Worker, spec.Sockets)},
 	}
 	r.active.Store(new([]*schedLoop))
 	for id := 0; id < spec.HWThreads(); id++ {
@@ -117,24 +115,15 @@ func (r *Runtime) Workers() []*Worker { return r.workers }
 // Must not be called while a parallel loop is running.
 func (r *Runtime) SetRecorder(rec *obs.Recorder) { r.rec = rec }
 
-// SetArrayProfiling attaches an array-telemetry registry: every worker
-// shard starts accumulating per-array access deltas, which a worker folds
-// into reg whenever it leaves a loop (before it reports its batches done,
-// so the deltas are in reg when the loop returns). nil detaches and drops
-// pending worker-local state. Arrays register themselves via
-// core.SetArrayRegistry — attach the same registry there, or use the bench
-// harness which wires both. Must not be called while a parallel loop is
-// running.
-func (r *Runtime) SetArrayProfiling(reg *obs.ArrayRegistry) {
-	r.areg = reg
-	for _, w := range r.workers {
-		if reg != nil {
-			w.Counters.EnableArrayProfiling()
-		} else {
-			w.Counters.DisableArrayProfiling()
-		}
-	}
-}
+// SetArrayProfiling is the switch for array telemetry. It attaches reg to
+// the runtime's memory: every smart array allocated from Memory() after
+// the call registers with reg, the accounting hooks attribute those
+// arrays' accesses to the worker shards, and a worker folds its shard into
+// reg whenever it leaves a loop (before it reports its batches done, so
+// the deltas are in reg when the loop returns). nil detaches; arrays
+// allocated earlier keep their registration. Views share the setting.
+// Must not be called while a parallel loop is running.
+func (r *Runtime) SetArrayProfiling(reg *obs.ArrayRegistry) { r.mem.AttachArrayRegistry(reg) }
 
 // WithPriority returns a read-only view of the runtime whose loops run at
 // priority p (higher runs sooner; 0 otherwise). The view

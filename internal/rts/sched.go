@@ -35,18 +35,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 )
 
-// engine is the state every view of one Runtime shares: the worker pool and
-// the set of admitted loops.
+// engine is the state every view of one Runtime shares: the simulated
+// memory, the worker pool and the set of admitted loops.
 type engine struct {
+	// mem is the runtime's memory; its array registry, when attached, is
+	// where workers fold their shards' per-array access deltas (see
+	// SetArrayProfiling).
+	mem     *memsim.Memory
 	workers []*Worker
 	// bySocket[s] lists the workers pinned to socket s, lowest ID first.
 	bySocket [][]*Worker
-	// areg, when set, is the registry workers fold their shards' per-array
-	// access deltas into (see SetArrayProfiling).
-	areg *obs.ArrayRegistry
 	// active is the immutable list of admitted, unfinished loops in
 	// admission order. Workers only load it; run swaps in a copy under mu
 	// to admit and to retire, so the claim path never takes a lock.
@@ -206,7 +208,7 @@ func (e *engine) leave(w *Worker, l *schedLoop, ran, stolen uint64) {
 	if stolen > 0 {
 		l.stolen.Add(stolen)
 	}
-	e.areg.FoldShard(w.Counters)
+	e.mem.ArrayRegistry().FoldShard(w.Counters)
 	l.complete(ran)
 }
 
