@@ -27,11 +27,12 @@ rts-stress:
 # executes itself depends on when the leader lands, which is
 # timing-dependent in the same way: repeat the flight tests under -race,
 # with the concurrent runs of one dataset's PageRanker, which lease their
-# rank arrays from its free list, and with concurrent clients folding array
-# telemetry into the served registry while /arrays and /metrics read it
-# (about 30 s).
+# rank arrays from its free list, with concurrent clients folding array
+# telemetry into the served registry while /arrays and /metrics read it,
+# and with concurrent clients whose every reply outcome must land once in
+# each per-query series (about 30 s).
 queryd-stress:
-	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder|PageRankerLeases|ServedArrayTelemetry' ./internal/queryd ./internal/analytics
+	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder|PageRankerLeases|ServedArrayTelemetry|OneRecordPerQueryConcurrent' ./internal/queryd ./internal/analytics
 
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.

@@ -361,18 +361,17 @@ func contribWords(a *core.SmartArray, socket int) []uint64 {
 // do not serialize their batch; enable rt.SetStealing for cross-socket
 // balance on skewed graphs.
 //
-// It returns the iteration count and a workload descriptor covering the
-// whole run (all iterations).
-func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *core.SmartArray)) (int, perfmodel.Workload, error) {
+// It returns the iteration count.
+func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *core.SmartArray)) (int, error) {
 	if err := checkPageRankConfig(cfg); err != nil {
-		return 0, perfmodel.Workload{}, err
+		return 0, err
 	}
 	if cfg.DegreeBits != 0 && cfg.DegreeBits != p.degBits {
-		return 0, perfmodel.Workload{}, fmt.Errorf("analytics: PageRank at %d-bit degrees on a %d-bit ranker", cfg.DegreeBits, p.degBits)
+		return 0, fmt.Errorf("analytics: PageRank at %d-bit degrees on a %d-bit ranker", cfg.DegreeBits, p.degBits)
 	}
 	l, err := p.acquire()
 	if err != nil {
-		return 0, perfmodel.Workload{}, err
+		return 0, err
 	}
 	defer p.release(l)
 
@@ -429,7 +428,7 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 		}
 	}
 	visit(from.ranks)
-	return iters, pageRankWorkload(rt, g, l, iters), nil
+	return iters, nil
 }
 
 // PageRank runs PageRank once over g: a ranker built for the call, one
@@ -443,7 +442,7 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 	}
 	defer p.Free()
 	out := make([]float64, g.NumVertices)
-	iters, work, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
+	iters, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
 		var buf [rts.DefaultGrain]uint64
 		for lo := uint64(0); lo < uint64(len(out)); lo += uint64(len(buf)) {
 			hi := min(lo+uint64(len(buf)), uint64(len(out)))
@@ -456,7 +455,7 @@ func PageRank(rt *rts.Runtime, g *graph.SmartCSR, cfg PageRankConfig) ([]float64
 	if err != nil {
 		return nil, 0, perfmodel.Workload{}, err
 	}
-	return out, iters, work, nil
+	return out, iters, pageRankWorkload(rt, p, iters), nil
 }
 
 func checkPageRankConfig(cfg PageRankConfig) error {
@@ -474,8 +473,10 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 // and redge once through the chunk-decode kernels, reads one contribution
 // per edge (semi-random, power-law locality; priced as a 64-bit gather,
 // which is the load it is), and per vertex reads the old rank and the
-// inverse degree and writes the next rank and the next contribution.
-func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, l *prLease, iters int) perfmodel.Workload {
+// inverse degree and writes the next rank and the next contribution; the
+// ranker's contrib0 has the shape of every per-vertex row a run touches.
+func pageRankWorkload(rt *rts.Runtime, p *PageRanker, iters int) perfmodel.Workload {
+	g, row := p.g, p.contrib0
 	llc := rt.Spec().LLCMB * 1e6
 	it := float64(iters)
 	e := float64(g.NumEdges)
@@ -493,9 +494,9 @@ func pageRankWorkload(rt *rts.Runtime, g *graph.SmartCSR, l *prLease, iters int)
 		Streams: []perfmodel.Stream{
 			scanStream(g.RBegin, it),
 			scanStream(g.REdge, it),
-			randomStream(l.pairs[0].contribs, it*e, llc, perfmodel.PowerLawLocalityBoost),
-			scanStream(l.pairs[0].ranks, 2*it),  // old rank + inverse degree (same shape)
-			writeStream(l.pairs[1].ranks, 2*it), // next rank + next contribution
+			randomStream(row, it*e, llc, perfmodel.PowerLawLocalityBoost),
+			scanStream(row, 2*it),  // old rank + inverse degree
+			writeStream(row, 2*it), // next rank + next contribution
 		},
 	}
 }

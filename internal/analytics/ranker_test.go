@@ -87,7 +87,7 @@ func TestPageRankerLeasesUnderConcurrency(t *testing.T) {
 				running++
 				peak = max(peak, running)
 				mu.Unlock()
-				iters, _, err := p.Run(rt, cfgs[m], func(ranks *core.SmartArray) {
+				iters, err := p.Run(rt, cfgs[m], func(ranks *core.SmartArray) {
 					mu.Lock()
 					if inUse[ranks] {
 						t.Errorf("a rank array is visible to two runs at once")

@@ -3,12 +3,12 @@
 // companions (BFS, weakly-connected components, triangle counting), all
 // running over smart-array CSR graphs through the Callisto-style runtime.
 //
-// Each evaluation algorithm returns, alongside its result, a
-// perfmodel.Workload describing the traffic and instructions it generated:
-// which arrays were scanned (at their compressed widths and placements),
-// which were gathered randomly, and what was written. The benchmark harness
-// feeds those descriptors — scaled to the paper's dataset sizes — to the
-// performance model to regenerate the figures.
+// DegreeCentrality, BFS and the one-shot PageRank also return a
+// perfmodel.Workload: the arrays the run scanned (at their compressed
+// widths and placements), gathered randomly and wrote. The figures price
+// the paper's dataset sizes through ShapeParams and DegreeWorkloadFor /
+// PageRankWorkloadFor instead, which need no graph in memory; a served
+// PageRanker.Run builds no descriptor.
 package analytics
 
 import (

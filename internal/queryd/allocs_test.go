@@ -35,7 +35,7 @@ func TestServedAllocations(t *testing.T) {
 		// fresh per-array accumulator), which the margins absorb.
 		{"selective_miss", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
 			`"where":[{"column":"id","op":">=","value":5000},{"column":"id","op":"<","value":6000}],"explain":true}`, 86, 2},
-		{"pagerank", `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`, 83, 2},
+		{"pagerank", `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`, 82, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

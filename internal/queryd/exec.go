@@ -111,7 +111,7 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 		cfg := analytics.DefaultPageRankConfig()
 		cfg.MaxIters = p.Iters
 		var res PageRankResult
-		iters, _, err := ds.Ranker.Run(qrt, cfg, func(ranks *core.SmartArray) {
+		iters, err := ds.Ranker.Run(qrt, cfg, func(ranks *core.SmartArray) {
 			res.RankSum, res.Top = summarizeRanks(ranks)
 		})
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
@@ -393,6 +394,192 @@ func TestEveryQueryProfiled(t *testing.T) {
 	}
 	if slog := fetchSlowlogSnapshot(t, ts); slog.Observed != 5 {
 		t.Errorf("slowlog observed %d profiles, want 5", slog.Observed)
+	}
+}
+
+// TestOneRecordPerQuery sends a /query of every outcome — an executed
+// miss, a cache hit, an explain, a 400, a 404, a 405 (GET /query), a 422,
+// and on one slot with no queue an explained pagerank and a second one
+// shed with 429 while the first holds the slot — and checks that every
+// per-query series reads one record: each reply's query_id resolves to a
+// profile with the reply's status, an explain reply's wall_ms is its
+// profile's total_ns, and /stats, the tenant series and the slow log
+// count the same replies.
+func TestOneRecordPerQuery(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 64
+	cfg.MaxInFlight, cfg.MaxQueue = 1, 0
+	srv, ts := newTestServer(t, cfg)
+	scan := map[string]any{
+		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
+		"where": []map[string]any{{"column": "region", "op": "<", "value": 8}},
+	}
+	explain := maps.Clone(scan)
+	explain["explain"] = true
+	for i, c := range []struct {
+		body   map[string]any
+		status int
+	}{
+		{scan, http.StatusOK},
+		{scan, http.StatusOK},
+		{explain, http.StatusOK},
+		{map[string]any{"dataset": "demo", "op": "nonsense"}, http.StatusBadRequest},
+		{map[string]any{"dataset": "nope", "op": "degree"}, http.StatusNotFound},
+		{nil, http.StatusMethodNotAllowed},
+		{map[string]any{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "nope"}, http.StatusUnprocessableEntity},
+	} {
+		status, env, err := send(ts, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != c.status {
+			t.Fatalf("query %d: status %d, want %d", i, status, c.status)
+		}
+		var qid uint64
+		if err := json.Unmarshal(env["query_id"], &qid); err != nil {
+			t.Fatalf("query %d: no query_id: %v", i, err)
+		}
+		if p := fetchProfile(t, ts, qid); p.HTTPStatus != c.status {
+			t.Errorf("query %d: profile http_status %d, want %d", i, p.HTTPStatus, c.status)
+		}
+		if c.body != nil && c.body["explain"] == true {
+			checkWallMS(t, env)
+		}
+	}
+
+	// An explained pagerank held in execution takes the only slot, so a
+	// second one arriving meanwhile is shed.
+	pagerank := func(iters int) map[string]any {
+		return map[string]any{"dataset": "demo", "op": "pagerank", "iters": iters, "explain": true, "tenant": "acme"}
+	}
+	release := holdWorkers(t, srv.rt)
+	held := postAsync(ts, pagerank(30))
+	waitFor(t, "the held pagerank's slot", func() bool { return srv.adm.Stats().InFlight == 1 })
+	if r := recv(t, postAsync(ts, pagerank(31))); r.code != http.StatusTooManyRequests {
+		t.Errorf("pagerank while the slot is held: status %d, want 429", r.code)
+	}
+	release()
+	if r := recv(t, held); r.code != http.StatusOK {
+		t.Errorf("held pagerank: status %d, want 200", r.code)
+	} else {
+		checkWallMS(t, r.env)
+	}
+	checkOneRecord(t, ts)
+}
+
+// TestOneRecordPerQueryConcurrent is TestOneRecordPerQuery's mix from
+// concurrent clients on two slots and one queue place, so misses, hits,
+// coalesced followers, sheds and every error status interleave: once the
+// clients are done the series must still agree.
+func TestOneRecordPerQueryConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 64
+	cfg.MaxInFlight, cfg.MaxQueue = 2, 1
+	_, ts := newTestServer(t, cfg)
+	scan := map[string]any{
+		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
+		"where": []map[string]any{{"column": "flag", "op": "==", "value": 1}},
+	}
+	explain := maps.Clone(scan)
+	explain["explain"] = true
+	mix := []map[string]any{
+		scan, explain,
+		{"dataset": "demo", "op": "pagerank", "iters": 20, "explain": true},
+		{"dataset": "demo", "op": "pagerank", "iters": 21},
+		{"dataset": "demo", "op": "nonsense"},
+		{"dataset": "nope", "op": "degree"},
+		nil,
+		{"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "nope"},
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(mix); i++ {
+				body := mix[(c+i)%len(mix)]
+				status, env, err := send(ts, body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if status == http.StatusOK && body["explain"] == true {
+					checkWallMS(t, env)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	checkOneRecord(t, ts)
+}
+
+// send is post, except that a nil body is sent as GET /query (a 405).
+func send(ts *httptest.Server, body map[string]any) (int, map[string]json.RawMessage, error) {
+	if body != nil {
+		return post(ts, body)
+	}
+	resp, err := http.Get(ts.URL + "/query")
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	var env map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	return resp.StatusCode, env, err
+}
+
+// checkWallMS asserts that an explain reply's wall_ms is its inline
+// profile's total_ns: the reply and the profile read one clock.
+func checkWallMS(t *testing.T, env map[string]json.RawMessage) {
+	t.Helper()
+	var wallMS float64
+	var p obs.QueryProfile
+	if err := json.Unmarshal(env["wall_ms"], &wallMS); err != nil {
+		t.Errorf("wall_ms: %v", err)
+		return
+	}
+	if err := json.Unmarshal(env["profile"], &p); err != nil {
+		t.Errorf("profile: %v", err)
+		return
+	}
+	if ns := uint64(math.Round(wallMS * 1e6)); ns != p.TotalNs {
+		t.Errorf("query %d: wall_ms %v is %d ns, profile total_ns %d", p.ID, wallMS, ns, p.TotalNs)
+	}
+}
+
+// checkOneRecord asserts that the per-query series agree on a quiet
+// server: /stats' reply counters, the slow log and the tenant series each
+// count every /query reply once, the tenant error series the non-200
+// ones, the latency histogram the 200s and the queue-wait histogram the
+// admitted queries.
+func checkOneRecord(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	st := fetchStats(t, ts)
+	replies := st.Served + st.Errors4xx + st.Errors5xx
+	var requests, errs uint64
+	for _, series := range st.Tenants {
+		requests += series.Requests
+		errs += series.Errors
+	}
+	if observed := fetchSlowlogSnapshot(t, ts).Observed; observed != replies || requests != replies {
+		t.Errorf("served %d + errors_4xx %d + errors_5xx %d = %d replies, slow log observed %d, tenant requests %d",
+			st.Served, st.Errors4xx, st.Errors5xx, replies, observed, requests)
+	}
+	if errs != st.Errors4xx+st.Errors5xx {
+		t.Errorf("tenant errors %d, errors_4xx + errors_5xx %d", errs, st.Errors4xx+st.Errors5xx)
+	}
+	var latency, queueWait uint64
+	if st.LatencyMS != nil {
+		latency = st.LatencyMS.Count
+	}
+	if st.QueueWaitMS != nil {
+		queueWait = st.QueueWaitMS.Count
+	}
+	if latency != st.Served {
+		t.Errorf("latency_ms.count %d, served %d", latency, st.Served)
+	}
+	if queueWait != st.Admission.Admitted {
+		t.Errorf("queue_wait_ms.count %d, admitted %d", queueWait, st.Admission.Admitted)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -573,4 +574,72 @@ func spotCheck(ds *Dataset, column string, got uint64) error {
 		}
 	}
 	return fmt.Errorf("queryd: no checksum for column %q", column)
+}
+
+// TestNewServerFreesOnFailedSpec fails NewServer on its second spec — a
+// duplicate name, then an empty dataset — and checks that the dataset
+// built before it is freed: simulated memory and the array registry
+// return to what they held before the call.
+func TestNewServerFreesOnFailedSpec(t *testing.T) {
+	rt := rts.New(machine.UMA(4))
+	defer rt.Close()
+	reg := obs.NewArrayRegistry()
+	good := DatasetSpec{Name: "demo", Rows: 1000, Vertices: 100, Seed: 7}
+	for _, bad := range []DatasetSpec{good, {Name: "empty"}} {
+		used, arrays := rt.Memory().TotalUsedBytes(), reg.Len()
+		if _, err := NewServer(rt, DefaultConfig(), []DatasetSpec{good, bad}, nil, reg); err == nil {
+			t.Fatalf("NewServer accepted %+v after %+v", bad, good)
+		}
+		if got := rt.Memory().TotalUsedBytes(); got != used {
+			t.Errorf("spec %q: %d bytes of simulated memory in use after the failed call, %d before", bad.Name, got, used)
+		}
+		if got := reg.Len(); got != arrays {
+			t.Errorf("spec %q: %d registry entries after the failed call, %d before", bad.Name, got, arrays)
+		}
+	}
+}
+
+// TestStopDrainsQueriesInFlight calls Start's stop while a pagerank is
+// held in execution: the listener closes at once, and the query in flight
+// still gets its 200 before the runtime closes.
+func TestStopDrainsQueriesInFlight(t *testing.T) {
+	rt := rts.New(machine.UMA(4))
+	srv, err := NewServer(rt, DefaultConfig(), []DatasetSpec{{Name: "demo", Vertices: testVertices, Seed: 7}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := holdWorkers(t, rt)
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/query", "application/json",
+			strings.NewReader(`{"dataset":"demo","op":"pagerank","iters":5}`))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitFor(t, "the pagerank's slot", func() bool { return srv.adm.Stats().InFlight == 1 })
+	stopped := make(chan error, 1)
+	go func() { stopped <- stop() }()
+	waitFor(t, "the listener to close", func() bool {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	})
+	release()
+	if got := <-status; got != http.StatusOK {
+		t.Errorf("pagerank in flight at stop: status %d, want 200", got)
+	}
+	if err := <-stopped; err != nil {
+		t.Errorf("stop: %v", err)
+	}
 }

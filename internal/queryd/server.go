@@ -29,6 +29,7 @@
 package queryd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,9 +49,9 @@ import (
 	"smartarrays/internal/rts"
 )
 
-// QueryHistogram is the recorder histogram receiving one end-to-end
-// observation per served query (admission wait included); per-op
-// histograms are named QueryHistogram + "." + op.
+// QueryHistogram is the recorder histogram receiving one observation per
+// 200 reply to /query, its profile's total_ns (arrival to reply, admission
+// wait included); per-op histograms are named QueryHistogram + "." + op.
 const QueryHistogram = "queryd.query"
 
 // opHistograms holds each op's histogram name, built once so a served
@@ -99,8 +100,9 @@ type Server struct {
 	// key).
 	qid atomic.Uint64
 
-	// served counts successfully executed queries; errs5xx counts
-	// internal failures (the load gate requires this to stay zero).
+	// served, errs4xx and errs5xx count /query replies by HTTP status
+	// (reply is their one writer); the load gate requires errs5xx to stay
+	// zero.
 	served  atomic.Uint64
 	errs4xx atomic.Uint64
 	errs5xx atomic.Uint64
@@ -126,12 +128,20 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 	// Datasets are built with stealing still off: initialization wants
 	// stripe-faithful claiming's first-touch determinism.
 	datasets := make(map[string]*Dataset, len(specs))
+	// A failed spec leaves no server to own what was built before it.
+	freeBuilt := func() {
+		for _, d := range datasets {
+			d.Free()
+		}
+	}
 	for _, spec := range specs {
 		if _, dup := datasets[spec.Name]; dup {
+			freeBuilt()
 			return nil, fmt.Errorf("queryd: duplicate dataset %q", spec.Name)
 		}
 		d, err := BuildDataset(rt, spec)
 		if err != nil {
+			freeBuilt()
 			return nil, err
 		}
 		datasets[spec.Name] = d
@@ -230,9 +240,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// drainTimeout bounds how long Start's stop waits for requests in flight.
+// It stays under the few seconds a supervisor typically grants between
+// SIGTERM and SIGKILL.
+const drainTimeout = 2 * time.Second
+
 // Start binds addr (":0" picks a free port), serves in the background,
 // and returns the bound address plus a stop function that closes the
-// listener and then the runtime.
+// listener, lets the requests in flight finish (for up to drainTimeout)
+// and then closes the runtime.
 func (s *Server) Start(addr string) (string, func() error, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -241,7 +257,9 @@ func (s *Server) Start(addr string) (string, func() error, error) {
 	srv := &http.Server{Handler: s.Handler()}
 	go func() { _ = srv.Serve(l) }()
 	stop := func() error {
-		err := srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		err := srv.Shutdown(ctx)
 		s.Close()
 		return err
 	}
@@ -278,41 +296,38 @@ type errorResponse struct {
 const maxQueryBody = 1 << 20
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// qStart anchors the whole profile: TotalNs and the latency
-	// histogram both measure arrival to response.
-	qStart := time.Now()
+	// Every query is profiled, its wall clock started at arrival. The
+	// profile is the query's one record: reply finalizes it, and every
+	// per-query series and the reply's wall_ms read it there.
+	start := time.Now()
+	prof := obs.NewQueryProfileAt(s.qid.Add(1), start)
 	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, errors.New("queryd: POST a query JSON body"))
+		s.reply(w, prof, time.Now(), http.StatusMethodNotAllowed, errors.New("queryd: POST a query JSON body"), nil)
 		return
 	}
-	qid := s.qid.Add(1)
-	// Every query is profiled, its wall clock backdated to arrival; the
-	// profile lands in the slow-query log whatever the outcome.
-	prof := obs.NewQueryProfileAt(qid, qStart)
 	// One snapshot load; the rest of the request sees a consistent
 	// config+catalog no matter how many swaps land meanwhile.
 	snap := s.snap.Load()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
 	if err != nil {
-		s.failQuery(w, http.StatusBadRequest, err, prof, "invalid", qStart)
+		s.reply(w, prof, time.Now(), http.StatusBadRequest, err, nil)
 		return
 	}
 	p, err := plan.Parse(body)
 	if err != nil {
-		s.failQuery(w, http.StatusBadRequest, err, prof, "invalid", qStart)
+		s.reply(w, prof, time.Now(), http.StatusBadRequest, err, nil)
 		return
 	}
 	prof.Op = string(p.Op)
 	prof.Dataset = p.Dataset
 	prof.Tenant = p.Tenant
 	prof.Plan = p.String()
-	// Stage times are contiguous laps from qStart: each stage ends where
+	// Stage times are contiguous laps from start: each stage ends where
 	// the next begins and the profile finalizes at the instant the last
 	// one closed (lapStart), so the stages tile the profile's wall time —
-	// glue between them (dataset lookup, cache fill, histogram observes)
-	// lands in a stage instead of a gap a descheduled handler could
-	// silently widen.
-	lapStart := qStart
+	// glue between them (dataset lookup, cache fill) lands in a stage
+	// instead of a gap a descheduled handler could silently widen.
+	lapStart := start
 	lap := func(name string) time.Duration {
 		now := time.Now()
 		d := now.Sub(lapStart)
@@ -323,7 +338,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	lap("parse")
 	ds, err := snap.dataset(p.Dataset)
 	if err != nil {
-		s.failQuery(w, http.StatusNotFound, err, prof, "error", qStart)
+		s.reply(w, prof, time.Now(), http.StatusNotFound, err, nil)
 		return
 	}
 
@@ -373,14 +388,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lap("execute")
 	default:
 		err = s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS)
-		queueWait := lap("admission")
-		prof.QueueWaitNs = uint64(queueWait)
+		prof.QueueWaitNs = uint64(lap("admission"))
 		if err != nil {
-			s.reject(w, snap.cfg, err, prof, qStart)
+			// Both shed and expired queries should back off about one
+			// queue drain; the timeout is the honest upper bound.
+			w.Header().Set("Retry-After", strconv.FormatInt((snap.cfg.QueueTimeoutMS+999)/1000, 10))
+			s.reply(w, prof, lapStart, http.StatusTooManyRequests, err, nil)
 			return
-		}
-		if s.rec != nil {
-			s.rec.Histogram(QueueWaitHistogram).Observe(uint64(queueWait.Nanoseconds()))
 		}
 		defer s.adm.ReleaseTenant(p.Tenant)
 		// The slot is released against the *latest* config, so a raised
@@ -401,24 +415,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lap("execute")
 	}
 	if err != nil {
-		s.failExecution(w, err, prof, qStart)
+		// A panic in execution is a server-side failure (500); anything
+		// else is the plan's fault — it validated but the executor
+		// rejected it (e.g. unknown column) — and a 422, which keeps the
+		// "zero 5xx" load gate meaningful for real internal failures.
+		code := http.StatusUnprocessableEntity
+		if errors.Is(err, errExecPanicked) {
+			code = http.StatusInternalServerError
+		}
+		s.reply(w, prof, lapStart, code, err, nil)
 		return
 	}
-
-	wall := time.Since(qStart)
-	if s.rec != nil {
-		s.rec.Histogram(QueryHistogram).Observe(uint64(wall.Nanoseconds()))
-		s.rec.Histogram(opHistograms[p.Op]).Observe(uint64(wall.Nanoseconds()))
-	}
-	s.observeTenant(p.Tenant, string(p.Op), wall, false)
-	s.finishProfile(prof, "ok", http.StatusOK, lapStart)
-	s.served.Add(1)
 	resp := queryResponse{
 		Op:       string(p.Op),
 		Dataset:  p.Dataset,
-		QueryID:  qid,
+		QueryID:  prof.ID,
 		Result:   result,
-		WallMS:   float64(wall.Nanoseconds()) / 1e6,
 		Priority: snap.cfg.clampPriority(p.Priority),
 		Cached:   hit,
 		Shared:   joined != nil,
@@ -426,75 +438,61 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if p.Explain {
 		resp.Profile = prof
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, prof, lapStart, http.StatusOK, nil, &resp)
 }
 
-// failExecution reports a plan that failed past the cache: a panic in
-// execution is a server-side failure (500); anything else is the plan's
-// fault — it validated but the executor rejected it (e.g. unknown column)
-// — and a 422, which keeps the "zero 5xx" load gate meaningful for real
-// internal failures.
-func (s *Server) failExecution(w http.ResponseWriter, err error, prof *obs.QueryProfile, start time.Time) {
-	status := http.StatusUnprocessableEntity
-	if errors.Is(err, errExecPanicked) {
-		status = http.StatusInternalServerError
+// reply is the one exit of every /query request. It finalizes prof, its
+// status named by code and err and its wall clock stopped at end, and
+// publishes it to the slow-query log; then it derives every per-query
+// series from the finalized fields and writes resp (code 200) or the
+// error envelope. Nothing else counts a query's outcome, so /stats,
+// /metrics, the slow log and the reply's wall_ms read one record and
+// cannot disagree.
+func (s *Server) reply(w http.ResponseWriter, prof *obs.QueryProfile, end time.Time, code int, err error, resp *queryResponse) {
+	status := "ok"
+	if err != nil {
+		prof.Error = err.Error()
+		switch code {
+		case http.StatusTooManyRequests:
+			status = "shed"
+			if errors.Is(err, ErrDeadline) {
+				status = "expired"
+			}
+		case http.StatusBadRequest, http.StatusMethodNotAllowed:
+			status = "invalid"
+		default:
+			status = "error"
+		}
 	}
-	s.failQuery(w, status, err, prof, "error", start)
-}
-
-// finishProfile finalizes a profile, its wall clock stopped at end, and
-// publishes it to the slow-query log.
-func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int, end time.Time) {
-	prof.FinalizeAt(status, httpStatus, end)
+	prof.FinalizeAt(status, code, end)
 	s.slowlog.Observe(prof)
-}
 
-// observeTenant records the per-tenant RED observation. Every terminal
-// outcome — served, cached, shed, failed — lands here exactly once, so
-// the tenant series agree with the admission and error counters.
-func (s *Server) observeTenant(tenant, op string, d time.Duration, isErr bool) {
-	if s.rec != nil {
-		s.rec.Tenants().Observe(tenant, op, d, isErr)
+	s.rec.Tenants().Observe(prof.Tenant, prof.Op, time.Duration(prof.TotalNs), prof.HTTPStatus != http.StatusOK)
+	for _, st := range prof.Stages {
+		// An admitted query passed the admission stage with no 429.
+		if st.Name == "admission" && prof.HTTPStatus != http.StatusTooManyRequests {
+			s.rec.Histogram(QueueWaitHistogram).Observe(prof.QueueWaitNs)
+		}
 	}
-}
-
-// failQuery is fail for a query: it finalizes the query's profile with
-// the given status so error paths appear in the slow-query log, and
-// records the RED error observation under the tenant and op the profile
-// names (empty for a request that never parsed).
-func (s *Server) failQuery(w http.ResponseWriter, status int, err error, prof *obs.QueryProfile, profStatus string, start time.Time) {
-	if status >= 500 {
+	switch {
+	case prof.HTTPStatus == http.StatusOK:
+		s.served.Add(1)
+		s.rec.Histogram(QueryHistogram).Observe(prof.TotalNs)
+		s.rec.Histogram(opHistograms[plan.Op(prof.Op)]).Observe(prof.TotalNs)
+		resp.WallMS = float64(prof.TotalNs) / 1e6
+		writeJSON(w, code, resp)
+		return
+	case prof.HTTPStatus >= 500:
 		s.errs5xx.Add(1)
-	} else {
+	default:
 		s.errs4xx.Add(1)
 	}
-	prof.Error = err.Error()
-	s.finishProfile(prof, profStatus, status, time.Now())
-	s.observeTenant(prof.Tenant, prof.Op, time.Since(start), true)
-	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: prof.ID})
+	writeJSON(w, code, errorResponse{Error: prof.Error, QueryID: prof.ID})
 }
 
-// reject maps admission errors onto 429 with a Retry-After hint. A
-// rejection still emits a (minimal) profile whose status names the shed
-// reason, so the slow-query log and tenant error series agree with the
-// admission counters.
-func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, prof *obs.QueryProfile, start time.Time) {
-	// Both shed and expired queries should back off about one queue
-	// drain; the timeout is the honest upper bound.
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", (cfg.QueueTimeoutMS+999)/1000))
-	status := "shed"
-	if errors.Is(err, ErrDeadline) {
-		status = "expired"
-	}
-	s.failQuery(w, http.StatusTooManyRequests, err, prof, status, start)
-}
-
-func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	if status >= 500 {
-		s.errs5xx.Add(1)
-	} else {
-		s.errs4xx.Add(1)
-	}
+// fail answers a request to any endpoint but /query, whose replies leave
+// through reply.
+func fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
@@ -540,20 +538,17 @@ type latencyQuantiles struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp := statsResponse{
+	writeJSON(w, http.StatusOK, statsResponse{
 		Admission:   s.adm.Stats(),
 		Cache:       s.cache.stats(),
 		Served:      s.served.Load(),
 		Errors4xx:   s.errs4xx.Load(),
 		Errors5xx:   s.errs5xx.Load(),
 		ActiveLoops: s.rt.ActiveLoops(),
-	}
-	if s.rec != nil {
-		resp.LatencyMS = quantilesOf(s.rec.Histogram(QueryHistogram).Snapshot())
-		resp.QueueWaitMS = quantilesOf(s.rec.Histogram(QueueWaitHistogram).Snapshot())
-		resp.Tenants = s.rec.Tenants().Snapshot()
-	}
-	writeJSON(w, http.StatusOK, resp)
+		LatencyMS:   quantilesOf(s.rec.Histogram(QueryHistogram).Snapshot()),
+		QueueWaitMS: quantilesOf(s.rec.Histogram(QueueWaitHistogram).Snapshot()),
+		Tenants:     s.rec.Tenants().Snapshot(),
+	})
 }
 
 // handleSlowlog serves the retained profile rings: threshold, counts,
@@ -569,12 +564,12 @@ func (s *Server) handleQueryLookup(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/query/")
 	id, err := strconv.ParseUint(idStr, 10, 64)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("queryd: bad query id %q", idStr))
+		fail(w, http.StatusBadRequest, fmt.Errorf("queryd: bad query id %q", idStr))
 		return
 	}
 	prof := s.slowlog.Lookup(id)
 	if prof == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("queryd: no retained profile for query %d", id))
+		fail(w, http.StatusNotFound, fmt.Errorf("queryd: no retained profile for query %d", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, prof)
@@ -608,29 +603,29 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
+			fail(w, http.StatusBadRequest, err)
 			return
 		}
 		var req controlRequest
 		if err := json.Unmarshal(body, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, err)
+			fail(w, http.StatusBadRequest, err)
 			return
 		}
 		if req.Config != nil {
 			if err := s.SwapConfig(*req.Config); err != nil {
-				s.fail(w, http.StatusBadRequest, err)
+				fail(w, http.StatusBadRequest, err)
 				return
 			}
 		}
 		for _, spec := range req.Datasets {
 			if err := s.AddDataset(spec); err != nil {
-				s.fail(w, http.StatusBadRequest, err)
+				fail(w, http.StatusBadRequest, err)
 				return
 			}
 		}
 		writeJSON(w, http.StatusOK, s.Config())
 	default:
-		s.fail(w, http.StatusMethodNotAllowed, errors.New("queryd: GET or POST"))
+		fail(w, http.StatusMethodNotAllowed, errors.New("queryd: GET or POST"))
 	}
 }
 
