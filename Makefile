@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race rts-stress queryd-stress core-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
+.PHONY: all build test allocs race rts-stress queryd-stress core-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
 
 all: build
 
@@ -13,6 +13,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The served-path allocation ratchet (TestServedAllocations), repeated at
+# several GOMAXPROCS: a stray allocation that only some runs pay (one
+# timing-dependent branch) fails a single run by chance, five runs at each
+# of three -cpu values rarely. Not under -race: the race detector's
+# sync.Pool drops make allocation counts irreproducible, and the test skips
+# itself there.
+allocs:
+	$(GO) test -count=5 -cpu 1,2,4 -run '^TestServedAllocations$$' ./internal/queryd
 
 race:
 	$(GO) test -race ./...
@@ -130,7 +139,7 @@ load-smoke:
 # Everything CI runs, in one shot. Targets run to completion even after a
 # failure so one run reports every broken target, and the summary at the
 # end names the ones that failed.
-CI_TARGETS := build vet fmt lint test race rts-stress queryd-stress core-stress fuzz-smoke bench-selftest load-smoke
+CI_TARGETS := build vet fmt lint test allocs race rts-stress queryd-stress core-stress fuzz-smoke bench-selftest load-smoke
 
 ci:
 	@failed=""; \

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"sync/atomic"
+
 	"smartarrays/internal/adapt"
 	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
@@ -117,25 +119,28 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 	init.End()
 
 	// Phase A: linear reductions with a selectivity-~50% predicate riding
-	// along, so the live profile also carries observed selectivity.
+	// along, so the live profile also carries observed selectivity: each
+	// pass reports its hits once, after the loop.
 	threshold := mask / 2
 	scan := span.Child("live.scan")
 	var scanSum uint64
+	var hits atomic.Uint64
 	for p := 0; p < cfg.ScanPasses; p++ {
 		scanSum = rt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			replica := a.GetReplica(w.Socket)
-			var s, hits uint64
+			var s, h uint64
 			for i := lo; i < hi; i++ {
 				v := a.Get(replica, i)
 				s += v
 				if v > threshold {
-					hits++
+					h++
 				}
 			}
 			a.AccountReduce(w.Counters, lo, hi)
-			a.AccountPredicate(w.Counters, hi-lo, hits)
+			hits.Add(h)
 			return s
 		})
+		a.AccountPredicate(n, hits.Swap(0))
 	}
 	scan.End()
 

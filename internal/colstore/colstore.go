@@ -41,15 +41,29 @@ type Table struct {
 	rows    uint64
 	columns []*Column
 	byName  map[string]*Column
-	// scratch holds one mask buffer per worker, reused across passes so
-	// the bitmap pipeline stops re-growing per-pass slices. Slot i
-	// is touched only by whoever holds worker i's ownership flag, one
-	// goroutine at a time (also across concurrent loops), so no locking is
-	// needed; WithRuntime views share the backing array.
-	scratch [][]uint64
-	// decode is the per-worker pair of chunk buffers the grouped fold
-	// decodes a dense chunk's key and target into — same ownership rule.
-	decode []decodeBufs
+	// workers holds one scratch record per worker, reused across passes.
+	// Record i is touched only by whoever holds worker i's ownership flag,
+	// one goroutine at a time (also across concurrent loops), so no
+	// locking is needed; WithRuntime views share the backing array.
+	workers []workerScratch
+}
+
+// workerScratch is one worker's scan buffers — the grouped fold's chunk
+// decode buffers for key and target, and the selection bitmap's mask words
+// (grown when a batch spans more chunks than any before) — padded to whole
+// cache lines, so neighbours' writes never share one.
+type workerScratch struct {
+	key, val [bitpack.ChunkSize]uint64
+	masks    []uint64
+	_        [40]byte
+}
+
+// maskWords returns the worker's mask buffer cut to n words.
+func (w *workerScratch) maskWords(n uint64) []uint64 {
+	if uint64(cap(w.masks)) < n {
+		w.masks = make([]uint64, n)
+	}
+	return w.masks[:n]
 }
 
 // Options configure column storage.
@@ -75,8 +89,7 @@ func NewTable(rt *rts.Runtime, rows uint64) (*Table, error) {
 		rt:      rt,
 		rows:    rows,
 		byName:  map[string]*Column{},
-		scratch: make([][]uint64, len(rt.Workers())),
-		decode:  make([]decodeBufs, len(rt.Workers())),
+		workers: make([]workerScratch, len(rt.Workers())),
 	}, nil
 }
 
@@ -208,12 +221,9 @@ func (op CmpOp) String() string {
 	return [...]string{"=", "!=", "<", "<=", ">", ">="}[op]
 }
 
-// Cmp maps the operator to the bitpack fused-kernel predicate — exported
-// for callers that feed predicates to core's mask kernels directly.
-func (op CmpOp) Cmp() bitpack.Cmp { return op.cmp() }
-
-// cmp maps the operator to the bitpack fused-kernel predicate.
-func (op CmpOp) cmp() bitpack.Cmp {
+// Cmp maps the operator to the bitpack fused-kernel predicate, for the
+// scan and for callers that feed predicates to core's mask kernels.
+func (op CmpOp) Cmp() bitpack.Cmp {
 	switch op {
 	case Eq:
 		return bitpack.CmpEq
@@ -283,16 +293,6 @@ func (s *aggState) result() uint64 {
 	default:
 		return s.max
 	}
-}
-
-// maskScratch returns a per-worker mask buffer of at least n words,
-// growing the worker's slot when a batch spans more chunks than any
-// previous one. Each slot is touched only by its owning worker.
-func maskScratch(slot *[]uint64, n uint64) []uint64 {
-	if uint64(cap(*slot)) < n {
-		*slot = make([]uint64, n)
-	}
-	return (*slot)[:n]
 }
 
 // orderPreds returns the predicate evaluation order for a conjunction:

@@ -15,7 +15,9 @@ import (
 
 // pruningFixture builds a table whose predicate columns are clustered
 // (sorted plateaus with occasional noise) so the zone index resolves a
-// real share of chunks, plus plain-slice shadows for the scalar paths.
+// real share of chunks, plus plain-slice shadows for the scalar paths. Its
+// runtime carries an array registry, so every pass folds its predicates'
+// observed selectivity into the columns' access profiles.
 type pruningFixture struct {
 	table *Table
 	key   []uint64
@@ -27,6 +29,7 @@ type pruningFixture struct {
 func newPruningFixture(t *testing.T, rows uint64) *pruningFixture {
 	t.Helper()
 	rt := rts.New(machine.X52Small())
+	rt.SetArrayProfiling(obs.NewArrayRegistry())
 	table, err := NewTable(rt, rows)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +253,10 @@ func TestZoneWalkWaves(t *testing.T) {
 }
 
 // TestOrderPredsKeepsSemantics checks that selectivity-driven predicate
-// reordering never changes results: after telemetry has observed skewed
-// selectivities, a two-predicate query still matches the scalar path and
-// the caller's predicate slice is left untouched.
+// reordering happens and never changes results: after telemetry has
+// observed skewed selectivities, orderPreds leads a [tag, band] conjunction
+// with the far more selective band, and the query still matches the
+// scalar path and leaves the caller's predicate slice untouched.
 func TestOrderPredsKeepsSemantics(t *testing.T) {
 	f := newPruningFixture(t, 4096)
 	// Warm telemetry with queries whose selectivities differ sharply so
@@ -269,6 +273,15 @@ func TestOrderPredsKeepsSemantics(t *testing.T) {
 		{Column: "band", Op: Lt, Value: 8},
 	}
 	orig := append([]Pred(nil), preds...)
+	cols, err := f.table.resolvePreds(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, order := orderPreds(cols, append([]Pred(nil), orig...)); order[0].Column != "band" {
+		bandSel, _ := cols[1].arr.ObservedSelectivity()
+		tagSel, _ := cols[0].arr.ObservedSelectivity()
+		t.Fatalf("orderPreds kept %v first (observed selectivity band %.3f, tag %.3f)", order[0], bandSel, tagSel)
+	}
 	got, err := f.table.Aggregate(Count, "val", preds...)
 	if err != nil {
 		t.Fatal(err)
@@ -282,5 +295,65 @@ func TestOrderPredsKeepsSemantics(t *testing.T) {
 	}
 	if !reflect.DeepEqual(preds, orig) {
 		t.Fatalf("Aggregate mutated caller predicates: %v != %v", preds, orig)
+	}
+}
+
+// TestScanFoldsPredicateFeedback: a pass folds each predicate's observed
+// selectivity into its column's access profile once, after the loop, from
+// the scan's own per-worker rows — through a profiled runtime view and
+// with no query profile alike. In evaluation order the first predicate
+// sees every live row, the second only the rows the first let through,
+// and the last one's hits are the COUNT.
+func TestScanFoldsPredicateFeedback(t *testing.T) {
+	f := newPruningFixture(t, 1<<14)
+	reg := f.table.rt.Memory().ArrayRegistry()
+	preds := []Pred{{Column: "tag", Op: Lt, Value: 300}, {Column: "band", Op: Lt, Value: 40}}
+	for _, profiled := range []bool{true, false} {
+		cols, err := f.table.resolvePreds(preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The order the pass will evaluate in: orderPreds reads the same
+		// registry state the pass's own call does.
+		order, _ := orderPreds(cols, append([]Pred(nil), preds...))
+		snap := func() (p [2]obs.AccessProfile) {
+			for i, c := range order {
+				var ok bool
+				if p[i], ok = reg.Profile(c.arr.TelemetryID()); !ok {
+					t.Fatalf("column %s is not in the registry", c.Name)
+				}
+			}
+			return p
+		}
+		before := snap()
+		table := f.table
+		if profiled {
+			table = table.WithRuntime(table.rt.WithProfile(obs.NewQueryProfileAt(1, time.Now())))
+		}
+		count, err := table.Aggregate(Count, "val", preds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := f.table.aggregateScalar(Count, "val", preds...); count != want {
+			t.Fatalf("profiled=%v: count %d, want %d", profiled, count, want)
+		}
+		after := snap()
+		var evals, hits [2]uint64
+		for i := range order {
+			evals[i] = after[i].Access.PredEvals - before[i].Access.PredEvals
+			hits[i] = after[i].Access.PredHits - before[i].Access.PredHits
+			if after[i].Folds <= before[i].Folds {
+				t.Errorf("profiled=%v: %s folds did not grow: %d -> %d", profiled, order[i].Name, before[i].Folds, after[i].Folds)
+			}
+		}
+		if hits[1] != count {
+			t.Errorf("profiled=%v: last predicate (%s) hits grew by %d, want the count %d", profiled, order[1].Name, hits[1], count)
+		}
+		if evals[1] != hits[0] {
+			t.Errorf("profiled=%v: second predicate (%s) evaluations grew by %d, want the first's hits %d", profiled, order[1].Name, evals[1], hits[0])
+		}
+		if evals[0] == 0 || evals[0] > f.table.Rows() {
+			t.Errorf("profiled=%v: first predicate (%s) evaluations grew by %d of %d rows", profiled, order[0].Name, evals[0], f.table.Rows())
+		}
 	}
 }

@@ -255,7 +255,7 @@ func TestCmpOps(t *testing.T) {
 
 // TestCmpOpEvalMatchesKernelCmp pins the scalar predicate (CmpOp.eval,
 // used by the per-row reference path) to the mask-kernel predicate
-// (CmpOp.cmp().Eval) for every operator and boundary value, so the
+// (CmpOp.Cmp().Eval) for every operator and boundary value, so the
 // selection-bitmap path can never silently diverge from the scalar one.
 func TestCmpOpEvalMatchesKernelCmp(t *testing.T) {
 	thresholds := []uint64{0, 1, 1000, 1 << 32, ^uint64(0) - 1, ^uint64(0)}
@@ -270,7 +270,7 @@ func TestCmpOpEvalMatchesKernelCmp(t *testing.T) {
 			}
 			for _, v := range values {
 				scalar := op.eval(v, thr)
-				kernel := op.cmp().Eval(v, thr)
+				kernel := op.Cmp().Eval(v, thr)
 				if scalar != kernel {
 					t.Errorf("op %s: eval(%d,%d)=%v but kernel Eval=%v", op, v, thr, scalar, kernel)
 				}

@@ -40,7 +40,7 @@ type ScanResult struct {
 }
 
 // scanState is one query's state for a single whole-table pass: resolved
-// columns, the ordered predicate list, and per-worker accumulators. run
+// columns, the ordered predicate list, and one record per worker. run
 // drives it once and returns its result.
 type scanState struct {
 	agg     Agg
@@ -50,34 +50,31 @@ type scanState struct {
 	// predCols/preds are the conjunction in evaluation order (orderPreds).
 	predCols []*Column
 	preds    []Pred
+	// Dense grouping keys (domain slots) index a worker's grouped
+	// accumulators directly, wide ones through a map.
+	dense  bool
+	domain uint64
 
-	// locals accumulates the scalar aggregate, one padded slot per worker.
-	locals []paddedAgg
-	// rowFolds[w] is worker w's grouped fold: key/target representation
-	// snapshots (core.View) and the worker's accumulators, built on the
-	// worker's first surviving batch of the pass. Dense keys (domain slots)
-	// index the accumulators directly, wide ones through a map.
-	dense    bool
-	domain   uint64
-	rowFolds []*rowFold
-
-	// counts[w] is worker w's chunk accounting, laid out as [predicates in
-	// evaluation order..., key (grouped only), target]; every pass keeps
-	// it, and foldProfile reports it, predicates in canonical order.
-	counts [][]core.ScanCounts
+	// workers[w] is worker w's record of the pass, the only per-query
+	// state a batch writes; fold and result read it after the barrier.
+	workers []workerRecord
 }
 
-// paddedAgg is a cache-line-sized scalar accumulator slot (aggState is 40
-// bytes), as rts.ReduceSum's partials are: every batch writes its worker's
-// slot, so neighbours must not share a line. The dense GroupBy vectors
-// are not padded — 4096 slots per worker already spread the writes.
-type paddedAgg struct {
-	aggState
-	_ [24]byte
+// workerRecord is one worker's record of a pass: its scalar accumulator,
+// its grouped fold (key/target snapshots and accumulators, built on its
+// first surviving batch) and its accounting row. Every batch writes its
+// worker's record, so records are padded to two cache lines (aggState is
+// 40 bytes): neighbours never share one. The dense GroupBy vectors are
+// not padded — 4096 slots per worker already spread the writes.
+type workerRecord struct {
+	acc  aggState
+	fold *rowFold
+	row  []slotCounts
+	_    [56]byte
 }
 
 // newScanState resolves q against the table and allocates its per-worker
-// accumulators and accounting rows (group storage and rows are lazy).
+// records (accounting rows and group storage are lazy).
 func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 	target, err := t.Column(q.Column)
 	if err != nil {
@@ -89,13 +86,15 @@ func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 	}
 	preds := append([]Pred(nil), q.Preds...)
 	predCols, preds = orderPreds(predCols, preds)
-	n := len(t.rt.Workers())
 	s := &scanState{
 		agg:      q.Agg,
 		target:   target,
 		predCols: predCols,
 		preds:    preds,
-		counts:   make([][]core.ScanCounts, n),
+		workers:  make([]workerRecord, len(t.rt.Workers())),
+	}
+	for i := range s.workers {
+		s.workers[i].acc = newAggState(q.Agg)
 	}
 	if q.Key != "" {
 		key, err := t.Column(q.Key)
@@ -104,79 +103,68 @@ func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 		}
 		s.grouped = true
 		s.key = key
-		s.rowFolds = make([]*rowFold, n)
 		if key.arr.Bits() <= denseKeyMaxBits {
 			s.dense = true
 			s.domain = key.arr.Codec().MaxValue() + 1
-		}
-	} else {
-		s.locals = make([]paddedAgg, n)
-		for i := range s.locals {
-			s.locals[i].aggState = newAggState(q.Agg)
 		}
 	}
 	return s, nil
 }
 
-func (s *scanState) numSlots() int {
-	n := len(s.preds) + 1
-	if s.grouped {
-		n++
-	}
-	return n
-}
+// A worker's accounting row is [key, target, predicates in evaluation
+// order...]; a scalar pass leaves the key slot unused.
+const (
+	keySlot = iota
+	targetSlot
+	predSlot
+)
 
-func (s *scanState) keySlot() int { return len(s.preds) }
-
-func (s *scanState) targetSlot() int {
-	if s.grouped {
-		return len(s.preds) + 1
-	}
-	return len(s.preds)
-}
-
-// row returns worker wid's accounting row, allocating on first use
-// (owner-only, like the aggregation accumulators).
-func (s *scanState) row(wid int) []core.ScanCounts {
-	r := s.counts[wid]
-	if r == nil {
-		r = make([]core.ScanCounts, s.numSlots())
-		s.counts[wid] = r
+// record returns worker wid's record, allocating its accounting row on
+// first use (owner-only, like the accumulators).
+func (s *scanState) record(wid int) *workerRecord {
+	r := &s.workers[wid]
+	if r.row == nil {
+		r.row = make([]slotCounts, predSlot+len(s.preds))
 	}
 	return r
 }
 
 // accountDead accounts a batch whose conjunction died: the key and
 // target columns' n chunks were never touched.
-func (s *scanState) accountDead(row []core.ScanCounts, n uint64) {
+func (s *scanState) accountDead(row []slotCounts, n uint64) {
 	if s.grouped {
-		row[s.keySlot()].Pruned += n
+		row[keySlot].Pruned += n
 	}
 	if s.grouped || s.agg != Count {
-		row[s.targetSlot()].Pruned += n
+		row[targetSlot].Pruned += n
 	}
 }
 
-// foldProfile folds the per-worker accounting rows into prof as
-// ColumnProfile entries, once, after the pass; a pass outside a query
-// (nil prof) has nowhere to report them. dead is the chunk count of the
-// runs plan-time pruning kept out of the loop: pruned for every one of
-// the state's columns.
-func (s *scanState) foldProfile(prof *obs.QueryProfile, dead uint64) {
-	if prof == nil {
-		return
-	}
-	totals := make([]core.ScanCounts, s.numSlots())
+// fold folds the per-worker records' accounting rows once, after the
+// pass. Each predicate's evaluated and surviving rows go to its column's
+// access profile (the observed selectivity orderPreds reads), whether or
+// not a query profile is attached; with one, every column's chunk counts
+// go into it as ColumnProfile entries. dead is the chunk count of the runs
+// plan-time pruning kept out of the loop: pruned for every one of the
+// state's columns.
+func (s *scanState) fold(prof *obs.QueryProfile, dead uint64) {
+	totals := make([]slotCounts, predSlot+len(s.preds))
 	for i := range totals {
 		totals[i].Pruned = dead
 	}
-	for _, r := range s.counts {
-		if r == nil {
-			continue
+	for _, r := range s.workers {
+		for i, c := range r.row {
+			totals[i].ScanCounts.Add(c.ScanCounts)
+			totals[i].evals += c.evals
+			totals[i].hits += c.hits
 		}
-		for i := range totals {
-			totals[i].Add(r[i])
-		}
+	}
+	preds := totals[predSlot:]
+	for i, col := range s.predCols {
+		col.arr.AccountPredicate(preds[i].evals, preds[i].hits)
+	}
+	if prof == nil {
+		return
 	}
 	// Predicates are reported in canonical order, sorted by (column, op,
 	// value) since AND commutes, whatever order orderPreds evaluated them
@@ -190,15 +178,15 @@ func (s *scanState) foldProfile(prof *obs.QueryProfile, dead uint64) {
 		return cmp.Or(cmp.Compare(pa.Column, pb.Column), cmp.Compare(pa.Op, pb.Op), cmp.Compare(pa.Value, pb.Value))
 	})
 	for _, i := range order {
-		prof.AddColumn(columnProfile(s.predCols[i], obs.RolePredicate, totals[i]))
+		prof.AddColumn(columnProfile(s.predCols[i], obs.RolePredicate, preds[i].ScanCounts))
 	}
 	if s.grouped {
-		prof.AddColumn(columnProfile(s.key, obs.RoleKey, totals[s.keySlot()]))
+		prof.AddColumn(columnProfile(s.key, obs.RoleKey, totals[keySlot].ScanCounts))
 	}
 	if s.grouped || s.agg != Count {
 		// A scalar count never touches the target column; everything else
 		// folds it under the mask.
-		prof.AddColumn(columnProfile(s.target, obs.RoleTarget, totals[s.targetSlot()]))
+		prof.AddColumn(columnProfile(s.target, obs.RoleTarget, totals[targetSlot].ScanCounts))
 	}
 }
 
@@ -210,23 +198,23 @@ func (s *scanState) foldProfile(prof *obs.QueryProfile, dead uint64) {
 // of its zone walk instead, and stops once no live super zone left can
 // beat its answer. Per batch the selection bitmap is built into the
 // table's per-worker mask scratch, then the surviving rows fold. Runs
-// through the receiver's runtime and reports its chunk accounting to that
-// view's query profile.
+// through the receiver's runtime; fold reports the pass's accounting.
 func (t *Table) run(s *scanState) ScanResult {
 	runs, dead := liveRuns(t.rows, s)
 	body := func(w *rts.Worker, blo, bhi uint64) {
-		row := s.row(w.ID)
+		rec, scr := s.record(w.ID), &t.workers[w.ID]
 		if len(s.preds) == 0 {
-			s.foldAll(w, blo, bhi, row, &t.decode[w.ID])
+			s.foldAll(w, blo, bhi, rec, scr)
 			return
 		}
 		_, n := core.MaskChunks(blo, bhi)
-		masks := maskScratch(&t.scratch[w.ID], n)
-		if !buildMasks(w, blo, bhi, s.predCols, s.preds, masks, row) {
-			s.accountDead(row, n)
+		masks := scr.maskWords(n)
+		hits := buildMasks(w, blo, bhi, s.predCols, s.preds, masks, rec.row[predSlot:])
+		if hits == 0 {
+			s.accountDead(rec.row, n)
 			return
 		}
-		s.foldMasked(w, blo, bhi, masks, row, &t.decode[w.ID])
+		s.foldMasked(w, blo, bhi, masks, hits, rec, scr)
 	}
 	spans, walk := runs, newZoneWalk(s, runs)
 	if walk != nil {
@@ -241,7 +229,7 @@ func (t *Table) run(s *scanState) ScanResult {
 		_, chunks := core.MaskChunks(0, t.rows)
 		dead = chunks - walk.chunks
 	}
-	s.foldProfile(t.rt.Profile(), dead)
+	s.fold(t.rt.Profile(), dead)
 	return s.result()
 }
 
@@ -272,7 +260,7 @@ func liveRuns(rows uint64, s *scanState) (runs []rts.Span, dead uint64) {
 	var pruners []pruner
 	for i, col := range s.predCols {
 		if z := col.arr.ZoneIndex(); z != nil {
-			pruners = append(pruners, pruner{z, s.preds[i].Op.cmp(), s.preds[i].Value})
+			pruners = append(pruners, pruner{z, s.preds[i].Op.Cmp(), s.preds[i].Value})
 		}
 	}
 	superLive := func(sz uint64) bool {
@@ -313,7 +301,7 @@ func liveRuns(rows uint64, s *scanState) (runs []rts.Span, dead uint64) {
 // column clamps the bound (`amount <= t` caps a MAX at t), so no key is
 // below clamp. A wave is every unvisited key up to a threshold picked by
 // radix select over the keys, ties included: the walk keeps one span list
-// and a few counters, never a per-super-zone slice.
+// and a few running totals, never a per-super-zone slice.
 type zoneWalk struct {
 	state *scanState
 	zones *encoding.ZoneIndex
@@ -444,16 +432,16 @@ func (w *zoneWalk) nth(lo, hi, n uint64) uint64 {
 
 // foldAll folds the unpredicated batch: fused range reductions for
 // scalar aggregates, the grouped fold over every row for grouped ones.
-func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, row []core.ScanCounts, bufs *decodeBufs) {
+func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, rec *workerRecord, scr *workerScratch) {
 	if s.grouped {
 		_, n := core.MaskChunks(lo, hi)
-		row[s.keySlot()].Scanned += n
-		row[s.targetSlot()].Scanned += n
-		s.foldRows(w, lo, hi, nil, bufs)
+		rec.row[keySlot].Scanned += n
+		rec.row[targetSlot].Scanned += n
+		s.foldRows(w, lo, hi, nil, rec, scr)
 		return
 	}
-	sc := &row[s.targetSlot()]
-	local := &s.locals[w.ID].aggState
+	sc := &rec.row[targetSlot].ScanCounts
+	local := &rec.acc
 	local.count += hi - lo
 	switch s.agg {
 	case Sum:
@@ -465,20 +453,20 @@ func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, row []core.ScanCounts,
 	}
 }
 
-// foldMasked folds the batch's surviving rows under the selection bitmap:
-// a popcount for the count, a masked fused fold for the rest.
-func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, row []core.ScanCounts, bufs *decodeBufs) {
+// foldMasked folds the batch's hits surviving rows under the selection
+// bitmap: their number for the count, a masked fused fold for the rest.
+func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, hits uint64, rec *workerRecord, scr *workerScratch) {
 	if s.grouped {
-		accountMasked(&row[s.keySlot()], masks)
-		accountMasked(&row[s.targetSlot()], masks)
-		s.foldRows(w, lo, hi, masks, bufs)
+		accountMasked(&rec.row[keySlot], masks)
+		accountMasked(&rec.row[targetSlot], masks)
+		s.foldRows(w, lo, hi, masks, rec, scr)
 		return
 	}
 	if s.agg != Count {
-		accountMasked(&row[s.targetSlot()], masks)
+		accountMasked(&rec.row[targetSlot], masks)
 	}
-	local := &s.locals[w.ID].aggState
-	local.count += bitpack.PopcountMasks(masks)
+	local := &rec.acc
+	local.count += hits
 	switch s.agg {
 	case Sum:
 		local.sum += core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceSum, masks)
@@ -503,7 +491,7 @@ type rowFold struct {
 // in b, to the accumulators. Wide keys are first replaced by their slots;
 // then one loop per aggregate does only that aggregate's updates, so the
 // aggregate is dispatched on per chunk, never per row.
-func (f *rowFold) fold(m uint64, b *decodeBufs) {
+func (f *rowFold) fold(m uint64, b *workerScratch) {
 	if f.slots != nil {
 		for r := m; r != 0; r &= r - 1 {
 			i := bits.TrailingZeros64(r)
@@ -552,22 +540,17 @@ func (f *rowFold) slot(k uint64) uint64 {
 	return i
 }
 
-// decodeBufs is one worker's pair of chunk decode buffers for the grouped
-// fold (Table.decode).
-type decodeBufs struct {
-	key, val [bitpack.ChunkSize]uint64
-}
-
 // foldRows feeds the batch's selected rows (all of them when masks is
 // nil) into the grouped accumulators, chunk by chunk. A chunk whose mask
 // is denser than bitpack.MaskSparseCutoff has its key and target decoded
-// once into bufs; a sparser one pays two Gets per selected row into the
-// same slots, which is cheaper than two whole-chunk decodes there.
-func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs *decodeBufs) {
-	f := s.rowFolds[w.ID]
+// once into the worker's decode buffers; a sparser one pays two Gets per
+// selected row into the same slots, which is cheaper than two whole-chunk
+// decodes there.
+func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, rec *workerRecord, bufs *workerScratch) {
+	f := rec.fold
 	if f == nil {
 		f = s.newRowFold(w)
-		s.rowFolds[w.ID] = f
+		rec.fold = f
 	}
 	first, n := core.MaskChunks(lo, hi)
 	for c := uint64(0); c < n; c++ {
@@ -598,7 +581,7 @@ func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, bufs 
 
 // newRowFold resolves the key and target representation snapshots for
 // worker w and its accumulators. Built once per worker per pass (see
-// rowFolds), not once per batch: the view resolution is per-query, not
+// workerRecord), not once per batch: the view resolution is per-query, not
 // per-morsel, cost.
 func (s *scanState) newRowFold(w *rts.Worker) *rowFold {
 	f := &rowFold{key: s.key.arr.View(w.Socket), target: s.target.arr.View(w.Socket), agg: s.agg}
@@ -616,8 +599,8 @@ func (s *scanState) newRowFold(w *rts.Worker) *rowFold {
 // total merges the per-worker scalar accumulators.
 func (s *scanState) total() aggState {
 	total := newAggState(s.agg)
-	for i := range s.locals {
-		total.merge(s.locals[i].aggState)
+	for i := range s.workers {
+		total.merge(s.workers[i].acc)
 	}
 	return total
 }
@@ -632,8 +615,8 @@ func (s *scanState) result() ScanResult {
 		rows := make([]GroupRow, 0)
 		for k := uint64(0); k < s.domain; k++ {
 			total := newAggState(s.agg)
-			for _, f := range s.rowFolds {
-				if f != nil {
+			for i := range s.workers {
+				if f := s.workers[i].fold; f != nil {
 					total.merge(f.states[k])
 				}
 			}
@@ -644,7 +627,8 @@ func (s *scanState) result() ScanResult {
 		return ScanResult{Groups: rows}
 	}
 	groups := map[uint64]aggState{}
-	for _, f := range s.rowFolds {
+	for i := range s.workers {
+		f := s.workers[i].fold
 		if f == nil {
 			continue
 		}

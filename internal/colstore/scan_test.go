@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
@@ -216,5 +217,19 @@ func TestProfileCountsFollowTheirColumn(t *testing.T) {
 	}
 	if !idFirst[true] || !idFirst[false] {
 		t.Fatalf("evaluation orders seen (id first: %v), want id both first and after qty", idFirst)
+	}
+}
+
+// TestWorkerRecordsFillCacheLines: the per-worker records a batch writes
+// (the pass's workerRecord, the table's workerScratch) are whole cache
+// lines, so neighbouring workers never write into one line.
+func TestWorkerRecordsFillCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"workerRecord":  unsafe.Sizeof(workerRecord{}),
+		"workerScratch": unsafe.Sizeof(workerScratch{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of 64-byte cache lines", name, size)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 // Per-array access telemetry: every smart array registers itself at
 // construction with the obs.ArrayRegistry attached to the memory it is
-// allocated from (rts.Runtime.SetArrayProfiling attaches one), and the
-// counter-accounting hooks (AccountScan/Reduce/Init/Gather) additionally
-// attribute their elements and traffic to the array through the
-// worker-local counters.ArrayAccess shards. The RTS folds those shards into
-// the registry once per parallel loop, so the hot path never touches shared
-// state.
+// allocated from (rts.Runtime.SetArrayProfiling attaches one). The bench
+// drivers' hooks (AccountScan/Reduce/Init/Gather) attribute elements and
+// traffic through worker-local counters.ArrayAccess shards, which the RTS
+// folds into the registry once per parallel loop; AccountPredicate folds a
+// whole pass's predicate totals (colstore's scan: from its per-worker
+// rows) straight into the registry, after the loop.
 //
 // The nil-registry configuration is the default and costs nothing beyond
 // one `a.id == 0` check per accounting call.
@@ -59,18 +59,18 @@ func (t accTrack) done(sh *counters.Shard) *counters.ArrayAccess {
 	return t.aa
 }
 
-// AccountPredicate records a predicate evaluation over the array: evals
-// elements tested, hits selected — the observed selectivity the live
-// adaptivity re-scorer consumes. It charges no traffic or instructions
-// (the enclosing scan accounting already did) and is free when telemetry
-// is off.
-func (a *SmartArray) AccountPredicate(sh *counters.Shard, evals, hits uint64) {
-	if a.id == 0 {
+// AccountPredicate folds one pass's predicate evaluations over the array
+// into its access profile: evals elements tested, hits selected — the
+// observed selectivity orderPreds and the live adaptivity re-scorer
+// consume. It takes the registry lock, so call it after the loop, never
+// from a loop body. It charges no traffic or instructions (the enclosing
+// scan accounting already did), records nothing for a pass that evaluated
+// nothing, and is free when telemetry is off.
+func (a *SmartArray) AccountPredicate(evals, hits uint64) {
+	if a.id == 0 || evals == 0 {
 		return
 	}
-	aa := sh.Array(a.id)
-	aa.PredEvals += evals
-	aa.PredHits += hits
+	a.reg.Fold(a.id, &counters.ArrayAccess{PredEvals: evals, PredHits: hits})
 }
 
 // ObservedSelectivity reads the array's accumulated predicate selectivity

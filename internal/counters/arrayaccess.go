@@ -2,13 +2,13 @@ package counters
 
 // Per-array access accounting: the worker-local half of the array
 // telemetry subsystem. Each Shard carries a map from smart-array ID to an
-// ArrayAccess accumulator; the array's Account* hooks bump the
-// accumulator with plain adds on the owning worker's goroutine, and the RTS
-// folds (drains) every shard's accumulators into the shared
-// obs.ArrayRegistry once per parallel loop. The hot path therefore never
-// touches shared state, preserving the fabric's owner-only-writes
-// invariant. Only registered arrays (non-zero ID) reach a shard, so with
-// telemetry off the map is never created.
+// ArrayAccess accumulator; the array's AccountScan/Reduce/Init/Gather hooks
+// (called by the bench drivers) bump the accumulator with plain adds on
+// the owning worker's goroutine, and the RTS folds (drains) every shard's
+// accumulators into the shared obs.ArrayRegistry once per parallel loop.
+// The hot path therefore never touches shared state, preserving the
+// fabric's owner-only-writes invariant. Only registered arrays (non-zero
+// ID) reach a shard, so with telemetry off the map is never created.
 
 // ArrayAccess accumulates one worker's accesses to one smart array between
 // folds. Op counts tally Account* invocations (one per loop batch); Elems
@@ -27,7 +27,8 @@ type ArrayAccess struct {
 	// this worker's shard.
 	LocalBytes, RemoteBytes uint64
 	// PredEvals/PredHits count predicate evaluations over the array's
-	// elements and how many matched — observed selectivity.
+	// elements and how many matched — observed selectivity. They reach
+	// the registry only through AccountPredicate, never a shard.
 	PredEvals, PredHits uint64
 }
 

@@ -14,8 +14,8 @@ import (
 // it: DimmWitted-style access-method/placement tradeoffs are per data
 // structure, so the registry keys profiles by array ID and the accounting
 // hooks in internal/core attribute every scan, reduce, gather, and init
-// to its array. The hot path stays worker-local (counters.ArrayAccess
-// shards); the RTS folds shards into the registry once per parallel loop.
+// to its array. The hot path stays worker-local: scans fold predicate
+// totals once per pass, the RTS folds shards once per parallel loop.
 
 // AccessProfile is one array's accumulated telemetry plus identity. The
 // counter block mirrors counters.ArrayAccess; derived ratios (random
@@ -36,8 +36,8 @@ type AccessProfile struct {
 	// track live re-encodings.
 	Encoding string `json:"encoding,omitempty"`
 	CodeBits uint   `json:"code_bits,omitempty"`
-	// Folds counts how many worker-shard drains contributed, i.e. how
-	// live the profile is.
+	// Folds counts the folds that contributed, i.e. how live the profile
+	// is: one per predicate per scan pass, one per worker-shard drain.
 	Folds uint64 `json:"folds"`
 
 	Access counters.ArrayAccess `json:"access"`

@@ -35,7 +35,7 @@ type SlowLog struct {
 	topK   int
 	topMin atomic.Uint64 // TotalNs floor for top-K admission (0 = not full)
 	topMu  sync.Mutex
-	top    []*QueryProfile
+	top    []*QueryProfile // slowest first; capacity topK+1, so inserting never allocates
 }
 
 // ring is a lock-free circular buffer of profile pointers.
@@ -73,7 +73,7 @@ func NewSlowLog(ringSize, topK int, threshold time.Duration) *SlowLog {
 	if topK <= 0 {
 		topK = DefaultSlowLogTopK
 	}
-	l := &SlowLog{topK: topK}
+	l := &SlowLog{topK: topK, top: make([]*QueryProfile, 0, topK+1)}
 	l.recent.init(ringSize)
 	l.slow.init(ringSize)
 	l.thresholdNs.Store(int64(threshold))
@@ -103,9 +103,13 @@ func (l *SlowLog) offerTop(p *QueryProfile) {
 	if len(l.top) >= l.topK && p.TotalNs <= l.top[len(l.top)-1].TotalNs {
 		return
 	}
+	// Shift p up past every faster entry; drop the fastest on overflow.
 	l.top = append(l.top, p)
-	sort.Slice(l.top, func(i, j int) bool { return l.top[i].TotalNs > l.top[j].TotalNs })
+	for i := len(l.top) - 1; i > 0 && l.top[i-1].TotalNs < p.TotalNs; i-- {
+		l.top[i], l.top[i-1] = l.top[i-1], p
+	}
 	if len(l.top) > l.topK {
+		l.top[l.topK] = nil
 		l.top = l.top[:l.topK]
 	}
 	if len(l.top) >= l.topK {

@@ -78,6 +78,48 @@ func TestSlowLogSetThreshold(t *testing.T) {
 	}
 }
 
+// TestSlowLogTopInsertNoAlloc: a profile entering a full top-K is shifted
+// into place without allocating (a sort there allocated its swapper on
+// every promotion, so slower-than-usual requests cost an extra
+// allocation), and the top-K stays slowest first whatever order the
+// profiles arrive in.
+func TestSlowLogTopInsertNoAlloc(t *testing.T) {
+	const topK, runs = 4, 100
+	l := NewSlowLog(8, topK, time.Hour)
+	for i := uint64(1); i <= topK; i++ {
+		l.Observe(finalized(i, i*10))
+	}
+	profiles := make([]*QueryProfile, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range profiles {
+		profiles[i] = finalized(uint64(100+i), uint64(1000+i))
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		l.Observe(profiles[next])
+		next++
+	}); got != 0 {
+		t.Fatalf("Observe into a full top-K: %v allocations, want 0", got)
+	}
+	if top := l.Snapshot().Top; len(top) != topK || top[0].TotalNs != 1000+runs || top[topK-1].TotalNs != 1000+runs-topK+1 {
+		t.Fatalf("top-K after %d promotions = %+v", runs+1, top)
+	}
+
+	l = NewSlowLog(8, topK, time.Hour)
+	for i := uint64(0); i < 50; i++ {
+		ns := i*17%50 + 1 // 1..50, shuffled
+		l.Observe(finalized(ns, ns))
+	}
+	top := l.Snapshot().Top
+	if len(top) != topK {
+		t.Fatalf("top-K holds %d, want %d", len(top), topK)
+	}
+	for i, p := range top {
+		if want := uint64(50 - i); p.TotalNs != want {
+			t.Fatalf("top[%d] = %dns, want %dns (slowest first): %+v", i, p.TotalNs, want, top)
+		}
+	}
+}
+
 // TestSlowLogConcurrent is the -race exercise: concurrent publishers
 // against snapshot/lookup readers.
 func TestSlowLogConcurrent(t *testing.T) {

@@ -8,7 +8,8 @@ import (
 // TestServedAllocations is the allocation ratchet on the request shapes
 // the benchmark serves, through Server.Handler() on a server wired as
 // saserve ships (NewServer attaches the recorder and the array registry,
-// so every executed loop also folds array telemetry): a result-cache hit,
+// so every executed scan also folds its predicates' selectivity into the
+// registry): a result-cache hit,
 // a selective miss (an explained 1 000-row id window, which the zone maps
 // prune to a few morsels) and an explained pagerank. Each ceiling is the
 // count measured when the ratchet was set, at -cpu 1, 2 and 4 alike
@@ -30,11 +31,11 @@ func TestServedAllocations(t *testing.T) {
 	}{
 		{"hit", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
 			`"where":[{"column":"region","op":"<","value":8}]}`, 56, 0},
-		// Misses run loops: their counts follow how many workers join each
-		// loop (every joining worker accounts the arrays it touches into a
-		// fresh per-array accumulator), which the margins absorb.
+		// Misses run loops, and how many workers take a batch of each is
+		// timing-dependent: a scan allocates one accounting row per worker
+		// that does. The margins absorb that.
 		{"selective_miss", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
-			`"where":[{"column":"id","op":">=","value":5000},{"column":"id","op":"<","value":6000}],"explain":true}`, 86, 2},
+			`"where":[{"column":"id","op":">=","value":5000},{"column":"id","op":"<","value":6000}],"explain":true}`, 84, 2},
 		{"pagerank", `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`, 82, 2},
 	}
 	for _, c := range cases {
