@@ -36,12 +36,14 @@ rts-stress:
 # executes itself depends on when the leader lands, which is
 # timing-dependent in the same way: repeat the flight tests under -race,
 # with the concurrent runs of one dataset's PageRanker, which lease their
-# rank arrays from its free list, with concurrent clients folding array
-# telemetry into the served registry while /arrays and /metrics read it,
-# and with concurrent clients whose every reply outcome must land once in
-# each per-query series (about 30 s).
+# rank arrays from its free list, with concurrent clients adding array
+# telemetry to the served arrays' lock-free counter blocks while /arrays
+# and /metrics read them (and the registry's own concurrent add/snapshot
+# test, which checks no snapshot reads a selectivity above 1), and with
+# concurrent clients whose every reply outcome must land once in each
+# per-query series (about 30 s).
 queryd-stress:
-	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder|PageRankerLeases|ServedArrayTelemetry|OneRecordPerQueryConcurrent' ./internal/queryd ./internal/analytics
+	$(GO) test -race -count=5 -run 'SharedScan|Flight|Followers|ProfileShared|ProfileCache|ZoneWalkUnder|PageRankerLeases|ServedArrayTelemetry|OneRecordPerQueryConcurrent|ArrayRegistryConcurrent' ./internal/queryd ./internal/analytics ./internal/obs
 
 # A smart array's representation is one atomically swapped snapshot:
 # Reencode and Migrate publish a new one while readers finish on theirs.

@@ -5,6 +5,7 @@ import (
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/counters"
+	"smartarrays/internal/obs"
 	"smartarrays/internal/perfmodel"
 )
 
@@ -85,8 +86,5 @@ func (a *SmartArray) AccountGather(sh *counters.Shard, n uint64, localityBoost f
 	rp.region.AccountRandom(sh, n, uint64(eff))
 	sh.Access(n)
 	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedGather(rp.cost)))
-	if aa := t.done(sh); aa != nil {
-		aa.Gathers++
-		aa.GatherElems += n
-	}
+	t.done(sh, obs.AccessGather, n)
 }

@@ -144,7 +144,7 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 	a.rep.Store(next)
 	a.gen.Add(1)
 	old.region.Free()
-	a.reg.SetEncoding(a.id, kind.String(), next.cost.CodeBits)
+	a.reg.SetEncoding(a.tel.ID(), kind.String(), next.cost.CodeBits)
 	return old.region.FootprintBytes() + next.region.FootprintBytes(), nil
 }
 
@@ -170,7 +170,7 @@ func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint6
 	next.zones.Store(old.zones.Load())
 	a.rep.Store(next)
 	old.region.Free()
-	a.reg.SetPlacement(a.id, p.String())
+	a.reg.SetPlacement(a.tel.ID(), p.String())
 	bytes := old.region.Words() * 8
 	switch p {
 	case memsim.Replicated:

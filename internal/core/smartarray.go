@@ -70,11 +70,12 @@ type SmartArray struct {
 	// reencodeMu serializes representation and placement changes
 	// (Reencode, Migrate) against each other; readers never take it.
 	reencodeMu sync.Mutex
-	// id/reg are the array's telemetry registration (see telemetry.go);
-	// id 0 means unregistered and keeps every accounting hook's telemetry
-	// branch to a single integer check.
-	id  uint64
+	// reg/tel are the array's telemetry registration (see telemetry.go):
+	// the registry it joined and its live counter block, both nil when
+	// unregistered, which keeps every accounting hook's telemetry branch
+	// to a single nil check.
 	reg *obs.ArrayRegistry
+	tel *obs.ArrayCounters
 	// gen counts content and representation revisions: one per Init or
 	// InitRange call (not per element written) and one per Reencode swap.
 	// External caches key on it: any revision makes every old key
@@ -129,7 +130,7 @@ func (a *SmartArray) Free() {
 	rp.region.Free()
 	a.rep.Store(&repr{region: rp.region, cost: rp.cost})
 	a.reencodeMu.Unlock()
-	a.reg.Unregister(a.id)
+	a.reg.Unregister(a.tel.ID())
 }
 
 // Length is the number of elements (paper: getLength()).
@@ -295,10 +296,7 @@ func (a *SmartArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
 // serving sockets by the placement's page map, plus the width-dependent
 // per-element decode cost. Workloads call this once per loop batch.
 func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
-	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedScan); aa != nil {
-		aa.Scans++
-		aa.ScanElems += hi - lo
-	}
+	a.accountStream(sh, lo, hi, perfmodel.CostEncodedScan, obs.AccessScan)
 }
 
 // AccountReduce charges the traffic and instructions of a fused reduction
@@ -306,19 +304,15 @@ func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
 // the same streaming payload traffic as a scan, but the fused per-element
 // decode+fold cost instead of the iterator's.
 func (a *SmartArray) AccountReduce(sh *counters.Shard, lo, hi uint64) {
-	if aa := a.accountStream(sh, lo, hi, perfmodel.CostEncodedReduce); aa != nil {
-		aa.Reduces++
-		aa.ReduceElems += hi - lo
-	}
+	a.accountStream(sh, lo, hi, perfmodel.CostEncodedReduce, obs.AccessReduce)
 }
 
 // accountStream charges a sequential read of elements [lo, hi): the
 // payload words they map to, split by the page map, and cost instructions
-// per element. It returns the array's access accumulator (nil when
-// telemetry is off or the range is empty).
-func (a *SmartArray) accountStream(sh *counters.Shard, lo, hi uint64, cost func(encoding.CostStats) float64) *counters.ArrayAccess {
+// per element, attributed to the array as method m.
+func (a *SmartArray) accountStream(sh *counters.Shard, lo, hi uint64, cost func(encoding.CostStats) float64, m obs.AccessMethod) {
 	if lo >= hi {
-		return nil
+		return
 	}
 	rp := a.rep.Load()
 	t := a.track(sh)
@@ -326,7 +320,7 @@ func (a *SmartArray) accountStream(sh *counters.Shard, lo, hi uint64, cost func(
 	rp.region.AccountScan(sh, loWord, hiWord-loWord)
 	sh.Access(hi - lo)
 	sh.Instr(uint64(float64(hi-lo) * cost(rp.cost)))
-	return t.done(sh)
+	t.done(sh, m, hi-lo)
 }
 
 // AccountInit charges the traffic and instructions of initializing
@@ -341,8 +335,5 @@ func (a *SmartArray) AccountInit(sh *counters.Shard, lo, hi uint64) {
 	rp.region.AccountWrite(sh, loWord, hiWord-loWord)
 	n := hi - lo
 	sh.Instr(uint64(float64(n) * perfmodel.CostInit(a.codec.Bits()) * float64(rp.region.Replicas())))
-	if aa := t.done(sh); aa != nil {
-		aa.Inits++
-		aa.InitElems += n
-	}
+	t.done(sh, obs.AccessInit, n)
 }

@@ -43,10 +43,6 @@ type Shard struct {
 	remoteBySrc []uint64
 	// writesByDst[m] is bytes this thread wrote to socket m's memory.
 	writesByDst []uint64
-	// arrays accumulates per-smart-array access telemetry between
-	// registry folds (see arrayaccess.go); nil until a registered array is
-	// accounted.
-	arrays map[uint64]*ArrayAccess
 }
 
 // NewShard creates a shard for a worker on the given socket of a machine
@@ -114,9 +110,6 @@ func (s *Shard) Reset() {
 	s.RemoteWriteBytes = 0
 	s.RandomAccesses = 0
 	s.Accesses = 0
-	for id := range s.arrays {
-		delete(s.arrays, id)
-	}
 }
 
 // SocketTotals is the aggregate view of one socket's activity, the unit the

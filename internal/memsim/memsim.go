@@ -80,8 +80,8 @@ type Memory struct {
 	autoNUMAFlag atomic.Bool
 
 	// arrays is the array-telemetry registry: smart arrays allocated from
-	// this memory register with it, and the runtime owning the memory
-	// folds its workers' per-array deltas into it. nil = telemetry off.
+	// this memory register with it and account into the counter blocks it
+	// hands them. nil = telemetry off.
 	arrays atomic.Pointer[obs.ArrayRegistry]
 }
 

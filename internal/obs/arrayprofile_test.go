@@ -3,35 +3,32 @@ package obs
 import (
 	"sync"
 	"testing"
-
-	"smartarrays/internal/counters"
 )
 
 func TestArrayRegistryRegisterAndFold(t *testing.T) {
 	reg := NewArrayRegistry()
-	id := reg.Register("ranks", 33, 1000, "interleaved")
+	c := reg.Register("ranks", 33, 1000, "interleaved")
+	id := c.ID()
 	if id == 0 {
 		t.Fatal("Register returned the unregistered sentinel")
 	}
 	anon := reg.Register("", 64, 10, "single socket 0")
-	if p, ok := reg.Profile(anon); !ok || p.Name != "array-2" {
+	if p, ok := reg.Profile(anon.ID()); !ok || p.Name != "array-2" {
 		t.Fatalf("anonymous array profile = %+v, want default name array-2", p)
 	}
 
-	reg.Fold(id, &counters.ArrayAccess{
-		Reduces: 1, ReduceElems: 800,
-		Gathers: 2, GatherElems: 200,
-		LocalBytes: 3000, RemoteBytes: 1000,
-		PredEvals: 800, PredHits: 200,
-	})
-	reg.Fold(id, &counters.ArrayAccess{Inits: 1, InitElems: 1000})
+	c.Add(AccessReduce, 800, 3000, 1000)
+	c.Add(AccessGather, 200, 0, 0)
+	c.AddPredicate(800, 200)
+	c.Add(AccessInit, 1000, 0, 0)
 
 	p, ok := reg.Profile(id)
 	if !ok {
 		t.Fatal("Profile lost the array")
 	}
-	if p.Folds != 2 {
-		t.Fatalf("Folds = %d, want 2", p.Folds)
+	// One fold per accounting call: three hook calls and a predicate pass.
+	if p.Folds != 4 {
+		t.Fatalf("Folds = %d, want 4", p.Folds)
 	}
 	if got := p.TotalElems(); got != 800+200+1000 {
 		t.Fatalf("TotalElems = %d, want 2000", got)
@@ -70,8 +67,7 @@ func TestArrayRegistryRegisterAndFold(t *testing.T) {
 
 func TestArrayRegistryZeroProfileRatios(t *testing.T) {
 	reg := NewArrayRegistry()
-	id := reg.Register("idle", 8, 0, "interleaved")
-	p, _ := reg.Profile(id)
+	p, _ := reg.Profile(reg.Register("idle", 8, 0, "interleaved").ID())
 	if p.RandomShare() != 0 || p.ChunkDecodeShare() != 0 || p.LocalShare() != 0 || p.ReadsPerElement() != 0 {
 		t.Fatalf("untouched array must report zero ratios: %+v", p)
 	}
@@ -80,37 +76,18 @@ func TestArrayRegistryZeroProfileRatios(t *testing.T) {
 	}
 }
 
-func TestArrayRegistryFoldShard(t *testing.T) {
-	reg := NewArrayRegistry()
-	id := reg.Register("hot", 10, 64, "interleaved")
-
-	var sh counters.Shard
-	aa := sh.Array(id)
-	aa.Scans, aa.ScanElems = 1, 64
-	// An ID the registry never saw (allocated pre-attach): dropped quietly.
-	sh.Array(id + 100).GatherElems = 5
-
-	reg.FoldShard(&sh)
-	p, _ := reg.Profile(id)
-	if p.Access.ScanElems != 64 || p.Folds != 1 {
-		t.Fatalf("FoldShard lost the scan: %+v", p)
-	}
-	// Drain must clear the shard: a second fold adds nothing.
-	reg.FoldShard(&sh)
-	if p, _ = reg.Profile(id); p.Access.ScanElems != 64 {
-		t.Fatalf("shard not cleared by drain: %+v", p)
-	}
-}
-
 func TestArrayRegistryNilSafe(t *testing.T) {
 	var reg *ArrayRegistry
-	if id := reg.Register("x", 1, 1, "p"); id != 0 {
-		t.Fatalf("nil registry Register = %d, want 0", id)
+	c := reg.Register("x", 1, 1, "p")
+	if c != nil || c.ID() != 0 {
+		t.Fatalf("nil registry Register = %+v, want nil", c)
+	}
+	if acc, calls := c.Load(); acc != (ArrayAccess{}) || calls != 0 {
+		t.Fatalf("nil counters Load = %+v, %d", acc, calls)
 	}
 	reg.SetPlacement(1, "p")
+	reg.SetEncoding(1, "rle", 4)
 	reg.Unregister(1)
-	reg.Fold(1, &counters.ArrayAccess{})
-	reg.FoldShard(nil)
 	if _, ok := reg.Profile(1); ok {
 		t.Fatal("nil registry must have no profiles")
 	}
@@ -119,43 +96,81 @@ func TestArrayRegistryNilSafe(t *testing.T) {
 	}
 }
 
-// TestArrayRegistryConcurrent folds from many goroutines (the loop-barrier
-// shape) while the introspection-server shape snapshots; -race polices the
-// locking.
+// TestArrayRegistryConcurrent adds from many goroutines the way loop
+// bodies and scan passes do — hook-style element/byte adds and predicate
+// passes — while introspection-style readers snapshot. Every snapshot
+// must read a selectivity of at most 1 (hits are loaded before evals),
+// and the final totals must be exact; -race polices the write path. The
+// run is long enough that swapping AddPredicate's two adds fails the
+// selectivity check on every run tried.
 func TestArrayRegistryConcurrent(t *testing.T) {
 	reg := NewArrayRegistry()
 	const arrays = 4
-	ids := make([]uint64, arrays)
-	for i := range ids {
-		ids[i] = reg.Register("", 10, 100, "interleaved")
+	blocks := make([]*ArrayCounters, arrays)
+	for i := range blocks {
+		blocks[i] = reg.Register("", 10, 100, "interleaved")
 	}
-	const folders = 8
-	const perFolder = 500
+	const writers = 8
+	const perWriter = 20000
 	var wg sync.WaitGroup
-	for f := 0; f < folders; f++ {
+	for f := 0; f < writers; f++ {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
-			for i := 0; i < perFolder; i++ {
-				reg.Fold(ids[i%arrays], &counters.ArrayAccess{Gathers: 1, GatherElems: 1})
+			for i := 0; i < perWriter; i++ {
+				c := blocks[i%arrays]
+				if f%2 == 0 {
+					c.Add(AccessGather, 1, 2, 3)
+				} else {
+					// Every pass matches all it tests: the selectivity a
+					// reader may see is exactly 1 at most.
+					c.AddPredicate(7, 7)
+				}
 			}
 		}(f)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			_ = reg.Profiles()
-			_, _ = reg.Profile(ids[0])
-		}
-	}()
-	wg.Wait()
-	<-done
-	var total uint64
-	for _, p := range reg.Profiles() {
-		total += p.Access.GatherElems
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, p := range reg.Profiles() {
+					if sel, ok := p.Selectivity(); ok && sel > 1 {
+						t.Errorf("%s: snapshot selectivity %v above 1 (%+v)", p.Name, sel, p.Access)
+						return
+					}
+				}
+			}
+		}()
 	}
-	if want := uint64(folders * perFolder); total != want {
-		t.Fatalf("folded GatherElems = %d, want %d", total, want)
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	var gathers, local, remote, evals, hits, folds uint64
+	for _, p := range reg.Profiles() {
+		gathers += p.Access.GatherElems
+		local += p.Access.LocalBytes
+		remote += p.Access.RemoteBytes
+		evals += p.Access.PredEvals
+		hits += p.Access.PredHits
+		folds += p.Folds
+	}
+	const adds = writers / 2 * perWriter
+	if gathers != adds || local != 2*adds || remote != 3*adds {
+		t.Fatalf("hook totals gathers=%d local=%d remote=%d, want %d/%d/%d", gathers, local, remote, adds, 2*adds, 3*adds)
+	}
+	if evals != 7*adds || hits != 7*adds {
+		t.Fatalf("predicate totals evals=%d hits=%d, want %d each", evals, hits, 7*adds)
+	}
+	if folds != writers*perWriter {
+		t.Fatalf("folds = %d, want one per call (%d)", folds, writers*perWriter)
 	}
 }

@@ -53,6 +53,9 @@ type LoopStats struct {
 	End     uint64 `json:"end"`
 	Grain   uint64 `json:"grain"`
 	Batches uint64 `json:"batches"`
+	// Iterations is how many indices the loop ran: End-Begin, less the
+	// gaps between the spans of a ParallelForSpans loop.
+	Iterations uint64 `json:"iterations"`
 	// BatchesPerWorker[i] is how many batches hardware thread i claimed.
 	BatchesPerWorker []uint64 `json:"batchesPerWorker,omitempty"`
 	// BatchesPerSocket aggregates the claims by NUMA node.
@@ -77,11 +80,12 @@ type LoopStats struct {
 }
 
 // NewLoopStats derives the summary statistics from raw per-worker claim
-// counts. steals[i] counts worker i's cross-stripe claims and may be nil
+// counts. iterations is how many of the indices in [begin, end) the loop
+// ran. steals[i] counts worker i's cross-stripe claims and may be nil
 // when the loop ran without stealing. sockets[i] gives worker i's NUMA
 // node.
-func NewLoopStats(begin, end, grain uint64, claims, steals []uint64, sockets []int) LoopStats {
-	ls := LoopStats{Begin: begin, End: end, Grain: grain,
+func NewLoopStats(begin, end, iterations, grain uint64, claims, steals []uint64, sockets []int) LoopStats {
+	ls := LoopStats{Begin: begin, End: end, Grain: grain, Iterations: iterations,
 		BatchesPerWorker: claims}
 	for _, st := range steals {
 		ls.Steals += st
@@ -116,8 +120,8 @@ func NewLoopStats(begin, end, grain uint64, claims, steals []uint64, sockets []i
 		mean := float64(total) / float64(len(claims))
 		ls.ClaimImbalance = float64(max-min) / mean
 		ls.MaxMeanClaimRatio = float64(max) / mean
-		if grain > 0 && end > begin {
-			ls.GrainEfficiency = float64(end-begin) / float64(total*grain)
+		if grain > 0 {
+			ls.GrainEfficiency = float64(iterations) / float64(total*grain)
 		}
 	}
 	return ls

@@ -29,9 +29,7 @@ func (s *LoopSummary) add(ls *LoopStats) {
 	s.Loops++
 	s.Batches += ls.Batches
 	s.Steals += ls.Steals
-	if ls.End > ls.Begin {
-		s.Iterations += ls.End - ls.Begin
-	}
+	s.Iterations += ls.Iterations
 	s.sumImbalance += ls.ClaimImbalance
 	s.sumGrainEff += ls.GrainEfficiency
 	if ls.ClaimImbalance > s.MaxClaimImbalance {

@@ -23,7 +23,7 @@ func TestMetricsLatestCounters(t *testing.T) {
 func TestFinishWritesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRecorder(16)
-	r.RecordLoop(LoopStats{Begin: 0, End: 100, Grain: 10, Batches: 10})
+	r.RecordLoop(LoopStats{Begin: 0, End: 100, Grain: 10, Batches: 10, Iterations: 100})
 	r.RecordDecision(DecisionEvent{Name: "d"})
 
 	path := filepath.Join(dir, "metrics.json")

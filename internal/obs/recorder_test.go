@@ -234,7 +234,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestNewLoopStats(t *testing.T) {
 	// 4 workers on 2 sockets; worker claims 3,1,2,2 batches of grain 100
 	// over [0,750): 8 batches, last one ragged (50 iterations).
-	ls := NewLoopStats(0, 750, 100, []uint64{3, 1, 2, 2}, []uint64{1, 0, 0, 0}, []int{0, 0, 1, 1})
+	ls := NewLoopStats(0, 750, 750, 100, []uint64{3, 1, 2, 2}, []uint64{1, 0, 0, 0}, []int{0, 0, 1, 1})
 	if ls.Batches != 8 {
 		t.Fatalf("Batches = %d, want 8", ls.Batches)
 	}

@@ -196,7 +196,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		mw.sample("smartarrays_array_length", arr, float64(p.Length))
 		mw.head("smartarrays_array_bits", "gauge", "Array element width in bits.")
 		mw.sample("smartarrays_array_bits", arr, float64(p.Bits))
-		mw.head("smartarrays_array_folds_total", "counter", "Folds into this profile: one per predicate per scan pass, one per worker-shard drain.")
+		mw.head("smartarrays_array_folds_total", "counter", "Accounting calls into this profile: one per access-hook call, one per predicate pass.")
 		mw.sample("smartarrays_array_folds_total", arr, float64(p.Folds))
 
 		mw.head("smartarrays_array_elements_total", "counter", "Elements accessed per array by access method.")

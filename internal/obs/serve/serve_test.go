@@ -9,17 +9,16 @@ import (
 	"testing"
 	"time"
 
-	"smartarrays/internal/counters"
 	"smartarrays/internal/obs"
 )
 
 // populate fills a recorder and registry the way a real run would: loop
 // events, a counters snapshot, decision/drift events, histogram
-// observations, and two array profiles with folded access telemetry.
+// observations, and two array profiles with accounted access telemetry.
 func populate(t *testing.T) (*obs.Recorder, *obs.ArrayRegistry) {
 	t.Helper()
 	rec := obs.NewRecorder(256)
-	rec.RecordLoop(obs.NewLoopStats(0, 4096, 1024, []uint64{2, 2}, nil, []int{0, 1}))
+	rec.RecordLoop(obs.NewLoopStats(0, 4096, 4096, 1024, []uint64{2, 2}, nil, []int{0, 1}))
 	rec.RecordCounters("test", []obs.SocketCounters{
 		{Socket: 0, Instructions: 1000, LocalReadBytes: 4096, RemoteReadBytes: 512, Accesses: 640},
 		{Socket: 1, Instructions: 900, LocalReadBytes: 2048, RemoteWriteBytes: 64, RandomAccesses: 5},
@@ -36,14 +35,11 @@ func populate(t *testing.T) (*obs.Recorder, *obs.ArrayRegistry) {
 	span.End()
 
 	reg := obs.NewArrayRegistry()
-	id := reg.Register("hot", 10, 1<<16, "interleaved")
+	hot := reg.Register("hot", 10, 1<<16, "interleaved")
 	reg.Register("", 64, 1024, "replicated") // default-named array
-	reg.Fold(id, &counters.ArrayAccess{
-		Reduces: 3, ReduceElems: 3 << 16,
-		Gathers: 2, GatherElems: 9000,
-		LocalBytes: 1 << 20, RemoteBytes: 1 << 18,
-		PredEvals: 1 << 16, PredHits: 1 << 15,
-	})
+	hot.Add(obs.AccessReduce, 3<<16, 1<<20, 1<<18)
+	hot.Add(obs.AccessGather, 9000, 0, 0)
+	hot.AddPredicate(1<<16, 1<<15)
 	return rec, reg
 }
 

@@ -80,3 +80,28 @@ func TestParallelForNoRecorderNoEvents(t *testing.T) {
 		t.Fatal("recorder must default to nil")
 	}
 }
+
+// TestSpanLoopStatsSkipGaps checks that a ParallelForSpans loop's event
+// counts the iterations it ran, not the gap between its spans: two
+// 64-index spans a mebi-index apart are 128 iterations in two batches,
+// in the event and in the recorder's loop summary.
+func TestSpanLoopStatsSkipGaps(t *testing.T) {
+	rt := New(machine.X52Small())
+	rec := obs.NewRecorder(4)
+	rt.SetRecorder(rec)
+	rt.ParallelForSpans([]Span{{0, 64}, {1 << 20, 1<<20 + 64}}, 2048, func(w *Worker, lo, hi uint64) {})
+	evs := rec.Events()
+	if len(evs) != 1 || evs[0].Loop == nil {
+		t.Fatalf("span loop not recorded: %+v", evs)
+	}
+	ls := evs[0].Loop
+	if ls.Iterations != 128 || ls.Batches != 2 {
+		t.Fatalf("Iterations = %d, Batches = %d, want 128 in 2", ls.Iterations, ls.Batches)
+	}
+	if want := 128.0 / (2 * 2048); ls.GrainEfficiency != want {
+		t.Fatalf("GrainEfficiency = %v, want %v", ls.GrainEfficiency, want)
+	}
+	if got := rec.Metrics().Loops.Iterations; got != 128 {
+		t.Fatalf("LoopSummary.Iterations = %d, want 128", got)
+	}
+}

@@ -93,6 +93,7 @@ func New(spec *machine.Spec) *Runtime {
 			Counters: r.fabric.NewShard(spec.SocketOf(id)),
 		}
 		r.workers = append(r.workers, w)
+		r.sockets = append(r.sockets, w.Socket)
 		r.bySocket[w.Socket] = append(r.bySocket[w.Socket], w)
 	}
 	return r
@@ -117,12 +118,12 @@ func (r *Runtime) SetRecorder(rec *obs.Recorder) { r.rec = rec }
 
 // SetArrayProfiling is the switch for array telemetry. It attaches reg to
 // the runtime's memory: every smart array allocated from Memory() after
-// the call registers with reg, the accounting hooks attribute those
-// arrays' accesses to the worker shards, and a worker folds its shard into
-// reg whenever it leaves a loop (before it reports its batches done, so
-// the deltas are in reg when the loop returns). nil detaches; arrays
-// allocated earlier keep their registration. Views share the setting.
-// Must not be called while a parallel loop is running.
+// the call registers with reg, and the accounting hooks add those arrays'
+// accesses to their counter blocks in reg as the loop bodies run, so they
+// are all in reg when the loop returns. The runtime itself never touches
+// reg. nil detaches; arrays allocated earlier keep their registration.
+// Views share the setting. Must not be called while a parallel loop is
+// running.
 func (r *Runtime) SetArrayProfiling(reg *obs.ArrayRegistry) { r.mem.AttachArrayRegistry(reg) }
 
 // WithPriority returns a read-only view of the runtime whose loops run at
@@ -189,7 +190,7 @@ func (r *Runtime) ParallelFor(begin, end uint64, grain int64, body func(w *Worke
 	}
 	total := end - begin
 	r.run(loopShape{
-		begin: begin, end: end, grain: g,
+		begin: begin, end: end, iterations: total, grain: g,
 		numBatches: (total + g - 1) / g,
 	}, body)
 }
@@ -209,7 +210,7 @@ func (r *Runtime) ParallelForBounds(bounds []uint64, body func(w *Worker, lo, hi
 		}
 	}
 	r.run(loopShape{
-		begin: bounds[0], end: bounds[len(bounds)-1],
+		begin: bounds[0], end: bounds[len(bounds)-1], iterations: bounds[len(bounds)-1] - bounds[0],
 		numBatches: uint64(len(bounds) - 1), bounds: bounds,
 	}, body)
 }
@@ -243,6 +244,7 @@ func (r *Runtime) ParallelForSpans(spans []Span, grain int64, body func(w *Worke
 		}
 		sh.firstBatch[i] = sh.numBatches
 		sh.numBatches += (sp.Hi - sp.Lo + g - 1) / g
+		sh.iterations += sp.Hi - sp.Lo
 	}
 	r.run(sh, body)
 }
@@ -252,6 +254,9 @@ func (r *Runtime) ParallelForSpans(spans []Span, grain int64, body func(w *Worke
 // gaps, or explicit boundaries for weighted splits.
 type loopShape struct {
 	begin, end uint64
+	// iterations is how many indices the loop runs: end-begin, less the
+	// gaps between spans.
+	iterations uint64
 	// grain is the uniform batch size, 0 for bounds-driven loops.
 	grain      uint64
 	numBatches uint64
@@ -329,15 +334,6 @@ func WeightedBounds(begin, end, grainWeight uint64, prefix func(uint64) uint64) 
 		bounds = append(bounds, cur)
 	}
 	return append(bounds, end)
-}
-
-// workerSockets maps worker ID to NUMA node for loop-statistics events.
-func (r *Runtime) workerSockets() []int {
-	socks := make([]int, len(r.workers))
-	for i, w := range r.workers {
-		socks[i] = w.Socket
-	}
-	return socks
 }
 
 // paddedUint64 is a cache-line-sized accumulator slot: per-worker partials

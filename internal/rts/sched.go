@@ -18,9 +18,11 @@
 //
 //   - Stripe fidelity: with stealing off, batch b only ever runs on a
 //     worker of socket b % sockets, whoever else is submitting.
-//   - Quiescent barrier: a worker folds its shard's array telemetry while
-//     it still holds the flag and before it reports its batches done, so
-//     nothing touches a shard on behalf of a loop that has returned.
+//   - Quiescent barrier: a worker reports its batches done only after its
+//     last body call in the loop returned, while it still holds the flag,
+//     so nothing touches a shard on behalf of a loop that has returned.
+//     Shards carry only the simulated PCM counters; array telemetry goes
+//     straight to each array's atomic counter block (obs.ArrayCounters).
 //   - No lost wake-up: a submitter publishes its loop, then takes idle
 //     flags; a holder drops its flag, then looks for work (yield). One of
 //     the two always sees the other.
@@ -42,11 +44,12 @@ import (
 // engine is the state every view of one Runtime shares: the simulated
 // memory, the worker pool and the set of admitted loops.
 type engine struct {
-	// mem is the runtime's memory; its array registry, when attached, is
-	// where workers fold their shards' per-array access deltas (see
-	// SetArrayProfiling).
+	// mem is the runtime's memory (see SetArrayProfiling for the array
+	// registry it may carry).
 	mem     *memsim.Memory
 	workers []*Worker
+	// sockets[i] is worker i's socket, for loop-statistics events.
+	sockets []int
 	// bySocket[s] lists the workers pinned to socket s, lowest ID first.
 	bySocket [][]*Worker
 	// active is the immutable list of admitted, unfinished loops in
@@ -195,8 +198,8 @@ func (e *engine) serve(w *Worker, only *schedLoop) {
 	}
 }
 
-// leave ends w's stay in l after ran batches: per-worker counts, the shard
-// fold, and only then the completion report (the quiescent barrier).
+// leave ends w's stay in l after ran batches: per-worker counts, then the
+// completion report (the quiescent barrier).
 func (e *engine) leave(w *Worker, l *schedLoop, ran, stolen uint64) {
 	if ran == 0 {
 		return
@@ -208,7 +211,6 @@ func (e *engine) leave(w *Worker, l *schedLoop, ran, stolen uint64) {
 	if stolen > 0 {
 		l.stolen.Add(stolen)
 	}
-	e.mem.ArrayRegistry().FoldShard(w.Counters)
 	l.complete(ran)
 }
 
@@ -325,7 +327,7 @@ func (r *Runtime) run(sh loopShape, body func(w *Worker, lo, hi uint64)) {
 	}
 	if r.rec != nil {
 		r.rec.Histogram(LoopHistogram).ObserveSince(start)
-		r.rec.RecordLoop(obs.NewLoopStats(sh.begin, sh.end, sh.grain, l.claims, l.steals, r.workerSockets()))
+		r.rec.RecordLoop(obs.NewLoopStats(sh.begin, sh.end, sh.iterations, sh.grain, l.claims, l.steals, e.sockets))
 	}
 	r.prof.AddLoop(sh.numBatches, l.stolen.Load())
 }
