@@ -76,7 +76,8 @@ type Options struct {
 	// representation when one beats bit packing at the column's width
 	// (sorted or clustered columns typically land on RLE or delta,
 	// low-cardinality ones on a dictionary). Queries are unaffected: every scan pipeline
-	// dispatches over the column's chunk codec.
+	// dispatches over the column's chunk codec. It analyzes the whole
+	// column, so only AddColumn takes it; FillColumn refuses it.
 	AutoEncode bool
 }
 
@@ -134,26 +135,25 @@ func (t *Table) PayloadBytes() uint64 {
 	return sum
 }
 
+// BuildWindow is how many elements a column build writes per InitRange
+// call: FillColumn's fill sees one window-sized slice at a time (the last
+// one shorter), so building a column never holds more than one window of
+// plain values. A whole number of chunks, so every window but the last
+// packs without a ragged edge.
+const BuildWindow = 1024 * bitpack.ChunkSize
+
 // AddColumn appends a column from values, packed at the minimum width
 // with the table's placement.
 func (t *Table) AddColumn(name string, values []uint64, opts Options) (*Column, error) {
 	if uint64(len(values)) != t.rows {
 		return nil, fmt.Errorf("colstore: column %q has %d values for %d rows", name, len(values), t.rows)
 	}
-	if _, dup := t.byName[name]; dup {
-		return nil, fmt.Errorf("colstore: duplicate column %q", name)
-	}
-	arr, err := core.Allocate(t.rt.Memory(), core.Config{
-		Name:      name,
-		Length:    t.rows,
-		Bits:      bitpack.MinBitsFor(values),
-		Placement: opts.Placement,
-		Socket:    opts.Socket,
+	arr, err := t.pack(name, bitpack.MinBitsFor(values), opts, func(lo uint64, dst []uint64) {
+		copy(dst, values[lo:])
 	})
 	if err != nil {
 		return nil, err
 	}
-	arr.InitRange(opts.Socket, 0, values)
 	if opts.AutoEncode {
 		best, bestBytes := encoding.BitPacked, arr.CompressedBytes()
 		stats := encoding.Analyze(values)
@@ -172,14 +172,60 @@ func (t *Table) AddColumn(name string, values []uint64, opts Options) (*Column, 
 			}
 		}
 	}
-	// Every table column carries a zone index: scans prune resolved
-	// chunks, and Reencode keeps the index fresh across representation
-	// changes for free.
+	return t.add(name, arr), nil
+}
+
+// FillColumn appends a column of the declared width whose values fill
+// writes, one BuildWindow at a time: fill(lo, dst) must set dst[i] to row
+// lo+i's value, and is called with ascending lo covering every row once.
+// No table-length slice of plain values exists at any point. A value
+// wider than bits panics with bitpack's overflow report. opts.AutoEncode
+// is an error (see Options).
+func (t *Table) FillColumn(name string, bits uint, opts Options, fill func(lo uint64, dst []uint64)) (*Column, error) {
+	if opts.AutoEncode {
+		return nil, fmt.Errorf("colstore: column %q: AutoEncode needs the column's values (use AddColumn)", name)
+	}
+	arr, err := t.pack(name, bits, opts, fill)
+	if err != nil {
+		return nil, err
+	}
+	return t.add(name, arr), nil
+}
+
+// pack allocates a bit-packed array of t.rows elements at the given width
+// and writes it through InitRange, one window of fill's values at a time.
+func (t *Table) pack(name string, bits uint, opts Options, fill func(lo uint64, dst []uint64)) (*core.SmartArray, error) {
+	if _, dup := t.byName[name]; dup {
+		return nil, fmt.Errorf("colstore: duplicate column %q", name)
+	}
+	arr, err := core.Allocate(t.rt.Memory(), core.Config{
+		Name:      name,
+		Length:    t.rows,
+		Bits:      bits,
+		Placement: opts.Placement,
+		Socket:    opts.Socket,
+	})
+	if err != nil {
+		return nil, err
+	}
+	window := make([]uint64, min(t.rows, BuildWindow))
+	for lo := uint64(0); lo < t.rows; lo += BuildWindow {
+		dst := window[:min(t.rows-lo, BuildWindow)]
+		fill(lo, dst)
+		arr.InitRange(opts.Socket, lo, dst)
+	}
+	return arr, nil
+}
+
+// add indexes a built array and appends it as column name. Every table
+// column carries a zone index: scans prune resolved chunks, and Reencode
+// keeps the index fresh across representation changes for free.
+func (t *Table) add(name string, arr *core.SmartArray) *Column {
 	arr.BuildZoneIndex()
 	col := &Column{Name: name, arr: arr}
 	t.columns = append(t.columns, col)
 	t.byName[name] = col
-	return col, nil
+	return col
 }
 
 // ReencodeColumn migrates one column to the given representation in

@@ -14,7 +14,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is a directed graph in compressed sparse row form, the plain
@@ -68,20 +68,25 @@ func Build(numVertices uint64, edges []Edge32) (*CSR, error) {
 		g.Begin[v] += g.Begin[v-1]
 		g.RBegin[v] += g.RBegin[v-1]
 	}
-	fCur := make([]uint64, numVertices)
-	rCur := make([]uint64, numVertices)
+	// Scatter by source, sort each out-list, then scatter the sorted
+	// out-lists by destination walking sources in ascending order: every
+	// in-list then receives its sources in ascending order and needs no
+	// sort of its own.
+	cur := make([]uint64, numVertices)
+	copy(cur, g.Begin)
 	for _, e := range edges {
-		g.Edge[g.Begin[e.Src]+fCur[e.Src]] = e.Dst
-		fCur[e.Src]++
-		g.REdge[g.RBegin[e.Dst]+rCur[e.Dst]] = e.Src
-		rCur[e.Dst]++
+		g.Edge[cur[e.Src]] = e.Dst
+		cur[e.Src]++
 	}
-	// Sort each neighbour list ascending.
 	for v := uint64(0); v < numVertices; v++ {
-		fs := g.Edge[g.Begin[v]:g.Begin[v+1]]
-		sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-		rs := g.REdge[g.RBegin[v]:g.RBegin[v+1]]
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+		slices.Sort(g.Edge[g.Begin[v]:g.Begin[v+1]])
+	}
+	copy(cur, g.RBegin)
+	for v := uint64(0); v < numVertices; v++ {
+		for _, dst := range g.Edge[g.Begin[v]:g.Begin[v+1]] {
+			g.REdge[cur[dst]] = uint32(v)
+			cur[dst]++
+		}
 	}
 	return g, nil
 }

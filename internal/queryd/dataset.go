@@ -7,8 +7,11 @@ package queryd
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"smartarrays/internal/analytics"
+	"smartarrays/internal/bitpack"
 	"smartarrays/internal/colstore"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/memsim"
@@ -98,12 +101,37 @@ const (
 	graphExponent      = 2.1
 )
 
+// tableColumn is one synthetic column: its declared width, which covers
+// every value the generator can produce, and its value for a row given
+// that row's state in the xorshift sequence.
+type tableColumn struct {
+	name  string
+	bits  uint
+	value func(row, x uint64) uint64
+}
+
+// tableColumns lists the served table's columns in definition order.
+func tableColumns(rows uint64) []tableColumn {
+	return []tableColumn{
+		{"id", bitpack.MinBits(rows - 1), func(row, _ uint64) uint64 { return row }},
+		{"region", 4, func(_, x uint64) uint64 { return x % 16 }},
+		{"amount", 16, func(_, x uint64) uint64 { return (x >> 16) % 65536 }},
+		{"flag", 1, func(_, x uint64) uint64 { return (x >> 40) & 3 / 3 }}, // 1 on ~25% of rows
+	}
+}
+
 // BuildDataset materializes spec into rt's memory. Columns:
 //
 //	id      row number (monotone; selective range predicates)
 //	region  16-value dense key (exercises the GroupBy fast path)
 //	amount  pseudo-uniform in [0, 65536) (the aggregation target)
 //	flag    0/1 at ~25% selectivity (cheap predicate column)
+//
+// Every column is generated straight into its packed array, one
+// colstore.BuildWindow at a time: each replays the xorshift sequence from
+// Seed|1 into the window and sums it on the way, at the width the
+// generator's range declares. The build never holds a table-length slice
+// of plain values: the table costs its packed payload plus one window.
 //
 // The graph is a Twitter-like power-law CSR in the paper's "V" layout —
 // begin/rbegin bit-packed, edge/redge at 32 bits — interleaved like the
@@ -114,12 +142,25 @@ const (
 // outweighs the bandwidth "V+E" saves (the paper's Figure 12 saw the same
 // on its 8-core machine). EXPERIMENTS.md "graph_rank at word width" has
 // the measurement.
+//
+// A spec whose packed footprint the simulated memory cannot hold is
+// refused before anything is generated.
 func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("queryd: dataset needs a name")
 	}
 	if spec.Rows == 0 && spec.Vertices == 0 {
 		return nil, fmt.Errorf("queryd: dataset %q is empty (zero rows and vertices)", spec.Name)
+	}
+	if spec.Vertices > 1<<32 {
+		return nil, fmt.Errorf("queryd: dataset %q: %d vertices exceed 32-bit vertex IDs", spec.Name, spec.Vertices)
+	}
+	deg := spec.Degree
+	if deg <= 0 {
+		deg = defaultGraphDegree
+	}
+	if words, ok := footprintWords(spec, deg); !ok || !rt.Memory().CanAlloc(words, memsim.Interleaved, 0) {
+		return nil, fmt.Errorf("queryd: dataset %q does not fit in the machine's memory", spec.Name)
 	}
 	d := &Dataset{Name: spec.Name, Rows: spec.Rows, Vertices: spec.Vertices}
 
@@ -129,39 +170,25 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 			return nil, err
 		}
 		d.Table = tbl
-		id, region := make([]uint64, spec.Rows), make([]uint64, spec.Rows)
-		amount, flag := make([]uint64, spec.Rows), make([]uint64, spec.Rows)
-		x := spec.Seed | 1
-		for i := range id {
-
-			x = xorshift64(x)
-			id[i] = uint64(i)
-			region[i] = x % 16
-			amount[i] = (x >> 16) % 65536
-			flag[i] = (x >> 40) & 3 / 3 // 1 on ~25% of rows
-		}
 		opts := colstore.Options{Placement: memsim.Interleaved}
-		cols := map[string][]uint64{"id": id, "region": region, "amount": amount, "flag": flag}
-		for _, name := range []string{"id", "region", "amount", "flag"} {
-			values := cols[name]
-			col, err := tbl.AddColumn(name, values, opts)
+		for _, c := range tableColumns(spec.Rows) {
+			x, sum := spec.Seed|1, uint64(0)
+			col, err := tbl.FillColumn(c.name, c.bits, opts, func(lo uint64, dst []uint64) {
+				for i := range dst {
+					x = xorshift64(x)
+					dst[i] = c.value(lo+uint64(i), x)
+					sum += dst[i]
+				}
+			})
 			if err != nil {
 				d.Free()
 				return nil, err
 			}
-			var sum uint64
-			for _, v := range values {
-				sum += v
-			}
-			d.Columns = append(d.Columns, ColumnMeta{Name: name, Bits: col.Array().Bits(), Sum: sum})
+			d.Columns = append(d.Columns, ColumnMeta{Name: c.name, Bits: col.Array().Bits(), Sum: sum})
 		}
 	}
 
 	if spec.Vertices > 0 {
-		deg := spec.Degree
-		if deg <= 0 {
-			deg = defaultGraphDegree
-		}
 		csr, err := graph.GeneratePowerLaw(spec.Vertices, deg, graphExponent, int64(spec.Seed)+1)
 		if err != nil {
 			d.Free()
@@ -183,4 +210,33 @@ func BuildDataset(rt *rts.Runtime, spec DatasetSpec) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// footprintWords is spec's packed payload in 64-bit words: the table's
+// columns at their declared widths, begin/rbegin at the width of the edge
+// count and edge/redge at 32 bits. ok is false when the count does not
+// fit in memsim's byte arithmetic, which no machine could hold anyway.
+func footprintWords(spec DatasetSpec, deg int) (words uint64, ok bool) {
+	ok = true
+	add := func(n uint64, width uint) {
+		chunks := n/bitpack.ChunkSize + min(n%bitpack.ChunkSize, 1)
+		hi, w := bits.Mul64(chunks, uint64(width))
+		var carry uint64
+		words, carry = bits.Add64(words, w, 0)
+		ok = ok && hi == 0 && carry == 0
+	}
+	if spec.Rows > 0 {
+		for _, c := range tableColumns(spec.Rows) {
+			add(spec.Rows, c.bits)
+		}
+	}
+	if spec.Vertices > 0 {
+		hi, edges := bits.Mul64(spec.Vertices, uint64(deg))
+		ok = ok && hi == 0
+		for range 2 {
+			add(spec.Vertices+1, bitpack.MinBits(edges))
+			add(edges, 32)
+		}
+	}
+	return words, ok && words <= math.MaxUint64/8
 }

@@ -1,0 +1,160 @@
+package queryd
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"runtime"
+	"slices"
+	"testing"
+
+	"smartarrays/internal/bitpack"
+	"smartarrays/internal/colstore"
+	"smartarrays/internal/encoding"
+	"smartarrays/internal/machine"
+	"smartarrays/internal/rts"
+)
+
+// sliceColumns generates the served table's columns as plain slices, the
+// way the build did before it streamed them: one xorshift pass from
+// seed|1 filling all four at once.
+func sliceColumns(rows, seed uint64) map[string][]uint64 {
+	cols := map[string][]uint64{
+		"id": make([]uint64, rows), "region": make([]uint64, rows),
+		"amount": make([]uint64, rows), "flag": make([]uint64, rows),
+	}
+	x := seed | 1
+	for i := range rows {
+		x = xorshift64(x)
+		cols["id"][i] = i
+		cols["region"][i] = x % 16
+		cols["amount"][i] = (x >> 16) % 65536
+		cols["flag"][i] = (x >> 40) & 3 / 3
+	}
+	return cols
+}
+
+// TestBuildDatasetMatchesSliceBuild checks the windowed build against the
+// plain-slice reference at lengths around chunk and window edges: every
+// element, every column sum, the declared widths and the zone index's
+// overall bounds.
+func TestBuildDatasetMatchesSliceBuild(t *testing.T) {
+	const w = colstore.BuildWindow
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	for _, rows := range []uint64{1, 10, 63, 64, 65, w - 1, w + 1, 3*w + 17} {
+		t.Run(fmt.Sprint(rows), func(t *testing.T) {
+			d, err := BuildDataset(rt, DatasetSpec{Name: "d", Rows: rows, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Free()
+			ref := sliceColumns(rows, 7)
+			wantBits := map[string]uint{"id": bitpack.MinBits(rows - 1), "region": 4, "amount": 16, "flag": 1}
+			if len(d.Columns) != 4 {
+				t.Fatalf("%d columns, want 4", len(d.Columns))
+			}
+			for _, meta := range d.Columns {
+				want := ref[meta.Name]
+				col, err := d.Table.Column(meta.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arr := col.Array()
+				if got := arr.DecodeAll(); !slices.Equal(got, want) {
+					t.Fatalf("column %s differs from the slice build", meta.Name)
+				}
+				var sum uint64
+				for _, v := range want {
+					sum += v
+				}
+				if meta.Sum != sum || meta.Bits != wantBits[meta.Name] || arr.Bits() != meta.Bits {
+					t.Errorf("column %s: meta %+v at %d bits, want sum %d at %d bits", meta.Name, meta, arr.Bits(), sum, wantBits[meta.Name])
+				}
+				z := arr.ZoneIndex()
+				if z == nil {
+					t.Fatalf("column %s has no zone index", meta.Name)
+				}
+				chunks := (rows + bitpack.ChunkSize - 1) / bitpack.ChunkSize
+				mn, mx := ^uint64(0), uint64(0)
+				for s := uint64(0); s*encoding.ZoneFanout < chunks; s++ {
+					smn, smx := z.SuperBounds(s)
+					mn, mx = min(mn, smn), max(mx, smx)
+				}
+				if mn != slices.Min(want) || mx != slices.Max(want) {
+					t.Errorf("column %s: zone root [%d,%d], values span [%d,%d]", meta.Name, mn, mx, slices.Min(want), slices.Max(want))
+				}
+			}
+		})
+	}
+}
+
+// TestBuildDatasetAllocations ratchets the build's heap traffic: a
+// table-only 1 Mi-row dataset may allocate at most twice its packed
+// payload, so no column is ever staged as a plain table-length slice
+// (four of those are 32 MB against a ~5 MB payload).
+func TestBuildDatasetAllocations(t *testing.T) {
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := BuildDataset(rt, DatasetSpec{Name: "d", Rows: 1 << 20, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Free()
+	allocated, payload := after.TotalAlloc-before.TotalAlloc, d.Table.PayloadBytes()
+	t.Logf("build allocated %d bytes for a %d-byte payload", allocated, payload)
+	if allocated > 2*payload {
+		t.Errorf("build allocated %d bytes, ceiling 2 x %d-byte payload", allocated, payload)
+	}
+}
+
+// TestControlRejectsOversizedDataset: a dataset spec the machine cannot
+// hold is refused with a 400 before anything is generated, instead of
+// taking the process down, and the server keeps serving what it had.
+func TestControlRejectsOversizedDataset(t *testing.T) {
+	_, ts := newTestServer(t, DefaultConfig())
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	catalog := get("/datasets")
+	for _, spec := range []DatasetSpec{
+		{Name: "big", Rows: 1 << 40},
+		{Name: "big", Vertices: 1 << 32},
+		{Name: "big", Vertices: 1<<32 + 1},
+		{Name: "big", Vertices: 1000, Degree: 1 << 62},
+	} {
+		body, _ := json.Marshal(map[string]any{"datasets": []DatasetSpec{spec}})
+		resp, err := http.Post(ts.URL+"/control/config", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %+v: status %d (%s), want 400", spec, resp.StatusCode, msg)
+		}
+	}
+	if got := get("/datasets"); got != catalog {
+		t.Errorf("/datasets changed:\n%s\nwant\n%s", got, catalog)
+	}
+	if status, env := postQuery(t, ts, map[string]any{
+		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
+	}); status != http.StatusOK {
+		t.Fatalf("query after the refusals: status %d, %s", status, env["error"])
+	}
+}

@@ -36,7 +36,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,11 +145,11 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 		}
 		datasets[spec.Name] = d
 	}
-	// BuildDataset stages every column as a plain []uint64 before packing
-	// it — an order of magnitude more than the payload it leaves behind,
-	// and at a serving allocation rate no GC cycle would come to collect
-	// it. Hand it back to the OS before the first request.
-	debug.FreeOSMemory()
+	// BuildDataset writes every column through one reused window straight
+	// into its packed array, so the garbage a build leaves is a window per
+	// column and the graph generator's edge list and plain CSR — small
+	// next to the payload it serves, and not worth forcing a collection to
+	// hand back to the OS before the first request.
 	snap := &snapshot{cfg: cfg, datasets: datasets}
 	s.snap.Store(snap)
 
@@ -211,7 +210,6 @@ func (s *Server) AddDataset(spec DatasetSpec) error {
 	if err != nil {
 		return err
 	}
-	debug.FreeOSMemory() // the build's staging slices, as in NewServer
 	old := s.snap.Load()
 	datasets := make(map[string]*Dataset, len(old.datasets)+1)
 	for k, v := range old.datasets {
