@@ -3,7 +3,6 @@ package adapt
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"smartarrays/internal/core"
 	"smartarrays/internal/encoding"
@@ -58,20 +57,14 @@ type watchedArray struct {
 
 // Reencoder re-scores watched arrays' representations against live
 // per-array telemetry and migrates them when the measured access pattern
-// flips the codec pick. Check calls are serialized internally, so a
-// background Start loop and manual CheckOnce calls may coexist; the
+// flips the codec pick. CheckOnce calls are serialized internally; the
 // migrations themselves are safe under concurrent scans (readers finish
 // on the representation snapshot they loaded).
 type Reencoder struct {
 	cfg ReencoderConfig
 
-	mu         sync.Mutex
-	watched    []watchedArray
-	checks     int
-	migrations int
-
-	stop chan struct{}
-	done chan struct{}
+	mu      sync.Mutex
+	watched []watchedArray
 }
 
 // NewReencoder creates a re-encoder with no arrays under watch.
@@ -96,21 +89,6 @@ func (r *Reencoder) Watch(a *core.SmartArray) {
 	r.mu.Lock()
 	r.watched = append(r.watched, watchedArray{arr: a, stats: stats})
 	r.mu.Unlock()
-}
-
-// Checks is how many re-scores have run; Migrations how many arrays were
-// re-encoded.
-func (r *Reencoder) Checks() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.checks
-}
-
-// Migrations is the number of representation migrations performed.
-func (r *Reencoder) Migrations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.migrations
 }
 
 // accessMix is the observed access-method weighting of one profile: what
@@ -165,12 +143,10 @@ func (r *Reencoder) CheckOnce() []obs.ReencodeEvent {
 	defer r.mu.Unlock()
 	var events []obs.ReencodeEvent
 	for _, w := range r.watched {
-		r.checks++
 		ev := r.checkOne(w)
 		if ev == nil {
 			continue
 		}
-		r.migrations++
 		r.cfg.Recorder.RecordReencode(*ev)
 		events = append(events, *ev)
 	}
@@ -241,53 +217,4 @@ func (r *Reencoder) checkOne(w watchedArray) *obs.ReencodeEvent {
 		ev.Selectivity = sel
 	}
 	return ev
-}
-
-// Start launches the background re-encoding loop, re-scoring every
-// interval until Stop. Start on a running re-encoder panics.
-func (r *Reencoder) Start(interval time.Duration) {
-	r.mu.Lock()
-	if r.stop != nil {
-		r.mu.Unlock()
-		panic("adapt: Reencoder already started")
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	stop, done := r.stop, r.done
-	r.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				r.CheckOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for it to exit. Safe to call
-// when not started.
-func (r *Reencoder) Stop() {
-	r.mu.Lock()
-	stop, done := r.stop, r.done
-	r.stop, r.done = nil, nil
-	r.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// String summarizes the re-encoder state for reports.
-func (r *Reencoder) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("adapt.Reencoder{%s: %d watched, %d checks, %d migrations}",
-		r.cfg.Name, len(r.watched), r.checks, r.migrations)
 }

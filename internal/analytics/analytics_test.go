@@ -204,66 +204,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestWCC(t *testing.T) {
-	rt := newRT()
-	// Components {0,1,2} (via 0->1,2->1) and {3,4}.
-	g, err := graph.Build(5, []graph.Edge32{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}, {Src: 3, Dst: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := smartGraph(t, rt, g, graph.Layout{})
-	labels, rounds, err := WCC(rt, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labels[0] != 0 || labels[1] != 0 || labels[2] != 0 {
-		t.Errorf("component A labels = %v", labels[:3])
-	}
-	if labels[3] != 3 || labels[4] != 3 {
-		t.Errorf("component B labels = %v", labels[3:])
-	}
-	if rounds < 1 {
-		t.Errorf("rounds = %d", rounds)
-	}
-}
-
-func TestTriangleCount(t *testing.T) {
-	rt := newRT()
-	// A triangle plus a pendant edge: exactly one triangle.
-	g, err := graph.Build(4, []graph.Edge32{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := smartGraph(t, rt, g, graph.Layout{CompressEdge: true})
-	if got := TriangleCount(rt, s); got != 1 {
-		t.Errorf("triangles = %d, want 1", got)
-	}
-
-	// K4 has 4 triangles.
-	k4 := []graph.Edge32{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}
-	g2, err := graph.Build(4, k4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := smartGraph(t, rt, g2, graph.Layout{})
-	if got := TriangleCount(rt, s2); got != 4 {
-		t.Errorf("K4 triangles = %d, want 4", got)
-	}
-}
-
-func TestTriangleCountDirectionInsensitive(t *testing.T) {
-	rt := newRT()
-	// Same triangle with mixed edge directions.
-	g, err := graph.Build(3, []graph.Edge32{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}, {Src: 0, Dst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := smartGraph(t, rt, g, graph.Layout{})
-	if got := TriangleCount(rt, s); got != 1 {
-		t.Errorf("triangles = %d, want 1", got)
-	}
-}
-
 func TestWorkloadStreamsCarryPlacement(t *testing.T) {
 	rt := newRT()
 	g, _ := graph.GenerateUniform(500, 3, 2)

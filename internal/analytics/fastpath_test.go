@@ -186,8 +186,8 @@ func TestPageRankEdgePastLastVertexPanics(t *testing.T) {
 }
 
 // TestAnalyticsUnderStealing reruns the reference-agreement checks for the
-// rewired traversal kernels with stealing on — the steal path must not
-// duplicate or drop batches for any of them.
+// degree and BFS kernels on a power-law graph with stealing on — the steal
+// path must not duplicate or drop batches for either of them.
 func TestAnalyticsUnderStealing(t *testing.T) {
 	rt := newRT()
 	rt.SetStealing(true)
@@ -210,35 +210,51 @@ func TestAnalyticsUnderStealing(t *testing.T) {
 	}
 	out.Free()
 
-	weights := make([]uint64, g.NumEdges)
-	for i := range weights {
-		weights[i] = uint64(i%7) + 1
-	}
-	warr, err := BuildWeights(rt, s, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warr.Free()
-	dist, _, err := SSSP(rt, s, warr, SSSPConfig{Source: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDist := SSSPRef(g, weights, 0)
-	for v := range dist {
-		if dist[v] != wantDist[v] {
-			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], wantDist[v])
+	// BFS claims each vertex with a CAS from whichever batch reaches it
+	// first, so a dropped or duplicated stolen batch shows as a wrong level.
+	// Power-law edges point at hubs, so walk the reverse edges from the
+	// largest hub: its first frontier holds thousands of vertices. Compare
+	// against a sequential queue BFS over the plain CSR.
+	var hub uint32
+	var rev []graph.Edge32
+	for v := uint32(0); uint64(v) < g.NumVertices; v++ {
+		if g.InDegree(v) > g.InDegree(hub) {
+			hub = v
+		}
+		for _, d := range g.OutNeighbors(v) {
+			rev = append(rev, graph.Edge32{Src: d, Dst: v})
 		}
 	}
-
-	labels, _, err := WCC(rt, s)
+	rg, err := graph.Build(g.NumVertices, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Label propagation converges to the same fixed point regardless of
-	// schedule: every member of a component gets the component's min ID.
-	for v, l := range labels {
-		if labels[l] != l {
-			t.Fatalf("label[%d] = %d, but labels[%d] = %d (not canonical)", v, l, l, labels[l])
+	levels, _, _, err := BFS(rt, smartGraph(t, rt, rg, graph.Layout{CompressBegin: true, CompressEdge: true}), uint64(hub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, rg.NumVertices)
+	for i := range want {
+		want[i] = -1
+	}
+	want[hub] = 0
+	reached := 1
+	for queue := []uint32{hub}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, d := range rg.OutNeighbors(u) {
+			if want[d] < 0 {
+				want[d] = want[u] + 1
+				queue = append(queue, d)
+				reached++
+			}
+		}
+	}
+	if reached < int(rg.NumVertices)/2 {
+		t.Fatalf("the hub reaches %d of %d vertices: the frontiers are too narrow to steal", reached, rg.NumVertices)
+	}
+	for v := range want {
+		if levels[v] != want[v] {
+			t.Fatalf("BFS level[%d] = %d, want %d", v, levels[v], want[v])
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/perfmodel"
@@ -87,157 +86,4 @@ func BFS(rt *rts.Runtime, g *graph.SmartCSR, src uint64) ([]int64, int, perfmode
 		},
 	}
 	return levels, int(level), work, nil
-}
-
-// WCC computes weakly-connected components by label propagation over both
-// edge directions, returning per-vertex component labels (the smallest
-// vertex ID in the component) and the number of propagation rounds.
-func WCC(rt *rts.Runtime, g *graph.SmartCSR) ([]uint64, int, error) {
-	n := g.NumVertices
-	labels := make([]uint64, n)
-	for i := range labels {
-		labels[i] = uint64(i)
-	}
-	// Per-batch scratch: minima per vertex plus the begin runs of both
-	// directions; edge runs stream through a chunk buffer with a segmented
-	// walk (the same shape as PageRank's accumulation).
-	propagate := func(w *rts.Worker, lo, hi uint64, begins []uint64,
-		edges *core.SmartArray, buf, mins []uint64) {
-		nv := hi - lo
-		if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
-			vi := uint64(0)
-			core.StreamRange(edges, w.Socket, eLo, eHi, buf, func(base uint64, vals []uint64) {
-				for j, u := range vals {
-					e := base + uint64(j)
-					for e >= begins[vi+1] {
-						vi++
-					}
-					if l := atomic.LoadUint64(&labels[u]); l < mins[vi] {
-						mins[vi] = l
-					}
-				}
-			})
-		}
-	}
-
-	rounds := 0
-	for {
-		var changed atomic.Bool
-		rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-			nv := hi - lo
-			begins := make([]uint64, nv+1)
-			mins := make([]uint64, nv)
-			buf := make([]uint64, 4*bitpack.ChunkSize)
-			for i := range mins {
-				mins[i] = atomic.LoadUint64(&labels[lo+uint64(i)])
-			}
-			core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-			propagate(w, lo, hi, begins, g.Edge, buf, mins)
-			core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
-			propagate(w, lo, hi, begins, g.REdge, buf, mins)
-			for i, min := range mins {
-				v := lo + uint64(i)
-				if min < atomic.LoadUint64(&labels[v]) {
-					atomic.StoreUint64(&labels[v], min)
-					changed.Store(true)
-				}
-			}
-		})
-		rounds++
-		if !changed.Load() {
-			break
-		}
-	}
-	return labels, rounds, nil
-}
-
-// TriangleCount counts undirected triangles, treating each directed edge
-// as undirected. It intersects sorted neighbour lists via the smart edge
-// array, counting each triangle once (ordered u < v < w over the
-// undirected adjacency).
-func TriangleCount(rt *rts.Runtime, g *graph.SmartCSR) uint64 {
-	n := g.NumVertices
-	// Materialize the undirected adjacency (deduplicated, sorted, only
-	// higher-numbered neighbours) from the smart arrays.
-	adj := make([][]uint32, n)
-	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		nv := hi - lo
-		begins := make([]uint64, nv+1)
-		rbegins := make([]uint64, nv+1)
-		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-		core.ReadRange(g.RBegin, w.Socket, lo, hi+1, rbegins)
-		var run []uint64
-		appendHigher := func(v, eLo, eHi uint64, edges *core.SmartArray, ns []uint32) []uint32 {
-			if eLo == eHi {
-				return ns
-			}
-			if deg := eHi - eLo; uint64(len(run)) < deg {
-				run = make([]uint64, deg)
-			}
-			core.ReadRange(edges, w.Socket, eLo, eHi, run)
-			for _, d := range run[:eHi-eLo] {
-				if d > v {
-					ns = append(ns, uint32(d))
-				}
-			}
-			return ns
-		}
-		for v := lo; v < hi; v++ {
-			var ns []uint32
-			ns = appendHigher(v, begins[v-lo], begins[v-lo+1], g.Edge, ns)
-			ns = appendHigher(v, rbegins[v-lo], rbegins[v-lo+1], g.REdge, ns)
-			adj[v] = sortedUnique(ns)
-		}
-	})
-
-	var total atomic.Uint64
-	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		var count uint64
-		for v := lo; v < hi; v++ {
-			ns := adj[v]
-			for i, u := range ns {
-				// Triangles v < u < t with t adjacent to both.
-				count += intersectCount(ns[i+1:], adj[u])
-			}
-		}
-		total.Add(count)
-	})
-	return total.Load()
-}
-
-func sortedUnique(ns []uint32) []uint32 {
-	if len(ns) < 2 {
-		return ns
-	}
-	// Insertion sort: neighbour lists are short and nearly sorted.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j-1] > ns[j]; j-- {
-			ns[j-1], ns[j] = ns[j], ns[j-1]
-		}
-	}
-	out := ns[:1]
-	for _, x := range ns[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func intersectCount(a, b []uint32) uint64 {
-	var count uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
 }

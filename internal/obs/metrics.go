@@ -1,7 +1,5 @@
 package obs
 
-import "encoding/json"
-
 // LoopSummary aggregates the RTS loop statistics over a recorder's
 // lifetime — the worker-level health metrics (claim balance, grain
 // efficiency) without per-loop detail.
@@ -19,24 +17,23 @@ type LoopSummary struct {
 	MeanClaimImbalance float64 `json:"meanClaimImbalance"`
 	// MeanGrainEfficiency averages per-loop iterations/(batches*grain).
 	MeanGrainEfficiency float64 `json:"meanGrainEfficiency"`
-
-	// internal accumulators for the means
-	sumImbalance float64
-	sumGrainEff  float64
 }
 
-func (s *LoopSummary) add(ls *LoopStats) {
+// addLoop folds one loop into r.loops. The two means divide running sums
+// the recorder keeps beside the summary. Caller holds r.mu.
+func (r *Recorder) addLoop(ls *LoopStats) {
+	s := &r.loops
 	s.Loops++
 	s.Batches += ls.Batches
 	s.Steals += ls.Steals
 	s.Iterations += ls.Iterations
-	s.sumImbalance += ls.ClaimImbalance
-	s.sumGrainEff += ls.GrainEfficiency
+	r.loopImbalanceSum += ls.ClaimImbalance
+	r.loopGrainEffSum += ls.GrainEfficiency
 	if ls.ClaimImbalance > s.MaxClaimImbalance {
 		s.MaxClaimImbalance = ls.ClaimImbalance
 	}
-	s.MeanClaimImbalance = s.sumImbalance / float64(s.Loops)
-	s.MeanGrainEfficiency = s.sumGrainEff / float64(s.Loops)
+	s.MeanClaimImbalance = r.loopImbalanceSum / float64(s.Loops)
+	s.MeanGrainEfficiency = r.loopGrainEffSum / float64(s.Loops)
 }
 
 // Metrics is the registry snapshot: everything the recorder knows,
@@ -79,58 +76,4 @@ func (r *Recorder) Metrics() Metrics {
 	r.mu.Unlock()
 	m.Histograms = r.Histograms()
 	return m
-}
-
-// MarshalJSON keeps the internal accumulators out of the wire format.
-func (s LoopSummary) MarshalJSON() ([]byte, error) {
-	type wire struct {
-		Loops               uint64  `json:"loops"`
-		Batches             uint64  `json:"batches"`
-		Steals              uint64  `json:"steals"`
-		Iterations          uint64  `json:"iterations"`
-		MaxClaimImbalance   float64 `json:"maxClaimImbalance"`
-		MeanClaimImbalance  float64 `json:"meanClaimImbalance"`
-		MeanGrainEfficiency float64 `json:"meanGrainEfficiency"`
-	}
-	return json.Marshal(wire{
-		Loops:               s.Loops,
-		Batches:             s.Batches,
-		Steals:              s.Steals,
-		Iterations:          s.Iterations,
-		MaxClaimImbalance:   s.MaxClaimImbalance,
-		MeanClaimImbalance:  s.MeanClaimImbalance,
-		MeanGrainEfficiency: s.MeanGrainEfficiency,
-	})
-}
-
-// UnmarshalJSON mirrors MarshalJSON (round-trips the exported fields).
-func (s *LoopSummary) UnmarshalJSON(b []byte) error {
-	type wire struct {
-		Loops               uint64  `json:"loops"`
-		Batches             uint64  `json:"batches"`
-		Steals              uint64  `json:"steals"`
-		Iterations          uint64  `json:"iterations"`
-		MaxClaimImbalance   float64 `json:"maxClaimImbalance"`
-		MeanClaimImbalance  float64 `json:"meanClaimImbalance"`
-		MeanGrainEfficiency float64 `json:"meanGrainEfficiency"`
-	}
-	var w wire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*s = LoopSummary{
-		Loops:               w.Loops,
-		Batches:             w.Batches,
-		Steals:              w.Steals,
-		Iterations:          w.Iterations,
-		MaxClaimImbalance:   w.MaxClaimImbalance,
-		MeanClaimImbalance:  w.MeanClaimImbalance,
-		MeanGrainEfficiency: w.MeanGrainEfficiency,
-		// Rebuild the private mean accumulators from mean × loops, so a
-		// summary restored from a report keeps computing correct means on
-		// subsequent add() calls instead of restarting the sums at zero.
-		sumImbalance: w.MeanClaimImbalance * float64(w.Loops),
-		sumGrainEff:  w.MeanGrainEfficiency * float64(w.Loops),
-	}
-	return nil
 }

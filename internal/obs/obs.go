@@ -45,6 +45,12 @@ type Recorder struct {
 	loops   LoopSummary
 	nDecide int
 	nDrift  int
+
+	// loopImbalanceSum and loopGrainEffSum are the running sums behind
+	// the two means in loops.
+	loopImbalanceSum float64
+	loopGrainEffSum  float64
+
 	// lastCounters is the most recent counters snapshot, kept
 	// incrementally so Metrics() never has to walk the ring.
 	lastCounters []SocketCounters
@@ -86,7 +92,7 @@ func (r *Recorder) Record(ev Event) {
 	r.total++
 	switch {
 	case ev.Loop != nil:
-		r.loops.add(ev.Loop)
+		r.addLoop(ev.Loop)
 	case ev.Decision != nil || ev.MultiDecision != nil:
 		r.nDecide++
 	case ev.Drift != nil:

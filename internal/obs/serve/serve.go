@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"smartarrays/internal/obs"
 )
@@ -55,6 +56,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long a connection may take to deliver a
+// request's line and headers, on this server and on queryd's: without it
+// a client that stops mid-request holds its connection open for good.
+// Neither server sets a write timeout, which would cut long replies, nor
+// an idle timeout: closing an idle keep-alive connection can race the
+// client's next POST, which Go's client does not retry.
+const ReadHeaderTimeout = 2 * time.Second
+
 // Start binds addr (":0" picks a free port), serves in a background
 // goroutine, and returns the bound address plus a stop function. The
 // benchmark CLIs call this behind their -serve flag.
@@ -63,7 +72,7 @@ func (s *Server) Start(addr string) (string, func() error, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go func() { _ = srv.Serve(l) }()
 	return l.Addr().String(), srv.Close, nil
 }

@@ -30,7 +30,6 @@ var (
 // transferred, so the waiter runs without re-checking the limit.
 type waiter struct {
 	granted chan struct{}
-	tenant  string
 }
 
 // admission tracks the in-flight window. All fields are guarded by mu;
@@ -75,7 +74,7 @@ func (a *admission) Acquire(cfg Config, tenant string, deadlineMS int64) error {
 		a.mu.Unlock()
 		return ErrShed
 	}
-	w := &waiter{granted: make(chan struct{}), tenant: tenant}
+	w := &waiter{granted: make(chan struct{})}
 	elem := a.queue.PushBack(w)
 	a.tenants[tenant]++ // queued queries count against the tenant quota
 	a.mu.Unlock()

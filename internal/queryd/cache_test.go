@@ -141,7 +141,7 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 	}
 
 	// Config swap bumps the snapshot version: next query must re-execute.
-	if err := srv.SwapConfig(cfg); err != nil {
+	if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if _, env := postQuery(t, ts, body); envFlag(t, env, "cached") {
@@ -165,14 +165,14 @@ func TestQueryCacheStaleNeverServes(t *testing.T) {
 		t.Fatal("cache served a result for a re-encoded column")
 	}
 
-	// AddDataset bumps the version too; existing entries go stale but the
+	// Adding a dataset bumps the version too; existing entries go stale but the
 	// recomputed answer must still be correct (values were preserved).
-	if err := srv.AddDataset(DatasetSpec{Name: "tiny", Rows: 100}); err != nil {
+	if err := srv.apply(controlRequest{Datasets: []DatasetSpec{{Name: "tiny", Rows: 100}}}); err != nil {
 		t.Fatal(err)
 	}
 	status, env2 := postQuery(t, ts, body)
 	if status != http.StatusOK || envFlag(t, env2, "cached") {
-		t.Fatalf("post-AddDataset query: status %d cached %v", status, envFlag(t, env2, "cached"))
+		t.Fatalf("post-add query: status %d cached %v", status, envFlag(t, env2, "cached"))
 	}
 	if string(env["result"]) != string(env2["result"]) {
 		t.Fatalf("recomputed result drifted: %s != %s", env["result"], env2["result"])

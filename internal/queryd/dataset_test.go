@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"smartarrays/internal/bitpack"
@@ -118,19 +120,7 @@ func TestBuildDatasetAllocations(t *testing.T) {
 // taking the process down, and the server keeps serving what it had.
 func TestControlRejectsOversizedDataset(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
+	get := func(path string) string { return getBody(t, ts, path) }
 	catalog := get("/datasets")
 	for _, spec := range []DatasetSpec{
 		{Name: "big", Rows: 1 << 40},
@@ -156,5 +146,85 @@ func TestControlRejectsOversizedDataset(t *testing.T) {
 		"dataset": "demo", "op": "aggregate", "agg": "sum", "column": "amount",
 	}); status != http.StatusOK {
 		t.Fatalf("query after the refusals: status %d, %s", status, env["error"])
+	}
+}
+
+// getBody GETs path and returns the response body.
+func getBody(t *testing.T, ts *httptest.Server, path string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestControlAppliesAllOrNothing: a /control/config POST whose config is
+// valid but whose dataset list fails — on a name the catalog holds, or on
+// a spec that cannot be built after one that was — is a 400 that leaves
+// the config, the catalog, the snapshot version, simulated memory and the
+// array registry as they were. The same request without the failing spec
+// applies both parts.
+func TestControlAppliesAllOrNothing(t *testing.T) {
+	srv, ts := newTestServer(t, DefaultConfig())
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/control/config", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	const (
+		cfg   = `"config":{"max_in_flight":9,"max_queue":64,"queue_timeout_ms":2000,"max_priority":100}`
+		extra = `{"name":"extra","rows":1000,"seed":3}`
+	)
+	cfgBefore, catalog := srv.Config(), getBody(t, ts, "/datasets")
+	version := srv.snap.Load().version
+	used, arrays := srv.rt.Memory().TotalUsedBytes(), srv.reg.Len()
+	for _, failing := range []string{
+		`{"name":"demo","rows":10}`,
+		`{"name":"big","rows":1099511627776}`,
+		`{"name":"extra","rows":10}`,
+	} {
+		body := `{` + cfg + `,"datasets":[` + extra + `,` + failing + `]}`
+		if code, msg := post(body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", body, code, msg)
+		}
+		if got := srv.Config(); got != cfgBefore {
+			t.Errorf("%s: config changed to %+v", failing, got)
+		}
+		if got := getBody(t, ts, "/datasets"); got != catalog {
+			t.Errorf("%s: /datasets changed:\n%s\nwant\n%s", failing, got, catalog)
+		}
+		if got := srv.snap.Load().version; got != version {
+			t.Errorf("%s: snapshot version %d, want %d", failing, got, version)
+		}
+		if got := srv.rt.Memory().TotalUsedBytes(); got != used {
+			t.Errorf("%s: %d bytes of simulated memory in use, %d before", failing, got, used)
+		}
+		if got := srv.reg.Len(); got != arrays {
+			t.Errorf("%s: %d registry entries, %d before", failing, got, arrays)
+		}
+	}
+
+	if code, msg := post(`{` + cfg + `,"datasets":[` + extra + `]}`); code != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", code, msg)
+	}
+	if got := srv.Config().MaxInFlight; got != 9 {
+		t.Errorf("max_in_flight = %d after the accepted request, want 9", got)
+	}
+	if _, err := srv.Dataset("extra"); err != nil {
+		t.Error(err)
+	}
+	if got := srv.snap.Load().version; got != version+1 {
+		t.Errorf("snapshot version %d after one accepted request, want %d", got, version+1)
 	}
 }

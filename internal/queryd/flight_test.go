@@ -550,7 +550,7 @@ func TestSharedScanUnderSwapAndReencode(t *testing.T) {
 			cfg := flightConfig()
 			cfg.CacheEntries = []int{0, 64}[i%2]
 			cfg.MaxInFlight = 2 + i%4
-			if err := srv.SwapConfig(cfg); err != nil {
+			if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 				t.Error(err)
 				return
 			}

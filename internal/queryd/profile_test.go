@@ -630,7 +630,7 @@ func TestProfileSharedAgreement(t *testing.T) {
 	// query count stays under the slow log's ring, so every profile is
 	// retained.
 	for round := 0; round < 20 && srv.cache.stats().Coalesced == 0; round++ {
-		if err := srv.SwapConfig(cfg); err != nil {
+		if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -821,7 +821,7 @@ func TestProfilesUnderSwapAndReencode(t *testing.T) {
 			cfg := flightConfig()
 			cfg.CacheEntries = []int{0, 64}[i%2]
 			cfg.SlowQueryMS = int64(1 + i%100)
-			if err := srv.SwapConfig(cfg); err != nil {
+			if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -1038,7 +1038,7 @@ func TestZoneWalkUnderSwapAndReencode(t *testing.T) {
 			}
 			cfg := flightConfig()
 			cfg.CacheEntries = []int{0, 64}[i%2]
-			if err := srv.SwapConfig(cfg); err != nil {
+			if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 				t.Error(err)
 				return
 			}

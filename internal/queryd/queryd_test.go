@@ -6,21 +6,26 @@ package queryd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smartarrays/internal/analytics"
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/colstore"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
+	"smartarrays/internal/obs/serve"
 	"smartarrays/internal/rts"
 )
 
@@ -444,11 +449,11 @@ func TestConcurrentQueriesWithConfigSwap(t *testing.T) {
 		} else {
 			cfg.MaxInFlight = 8
 		}
-		if err := srv.SwapConfig(cfg); err != nil {
+		if err := srv.apply(controlRequest{Config: &cfg}); err != nil {
 			t.Error(err)
 		}
 	}
-	if err := srv.AddDataset(DatasetSpec{Name: "live", Rows: 4000, Seed: 9}); err != nil {
+	if err := srv.apply(controlRequest{Datasets: []DatasetSpec{{Name: "live", Rows: 4000, Seed: 9}}}); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()
@@ -641,5 +646,42 @@ func TestStopDrainsQueriesInFlight(t *testing.T) {
 	}
 	if err := <-stopped; err != nil {
 		t.Errorf("stop: %v", err)
+	}
+}
+
+// TestHalfSentRequestTimesOut sends half a request line to queryd's server
+// and to the introspection server and stops: each must close the
+// connection within serve.ReadHeaderTimeout plus a second, instead of
+// holding it open for good.
+func TestHalfSentRequestTimesOut(t *testing.T) {
+	srv, err := NewServer(rts.New(machine.UMA(2)), DefaultConfig(), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, start := range map[string]func(string) (string, func() error, error){
+		"queryd": srv.Start,
+		"serve":  serve.New(nil, nil).Start,
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			addr, stop, err := start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { stop() })
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := io.WriteString(c, "POST /query HTTP/1.1\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(serve.ReadHeaderTimeout + time.Second))
+			_, err = io.ReadAll(c)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open %v after a half-sent request line", serve.ReadHeaderTimeout+time.Second)
+			}
+		})
 	}
 }

@@ -116,42 +116,15 @@ type Server struct {
 // (see below), so do not run attribution-sensitive benchmarks on the same
 // runtime afterwards.
 func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Recorder, reg *obs.ArrayRegistry) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache()}
-	s.slowlog = obs.NewSlowLog(0, 0, cfg.slowQueryThreshold())
+	s := &Server{rt: rt, rec: rec, reg: reg, adm: newAdmission(), cache: newResultCache(), slowlog: obs.NewSlowLog(0, 0, 0)}
 	rt.SetRecorder(rec)
 	rt.SetArrayProfiling(reg)
 
 	// Datasets are built with stealing still off: initialization wants
 	// stripe-faithful claiming's first-touch determinism.
-	datasets := make(map[string]*Dataset, len(specs))
-	// A failed spec leaves no server to own what was built before it.
-	freeBuilt := func() {
-		for _, d := range datasets {
-			d.Free()
-		}
+	if err := s.apply(controlRequest{Config: &cfg, Datasets: specs}); err != nil {
+		return nil, err
 	}
-	for _, spec := range specs {
-		if _, dup := datasets[spec.Name]; dup {
-			freeBuilt()
-			return nil, fmt.Errorf("queryd: duplicate dataset %q", spec.Name)
-		}
-		d, err := BuildDataset(rt, spec)
-		if err != nil {
-			freeBuilt()
-			return nil, err
-		}
-		datasets[spec.Name] = d
-	}
-	// BuildDataset writes every column through one reused window straight
-	// into its packed array, so the garbage a build leaves is a window per
-	// column and the graph generator's edge list and plain CSR — small
-	// next to the payload it serves, and not worth forcing a collection to
-	// hand back to the OS before the first request.
-	snap := &snapshot{cfg: cfg, datasets: datasets}
-	s.snap.Store(snap)
 
 	// Serving wants throughput, not attribution: from here on any free
 	// worker may take any batch of any query's loop.
@@ -181,42 +154,64 @@ func (s *Server) Config() Config {
 	return s.snap.Load().cfg
 }
 
-// SwapConfig validates and atomically installs a new configuration,
-// keeping the existing dataset catalog, then kicks the admission queue so
-// raised limits take effect immediately.
-func (s *Server) SwapConfig(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+// apply is the one control-plane write path. It validates req.Config
+// (nil keeps the current config), rejects dataset names that repeat in
+// req.Datasets or already exist, and builds every dataset, freeing all of
+// them if one fails. Only then does it install one snapshot with the next
+// version and kick the admission queue, so raised limits take effect
+// immediately. A rejected request changes nothing. The builds' loops share
+// the worker pool like any other work, so serving continues meanwhile.
+//
+// BuildDataset writes every column through one reused window straight
+// into its packed array, so the garbage a build leaves is a window per
+// column and the graph generator's edge list and plain CSR — small next
+// to the payload it serves, and not worth forcing a collection to hand
+// back to the OS before the next request.
+func (s *Server) apply(req controlRequest) error {
+	if req.Config != nil {
+		if err := req.Config.Validate(); err != nil {
+			return err
+		}
 	}
-	s.ctlMu.Lock()
-	old := s.snap.Load()
-	s.snap.Store(&snapshot{cfg: cfg, datasets: old.datasets, version: old.version + 1})
-	s.ctlMu.Unlock()
-	s.slowlog.SetThreshold(cfg.slowQueryThreshold())
-	s.adm.Kick(cfg)
-	return nil
-}
-
-// AddDataset materializes spec and installs it in a fresh snapshot. The
-// build's loops share the worker pool like any other work, so serving
-// continues meanwhile; the new dataset becomes visible atomically.
-func (s *Server) AddDataset(spec DatasetSpec) error {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
-	if _, exists := s.snap.Load().datasets[spec.Name]; exists {
-		return fmt.Errorf("queryd: dataset %q already exists", spec.Name)
+	next := &snapshot{datasets: map[string]*Dataset{}}
+	if old := s.snap.Load(); old != nil {
+		next.cfg, next.version = old.cfg, old.version+1
+		for k, v := range old.datasets {
+			next.datasets[k] = v
+		}
 	}
-	d, err := BuildDataset(s.rt, spec)
-	if err != nil {
-		return err
+	if req.Config != nil {
+		next.cfg = *req.Config
 	}
-	old := s.snap.Load()
-	datasets := make(map[string]*Dataset, len(old.datasets)+1)
-	for k, v := range old.datasets {
-		datasets[k] = v
+	named := map[string]bool{}
+	for _, spec := range req.Datasets {
+		if _, exists := next.datasets[spec.Name]; exists {
+			return fmt.Errorf("queryd: dataset %q already exists", spec.Name)
+		}
+		if named[spec.Name] {
+			return fmt.Errorf("queryd: duplicate dataset %q", spec.Name)
+		}
+		named[spec.Name] = true
 	}
-	datasets[spec.Name] = d
-	s.snap.Store(&snapshot{cfg: old.cfg, datasets: datasets, version: old.version + 1})
+	built := make([]*Dataset, 0, len(req.Datasets))
+	for _, spec := range req.Datasets {
+		d, err := BuildDataset(s.rt, spec)
+		if err != nil {
+			for _, d := range built {
+				d.Free()
+			}
+			return err
+		}
+		built = append(built, d)
+	}
+	for i, d := range built {
+		next.datasets[req.Datasets[i].Name] = d
+	}
+	s.snap.Store(next)
+	s.slowlog.SetThreshold(next.cfg.slowQueryThreshold())
+	s.adm.Kick(next.cfg)
 	return nil
 }
 
@@ -252,7 +247,7 @@ func (s *Server) Start(addr string) (string, func() error, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("queryd: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	go func() { _ = srv.Serve(l) }()
 	stop := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
@@ -609,17 +604,9 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		if req.Config != nil {
-			if err := s.SwapConfig(*req.Config); err != nil {
-				fail(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		for _, spec := range req.Datasets {
-			if err := s.AddDataset(spec); err != nil {
-				fail(w, http.StatusBadRequest, err)
-				return
-			}
+		if err := s.apply(req); err != nil {
+			fail(w, http.StatusBadRequest, err)
+			return
 		}
 		writeJSON(w, http.StatusOK, s.Config())
 	default:
