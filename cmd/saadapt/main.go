@@ -52,7 +52,7 @@ func main() {
 	var reg *obs.ArrayRegistry
 	if of.Serve != "" {
 		reg = obs.NewArrayRegistry()
-		addr, _, err := serve.New(rec, reg).Start(of.Serve)
+		addr, _, err := serve.New(rec, reg, nil).Start(of.Serve)
 		exitOn(err)
 		fmt.Fprintf(os.Stderr, "saadapt: introspection server on http://%s\n", addr)
 	}

@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 	var reg *obs.ArrayRegistry
 	if of.Serve != "" {
 		reg = obs.NewArrayRegistry()
-		addr, _, err := serve.New(rec, reg).Start(of.Serve)
+		addr, _, err := serve.New(rec, reg, nil).Start(of.Serve)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,8 @@ func Gather(a *SmartArray, socket int, idx []uint64, out []uint64) {
 	if len(idx) == 0 {
 		return
 	}
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	cc := a.View(socket).codec
 	length := a.length
 	for _, x := range idx {
@@ -47,6 +49,8 @@ func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
 	if uint64(len(out)) < hi-lo {
 		panic(fmt.Sprintf("core: ReadRange destination holds %d elements, need %d", len(out), hi-lo))
 	}
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	cc := a.View(socket).codec
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	for i := lo; i < headEnd; i++ {
@@ -69,6 +73,8 @@ func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit fu
 		return
 	}
 	a.checkRange(lo, hi)
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	a.View(socket).codec.UnpackRange(lo, hi, buf, emit)
 }
 

@@ -25,7 +25,9 @@ type Iterator interface {
 // on the given socket (paper: SmartArrayIterator::allocate, which picks
 // the replica via getReplica and the concrete subclass via the bit
 // count). The 64- and 32-bit iterators index the words directly, so they
-// are picked only when the bound layout is BitPacked at that width.
+// are picked only when the bound layout is BitPacked at that width. Like a
+// View, an iterator used outside a parallel loop is read under a pin on
+// a.Memory().
 func NewIterator(a *SmartArray, socket int, index uint64) Iterator {
 	v := a.View(socket)
 	var it Iterator
@@ -142,6 +144,8 @@ func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 		return 0
 	}
 	var sum uint64
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	switch it := NewIterator(a, socket, lo).(type) {
 	case *U64Iterator:
 		for i := lo; i < hi; i++ {
@@ -175,6 +179,8 @@ func Map(a *SmartArray, socket int, lo, hi uint64, fn func(index, value uint64))
 	if lo >= hi {
 		return
 	}
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	v := a.View(socket)
 	var buf [bitpack.ChunkSize]uint64
 	for i := lo; i < hi; {

@@ -44,6 +44,8 @@ func MaskRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, 
 		return false
 	}
 	a.checkRange(lo, hi)
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
 	v.maskChunks(first, n, op, threshold, masks, false, sc)
@@ -77,6 +79,8 @@ func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cm
 		return false
 	}
 	a.checkRange(lo, hi)
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
 	v.maskChunks(first, n, op, threshold, masks, true, sc)
@@ -92,6 +96,8 @@ func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, ma
 		return op.identity()
 	}
 	a.checkRange(lo, hi)
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	v := a.View(socket)
 	first, n := MaskChunks(lo, hi)
 	if v.zones != nil {

@@ -106,6 +106,8 @@ func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, s
 		return acc
 	}
 	a.checkRange(lo, hi)
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	v := a.View(socket)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	countRaggedEnds(lo, headEnd, tailStart, hi, sc)

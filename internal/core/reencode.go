@@ -3,9 +3,10 @@
 // payload words of its own replica — swapped atomically by Reencode (the
 // representation axis of §6's on-the-fly adaptation) and Migrate (the
 // placement axis). Readers load the snapshot once per call and finish on
-// whatever representation they started with (the simulator's Free only
-// drops references; in-flight readers keep the old slices alive), so both
-// are safe under concurrent scans.
+// whatever representation they started with: they hold a reader pin
+// (memsim.Memory.Pin) while they read, and the old region, retired by the
+// swap, is unmapped only once no pin is held — so both are safe under
+// concurrent scans.
 package core
 
 import (
@@ -93,6 +94,8 @@ func (a *SmartArray) EncodingStats() encoding.CostStats {
 // current representation. Intended for re-encoding and serialization,
 // not hot paths.
 func (a *SmartArray) DecodeAll() []uint64 {
+	a.mem.Pin()
+	defer a.mem.Unpin()
 	return encoding.Decode(a.rep.Load().codecs[0])
 }
 

@@ -12,9 +12,17 @@ import (
 // that describes it, taken from one load of the representation pointer.
 // A concurrent Reencode or Migrate can therefore never pair a stale
 // payload or stale bounds with the new representation mid-scan — the
-// reader finishes on the snapshot it loaded, which stays valid. Values
-// are representation-independent, so two workers on different snapshots
+// reader finishes on the snapshot it loaded. Values are
+// representation-independent, so two workers on different snapshots
 // still fold identical answers.
+//
+// What keeps a snapshot readable after a swap retires it is a reader pin
+// (memsim.Memory.Pin), not the GC: the payload is native memory, and a
+// retired region is unmapped once no pin is held. Every parallel loop
+// holds one, and so does every range kernel here for its call; a View
+// taken outside both must be read under the caller's own pin
+// (a.Memory().Pin()), or it may fault once the array is re-encoded,
+// migrated or freed.
 //
 // Every range kernel in reduce.go and mask.go is written once over a View
 // taken at call entry; the layout is resolved once per call, behind the

@@ -81,13 +81,15 @@ func (e *EntryPoints) SmartArrayGet(h int64, socket int, index uint64) (uint64, 
 	return a.GetFrom(socket, index), nil
 }
 
-// checkAccess validates a guest-supplied socket and index.
+// checkAccess validates a guest-supplied socket and index. The socket must
+// be one of the machine's whatever the placement: a concurrent Migrate
+// can make any array replicated between this check and the read.
 func checkAccess(a *core.SmartArray, socket int, index uint64) error {
 	if index >= a.Length() {
 		return fmt.Errorf("interop: index %d out of range [0,%d)", index, a.Length())
 	}
-	if socket < 0 || socket >= len(a.Region().AllReplicas()) && a.Placement() == memsim.Replicated {
-		return fmt.Errorf("interop: socket %d out of range", socket)
+	if sockets := a.Memory().Spec().Sockets; socket < 0 || socket >= sockets {
+		return fmt.Errorf("interop: socket %d out of range [0,%d)", socket, sockets)
 	}
 	return nil
 }
@@ -109,6 +111,11 @@ func (e *EntryPoints) SmartArrayGetBits(h int64, socket int, index uint64, bits 
 	if err := checkAccess(a, socket, index); err != nil {
 		return 0, err
 	}
+	// The words are read outside any parallel loop: pin them against a
+	// concurrent Reencode, Migrate or free.
+	mem := a.Memory()
+	mem.Pin()
+	defer mem.Unpin()
 	v := a.View(socket)
 	if words, _, ok := v.Packed(); ok {
 		switch bits {
@@ -140,7 +147,11 @@ func (e *EntryPoints) SmartArrayInit(h int64, socket int, index, value uint64) e
 
 // IteratorNew allocates an iterator over the array for a reader on socket
 // (paper: SmartArrayIterator::allocate as an entry point; Sulong would
-// place the iterator in the guest heap so GraalVM can optimize it).
+// place the iterator in the guest heap so GraalVM can optimize it). The
+// iterator holds a reader pin on the array's memory until IteratorFree,
+// so the words it walks stay mapped even if the array is freed, migrated
+// or re-encoded meanwhile; an iterator never freed holds every later
+// unmapping back.
 func (e *EntryPoints) IteratorNew(h int64, socket int, index uint64) (int64, error) {
 	a, err := e.reg.Array(h)
 	if err != nil {
@@ -149,7 +160,15 @@ func (e *EntryPoints) IteratorNew(h int64, socket int, index uint64) (int64, err
 	if err := checkAccess(a, socket, index); err != nil {
 		return 0, err
 	}
-	return e.reg.RegisterIterator(core.NewIterator(a, socket, index)), nil
+	mem := a.Memory()
+	mem.Pin()
+	return e.reg.RegisterIterator(pinnedIterator{core.NewIterator(a, socket, index), mem}), nil
+}
+
+// pinnedIterator is an entry-point iterator with the pin it holds.
+type pinnedIterator struct {
+	core.Iterator
+	mem *memsim.Memory
 }
 
 // IteratorGet returns the iterator's current element.
@@ -181,16 +200,22 @@ func (e *EntryPoints) IteratorReset(h int64, index uint64) error {
 	return nil
 }
 
-// IteratorFree releases the iterator handle.
+// IteratorFree releases the iterator handle and its pin; an unknown or
+// already freed handle is a no-op.
 func (e *EntryPoints) IteratorFree(h int64) {
-	e.reg.ReleaseIterator(h)
+	if it, ok := e.reg.ReleaseIterator(h).(pinnedIterator); ok {
+		it.mem.Unpin()
+	}
 }
 
 // UnsafeWords returns the raw backing words of the array's replica on
 // socket — the sun.misc.Unsafe path. The caller bypasses bounds logic,
 // replica selection and decompression; as in the paper (Figure 3), this is
 // fast but only correct for the specific representation the caller
-// hard-codes, so smart functionalities are lost.
+// hard-codes, so smart functionalities are lost. It also bypasses the
+// grace rule: the words are native memory, unmapped once the array is
+// freed (or re-encoded or migrated) and no reader pin is held, so a guest
+// must not keep the slice past SmartArrayFree — a read after that faults.
 func (e *EntryPoints) UnsafeWords(h int64, socket int) ([]uint64, error) {
 	a, err := e.reg.Array(h)
 	if err != nil {

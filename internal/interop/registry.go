@@ -99,11 +99,14 @@ func (r *Registry) Iterator(h int64) (core.Iterator, error) {
 	return it, nil
 }
 
-// ReleaseIterator drops an iterator handle.
-func (r *Registry) ReleaseIterator(h int64) {
+// ReleaseIterator drops an iterator handle and returns the iterator it
+// held, nil for an unknown handle.
+func (r *Registry) ReleaseIterator(h int64) core.Iterator {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	it := r.iters[h]
 	delete(r.iters, h)
+	return it
 }
 
 // Counts returns the live handle counts (arrays, iterators) — useful for

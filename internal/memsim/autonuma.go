@@ -29,22 +29,6 @@ func (m *Memory) EnableAutoNUMA(on bool) {
 	m.autoNUMAFlag.Store(on)
 }
 
-// registerRegion / unregisterRegion maintain the balance pass's work list.
-func (m *Memory) registerRegion(r *Region) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.regions == nil {
-		m.regions = map[*Region]struct{}{}
-	}
-	m.regions[r] = struct{}{}
-}
-
-func (m *Memory) unregisterRegion(r *Region) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.regions, r)
-}
-
 // recordAccess tallies bytes touched on a page by a reader socket; called
 // from the accounting paths when AutoNUMA is enabled.
 func (r *Region) recordAccess(page uint64, socket int, bytes uint64) {

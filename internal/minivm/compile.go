@@ -24,7 +24,10 @@ type Compiled struct {
 // the binding: a PathSmart iterator op type-switches once on the concrete
 // iterator (U64/U32/Compressed) and emits a closure with no interface
 // dispatch — the profiled-bits fast path; a PathJNI op emits the boundary
-// call; managed/unsafe ops emit direct slice indexing.
+// call; managed/unsafe ops emit direct slice indexing. Compiled PathSmart
+// loads and bound iterators keep the words they resolved, like
+// interop.UnsafeWords: no array they read may be freed, re-encoded or
+// migrated while the compiled program is in use.
 func (vm *VM) Compile() (*Compiled, error) {
 	code := make([]compiledFn, len(vm.prog.Code))
 	for pc, in := range vm.prog.Code {

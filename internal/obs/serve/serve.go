@@ -6,8 +6,10 @@
 // Endpoints:
 //
 //	/metrics    Prometheus-style text exposition: event/loop/decision
-//	            aggregates, per-socket counters, latency histograms, and
-//	            per-array access telemetry.
+//	            aggregates, per-socket counters, latency histograms,
+//	            per-array access telemetry, and where the memory is —
+//	            smart-array payload mapped outside the Go heap beside
+//	            the heap's own live bytes and goal.
 //	/arrays     JSON per-array access profiles with the derived ratios
 //	            (random share, chunk-decode share, locality, selectivity).
 //	/trace      JSONL drain of the recorder's event ring, oldest first.
@@ -24,24 +26,28 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 )
 
-// Server exposes a recorder and a registry over HTTP. Either source may
-// be nil; its endpoints then serve empty payloads.
+// Server exposes a recorder, a registry and a memory over HTTP. Any source
+// may be nil; its endpoints or metrics then serve empty payloads.
 type Server struct {
 	rec *obs.Recorder
 	reg *obs.ArrayRegistry
+	mem *memsim.Memory
 }
 
-// New creates a server over the given telemetry sources.
-func New(rec *obs.Recorder, reg *obs.ArrayRegistry) *Server {
-	return &Server{rec: rec, reg: reg}
+// New creates a server over the given telemetry sources; mem is the
+// memory whose mapped payload /metrics reports.
+func New(rec *obs.Recorder, reg *obs.ArrayRegistry, mem *memsim.Memory) *Server {
+	return &Server{rec: rec, reg: reg, mem: mem}
 }
 
 // Handler returns the endpoint mux (also usable under a caller's mux or
@@ -144,6 +150,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw.head("smartarrays_loop_grain_efficiency", "gauge", "Mean iterations/(batches*grain).")
 	mw.sample("smartarrays_loop_grain_efficiency", "", m.Loops.MeanGrainEfficiency)
 
+	s.memoryMetrics(mw)
+
 	mw.head("smartarrays_decisions_total", "counter", "Adaptivity decisions recorded.")
 	mw.sample("smartarrays_decisions_total", "", float64(m.Decisions))
 	mw.head("smartarrays_drifts_total", "counter", "Live-telemetry decision drift events.")
@@ -240,6 +248,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(mw.b.String()))
+}
+
+// heapSamples are the Go heap figures /metrics puts beside the mapped
+// payload: the live heap as of the last collection, and the size at which
+// the collector next runs.
+var heapSamples = [...]struct{ name, metric, help string }{
+	{"/gc/heap/live:bytes", "smartarrays_go_heap_live_bytes", "Go heap bytes live at the last collection (smart-array payload is not among them)."},
+	{"/gc/heap/goal:bytes", "smartarrays_go_heap_goal_bytes", "Go heap size at which the collector next runs."},
+}
+
+// memoryMetrics writes where the process's memory is: smart-array payload
+// mapped outside the Go heap (live and retired), then the heap itself.
+func (s *Server) memoryMetrics(mw *metricsWriter) {
+	if s.mem != nil {
+		mw.head("smartarrays_memory_mapped_bytes", "gauge", "Smart-array payload mapped outside the Go heap, live and retired regions.")
+		mw.sample("smartarrays_memory_mapped_bytes", "", float64(s.mem.MappedBytes()))
+		mw.head("smartarrays_memory_retired_bytes", "gauge", "Payload of freed regions still mapped until no reader pin is held.")
+		mw.sample("smartarrays_memory_retired_bytes", "", float64(s.mem.RetiredBytes()))
+	}
+	var samples [len(heapSamples)]metrics.Sample
+	for i, h := range heapSamples {
+		samples[i].Name = h.name
+	}
+	metrics.Read(samples[:])
+	for i, h := range heapSamples {
+		mw.head(h.metric, "gauge", h.help)
+		mw.sample(h.metric, "", float64(samples[i].Value.Uint64()))
+	}
 }
 
 // arrayView is the /arrays wire form: the raw profile plus the derived

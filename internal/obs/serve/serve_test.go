@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"smartarrays/internal/machine"
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 )
 
@@ -69,7 +71,13 @@ var sampleLine = regexp.MustCompile(
 
 func TestServeEndpoints(t *testing.T) {
 	rec, reg := populate(t)
-	addr, stop, err := New(rec, reg).Start("127.0.0.1:0")
+	mem := memsim.New(machine.X52Small())
+	region, err := mem.Alloc(memsim.PageWords, memsim.Replicated, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer region.Free()
+	addr, stop, err := New(rec, reg, mem).Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +126,10 @@ func TestServeEndpoints(t *testing.T) {
 			`smartarrays_array_elements_total{array="hot",method="gather"} 9000`,
 			`smartarrays_array_selectivity{array="hot"} 0.5`,
 			`smartarrays_array_length{array="array-2"} 1024`,
+			`smartarrays_memory_mapped_bytes 8192`,
+			`smartarrays_memory_retired_bytes 0`,
+			`smartarrays_go_heap_live_bytes `,
+			`smartarrays_go_heap_goal_bytes `,
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("/metrics missing %q", want)
@@ -223,7 +235,7 @@ func TestServeEndpoints(t *testing.T) {
 // TestServeNilSources: a server over nil telemetry must serve empty but
 // valid payloads, not crash — the CLIs construct it unconditionally.
 func TestServeNilSources(t *testing.T) {
-	addr, stop, err := New(nil, nil).Start("127.0.0.1:0")
+	addr, stop, err := New(nil, nil, nil).Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -660,7 +660,7 @@ func TestHalfSentRequestTimesOut(t *testing.T) {
 	}
 	for name, start := range map[string]func(string) (string, func() error, error){
 		"queryd": srv.Start,
-		"serve":  serve.New(nil, nil).Start,
+		"serve":  serve.New(nil, nil, nil).Start,
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

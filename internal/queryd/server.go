@@ -132,11 +132,15 @@ func NewServer(rt *rts.Runtime, cfg Config, specs []DatasetSpec, rec *obs.Record
 	return s, nil
 }
 
-// Close closes the runtime: it waits for the loops in flight and refuses
-// new ones. The HTTP listener must be closed first (Start's stop function
-// does both, in order).
+// Close closes the runtime — it waits for the loops in flight and refuses
+// new ones — then frees every dataset: their payload is native memory the
+// GC never reclaims. The HTTP listener must be closed first (Start's stop
+// function does both, in order).
 func (s *Server) Close() {
 	s.rt.Close()
+	for _, d := range s.snap.Load().datasets {
+		d.Free()
+	}
 }
 
 // Runtime returns the serving runtime (tests use it for direct-call
@@ -226,7 +230,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	mux.HandleFunc("/debug/query/", s.handleQueryLookup)
 	mux.HandleFunc("/control/config", s.handleConfig)
-	intro := serve.New(s.rec, s.reg).Handler()
+	intro := serve.New(s.rec, s.reg, s.rt.Memory()).Handler()
 	for _, path := range []string{"/metrics", "/arrays", "/trace", "/decisions"} {
 		mux.Handle(path, intro)
 	}

@@ -257,12 +257,17 @@ func (e *engine) start(ws []*Worker) bool {
 
 // run executes one loop to completion on behalf of view r, which carries
 // the priority, the stealing policy, the recorder and the query profile,
-// and blocks the caller until every batch has returned.
+// and blocks the caller until every batch has returned. It holds one
+// reader pin on the memory for the whole loop (see memsim.Memory.Pin), so
+// a body may keep a View or replica it loaded across its batches while a
+// Reencode or Migrate retires that representation.
 func (r *Runtime) run(sh loopShape, body func(w *Worker, lo, hi uint64)) {
 	e := r.engine
 	if e.closed.Load() {
 		panic("rts: loop submitted to a closed runtime")
 	}
+	e.mem.Pin()
+	defer e.mem.Unpin()
 	var start time.Time
 	l := &schedLoop{shape: sh, body: body, prio: r.prio, stealing: r.stealing}
 	l.barrier.Add(1)
