@@ -125,10 +125,7 @@ func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanke
 	p.bounds = rts.WeightedBounds(0, n, grainWeight, func(v uint64) uint64 {
 		return g.RBegin.Get(rbeginRep0, v) + v
 	})
-	p.scratch = prScratches{maxBatch: rts.DefaultGrain, workers: make([]prScratch, len(rt.Workers()))}
-	for i := 1; i < len(p.bounds); i++ {
-		p.scratch.maxBatch = max(p.scratch.maxBatch, p.bounds[i]-p.bounds[i-1])
-	}
+	p.scratch = make(prScratches, len(rt.Workers()))
 
 	var err error
 	if p.outDeg, err = p.alloc(degBits, "out-degrees"); err == nil {
@@ -250,7 +247,7 @@ func (p *PageRanker) Free() {
 	}
 }
 
-// prScratch is one worker's scratch: the begin run of the current batch,
+// prScratch is one worker's scratch: the begin run of the current range,
 // per-vertex partial sums, two per-vertex rows (old rank and inverse
 // degree in, next rank and next contribution out — rewritten in place),
 // and the buffer the edge stream decodes into. Only the owning worker
@@ -261,11 +258,11 @@ type prScratch struct {
 	ranks    []uint64
 	contribs []uint64
 	edgeBuf  []uint64
-	// The segment walk over the batch in hand: its begin run and sums
-	// (cut to the batch), the contribution words it gathers from, and the
+	// The segment walk over the range in hand: its begin run and sums
+	// (cut to the range), the contribution words it gathers from, and the
 	// vertex whose in-edge segment the stream is inside. sumRun, bound
 	// once to this scratch, is the emit function that walks them, so
-	// streaming a batch allocates no closure.
+	// streaming a range allocates no closure.
 	segBegins []uint64
 	segSums   []float64
 	cw        []uint64
@@ -279,24 +276,22 @@ type prScratch struct {
 const prEdgeBufLen = 16 * bitpack.ChunkSize
 
 // prScratches is a ranker's per-worker scratch, shared by the build pass
-// (uniform rts.DefaultGrain batches) and every iteration of every run (the
-// ranker's degree-weighted bounds).
-type prScratches struct {
-	maxBatch uint64 // vertices in the largest batch of either
-	workers  []prScratch
-}
+// (uniform rts.DefaultGrain batches) and every iteration of every run,
+// which walks each of the ranker's degree-weighted batches in sub-ranges
+// of at most rts.DefaultGrain vertices. Its rows are therefore
+// DefaultGrain long however large the largest batch is.
+type prScratches []prScratch
 
 // of returns w's scratch. A worker's first batch on the ranker allocates
-// it for the largest batch, so no later batch regrows it, and a worker
-// that never claims a batch allocates nothing.
-func (p *prScratches) of(w *rts.Worker) *prScratch {
-	sc := &p.workers[w.ID]
+// it, and a worker that never claims a batch allocates nothing.
+func (p prScratches) of(w *rts.Worker) *prScratch {
+	sc := &p[w.ID]
 	if sc.edgeBuf == nil {
 		*sc = prScratch{
-			begins:   make([]uint64, p.maxBatch+1),
-			sums:     make([]float64, p.maxBatch),
-			ranks:    make([]uint64, p.maxBatch),
-			contribs: make([]uint64, p.maxBatch),
+			begins:   make([]uint64, rts.DefaultGrain+1),
+			sums:     make([]float64, rts.DefaultGrain),
+			ranks:    make([]uint64, rts.DefaultGrain),
+			contribs: make([]uint64, rts.DefaultGrain),
 			edgeBuf:  make([]uint64, prEdgeBufLen),
 		}
 		sc.sumRun = sc.sumSegments
@@ -326,17 +321,19 @@ func (sc *prScratch) sumSegments(eBase uint64, srcs []uint64) {
 	sc.vi = vi
 }
 
-// contribWords returns the words of a contribution array's snapshot for a
-// reader on socket, cut to its length, so that indexing them with a vertex
-// id bounds-checks the id against the array and not against the chunk
-// padding of its payload. PageRank allocates the contributions bit-packed
-// at 64 bits and never re-encodes them, so a word is an element; any other
-// layout is a broken invariant, not a slower path.
-func contribWords(a *core.SmartArray, socket int) []uint64 {
+// Words64 returns the words of a PageRank rank or contribution array's
+// snapshot for a reader on socket, cut to its length, so that indexing
+// them with a vertex id bounds-checks the id against the array and not
+// against the chunk padding of its payload. PageRank allocates those
+// arrays bit-packed at 64 bits and never re-encodes them, so a word is an
+// element; any other layout is a broken invariant, not a slower path. The
+// words are read under a pin: a parallel loop's, or outside one the
+// caller's own (a.Memory().Pin()).
+func Words64(a *core.SmartArray, socket int) []uint64 {
 	v := a.View(socket)
 	words, bits, ok := v.Packed()
 	if !ok || bits != 64 {
-		panic("analytics: PageRank contributions are not bit-packed at 64 bits")
+		panic("analytics: PageRank rank array is not bit-packed at 64 bits")
 	}
 	return words[:a.Length()]
 }
@@ -348,15 +345,16 @@ func contribWords(a *core.SmartArray, socket int) []uint64 {
 // was built with or a view of it, and cfg.DegreeBits 0 or the ranker's
 // width.
 //
-// Per-edge work is one pass over each decoded edge run: each batch
-// streams its reverse-begin run and its reverse-edge runs through the
+// Per-edge work is one pass over each decoded edge run: each batch, in
+// sub-ranges of at most rts.DefaultGrain vertices, streams its
+// reverse-begin run and its reverse-edge runs through the
 // chunk-decode kernels (core.ReadRange / core.StreamRange) and, for each
 // vertex's in-edge segment of a run, adds the neighbours' contributions
 // straight from the contribution array's 64-bit payload words, through
 // the View every width-specialised reader uses. Per-vertex work is done
-// once per vertex: the batch's old ranks and inverse degrees are read
+// once per vertex: the sub-range's old ranks and inverse degrees are read
 // with core.ReadRange, the new rank and its contribution are computed
-// side by side, and each is written with one InitRange per batch. Vertex
+// side by side, and each is written with one InitRange per sub-range. Vertex
 // ranges are split by in-degree (rts.WeightedBounds), so power-law hubs
 // do not serialize their batch; enable rt.SetStealing for cross-socket
 // balance on skewed graphs.
@@ -385,40 +383,51 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 		to := l.pairs[iter%2]
 		// Per-worker float partials, combined once per worker after the
 		// loop — no mutex (or atomic) per batch on the diff accumulation.
-		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, lo, hi uint64) float64 {
+		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, bLo, bHi uint64) float64 {
 			sc := p.scratch.of(w)
-			nv := hi - lo
-			begins := sc.begins[:nv+1]
-			core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
-			sums := sc.sums[:nv]
-			for i := range sums {
-				sums[i] = 0
-			}
-			if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
-				sc.segBegins, sc.segSums, sc.vi = begins, sums, 0
-				sc.cw = contribWords(from.contribs, w.Socket)
-				core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, sc.sumRun)
-			}
-			// Both rows turn over in place: old rank -> next rank, inverse
-			// degree -> next contribution.
-			ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
-			if from.ranks != nil {
-				core.ReadRange(from.ranks, w.Socket, lo, hi, ranks)
-			} else {
-				for i := range ranks {
-					ranks[i] = init
-				}
-			}
-			core.ReadRange(p.invDeg, w.Socket, lo, hi, contribs)
+			sc.cw = Words64(from.contribs, w.Socket)
+			// The batch is walked in sub-ranges of at most DefaultGrain
+			// vertices, so the scratch rows stay grain-sized however many
+			// vertices the batch's edge weight spans. A sub-range starts at
+			// a vertex, so each in-edge segment is summed whole, in edge
+			// order, and localDiff is carried across them in vertex order.
+			// Cuts fall on multiples of the grain, whole bitpack chunks, so
+			// only the batch's own ends are read element by element.
 			var localDiff float64
-			for i, sum := range sums {
-				newRank := base + cfg.Damping*sum
-				localDiff += math.Abs(newRank - math.Float64frombits(ranks[i]))
-				ranks[i] = math.Float64bits(newRank)
-				contribs[i] = math.Float64bits(newRank * math.Float64frombits(contribs[i]))
+			for lo := bLo; lo < bHi; {
+				hi := min(lo-lo%rts.DefaultGrain+rts.DefaultGrain, bHi)
+				nv := hi - lo
+				begins := sc.begins[:nv+1]
+				core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
+				sums := sc.sums[:nv]
+				for i := range sums {
+					sums[i] = 0
+				}
+				if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
+					sc.segBegins, sc.segSums, sc.vi = begins, sums, 0
+					core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, sc.sumRun)
+				}
+				// Both rows turn over in place: old rank -> next rank,
+				// inverse degree -> next contribution.
+				ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
+				if from.ranks != nil {
+					core.ReadRange(from.ranks, w.Socket, lo, hi, ranks)
+				} else {
+					for i := range ranks {
+						ranks[i] = init
+					}
+				}
+				core.ReadRange(p.invDeg, w.Socket, lo, hi, contribs)
+				for i, sum := range sums {
+					newRank := base + cfg.Damping*sum
+					localDiff += math.Abs(newRank - math.Float64frombits(ranks[i]))
+					ranks[i] = math.Float64bits(newRank)
+					contribs[i] = math.Float64bits(newRank * math.Float64frombits(contribs[i]))
+				}
+				to.ranks.InitRange(w.Socket, lo, ranks)
+				to.contribs.InitRange(w.Socket, lo, contribs)
+				lo = hi
 			}
-			to.ranks.InitRange(w.Socket, lo, ranks)
-			to.contribs.InitRange(w.Socket, lo, contribs)
 			return localDiff
 		})
 		from = to

@@ -7,6 +7,7 @@ import (
 
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
+	"smartarrays/internal/rts"
 )
 
 // TestPageRankerLeasesUnderConcurrency runs one PageRanker from several
@@ -128,4 +129,81 @@ func TestPageRankerLeasesUnderConcurrency(t *testing.T) {
 			t.Errorf("cached array %d written after the ranker was built", i)
 		}
 	}
+}
+
+// TestPageRankScratchBounded holds the per-worker scratch to the grain on
+// a served-size power-law graph, whose degree-weighted batches span
+// several times DefaultGrain vertices: concurrent runs with stealing on
+// must match PageRankRef bit-for-bit, and no worker's scratch row may
+// have grown to a batch's length.
+func TestPageRankScratchBounded(t *testing.T) {
+	const goroutines, runs = 3, 2
+	g, err := graph.GeneratePowerLaw(100000, 8, 2.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newRT()
+	rt.SetStealing(true)
+	s := smartGraph(t, rt, g, graph.Layout{CompressBegin: true})
+	p, err := NewPageRanker(rt, s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Free()
+	var widest uint64
+	for i := 1; i < len(p.bounds); i++ {
+		widest = max(widest, p.bounds[i]-p.bounds[i-1])
+	}
+	if widest <= rts.DefaultGrain {
+		t.Fatalf("widest batch is %d vertices, not above the grain %d: the test would pass vacuously", widest, rts.DefaultGrain)
+	}
+
+	cfg := DefaultPageRankConfig()
+	cfg.MaxIters = 5
+	want, wantIters := PageRankRef(g, cfg)
+	var wg sync.WaitGroup
+	for gi := 0; gi < goroutines; gi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]uint64, g.NumVertices)
+			for r := 0; r < runs; r++ {
+				iters, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
+					core.ReadRange(ranks, 0, 0, uint64(len(got)), got)
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if iters != wantIters {
+					t.Errorf("%d iterations, PageRankRef takes %d", iters, wantIters)
+				}
+				for v, bits := range got {
+					if bits != math.Float64bits(want[v]) {
+						t.Errorf("rank[%d] = %x, PageRankRef gives %x", v, bits, math.Float64bits(want[v]))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	allocated := 0
+	for id, sc := range p.scratch {
+		if sc.edgeBuf == nil {
+			continue // this worker never claimed a batch
+		}
+		allocated++
+		rows := map[string]int{"begins": cap(sc.begins), "sums": cap(sc.sums), "ranks": cap(sc.ranks), "contribs": cap(sc.contribs)}
+		for name, c := range rows {
+			if c > rts.DefaultGrain+1 {
+				t.Errorf("worker %d: %s row has cap %d, above the grain %d (+1); widest batch %d", id, name, c, rts.DefaultGrain, widest)
+			}
+		}
+	}
+	if allocated == 0 {
+		t.Fatal("no worker allocated scratch")
+	}
+	t.Logf("widest batch %d vertices; %d of %d workers allocated scratch", widest, allocated, len(p.scratch))
 }

@@ -36,7 +36,7 @@ func TestServedAllocations(t *testing.T) {
 		// that does. The margins absorb that.
 		{"selective_miss", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
 			`"where":[{"column":"id","op":">=","value":5000},{"column":"id","op":"<","value":6000}],"explain":true}`, 83, 2},
-		{"pagerank", `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`, 77, 2},
+		{"pagerank", `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`, 76, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -156,20 +156,26 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 	}
 }
 
-// summarizeRanks reads a rank array in DefaultGrain chunks — the served
-// path never materializes the n-element vector — and returns the ranks'
-// sum, taken in vertex order, and the topK highest-ranked vertices.
-func summarizeRanks(ranks *core.SmartArray) (sum float64, top []VertexRank) {
-	n := ranks.Length()
-	top = make([]VertexRank, 0, min(topK, n))
-	var buf [rts.DefaultGrain]uint64
-	for lo := uint64(0); lo < n; lo += uint64(len(buf)) {
-		chunk := buf[:min(n-lo, uint64(len(buf)))]
-		core.ReadRange(ranks, 0, lo, lo+uint64(len(chunk)), chunk)
+// summarizeRanks reads a rank array's payload words in place, in
+// DefaultGrain chunks — the served path never copies the n-element
+// vector — and returns the ranks' sum, taken in vertex order, and the
+// topK highest-ranked vertices. It runs outside any loop, so it pins the
+// memory for as long as it holds the words (DESIGN §5f).
+func summarizeRanks(ranks *core.SmartArray) (float64, []VertexRank) {
+	mem := ranks.Memory()
+	mem.Pin()
+	defer mem.Unpin()
+	words := analytics.Words64(ranks, 0)
+	// Local, not named results: the deferred Unpin would keep named
+	// results in memory, a store and a reload per element of the sum.
+	var sum float64
+	top := make([]VertexRank, 0, min(topK, len(words)))
+	for lo := 0; lo < len(words); lo += rts.DefaultGrain {
+		chunk := words[lo:min(lo+rts.DefaultGrain, len(words))]
 		for _, bits := range chunk {
 			sum += math.Float64frombits(bits)
 		}
-		top = mergeTopRanks(top, topK, lo, chunk)
+		top = mergeTopRanks(top, topK, uint64(lo), chunk)
 	}
 	return sum, top
 }

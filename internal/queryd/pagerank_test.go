@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -192,7 +193,10 @@ func TestServedPageRankFreesProfiles(t *testing.T) {
 // array registry attached, 100 000 vertices — no table,
 // the plan never touches one), from 2 concurrent callers. ns/op is wall
 // time per query; B/op and allocs/op are what one served pagerank
-// allocates; profile it with -cpuprofile.
+// allocates; heap-live-MB is the Go heap's live bytes after the loop and
+// a collection (runtime/metrics' /gc/heap/live:bytes, which /metrics
+// exports), so what serving keeps — per-worker scratch above all — shows
+// without the harness's RSS probe; profile it with -cpuprofile.
 func BenchmarkServedPageRank(b *testing.B) {
 	const rankRequest = `{"dataset":"demo","op":"pagerank","iters":5,"explain":true}`
 	rec := obs.NewRecorder(0)
@@ -227,4 +231,9 @@ func BenchmarkServedPageRank(b *testing.B) {
 		}(c)
 	}
 	wg.Wait()
+	b.StopTimer()
+	runtime.GC()
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
+	b.ReportMetric(float64(live[0].Value.Uint64())/1e6, "heap-live-MB")
 }
