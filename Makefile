@@ -133,10 +133,13 @@ bench-pairs:
 # shapes from two callers (distinct thresholds, identical plans — what
 # coalescing saves), then the graph_rank request
 # (BenchmarkServedPageRank: gathers and streams over the CSR, with the
-# B/op and allocs/op one served pagerank costs) and the
+# B/op and allocs/op one served pagerank costs), the
 # zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
-# per-call codec dispatch would show. Run it on both trees when sizing a
-# kernel or core change, before paying for bench-pairs. Not a CI target.
+# per-call codec dispatch would show — and colstore's own predicated scan
+# and grouped fold below the query handler (BenchmarkAggregate2Pred*,
+# BenchmarkGroupBy2Pred: the mask build and folds through each worker's
+# column views). Run it on both trees when sizing a kernel or core change,
+# before paying for bench-pairs. Not a CI target.
 bench-scan:
 	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff|Unpack|UnpackRange' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/encoding -run '^$$' -bench CodecFold -benchtime 20x -count 5 -cpu 1
@@ -145,6 +148,7 @@ bench-scan:
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTwoCallers -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ServedPageRank -benchtime 200x -count 5 -cpu 2
 	$(GO) test ./internal/core -run '^$$' -bench PrunedScan -count 5 -cpu 1
+	$(GO) test ./internal/colstore -run '^$$' -bench 'Aggregate2Pred|GroupBy2Pred' -count 5 -cpu 2
 
 # Query-service load gate: start saserve on a small dataset, drive it with
 # concurrent clients, and assert zero 5xx, non-zero qps, and a generous

@@ -174,7 +174,7 @@ func benchFusedSum(b *testing.B, bits uint) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += core.SumRange(a, 0, 0, n)
+		sink += core.ReduceRange(a, 0, 0, n, core.ReduceSum)
 	}
 	_ = sink
 }
@@ -187,7 +187,7 @@ func BenchmarkScanCompressed33(b *testing.B) { benchScan(b, 33) }
 func BenchmarkScanCompressed10(b *testing.B) { benchScan(b, 10) }
 
 // BenchmarkFusedSum* measure the fused word-at-a-time kernels that
-// SumRange now routes through (no chunk buffer materialization).
+// ReduceRange(…, ReduceSum) routes through (no chunk buffer materialization).
 func BenchmarkFusedSumU64(b *testing.B)          { benchFusedSum(b, 64) }
 func BenchmarkFusedSumU32(b *testing.B)          { benchFusedSum(b, 32) }
 func BenchmarkFusedSumCompressed33(b *testing.B) { benchFusedSum(b, 33) }
@@ -209,7 +209,7 @@ func BenchmarkParallelSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-			return core.SumRange(a, w.Socket, lo, hi)
+			return core.ReduceRange(a, w.Socket, lo, hi, core.ReduceSum)
 		})
 	}
 }

@@ -248,10 +248,9 @@ func (p *PageRanker) Free() {
 }
 
 // prScratch is one worker's scratch: the begin run of the current range,
-// per-vertex partial sums, two per-vertex rows (old rank and inverse
-// degree in, next rank and next contribution out — rewritten in place),
-// and the buffer the edge stream decodes into. Only the owning worker
-// touches it.
+// per-vertex partial sums, two per-vertex rows (the next ranks and next
+// contributions a sub-range writes out), and the buffer the edge stream
+// decodes into. Only the owning worker touches it.
 type prScratch struct {
 	begins   []uint64
 	sums     []float64
@@ -352,12 +351,13 @@ func Words64(a *core.SmartArray, socket int) []uint64 {
 // vertex's in-edge segment of a run, adds the neighbours' contributions
 // straight from the contribution array's 64-bit payload words, through
 // the View every width-specialised reader uses. Per-vertex work is done
-// once per vertex: the sub-range's old ranks and inverse degrees are read
-// with core.ReadRange, the new rank and its contribution are computed
-// side by side, and each is written with one InitRange per sub-range. Vertex
-// ranges are split by in-degree (rts.WeightedBounds), so power-law hubs
-// do not serialize their batch; enable rt.SetStealing for cross-socket
-// balance on skewed graphs.
+// once per vertex: the old rank and the inverse degree are read in place
+// from their arrays' 64-bit words (Words64; iteration 0's old ranks are
+// all 1/n), the new rank and its contribution are computed side by side
+// into fresh rows, and each row is written with one InitRange per
+// sub-range. Vertex ranges are split by in-degree (rts.WeightedBounds), so
+// power-law hubs do not serialize their batch; enable rt.SetStealing for
+// cross-socket balance on skewed graphs.
 //
 // It returns the iteration count.
 func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *core.SmartArray)) (int, error) {
@@ -375,7 +375,7 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 
 	g := p.g
 	n := g.NumVertices
-	init := math.Float64bits(1 / float64(n))
+	init := 1 / float64(n)
 	base := (1 - cfg.Damping) / float64(n)
 	from := prPair{contribs: p.contrib0} // iteration 0: cached contributions, ranks all init
 	iters := 0
@@ -386,6 +386,11 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, bLo, bHi uint64) float64 {
 			sc := p.scratch.of(w)
 			sc.cw = Words64(from.contribs, w.Socket)
+			invDeg := Words64(p.invDeg, w.Socket)
+			var oldRanks []uint64 // nil in iteration 0: every old rank is init
+			if from.ranks != nil {
+				oldRanks = Words64(from.ranks, w.Socket)
+			}
 			// The batch is walked in sub-ranges of at most DefaultGrain
 			// vertices, so the scratch rows stay grain-sized however many
 			// vertices the batch's edge weight spans. A sub-range starts at
@@ -407,22 +412,20 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 					sc.segBegins, sc.segSums, sc.vi = begins, sums, 0
 					core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, sc.sumRun)
 				}
-				// Both rows turn over in place: old rank -> next rank,
-				// inverse degree -> next contribution.
-				ranks, contribs := sc.ranks[:nv], sc.contribs[:nv]
-				if from.ranks != nil {
-					core.ReadRange(from.ranks, w.Socket, lo, hi, ranks)
-				} else {
-					for i := range ranks {
-						ranks[i] = init
-					}
+				ranks, contribs, invs := sc.ranks[:nv], sc.contribs[:nv], invDeg[lo:hi]
+				var olds []uint64
+				if oldRanks != nil {
+					olds = oldRanks[lo:hi]
 				}
-				core.ReadRange(p.invDeg, w.Socket, lo, hi, contribs)
 				for i, sum := range sums {
+					old := init
+					if olds != nil {
+						old = math.Float64frombits(olds[i])
+					}
 					newRank := base + cfg.Damping*sum
-					localDiff += math.Abs(newRank - math.Float64frombits(ranks[i]))
+					localDiff += math.Abs(newRank - old)
 					ranks[i] = math.Float64bits(newRank)
-					contribs[i] = math.Float64bits(newRank * math.Float64frombits(contribs[i]))
+					contribs[i] = math.Float64bits(newRank * math.Float64frombits(invs[i]))
 				}
 				to.ranks.InitRange(w.Socket, lo, ranks)
 				to.contribs.InitRange(w.Socket, lo, contribs)

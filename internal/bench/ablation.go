@@ -171,7 +171,7 @@ func RunAblationUnpack() AblationSection {
 		return s
 	})
 	measure("fused word-at-a-time (SumChunks)", func() uint64 {
-		return core.SumRange(a, 0, 0, n)
+		return core.ReduceRange(a, 0, 0, n, core.ReduceSum)
 	})
 	return sec
 }

@@ -115,7 +115,7 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 		sum = rt.ReduceSum(0, opts.Elements, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			a1.AccountReduce(w.Counters, lo, hi)
 			a2.AccountReduce(w.Counters, lo, hi)
-			return core.SumRange(a1, w.Socket, lo, hi) + core.SumRange(a2, w.Socket, lo, hi)
+			return core.ReduceRange(a1, w.Socket, lo, hi, core.ReduceSum) + core.ReduceRange(a2, w.Socket, lo, hi, core.ReduceSum)
 		})
 	}
 	verified := sum == want
@@ -214,7 +214,7 @@ func AggregationWorkload(cfg AggConfig, elems uint64) perfmodel.Workload {
 		socket = 0
 	}
 	// The aggregation is a pure reduction routed through the fused
-	// packed-scan kernels (core.SumRange -> bitpack.SumChunks), so its
+	// packed-scan kernels (core.ReduceRange -> bitpack.SumChunks), so its
 	// instruction cost is the fused one. The guest language reaches the
 	// same specialized kernel through the inlined entry points (the paper's
 	// language-independence claim, §4.3), so Java pays only the residual

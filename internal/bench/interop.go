@@ -88,7 +88,7 @@ func RunFigure3(opts Options) ([]InteropResult, error) {
 
 	// C++: the native loop over the array via the concrete iterator.
 	if err := addRow("C++", false, true, 0, func() (uint64, error) {
-		return core.SumRange(a, 0, 0, n), nil
+		return core.ReduceRange(a, 0, 0, n, core.ReduceSum), nil
 	}); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,6 +252,84 @@ func TestZoneWalkWaves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestZoneWalkUnderReencode races scalar MIN/MAX plans, whose zone walks
+// take several wave loops, against live re-encoding of their target and
+// predicate columns. A worker takes its column views on its first batch
+// of the pass and reads them in every later wave, between which no loop
+// pin is held: only the pass's own pin keeps a snapshot the re-encoder
+// retired mapped until the walk ends. Without it a later wave reads an
+// unmapped region and faults (on mapped payload, the non-race build).
+func TestZoneWalkUnderReencode(t *testing.T) {
+	const rows = 17*superRows - 100
+	table, err := NewTable(rts.New(machine.X52Small()), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(table.Free)
+	// late is 0 and 2 in every chunk, so no zone decides "late = 1", and 1
+	// in one row of super zone 9: MIN(id) finds it in the walk's fourth
+	// wave, MAX(id) in its fourth from the top.
+	id, late := make([]uint64, rows), make([]uint64, rows)
+	for i := range id {
+		id[i], late[i] = uint64(i), uint64(i%2)*2
+	}
+	late[9*superRows+77] = 1
+	for name, vals := range map[string][]uint64{"id": id, "late": late} {
+		if _, err := table.AddColumn(name, vals, Options{Placement: memsim.Interleaved}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := []Pred{{Column: "late", Op: Eq, Value: 1}}
+	none := []Pred{{Column: "late", Op: Gt, Value: 0}, {Column: "late", Op: Lt, Value: 2}, {Column: "late", Op: Ne, Value: 1}}
+	plans := []ScanQuery{
+		{Agg: Min, Column: "id", Preds: one},
+		{Agg: Max, Column: "id", Preds: one},
+		{Agg: Min, Column: "id", Preds: none},
+	}
+	want := oracleResults(t, table, plans)
+
+	stop := make(chan struct{})
+	var rounds atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		kinds := []encoding.Kind{encoding.FoR, encoding.Dict, encoding.Plain, encoding.BitPacked}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, name := range []string{"id", "late"} {
+				// A kind that does not fit leaves the column as it was.
+				_, _ = table.ReencodeColumn(name, kinds[i%len(kinds)], 0)
+			}
+			rounds.Add(1)
+		}
+	}()
+	// At least 40 passes, and enough for the re-encoder to swap both
+	// columns a few dozen times under them.
+	for pass := 0; pass < 40 || rounds.Load() < 32; pass++ {
+		for i, q := range plans {
+			prof := obs.NewQueryProfileAt(uint64(i), time.Now())
+			got, err := table.WithRuntime(table.rt.WithProfile(prof)).scan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof.FinalizeAt("ok", 200, time.Now())
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("pass %d plan %d under reencode: got %+v, want %+v", pass, i, got, want[i])
+			}
+			if prof.Loops < 2 {
+				t.Errorf("pass %d plan %d ran %d loops, want a walk of several waves", pass, i, prof.Loops)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestOrderPredsKeepsSemantics checks that selectivity-driven predicate

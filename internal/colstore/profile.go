@@ -1,8 +1,8 @@
-// Per-query scan accounting for the table scan. Every pass routes its
-// chunk work through the counted core kernels into its per-worker records
-// (scan.go): each column's slot in a worker's row counts chunks scanned
-// and pruned, and a predicate's slot also the rows it evaluated and the
-// rows that survived it. Only the owning worker writes its row, so
+// Per-query scan accounting for the table scan. Every pass reads its
+// columns through its per-worker column slots (scan.go), whose View
+// methods count into the slot: chunks scanned and pruned, and for a
+// predicate also the rows it evaluated and the rows that survived it.
+// Only the owning worker writes its slots, so
 // accounting adds no locks, shared atomics or map lookups to the batch
 // hot path. After the pass the rows fold once: each predicate's
 // evaluations and hits into its column's access profile in the array
@@ -17,14 +17,15 @@ import (
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/obs"
-	"smartarrays/internal/rts"
 )
 
-// slotCounts is one column's slot in a worker's accounting row: its chunk
-// counts and, for a predicate, evals rows evaluated (the batch's rows for
-// the first predicate, the rows earlier ones left for the rest) and hits
-// rows surviving it.
-type slotCounts struct {
+// colSlot is one column's slot in a worker's record (scan.go): the
+// column's View, taken on the worker's first batch of the pass and read by
+// every batch after it, its chunk counts and, for a predicate, evals rows
+// evaluated (the batch's rows for the first predicate, the rows earlier
+// ones left for the rest) and hits rows surviving it.
+type colSlot struct {
+	view core.View
 	core.ScanCounts
 	evals, hits uint64
 }
@@ -56,13 +57,13 @@ func columnChunks(arr *core.SmartArray) uint64 {
 	return (arr.Length() + bitpack.ChunkSize - 1) / bitpack.ChunkSize
 }
 
-// accountMasked splits a batch's n chunks for a column consumed under a
-// selection bitmap: chunks whose mask went dead are never touched
-// (pruned), live ones are decoded (scanned).
-func accountMasked(sc *slotCounts, masks []uint64) {
+// account charges a batch's n chunks of a column consumed under the
+// selection masks (every chunk when masks is nil): chunks whose mask went
+// dead are never touched (pruned), live ones are decoded (scanned).
+func (c *colSlot) account(n uint64, masks []uint64) {
 	dead := bitpack.ZeroMasks(masks)
-	sc.Scanned += uint64(len(masks)) - dead
-	sc.Pruned += dead
+	c.Scanned += n - dead
+	c.Pruned += dead
 }
 
 // buildMasks fills masks with the selection bitmap of the predicate
@@ -71,30 +72,26 @@ func accountMasked(sc *slotCounts, masks []uint64) {
 // chunks skipped, so low-selectivity leading predicates short-circuit the
 // rest of the pipeline.
 //
-// row[i] (the worker's accounting row) accumulates predicate i's chunk
-// counts in evaluation order, and its evaluated and surviving rows: one
-// mask popcount per predicate, whose last is the batch's survivor count.
-// Chunks a predicate never saw because the conjunction died earlier count
-// as pruned for the remaining predicates, preserving scanned+pruned ==
-// chunks per column.
-func buildMasks(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64, row []slotCounts) (hits uint64) {
+// slots[i] (the worker's slot for predicate i in evaluation order) holds
+// its column's view and accumulates its chunk counts and its evaluated
+// and surviving rows: one mask popcount per predicate, whose last is the
+// batch's survivor count. Chunks a predicate never saw because the
+// conjunction died earlier count as pruned for the remaining predicates,
+// preserving scanned+pruned == chunks per column.
+func buildMasks(lo, hi uint64, preds []Pred, masks []uint64, slots []colSlot) (hits uint64) {
 	hits = hi - lo
 	i := 0
 	for ; i < len(preds) && hits > 0; i++ {
-		arr, p, sc := predCols[i].arr, preds[i], &row[i]
-		if i == 0 {
-			core.MaskRangeCounted(arr, w.Socket, lo, hi, p.Op.Cmp(), p.Value, masks, &sc.ScanCounts)
-		} else {
-			core.MaskRangeAndCounted(arr, w.Socket, lo, hi, p.Op.Cmp(), p.Value, masks, &sc.ScanCounts)
-		}
-		sc.evals += hits
+		p, sl := preds[i], &slots[i]
+		sl.view.Mask(lo, hi, p.Op.Cmp(), p.Value, masks, i > 0, &sl.ScanCounts)
+		sl.evals += hits
 		hits = bitpack.PopcountMasks(masks)
-		sc.hits += hits
+		sl.hits += hits
 	}
 	// Predicates short-circuited by a dead conjunction never touched this
 	// batch's chunks: all pruned for them.
 	for ; i < len(preds); i++ {
-		row[i].Pruned += uint64(len(masks))
+		slots[i].Pruned += uint64(len(masks))
 	}
 	return hits
 }

@@ -61,20 +61,20 @@ type scanState struct {
 }
 
 // workerRecord is one worker's record of a pass: its scalar accumulator,
-// its grouped fold (key/target snapshots and accumulators, built on its
-// first surviving batch) and its accounting row. Every batch writes its
-// worker's record, so records are padded to two cache lines (aggState is
-// 40 bytes): neighbours never share one. The dense GroupBy vectors are
-// not padded — 4096 slots per worker already spread the writes.
+// its grouped accumulators (built on its first surviving batch) and its
+// column slots. Every batch writes its worker's record, so records are
+// padded to two cache lines (aggState is 40 bytes): neighbours never
+// share one. The dense GroupBy vectors are not padded — 4096 slots per
+// worker already spread the writes.
 type workerRecord struct {
-	acc  aggState
-	fold *rowFold
-	row  []slotCounts
-	_    [56]byte
+	acc   aggState
+	fold  *rowFold
+	slots []colSlot
+	_     [56]byte
 }
 
 // newScanState resolves q against the table and allocates its per-worker
-// records (accounting rows and group storage are lazy).
+// records (column slots and group storage are lazy).
 func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 	target, err := t.Column(q.Column)
 	if err != nil {
@@ -111,36 +111,34 @@ func (t *Table) newScanState(q ScanQuery) (*scanState, error) {
 	return s, nil
 }
 
-// A worker's accounting row is [key, target, predicates in evaluation
-// order...]; a scalar pass leaves the key slot unused.
+// A worker's column slots are [key, target, predicates in evaluation
+// order...]; a scalar pass leaves the key slot empty.
 const (
 	keySlot = iota
 	targetSlot
 	predSlot
 )
 
-// record returns worker wid's record, allocating its accounting row on
-// first use (owner-only, like the accumulators).
-func (s *scanState) record(wid int) *workerRecord {
-	r := &s.workers[wid]
-	if r.row == nil {
-		r.row = make([]slotCounts, predSlot+len(s.preds))
+// record returns worker w's record, taking its column views on the
+// worker's first batch of the pass (owner-only, like the accumulators).
+// Every later batch reads them, across all of a zone walk's wave loops,
+// under the pass's pin (run).
+func (s *scanState) record(w *rts.Worker) *workerRecord {
+	r := &s.workers[w.ID]
+	if r.slots == nil {
+		r.slots = make([]colSlot, predSlot+len(s.preds))
+		if s.grouped {
+			r.slots[keySlot].view = s.key.arr.View(w.Socket)
+		}
+		r.slots[targetSlot].view = s.target.arr.View(w.Socket)
+		for i, col := range s.predCols {
+			r.slots[predSlot+i].view = col.arr.View(w.Socket)
+		}
 	}
 	return r
 }
 
-// accountDead accounts a batch whose conjunction died: the key and
-// target columns' n chunks were never touched.
-func (s *scanState) accountDead(row []slotCounts, n uint64) {
-	if s.grouped {
-		row[keySlot].Pruned += n
-	}
-	if s.grouped || s.agg != Count {
-		row[targetSlot].Pruned += n
-	}
-}
-
-// fold folds the per-worker records' accounting rows once, after the
+// fold folds the per-worker records' column accounting once, after the
 // pass. Each predicate's evaluated and surviving rows go to its column's
 // access profile (the observed selectivity orderPreds reads), whether or
 // not a query profile is attached; with one, every column's chunk counts
@@ -148,12 +146,12 @@ func (s *scanState) accountDead(row []slotCounts, n uint64) {
 // plan-time pruning kept out of the loop: pruned for every one of the
 // state's columns.
 func (s *scanState) fold(prof *obs.QueryProfile, dead uint64) {
-	totals := make([]slotCounts, predSlot+len(s.preds))
+	totals := make([]colSlot, predSlot+len(s.preds))
 	for i := range totals {
 		totals[i].Pruned = dead
 	}
 	for _, r := range s.workers {
-		for i, c := range r.row {
+		for i, c := range r.slots {
 			totals[i].ScanCounts.Add(c.ScanCounts)
 			totals[i].evals += c.evals
 			totals[i].hits += c.hits
@@ -197,24 +195,25 @@ func (s *scanState) fold(prof *obs.QueryProfile, dead uint64) {
 // scalar MIN/MAX over an indexed column runs the same loop once per wave
 // of its zone walk instead, and stops once no live super zone left can
 // beat its answer. Per batch the selection bitmap is built into the
-// table's per-worker mask scratch, then the surviving rows fold. Runs
-// through the receiver's runtime; fold reports the pass's accounting.
+// table's per-worker mask scratch, then the surviving rows fold, all
+// through the worker's column views. Those outlive each wave loop's own
+// pin, so the pass holds one of its own. Runs through the receiver's
+// runtime; fold reports the pass's accounting.
 func (t *Table) run(s *scanState) ScanResult {
+	mem := t.rt.Memory()
+	mem.Pin()
+	defer mem.Unpin()
 	runs, dead := liveRuns(t.rows, s)
 	body := func(w *rts.Worker, blo, bhi uint64) {
-		rec, scr := s.record(w.ID), &t.workers[w.ID]
-		if len(s.preds) == 0 {
-			s.foldAll(w, blo, bhi, rec, scr)
-			return
+		rec, scr := s.record(w), &t.workers[w.ID]
+		var masks []uint64
+		hits := bhi - blo
+		if len(s.preds) > 0 {
+			_, n := core.MaskChunks(blo, bhi)
+			masks = scr.maskWords(n)
+			hits = buildMasks(blo, bhi, s.preds, masks, rec.slots[predSlot:])
 		}
-		_, n := core.MaskChunks(blo, bhi)
-		masks := scr.maskWords(n)
-		hits := buildMasks(w, blo, bhi, s.predCols, s.preds, masks, rec.row[predSlot:])
-		if hits == 0 {
-			s.accountDead(rec.row, n)
-			return
-		}
-		s.foldMasked(w, blo, bhi, masks, hits, rec, scr)
+		s.foldBatch(blo, bhi, masks, hits, rec, scr)
 	}
 	spans, walk := runs, newZoneWalk(s, runs)
 	if walk != nil {
@@ -430,61 +429,58 @@ func (w *zoneWalk) nth(lo, hi, n uint64) uint64 {
 	return key
 }
 
-// foldAll folds the unpredicated batch: fused range reductions for
-// scalar aggregates, the grouped fold over every row for grouped ones.
-func (s *scanState) foldAll(w *rts.Worker, lo, hi uint64, rec *workerRecord, scr *workerScratch) {
+// reduceOps maps a scalar aggregate to its fused fold; a count folds no
+// column.
+var reduceOps = [...]core.ReduceOp{Sum: core.ReduceSum, Min: core.ReduceMin, Max: core.ReduceMax}
+
+// foldBatch folds the batch's hits selected rows — every row of [lo, hi)
+// when masks is nil, the rows masks selects otherwise — into the worker's
+// record: a scalar aggregate through the target view's fused range fold,
+// masked under a selection, a grouped one through the row fold. It
+// accounts the key and target chunks it touches; a dead selection
+// touches none.
+func (s *scanState) foldBatch(lo, hi uint64, masks []uint64, hits uint64, rec *workerRecord, scr *workerScratch) {
+	_, n := core.MaskChunks(lo, hi)
+	target := &rec.slots[targetSlot]
 	if s.grouped {
-		_, n := core.MaskChunks(lo, hi)
-		rec.row[keySlot].Scanned += n
-		rec.row[targetSlot].Scanned += n
-		s.foldRows(w, lo, hi, nil, rec, scr)
+		rec.slots[keySlot].account(n, masks)
+		target.account(n, masks)
+		if hits > 0 {
+			s.foldRows(lo, hi, masks, rec, scr)
+		}
 		return
 	}
-	sc := &rec.row[targetSlot].ScanCounts
-	local := &rec.acc
-	local.count += hi - lo
-	switch s.agg {
+	rec.acc.count += hits
+	if s.agg == Count {
+		return
+	}
+	var v uint64
+	if masks == nil {
+		v = target.view.Reduce(lo, hi, reduceOps[s.agg], &target.ScanCounts)
+	} else {
+		target.account(n, masks)
+		if hits == 0 {
+			return
+		}
+		v = target.view.ReduceMasked(lo, hi, reduceOps[s.agg], masks)
+	}
+	switch acc := &rec.acc; s.agg {
 	case Sum:
-		local.sum += core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceSum, sc)
+		acc.sum += v
 	case Min:
-		local.min = min(local.min, core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMin, sc))
-	case Max:
-		local.max = max(local.max, core.ReduceRangeCounted(s.target.arr, w.Socket, lo, hi, core.ReduceMax, sc))
+		acc.min = min(acc.min, v)
+	default:
+		acc.max = max(acc.max, v)
 	}
 }
 
-// foldMasked folds the batch's hits surviving rows under the selection
-// bitmap: their number for the count, a masked fused fold for the rest.
-func (s *scanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64, hits uint64, rec *workerRecord, scr *workerScratch) {
-	if s.grouped {
-		accountMasked(&rec.row[keySlot], masks)
-		accountMasked(&rec.row[targetSlot], masks)
-		s.foldRows(w, lo, hi, masks, rec, scr)
-		return
-	}
-	if s.agg != Count {
-		accountMasked(&rec.row[targetSlot], masks)
-	}
-	local := &rec.acc
-	local.count += hits
-	switch s.agg {
-	case Sum:
-		local.sum += core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceSum, masks)
-	case Min:
-		local.min = min(local.min, core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMin, masks))
-	case Max:
-		local.max = max(local.max, core.ReduceRangeMasked(s.target.arr, w.Socket, lo, hi, core.ReduceMax, masks))
-	}
-}
-
-// rowFold is one worker's grouped fold: the key and target snapshots it
-// reads and one accumulator per group, indexed by key for dense keys and
-// through slots, a key's index in states, for wide ones.
+// rowFold is one worker's grouped fold: one accumulator per group,
+// indexed by key for dense keys and through slots, a key's index in
+// states, for wide ones.
 type rowFold struct {
-	key, target core.View
-	agg         Agg
-	states      []aggState
-	slots       map[uint64]uint64
+	agg    Agg
+	states []aggState
+	slots  map[uint64]uint64
 }
 
 // fold adds the rows m selects, whose keys and values sit at m's set bits
@@ -541,17 +537,19 @@ func (f *rowFold) slot(k uint64) uint64 {
 }
 
 // foldRows feeds the batch's selected rows (all of them when masks is
-// nil) into the grouped accumulators, chunk by chunk. A chunk whose mask
+// nil) into the grouped accumulators, chunk by chunk, reading the key and
+// target through the worker's column views. A chunk whose mask
 // is denser than bitpack.MaskSparseCutoff has its key and target decoded
 // once into the worker's decode buffers; a sparser one pays two Gets per
 // selected row into the same slots, which is cheaper than two whole-chunk
 // decodes there.
-func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, rec *workerRecord, bufs *workerScratch) {
+func (s *scanState) foldRows(lo, hi uint64, masks []uint64, rec *workerRecord, bufs *workerScratch) {
 	f := rec.fold
 	if f == nil {
-		f = s.newRowFold(w)
+		f = s.newRowFold()
 		rec.fold = f
 	}
+	key, target := &rec.slots[keySlot].view, &rec.slots[targetSlot].view
 	first, n := core.MaskChunks(lo, hi)
 	for c := uint64(0); c < n; c++ {
 		base := (first + c) * bitpack.ChunkSize
@@ -569,22 +567,20 @@ func (s *scanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64, rec *
 		if bits.OnesCount64(m) <= bitpack.MaskSparseCutoff {
 			for r := m; r != 0; r &= r - 1 {
 				i := bits.TrailingZeros64(r)
-				bufs.key[i], bufs.val[i] = f.key.Get(base+uint64(i)), f.target.Get(base+uint64(i))
+				bufs.key[i], bufs.val[i] = key.Get(base+uint64(i)), target.Get(base+uint64(i))
 			}
 		} else {
-			f.key.DecodeChunk(first+c, &bufs.key)
-			f.target.DecodeChunk(first+c, &bufs.val)
+			key.DecodeChunk(first+c, &bufs.key)
+			target.DecodeChunk(first+c, &bufs.val)
 		}
 		f.fold(m, bufs)
 	}
 }
 
-// newRowFold resolves the key and target representation snapshots for
-// worker w and its accumulators. Built once per worker per pass (see
-// workerRecord), not once per batch: the view resolution is per-query, not
-// per-morsel, cost.
-func (s *scanState) newRowFold(w *rts.Worker) *rowFold {
-	f := &rowFold{key: s.key.arr.View(w.Socket), target: s.target.arr.View(w.Socket), agg: s.agg}
+// newRowFold allocates a worker's grouped accumulators, once per worker
+// per pass (see workerRecord), on its first surviving batch.
+func (s *scanState) newRowFold() *rowFold {
+	f := &rowFold{agg: s.agg}
 	if !s.dense {
 		f.slots = map[uint64]uint64{}
 		return f

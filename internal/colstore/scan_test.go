@@ -122,8 +122,8 @@ func TestMultiScanUnderReencode(t *testing.T) {
 		}
 		checkResults(t, fmt.Sprintf("pass %d under reencode:", pass), got, want)
 		// The same queries inside a query profile: every worker writes its
-		// own accounting row while the columns swap representations, and
-		// the rows must fold to whole columns.
+		// own column slots while the columns swap representations, and
+		// the slots must fold to whole columns.
 		for i, q := range queries {
 			prof := obs.NewQueryProfileAt(uint64(i), time.Now())
 			got, err := f.table.WithRuntime(f.table.rt.WithProfile(prof)).scan(q)

@@ -45,7 +45,7 @@ func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
 	if lo >= hi {
 		return
 	}
-	a.checkRange(lo, hi)
+	checkRange(lo, hi, a.length)
 	if uint64(len(out)) < hi-lo {
 		panic(fmt.Sprintf("core: ReadRange destination holds %d elements, need %d", len(out), hi-lo))
 	}
@@ -72,7 +72,7 @@ func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit fu
 	if lo >= hi {
 		return
 	}
-	a.checkRange(lo, hi)
+	checkRange(lo, hi, a.length)
 	a.mem.Pin()
 	defer a.mem.Unpin()
 	a.View(socket).codec.UnpackRange(lo, hi, buf, emit)

@@ -124,21 +124,12 @@ func (it *CompressedIterator) Reset(index uint64) {
 	}
 }
 
-// SumRange is the paper's Function 4 aggregation kernel over [lo, hi) for
-// a reader on socket. It routes through the fused word-at-a-time kernels
-// (ReduceRange -> bitpack.SumChunks): whole chunks are decoded and
-// accumulated in a single pass over the packed words, the ragged head and
-// tail per element. SumRangeIter preserves the original iterator path for
-// equivalence tests and benchmarks.
-func SumRange(a *SmartArray, socket int, lo, hi uint64) uint64 {
-	return ReduceRange(a, socket, lo, hi, ReduceSum)
-}
-
 // SumRangeIter is the iterator transcription of Function 4: allocate an
 // iterator at lo, then get/next to hi. It dispatches once on the concrete
 // iterator type so the per-element loop is free of interface calls — the
 // Go analogue of GraalVM profiling the bit width and inlining the subclass
-// (§4.3). It is the reference the fused SumRange is checked against.
+// (§4.3). It is the reference the fused ReduceRange(…, ReduceSum) is
+// checked against.
 func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 	if lo >= hi {
 		return 0

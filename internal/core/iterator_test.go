@@ -108,8 +108,8 @@ func TestSumRange(t *testing.T) {
 				want += v
 			}
 		}
-		if got := SumRange(a, 1, 100, 400); got != want {
-			t.Errorf("bits=%d: SumRange = %d, want %d", bits, got, want)
+		if got := ReduceRange(a, 1, 100, 400, ReduceSum); got != want {
+			t.Errorf("bits=%d: ReduceRange sum = %d, want %d", bits, got, want)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestSumRange(t *testing.T) {
 func TestSumRangeEmpty(t *testing.T) {
 	mem := newMemory()
 	a := mustAlloc(t, mem, Config{Length: 10, Bits: 64})
-	if got := SumRange(a, 0, 5, 5); got != 0 {
-		t.Errorf("empty SumRange = %d, want 0", got)
+	if got := ReduceRange(a, 0, 5, 5, ReduceSum); got != 0 {
+		t.Errorf("empty ReduceRange sum = %d, want 0", got)
 	}
 }
 

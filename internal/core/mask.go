@@ -30,25 +30,51 @@ func MaskChunks(lo, hi uint64) (firstChunk, numChunks uint64) {
 }
 
 // MaskRange fills masks[0:numChunks] (see MaskChunks) with the match masks
-// of "element op threshold" over [lo, hi) for a reader on socket, clearing
-// bits outside the range, and reports whether any row matched.
+// of "element op threshold" over [lo, hi) for a reader on socket, and
+// reports whether any row matched: View.Mask under a pin of its own.
 func MaskRange(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64) bool {
-	return MaskRangeCounted(a, socket, lo, hi, op, threshold, masks, nil)
-}
-
-// MaskRangeCounted is MaskRange with per-chunk scan accounting: chunks
-// resolved by a zone verdict accumulate as pruned, chunks that ran the
-// codec compare as scanned. sc may be nil (no accounting).
-func MaskRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) bool {
-	if lo >= hi {
-		return false
-	}
-	a.checkRange(lo, hi)
 	a.mem.Pin()
 	defer a.mem.Unpin()
 	v := a.View(socket)
+	return v.Mask(lo, hi, op, threshold, masks, false, nil)
+}
+
+// MaskRangeAnd ANDs the predicate over [lo, hi) into masks, as filled by
+// a prior MaskRange over the same range, and reports whether any row
+// survives the conjunction: View.Mask under a pin of its own.
+func MaskRangeAnd(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64) bool {
+	a.mem.Pin()
+	defer a.mem.Unpin()
+	v := a.View(socket)
+	return v.Mask(lo, hi, op, threshold, masks, true, nil)
+}
+
+// ReduceRangeMasked folds the elements of [lo, hi) that masks selects
+// with op for a reader on socket: View.ReduceMasked under a pin of its
+// own.
+func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
+	a.mem.Pin()
+	defer a.mem.Unpin()
+	v := a.View(socket)
+	return v.ReduceMasked(lo, hi, op, masks)
+}
+
+// Mask evaluates "element op threshold" over [lo, hi) of the snapshot
+// into masks[0:numChunks] (see MaskChunks) and reports whether any row
+// matched. Without and it fills masks; with and it ANDs into masks as a
+// prior Mask over the same range left them, skipping chunks whose word
+// is already dead. Either way the bits outside [lo, hi) end up clear —
+// clamping an already clamped word changes nothing. Chunks that ran the
+// codec compare accumulate into sc as scanned; chunks resolved by a zone
+// verdict, or skipped for a dead word (their payload was never touched),
+// as pruned. sc may be nil. It runs under the caller's pin.
+func (v *View) Mask(lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool, sc *ScanCounts) bool {
+	if lo >= hi {
+		return false
+	}
+	checkRange(lo, hi, v.length)
 	first, n := MaskChunks(lo, hi)
-	v.maskChunks(first, n, op, threshold, masks, false, sc)
+	v.maskChunks(first, n, op, threshold, masks, and, sc)
 	// Clamp the ragged head and tail: only the first and last covering
 	// chunks can have bits outside [lo, hi).
 	if head := lo - first*bitpack.ChunkSize; head != 0 {
@@ -60,53 +86,23 @@ func MaskRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, 
 	return !bitpack.AllZeroMasks(masks[:n])
 }
 
-// MaskRangeAnd evaluates the predicate over [lo, hi) and ANDs the result
-// into masks (as filled by a prior MaskRange over the same range),
-// skipping chunks whose mask is already dead, and reports whether any row
-// survives the conjunction. Because MaskRange cleared the out-of-range
-// boundary bits, no re-clamping is needed.
-func MaskRangeAnd(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64) bool {
-	return MaskRangeAndCounted(a, socket, lo, hi, op, threshold, masks, nil)
-}
-
-// MaskRangeAndCounted is MaskRangeAnd with per-chunk scan accounting:
-// chunks skipped because an earlier predicate already killed their mask
-// count as pruned for this column (its payload was never touched), as
-// do zone-resolved chunks; only chunks that ran the codec compare count
-// as scanned. sc may be nil.
-func MaskRangeAndCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) bool {
-	if lo >= hi {
-		return false
-	}
-	a.checkRange(lo, hi)
-	a.mem.Pin()
-	defer a.mem.Unpin()
-	v := a.View(socket)
-	first, n := MaskChunks(lo, hi)
-	v.maskChunks(first, n, op, threshold, masks, true, sc)
-	return !bitpack.AllZeroMasks(masks[:n])
-}
-
-// ReduceRangeMasked folds the selected elements of [lo, hi) with op for a
-// reader on socket; masks must come from MaskRange/MaskRangeAnd over the
-// same [lo, hi). Chunks with a dead mask are skipped without touching the
-// data; full masks degrade to the unmasked fused kernels.
-func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
+// ReduceMasked folds the selected elements of [lo, hi) of the snapshot
+// with op; masks must come from Mask over the same [lo, hi). Chunks with
+// a dead mask are skipped without touching the data; full masks degrade
+// to the unmasked fused kernels. It runs under the caller's pin.
+func (v *View) ReduceMasked(lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
 	if lo >= hi {
 		return op.identity()
 	}
-	a.checkRange(lo, hi)
-	a.mem.Pin()
-	defer a.mem.Unpin()
-	v := a.View(socket)
+	checkRange(lo, hi, v.length)
 	first, n := MaskChunks(lo, hi)
 	if v.zones != nil {
-		return reduceMaskedZones(&v, first, n, op, masks[:n])
+		return reduceMaskedZones(v, first, n, op, masks[:n])
 	}
 	return v.reduceChunksMasked(op, first, first+n, masks[:n])
 }
 
-// reduceMaskedZones is ReduceRangeMasked with zone shortcuts: chunks the
+// reduceMaskedZones is ReduceMasked with zone shortcuts: chunks the
 // index proves constant fold in O(1) (value times popcount for sums), a
 // full mask over a non-constant chunk answers min/max from the chunk
 // bounds, and everything else batches into contiguous codec masked-fold

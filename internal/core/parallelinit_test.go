@@ -37,7 +37,7 @@ func TestParallelInitWordAlignedBatches(t *testing.T) {
 		}
 	}
 	// The initialized array reduces identically through both paths.
-	if got, want := SumRange(a, 0, 0, n), SumRangeIter(a, 0, 0, n); got != want {
+	if got, want := ReduceRange(a, 0, 0, n, ReduceSum), SumRangeIter(a, 0, 0, n); got != want {
 		t.Errorf("fused sum %d != iterator sum %d", got, want)
 	}
 }

@@ -69,61 +69,56 @@ func rangeParts(lo, hi uint64) (headEnd, chunkLo, chunkHi, tailStart uint64) {
 	return chunkLo * bitpack.ChunkSize, chunkLo, chunkHi, chunkHi * bitpack.ChunkSize
 }
 
-func (a *SmartArray) checkRange(lo, hi uint64) {
-	if hi > a.length {
-		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, a.length))
+// checkRange panics unless [lo, hi) lies inside an array of length
+// elements.
+func checkRange(lo, hi, length uint64) {
+	if hi > length {
+		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, length))
 	}
 }
 
-// ReduceRange folds elements [lo, hi) with op for a reader on socket,
-// dispatching whole chunks to the fused chunk kernels of the array's
-// representation and the ragged head/tail to per-element Get.
+// ReduceRange folds elements [lo, hi) with op for a reader on socket:
+// View.Reduce under a pin of its own.
 func ReduceRange(a *SmartArray, socket int, lo, hi uint64, op ReduceOp) uint64 {
-	return ReduceRangeCounted(a, socket, lo, hi, op, nil)
+	a.mem.Pin()
+	defer a.mem.Unpin()
+	v := a.View(socket)
+	return v.Reduce(lo, hi, op, nil)
 }
 
-// countRaggedEnds accounts the per-element head and tail of a range as
-// scanned chunks: each non-empty ragged end decodes part of one chunk.
-func countRaggedEnds(lo, headEnd, tailStart, hi uint64, sc *ScanCounts) {
-	if sc == nil {
-		return
-	}
-	if lo < headEnd {
-		sc.Scanned++
-	}
-	if tailStart < hi {
-		sc.Scanned++
-	}
-}
-
-// ReduceRangeCounted is ReduceRange with per-chunk scan accounting:
-// chunks the zone index resolves without a payload read (constant folds
-// for sums, chunk bounds for min/max) count as pruned, decoded chunks
-// as scanned. sc may be nil.
-func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, sc *ScanCounts) uint64 {
+// Reduce folds elements [lo, hi) of the snapshot with op, dispatching
+// whole chunks to the fused chunk kernels of its representation (or to
+// the zone index, where it answers without the payload) and the ragged
+// head and tail to per-element Get. Chunks the index resolves (constant
+// folds for sums, chunk bounds for min/max) accumulate into sc as pruned,
+// decoded chunks as scanned; sc may be nil. It runs under the caller's
+// pin.
+func (v *View) Reduce(lo, hi uint64, op ReduceOp, sc *ScanCounts) uint64 {
 	acc := op.identity()
 	if lo >= hi {
 		return acc
 	}
-	a.checkRange(lo, hi)
-	a.mem.Pin()
-	defer a.mem.Unpin()
-	v := a.View(socket)
+	checkRange(lo, hi, v.length)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-	countRaggedEnds(lo, headEnd, tailStart, hi, sc)
+	acc = v.reduceElems(lo, headEnd, op, acc, sc)
+	acc = v.reduceElems(tailStart, hi, op, acc, sc)
+	if chunkLo == chunkHi {
+		return acc
+	}
+	if v.zones != nil {
+		return zoneReduceChunks(v, chunkLo, chunkHi, op, acc, sc)
+	}
+	sc.addScanned(chunkHi - chunkLo)
+	return op.fold(acc, v.reduceChunks(op, chunkLo, chunkHi))
+}
 
-	for i := lo; i < headEnd; i++ {
-		acc = op.fold(acc, v.Get(i))
+// reduceElems folds a ragged range end [lo, hi) per element; a non-empty
+// one decodes part of one chunk.
+func (v *View) reduceElems(lo, hi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
+	if lo < hi {
+		sc.addScanned(1)
 	}
-	if chunkLo < chunkHi {
-		if v.zones != nil {
-			acc = zoneReduceChunks(&v, chunkLo, chunkHi, op, acc, sc)
-		} else {
-			acc = op.fold(acc, v.reduceChunks(op, chunkLo, chunkHi))
-			sc.addScanned(chunkHi - chunkLo)
-		}
-	}
-	for i := tailStart; i < hi; i++ {
+	for i := lo; i < hi; i++ {
 		acc = op.fold(acc, v.Get(i))
 	}
 	return acc

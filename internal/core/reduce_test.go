@@ -53,8 +53,8 @@ func TestReduceRangeMatchesIteratorAllWidths(t *testing.T) {
 		a, values := reduceFixture(t, bits, n)
 		for _, r := range reduceRanges(n) {
 			lo, hi := r[0], r[1]
-			if got, want := SumRange(a, 0, lo, hi), SumRangeIter(a, 0, lo, hi); got != want {
-				t.Fatalf("bits=%d [%d,%d): SumRange = %d, iterator = %d", bits, lo, hi, got, want)
+			if got, want := ReduceRange(a, 0, lo, hi, ReduceSum), SumRangeIter(a, 0, lo, hi); got != want {
+				t.Fatalf("bits=%d [%d,%d): ReduceRange sum = %d, iterator = %d", bits, lo, hi, got, want)
 			}
 			var wantMax uint64
 			wantMin := ^uint64(0)
@@ -145,7 +145,7 @@ func TestReduceRangeUsesReaderReplica(t *testing.T) {
 	}
 	want := SumRangeIter(a, 0, 0, 256)
 	for socket := 0; socket < 2; socket++ {
-		if got := SumRange(a, socket, 0, 256); got != want {
+		if got := ReduceRange(a, socket, 0, 256, ReduceSum); got != want {
 			t.Errorf("socket %d: sum = %d, want %d", socket, got, want)
 		}
 	}

@@ -1,16 +1,13 @@
 package core
 
-// ScanCounts is chunk-level scan accounting for one column in one
-// kernel call: how many 64-row chunks were resolved by reading the
-// packed payload (Scanned) versus answered by zone-map verdicts,
-// constant folds, chunk bounds, or dead selection masks without
-// touching the payload (Pruned). The counted kernel variants
-// (MaskRangeCounted, ReduceRangeCounted, ...) accumulate into a caller
-// slot; across one full pass over a column, Scanned+Pruned equals the
-// column's chunk count. A nil *ScanCounts disables accounting — the
-// uncounted entry points, which callers outside colstore's scan use,
-// pass nil, and pay one predictable nil check per chunk group, never per
-// element.
+// ScanCounts is chunk-level scan accounting for one column: how many
+// 64-row chunks were resolved by reading the packed payload (Scanned)
+// versus answered by zone-map verdicts, constant folds, chunk bounds, or
+// dead selection masks without touching the payload (Pruned). View.Mask
+// and View.Reduce accumulate into a caller slot; across one full pass
+// over a column, Scanned+Pruned equals the column's chunk count. A nil
+// *ScanCounts disables accounting — the package-level kernels pass nil —
+// at one predictable nil check per chunk group, never per element.
 type ScanCounts struct {
 	Scanned uint64
 	Pruned  uint64

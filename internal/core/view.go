@@ -19,17 +19,18 @@ import (
 // What keeps a snapshot readable after a swap retires it is a reader pin
 // (memsim.Memory.Pin), not the GC: the payload is native memory, and a
 // retired region is unmapped once no pin is held. Every parallel loop
-// holds one, and so does every range kernel here for its call; a View
-// taken outside both must be read under the caller's own pin
+// holds one, and so does every package-level range kernel for its call; a
+// View taken outside both must be read under the caller's own pin
 // (a.Memory().Pin()), or it may fault once the array is re-encoded,
 // migrated or freed.
 //
-// Every range kernel in reduce.go and mask.go is written once over a View
-// taken at call entry; the layout is resolved once per call, behind the
-// codec. Scans that Get many elements fetch one View per worker per scan;
-// Get then costs no atomic loads. A View is a plain value — never cache
-// one on the array or across calls, or it keeps reading a retired
-// representation.
+// Every range kernel is written once, as a View method (Reduce, Mask,
+// ReduceMasked) that runs under its caller's pin; the package-level
+// ReduceRange, MaskRange, MaskRangeAnd and ReduceRangeMasked pin, take a
+// View and call it. Scans fetch one View per column per worker per pass;
+// Get and the range methods then cost no atomic loads. A View is a plain
+// value — never cache one on the array or past its pin, or it keeps
+// reading a retired representation.
 type View struct {
 	codec  encoding.ChunkCodec
 	length uint64

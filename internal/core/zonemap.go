@@ -1,9 +1,11 @@
 // Zone maps on the core hot path: a SmartArray can carry an
-// encoding.ZoneIndex on its repr snapshot. MaskRange, MaskRangeAnd,
-// ReduceRange, and ReduceRangeMasked consult it to resolve
-// whole chunks (all rows match, or none do) without touching the packed
-// payload. The index rides the snapshot, so Reencode rebuilds it
-// atomically and a write through Init drops it before mutating.
+// encoding.ZoneIndex on its repr snapshot, and a View carries the index of
+// the snapshot it was taken from. View.Mask, View.Reduce and
+// View.ReduceMasked (and the package-level kernels that call them)
+// consult it to resolve whole chunks (all rows match, or none do) without
+// touching the packed payload. The index rides the snapshot, so Reencode
+// rebuilds it atomically and a write through Init drops it before
+// mutating.
 package core
 
 import (

@@ -246,13 +246,14 @@ func TestZoneMaskFillSuperWindow(t *testing.T) {
 			_, nc := MaskChunks(0, n)
 			whole := make([]uint64, nc)
 			var wholeCounts ScanCounts
-			MaskRangeCounted(a, 0, 0, n, op, thr, whole, &wholeCounts)
+			v := a.View(0)
+			v.Mask(0, n, op, thr, whole, false, &wholeCounts)
 
 			batched := make([]uint64, nc)
 			var batchedCounts ScanCounts
 			for lo := uint64(0); lo < n; lo += batchRows {
 				hi := min(lo+batchRows, n)
-				MaskRangeCounted(a, 0, lo, hi, op, thr, batched[lo/bitpack.ChunkSize:], &batchedCounts)
+				v.Mask(lo, hi, op, thr, batched[lo/bitpack.ChunkSize:], false, &batchedCounts)
 			}
 			for c := range whole {
 				if whole[c] != batched[c] {
@@ -270,9 +271,9 @@ func TestZoneMaskFillSuperWindow(t *testing.T) {
 // column whose chunks alternate between constant (the index decides them:
 // every row matches, or none) and mixed (the kernel must evaluate them),
 // in runs of one, two and three chunks, natively packed and re-encoded.
-// MaskRange and MaskRangeAnd with the index attached must produce the
-// masks of the same array without one, and account exactly the undecided
-// live chunks as scanned.
+// View.Mask, filling and ANDing, with the index attached must produce the
+// masks MaskRange and MaskRangeAnd give the same array without one, and
+// account exactly the undecided live chunks as scanned.
 func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
 	const chunks = 37
 	const n = chunks*bitpack.ChunkSize - 11 // ragged tail
@@ -321,7 +322,8 @@ func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
 					first, nc := MaskChunks(lo, hi)
 					got, want := make([]uint64, nc), make([]uint64, nc)
 					var counts ScanCounts
-					MaskRangeCounted(indexed, 0, lo, hi, op, thr, got, &counts)
+					v := indexed.View(0)
+					v.Mask(lo, hi, op, thr, got, false, &counts)
 					MaskRange(plain, 0, lo, hi, op, thr, want)
 					var undecided uint64
 					for c := uint64(0); c < nc; c++ {
@@ -346,7 +348,7 @@ func TestMaskRangeAlternatingZoneVerdicts(t *testing.T) {
 					gotAnd := append([]uint64(nil), prior...)
 					wantAnd := append([]uint64(nil), prior...)
 					counts = ScanCounts{}
-					liveGot := MaskRangeAndCounted(indexed, 0, lo, hi, op, thr, gotAnd, &counts)
+					liveGot := v.Mask(lo, hi, op, thr, gotAnd, true, &counts)
 					liveWant := MaskRangeAnd(plain, 0, lo, hi, op, thr, wantAnd)
 					undecided = 0
 					for c := uint64(0); c < nc; c++ {

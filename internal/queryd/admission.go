@@ -102,11 +102,17 @@ func (a *admission) Acquire(cfg Config, tenant string, deadlineMS int64) error {
 	}
 }
 
-// Release returns the query's slot, handing it to the oldest waiter if
-// the current limits allow.
-func (a *admission) Release(cfg Config) {
+// Release returns a finished query's slot and its count against tenant's
+// quota (success or error past admission) in one critical section, so no
+// arrival is checked against a count that still holds the finished query,
+// and hands the slot to the oldest waiter if the current limits allow.
+func (a *admission) Release(cfg Config, tenant string) {
 	a.mu.Lock()
 	a.inflight--
+	a.tenants[tenant]--
+	if a.tenants[tenant] <= 0 {
+		delete(a.tenants, tenant)
+	}
 	a.grantLocked(cfg)
 	a.mu.Unlock()
 }
@@ -131,17 +137,6 @@ func (a *admission) grantLocked(cfg Config) {
 		a.admitted++
 		close(w.granted)
 	}
-}
-
-// ReleaseTenant decrements the tenant count after the query finishes
-// (success or error past admission).
-func (a *admission) ReleaseTenant(tenant string) {
-	a.mu.Lock()
-	a.tenants[tenant]--
-	if a.tenants[tenant] <= 0 {
-		delete(a.tenants, tenant)
-	}
-	a.mu.Unlock()
 }
 
 // AdmissionStats is the /stats wire form of the admission counters.

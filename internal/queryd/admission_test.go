@@ -122,7 +122,7 @@ func TestAdmissionFIFOHandoff(t *testing.T) {
 				return
 			}
 			order <- i
-			a.Release(cfg)
+			a.Release(cfg, "")
 		}()
 		// Park waiters in a known order.
 		deadline := time.Now().Add(time.Second)
@@ -133,7 +133,7 @@ func TestAdmissionFIFOHandoff(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	a.Release(cfg)
+	a.Release(cfg, "")
 	wg.Wait()
 	if first := <-order; first != 0 {
 		t.Fatalf("waiter %d granted first, want FIFO order", first)
@@ -187,10 +187,29 @@ func TestAdmissionCounters(t *testing.T) {
 	if err := a.Acquire(cfg, "t", 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("second acquire = %v, want ErrShed", err)
 	}
-	a.Release(cfg)
-	a.ReleaseTenant("t")
+	a.Release(cfg, "t")
 	st := a.Stats()
 	if st.Admitted != 1 || st.Shed != 1 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAdmissionReleaseFreesTenantQuota: a finished query's slot and its
+// tenant count go back together, so the same tenant's next arrival at a
+// quota of one is admitted at once, not shed against the query that just
+// finished.
+func TestAdmissionReleaseFreesTenantQuota(t *testing.T) {
+	cfg := admCfg(8, 8, 1000)
+	cfg.TenantMaxInFlight = 1
+	a := newAdmission()
+	if err := a.Acquire(cfg, "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	a.Release(cfg, "a")
+	if err := a.Acquire(cfg, "a", 0); err != nil {
+		t.Fatalf("acquire after release = %v, want admitted", err)
+	}
+	if st := a.Stats(); st.InFlight != 1 || st.Shed != 0 {
+		t.Fatalf("stats = %+v, want 1 in flight, none shed", st)
 	}
 }

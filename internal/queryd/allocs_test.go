@@ -32,7 +32,7 @@ func TestServedAllocations(t *testing.T) {
 		{"hit", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
 			`"where":[{"column":"region","op":"<","value":8}]}`, 56, 0},
 		// Misses run loops, and how many workers take a batch of each is
-		// timing-dependent: a scan allocates one accounting row per worker
+		// timing-dependent: a scan allocates one set of column slots per worker
 		// that does. The margins absorb that.
 		{"selective_miss", `{"dataset":"demo","op":"aggregate","agg":"sum","column":"amount",` +
 			`"where":[{"column":"id","op":">=","value":5000},{"column":"id","op":"<","value":6000}],"explain":true}`, 83, 2},

@@ -393,10 +393,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.reply(w, prof, lapStart, http.StatusTooManyRequests, err, nil)
 			return
 		}
-		defer s.adm.ReleaseTenant(p.Tenant)
 		// The slot is released against the *latest* config, so a raised
 		// limit drains the queue at the new width.
-		defer func() { s.adm.Release(s.snap.Load().cfg) }()
+		defer func() { s.adm.Release(s.snap.Load().cfg, p.Tenant) }()
 
 		// Only an admitted query leads a flight: its followers wait on the
 		// slot it already holds.

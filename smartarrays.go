@@ -104,9 +104,9 @@ func NewIterator(a *Array, socket int, index uint64) Iterator {
 	return core.NewIterator(a, socket, index)
 }
 
-// SumRange aggregates a[lo:hi] through the width-specialized iterator.
+// SumRange aggregates a[lo:hi] through the fused chunk kernels.
 func SumRange(a *Array, socket int, lo, hi uint64) uint64 {
-	return core.SumRange(a, socket, lo, hi)
+	return core.ReduceRange(a, socket, lo, hi, core.ReduceSum)
 }
 
 // Map applies fn over a[lo:hi], unpacking whole chunks (the §7 bounded-map
@@ -164,7 +164,7 @@ func (s *System) ParallelFor(begin, end uint64, grain int64, body func(w *Worker
 // workload (§5.1).
 func (s *System) SumArray(a *Array) uint64 {
 	return s.rt.ReduceSum(0, a.Length(), 0, func(w *Worker, lo, hi uint64) uint64 {
-		return core.SumRange(a, w.Socket, lo, hi)
+		return core.ReduceRange(a, w.Socket, lo, hi, core.ReduceSum)
 	})
 }
 
