@@ -26,9 +26,12 @@ test:
 # itself there. With it runs the build-memory ratchet
 # (TestBuildDatasetAllocations): a dataset build may allocate on the Go heap
 # at most 0.75 x its packed payload, which is mapped outside the heap, so
-# no column is staged as a plain table-length slice.
+# no column is staged as a plain table-length slice. And the graph build's
+# (TestBuildGraphAllocations): a graph-only dataset may allocate at most
+# 11 B per edge, the generator's edge list and the begin arrays' prefix
+# sums, so no plain CSR is built on the heap.
 allocs:
-	$(GO) test -count=5 -cpu 1,2,4 -run '^(TestServedAllocations|TestBuildDatasetAllocations)$$' ./internal/queryd
+	$(GO) test -count=5 -cpu 1,2,4 -run '^(TestServedAllocations|TestBuildDatasetAllocations|TestBuildGraphAllocations)$$' ./internal/queryd
 
 race:
 	$(GO) test -race ./...

@@ -14,7 +14,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // CSR is a directed graph in compressed sparse row form, the plain
@@ -40,55 +39,37 @@ type Edge32 struct {
 
 // Build constructs a CSR (with reverse arrays) from an edge list over
 // numVertices vertices. Endpoints must be < numVertices. Neighbour lists
-// are sorted ascending, as PGX stores them.
+// are sorted ascending, as PGX stores them. Build consumes edges: it
+// reorders them and overwrites their Dst fields (countingSort).
 func Build(numVertices uint64, edges []Edge32) (*CSR, error) {
-	if numVertices == 0 {
-		return nil, errors.New("graph: empty vertex set")
-	}
-	if numVertices > 1<<32 {
-		return nil, fmt.Errorf("graph: %d vertices exceed 32-bit vertex IDs", numVertices)
+	if err := checkVertexCount(numVertices); err != nil {
+		return nil, err
 	}
 	g := &CSR{
 		NumVertices: numVertices,
 		NumEdges:    uint64(len(edges)),
-		Begin:       make([]uint64, numVertices+1),
 		Edge:        make([]uint32, len(edges)),
-		RBegin:      make([]uint64, numVertices+1),
 		REdge:       make([]uint32, len(edges)),
 	}
-	// Counting sort by source for the forward arrays.
-	for _, e := range edges {
-		if uint64(e.Src) >= numVertices || uint64(e.Dst) >= numVertices {
-			return nil, fmt.Errorf("graph: edge %d->%d out of range [0,%d)", e.Src, e.Dst, numVertices)
-		}
-		g.Begin[e.Src+1]++
-		g.RBegin[e.Dst+1]++
+	var err error
+	if g.Begin, g.RBegin, err = countingSort(numVertices, edges, g); err != nil {
+		return nil, err
 	}
-	for v := uint64(1); v <= numVertices; v++ {
-		g.Begin[v] += g.Begin[v-1]
-		g.RBegin[v] += g.RBegin[v-1]
-	}
-	// Scatter by source, sort each out-list, then scatter the sorted
-	// out-lists by destination walking sources in ascending order: every
-	// in-list then receives its sources in ascending order and needs no
-	// sort of its own.
-	cur := make([]uint64, numVertices)
-	copy(cur, g.Begin)
-	for _, e := range edges {
-		g.Edge[cur[e.Src]] = e.Dst
-		cur[e.Src]++
-	}
-	for v := uint64(0); v < numVertices; v++ {
-		slices.Sort(g.Edge[g.Begin[v]:g.Begin[v+1]])
-	}
-	copy(cur, g.RBegin)
-	for v := uint64(0); v < numVertices; v++ {
-		for _, dst := range g.Edge[g.Begin[v]:g.Begin[v+1]] {
-			g.REdge[cur[dst]] = uint32(v)
-			cur[dst]++
-		}
+	for k, e := range edges {
+		g.REdge[k] = e.Dst
 	}
 	return g, nil
+}
+
+// checkVertexCount refuses vertex counts a CSR cannot index.
+func checkVertexCount(numVertices uint64) error {
+	if numVertices == 0 {
+		return errors.New("graph: empty vertex set")
+	}
+	if numVertices > 1<<32 {
+		return fmt.Errorf("graph: %d vertices exceed 32-bit vertex IDs", numVertices)
+	}
+	return nil
 }
 
 // OutDegree is the number of out-edges of v.

@@ -25,10 +25,21 @@ func GenerateUniform(numVertices uint64, degree int, seed int64) (*CSR, error) {
 // GeneratePowerLaw creates a directed graph whose in-degree distribution
 // follows a Zipf law with exponent alpha — the synthetic stand-in for the
 // paper's Twitter followers graph (42M vertices, 1.5B edges, heavily
-// skewed in-degrees). avgDegree edges per vertex are generated with
-// Zipf-distributed destinations and uniform sources, then shuffled through
-// a pseudo-random permutation so hub IDs are spread across the ID space.
+// skewed in-degrees). See PowerLawEdges for the edge list it builds.
 func GeneratePowerLaw(numVertices uint64, avgDegree int, alpha float64, seed int64) (*CSR, error) {
+	edges, err := PowerLawEdges(numVertices, avgDegree, alpha, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Build(numVertices, edges)
+}
+
+// PowerLawEdges generates GeneratePowerLaw's edge list, for builds that lay
+// it out themselves (BuildSmart): avgDegree edges per vertex with
+// Zipf-distributed destinations and uniform sources, the destinations
+// shuffled through a pseudo-random permutation so hub IDs are spread
+// across the ID space.
+func PowerLawEdges(numVertices uint64, avgDegree int, alpha float64, seed int64) ([]Edge32, error) {
 	if numVertices < 2 || avgDegree < 1 {
 		return nil, fmt.Errorf("graph: bad power-law parameters n=%d avgDegree=%d", numVertices, avgDegree)
 	}
@@ -51,7 +62,7 @@ func GeneratePowerLaw(numVertices uint64, avgDegree int, alpha float64, seed int
 		src := uint64(rng.Int63n(int64(numVertices)))
 		edges = append(edges, Edge32{Src: uint32(src), Dst: uint32(dst)})
 	}
-	return Build(numVertices, edges)
+	return edges, nil
 }
 
 // GenerateRing creates a directed cycle 0->1->...->n-1->0; handy for tests

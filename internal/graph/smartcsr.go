@@ -49,64 +49,133 @@ func NewSmartCSR(mem *memsim.Memory, g *CSR, layout Layout) (*SmartCSR, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	beginBits := uint(64)
-	if layout.CompressBegin {
-		beginBits = bitpack.MinBits(g.NumEdges)
+	s, err := allocSmartCSR(mem, g.NumVertices, g.NumEdges, g.MaxVertexID(), layout)
+	if err != nil {
+		return nil, err
 	}
-	edgeBits := uint(32)
-	if layout.CompressEdge {
-		edgeBits = bitpack.MinBits(uint64(g.MaxVertexID()))
-	}
-
-	s := &SmartCSR{NumVertices: g.NumVertices, NumEdges: g.NumEdges, layout: layout}
-	var err error
-	free := func() { s.Free() }
-
-	alloc := func(name string, length uint64, bits uint) (*core.SmartArray, error) {
-		return core.Allocate(mem, core.Config{
-			Name:   name,
-			Length: length, Bits: bits,
-			Placement: layout.Placement, Socket: layout.Socket,
-		})
-	}
-	if s.Begin, err = alloc("begin", g.NumVertices+1, beginBits); err != nil {
-		free()
-		return nil, fmt.Errorf("graph: begin: %w", err)
-	}
-	if s.RBegin, err = alloc("rbegin", g.NumVertices+1, beginBits); err != nil {
-		free()
-		return nil, fmt.Errorf("graph: rbegin: %w", err)
-	}
-	edgeLen := g.NumEdges
-	if edgeLen == 0 {
-		edgeLen = 1 // smart arrays are non-empty; edgeless graphs keep a stub
-	}
-	if s.Edge, err = alloc("edge", edgeLen, edgeBits); err != nil {
-		free()
-		return nil, fmt.Errorf("graph: edge: %w", err)
-	}
-	if s.REdge, err = alloc("redge", edgeLen, edgeBits); err != nil {
-		free()
-		return nil, fmt.Errorf("graph: redge: %w", err)
-	}
-
 	s.Begin.InitRange(0, 0, g.Begin[:g.NumVertices+1])
 	s.RBegin.InitRange(0, 0, g.RBegin[:g.NumVertices+1])
-	initEdges(s.Edge, g.Edge[:g.NumEdges])
-	initEdges(s.REdge, g.REdge[:g.NumEdges])
+	var buf [edgeWindow]uint64
+	initIDs(s.Edge, 0, g.Edge[:g.NumEdges], &buf)
+	initIDs(s.REdge, 0, g.REdge[:g.NumEdges], &buf)
 	return s, nil
 }
 
-// initEdges writes the 32-bit vertex ids of a plain CSR edge array into a
-// smart array from socket 0, widening them through a chunk-aligned buffer.
-func initEdges(dst *core.SmartArray, src []uint32) {
-	var buf [64 * bitpack.ChunkSize]uint64
-	for lo := 0; lo < len(src); lo += len(buf) {
-		n := min(len(src)-lo, len(buf))
-		for i, e := range src[lo : lo+n] {
-			buf[i] = uint64(e)
+// BuildSmart builds the CSR of an edge list straight into smart arrays
+// per the layout, word for word what NewSmartCSR makes of Build's CSR,
+// without the plain CSR: the packed arrays are the counting sort's
+// destination. It consumes edges — their order and Dst fields are
+// scratch once it returns — so besides the packed arrays it allocates
+// only the two begin arrays' prefix sums and a slab's window. The build
+// runs on socket 0, like NewSmartCSR.
+func BuildSmart(mem *memsim.Memory, numVertices uint64, edges []Edge32, layout Layout) (*SmartCSR, error) {
+	if err := checkVertexCount(numVertices); err != nil {
+		return nil, err
+	}
+	var maxID uint32
+	if layout.CompressEdge {
+		for _, e := range edges {
+			maxID = max(maxID, e.Src, e.Dst)
 		}
-		dst.InitRange(0, uint64(lo), buf[:n])
+	}
+	numEdges := uint64(len(edges))
+	s, err := allocSmartCSR(mem, numVertices, numEdges, maxID, layout)
+	if err != nil {
+		return nil, err
+	}
+	sink := &packedEdges{edge: s.Edge}
+	begin, rbegin, err := countingSort(numVertices, edges, sink)
+	if err != nil {
+		s.Free()
+		return nil, err
+	}
+	s.Begin.InitRange(0, 0, begin)
+	s.RBegin.InitRange(0, 0, rbegin)
+	// countingSort left reverse slot k in edges[k].Dst.
+	for lo := uint64(0); lo < numEdges; lo += edgeWindow {
+		buf := sink.buf[:min(numEdges-lo, edgeWindow)]
+		for i := range buf {
+			buf[i] = uint64(edges[lo+uint64(i)].Dst)
+		}
+		s.REdge.InitRange(0, lo, buf)
+	}
+	return s, nil
+}
+
+// packedEdges is countingSort's sink for BuildSmart: slabs are packed
+// into the edge array and unpacked from it through one window of 64-bit
+// values.
+type packedEdges struct {
+	edge *core.SmartArray
+	buf  [edgeWindow]uint64
+}
+
+func (p *packedEdges) putEdges(lo uint64, lists []uint32) { initIDs(p.edge, lo, lists, &p.buf) }
+
+func (p *packedEdges) outLists(lo uint64, buf []uint32) []uint32 {
+	for off := 0; off < len(buf); off += edgeWindow {
+		window := p.buf[:min(len(buf)-off, edgeWindow)]
+		start := lo + uint64(off)
+		core.ReadRange(p.edge, 0, start, start+uint64(len(window)), window)
+		for i, v := range window {
+			buf[off+i] = uint32(v)
+		}
+	}
+	return buf
+}
+
+// edgeWindow is the element count of the buffer edge arrays are packed
+// and unpacked through: 64 chunks.
+const edgeWindow = 64 * bitpack.ChunkSize
+
+// allocSmartCSR allocates a SmartCSR's four arrays per the layout:
+// begin/rbegin at 64 bits or the minimum width for numEdges, edge/redge
+// at 32 bits or the minimum width for maxID.
+func allocSmartCSR(mem *memsim.Memory, numVertices, numEdges uint64, maxID uint32, layout Layout) (*SmartCSR, error) {
+	beginBits := uint(64)
+	if layout.CompressBegin {
+		beginBits = bitpack.MinBits(numEdges)
+	}
+	edgeBits := uint(32)
+	if layout.CompressEdge {
+		edgeBits = bitpack.MinBits(uint64(maxID))
+	}
+	s := &SmartCSR{NumVertices: numVertices, NumEdges: numEdges, layout: layout}
+	edgeLen := max(numEdges, 1) // smart arrays are non-empty; edgeless graphs keep a stub
+	for _, a := range []struct {
+		dst    **core.SmartArray
+		name   string
+		length uint64
+		bits   uint
+	}{
+		{&s.Begin, "begin", numVertices + 1, beginBits},
+		{&s.RBegin, "rbegin", numVertices + 1, beginBits},
+		{&s.Edge, "edge", edgeLen, edgeBits},
+		{&s.REdge, "redge", edgeLen, edgeBits},
+	} {
+		arr, err := core.Allocate(mem, core.Config{
+			Name:   a.name,
+			Length: a.length, Bits: a.bits,
+			Placement: layout.Placement, Socket: layout.Socket,
+		})
+		if err != nil {
+			s.Free()
+			return nil, fmt.Errorf("graph: %s: %w", a.name, err)
+		}
+		*a.dst = arr
+	}
+	return s, nil
+}
+
+// initIDs writes vertex ids into a smart array from socket 0, starting at
+// element lo, widening them through buf.
+func initIDs(dst *core.SmartArray, lo uint64, ids []uint32, buf *[edgeWindow]uint64) {
+	for off := 0; off < len(ids); off += edgeWindow {
+		window := buf[:min(len(ids)-off, edgeWindow)]
+		for i := range window {
+			window[i] = uint64(ids[off+i])
+		}
+		dst.InitRange(0, lo+uint64(off), window)
 	}
 }
 

@@ -2,8 +2,10 @@ package queryd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/colstore"
+	"smartarrays/internal/core"
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/rts"
@@ -119,6 +122,101 @@ func TestBuildDatasetAllocations(t *testing.T) {
 	t.Logf("build allocated %d bytes for a %d-byte payload", allocated, payload)
 	if allocated > payload*3/4 {
 		t.Errorf("build allocated %d bytes, ceiling 0.75 x %d-byte payload", allocated, payload)
+	}
+}
+
+// TestBuildGraphAllocations ratchets the graph build's heap traffic: a
+// graph-only dataset of 100 000 vertices (800 000 edges) may allocate at
+// most 11 B per edge on the Go heap. The generator's edge list is 8 of
+// them and the two begin arrays' prefix sums 2 (graph.BuildSmart); the
+// packed arrays are mapped outside the heap. Building a plain CSR and
+// copying it into the packed arrays allocated 19.2 B per edge. Race
+// builds keep the payload on the heap, so there it is taken out of the
+// count.
+func TestBuildGraphAllocations(t *testing.T) {
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := BuildDataset(rt, DatasetSpec{Name: "g", Vertices: 100000, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Free()
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if raceEnabled {
+		allocated -= rt.Memory().MappedBytes()
+	}
+	perEdge := float64(allocated) / float64(d.Edges)
+	t.Logf("build allocated %d bytes for %d edges: %.2f B per edge", allocated, d.Edges, perEdge)
+	if perEdge > 11 {
+		t.Errorf("build allocated %.2f B per edge, ceiling 11", perEdge)
+	}
+}
+
+// TestServedGraphGoldenCSR decodes the served graph's four arrays and
+// hashes them as graph.TestBuildGoldenCSR hashes a plain CSR (FNV-64a,
+// begin arrays at 8 bytes and edge arrays at 4 per element): built
+// straight into its packed arrays, the graph a dataset serves must be
+// word for word the CSR graph.Build makes. Seed 0 seeds the generator
+// with 1 at the default degree 8, the golden test's parameters, so the
+// hashes are the ones it records.
+func TestServedGraphGoldenCSR(t *testing.T) {
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	for _, c := range []struct{ n, want uint64 }{
+		{2, 0xe84af735221894d3},
+		{1000, 0xe26d5872fa0c00f1},
+		{100000, 0x71bbfbe740bbea3f},
+	} {
+		d, err := BuildDataset(rt, DatasetSpec{Name: "g", Vertices: c.n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := d.Graph
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, begin := range []*core.SmartArray{g.Begin, g.RBegin} {
+			for _, v := range begin.DecodeAll() {
+				binary.LittleEndian.PutUint64(buf[:], v)
+				h.Write(buf[:])
+			}
+		}
+		for _, edge := range []*core.SmartArray{g.Edge, g.REdge} {
+			for _, v := range edge.DecodeAll()[:g.NumEdges] {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+				h.Write(buf[:4])
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("n=%d: served graph hash %#x, want %#x", c.n, got, c.want)
+		}
+		d.Free()
+	}
+}
+
+// TestFootprintMatchesBuild: the footprint a spec is admitted on is what
+// its build then allocates — table, graph and the PageRanker's arrays —
+// so a spec that passes the check cannot run out of memory halfway.
+func TestFootprintMatchesBuild(t *testing.T) {
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	for _, spec := range []DatasetSpec{
+		{Name: "table", Rows: 100000, Seed: 3},
+		{Name: "graph", Vertices: 3000, Seed: 3},
+		{Name: "both", Rows: 70001, Vertices: 5003, Degree: 5, Seed: 3},
+	} {
+		used := rt.Memory().TotalUsedBytes()
+		d, err := BuildDataset(rt, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, ok := footprintWords(spec)
+		if got := rt.Memory().TotalUsedBytes() - used; !ok || words*8 != got {
+			t.Errorf("%s: footprint %d B (ok %v), the build allocated %d B", spec.Name, words*8, ok, got)
+		}
+		d.Free()
 	}
 }
 

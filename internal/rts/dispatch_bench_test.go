@@ -17,6 +17,11 @@ import (
 // running in the background}. The reported ns/loop is timed around the
 // loop only, so the gap itself is never counted. Run it with the
 // benchmark's CPU count: go test ./internal/rts -run '^$' -bench Dispatch -cpu 2.
+//
+// Only the idle/* cells can resolve a dispatch change. On a 2-vCPU host
+// the busy/* cells are bimodal: one binary read anywhere from 2 815 to
+// 197 211 ns/loop on busy/b2b/batches=1 across 8 rounds, so a busy/*
+// cell shows only a change far larger than that spread.
 func BenchmarkDispatch(b *testing.B) {
 	for _, busy := range []bool{false, true} {
 		for _, gap := range []time.Duration{0, 300 * time.Microsecond} {
