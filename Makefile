@@ -125,9 +125,9 @@ bench-pairs:
 # The predicated-scan sizing benchmarks, in process: bitpack's compare,
 # masked-sum and chunk-decode kernels per width (ns/elem next to a
 # same-run plain 64-bit sum, and the sparse/dense sweep behind
-# MaskSparseCutoff; Unpack at the straddling widths and at 32 bits, and
-# UnpackRange's streamed decode at 17/32/64 bits — a "V+E" graph's edge
-# width, the served graph's, and the zero-copy payload), every codec's
+# MaskSparseCutoff; Unpack at the straddling widths — 17 is a "V+E"
+# graph's edge width — and at 32 bits, the served graph's edge width that
+# View.Read decodes PageRank's in-edges at), every codec's
 # sum, masked sum, masked max and compare-and-count through its
 # ChunkCodec (BenchmarkCodecFold), the four scan_unique plan shapes
 # through the query handler on the served 4 Mi-row dataset, then three
@@ -135,7 +135,7 @@ bench-pairs:
 # target, and the case that degrades to a whole pass), the scan_unique
 # shapes from two callers (distinct thresholds, identical plans — what
 # coalescing saves), then the graph_rank request
-# (BenchmarkServedPageRank: gathers and streams over the CSR, with the
+# (BenchmarkServedPageRank: gathers and range reads over the CSR, with the
 # B/op and allocs/op one served pagerank costs), the
 # zone-pruned selective scan (BenchmarkPrunedScan) — the paths where a
 # per-call codec dispatch would show — and colstore's own predicated scan
@@ -144,7 +144,7 @@ bench-pairs:
 # column views). Run it on both trees when sizing a kernel or core change,
 # before paying for bench-pairs. Not a CI target.
 bench-scan:
-	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff|Unpack|UnpackRange' -benchtime 20x -count 5 -cpu 1
+	$(GO) test ./internal/bitpack -run '^$$' -bench 'CmpMask|SumMasked|MaskCutoff|Unpack' -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/encoding -run '^$$' -bench CodecFold -benchtime 20x -count 5 -cpu 1
 	$(GO) test ./internal/queryd -run '^$$' -bench ScanUniqueTemplates -benchtime 20x -count 5 -cpu 2
 	$(GO) test ./internal/queryd -run '^$$' -bench ZoneOrderedExtremes -benchtime 200x -count 5 -cpu 2

@@ -30,14 +30,16 @@ func DegreeCentrality(rt *rts.Runtime, g *graph.SmartCSR) (*core.SmartArray, per
 	}
 
 	rt.ParallelFor(0, g.NumVertices, 0, func(w *rts.Worker, lo, hi uint64) {
-		// Stream both begin runs over [lo, hi+1) into flat scratch via the
-		// range-decode kernel — each array decoded exactly once, no
-		// per-element callback — then subtract adjacent entries.
+		// Read both begin runs over [lo, hi+1) into flat scratch through
+		// one View per array, under the loop's pin — each array decoded
+		// exactly once, no per-element callback — then subtract adjacent
+		// entries.
 		nv := hi - lo
 		begins := make([]uint64, nv+1)
 		rbegins := make([]uint64, nv+1)
-		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
-		core.ReadRange(g.RBegin, w.Socket, lo, hi+1, rbegins)
+		begin, rbegin := g.Begin.View(w.Socket), g.RBegin.View(w.Socket)
+		begin.Read(lo, hi+1, begins)
+		rbegin.Read(lo, hi+1, rbegins)
 		degrees := begins[:nv] // begins[i] is dead once degree i is computed
 		for i := range degrees {
 			degrees[i] = (begins[i+1] - begins[i]) + (rbegins[i+1] - rbegins[i])

@@ -103,8 +103,8 @@ func (l *prLease) free() {
 // for runs on rt or on views of it. It allocates the property arrays with
 // the graph's placement, as the paper's placement variations "apply to all
 // arrays except for the output array", plus one lease, and fills the
-// cached arrays in one parallel pass: the begin array is streamed once
-// per batch through core.ReadRange, degrees come from adjacent
+// cached arrays in one parallel pass: the begin array is read once per
+// batch through View.Read, degrees come from adjacent
 // differences, the inverse degrees are computed here, and each array is
 // written with one InitRange per batch. The batches are uniform
 // rts.DefaultGrain ranges, whole bitpack chunks, so no two writers share a
@@ -147,7 +147,8 @@ func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanke
 		sc := p.scratch.of(w)
 		nv := hi - lo
 		begins := sc.begins[:nv+1]
-		core.ReadRange(g.Begin, w.Socket, lo, hi+1, begins)
+		begin := g.Begin.View(w.Socket)
+		begin.Read(lo, hi+1, begins)
 		degs, invs := sc.ranks[:nv], sc.contribs[:nv]
 		for i := range degs {
 			deg := begins[i+1] - begins[i]
@@ -249,29 +250,19 @@ func (p *PageRanker) Free() {
 
 // prScratch is one worker's scratch: the begin run of the current range,
 // per-vertex partial sums, two per-vertex rows (the next ranks and next
-// contributions a sub-range writes out), and the buffer the edge stream
-// decodes into. Only the owning worker touches it.
+// contributions a sub-range writes out), and the window the in-edges
+// decode into. Only the owning worker touches it.
 type prScratch struct {
 	begins   []uint64
 	sums     []float64
 	ranks    []uint64
 	contribs []uint64
 	edgeBuf  []uint64
-	// The segment walk over the range in hand: its begin run and sums
-	// (cut to the range), the contribution words it gathers from, and the
-	// vertex whose in-edge segment the stream is inside. sumRun, bound
-	// once to this scratch, is the emit function that walks them, so
-	// streaming a range allocates no closure.
-	segBegins []uint64
-	segSums   []float64
-	cw        []uint64
-	vi        int
-	sumRun    func(eBase uint64, srcs []uint64)
 }
 
-// prEdgeBufLen is the edge-stream chunk length: a multiple of the bitpack
-// chunk so compressed widths decode whole chunks, big enough to amortize
-// the emit call, small enough to stay cache-resident.
+// prEdgeBufLen is the in-edge window length: a multiple of the bitpack
+// chunk so windows after the first decode whole chunks, big enough to
+// amortize the refill, small enough to stay cache-resident.
 const prEdgeBufLen = 16 * bitpack.ChunkSize
 
 // prScratches is a ranker's per-worker scratch, shared by the build pass
@@ -293,31 +284,57 @@ func (p prScratches) of(w *rts.Worker) *prScratch {
 			contribs: make([]uint64, rts.DefaultGrain),
 			edgeBuf:  make([]uint64, prEdgeBufLen),
 		}
-		sc.sumRun = sc.sumSegments
 	}
 	return sc
 }
 
-// sumSegments is the edge stream's emit function: for each vertex's
-// in-edge segment of the decoded run srcs (edges eBase, eBase+1, ...) it
-// adds the neighbours' contributions in a counted loop that reads each
-// one where it is summed. A segment may continue into the next run.
-func (sc *prScratch) sumSegments(eBase uint64, srcs []uint64) {
-	begins, sums, cw, vi := sc.segBegins, sc.segSums, sc.cw, sc.vi
-	runEnd := eBase + uint64(len(srcs))
-	for e := eBase; e < runEnd; {
-		for e >= begins[vi+1] {
-			vi++ // past finished (and in-degree-0) vertices
+// inEdgeWindows reads one sub-range's in-edges [next, end) from redge
+// into buf, a window of at most len(buf) edges at a time. The first
+// window starts at the sub-range's first edge and every later one on a
+// chunk boundary, so View.Read decodes whole chunks. Its fields live in
+// memory rather than in the summing loop's registers, which keeps that
+// loop free of spills.
+type inEdgeWindows struct {
+	redge     core.View
+	buf       []uint64
+	next, end uint64
+}
+
+// read decodes the next window and returns it.
+func (w *inEdgeWindows) read() []uint64 {
+	hi := min(w.next-w.next%bitpack.ChunkSize+uint64(len(w.buf)), w.end)
+	win := w.buf[:hi-w.next]
+	w.redge.Read(w.next, hi, win)
+	w.next = hi
+	return win
+}
+
+// sumInEdges sets sums[i] to the sum of the contributions cw of vertex
+// i's in-neighbours, for the vertices whose reverse-begin run is begins,
+// adding them in edge order. The in-edges are read from redge through buf
+// (inEdgeWindows); a segment that runs past a window goes on in the next.
+// A vertex without in-edges — most of a power-law graph's — costs one
+// test.
+func sumInEdges(redge core.View, begins []uint64, sums []float64, cw, buf []uint64) {
+	w := inEdgeWindows{redge: redge, buf: buf, next: begins[0], end: begins[len(sums)]}
+	var rest []uint64 // the current window's edges not yet summed
+	for i := range sums {
+		var sum float64
+		if n := begins[i+1] - begins[i]; n != 0 {
+			for uint64(len(rest)) < n {
+				for _, src := range rest {
+					sum += math.Float64frombits(cw[src])
+				}
+				n -= uint64(len(rest))
+				rest = w.read()
+			}
+			for _, src := range rest[:n] {
+				sum += math.Float64frombits(cw[src])
+			}
+			rest = rest[n:]
 		}
-		segEnd := min(begins[vi+1], runEnd)
-		sum := sums[vi]
-		for _, src := range srcs[e-eBase : segEnd-eBase] {
-			sum += math.Float64frombits(cw[src])
-		}
-		sums[vi] = sum
-		e = segEnd
+		sums[i] = sum
 	}
-	sc.vi = vi
 }
 
 // Words64 returns the words of a PageRank rank or contribution array's
@@ -344,18 +361,17 @@ func Words64(a *core.SmartArray, socket int) []uint64 {
 // was built with or a view of it, and cfg.DegreeBits 0 or the ranker's
 // width.
 //
-// Per-edge work is one pass over each decoded edge run: each batch, in
-// sub-ranges of at most rts.DefaultGrain vertices, streams its
-// reverse-begin run and its reverse-edge runs through the
-// chunk-decode kernels (core.ReadRange / core.StreamRange) and, for each
-// vertex's in-edge segment of a run, adds the neighbours' contributions
-// straight from the contribution array's 64-bit payload words, through
-// the View every width-specialised reader uses. Per-vertex work is done
-// once per vertex: the old rank and the inverse degree are read in place
-// from their arrays' 64-bit words (Words64; iteration 0's old ranks are
-// all 1/n), the new rank and its contribution are computed side by side
-// into fresh rows, and each row is written with one InitRange per
-// sub-range. Vertex ranges are split by in-degree (rts.WeightedBounds), so
+// Per-edge work is one pass over each decoded edge window: each batch
+// takes one View of rbegin and one of redge under the loop's pin and, in
+// sub-ranges of at most rts.DefaultGrain vertices, reads its
+// reverse-begin run and its reverse-edge windows through View.Read and,
+// for each vertex's in-edge segment, adds the neighbours' contributions
+// straight from the contribution array's 64-bit payload words
+// (sumInEdges). Per-vertex work is done once per vertex: the old rank
+// and the inverse degree are read in place from their arrays' 64-bit
+// words (Words64; iteration 0's old ranks are all 1/n), the new rank and
+// its contribution are computed side by side into fresh rows, and each
+// row is written with one InitRange per sub-range. Vertex ranges are split by in-degree (rts.WeightedBounds), so
 // power-law hubs do not serialize their batch; enable rt.SetStealing for
 // cross-socket balance on skewed graphs.
 //
@@ -385,7 +401,8 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 		// loop — no mutex (or atomic) per batch on the diff accumulation.
 		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, bLo, bHi uint64) float64 {
 			sc := p.scratch.of(w)
-			sc.cw = Words64(from.contribs, w.Socket)
+			rbegin, redge := g.RBegin.View(w.Socket), g.REdge.View(w.Socket)
+			cw := Words64(from.contribs, w.Socket)
 			invDeg := Words64(p.invDeg, w.Socket)
 			var oldRanks []uint64 // nil in iteration 0: every old rank is init
 			if from.ranks != nil {
@@ -402,16 +419,9 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 			for lo := bLo; lo < bHi; {
 				hi := min(lo-lo%rts.DefaultGrain+rts.DefaultGrain, bHi)
 				nv := hi - lo
-				begins := sc.begins[:nv+1]
-				core.ReadRange(g.RBegin, w.Socket, lo, hi+1, begins)
-				sums := sc.sums[:nv]
-				for i := range sums {
-					sums[i] = 0
-				}
-				if eLo, eHi := begins[0], begins[nv]; eLo < eHi {
-					sc.segBegins, sc.segSums, sc.vi = begins, sums, 0
-					core.StreamRange(g.REdge, w.Socket, eLo, eHi, sc.edgeBuf, sc.sumRun)
-				}
+				begins, sums := sc.begins[:nv+1], sc.sums[:nv]
+				rbegin.Read(lo, hi+1, begins)
+				sumInEdges(redge, begins, sums, cw, sc.edgeBuf)
 				ranks, contribs, invs := sc.ranks[:nv], sc.contribs[:nv], invDeg[lo:hi]
 				var olds []uint64
 				if oldRanks != nil {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/perfmodel"
 	"smartarrays/internal/rts"
@@ -34,7 +33,9 @@ func BFS(rt *rts.Runtime, g *graph.SmartCSR, src uint64) ([]int64, int, perfmode
 		var next []uint64
 		rt.ParallelFor(0, uint64(len(frontier)), 64, func(w *rts.Worker, lo, hi uint64) {
 			// Batch-gather the frontier's begin bounds (two index vectors:
-			// v and v+1), then decode each vertex's edge run flat.
+			// v and v+1), then decode each vertex's edge run flat, through
+			// one View per array read under the loop's pin.
+			begin, edge := g.Begin.View(w.Socket), g.Edge.View(w.Socket)
 			batch := frontier[lo:hi]
 			idx1 := make([]uint64, len(batch))
 			for i, v := range batch {
@@ -42,8 +43,8 @@ func BFS(rt *rts.Runtime, g *graph.SmartCSR, src uint64) ([]int64, int, perfmode
 			}
 			eLos := make([]uint64, len(batch))
 			eHis := make([]uint64, len(batch))
-			core.Gather(g.Begin, w.Socket, batch, eLos)
-			core.Gather(g.Begin, w.Socket, idx1, eHis)
+			begin.Gather(batch, eLos)
+			begin.Gather(idx1, eHis)
 			var local, edges []uint64
 			var touched uint64
 			for i := range batch {
@@ -56,7 +57,7 @@ func BFS(rt *rts.Runtime, g *graph.SmartCSR, src uint64) ([]int64, int, perfmode
 				if uint64(len(edges)) < deg {
 					edges = make([]uint64, deg)
 				}
-				core.ReadRange(g.Edge, w.Socket, eLo, eHi, edges)
+				edge.Read(eLo, eHi, edges)
 				for _, d := range edges[:deg] {
 					// Claim the vertex exactly once.
 					if atomic.CompareAndSwapInt64(&levels[d], -1, level+1) {

@@ -174,8 +174,8 @@ func (c Codec) Set(data []uint64, index uint64, value uint64) {
 // and shifts, widths 1–16 dividing 64 shift four fields out of a word at a
 // time, and every straddling width goes through unpackWalk, which makes
 // that decision once per word. It reads only the chunk's own words.
-// UnpackRange at every width but 64 and a BitPacked array's DecodeChunk
-// (so core's ReadRange and StreamRange) decode through it.
+// A BitPacked array's DecodeChunk (so core's View.Read, and every range
+// read above it) decodes through it.
 func (c Codec) Unpack(data []uint64, chunk uint64, out *[ChunkSize]uint64) {
 	switch c.bits {
 	case 64:

@@ -326,32 +326,6 @@ func BenchmarkUnpack(b *testing.B) {
 	}
 }
 
-// BenchmarkUnpackRange streams a whole benchElems column per pass through
-// UnpackRange in 1024-element runs, as PageRank streams redge, with an emit
-// that sums each run: 17 bits is a "V+E" graph's edge width (the word
-// walk), 32 the served graph's (Unpack's word split), 64 the zero-copy
-// payload. ns/elem next to a same-run plain 64-bit sum (`make bench-scan`).
-func BenchmarkUnpackRange(b *testing.B) {
-	b.Run("sum64", benchSum64)
-	buf := make([]uint64, 16*ChunkSize)
-	var sum uint64
-	emit := func(_ uint64, vals []uint64) {
-		for _, v := range vals {
-			sum += v
-		}
-	}
-	for _, width := range []uint{17, 32, 64} {
-		c, data := benchColumn(width)
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				c.UnpackRange(data, 0, benchElems, buf, emit)
-			}
-			benchSink += sum
-			reportPerElem(b)
-		})
-	}
-}
-
 func benchGet(b *testing.B, width uint) {
 	c := MustNew(width)
 	const n = 1 << 14

@@ -9,73 +9,69 @@ import (
 	"smartarrays/internal/perfmodel"
 )
 
-// Batched random access and range streaming: the graph-analytics entry
-// points over smart arrays. A CSR traversal touches its arrays two ways —
-// contiguous edge runs (stream) and index-vector lookups of per-vertex
-// state (gather) — and both were previously per-element Get calls. These
-// wrappers validate once per batch and hand the whole vector or range to
-// the bound codec's batched kernels (bitpack's, for bit-packed arrays).
+// Batched random access and range reads: the graph-analytics entry points
+// over smart arrays. A CSR traversal touches its arrays two ways —
+// contiguous edge runs (read) and index-vector lookups of per-vertex state
+// (gather). Each is one View method that validates once per batch and
+// hands the whole vector or range to the bound codec's batched kernels
+// (bitpack's, for bit-packed arrays); the package-level Gather and
+// ReadRange pin, take a View and call it.
 
-// Gather decodes out[i] = element idx[i] for a reader on socket. Indices
-// may repeat and appear in any order; the whole vector is bounds-checked
-// up front so the decode loops run unchecked. len(out) must be at least
-// len(idx).
+// Gather decodes out[i] = element idx[i] for a reader on socket:
+// View.Gather under a pin of its own.
 func Gather(a *SmartArray, socket int, idx []uint64, out []uint64) {
-	if len(idx) == 0 {
-		return
-	}
 	a.mem.Pin()
 	defer a.mem.Unpin()
-	cc := a.View(socket).codec
-	length := a.length
+	v := a.View(socket)
+	v.Gather(idx, out)
+}
+
+// ReadRange decodes elements [lo, hi) into out for a reader on socket:
+// View.Read under a pin of its own.
+func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
+	a.mem.Pin()
+	defer a.mem.Unpin()
+	v := a.View(socket)
+	v.Read(lo, hi, out)
+}
+
+// Gather decodes out[i] = element idx[i] of the snapshot. Indices may
+// repeat and appear in any order; the whole vector is bounds-checked up
+// front so the decode loops run unchecked. len(out) must be at least
+// len(idx). It runs under the caller's pin.
+func (v *View) Gather(idx, out []uint64) {
 	for _, x := range idx {
-		if x >= length {
-			panic(fmt.Sprintf("core: gather index %d out of range [0,%d)", x, length))
+		if x >= v.length {
+			panic(fmt.Sprintf("core: gather index %d out of range [0,%d)", x, v.length))
 		}
 	}
-	cc.Gather(idx, out)
+	v.codec.Gather(idx, out)
 }
 
-// ReadRange decodes elements [lo, hi) into out for a reader on socket.
-// len(out) must be at least hi-lo. It is StreamRange flattened into a
-// caller-owned destination — for small per-batch scratch (CSR begin runs,
-// weight runs) where the caller wants plain indexed access afterwards.
-// Whole chunks decode straight into out; the ragged ends go per element.
-func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
+// Read decodes elements [lo, hi) of the snapshot into out, for readers
+// that want plain indexed access afterwards (CSR begin and edge runs).
+// len(out) must be at least hi-lo. Whole chunks decode straight into out
+// (the paper's Function 3); the ragged ends go per element, so a reader
+// walking a long run in windows should start each window after the first
+// on a chunk boundary. It runs under the caller's pin.
+func (v *View) Read(lo, hi uint64, out []uint64) {
 	if lo >= hi {
 		return
 	}
-	checkRange(lo, hi, a.length)
+	checkRange(lo, hi, v.length)
 	if uint64(len(out)) < hi-lo {
-		panic(fmt.Sprintf("core: ReadRange destination holds %d elements, need %d", len(out), hi-lo))
+		panic(fmt.Sprintf("core: Read destination holds %d elements, need %d", len(out), hi-lo))
 	}
-	a.mem.Pin()
-	defer a.mem.Unpin()
-	cc := a.View(socket).codec
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	for i := lo; i < headEnd; i++ {
-		out[i-lo] = cc.Get(i)
+		out[i-lo] = v.codec.Get(i)
 	}
 	for ch := chunkLo; ch < chunkHi; ch++ {
-		cc.DecodeChunk(ch, (*[bitpack.ChunkSize]uint64)(out[ch*bitpack.ChunkSize-lo:]))
+		v.codec.DecodeChunk(ch, (*[bitpack.ChunkSize]uint64)(out[ch*bitpack.ChunkSize-lo:]))
 	}
 	for i := tailStart; i < hi; i++ {
-		out[i-lo] = cc.Get(i)
+		out[i-lo] = v.codec.Get(i)
 	}
-}
-
-// StreamRange decodes elements [lo, hi) through buf for a reader on
-// socket, invoking emit with decoded runs (see bitpack.UnpackRange for the
-// emit contract: runs are in order, contiguous, at most len(buf) long, and
-// vals is only valid during the call). buf must hold at least one chunk.
-func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	if lo >= hi {
-		return
-	}
-	checkRange(lo, hi, a.length)
-	a.mem.Pin()
-	defer a.mem.Unpin()
-	a.View(socket).codec.UnpackRange(lo, hi, buf, emit)
 }
 
 // AccountGather charges n batched random element reads: amplified DRAM

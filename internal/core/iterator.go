@@ -134,6 +134,7 @@ func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 	if lo >= hi {
 		return 0
 	}
+	checkRange(lo, hi, a.length)
 	var sum uint64
 	a.mem.Pin()
 	defer a.mem.Unpin()
@@ -163,22 +164,25 @@ func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 }
 
 // Map applies fn to every element of [lo, hi) for a reader on socket,
-// decoding whole chunks at once. This is the §7 "alternative unified API"
-// (bounded map with a lambda) that removes the iterator's per-element
-// chunk-boundary branch.
+// reading a chunk at a time through View.Read. This is the §7
+// "alternative unified API" (bounded map with a lambda) that removes the
+// iterator's per-element chunk-boundary branch.
 func Map(a *SmartArray, socket int, lo, hi uint64, fn func(index, value uint64)) {
 	if lo >= hi {
 		return
 	}
+	checkRange(lo, hi, a.length)
 	a.mem.Pin()
 	defer a.mem.Unpin()
 	v := a.View(socket)
 	var buf [bitpack.ChunkSize]uint64
 	for i := lo; i < hi; {
-		chunk := i / bitpack.ChunkSize
-		v.DecodeChunk(chunk, &buf)
-		for end := min((chunk+1)*bitpack.ChunkSize, hi); i < end; i++ {
-			fn(i, buf[i%bitpack.ChunkSize])
+		end := min(i-i%bitpack.ChunkSize+bitpack.ChunkSize, hi)
+		vals := buf[:end-i]
+		v.Read(i, end, vals)
+		for _, x := range vals {
+			fn(i, x)
+			i++
 		}
 	}
 }

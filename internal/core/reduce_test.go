@@ -120,15 +120,26 @@ func TestReduceRangeIdentities(t *testing.T) {
 	}
 }
 
-// TestReduceRangePanicsOutOfBounds mirrors Get's bounds contract.
+// TestReduceRangePanicsOutOfBounds mirrors Get's bounds contract on the
+// range entries: a hi past the length panics before anything is read, so
+// no chunk padding reaches the caller as elements.
 func TestReduceRangePanicsOutOfBounds(t *testing.T) {
 	a, _ := reduceFixture(t, 8, 100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for hi > length")
-		}
-	}()
-	ReduceRange(a, 0, 0, 101, ReduceSum)
+	for name, read := range map[string]func(){
+		"ReduceRange":  func() { ReduceRange(a, 0, 0, 101, ReduceSum) },
+		"ReadRange":    func() { ReadRange(a, 0, 50, 101, make([]uint64, 51)) },
+		"Map":          func() { Map(a, 0, 0, 120, func(index, _ uint64) { t.Errorf("Map called fn at %d", index) }) },
+		"SumRangeIter": func() { SumRangeIter(a, 0, 0, 120) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic for hi > length", name)
+				}
+			}()
+			read()
+		}()
+	}
 }
 
 // TestReduceRangeUsesReaderReplica: a replicated array serves the fused

@@ -25,9 +25,9 @@ import (
 // migrated or freed.
 //
 // Every range kernel is written once, as a View method (Reduce, Mask,
-// ReduceMasked) that runs under its caller's pin; the package-level
-// ReduceRange, MaskRange, MaskRangeAnd and ReduceRangeMasked pin, take a
-// View and call it. Scans fetch one View per column per worker per pass;
+// ReduceMasked, Read, Gather) that runs under its caller's pin; the
+// package-level ReduceRange, MaskRange, MaskRangeAnd, ReduceRangeMasked,
+// ReadRange and Gather pin, take a View and call it. Scans fetch one View per column per worker per pass;
 // Get and the range methods then cost no atomic loads. A View is a plain
 // value — never cache one on the array or past its pin, or it keeps
 // reading a retired representation.

@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -55,9 +54,6 @@ type ChunkCodec interface {
 	CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64
 	// Gather sets out[i] to element idx[i]; every index must be in range.
 	Gather(idx, out []uint64)
-	// UnpackRange decodes elements [lo, hi) in order through buf (at least
-	// one chunk long), under bitpack.Codec.UnpackRange's emit contract.
-	UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64))
 	// WordRange maps elements [lo, hi) to the payload words reading them
 	// touches: exact for BitPacked, payload-proportional for the others.
 	WordRange(lo, hi uint64) (loWord, hiWord uint64)
@@ -123,54 +119,22 @@ func gather(cc ChunkCodec, idx, out []uint64) {
 	}
 }
 
-// unpackRange is UnpackRange for codecs without a streaming kernel: whole
-// chunks decode into buf, and each emitted run is the part of the decoded
-// chunks inside [lo, hi).
-func unpackRange(cc ChunkCodec, lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	if len(buf) < bitpack.ChunkSize {
-		panic(fmt.Sprintf("encoding: UnpackRange buffer holds %d elements, need at least %d", len(buf), bitpack.ChunkSize))
-	}
-	perFill := uint64(len(buf)) / bitpack.ChunkSize
-	for p := lo; p < hi; {
-		first := p / bitpack.ChunkSize * bitpack.ChunkSize
-		var filled uint64
-		for ; filled < perFill*bitpack.ChunkSize && first+filled < hi; filled += bitpack.ChunkSize {
-			cc.DecodeChunk((first+filled)/bitpack.ChunkSize, (*[bitpack.ChunkSize]uint64)(buf[filled:]))
-		}
-		end := min(first+filled, hi)
-		emit(p, buf[p-first:end-first])
-		p = end
-	}
-}
-
 // The codecs below have no range kernel of their own for these entry
 // points; each answers through the shared helpers above.
 
 func (d *DictArray) Gather(idx, out []uint64) { gather(d, idx, out) }
-func (d *DictArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	unpackRange(d, lo, hi, buf, emit)
-}
 
 func (r *RLEArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
 	return cmpMaskChunks(r, chunkLo, chunkHi, op, threshold, masks, and)
 }
 func (r *RLEArray) Gather(idx, out []uint64) { gather(r, idx, out) }
-func (r *RLEArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	unpackRange(r, lo, hi, buf, emit)
-}
 
 func (a *DeltaArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
 	return cmpMaskChunks(a, chunkLo, chunkHi, op, threshold, masks, and)
 }
 func (a *DeltaArray) Gather(idx, out []uint64) { gather(a, idx, out) }
-func (a *DeltaArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	unpackRange(a, lo, hi, buf, emit)
-}
 
 func (f *FoRArray) Gather(idx, out []uint64) { gather(f, idx, out) }
-func (f *FoRArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	unpackRange(f, lo, hi, buf, emit)
-}
 
 // ---------------------------------------------------------------------------
 // BitPacked (and Plain, its 64-bit case): straight delegation to the fused
@@ -228,11 +192,6 @@ func (b *BitPackedArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, 
 
 // Gather is bitpack's batched gather.
 func (b *BitPackedArray) Gather(idx, out []uint64) { b.codec.Gather(b.words, idx, out) }
-
-// UnpackRange is bitpack's streaming decode; 64-bit runs alias the words.
-func (b *BitPackedArray) UnpackRange(lo, hi uint64, buf []uint64, emit func(base uint64, vals []uint64)) {
-	b.codec.UnpackRange(b.words, lo, hi, buf, emit)
-}
 
 // WordRange is the exact span of the words holding elements [lo, hi).
 func (b *BitPackedArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {

@@ -175,8 +175,7 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 // checkRangeKernels pins the payload binding and the range entry points:
 // a codec bound to a copy of its payload words reads the same values, and
 // on it CmpMaskChunks (fill and AND) agrees with CmpMaskChunk chunk by
-// chunk, Gather and UnpackRange with the values, and WordRange stays
-// inside the payload.
+// chunk, Gather with the values, and WordRange stays inside the payload.
 func checkRangeKernels(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Rand) {
 	t.Helper()
 	n := uint64(len(values))
@@ -227,24 +226,9 @@ func checkRangeKernels(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.R
 		}
 	}
 
-	for _, bufLen := range []int{bitpack.ChunkSize, 3*bitpack.ChunkSize + 5} {
+	for range 2 {
 		lo := uint64(rng.Int63n(int64(n)))
 		hi := lo + uint64(rng.Int63n(int64(n-lo))) + 1
-		next := lo
-		bound.UnpackRange(lo, hi, make([]uint64, bufLen), func(base uint64, vals []uint64) {
-			if base != next || len(vals) == 0 || len(vals) > bufLen {
-				t.Fatalf("%v: UnpackRange run at %d of %d elements, want one at %d of 1..%d", cc.Kind(), base, len(vals), next, bufLen)
-			}
-			for j, v := range vals {
-				if v != values[base+uint64(j)] {
-					t.Fatalf("%v: UnpackRange element %d = %d, want %d", cc.Kind(), base+uint64(j), v, values[base+uint64(j)])
-				}
-			}
-			next += uint64(len(vals))
-		})
-		if next != hi {
-			t.Fatalf("%v: UnpackRange [%d,%d) stopped at %d", cc.Kind(), lo, hi, next)
-		}
 		if loWord, hiWord := bound.WordRange(lo, hi); loWord >= hiWord || hiWord > uint64(len(words)) {
 			t.Fatalf("%v: WordRange(%d, %d) = [%d,%d) outside %d payload words", cc.Kind(), lo, hi, loWord, hiWord, len(words))
 		}

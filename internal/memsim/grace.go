@@ -23,8 +23,9 @@ import "fmt"
 // with no reader at all. A retired region therefore keeps its simulated
 // DRAM until it is unmapped: Alloc and CanAlloc count it against
 // capacity, so a leaked pin turns into allocation errors rather than
-// real memory that grows without bound. rts pins once per parallel loop;
-// core's range kernels and GetFrom pin once per call.
+// real memory that grows without bound. rts pins once per parallel loop,
+// so a loop body that reads through Views takes no pin of its own; core's
+// package-level range kernels and GetFrom pin once per call.
 
 // Pin announces a reader: until the matching Unpin, no region freed after
 // this call is unmapped, so payload words loaded after it stay readable.

@@ -79,13 +79,13 @@ const (
 	// shift distance, dominates.
 	CostGatherPacked = 8.0
 
-	// Streaming-range costs (bitpack.UnpackRange): decode a [lo,hi) run
-	// chunk-at-a-time through a caller buffer. Strictly below CostScan at
+	// Streaming-range costs (core's View.Read): decode a [lo,hi) run
+	// chunk-at-a-time into a caller buffer. Strictly below CostScan at
 	// every width — the iterator's per-element advance and chunk-boundary
-	// branch are gone, and at 64 bits the emit is zero-copy.
+	// branch are gone.
 	//
-	// CostStreamU64 is instructions per element for the zero-copy 64-bit
-	// range stream (bounds math amortized over the run).
+	// CostStreamU64 is instructions per element for the 64-bit range
+	// stream (bounds math amortized over the run).
 	CostStreamU64 = 1.5
 	// CostStreamU32 is instructions per element for the 32-bit stream
 	// (load amortized over two elements, shift/mask, store).
@@ -160,7 +160,7 @@ func CostGather(bits uint) float64 {
 }
 
 // CostStream returns the modeled instructions per element for streaming a
-// [lo,hi) run through bitpack.UnpackRange. It is strictly below CostScan
+// [lo,hi) run through core's View.Read. It is strictly below CostScan
 // at every width: long decoded runs replace the iterator's per-element
 // stepping.
 func CostStream(bits uint) float64 {
