@@ -250,8 +250,9 @@ func (p *PageRanker) Free() {
 
 // prScratch is one worker's scratch: the begin run of the current range,
 // per-vertex partial sums, two per-vertex rows (the next ranks and next
-// contributions a sub-range writes out), and the window the in-edges
-// decode into. Only the owning worker touches it.
+// contributions a sub-range writes out), and the window the in-edges of
+// a redge with no typed view decode into. Only the owning worker touches
+// it.
 type prScratch struct {
 	begins   []uint64
 	sums     []float64
@@ -289,11 +290,10 @@ func (p prScratches) of(w *rts.Worker) *prScratch {
 }
 
 // inEdgeWindows reads one sub-range's in-edges [next, end) from redge
-// into buf, a window of at most len(buf) edges at a time. The first
-// window starts at the sub-range's first edge and every later one on a
-// chunk boundary, so View.Read decodes whole chunks. Its fields live in
-// memory rather than in the summing loop's registers, which keeps that
-// loop free of spills.
+// into buf, a window of at most len(buf) edges at a time, for a redge
+// that has no typed view (the compressed edge layouts). The first window
+// starts at the sub-range's first edge and every later one on a chunk
+// boundary, so View.Read decodes whole chunks.
 type inEdgeWindows struct {
 	redge     core.View
 	buf       []uint64
@@ -311,47 +311,54 @@ func (w *inEdgeWindows) read() []uint64 {
 
 // sumInEdges sets sums[i] to the sum of the contributions cw of vertex
 // i's in-neighbours, for the vertices whose reverse-begin run is begins,
-// adding them in edge order. The in-edges are read from redge through buf
-// (inEdgeWindows); a segment that runs past a window goes on in the next.
-// A vertex without in-edges — most of a power-law graph's — costs one
-// test.
-func sumInEdges(redge core.View, begins []uint64, sums []float64, cw, buf []uint64) {
-	w := inEdgeWindows{redge: redge, buf: buf, next: begins[0], end: begins[len(sums)]}
-	var rest []uint64 // the current window's edges not yet summed
+// adding them in edge order. The sub-range's in-edges come in consecutive
+// windows: edges is the first, and more returns the next whenever a
+// segment runs past the current one. A redge read in place hands the
+// whole run over as edges, so more is never called; a decoded one starts
+// empty and refills from inEdgeWindows. A vertex without in-edges — most
+// of a power-law graph's — costs one test.
+func sumInEdges[E uint32 | uint64](begins []uint64, sums []float64, cw []uint64, edges []E, more func() []E) {
+	rest := edges // the current window's edges not yet summed
 	for i := range sums {
 		var sum float64
 		if n := begins[i+1] - begins[i]; n != 0 {
 			for uint64(len(rest)) < n {
-				for _, src := range rest {
-					sum += math.Float64frombits(cw[src])
-				}
+				sum = addContribs(sum, cw, rest)
 				n -= uint64(len(rest))
-				rest = w.read()
+				rest = more()
 			}
-			for _, src := range rest[:n] {
-				sum += math.Float64frombits(cw[src])
-			}
+			sum = addContribs(sum, cw, rest[:n])
 			rest = rest[n:]
 		}
 		sums[i] = sum
 	}
 }
 
-// Words64 returns the words of a PageRank rank or contribution array's
-// snapshot for a reader on socket, cut to its length, so that indexing
-// them with a vertex id bounds-checks the id against the array and not
-// against the chunk padding of its payload. PageRank allocates those
-// arrays bit-packed at 64 bits and never re-encodes them, so a word is an
-// element; any other layout is a broken invariant, not a slower path. The
-// words are read under a pin: a parallel loop's, or outside one the
-// caller's own (a.Memory().Pin()).
+// addContribs adds the contributions cw of the sources srcs to sum, in
+// order. It is kept out of line: inlined, sumInEdges' live slices crowd
+// the registers and the compiler spills this loop's index on every edge.
+//
+//go:noinline
+func addContribs[E uint32 | uint64](sum float64, cw []uint64, srcs []E) float64 {
+	for _, src := range srcs {
+		sum += math.Float64frombits(cw[src])
+	}
+	return sum
+}
+
+// Words64 returns a PageRank rank or contribution array's typed view at
+// 64 bits (core.WordsAs) for a reader on socket: its elements in place,
+// cut to its length. PageRank allocates those arrays bit-packed at 64
+// bits and never re-encodes them, so any other layout is a broken
+// invariant, not a slower path. The words are read under a pin: a
+// parallel loop's, or outside one the caller's own (a.Memory().Pin()).
 func Words64(a *core.SmartArray, socket int) []uint64 {
 	v := a.View(socket)
-	words, bits, ok := v.Packed()
-	if !ok || bits != 64 {
+	words, ok := core.WordsAs[uint64](&v)
+	if !ok {
 		panic("analytics: PageRank rank array is not bit-packed at 64 bits")
 	}
-	return words[:a.Length()]
+	return words
 }
 
 // Run runs pull-based PageRank over the ranker's graph (paper §5.2) on
@@ -361,18 +368,20 @@ func Words64(a *core.SmartArray, socket int) []uint64 {
 // was built with or a view of it, and cfg.DegreeBits 0 or the ranker's
 // width.
 //
-// Per-edge work is one pass over each decoded edge window: each batch
-// takes one View of rbegin and one of redge under the loop's pin and, in
-// sub-ranges of at most rts.DefaultGrain vertices, reads its
-// reverse-begin run and its reverse-edge windows through View.Read and,
-// for each vertex's in-edge segment, adds the neighbours' contributions
-// straight from the contribution array's 64-bit payload words
-// (sumInEdges). Per-vertex work is done once per vertex: the old rank
-// and the inverse degree are read in place from their arrays' 64-bit
-// words (Words64; iteration 0's old ranks are all 1/n), the new rank and
-// its contribution are computed side by side into fresh rows, and each
-// row is written with one InitRange per sub-range. Vertex ranges are split by in-degree (rts.WeightedBounds), so
-// power-law hubs do not serialize their batch; enable rt.SetStealing for
+// Per-edge work is one pass over the edge run: each batch takes one View
+// of rbegin and one of redge under the loop's pin and, in sub-ranges of
+// at most rts.DefaultGrain vertices, reads its reverse-begin run through
+// View.Read and, for each vertex's in-edge segment, adds the neighbours'
+// contributions straight from the contribution array's 64-bit typed view
+// (sumInEdges). The edges are read in place through redge's 32-bit typed
+// view when it has one (the served "V" layout), and otherwise decoded in
+// View.Read windows (inEdgeWindows). Per-vertex work is done once per
+// vertex: the old rank and the inverse degree are read in place from
+// their arrays' 64-bit words (Words64; iteration 0's old ranks are all
+// 1/n), the new rank and its contribution are computed side by side into
+// fresh rows, and each row is written with one InitRange per sub-range.
+// Vertex ranges are split by in-degree (rts.WeightedBounds), so power-law
+// hubs do not serialize their batch; enable rt.SetStealing for
 // cross-socket balance on skewed graphs.
 //
 // It returns the iteration count.
@@ -402,6 +411,7 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 		totalDiff := rt.ReduceSumFloat64Bounds(p.bounds, func(w *rts.Worker, bLo, bHi uint64) float64 {
 			sc := p.scratch.of(w)
 			rbegin, redge := g.RBegin.View(w.Socket), g.REdge.View(w.Socket)
+			edges, inPlace := core.WordsAs[uint32](&redge)
 			cw := Words64(from.contribs, w.Socket)
 			invDeg := Words64(p.invDeg, w.Socket)
 			var oldRanks []uint64 // nil in iteration 0: every old rank is init
@@ -421,7 +431,12 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 				nv := hi - lo
 				begins, sums := sc.begins[:nv+1], sc.sums[:nv]
 				rbegin.Read(lo, hi+1, begins)
-				sumInEdges(redge, begins, sums, cw, sc.edgeBuf)
+				if inPlace {
+					sumInEdges(begins, sums, cw, edges[begins[0]:begins[nv]], nil)
+				} else {
+					win := inEdgeWindows{redge: redge, buf: sc.edgeBuf, next: begins[0], end: begins[nv]}
+					sumInEdges(begins, sums, cw, nil, win.read)
+				}
 				ranks, contribs, invs := sc.ranks[:nv], sc.contribs[:nv], invDeg[lo:hi]
 				var olds []uint64
 				if oldRanks != nil {
@@ -492,11 +507,14 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 
 // pageRankWorkload builds the model descriptor for `iters` PageRank
 // iterations on the fast path: per iteration the algorithm streams rbegin
-// and redge once through the chunk-decode kernels, reads one contribution
-// per edge (semi-random, power-law locality; priced as a 64-bit gather,
-// which is the load it is), and per vertex reads the old rank and the
-// inverse degree and writes the next rank and the next contribution; the
-// ranker's contrib0 has the shape of every per-vertex row a run touches.
+// and redge once (rbegin through the chunk decode; redge in place through
+// its typed view at 32 bits, through the chunk decode at a compressed
+// width; both priced as a stream at the array's width), reads one
+// contribution per edge (semi-random, power-law locality; priced as a
+// 64-bit gather, which is the load it is), and per vertex reads the old
+// rank and the inverse degree and writes the next rank and the next
+// contribution; the ranker's contrib0 has the shape of every per-vertex
+// row a run touches.
 func pageRankWorkload(rt *rts.Runtime, p *PageRanker, iters int) perfmodel.Workload {
 	g, row := p.g, p.contrib0
 	llc := rt.Spec().LLCMB * 1e6

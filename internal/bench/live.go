@@ -196,7 +196,8 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 	for loop := 0; loop < cfg.GatherLoops; loop++ {
 		gatherSum = rt.ReduceSum(0, m, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			out := make([]uint64, hi-lo)
-			core.Gather(a, w.Socket, idx[lo:hi], out)
+			v := a.View(w.Socket)
+			v.Gather(idx[lo:hi], out)
 			a.AccountGather(w.Counters, hi-lo, 1)
 			var s uint64
 			for _, v := range out {

@@ -157,7 +157,8 @@ func RunLiveReencoding(cfg ReencodeConfig) ReencodeReport {
 	sumPass := func() uint64 {
 		return rt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			a.AccountReduce(w.Counters, lo, hi)
-			return core.ReduceRange(a, w.Socket, lo, hi, core.ReduceSum)
+			v := a.View(w.Socket)
+			return v.Reduce(lo, hi, core.ReduceSum, nil)
 		})
 	}
 	scan := span.Child("reencode.scan")
@@ -187,7 +188,8 @@ func RunLiveReencoding(cfg ReencodeConfig) ReencodeReport {
 	for loop := 0; loop < cfg.GatherLoops; loop++ {
 		gatherSum := rt.ReduceSum(0, m, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			out := make([]uint64, hi-lo)
-			core.Gather(a, w.Socket, idx[lo:hi], out)
+			v := a.View(w.Socket)
+			v.Gather(idx[lo:hi], out)
 			a.AccountGather(w.Counters, hi-lo, 1)
 			var s uint64
 			for _, v := range out {

@@ -24,19 +24,18 @@ type Iterator interface {
 // NewIterator allocates an iterator over a starting at index for a reader
 // on the given socket (paper: SmartArrayIterator::allocate, which picks
 // the replica via getReplica and the concrete subclass via the bit
-// count). The 64- and 32-bit iterators index the words directly, so they
-// are picked only when the bound layout is BitPacked at that width. Like a
-// View, an iterator used outside a parallel loop is read under a pin on
-// a.Memory().
+// count). The 64- and 32-bit iterators index the snapshot's typed view
+// (WordsAs), so they are picked only when the bound layout is BitPacked
+// at that width. Like a View, an iterator used outside a parallel loop is
+// read under a pin on a.Memory().
 func NewIterator(a *SmartArray, socket int, index uint64) Iterator {
 	v := a.View(socket)
 	var it Iterator
-	switch words, bits, packed := v.Packed(); {
-	case packed && bits == 64:
+	if words, ok := WordsAs[uint64](&v); ok {
 		it = &U64Iterator{data: words}
-	case packed && bits == 32:
+	} else if words, ok := WordsAs[uint32](&v); ok {
 		it = &U32Iterator{data: words}
-	default:
+	} else {
 		it = &CompressedIterator{view: v}
 	}
 	it.Reset(index)
@@ -59,10 +58,11 @@ func (it *U64Iterator) Get() uint64 { return it.data[it.index] }
 // Reset repositions the iterator.
 func (it *U64Iterator) Reset(index uint64) { it.index = index }
 
-// U32Iterator is the specialized uncompressed 32-bit iterator: two
-// elements per word, extracted with a shift and mask but no chunk buffer.
+// U32Iterator is the specialized uncompressed 32-bit iterator: the
+// payload read in place as []uint32, a plain load per element and no
+// chunk buffer.
 type U32Iterator struct {
-	data  []uint64
+	data  []uint32
 	index uint64
 }
 
@@ -70,10 +70,7 @@ type U32Iterator struct {
 func (it *U32Iterator) Next() { it.index++ }
 
 // Get returns the current element.
-func (it *U32Iterator) Get() uint64 {
-	w := it.data[it.index>>1]
-	return (w >> ((it.index & 1) * 32)) & 0xFFFFFFFF
-}
+func (it *U32Iterator) Get() uint64 { return uint64(it.data[it.index]) }
 
 // Reset repositions the iterator.
 func (it *U32Iterator) Reset(index uint64) { it.index = index }

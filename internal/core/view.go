@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/encoding"
@@ -27,10 +28,14 @@ import (
 // Every range kernel is written once, as a View method (Reduce, Mask,
 // ReduceMasked, Read, Gather) that runs under its caller's pin; the
 // package-level ReduceRange, MaskRange, MaskRangeAnd, ReduceRangeMasked,
-// ReadRange and Gather pin, take a View and call it. Scans fetch one View per column per worker per pass;
-// Get and the range methods then cost no atomic loads. A View is a plain
-// value — never cache one on the array or past its pin, or it keeps
-// reading a retired representation.
+// ReadRange and Gather pin, take a View and call it. A BitPacked snapshot
+// at 8, 16, 32 or 64 bits can also be read in place, with no decode,
+// through its typed view (WordsAs): the 64- and 32-bit iterators,
+// interop's bits-taking entry point, minivm's compiled loads and
+// PageRank's rank and edge reads do. Scans fetch one View per column per
+// worker per pass; Get and the range methods then cost no atomic loads. A
+// View is a plain value — never cache one on the array or past its pin,
+// or it keeps reading a retired representation.
 type View struct {
 	codec  encoding.ChunkCodec
 	length uint64
@@ -59,15 +64,34 @@ func (v *View) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	v.codec.DecodeChunk(chunk, out)
 }
 
-// Packed returns the snapshot's payload words and width when its layout
-// is BitPacked — what a width-specialised reader (U64Iterator, interop's
-// bits-taking entry point, minivm's compiled loads) may index directly.
-// Any other layout reports ok false and must be read through Get.
-func (v *View) Packed() (words []uint64, bits uint, ok bool) {
-	if bp, isBP := v.codec.(*encoding.BitPackedArray); isBP {
-		return bp.PayloadWords(), bp.Bits(), true
+// Word is an element type a typed view may read a bit-packed array as.
+type Word interface {
+	uint8 | uint16 | uint32 | uint64
+}
+
+// littleEndian reports whether the host stores a word's low byte first,
+// which is what lets a payload packed at a width dividing 64 be read as a
+// plain slice: bitpack puts element i at bits [i*w, (i+1)*w) of the
+// payload, as a little-endian []uint8/[]uint16/[]uint32/[]uint64 does.
+var littleEndian = func() bool {
+	w := uint16(1)
+	return *(*byte)(unsafe.Pointer(&w)) == 1
+}()
+
+// WordsAs returns the snapshot's elements as a plain []E, read in place
+// with no decode — the paper's specialized uncompressed classes (§4.2),
+// whose reads are plain loads. It reports ok only for a BitPacked
+// snapshot at exactly E's width on a little-endian host; any other layout
+// must be read through Get, Read or Gather. The slice is cut to the
+// array's length, so an index is bounds-checked against the array, not
+// against its chunk padding. Like every View read it runs under the
+// caller's pin, and the slice must not be kept past it.
+func WordsAs[E Word](v *View) ([]E, bool) {
+	bp, ok := v.codec.(*encoding.BitPackedArray)
+	if !ok || !littleEndian || bp.Bits() != uint(unsafe.Sizeof(E(0)))*8 {
+		return nil, false
 	}
-	return nil, 0, false
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(bp.PayloadWords()))), v.length), true
 }
 
 // reduceChunks folds the whole chunks [chunkLo, chunkHi) with op.

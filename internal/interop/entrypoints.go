@@ -97,9 +97,9 @@ func checkAccess(a *core.SmartArray, socket int, index uint64) error {
 // SmartArrayGetBits is the bits-taking variant: the entry point branches
 // on the passed width and dispatches to the specialized implementation,
 // "avoiding the overhead of the virtual dispatch" (§4.3). The passed bits
-// must match the array's width. The 64- and 32-bit paths index the words
-// directly, so they run only while the bound layout is BitPacked; a
-// re-encoded array reads through its codec.
+// must match the array's width. The 64- and 32-bit paths index the
+// array's typed view (core.WordsAs), so they run only while the bound
+// layout is BitPacked; a re-encoded array reads through its codec.
 func (e *EntryPoints) SmartArrayGetBits(h int64, socket int, index uint64, bits uint) (uint64, error) {
 	a, err := e.reg.Array(h)
 	if err != nil {
@@ -117,13 +117,14 @@ func (e *EntryPoints) SmartArrayGetBits(h int64, socket int, index uint64, bits 
 	mem.Pin()
 	defer mem.Unpin()
 	v := a.View(socket)
-	if words, _, ok := v.Packed(); ok {
-		switch bits {
-		case 64:
+	switch bits {
+	case 64:
+		if words, ok := core.WordsAs[uint64](&v); ok {
 			return words[index], nil
-		case 32:
-			w := words[index>>1]
-			return (w >> ((index & 1) * 32)) & 0xFFFFFFFF, nil
+		}
+	case 32:
+		if words, ok := core.WordsAs[uint32](&v); ok {
+			return uint64(words[index]), nil
 		}
 	}
 	return v.Get(index), nil

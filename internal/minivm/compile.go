@@ -114,19 +114,13 @@ func (vm *VM) compileLoad(a uint8, slot int, c uint8, next int) (compiledFn, err
 			return nil, err
 		}
 		v := arr.View(bind.Socket)
-		// Direct word indexing only while the bound layout is BitPacked;
-		// anything else reads through the codec.
-		if words, bits, ok := v.Packed(); ok {
-			switch bits {
-			case 64:
-				return func(vm *VM) (int, error) { vm.regs[a] = words[vm.regs[c]]; return next, nil }, nil
-			case 32:
-				return func(vm *VM) (int, error) {
-					i := vm.regs[c]
-					vm.regs[a] = (words[i>>1] >> ((i & 1) * 32)) & 0xFFFFFFFF
-					return next, nil
-				}, nil
-			}
+		// Plain loads from the typed view only while the bound layout is
+		// BitPacked at 64 or 32 bits; anything else reads through the codec.
+		if words, ok := core.WordsAs[uint64](&v); ok {
+			return func(vm *VM) (int, error) { vm.regs[a] = words[vm.regs[c]]; return next, nil }, nil
+		}
+		if words, ok := core.WordsAs[uint32](&v); ok {
+			return func(vm *VM) (int, error) { vm.regs[a] = uint64(words[vm.regs[c]]); return next, nil }, nil
 		}
 		return func(vm *VM) (int, error) {
 			vm.regs[a] = v.Get(vm.regs[c])

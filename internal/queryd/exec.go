@@ -144,11 +144,14 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 		}
 		defer out.Free()
 		n := out.Length()
+		// Each batch reads one View under the loop's own pin.
 		sum := qrt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-			return core.ReduceRange(out, w.Socket, lo, hi, core.ReduceSum)
+			v := out.View(w.Socket)
+			return v.Reduce(lo, hi, core.ReduceSum, nil)
 		})
 		max := qrt.ReduceMax(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
-			return core.ReduceRange(out, w.Socket, lo, hi, core.ReduceMax)
+			v := out.View(w.Socket)
+			return v.Reduce(lo, hi, core.ReduceMax, nil)
 		})
 		return DegreeResult{DegreeSum: sum, MaxDegree: max}, nil
 	default:

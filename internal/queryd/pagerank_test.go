@@ -14,8 +14,11 @@ import (
 	"testing"
 
 	"smartarrays/internal/analytics"
+	"smartarrays/internal/core"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/machine"
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
 )
@@ -137,6 +140,73 @@ func TestServedPageRankMatchesRef(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServedGraphDecodePathMatchesTypedView runs PageRank on the graph
+// graph_rank serves (BuildDataset's generator and layout at 100 000
+// vertices) through both of sumInEdges' edge sources: the served 32-bit
+// redge read in place through its typed view, then the same redge
+// re-encoded off BitPacked, and the graph built at "V+E"'s compressed
+// edge width, both read through View.Read windows. Every run must read
+// ranks bit-identical to the typed-view run and to PageRankRef.
+func TestServedGraphDecodePathMatchesTypedView(t *testing.T) {
+	const n = 100000
+	rt := rts.New(machine.UMA(2))
+	defer rt.Close()
+	// Seed 0 seeds the generator with 1.
+	csr, err := graph.GeneratePowerLaw(n, defaultGraphDegree, graphExponent, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := analytics.DefaultPageRankConfig()
+	cfg.MaxIters = 5
+	want, wantIters := analytics.PageRankRef(csr, cfg)
+	check := func(name string, g *graph.SmartCSR, typed bool) {
+		t.Helper()
+		v := g.REdge.View(0)
+		if _, ok := core.WordsAs[uint32](&v); ok != typed {
+			t.Fatalf("%s: redge has a 32-bit typed view: %v, want %v", name, ok, typed)
+		}
+		ranks, iters, _, err := analytics.PageRank(rt, g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if iters != wantIters {
+			t.Errorf("%s: %d iterations, PageRankRef %d", name, iters, wantIters)
+		}
+		for i := range want {
+			if math.Float64bits(ranks[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: rank[%d] = %v, PageRankRef %v", name, i, ranks[i], want[i])
+			}
+		}
+	}
+
+	d, err := BuildDataset(rt, DatasetSpec{Name: "g", Vertices: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Free()
+	check("served", d.Graph, true)
+	if _, err := d.Graph.REdge.Reencode(encoding.Plain, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("served, redge re-encoded Plain", d.Graph, false)
+
+	edges, err := graph.PowerLawEdges(n, defaultGraphDegree, graphExponent, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.BuildSmart(rt.Memory(), n, edges, graph.Layout{
+		Placement: memsim.Interleaved, CompressBegin: true, CompressEdge: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Free()
+	if g.REdge.Bits() >= 32 {
+		t.Fatalf("CompressEdge stores redge at %d bits, want below 32", g.REdge.Bits())
+	}
+	check("V+E", g, false)
 }
 
 // TestServedPageRankFreesProfiles runs the graph_rank request 50 times
