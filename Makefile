@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test allocs race rts-stress queryd-stress core-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-scan load-smoke ci
+.PHONY: all build test allocs race rts-stress queryd-stress core-stress fmt vet lint fuzz-smoke bench-selftest bench-measured bench-pairs bench-ab bench-scan load-smoke ci
 
 all: build
 
@@ -62,7 +62,9 @@ queryd-stress:
 # sees a half-published swap or an unmapped region is timing-dependent in
 # the same way, so repeat the swap and grace-rule tests under -race — in
 # memsim, core and colstore, whose scan passes keep per-worker state
-# across live re-encodes. Race builds keep payload on the Go heap, where
+# across live re-encodes — with core's typed read and write views
+# (TestTypedWordView*, TestTypedWriteView: WordsAs and WriteAs over the
+# race build's heap payload and, below, over mappings). Race builds keep payload on the Go heap, where
 # the detector can see races on its words, so the same tests run again
 # without -race, on mappings, where reading an unmapped region faults;
 # interop's iterators, which pin until the guest frees them, ride along.
@@ -79,12 +81,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet, plus a syntax check of the one bash script no
-# CI target runs (bench-pairs takes minutes). Skips gracefully when
-# staticcheck is not on PATH (no-network sandboxes); the CI lint job
-# installs a pinned version.
+# Static analysis beyond vet, plus a syntax check of the bash scripts no
+# CI target runs (bench-pairs and bench-ab take minutes). Skips
+# gracefully when staticcheck is not on PATH (no-network sandboxes); the
+# CI lint job installs a pinned version.
 lint:
 	bash -n scripts/bench_pairs.sh
+	bash -n scripts/bench_ab.sh
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -121,6 +124,19 @@ bench-pairs:
 	@test -n "$(WORKLOAD)" && test -n "$(PARENT)" || \
 		{ echo "usage: make bench-pairs WORKLOAD=<name> PARENT=<rev> [PAIRS=10]"; exit 2; }
 	bash scripts/bench_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
+
+# Alternated in-process rounds of go test benchmarks, parent test binary
+# against this checkout's (scripts/bench_ab.sh): per-round ns/op, both
+# medians and the rounds the change won — the "N of N alternated rounds"
+# a kernel or core change reports before paying for bench-pairs. Not a CI
+# target, for the same reason.
+ROUNDS ?= 5
+CPU ?= 2
+BENCHTIME ?= 1s
+bench-ab:
+	@test -n "$(PARENT)" && test -n "$(PKG)" && test -n "$(BENCH)" || \
+		{ echo "usage: make bench-ab PARENT=<rev> PKG=<pkg> BENCH=<regex> [ROUNDS=5] [CPU=2] [BENCHTIME=1s]"; exit 2; }
+	bash scripts/bench_ab.sh $(PARENT) $(PKG) '$(BENCH)' $(ROUNDS) $(CPU) $(BENCHTIME)
 
 # The predicated-scan sizing benchmarks, in process: bitpack's compare,
 # masked-sum and chunk-decode kernels per width (ns/elem next to a

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
@@ -88,6 +89,38 @@ func TestPageRankMatchesReference(t *testing.T) {
 		if work.Instructions <= 0 || len(work.Streams) != 5 {
 			t.Errorf("workload malformed: %d streams", len(work.Streams))
 		}
+		if layout.Placement == memsim.Replicated {
+			checkEveryReplica(t, rt, s, prCfg, wantRanks)
+		}
+	}
+}
+
+// checkEveryReplica runs PageRank on a replicated graph, whose rank arrays
+// are replicated too, and holds the final ranks read from every socket's
+// replica to want: PageRank itself reads socket 0's, so a write that
+// reached only the first replica would show here.
+func checkEveryReplica(t *testing.T, rt *rts.Runtime, s *graph.SmartCSR, cfg PageRankConfig, want []float64) {
+	t.Helper()
+	p, err := NewPageRanker(rt, s, cfg.DegreeBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Free()
+	got := make([]uint64, s.NumVertices)
+	if _, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
+		if ranks.Placement() != memsim.Replicated {
+			t.Fatalf("rank array placed %v on a replicated graph", ranks.Placement())
+		}
+		for socket := 0; socket < rt.Spec().Sockets; socket++ {
+			core.ReadRange(ranks, socket, 0, uint64(len(got)), got)
+			for v, bits := range got {
+				if r := math.Float64frombits(bits); math.Abs(r-want[v]) > 1e-9 {
+					t.Fatalf("socket %d's replica: rank[%d] = %g, want %g", socket, v, r, want[v])
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -104,9 +104,10 @@ func (l *prLease) free() {
 // the graph's placement, as the paper's placement variations "apply to all
 // arrays except for the output array", plus one lease, and fills the
 // cached arrays in one parallel pass: the begin array is read once per
-// batch through View.Read, degrees come from adjacent
-// differences, the inverse degrees are computed here, and each array is
-// written with one InitRange per batch. The batches are uniform
+// batch through View.Read, degrees come from adjacent differences,
+// written over the begin run, and go out with one InitRange per batch;
+// the inverse degrees and contrib0 are written in place through their
+// 64-bit write views (core.WriteAs). The batches are uniform
 // rts.DefaultGrain ranges, whole bitpack chunks, so no two writers share a
 // packed word of the out-degrees at a width below 64.
 func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanker, error) {
@@ -149,22 +150,24 @@ func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanke
 		begins := sc.begins[:nv+1]
 		begin := g.Begin.View(w.Socket)
 		begin.Read(lo, hi+1, begins)
-		degs, invs := sc.ranks[:nv], sc.contribs[:nv]
+		// The degrees overwrite the begin run in place: degs[i] is read
+		// from begins[i+1] before that is overwritten.
+		degs := begins[:nv]
 		for i := range degs {
-			deg := begins[i+1] - begins[i]
+			degs[i] = begins[i+1] - begins[i]
+		}
+		p.outDeg.InitRange(w.Socket, lo, degs)
+		invs, contribs := writeWords64(p.invDeg, w.Socket, lo, hi), writeWords64(p.contrib0, w.Socket, lo, hi)
+		for i, deg := range degs {
 			var inv float64
 			if deg > 0 {
 				inv = 1 / float64(deg)
 			}
-			degs[i] = deg
-			invs[i] = math.Float64bits(inv)
+			invs.Words[i] = math.Float64bits(inv)
+			contribs.Words[i] = math.Float64bits(init * inv)
 		}
-		p.outDeg.InitRange(w.Socket, lo, degs)
-		p.invDeg.InitRange(w.Socket, lo, invs)
-		for i, inv := range invs {
-			invs[i] = math.Float64bits(init * math.Float64frombits(inv))
-		}
-		p.contrib0.InitRange(w.Socket, lo, invs)
+		invs.Done()
+		contribs.Done()
 	})
 	p.idle = append(p.idle, l)
 	return p, nil
@@ -249,16 +252,13 @@ func (p *PageRanker) Free() {
 }
 
 // prScratch is one worker's scratch: the begin run of the current range,
-// per-vertex partial sums, two per-vertex rows (the next ranks and next
-// contributions a sub-range writes out), and the window the in-edges of
-// a redge with no typed view decode into. Only the owning worker touches
-// it.
+// and the window the in-edges of a redge with no typed view decode into.
+// Only the owning worker touches it. A sub-range's next ranks and next
+// contributions need no row: they are written in place, through the
+// lease arrays' write views.
 type prScratch struct {
-	begins   []uint64
-	sums     []float64
-	ranks    []uint64
-	contribs []uint64
-	edgeBuf  []uint64
+	begins  []uint64
+	edgeBuf []uint64
 }
 
 // prEdgeBufLen is the in-edge window length: a multiple of the bitpack
@@ -274,19 +274,22 @@ const prEdgeBufLen = 16 * bitpack.ChunkSize
 type prScratches []prScratch
 
 // of returns w's scratch. A worker's first batch on the ranker allocates
-// it, and a worker that never claims a batch allocates nothing.
+// its begin row, and a worker that never claims a batch allocates nothing.
 func (p prScratches) of(w *rts.Worker) *prScratch {
 	sc := &p[w.ID]
-	if sc.edgeBuf == nil {
-		*sc = prScratch{
-			begins:   make([]uint64, rts.DefaultGrain+1),
-			sums:     make([]float64, rts.DefaultGrain),
-			ranks:    make([]uint64, rts.DefaultGrain),
-			contribs: make([]uint64, rts.DefaultGrain),
-			edgeBuf:  make([]uint64, prEdgeBufLen),
-		}
+	if sc.begins == nil {
+		sc.begins = make([]uint64, rts.DefaultGrain+1)
 	}
 	return sc
+}
+
+// edgeWindow returns the worker's in-edge window, allocated on its first
+// decoded read: a redge read in place never allocates one.
+func (sc *prScratch) edgeWindow() []uint64 {
+	if sc.edgeBuf == nil {
+		sc.edgeBuf = make([]uint64, prEdgeBufLen)
+	}
+	return sc.edgeBuf
 }
 
 // inEdgeWindows reads one sub-range's in-edges [next, end) from redge
@@ -309,17 +312,41 @@ func (w *inEdgeWindows) read() []uint64 {
 	return win
 }
 
-// sumInEdges sets sums[i] to the sum of the contributions cw of vertex
-// i's in-neighbours, for the vertices whose reverse-begin run is begins,
-// adding them in edge order. The sub-range's in-edges come in consecutive
-// windows: edges is the first, and more returns the next whenever a
-// segment runs past the current one. A redge read in place hands the
-// whole run over as edges, so more is never called; a decoded one starts
-// empty and refills from inEdgeWindows. A vertex without in-edges — most
-// of a power-law graph's — costs one test.
-func sumInEdges[E uint32 | uint64](begins []uint64, sums []float64, cw []uint64, edges []E, more func() []E) {
+// prStep is what every sub-range of one iteration reads besides its own
+// rows: the contributions cw its in-edges gather from, and the rank
+// formula's constants.
+type prStep struct {
+	cw            []uint64
+	base, damping float64
+	// init is every old rank in iteration 0, which has no rank array.
+	init float64
+}
+
+// prRows are one sub-range's per-vertex rows, all in place: the
+// reverse-begin run begins (one longer than the others), the old ranks
+// (nil in iteration 0), the inverse degrees, and the next ranks and next
+// contributions it writes.
+type prRows struct {
+	begins, olds, invs, ranks, contribs []uint64
+}
+
+// rankVertices is one sub-range of an iteration, in one pass over its
+// vertices: for each vertex it adds the contributions of its
+// in-neighbours in edge order, writes the next rank base+damping*sum and
+// the next contribution rank*invDeg, and adds |next-old| to diff, which
+// it returns. The sub-range's in-edges come in consecutive windows: edges
+// is the first, and more returns the next whenever a segment runs past
+// the current one. A redge read in place hands the whole run over as
+// edges, so more is never called; a decoded one starts empty and refills
+// from inEdgeWindows. A vertex without in-edges — most of a power-law
+// graph's — costs one test.
+func rankVertices[E uint32 | uint64](s *prStep, r *prRows, edges []E, more func() []E, diff float64) float64 {
+	cw, base, damping, init := s.cw, s.base, s.damping, s.init
+	begins, olds, ranks := r.begins, r.olds, r.ranks
+	invs, contribs := r.invs[:len(ranks)], r.contribs[:len(ranks)]
+	_ = begins[len(ranks)]
 	rest := edges // the current window's edges not yet summed
-	for i := range sums {
+	for i := range ranks {
 		var sum float64
 		if n := begins[i+1] - begins[i]; n != 0 {
 			for uint64(len(rest)) < n {
@@ -330,12 +357,20 @@ func sumInEdges[E uint32 | uint64](begins []uint64, sums []float64, cw []uint64,
 			sum = addContribs(sum, cw, rest[:n])
 			rest = rest[n:]
 		}
-		sums[i] = sum
+		old := init
+		if olds != nil {
+			old = math.Float64frombits(olds[i])
+		}
+		next := base + damping*sum
+		diff += math.Abs(next - old)
+		ranks[i] = math.Float64bits(next)
+		contribs[i] = math.Float64bits(next * math.Float64frombits(invs[i]))
 	}
+	return diff
 }
 
 // addContribs adds the contributions cw of the sources srcs to sum, in
-// order. It is kept out of line: inlined, sumInEdges' live slices crowd
+// order. It is kept out of line: inlined, rankVertices' live slices crowd
 // the registers and the compiler spills this loop's index on every edge.
 //
 //go:noinline
@@ -361,6 +396,19 @@ func Words64(a *core.SmartArray, socket int) []uint64 {
 	return words
 }
 
+// writeWords64 opens elements [lo, hi) of a PageRank rank, contribution
+// or inverse-degree array for writing from socket, in place, through its
+// 64-bit write view (core.WriteAs); the caller writes every element and
+// calls Done. Like Words64 it panics on any layout but bit-packed at 64
+// bits.
+func writeWords64(a *core.SmartArray, socket int, lo, hi uint64) core.WriteView[uint64] {
+	w, ok := core.WriteAs[uint64](a, socket, lo, hi)
+	if !ok {
+		panic("analytics: PageRank rank array is not bit-packed at 64 bits")
+	}
+	return w
+}
+
 // Run runs pull-based PageRank over the ranker's graph (paper §5.2) on
 // the graph fast path, on a lease, and calls visit with the final ranks —
 // doubles stored bit-cast in a 64-bit smart array — before the lease goes
@@ -368,21 +416,23 @@ func Words64(a *core.SmartArray, socket int) []uint64 {
 // was built with or a view of it, and cfg.DegreeBits 0 or the ranker's
 // width.
 //
-// Per-edge work is one pass over the edge run: each batch takes one View
-// of rbegin and one of redge under the loop's pin and, in sub-ranges of
-// at most rts.DefaultGrain vertices, reads its reverse-begin run through
-// View.Read and, for each vertex's in-edge segment, adds the neighbours'
-// contributions straight from the contribution array's 64-bit typed view
-// (sumInEdges). The edges are read in place through redge's 32-bit typed
-// view when it has one (the served "V" layout), and otherwise decoded in
-// View.Read windows (inEdgeWindows). Per-vertex work is done once per
-// vertex: the old rank and the inverse degree are read in place from
-// their arrays' 64-bit words (Words64; iteration 0's old ranks are all
-// 1/n), the new rank and its contribution are computed side by side into
-// fresh rows, and each row is written with one InitRange per sub-range.
-// Vertex ranges are split by in-degree (rts.WeightedBounds), so power-law
-// hubs do not serialize their batch; enable rt.SetStealing for
-// cross-socket balance on skewed graphs.
+// Each sub-range of an iteration is one pass over its vertices
+// (rankVertices) that reads its inputs in place and writes its outputs in
+// place. Each batch takes one View of rbegin and one of redge under the
+// loop's pin and, in sub-ranges of at most rts.DefaultGrain vertices,
+// reads its reverse-begin run through View.Read and opens the lease's
+// next rank and next contribution arrays over the sub-range through their
+// 64-bit write views (core.WriteAs). Per vertex it adds the neighbours'
+// contributions of its in-edge segment, in edge order, straight from the
+// contribution array's 64-bit typed view; reads its old rank and inverse
+// degree in place (Words64; iteration 0's old ranks are all 1/n); and
+// writes the new rank and its contribution into the write views' words.
+// The write views' Done then copies the sub-range to the other replicas.
+// The edges are read in place through redge's 32-bit typed view when it
+// has one (the served "V" layout), and otherwise decoded in View.Read
+// windows (inEdgeWindows). Vertex ranges are split by in-degree
+// (rts.WeightedBounds), so power-law hubs do not serialize their batch;
+// enable rt.SetStealing for cross-socket balance on skewed graphs.
 //
 // It returns the iteration count.
 func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *core.SmartArray)) (int, error) {
@@ -412,14 +462,14 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 			sc := p.scratch.of(w)
 			rbegin, redge := g.RBegin.View(w.Socket), g.REdge.View(w.Socket)
 			edges, inPlace := core.WordsAs[uint32](&redge)
-			cw := Words64(from.contribs, w.Socket)
+			step := prStep{cw: Words64(from.contribs, w.Socket), base: base, damping: cfg.Damping, init: init}
 			invDeg := Words64(p.invDeg, w.Socket)
 			var oldRanks []uint64 // nil in iteration 0: every old rank is init
 			if from.ranks != nil {
 				oldRanks = Words64(from.ranks, w.Socket)
 			}
 			// The batch is walked in sub-ranges of at most DefaultGrain
-			// vertices, so the scratch rows stay grain-sized however many
+			// vertices, so the begin row stays grain-sized however many
 			// vertices the batch's edge weight spans. A sub-range starts at
 			// a vertex, so each in-edge segment is summed whole, in edge
 			// order, and localDiff is carried across them in vertex order.
@@ -429,31 +479,22 @@ func (p *PageRanker) Run(rt *rts.Runtime, cfg PageRankConfig, visit func(ranks *
 			for lo := bLo; lo < bHi; {
 				hi := min(lo-lo%rts.DefaultGrain+rts.DefaultGrain, bHi)
 				nv := hi - lo
-				begins, sums := sc.begins[:nv+1], sc.sums[:nv]
-				rbegin.Read(lo, hi+1, begins)
-				if inPlace {
-					sumInEdges(begins, sums, cw, edges[begins[0]:begins[nv]], nil)
-				} else {
-					win := inEdgeWindows{redge: redge, buf: sc.edgeBuf, next: begins[0], end: begins[nv]}
-					sumInEdges(begins, sums, cw, nil, win.read)
-				}
-				ranks, contribs, invs := sc.ranks[:nv], sc.contribs[:nv], invDeg[lo:hi]
-				var olds []uint64
+				rows := prRows{begins: sc.begins[:nv+1], invs: invDeg[lo:hi]}
 				if oldRanks != nil {
-					olds = oldRanks[lo:hi]
+					rows.olds = oldRanks[lo:hi]
 				}
-				for i, sum := range sums {
-					old := init
-					if olds != nil {
-						old = math.Float64frombits(olds[i])
-					}
-					newRank := base + cfg.Damping*sum
-					localDiff += math.Abs(newRank - old)
-					ranks[i] = math.Float64bits(newRank)
-					contribs[i] = math.Float64bits(newRank * math.Float64frombits(invs[i]))
+				rbegin.Read(lo, hi+1, rows.begins)
+				ranks, contribs := writeWords64(to.ranks, w.Socket, lo, hi), writeWords64(to.contribs, w.Socket, lo, hi)
+				rows.ranks, rows.contribs = ranks.Words, contribs.Words
+				first, end := rows.begins[0], rows.begins[nv]
+				if inPlace {
+					localDiff = rankVertices(&step, &rows, edges[first:end], nil, localDiff)
+				} else {
+					win := inEdgeWindows{redge: redge, buf: sc.edgeWindow(), next: first, end: end}
+					localDiff = rankVertices(&step, &rows, nil, win.read, localDiff)
 				}
-				to.ranks.InitRange(w.Socket, lo, ranks)
-				to.contribs.InitRange(w.Socket, lo, contribs)
+				ranks.Done()
+				contribs.Done()
 				lo = hi
 			}
 			return localDiff
@@ -512,9 +553,10 @@ func checkPageRankConfig(cfg PageRankConfig) error {
 // width; both priced as a stream at the array's width), reads one
 // contribution per edge (semi-random, power-law locality; priced as a
 // 64-bit gather, which is the load it is), and per vertex reads the old
-// rank and the inverse degree and writes the next rank and the next
-// contribution; the ranker's contrib0 has the shape of every per-vertex
-// row a run touches.
+// rank and the inverse degree in place and writes the next rank and the
+// next contribution in place through the lease's write views (priced as
+// two 64-bit inits, the stores they are); the ranker's contrib0 has the
+// shape of every per-vertex row a run touches.
 func pageRankWorkload(rt *rts.Runtime, p *PageRanker, iters int) perfmodel.Workload {
 	g, row := p.g, p.contrib0
 	llc := rt.Spec().LLCMB * 1e6

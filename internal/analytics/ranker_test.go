@@ -7,6 +7,7 @@ import (
 
 	"smartarrays/internal/core"
 	"smartarrays/internal/graph"
+	"smartarrays/internal/memsim"
 	"smartarrays/internal/rts"
 )
 
@@ -191,19 +192,82 @@ func TestPageRankScratchBounded(t *testing.T) {
 
 	allocated := 0
 	for id, sc := range p.scratch {
-		if sc.edgeBuf == nil {
+		if sc.begins == nil {
 			continue // this worker never claimed a batch
 		}
 		allocated++
-		rows := map[string]int{"begins": cap(sc.begins), "sums": cap(sc.sums), "ranks": cap(sc.ranks), "contribs": cap(sc.contribs)}
-		for name, c := range rows {
-			if c > rts.DefaultGrain+1 {
-				t.Errorf("worker %d: %s row has cap %d, above the grain %d (+1); widest batch %d", id, name, c, rts.DefaultGrain, widest)
-			}
+		if c := cap(sc.begins); c > rts.DefaultGrain+1 {
+			t.Errorf("worker %d: begin row has cap %d, above the grain %d (+1); widest batch %d", id, c, rts.DefaultGrain, widest)
 		}
 	}
 	if allocated == 0 {
 		t.Fatal("no worker allocated scratch")
 	}
 	t.Logf("widest batch %d vertices; %d of %d workers allocated scratch", widest, allocated, len(p.scratch))
+}
+
+// TestPageRankEdgeWindowOnlyWhenDecoded: a worker allocates its in-edge
+// window on its first decoded read, so runs on the served layout — the
+// paper's "V", built as queryd builds it, whose 32-bit redge is read in
+// place — leave every worker's window nil, while a "V+E" graph's
+// compressed redge, which is decoded, allocates one. Both match
+// PageRankRef bit-for-bit.
+func TestPageRankEdgeWindowOnlyWhenDecoded(t *testing.T) {
+	const n = 3000
+	edgeList := func() []graph.Edge32 { // each build consumes its list
+		edges, err := graph.PowerLawEdges(n, 8, 2.1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return edges
+	}
+	g, err := graph.Build(n, edgeList())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultPageRankConfig()
+	cfg.MaxIters = 5
+	want, _ := PageRankRef(g, cfg)
+	rt := newRT()
+	for _, c := range []struct {
+		layout  graph.Layout
+		decoded bool
+	}{
+		{graph.Layout{Placement: memsim.Interleaved, CompressBegin: true}, false},
+		{graph.Layout{Placement: memsim.Interleaved, CompressBegin: true, CompressEdge: true}, true},
+	} {
+		s, err := graph.BuildSmart(rt.Memory(), n, edgeList(), c.layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Free)
+		p, err := NewPageRanker(rt, s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Free()
+		got := make([]uint64, n)
+		if _, err := p.Run(rt, cfg, func(ranks *core.SmartArray) {
+			core.ReadRange(ranks, 0, 0, n, got)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for v, bits := range got {
+			if bits != math.Float64bits(want[v]) {
+				t.Fatalf("layout %+v: rank[%d] = %x, PageRankRef gives %x", c.layout, v, bits, math.Float64bits(want[v]))
+			}
+		}
+		windows := 0
+		for _, sc := range p.scratch {
+			if sc.edgeBuf != nil {
+				windows++
+			}
+		}
+		if c.decoded && windows == 0 {
+			t.Errorf("layout %+v: redge at %d bits is decoded, but no worker allocated an in-edge window", c.layout, s.REdge.Bits())
+		}
+		if !c.decoded && windows != 0 {
+			t.Errorf("layout %+v: redge is read in place, but %d workers allocated an in-edge window", c.layout, windows)
+		}
+	}
 }

@@ -246,10 +246,12 @@ func checkWritable(rp *repr, op string) {
 // batch form of Init, leaving the array, its first-touch page map and its
 // zone index exactly as len(values) Init calls from socket would, but
 // checking, invalidating and bumping Generation once per call (Generation
-// counts revisions, not elements). 64-bit arrays are a copy per replica;
-// narrower ones pack whole chunks with bitpack.Codec.Pack into the first
-// replica and copy the packed words to the others, and write the ragged
-// head and tail with Codec.Set. Concurrent callers follow Init's contract:
+// counts revisions, not elements). 64-bit arrays are a copy into the
+// range's write view (WriteAs), whose Done copies it to the other
+// replicas; narrower ones (and 64-bit ones on a big-endian host) pack
+// whole chunks with bitpack.Codec.Pack into the first replica and copy
+// the packed words to the others, and write the ragged head and tail
+// with Codec.Set. Concurrent callers follow Init's contract:
 // ranges must not share a packed word. Whole chunks are stored without
 // being read and ragged ends touch only the words their elements occupy,
 // so a writer never touches a word outside its range. An empty values is
@@ -263,16 +265,17 @@ func (a *SmartArray) InitRange(socket int, lo uint64, values []uint64) {
 		return
 	}
 	hi := lo + n
+	if a.codec.Bits() == 64 {
+		if w, ok := WriteAs[uint64](a, socket, lo, hi); ok {
+			copy(w.Words, values)
+			w.Done()
+			return
+		}
+	}
 	rp := a.beginWrite("InitRange")
 	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
 	rp.region.TouchRange(loWord, hiWord-loWord, socket)
 	replicas := rp.region.AllReplicas()
-	if a.codec.Bits() == 64 {
-		for _, replica := range replicas {
-			copy(replica[lo:hi], values)
-		}
-		return
-	}
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	if chunkLo < chunkHi {
 		first := replicas[0]

@@ -64,7 +64,8 @@ func (v *View) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	v.codec.DecodeChunk(chunk, out)
 }
 
-// Word is an element type a typed view may read a bit-packed array as.
+// Word is an element type a typed view may read (WordsAs) or write
+// (WriteAs) a bit-packed array as.
 type Word interface {
 	uint8 | uint16 | uint32 | uint64
 }
@@ -88,10 +89,73 @@ var littleEndian = func() bool {
 // caller's pin, and the slice must not be kept past it.
 func WordsAs[E Word](v *View) ([]E, bool) {
 	bp, ok := v.codec.(*encoding.BitPackedArray)
-	if !ok || !littleEndian || bp.Bits() != uint(unsafe.Sizeof(E(0)))*8 {
+	if !ok || !littleEndian || bp.Bits() != wordBits[E]() {
 		return nil, false
 	}
-	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(bp.PayloadWords()))), v.length), true
+	return wordsOf[E](bp.PayloadWords(), v.length), true
+}
+
+// wordBits is E's width in bits.
+func wordBits[E Word]() uint { return uint(unsafe.Sizeof(E(0))) * 8 }
+
+// wordsOf reads payload words packed at E's width as their first n
+// elements, in place.
+func wordsOf[E Word](payload []uint64, n uint64) []E {
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(payload))), n)
+}
+
+// WriteView is a typed write view of elements [lo, hi) of an array: the
+// write twin of WordsAs, taken by WriteAs and finished by Done.
+type WriteView[E Word] struct {
+	// Words are the first replica's elements [lo, hi), in place: Words[i]
+	// is element lo+i.
+	Words []E
+	// replicas are every replica's payload, the first one Words' own.
+	replicas [][]uint64
+	lo       uint64
+}
+
+// WriteAs opens elements [lo, hi) of a for writing as a plain []E, in
+// place, from a writer on socket. It reports ok under the same rule as
+// WordsAs — a BitPacked array at exactly E's width on a little-endian
+// host — and refuses anything else (a re-encoded array, another width)
+// without touching the array. On ok it pays what InitRange pays once per
+// call: the zone index is dropped, Generation goes up by one and the
+// pages of [lo, hi) are first-touched from socket, so the array ends as
+// one InitRange of the range would leave it. An empty range is a no-op,
+// as it is for InitRange. The caller writes every element of Words and
+// then calls Done, which copies the range to the other replicas; until
+// Done, readers of another replica see the old values. Concurrent
+// writers follow Init's contract: ranges must not share a payload word.
+// Like InitRange it takes no pin, and Words must not be kept past Done.
+func WriteAs[E Word](a *SmartArray, socket int, lo, hi uint64) (WriteView[E], bool) {
+	if lo > hi || hi > a.length {
+		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, a.length))
+	}
+	rp := a.rep.Load()
+	if !littleEndian || a.codec.Bits() != wordBits[E]() || rp.codecs[0].Kind() != encoding.BitPacked {
+		return WriteView[E]{}, false
+	}
+	if lo == hi {
+		return WriteView[E]{}, true
+	}
+	rp = a.beginWrite("WriteAs")
+	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
+	rp.region.TouchRange(loWord, hiWord-loWord, socket)
+	replicas := rp.region.AllReplicas()
+	return WriteView[E]{Words: wordsOf[E](replicas[0], hi)[lo:], replicas: replicas, lo: lo}, true
+}
+
+// Done copies the written range from the first replica to every other
+// one; on an array with one replica it does nothing.
+func (w *WriteView[E]) Done() {
+	if len(w.replicas) < 2 {
+		return
+	}
+	hi := w.lo + uint64(len(w.Words))
+	for _, replica := range w.replicas[1:] {
+		copy(wordsOf[E](replica, hi)[w.lo:], w.Words)
+	}
 }
 
 // reduceChunks folds the whole chunks [chunkLo, chunkHi) with op.

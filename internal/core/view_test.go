@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"smartarrays/internal/bitpack"
@@ -115,5 +116,168 @@ func TestTypedWordViewRefusesReencoded(t *testing.T) {
 			}
 		}
 		mem.Unpin()
+	}
+}
+
+// writeViewMatches writes values over [lo, lo+len(values)) of a fresh
+// bits-wide array through WriteAs[E] from socket writer, and holds the
+// result to the per-element Init loop over the same values: before Done
+// no other replica has moved; after it every replica of every placement
+// is word-identical to the Init loop's, the OSDefault first-touch page
+// map is InitRange's, Generation went up by exactly 1 (0 for an empty
+// range) and an attached zone index is gone (kept by an empty range).
+func writeViewMatches[E Word](t *testing.T, mem *memsim.Memory, p memsim.Placement, lo uint64, values []uint64) {
+	t.Helper()
+	const length = 1500 // three pages at 64 bits
+	const writer = 1    // untouched pages read as socket 0
+	bits := wordBits[E]()
+	name := fmt.Sprintf("bits=%d %v lo=%d n=%d", bits, p, lo, len(values))
+	cfg := Config{Length: length, Bits: bits, Placement: p}
+	initLoop, initRange, got := mustAlloc(t, mem, cfg), mustAlloc(t, mem, cfg), mustAlloc(t, mem, cfg)
+	for _, a := range []*SmartArray{initLoop, initRange, got} {
+		dirty(a, uint64(bits))
+	}
+	for i, v := range values {
+		initLoop.Init(writer, lo+uint64(i), v)
+	}
+	initRange.InitRange(writer, lo, values)
+
+	got.BuildZoneIndex()
+	before := got.Generation()
+	replicas := got.Region().AllReplicas()
+	var untouched [][]uint64 // every replica but the first, as dirty left it
+	for _, replica := range replicas[1:] {
+		untouched = append(untouched, append([]uint64(nil), replica...))
+	}
+	hi := lo + uint64(len(values))
+	w, ok := WriteAs[E](got, writer, lo, hi)
+	if !ok {
+		t.Fatalf("%s: no write view on a BitPacked array at its width", name)
+	}
+	if uint64(len(w.Words)) != hi-lo {
+		t.Fatalf("%s: write view holds %d elements, want %d", name, len(w.Words), hi-lo)
+	}
+	for i, v := range values {
+		w.Words[i] = E(v)
+	}
+	for r, old := range untouched {
+		for i, word := range old {
+			if replicas[r+1][i] != word {
+				t.Fatalf("%s: replica %d word %d moved before Done", name, r+1, i)
+			}
+		}
+	}
+	w.Done()
+
+	for r, wr := range initLoop.Region().AllReplicas() {
+		for i, word := range wr {
+			if replicas[r][i] != word {
+				t.Fatalf("%s: replica %d word %d = %#x, Init loop gives %#x", name, r, i, replicas[r][i], word)
+			}
+		}
+	}
+	for word := uint64(0); word < got.Region().Words(); word += memsim.PageWords {
+		if g, want := got.Region().HomeSocket(word, 0), initRange.Region().HomeSocket(word, 0); g != want {
+			t.Fatalf("%s: page of word %d homed on socket %d, InitRange homes it on %d", name, word, g, want)
+		}
+	}
+	switch after := got.Generation(); {
+	case len(values) == 0 && (after != before || got.ZoneIndex() == nil):
+		t.Fatalf("%s: an empty write view is a no-op (generation %d -> %d)", name, before, after)
+	case len(values) > 0 && after != before+1:
+		t.Fatalf("%s: generation %d -> %d, want one revision per call", name, before, after)
+	case len(values) > 0 && got.ZoneIndex() != nil:
+		t.Fatalf("%s: zone index survived a write", name)
+	}
+}
+
+// TestTypedWriteView: WriteAs at 8, 16, 32 and 64 bits, on ranges on and
+// off the chunk grid, over every placement, leaves the array as the Init
+// loop and InitRange do (writeViewMatches), Done filling every replica of
+// a Replicated array. It refuses a width other than E's, a straddling
+// width and a re-encoded array, without moving Generation, and panics on
+// a range out of bounds. Under -race the payload is on the Go heap (make
+// race, make core-stress); otherwise it is mapped outside the heap.
+func TestTypedWriteView(t *testing.T) {
+	mem := newMemory()
+	for _, p := range placements {
+		for _, lo := range []uint64{0, 64, 37, 500} {
+			for _, n := range []uint64{0, 1, 63, 64, 65, 5*64 + 17, 900} {
+				values := make([]uint64, n)
+				for i := range values {
+					values[i] = (lo + uint64(i) + 1) * 0x9E3779B97F4A7C15
+				}
+				masked := func(bits uint) []uint64 {
+					out := make([]uint64, n)
+					for i, v := range values {
+						out[i] = v & bitpack.MustNew(bits).Mask()
+					}
+					return out
+				}
+				writeViewMatches[uint8](t, mem, p, lo, masked(8))
+				writeViewMatches[uint16](t, mem, p, lo, masked(16))
+				writeViewMatches[uint32](t, mem, p, lo, masked(32))
+				writeViewMatches[uint64](t, mem, p, lo, values)
+			}
+		}
+	}
+
+	refused := func(name string, ok bool) {
+		t.Helper()
+		if ok {
+			t.Errorf("%s: write view ok", name)
+		}
+	}
+	for _, bits := range []uint{8, 16, 20, 32, 64} {
+		a := mustAlloc(t, mem, Config{Length: 300, Bits: bits, Placement: memsim.Replicated})
+		before := a.Generation()
+		for _, w := range []uint{8, 16, 32, 64} {
+			if w == bits {
+				continue
+			}
+			var ok bool
+			switch w {
+			case 8:
+				_, ok = WriteAs[uint8](a, 0, 0, 100)
+			case 16:
+				_, ok = WriteAs[uint16](a, 0, 0, 100)
+			case 32:
+				_, ok = WriteAs[uint32](a, 0, 0, 100)
+			default:
+				_, ok = WriteAs[uint64](a, 0, 0, 100)
+			}
+			refused(fmt.Sprintf("%d-bit array as %d bits", bits, w), ok)
+		}
+		if a.Generation() != before {
+			t.Errorf("%d-bit array: a refused write view moved Generation %d -> %d", bits, before, a.Generation())
+		}
+	}
+	for _, kind := range encoding.Kinds {
+		if kind == encoding.BitPacked {
+			continue
+		}
+		a := mustAlloc(t, mem, Config{Length: 300, Bits: 64, Placement: memsim.Interleaved})
+		fillMixed(a)
+		if _, err := a.Reencode(kind, 0); err != nil {
+			t.Fatalf("Reencode(%v): %v", kind, err)
+		}
+		before := a.Generation()
+		_, ok := WriteAs[uint64](a, 0, 0, 100)
+		refused(fmt.Sprintf("array re-encoded %v", kind), ok)
+		if a.Generation() != before {
+			t.Errorf("%v: a refused write view moved Generation %d -> %d", kind, before, a.Generation())
+		}
+	}
+
+	a := mustAlloc(t, mem, Config{Length: 300, Bits: 64})
+	for _, r := range [][2]uint64{{0, 301}, {200, 100}, {301, 301}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WriteAs over [%d,%d) of 300 elements: no panic", r[0], r[1])
+				}
+			}()
+			WriteAs[uint64](a, 0, r[0], r[1])
+		}()
 	}
 }
