@@ -68,8 +68,12 @@ queryd-stress:
 # the detector can see races on its words, so the same tests run again
 # without -race, on mappings, where reading an unmapped region faults;
 # interop's iterators, which pin until the guest frees them, ride along.
+# The race pass also runs the writers' tests (TestInitAtomicConcurrent,
+# TestEveryWriterInvalidates): every write call goes through one step,
+# so concurrent InitAtomic callers share the zone-index drop and the
+# Generation bump, not just CAS'd payload words.
 core-stress:
-	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View|Retire|Pin' ./internal/memsim ./internal/core ./internal/colstore
+	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View|Retire|Pin|InitAtomic|EveryWriter' ./internal/memsim ./internal/core ./internal/colstore
 	$(GO) test -count=10 -run 'Reencode|Migrate|Replica|View|Retire|Pin|Iterator' ./internal/memsim ./internal/core ./internal/colstore ./internal/interop
 
 fmt:

@@ -138,9 +138,7 @@ func RunAblationUnpack() AblationSection {
 		panic(err)
 	}
 	defer a.Free()
-	for i := uint64(0); i < n; i++ {
-		a.Init(0, i, i)
-	}
+	fillRange(a, 0, 0, n, func(i uint64) uint64 { return i })
 	replica := a.GetReplica(0)
 
 	measure := func(name string, fn func() uint64) {

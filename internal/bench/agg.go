@@ -96,13 +96,15 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 	// Single-threaded initialization, as in the paper: under the OS
 	// default policy all pages first-touch onto socket 0.
 	var want uint64
-	for i := uint64(0); i < opts.Elements; i++ {
-		v1 := initFormula(i, mask)
-		v2 := initFormula(i+17, mask)
-		a1.Init(0, i, v1)
-		a2.Init(0, i, v2)
-		want += v1 + v2
+	fill := func(a *core.SmartArray, offset uint64) {
+		fillRange(a, 0, 0, opts.Elements, func(i uint64) uint64 {
+			v := initFormula(i+offset, mask)
+			want += v
+			return v
+		})
 	}
+	fill(a1, 0)
+	fill(a2, 17)
 
 	var sum uint64
 	switch cfg.Lang {

@@ -18,6 +18,7 @@ package bench
 import (
 	"fmt"
 
+	"smartarrays/internal/core"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/rts"
@@ -80,6 +81,16 @@ func (o Options) instrument(rt *rts.Runtime) {
 	rt.SetRecorder(o.Recorder)
 	rt.SetStealing(o.Steal)
 	rt.SetArrayProfiling(o.Arrays)
+}
+
+// fillRange sets elements [lo, hi) of a to fn(i) from a writer on socket,
+// in one InitRange call.
+func fillRange(a *core.SmartArray, socket int, lo, hi uint64, fn func(i uint64) uint64) {
+	values := make([]uint64, hi-lo)
+	for i := range values {
+		values[i] = fn(lo + uint64(i))
+	}
+	a.InitRange(socket, lo, values)
 }
 
 // PaperAggElements is the paper's aggregation array length: a 4 GB array

@@ -57,12 +57,11 @@ func RunFigure3(opts Options) ([]InteropResult, error) {
 
 	managed := make([]uint64, n)
 	var want uint64
-	for i := uint64(0); i < n; i++ {
-		v := initFormula(i, ^uint64(0)>>1)
-		a.Init(0, i, v)
-		managed[i] = v
-		want += v
+	for i := range managed {
+		managed[i] = initFormula(uint64(i), ^uint64(0)>>1)
+		want += managed[i]
 	}
+	a.InitRange(0, 0, managed)
 
 	var rows []InteropResult
 	addRow := func(name string, interoperable, smart bool, crossings uint64, run func() (uint64, error)) error {

@@ -106,14 +106,11 @@ func RunLiveAdaptivity(cfg LiveConfig) LiveReport {
 	defer a.Free()
 
 	// Init values cycle through the width's range; the default grain is a
-	// multiple of the chunk size, so parallel Init batches touch disjoint
-	// words.
+	// multiple of the chunk size, so parallel batches touch disjoint words.
 	mask := uint64(1)<<bits - 1
 	init := span.Child("live.init")
 	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		for i := lo; i < hi; i++ {
-			a.Init(w.Socket, i, i&mask)
-		}
+		fillRange(a, w.Socket, lo, hi, func(i uint64) uint64 { return i & mask })
 		a.AccountInit(w.Counters, lo, hi)
 	})
 	init.End()

@@ -122,9 +122,7 @@ func RunLiveReencoding(cfg ReencodeConfig) ReencodeReport {
 	}
 	init := span.Child("reencode.init")
 	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		for i := lo; i < hi; i++ {
-			a.Init(w.Socket, i, value(i))
-		}
+		fillRange(a, w.Socket, lo, hi, value)
 		a.AccountInit(w.Counters, lo, hi)
 	})
 	init.End()

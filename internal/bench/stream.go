@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -108,31 +109,41 @@ func runStreamKernel(rt *rts.Runtime, spec *machine.Spec, k StreamKernel, placem
 		return StreamResult{}, err
 	}
 	defer c.Free()
-	for i := uint64(0); i < n; i++ {
-		a.Init(0, i, i)
-		b.Init(0, i, 2*i)
-		c.Init(0, i, 3*i)
+
+	// a[i] = i, b[i] = 2i, c[i] = 3i.
+	for scale, arr := range []*core.SmartArray{a, b, c} {
+		fillRange(arr, 0, 0, n, func(i uint64) uint64 { return uint64(scale+1) * i })
+	}
+	if _, ok := core.WriteAs[uint64](a, 0, 0, 0); !ok { // an empty range only asks the view rule
+		return StreamResult{}, errors.New("bench: STREAM reads and writes its 64-bit arrays in place, which needs a little-endian host")
 	}
 
-	// Execute the kernel for real. Writes go through Init so replicated
-	// destinations update every replica (batches are chunk-aligned, so
-	// concurrent writers never share words).
+	// Execute the kernel for real: each batch reads its sources in place
+	// (core.WordsAs) and writes its destination through a write view
+	// (core.WriteAs), whose Done updates every replica of a replicated
+	// destination. The arrays are 64-bit, so batches never share words.
+	dst := [...]*core.SmartArray{StreamCopy: c, StreamScale: b, StreamAdd: c, StreamTriad: a}[k]
 	rt.ParallelFor(0, n, 0, func(w *rts.Worker, lo, hi uint64) {
-		aRep := a.GetReplica(w.Socket)
-		bRep := b.GetReplica(w.Socket)
-		cRep := c.GetReplica(w.Socket)
-		for i := lo; i < hi; i++ {
+		in := func(arr *core.SmartArray) []uint64 {
+			v := arr.View(w.Socket)
+			words, _ := core.WordsAs[uint64](&v)
+			return words[lo:hi]
+		}
+		as, bs, cs := in(a), in(b), in(c)
+		out, _ := core.WriteAs[uint64](dst, w.Socket, lo, hi)
+		for i := range out.Words {
 			switch k {
 			case StreamCopy:
-				c.Init(w.Socket, i, a.Get(aRep, i))
+				out.Words[i] = as[i]
 			case StreamScale:
-				b.Init(w.Socket, i, streamScalar*c.Get(cRep, i))
+				out.Words[i] = streamScalar * cs[i]
 			case StreamAdd:
-				c.Init(w.Socket, i, a.Get(aRep, i)+b.Get(bRep, i))
+				out.Words[i] = as[i] + bs[i]
 			default:
-				a.Init(w.Socket, i, b.Get(bRep, i)+streamScalar*c.Get(cRep, i))
+				out.Words[i] = bs[i] + streamScalar*cs[i]
 			}
 		}
+		out.Done()
 	})
 
 	verified := true

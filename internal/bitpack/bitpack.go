@@ -251,18 +251,29 @@ func unpackTiled(words []uint64, out *[ChunkSize]uint64, width uint, mask uint64
 	}
 }
 
-// Pack encodes one whole chunk (64 elements) from in — the mirror of
-// Unpack and the batch form of Function 2. Each of the chunk's BITS words
-// is assembled in a register and stored once: the destination words are
-// never read, so a writer that owns the whole chunk touches nothing else.
-// The value-fits check is one OR-reduction per chunk; on overflow Pack
-// panics with Set's message for the first offending value, before writing
-// anything.
-func (c Codec) Pack(data []uint64, chunk uint64, in *[ChunkSize]uint64) {
+// Pack encodes whole chunks from in into data, the first at chunk — the
+// mirror of Unpack and the batch form of Function 2; len(in) must be a
+// multiple of ChunkSize. At 64 bits the run is one copy. Below it, each
+// chunk's BITS words are assembled in a register and stored once: the
+// destination words are never read, so a writer that owns the chunks
+// touches nothing else. The value-fits check is one OR-reduction per
+// chunk; on overflow Pack panics with Set's message for the first
+// offending value, before writing that chunk.
+func (c Codec) Pack(data []uint64, chunk uint64, in []uint64) {
+	if len(in)%ChunkSize != 0 {
+		panic(fmt.Sprintf("bitpack: Pack over %d elements, not a whole number of chunks", len(in)))
+	}
 	if c.bits == 64 {
-		copy(data[chunk*ChunkSize:chunk*ChunkSize+ChunkSize], in[:])
+		copy(data[chunk*ChunkSize:chunk*ChunkSize+uint64(len(in))], in)
 		return
 	}
+	for ; len(in) > 0; in, chunk = in[ChunkSize:], chunk+1 {
+		c.packChunk(data[chunk*c.wordsPerChunk:(chunk+1)*c.wordsPerChunk], (*[ChunkSize]uint64)(in))
+	}
+}
+
+// packChunk packs one chunk of in into its words out, below 64 bits.
+func (c Codec) packChunk(out []uint64, in *[ChunkSize]uint64) {
 	var or uint64
 	for _, v := range in {
 		or |= v
@@ -274,7 +285,6 @@ func (c Codec) Pack(data []uint64, chunk uint64, in *[ChunkSize]uint64) {
 			}
 		}
 	}
-	out := data[chunk*c.wordsPerChunk : (chunk+1)*c.wordsPerChunk]
 	if c.bits == 32 {
 		for i := range out {
 			out[i] = in[2*i] | in[2*i+1]<<32
@@ -305,13 +315,11 @@ func (c Codec) Pack(data []uint64, chunk uint64, in *[ChunkSize]uint64) {
 func (c Codec) PackSlice(src []uint64) []uint64 {
 	data := make([]uint64, c.WordsFor(uint64(len(src))))
 	whole := len(src) / ChunkSize
-	for ch := 0; ch < whole; ch++ {
-		c.Pack(data, uint64(ch), (*[ChunkSize]uint64)(src[ch*ChunkSize:]))
-	}
+	c.Pack(data, 0, src[:whole*ChunkSize])
 	if tail := src[whole*ChunkSize:]; len(tail) > 0 {
 		var buf [ChunkSize]uint64
 		copy(buf[:], tail)
-		c.Pack(data, uint64(whole), &buf)
+		c.Pack(data, uint64(whole), buf[:])
 	}
 	return data
 }

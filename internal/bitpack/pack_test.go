@@ -50,7 +50,7 @@ func TestPackMatchesSet(t *testing.T) {
 				for i := range got {
 					got[i] = dirt
 				}
-				c.Pack(got, chunk, &in)
+				c.Pack(got, chunk, in[:])
 				for w := range got {
 					inChunk := uint64(w) >= chunk*wpc && uint64(w) < (chunk+1)*wpc
 					if inChunk && got[w] != want[w] {
@@ -110,7 +110,7 @@ func TestPackPanicsOnOverflow(t *testing.T) {
 						t.Errorf("bits=%d pos=%d: recovered %v, want %q", bits, pos, r, want)
 					}
 				}()
-				c.Pack(data, 0, &in)
+				c.Pack(data, 0, in[:])
 			}()
 			for w, v := range data {
 				if v != 0 {
@@ -118,6 +118,23 @@ func TestPackPanicsOnOverflow(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPackPanicsOnPartialChunk: Pack takes whole chunks only, at every
+// width: a ragged run panics.
+func TestPackPanicsOnPartialChunk(t *testing.T) {
+	for _, bits := range []uint{7, 32, 64} {
+		c := MustNew(bits)
+		data := make([]uint64, c.WordsFor(2*ChunkSize))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bits=%d: Pack over %d elements did not panic", bits, ChunkSize+1)
+				}
+			}()
+			c.Pack(data, 0, make([]uint64, ChunkSize+1))
+		}()
 	}
 }
 
@@ -140,7 +157,7 @@ func benchPack(b *testing.B, width uint) {
 	b.Run("pack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ch := i % chunks
-			c.Pack(data, uint64(ch), (*[ChunkSize]uint64)(src[ch*ChunkSize:]))
+			c.Pack(data, uint64(ch), src[ch*ChunkSize:(ch+1)*ChunkSize])
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ChunkSize), "ns/elem")
 	})

@@ -90,17 +90,3 @@ func (r *RandomizedArray) HotSpotPages(lo, hi uint64) (plainSockets, randomizedS
 	}
 	return len(seen), len(seenRand)
 }
-
-// InitAtomic stores value at logical index with the CAS-based thread-safe
-// writer (§4.2) in every replica. Like Init, it takes no reader pin.
-func (a *SmartArray) InitAtomic(socket int, index, value uint64) {
-	if index >= a.length {
-		panic("core: index out of range")
-	}
-	rp := a.rep.Load()
-	checkWritable(rp, "InitAtomic")
-	rp.region.Touch(a.codec.WordOf(index), socket)
-	for _, replica := range rp.region.AllReplicas() {
-		a.codec.SetAtomic(replica, index, value)
-	}
-}

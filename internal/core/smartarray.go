@@ -76,8 +76,8 @@ type SmartArray struct {
 	// to a single nil check.
 	reg *obs.ArrayRegistry
 	tel *obs.ArrayCounters
-	// gen counts content and representation revisions: one per Init or
-	// InitRange call (not per element written) and one per Reencode swap.
+	// gen counts content and representation revisions: one per write
+	// call (openWrite; not per element written) and one per Reencode swap.
 	// External caches key on it: any revision makes every old key
 	// unreachable, so stale results can never serve.
 	gen atomic.Uint64
@@ -208,80 +208,70 @@ func (a *SmartArray) checkIndex(index uint64) {
 // socket. Init is not safe for concurrent writers to the same word; the
 // paper's workloads initialize ranges in parallel but disjointly. Arrays
 // are read-only once re-encoded. Init is the one-element form; anything
-// that fills a range uses InitRange. Writers take no reader pin: a write
-// concurrent with Reencode, Migrate or Free would be lost with the old
-// representation anyway, so the caller orders them.
+// that fills a range uses InitRange or a write view (WriteAs). Writers
+// take no reader pin: a write concurrent with Reencode, Migrate or Free
+// would be lost with the old representation anyway, so the caller orders
+// them.
 func (a *SmartArray) Init(socket int, index, value uint64) {
-	a.checkIndex(index)
-	rp := a.beginWrite("Init")
-	rp.region.Touch(a.codec.WordOf(index), socket)
-	for _, replica := range rp.region.AllReplicas() {
+	for _, replica := range a.openWrite("Init", socket, index, index+1) {
 		a.codec.Set(replica, index, value)
 	}
 }
 
-// beginWrite is what every write pays once per call, whatever it covers:
-// load the representation, refuse a re-encoded (read-only) array, drop any
-// attached zone index, and bump the revision counter so result caches
-// keyed on Generation can never serve stale values.
-func (a *SmartArray) beginWrite(op string) *repr {
+// InitAtomic is Init with the CAS-based thread-safe writer (§4.2):
+// concurrent callers may write elements that share a packed word. Like
+// Init, it takes no reader pin.
+func (a *SmartArray) InitAtomic(socket int, index, value uint64) {
+	for _, replica := range a.openWrite("InitAtomic", socket, index, index+1) {
+		a.codec.SetAtomic(replica, index, value)
+	}
+}
+
+// openWrite is the write contract, paid once per write call whatever the
+// range covers: it checks [lo, hi) against the array, refuses a
+// re-encoded array (only the BitPacked layout the writers pack with
+// a.codec is writable), drops any attached zone index, bumps Generation
+// so result caches keyed on it can never serve stale values, and
+// first-touches the range's pages from socket. It returns every replica
+// the caller must write. An empty range is a no-op that returns none.
+func (a *SmartArray) openWrite(op string, socket int, lo, hi uint64) [][]uint64 {
+	if lo > hi || hi > a.length {
+		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, a.length))
+	}
+	if lo == hi {
+		return nil
+	}
 	rp := a.rep.Load()
-	checkWritable(rp, op)
+	if rp.codecs[0].Kind() != encoding.BitPacked {
+		panic("core: " + op + " on a re-encoded array (re-encoded arrays are read-only)")
+	}
 	if rp.zones.Load() != nil {
 		rp.zones.Store(nil)
 	}
 	a.gen.Add(1)
-	return rp
-}
-
-// checkWritable refuses a write unless the bound codec is BitPacked — the
-// layout the writers pack with a.codec. Any other encoding is read-only.
-func checkWritable(rp *repr, op string) {
-	if rp.codecs[0].Kind() != encoding.BitPacked {
-		panic("core: " + op + " on a re-encoded array (re-encoded arrays are read-only)")
-	}
+	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
+	rp.region.TouchRange(loWord, hiWord-loWord, socket)
+	return rp.region.AllReplicas()
 }
 
 // InitRange sets elements [lo, lo+len(values)) in every replica — the
 // batch form of Init, leaving the array, its first-touch page map and its
 // zone index exactly as len(values) Init calls from socket would, but
-// checking, invalidating and bumping Generation once per call (Generation
-// counts revisions, not elements). 64-bit arrays are a copy into the
-// range's write view (WriteAs), whose Done copies it to the other
-// replicas; narrower ones (and 64-bit ones on a big-endian host) pack
-// whole chunks with bitpack.Codec.Pack into the first replica and copy
-// the packed words to the others, and write the ragged head and tail
-// with Codec.Set. Concurrent callers follow Init's contract:
-// ranges must not share a packed word. Whole chunks are stored without
-// being read and ragged ends touch only the words their elements occupy,
-// so a writer never touches a word outside its range. An empty values is
-// a no-op.
+// paying openWrite once per call (Generation counts revisions, not
+// elements). It packs its whole chunks with one bitpack.Codec.Pack into
+// the first replica (at 64 bits one copy), copies the packed words to the
+// others, and writes the ragged head and tail with Codec.Set. Concurrent
+// callers follow Init's contract: ranges must not share a packed word.
+// Whole chunks are stored without being read and ragged ends touch only
+// the words their elements occupy, so a writer never touches a word
+// outside its range. An empty values is a no-op.
 func (a *SmartArray) InitRange(socket int, lo uint64, values []uint64) {
-	n := uint64(len(values))
-	if lo > a.length || n > a.length-lo {
-		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, lo+n, a.length))
-	}
-	if n == 0 {
-		return
-	}
-	hi := lo + n
-	if a.codec.Bits() == 64 {
-		if w, ok := WriteAs[uint64](a, socket, lo, hi); ok {
-			copy(w.Words, values)
-			w.Done()
-			return
-		}
-	}
-	rp := a.beginWrite("InitRange")
-	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
-	rp.region.TouchRange(loWord, hiWord-loWord, socket)
-	replicas := rp.region.AllReplicas()
+	hi := lo + uint64(len(values))
+	replicas := a.openWrite("InitRange", socket, lo, hi)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	if chunkLo < chunkHi {
 		first := replicas[0]
-		for ch := chunkLo; ch < chunkHi; ch++ {
-			a.codec.Pack(first, ch, (*[bitpack.ChunkSize]uint64)(values[ch*bitpack.ChunkSize-lo:]))
-		}
+		a.codec.Pack(first, chunkLo, values[headEnd-lo:tailStart-lo])
 		wpc := a.codec.WordsPerChunk()
 		for _, replica := range replicas[1:] {
 			copy(replica[chunkLo*wpc:chunkHi*wpc], first[chunkLo*wpc:chunkHi*wpc])

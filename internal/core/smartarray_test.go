@@ -73,6 +73,52 @@ func TestInitWritesAllReplicas(t *testing.T) {
 	}
 }
 
+// TestEveryWriterInvalidates holds every writer to the one write
+// contract: on a zeroed array with a zone index, writing one nonzero
+// element drops the index, moves Generation by exactly 1 and is seen by
+// the range kernels (which would otherwise prune the chunk on the stale
+// all-zero bounds).
+func TestEveryWriterInvalidates(t *testing.T) {
+	const index, value = 5, 99
+	writers := []struct {
+		name  string
+		write func(a *SmartArray)
+	}{
+		{"Init", func(a *SmartArray) { a.Init(0, index, value) }},
+		{"InitAtomic", func(a *SmartArray) { a.InitAtomic(0, index, value) }},
+		{"InitRange", func(a *SmartArray) { a.InitRange(0, index, []uint64{value}) }},
+		{"WriteAs", func(a *SmartArray) {
+			w, ok := WriteAs[uint16](a, 0, index, index+1)
+			if !ok {
+				t.Fatal("WriteAs: no write view on a 16-bit BitPacked array")
+			}
+			w.Words[0] = value
+			w.Done()
+		}},
+	}
+	mem := newMemory()
+	for _, wr := range writers {
+		a := mustAlloc(t, mem, Config{Length: 1000, Bits: 16, Placement: memsim.Replicated})
+		a.BuildZoneIndex()
+		before := a.Generation()
+		wr.write(a)
+		if a.ZoneIndex() != nil {
+			t.Errorf("%s: zone index still attached after a write", wr.name)
+		}
+		if got := a.Generation(); got != before+1 {
+			t.Errorf("%s: Generation %d -> %d, want +1", wr.name, before, got)
+		}
+		for s := 0; s < 2; s++ {
+			if got := ReduceRange(a, s, 0, a.Length(), ReduceMax); got != value {
+				t.Errorf("%s: socket %d max = %d, want %d", wr.name, s, got, value)
+			}
+			if got := ReduceRange(a, s, 0, a.Length(), ReduceSum); got != value {
+				t.Errorf("%s: socket %d sum = %d, want %d", wr.name, s, got, value)
+			}
+		}
+	}
+}
+
 func TestGetPanicsOutOfRange(t *testing.T) {
 	mem := newMemory()
 	a := mustAlloc(t, mem, Config{Length: 4, Bits: 64})

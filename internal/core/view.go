@@ -116,33 +116,25 @@ type WriteView[E Word] struct {
 }
 
 // WriteAs opens elements [lo, hi) of a for writing as a plain []E, in
-// place, from a writer on socket. It reports ok under the same rule as
-// WordsAs — a BitPacked array at exactly E's width on a little-endian
-// host — and refuses anything else (a re-encoded array, another width)
-// without touching the array. On ok it pays what InitRange pays once per
-// call: the zone index is dropped, Generation goes up by one and the
-// pages of [lo, hi) are first-touched from socket, so the array ends as
-// one InitRange of the range would leave it. An empty range is a no-op,
-// as it is for InitRange. The caller writes every element of Words and
-// then calls Done, which copies the range to the other replicas; until
-// Done, readers of another replica see the old values. Concurrent
-// writers follow Init's contract: ranges must not share a payload word.
-// Like InitRange it takes no pin, and Words must not be kept past Done.
+// place, from a writer on socket. It reports ok under WordsAs' rule — a
+// BitPacked array at exactly E's width on a little-endian host — and
+// refuses anything else (a re-encoded array, another width) without
+// touching the array. On ok it pays openWrite once, as InitRange does, so
+// the array ends as one InitRange of the range would leave it; an empty
+// range is a no-op. The caller writes every element of Words and then
+// calls Done, which copies the range to the other replicas; until Done,
+// readers of another replica see the old values. Concurrent writers
+// follow Init's contract: ranges must not share a payload word. Like
+// InitRange it takes no pin, and Words must not be kept past Done.
 func WriteAs[E Word](a *SmartArray, socket int, lo, hi uint64) (WriteView[E], bool) {
-	if lo > hi || hi > a.length {
-		panic(fmt.Sprintf("core: range [%d,%d) out of bounds [0,%d)", lo, hi, a.length))
-	}
-	rp := a.rep.Load()
-	if !littleEndian || a.codec.Bits() != wordBits[E]() || rp.codecs[0].Kind() != encoding.BitPacked {
+	v := a.View(socket)
+	if _, ok := WordsAs[E](&v); !ok {
 		return WriteView[E]{}, false
 	}
-	if lo == hi {
+	replicas := a.openWrite("WriteAs", socket, lo, hi)
+	if replicas == nil {
 		return WriteView[E]{}, true
 	}
-	rp = a.beginWrite("WriteAs")
-	loWord, hiWord := a.codec.WordOf(lo), a.codec.WordOf(hi-1)+1
-	rp.region.TouchRange(loWord, hiWord-loWord, socket)
-	replicas := rp.region.AllReplicas()
 	return WriteView[E]{Words: wordsOf[E](replicas[0], hi)[lo:], replicas: replicas, lo: lo}, true
 }
 

@@ -341,15 +341,6 @@ func (r *Region) Replicas() int { return len(r.replicas) }
 // (paper Function 2 loops over replicas).
 func (r *Region) AllReplicas() [][]uint64 { return r.replicas }
 
-// Touch records a first touch of the page containing word by a thread on
-// socket. Only meaningful for OSDefault regions; no-op otherwise.
-func (r *Region) Touch(word uint64, socket int) {
-	if r.placement != OSDefault {
-		return
-	}
-	r.firstTouch(word/PageWords, socket)
-}
-
 func (r *Region) firstTouch(page uint64, socket int) {
 	if p := &r.pageSocket[page]; p.Load() == untouched {
 		p.CompareAndSwap(untouched, uint32(socket))
@@ -364,7 +355,9 @@ func untouchedPages(pages int) []atomic.Uint32 {
 	return m
 }
 
-// TouchRange first-touches all pages in [startWord, startWord+nWords).
+// TouchRange records a first touch of every page in [startWord,
+// startWord+nWords) by a thread on socket. Only meaningful for OSDefault
+// regions; no-op otherwise.
 func (r *Region) TouchRange(startWord, nWords uint64, socket int) {
 	if r.placement != OSDefault || nWords == 0 {
 		return

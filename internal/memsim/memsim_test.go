@@ -101,11 +101,11 @@ func TestOSDefaultFirstTouch(t *testing.T) {
 	if got := r.HomeSocket(0, 1); got != 0 {
 		t.Errorf("untouched page home = %d, want 0", got)
 	}
-	r.Touch(10, 1) // first touch page 0 from socket 1
+	r.TouchRange(10, 1, 1) // first touch page 0 from socket 1
 	if got := r.HomeSocket(0, 0); got != 1 {
 		t.Errorf("touched page home = %d, want 1", got)
 	}
-	r.Touch(20, 0) // second touch must not move the page
+	r.TouchRange(20, 1, 0) // second touch must not move the page
 	if got := r.HomeSocket(0, 0); got != 1 {
 		t.Errorf("page moved on second touch: home = %d, want 1", got)
 	}
