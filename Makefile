@@ -71,7 +71,10 @@ queryd-stress:
 # The race pass also runs the writers' tests (TestInitAtomicConcurrent,
 # TestEveryWriterInvalidates): every write call goes through one step,
 # so concurrent InitAtomic callers share the zone-index drop and the
-# Generation bump, not just CAS'd payload words.
+# Generation bump, not just CAS'd payload words. Both passes run the fold
+# oracle (TestViewReduceOracleAllKinds: View.Reduce, masked or not,
+# against a scalar loop on every representation, with and without a zone
+# index, and each covering chunk counted once as scanned or pruned).
 core-stress:
 	$(GO) test -race -count=10 -run 'Reencode|Migrate|Replica|View|Retire|Pin|InitAtomic|EveryWriter' ./internal/memsim ./internal/core ./internal/colstore
 	$(GO) test -count=10 -run 'Reencode|Migrate|Replica|View|Retire|Pin|Iterator' ./internal/memsim ./internal/core ./internal/colstore ./internal/interop
@@ -148,8 +151,8 @@ bench-ab:
 # MaskSparseCutoff; Unpack at the straddling widths — 17 is a "V+E"
 # graph's edge width — and at 32 bits, the served graph's edge width that
 # View.Read decodes PageRank's in-edges at), every codec's
-# sum, masked sum, masked max and compare-and-count through its
-# ChunkCodec (BenchmarkCodecFold), the four scan_unique plan shapes
+# sum (SumChunks), masked sum and masked max (its one fold, FoldChunks)
+# and compare-and-count through its ChunkCodec (BenchmarkCodecFold), the four scan_unique plan shapes
 # through the query handler on the served 4 Mi-row dataset, then three
 # MIN/MAX plans through colstore's zone walk (its best case, a uniform
 # target, and the case that degrades to a whole pass), the scan_unique

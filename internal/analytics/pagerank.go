@@ -173,6 +173,17 @@ func NewPageRanker(rt *rts.Runtime, g *graph.SmartCSR, degBits uint) (*PageRanke
 	return p, nil
 }
 
+// PageRankerWidths are the widths of the per-vertex arrays NewPageRanker
+// allocates at out-degree width degBits (0 = 64): the out-degrees, the
+// inverse degrees and iteration 0's contributions, then its first lease's
+// two rank and two contribution arrays.
+func PageRankerWidths(degBits uint) []uint {
+	if degBits == 0 {
+		degBits = 64
+	}
+	return []uint{degBits, 64, 64, 64, 64, 64, 64}
+}
+
 // alloc allocates one n-element property array with the graph's placement.
 func (p *PageRanker) alloc(bits uint, name string) (*core.SmartArray, error) {
 	layout := p.g.Layout()

@@ -23,19 +23,9 @@ type ShapeParams struct {
 	Iters int
 }
 
-// beginBits/edgeBits mirror SmartCSR's width selection.
-func (p *ShapeParams) beginBits() uint {
-	if p.Layout.CompressBegin {
-		return bitpack.MinBits(p.E)
-	}
-	return 64
-}
-
-func (p *ShapeParams) edgeBits() uint {
-	if p.Layout.CompressEdge {
-		return bitpack.MinBits(p.V - 1)
-	}
-	return 32
+// widths are the begin and edge widths SmartCSR would pack the shape at.
+func (p *ShapeParams) widths() (beginBits, edgeBits uint) {
+	return p.Layout.Widths(p.E, p.V-1)
 }
 
 // stream builds a read stream of one full pass over an array of length n
@@ -69,7 +59,7 @@ func (p *ShapeParams) randomStreamFor(spec *machine.Spec, length uint64, bits ui
 // DegreeCentrality returns: one streaming pass over begin and rbegin plus
 // the interleaved 64-bit output write.
 func DegreeWorkloadFor(p ShapeParams) perfmodel.Workload {
-	bb := p.beginBits()
+	bb, _ := p.widths()
 	perVertex := 2*perfmodel.CostStream(bb) + perfmodel.CostInitU64 + 2
 	return perfmodel.Workload{
 		Instructions: float64(p.V) * perVertex,
@@ -90,7 +80,7 @@ func DegreeWorkloadFor(p ShapeParams) perfmodel.Workload {
 // degree are per-vertex work, so DegreeBits affects footprint and
 // initialization, not the per-edge instruction stream.
 func PageRankWorkloadFor(spec *machine.Spec, p ShapeParams) perfmodel.Workload {
-	bb, eb := p.beginBits(), p.edgeBits()
+	bb, eb := p.widths()
 	it := float64(p.Iters)
 	e := float64(p.E)
 	v := float64(p.V)
@@ -115,7 +105,7 @@ func PageRankWorkloadFor(spec *machine.Spec, p ShapeParams) perfmodel.Workload {
 // bits_degrees·V + 64·V, in bytes — begin/rbegin, edge/redge, the
 // out-degrees property and the ranks.
 func PageRankMemoryBytes(p ShapeParams) uint64 {
-	bb, eb := p.beginBits(), p.edgeBits()
+	bb, eb := p.widths()
 	degBits := p.DegreeBits
 	if degBits == 0 {
 		degBits = 64

@@ -118,7 +118,7 @@ func RunAggregation(cfg AggConfig, opts Options) (AggResult, error) {
 			a1.AccountReduce(w.Counters, lo, hi)
 			a2.AccountReduce(w.Counters, lo, hi)
 			v1, v2 := a1.View(w.Socket), a2.View(w.Socket)
-			return v1.Reduce(lo, hi, core.ReduceSum, nil) + v2.Reduce(lo, hi, core.ReduceSum, nil)
+			return v1.Reduce(lo, hi, core.ReduceSum, nil, nil) + v2.Reduce(lo, hi, core.ReduceSum, nil, nil)
 		})
 	}
 	verified := sum == want

@@ -156,7 +156,7 @@ func RunLiveReencoding(cfg ReencodeConfig) ReencodeReport {
 		return rt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			a.AccountReduce(w.Counters, lo, hi)
 			v := a.View(w.Socket)
-			return v.Reduce(lo, hi, core.ReduceSum, nil)
+			return v.Reduce(lo, hi, core.ReduceSum, nil, nil)
 		})
 	}
 	scan := span.Child("reencode.scan")

@@ -454,16 +454,16 @@ func (s *scanState) foldBatch(lo, hi uint64, masks []uint64, hits uint64, rec *w
 	if s.agg == Count {
 		return
 	}
-	var v uint64
-	if masks == nil {
-		v = target.view.Reduce(lo, hi, reduceOps[s.agg], &target.ScanCounts)
-	} else {
+	sc := &target.ScanCounts
+	if masks != nil {
+		// A selection is counted by its dead words, not by the fold.
 		target.account(n, masks)
 		if hits == 0 {
 			return
 		}
-		v = target.view.ReduceMasked(lo, hi, reduceOps[s.agg], masks)
+		sc = nil
 	}
+	v := target.view.Reduce(lo, hi, reduceOps[s.agg], masks, sc)
 	switch acc := &rec.acc; s.agg {
 	case Sum:
 		acc.sum += v

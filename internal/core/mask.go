@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"smartarrays/internal/bitpack"
 )
 
@@ -50,13 +48,12 @@ func MaskRangeAnd(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, thre
 }
 
 // ReduceRangeMasked folds the elements of [lo, hi) that masks selects
-// with op for a reader on socket: View.ReduceMasked under a pin of its
-// own.
+// with op for a reader on socket: View.Reduce under a pin of its own.
 func ReduceRangeMasked(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
 	a.mem.Pin()
 	defer a.mem.Unpin()
 	v := a.View(socket)
-	return v.ReduceMasked(lo, hi, op, masks)
+	return v.Reduce(lo, hi, op, masks, nil)
 }
 
 // Mask evaluates "element op threshold" over [lo, hi) of the snapshot
@@ -84,67 +81,4 @@ func (v *View) Mask(lo, hi uint64, op bitpack.Cmp, threshold uint64, masks []uin
 		masks[n-1] &= ^uint64(0) >> (end - hi)
 	}
 	return !bitpack.AllZeroMasks(masks[:n])
-}
-
-// ReduceMasked folds the selected elements of [lo, hi) of the snapshot
-// with op; masks must come from Mask over the same [lo, hi). Chunks with
-// a dead mask are skipped without touching the data; full masks degrade
-// to the unmasked fused kernels. It runs under the caller's pin.
-func (v *View) ReduceMasked(lo, hi uint64, op ReduceOp, masks []uint64) uint64 {
-	if lo >= hi {
-		return op.identity()
-	}
-	checkRange(lo, hi, v.length)
-	first, n := MaskChunks(lo, hi)
-	if v.zones != nil {
-		return reduceMaskedZones(v, first, n, op, masks[:n])
-	}
-	return v.reduceChunksMasked(op, first, first+n, masks[:n])
-}
-
-// reduceMaskedZones is ReduceMasked with zone shortcuts: chunks the
-// index proves constant fold in O(1) (value times popcount for sums), a
-// full mask over a non-constant chunk answers min/max from the chunk
-// bounds, and everything else batches into contiguous codec masked-fold
-// spans (dead-mask chunks inside a span are skipped by the kernels as
-// before).
-func reduceMaskedZones(v *View, first, n uint64, op ReduceOp, masks []uint64) uint64 {
-	acc := op.identity()
-	foldSpan := func(sLo, sHi uint64) {
-		if sLo < sHi {
-			acc = op.fold(acc, v.reduceChunksMasked(op, first+sLo, first+sHi, masks[sLo:sHi]))
-		}
-	}
-	spanLo := uint64(0)
-	for c := uint64(0); c < n; c++ {
-		m := masks[c]
-		if m == 0 {
-			continue
-		}
-		chunk := first + c
-		if k, isConst := v.zones.Constant(chunk); isConst {
-			foldSpan(spanLo, c)
-			spanLo = c + 1
-			if op == ReduceSum {
-				acc += k * uint64(bits.OnesCount64(m))
-			} else {
-				acc = op.fold(acc, k)
-			}
-			continue
-		}
-		if op != ReduceSum && m == ^uint64(0) {
-			// A full mask selects the whole (fully valid) chunk: its zone
-			// bounds are the masked min/max.
-			mn, mx := v.zones.ChunkBounds(chunk)
-			foldSpan(spanLo, c)
-			spanLo = c + 1
-			if op == ReduceMax {
-				acc = op.fold(acc, mx)
-			} else {
-				acc = op.fold(acc, mn)
-			}
-		}
-	}
-	foldSpan(spanLo, n)
-	return acc
 }

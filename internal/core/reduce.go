@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartarrays/internal/bitpack"
+	"smartarrays/internal/encoding"
 )
 
 // Fused reductions: the scan-aggregate hot path (paper Function 4) routed
@@ -14,46 +16,16 @@ import (
 // kernel, so the per-element decode-into-a-buffer of the iterator path
 // disappears from the dominant middle section.
 
-// ReduceOp selects the fold of ReduceRange.
-type ReduceOp int
+// ReduceOp selects the fold of ReduceRange: the codecs' fold operator.
+type ReduceOp = encoding.FoldOp
 
 // Reduction operators. The identity returned for an empty range is 0 for
 // ReduceSum and ReduceMax and ^uint64(0) for ReduceMin.
 const (
-	ReduceSum ReduceOp = iota
-	ReduceMax
-	ReduceMin
+	ReduceSum = encoding.FoldSum
+	ReduceMax = encoding.FoldMax
+	ReduceMin = encoding.FoldMin
 )
-
-// String renders the operator.
-func (op ReduceOp) String() string {
-	return [...]string{"sum", "max", "min"}[op]
-}
-
-// identity is the fold's neutral element (the result over an empty range).
-func (op ReduceOp) identity() uint64 {
-	if op == ReduceMin {
-		return ^uint64(0)
-	}
-	return 0
-}
-
-// fold combines one more value (or a partial result) into acc.
-func (op ReduceOp) fold(acc, v uint64) uint64 {
-	switch op {
-	case ReduceSum:
-		return acc + v
-	case ReduceMax:
-		if v > acc {
-			return v
-		}
-	default:
-		if v < acc {
-			return v
-		}
-	}
-	return acc
-}
 
 // rangeParts splits [lo, hi) into a head [lo, headEnd), whole chunks
 // [chunkLo, chunkHi), and a tail [tailStart, hi). Head and tail are handled
@@ -83,76 +55,92 @@ func ReduceRange(a *SmartArray, socket int, lo, hi uint64, op ReduceOp) uint64 {
 	a.mem.Pin()
 	defer a.mem.Unpin()
 	v := a.View(socket)
-	return v.Reduce(lo, hi, op, nil)
+	return v.Reduce(lo, hi, op, nil, nil)
 }
 
-// Reduce folds elements [lo, hi) of the snapshot with op, dispatching
-// whole chunks to the fused chunk kernels of its representation (or to
-// the zone index, where it answers without the payload) and the ragged
-// head and tail to per-element Get. Chunks the index resolves (constant
-// folds for sums, chunk bounds for min/max) accumulate into sc as pruned,
-// decoded chunks as scanned; sc may be nil. It runs under the caller's
-// pin.
-func (v *View) Reduce(lo, hi uint64, op ReduceOp, sc *ScanCounts) uint64 {
-	acc := op.identity()
+// Reduce folds elements [lo, hi) of the snapshot with op: every element
+// when masks is nil, else the ones masks selects — masks must then come
+// from Mask over the same [lo, hi). An unmasked fold sends whole chunks to
+// the chunk walk and its ragged head and tail to per-element Get; a
+// masked one sends every covering chunk to the walk, which skips the
+// chunks whose mask is dead. Chunks the zone index resolves accumulate
+// into sc as pruned, the others — a ragged end counts as one, a dead
+// masked chunk too — as scanned; sc may be nil. It runs under the
+// caller's pin.
+func (v *View) Reduce(lo, hi uint64, op ReduceOp, masks []uint64, sc *ScanCounts) uint64 {
+	acc := op.Identity()
 	if lo >= hi {
 		return acc
 	}
 	checkRange(lo, hi, v.length)
+	if masks != nil {
+		first, n := MaskChunks(lo, hi)
+		return v.foldChunks(first, first+n, op, masks[:n], acc, sc)
+	}
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-	acc = v.reduceElems(lo, headEnd, op, acc, sc)
-	acc = v.reduceElems(tailStart, hi, op, acc, sc)
-	if chunkLo == chunkHi {
-		return acc
-	}
-	if v.zones != nil {
-		return zoneReduceChunks(v, chunkLo, chunkHi, op, acc, sc)
-	}
-	sc.addScanned(chunkHi - chunkLo)
-	return op.fold(acc, v.reduceChunks(op, chunkLo, chunkHi))
+	acc = v.foldElems(lo, headEnd, op, acc, sc)
+	acc = v.foldElems(tailStart, hi, op, acc, sc)
+	return v.foldChunks(chunkLo, chunkHi, op, nil, acc, sc)
 }
 
-// reduceElems folds a ragged range end [lo, hi) per element; a non-empty
+// foldElems folds a ragged range end [lo, hi) per element; a non-empty
 // one decodes part of one chunk.
-func (v *View) reduceElems(lo, hi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
+func (v *View) foldElems(lo, hi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
 	if lo < hi {
 		sc.addScanned(1)
 	}
 	for i := lo; i < hi; i++ {
-		acc = op.fold(acc, v.Get(i))
+		acc = op.Combine(acc, v.Get(i))
 	}
 	return acc
 }
 
-// zoneReduceChunks folds whole chunks [chunkLo, chunkHi) through the zone
-// index: min/max read the per-chunk bounds without touching the payload
-// (every chunk accounts as pruned), sums fold constant chunks in O(1)
-// (pruned) and batch the rest into contiguous reduceChunks spans (scanned).
-func zoneReduceChunks(v *View, chunkLo, chunkHi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
+// foldChunks folds the elements of chunks [chunkLo, chunkHi) that masks
+// selects (every element when masks is nil, the chunks then whole) into
+// acc. Without a zone index that is one codec fold. With one, a chunk the
+// index answers folds in O(1): a constant chunk as its value (times the
+// selected count for a sum), and a wholly selected chunk's min or max as
+// its zone bound. Those chunks count as pruned; each maximal run of the
+// others goes to the codec's fold in one call and counts as scanned.
+func (v *View) foldChunks(chunkLo, chunkHi uint64, op ReduceOp, masks []uint64, acc uint64, sc *ScanCounts) uint64 {
 	z := v.zones
-	if op != ReduceSum {
-		for c := chunkLo; c < chunkHi; c++ {
-			mn, mx := z.ChunkBounds(c)
-			if op == ReduceMax {
-				acc = op.fold(acc, mx)
-			} else {
-				acc = op.fold(acc, mn)
+	if z == nil || chunkLo == chunkHi {
+		sc.addScanned(chunkHi - chunkLo)
+		return op.Combine(acc, v.codec.FoldChunks(op, chunkLo, chunkHi, masks))
+	}
+	span, pruned := chunkLo, uint64(0)
+	flush := func(end uint64) {
+		if span < end {
+			var sub []uint64
+			if masks != nil {
+				sub = masks[span-chunkLo : end-chunkLo]
+			}
+			acc = op.Combine(acc, v.codec.FoldChunks(op, span, end, sub))
+		}
+	}
+	for c := chunkLo; c < chunkHi; c++ {
+		m := ^uint64(0)
+		if masks != nil {
+			if m = masks[c-chunkLo]; m == 0 {
+				continue // a dead chunk stays in its run: the codec skips it
 			}
 		}
-		sc.addPruned(chunkHi - chunkLo)
-		return acc
-	}
-	spanLo := chunkLo
-	var pruned uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		if k, ok := z.Constant(c); ok {
-			acc += v.reduceChunks(ReduceSum, spanLo, c)
-			spanLo = c + 1
-			acc += k * bitpack.ChunkSize
-			pruned++
+		k, mx := z.ChunkBounds(c)
+		switch {
+		case k == mx && op == ReduceSum:
+			k *= uint64(bits.OnesCount64(m))
+		case k != mx && (op == ReduceSum || m != ^uint64(0)):
+			continue
+		case op == ReduceMax:
+			k = mx
 		}
+		flush(c)
+		acc = op.Combine(acc, k)
+		span = c + 1
+		pruned++
 	}
+	flush(chunkHi)
 	sc.addPruned(pruned)
 	sc.addScanned(chunkHi - chunkLo - pruned)
-	return acc + v.reduceChunks(ReduceSum, spanLo, chunkHi)
+	return acc
 }

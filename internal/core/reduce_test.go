@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"smartarrays/internal/bitpack"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/machine"
 	"smartarrays/internal/memsim"
 )
@@ -236,4 +238,123 @@ func TestKernelsResolveReplicaPerCall(t *testing.T) {
 		scanAllSockets("replicated again")
 		a.Free()
 	}
+}
+
+// TestViewReduceOracleAllKinds checks View.Reduce against a scalar loop on
+// every representation, without and then with a zone index, for every
+// operator: unmasked over ranges with ragged heads and tails, and masked
+// under random, all-dead and all-full selections, a partial tail chunk
+// included. Every fold must account each covering chunk once, as scanned
+// or pruned; an unmasked min or max over an index prunes every whole
+// chunk, and nothing is pruned without one.
+func TestViewReduceOracleAllKinds(t *testing.T) {
+	const n = 11*bitpack.ChunkSize + 29
+	values := make([]uint64, n)
+	for i := range values {
+		switch c := i / bitpack.ChunkSize; c % 3 {
+		case 0: // a constant chunk
+			values[i] = uint64(c*7) % 4096
+		case 1: // noise
+			x := uint64(i)*2654435761 + 12345
+			values[i] = (x ^ x>>13) % 4096
+		default: // ascending
+			values[i] = uint64(i) % 4096
+		}
+	}
+	unmasked := [][2]uint64{
+		{0, 0}, {5, 5}, {3, 17}, {0, 64}, {64, 128}, {0, 100}, {7, 323},
+		{60, n}, {1, n - 1}, {0, n}, {192, 576},
+	}
+	masked := [][2]uint64{{3, 17}, {0, 64}, {7, 323}, {60, n}, {0, n}, {192, 576}}
+	rng := rand.New(rand.NewSource(5))
+	selections := []struct {
+		name string
+		word func() uint64
+	}{
+		{"random", rng.Uint64},
+		{"dead", func() uint64 { return 0 }},
+		{"full", func() uint64 { return ^uint64(0) }},
+	}
+	ops := []ReduceOp{ReduceSum, ReduceMax, ReduceMin}
+
+	for _, kind := range encoding.Kinds {
+		a := mustAlloc(t, newMemory(), Config{Length: n, Bits: 12, Placement: memsim.Interleaved})
+		a.InitRange(0, 0, values)
+		if _, err := a.Reencode(kind, 0); err != nil {
+			t.Fatalf("Reencode(%v): %v", kind, err)
+		}
+		for _, zones := range []bool{false, true} {
+			if zones {
+				a.BuildZoneIndex()
+			}
+			a.Memory().Pin()
+			v := a.View(0)
+			check := func(what string, lo, hi uint64, op ReduceOp, masks []uint64) ScanCounts {
+				t.Helper()
+				var sc ScanCounts
+				got := v.Reduce(lo, hi, op, masks, &sc)
+				want := op.Identity()
+				for i := lo; i < hi; i++ {
+					if masks == nil || masks[i/bitpack.ChunkSize-lo/bitpack.ChunkSize]>>(i%bitpack.ChunkSize)&1 == 1 {
+						want = foldScalar(op, want, values[i])
+					}
+				}
+				if got != want {
+					t.Fatalf("%v zones=%v %s [%d,%d) %v = %d, want %d", kind, zones, what, lo, hi, op, got, want)
+				}
+				if _, covering := MaskChunks(lo, hi); sc.Scanned+sc.Pruned != covering {
+					t.Fatalf("%v zones=%v %s [%d,%d) %v: scanned %d + pruned %d, want %d covering chunks",
+						kind, zones, what, lo, hi, op, sc.Scanned, sc.Pruned, covering)
+				}
+				if !zones && sc.Pruned != 0 {
+					t.Fatalf("%v %s [%d,%d) %v: pruned %d chunks without a zone index", kind, what, lo, hi, op, sc.Pruned)
+				}
+				return sc
+			}
+			for _, op := range ops {
+				for _, r := range unmasked {
+					sc := check("unmasked", r[0], r[1], op, nil)
+					if _, chunkLo, chunkHi, _ := rangeParts(r[0], r[1]); zones && op != ReduceSum && sc.Pruned != chunkHi-chunkLo {
+						t.Fatalf("%v [%d,%d) %v: pruned %d chunks, want all %d whole ones", kind, r[0], r[1], op, sc.Pruned, chunkHi-chunkLo)
+					}
+				}
+				for _, sel := range selections {
+					for _, r := range masked {
+						check(sel.name, r[0], r[1], op, selectionMasks(r[0], r[1], sel.word))
+					}
+				}
+			}
+			a.Memory().Unpin()
+		}
+	}
+}
+
+// foldScalar is the reference fold step.
+func foldScalar(op ReduceOp, acc, v uint64) uint64 {
+	switch op {
+	case ReduceSum:
+		return acc + v
+	case ReduceMax:
+		return max(acc, v)
+	}
+	return min(acc, v)
+}
+
+// selectionMasks is a selection over [lo, hi) as View.Mask leaves one: a
+// word per covering chunk, drawn from word, with the bits outside
+// [lo, hi) clear.
+func selectionMasks(lo, hi uint64, word func() uint64) []uint64 {
+	first, n := MaskChunks(lo, hi)
+	masks := make([]uint64, n)
+	for i := range masks {
+		base := (first + uint64(i)) * bitpack.ChunkSize
+		masks[i] = word()
+		if lo > base {
+			masks[i] &= ^uint64(0) << (lo - base)
+		}
+		if end := base + bitpack.ChunkSize; hi < end {
+			masks[i] &= ^uint64(0) >> (end - hi)
+		}
+	}
+	return masks
 }

@@ -25,8 +25,8 @@ import (
 // (a.Memory().Pin()), or it may fault once the array is re-encoded,
 // migrated or freed.
 //
-// Every range kernel is written once, as a View method (Reduce, Mask,
-// ReduceMasked, Read, Gather) that runs under its caller's pin; the
+// Every range kernel is written once, as a View method (Reduce, masked or
+// not, Mask, Read, Gather) that runs under its caller's pin; the
 // package-level ReduceRange, MaskRange, MaskRangeAnd, ReduceRangeMasked,
 // ReadRange and Gather pin, take a View and call it. A BitPacked snapshot
 // at 8, 16, 32 or 64 bits can also be read in place, with no decode,
@@ -147,30 +147,5 @@ func (w *WriteView[E]) Done() {
 	hi := w.lo + uint64(len(w.Words))
 	for _, replica := range w.replicas[1:] {
 		copy(wordsOf[E](replica, hi)[w.lo:], w.Words)
-	}
-}
-
-// reduceChunks folds the whole chunks [chunkLo, chunkHi) with op.
-func (v *View) reduceChunks(op ReduceOp, chunkLo, chunkHi uint64) uint64 {
-	switch op {
-	case ReduceSum:
-		return v.codec.SumChunks(chunkLo, chunkHi)
-	case ReduceMax:
-		return v.codec.MaxChunks(chunkLo, chunkHi)
-	default:
-		return v.codec.MinChunks(chunkLo, chunkHi)
-	}
-}
-
-// reduceChunksMasked folds the elements of chunks [chunkLo, chunkHi)
-// selected by masks (one word per chunk) with op.
-func (v *View) reduceChunksMasked(op ReduceOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	switch op {
-	case ReduceSum:
-		return v.codec.SumChunksMasked(chunkLo, chunkHi, masks)
-	case ReduceMax:
-		return v.codec.MaxChunksMasked(chunkLo, chunkHi, masks)
-	default:
-		return v.codec.MinChunksMasked(chunkLo, chunkHi, masks)
 	}
 }

@@ -7,21 +7,110 @@ import (
 	"smartarrays/internal/bitpack"
 )
 
+// FoldOp selects a fold: a sum, a maximum or a minimum.
+type FoldOp int
+
+// Fold operators. The identity, the result over an empty selection, is 0
+// for FoldSum and FoldMax and ^uint64(0) for FoldMin.
+const (
+	FoldSum FoldOp = iota
+	FoldMax
+	FoldMin
+)
+
+// String renders the operator.
+func (op FoldOp) String() string {
+	return [...]string{"sum", "max", "min"}[op]
+}
+
+// Identity is the fold's neutral element (the result over an empty
+// selection).
+func (op FoldOp) Identity() uint64 {
+	if op == FoldMin {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// Combine folds one more value (or a partial result) into acc.
+func (op FoldOp) Combine(acc, v uint64) uint64 {
+	switch op {
+	case FoldSum:
+		return acc + v
+	case FoldMax:
+		return max(acc, v)
+	}
+	return min(acc, v)
+}
+
+// combineN folds v, repeated n times, into acc.
+func (op FoldOp) combineN(acc, v, n uint64) uint64 {
+	if op == FoldSum {
+		return acc + v*n
+	}
+	if n == 0 {
+		return acc
+	}
+	return op.Combine(acc, v)
+}
+
+// foldSelected folds the values of vals that m selects into acc: a plain
+// loop over the whole chunk when m selects all of it, else a walk over
+// m's set bits.
+func (op FoldOp) foldSelected(acc uint64, vals *[bitpack.ChunkSize]uint64, m uint64) uint64 {
+	switch {
+	case m == ^uint64(0) && op == FoldSum:
+		for _, v := range vals {
+			acc += v
+		}
+	case m == ^uint64(0):
+		for _, v := range vals {
+			acc = op.Combine(acc, v)
+		}
+	case op == FoldSum:
+		for ; m != 0; m &= m - 1 {
+			acc += vals[bits.TrailingZeros64(m)]
+		}
+	default:
+		for ; m != 0; m &= m - 1 {
+			acc = op.Combine(acc, vals[bits.TrailingZeros64(m)])
+		}
+	}
+	return acc
+}
+
+// chunkSelection is the selection word of the i-th chunk of a fold: all
+// of it when masks is nil.
+func chunkSelection(masks []uint64, i uint64) uint64 {
+	if masks == nil {
+		return ^uint64(0)
+	}
+	return masks[i]
+}
+
+// selectsNone reports whether a fold over chunks [chunkLo, chunkHi)
+// selects no element.
+func selectsNone(chunkLo, chunkHi uint64, masks []uint64) bool {
+	return chunkLo >= chunkHi || masks != nil && bitpack.AllZeroMasks(masks)
+}
+
 // ChunkCodec is the chunk-granular kernel interface every encoding
 // implements, mirroring the fused bitpack kernels so core.SmartArray and
 // the colstore scan pipeline can dispatch over the representation instead
-// of assuming bit packing. A predicate is answered only as masks
-// (CmpMaskChunks); counting one is a popcount of those masks.
+// of assuming bit packing. Every fold is one method, FoldChunks; a
+// predicate is answered only as masks (CmpMaskChunks), and counting one is
+// a popcount of those masks.
 //
 // Contract (same as core's range decomposition guarantees for bitpack):
 //
-//   - The unmasked whole-chunk folds (SumChunks, MinChunks, MaxChunks) are
-//     called only on ranges of full chunks — every element of
-//     [chunkLo*64, chunkHi*64) is a real element. Ragged heads and tails
-//     go through Get or the masked paths.
-//   - Masked folds receive selection bitmaps whose bits beyond the valid
-//     element range are clear (core.MaskRange clamps them), so a partial
-//     tail chunk is safe to include.
+//   - FoldChunks with nil masks folds every element of chunks [chunkLo,
+//     chunkHi) and is called only on ranges of full chunks — every element
+//     of [chunkLo*64, chunkHi*64) is a real element. Ragged heads and
+//     tails go through Get or a masked fold.
+//   - With masks, FoldChunks folds the elements masks selects, one word
+//     per chunk (masks[c-chunkLo]). Bits beyond the valid element range
+//     are clear (core.MaskRange clamps them), so a partial tail chunk is
+//     safe to include.
 //   - DecodeChunk and the mask kernels may be called on a partial tail
 //     chunk; decoded pad values and pad mask bits are unspecified —
 //     callers must ignore positions at or beyond Length().
@@ -31,21 +120,14 @@ type ChunkCodec interface {
 	Encoded
 	// DecodeChunk materializes chunk's 64 elements into out.
 	DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64)
-	// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
+	// FoldChunks folds the elements of chunks [chunkLo, chunkHi) that
+	// masks selects with op — every element when masks is nil.
+	FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64
+	// SumChunks is FoldChunks(FoldSum, chunkLo, chunkHi, nil).
 	SumChunks(chunkLo, chunkHi uint64) uint64
-	// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-	MinChunks(chunkLo, chunkHi uint64) uint64
-	// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-	MaxChunks(chunkLo, chunkHi uint64) uint64
 	// CmpMaskChunk evaluates the predicate over one chunk into a bitmap
 	// (bit i = element chunk*64+i matches).
 	CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64
-	// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-	SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
-	// MinChunksMasked folds the selected elements into a minimum.
-	MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
-	// MaxChunksMasked folds the selected elements into a maximum.
-	MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
 
 	// CmpMaskChunks sets masks[c-chunkLo] to CmpMaskChunk(c) for every
 	// chunk of [chunkLo, chunkHi); with and set it ANDs into masks
@@ -145,39 +227,32 @@ func (b *BitPackedArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint6
 	b.codec.Unpack(b.words, chunk, out)
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
+// FoldChunks dispatches to the bitpack kernel for op, fused or masked.
+func (b *BitPackedArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	c, w := b.codec, b.words
+	switch {
+	case masks == nil && op == FoldSum:
+		return c.SumChunks(w, chunkLo, chunkHi)
+	case masks == nil && op == FoldMax:
+		return c.MaxChunks(w, chunkLo, chunkHi)
+	case masks == nil:
+		return c.MinChunks(w, chunkLo, chunkHi)
+	case op == FoldSum:
+		return c.SumChunksMasked(w, chunkLo, chunkHi, masks)
+	case op == FoldMax:
+		return c.MaxChunksMasked(w, chunkLo, chunkHi, masks)
+	}
+	return c.MinChunksMasked(w, chunkLo, chunkHi, masks)
+}
+
+// SumChunks is FoldChunks(FoldSum, chunkLo, chunkHi, nil).
 func (b *BitPackedArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.SumChunks(b.words, chunkLo, chunkHi)
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (b *BitPackedArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MinChunks(b.words, chunkLo, chunkHi)
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (b *BitPackedArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MaxChunks(b.words, chunkLo, chunkHi)
+	return b.FoldChunks(FoldSum, chunkLo, chunkHi, nil)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap.
 func (b *BitPackedArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64 {
 	return b.codec.CmpMaskChunk(b.words, chunk, op, threshold)
-}
-
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (b *BitPackedArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.SumChunksMasked(b.words, chunkLo, chunkHi, masks)
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (b *BitPackedArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MinChunksMasked(b.words, chunkLo, chunkHi, masks)
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (b *BitPackedArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MaxChunksMasked(b.words, chunkLo, chunkHi, masks)
 }
 
 // CmpMaskChunks runs bitpack's range compare: the predicate is resolved
@@ -244,34 +319,40 @@ func (d *DictArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	}
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-func (d *DictArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	var buf [bitpack.ChunkSize]uint64
+// FoldChunks folds min and max in ID space — the sorted dictionary makes
+// them one fold of the IDs plus a lookup — and sums values decoded chunk
+// by chunk.
+func (d *DictArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	if op != FoldSum {
+		if selectsNone(chunkLo, chunkHi, masks) {
+			return op.Identity()
+		}
+		return d.dict[d.ids.FoldChunks(op, chunkLo, chunkHi, masks)]
+	}
+	var ids [bitpack.ChunkSize]uint64
 	var s uint64
 	for c := chunkLo; c < chunkHi; c++ {
-		d.ids.DecodeChunk(c, &buf)
-		for _, id := range buf {
-			s += d.dict[id]
+		m := chunkSelection(masks, c-chunkLo)
+		if m == 0 {
+			continue
+		}
+		d.ids.DecodeChunk(c, &ids)
+		if m == ^uint64(0) {
+			for _, id := range &ids {
+				s += d.dict[id]
+			}
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			s += d.dict[ids[bits.TrailingZeros64(m)]]
 		}
 	}
 	return s
 }
 
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum: the sorted
-// dictionary makes it one ID-space fold plus a lookup.
-func (d *DictArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return ^uint64(0)
-	}
-	return d.dict[d.ids.MinChunks(chunkLo, chunkHi)]
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (d *DictArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return 0
-	}
-	return d.dict[d.ids.MaxChunks(chunkLo, chunkHi)]
+// SumChunks is FoldChunks(FoldSum, chunkLo, chunkHi, nil).
+func (d *DictArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
+	return d.FoldChunks(FoldSum, chunkLo, chunkHi, nil)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap, in
@@ -285,41 +366,6 @@ func (d *DictArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64)
 func (d *DictArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
 	op, t := d.rewritePredicate(op, threshold)
 	return d.ids.CmpMaskChunks(chunkLo, chunkHi, op, t, masks, and)
-}
-
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (d *DictArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var buf [bitpack.ChunkSize]uint64
-	var s uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
-		}
-		d.ids.DecodeChunk(c, &buf)
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			s += d.dict[buf[i]]
-			m &= m - 1
-		}
-	}
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum, in ID space.
-func (d *DictArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return ^uint64(0)
-	}
-	return d.dict[d.ids.MinChunksMasked(chunkLo, chunkHi, masks)]
-}
-
-// MaxChunksMasked folds the selected elements into a maximum, in ID space.
-func (d *DictArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return 0
-	}
-	return d.dict[d.ids.MaxChunksMasked(chunkLo, chunkHi, masks)]
 }
 
 // ---------------------------------------------------------------------------
@@ -361,36 +407,39 @@ func (r *RLEArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	})
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum: value times
-// overlap per run.
+// FoldChunks walks the runs overlapping the chunks once, folding each
+// run's value times its overlap — with masks, times its count of
+// selected elements. The unmasked sum, the common fold, runs without a
+// per-run dispatch, which costs it a tenth on short runs.
+func (r *RLEArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	acc := op.Identity()
+	fold := func(v, start, n uint64) {
+		if masks != nil {
+			n = selectedIn(masks[start/bitpack.ChunkSize-chunkLo:], start%bitpack.ChunkSize, n)
+		}
+		acc = op.combineN(acc, v, n)
+	}
+	if masks == nil && op == FoldSum {
+		fold = func(v, _, n uint64) { acc += v * n }
+	}
+	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, fold)
+	return acc
+}
+
+// selectedIn counts the bits masks selects of the n elements starting at
+// bit of masks[0].
+func selectedIn(masks []uint64, bit, n uint64) (selected uint64) {
+	for i := 0; n > 0; i++ {
+		take := min(bitpack.ChunkSize-bit, n)
+		selected += uint64(bits.OnesCount64(masks[i] >> bit & lowMask(take)))
+		bit, n = 0, n-take
+	}
+	return selected
+}
+
+// SumChunks is FoldChunks(FoldSum, chunkLo, chunkHi, nil).
 func (r *RLEArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	var s uint64
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, n uint64) {
-		s += v * n
-	})
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (r *RLEArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	m := ^uint64(0)
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, _ uint64) {
-		if v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (r *RLEArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	var m uint64
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, _ uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
+	return r.FoldChunks(FoldSum, chunkLo, chunkHi, nil)
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap: one
@@ -404,57 +453,4 @@ func (r *RLEArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) 
 		}
 	})
 	return m
-}
-
-// SumChunksMasked sums the selected elements: per run, intersect the run
-// span with the selection bitmap and popcount.
-func (r *RLEArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var s uint64
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		s += v * selected
-	})
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (r *RLEArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	m := ^uint64(0)
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		if selected > 0 && v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (r *RLEArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var m uint64
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		if selected > 0 && v > m {
-			m = v
-		}
-	})
-	return m
-}
-
-// foldSegmentsMasked walks runs once across the masked window, reporting
-// each run's value and its count of selected elements.
-func (r *RLEArray) foldSegmentsMasked(chunkLo, chunkHi uint64, masks []uint64, fn func(v uint64, selected uint64)) {
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, start, n uint64) {
-		var selected uint64
-		for n > 0 {
-			chunk := start / bitpack.ChunkSize
-			bit := start % bitpack.ChunkSize
-			take := bitpack.ChunkSize - bit
-			if take > n {
-				take = n
-			}
-			m := masks[chunk-chunkLo] >> bit & lowMask(take)
-			selected += uint64(bits.OnesCount64(m))
-			start += take
-			n -= take
-		}
-		fn(v, selected)
-	})
 }

@@ -75,25 +75,9 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 	thresholds := []uint64{0, ^uint64(0), values[rng.Intn(len(values))], values[0] + 1}
 	for _, win := range windows {
 		lo, hi := win[0]*bitpack.ChunkSize, win[1]*bitpack.ChunkSize
-		var sum, max uint64
-		min := ^uint64(0)
-		for _, v := range values[lo:hi] {
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if got := cc.SumChunks(win[0], win[1]); got != sum {
-			t.Fatalf("SumChunks%v = %d, want %d", win, got, sum)
-		}
-		if got := cc.MinChunks(win[0], win[1]); got != min {
-			t.Fatalf("MinChunks%v = %d, want %d", win, got, min)
-		}
-		if got := cc.MaxChunks(win[0], win[1]); got != max {
-			t.Fatalf("MaxChunks%v = %d, want %d", win, got, max)
+		checkFolds(t, cc, fmt.Sprint(win), win[0], win[1], nil, values[lo:hi], nil)
+		if got, want := cc.SumChunks(win[0], win[1]), foldRef(FoldSum, values[lo:hi], nil); got != want {
+			t.Fatalf("SumChunks%v = %d, want %d", win, got, want)
 		}
 		// A predicate count is the popcount of the window's masks.
 		masks := make([]uint64, win[1]-win[0])
@@ -145,31 +129,36 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 		if tail := n % bitpack.ChunkSize; tail != 0 {
 			masks[allChunks-1] &= uint64(1)<<tail - 1
 		}
-		var sum, max uint64
-		min := ^uint64(0)
-		for i, v := range values {
-			if masks[i/bitpack.ChunkSize]>>(uint(i)%bitpack.ChunkSize)&1 == 0 {
-				continue
-			}
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if got := cc.SumChunksMasked(0, allChunks, masks); got != sum {
-			t.Fatalf("SumChunksMasked trial %d = %d, want %d", trial, got, sum)
-		}
-		if got := cc.MinChunksMasked(0, allChunks, masks); got != min {
-			t.Fatalf("MinChunksMasked trial %d = %d, want %d", trial, got, min)
-		}
-		if got := cc.MaxChunksMasked(0, allChunks, masks); got != max {
-			t.Fatalf("MaxChunksMasked trial %d = %d, want %d", trial, got, max)
-		}
+		checkFolds(t, cc, fmt.Sprintf("trial %d", trial), 0, allChunks, masks, values, masks)
 	}
 	checkRangeKernels(t, cc, values, rng)
+}
+
+// foldOps lists every fold operator.
+var foldOps = []FoldOp{FoldSum, FoldMax, FoldMin}
+
+// foldRef is the scalar fold of values with op: every value when sel is
+// nil, else the values whose bit in sel (bit i of sel[i/64]) is set.
+func foldRef(op FoldOp, values, sel []uint64) uint64 {
+	var sum, hi uint64
+	lo := ^uint64(0)
+	for i, v := range values {
+		if sel == nil || sel[i/bitpack.ChunkSize]>>(i%bitpack.ChunkSize)&1 == 1 {
+			sum, lo, hi = sum+v, min(lo, v), max(hi, v)
+		}
+	}
+	return [...]uint64{FoldSum: sum, FoldMax: hi, FoldMin: lo}[op]
+}
+
+// checkFolds checks FoldChunks over chunks [chunkLo, chunkHi) under
+// masks, for every operator, against foldRef of values under sel.
+func checkFolds(t *testing.T, cc ChunkCodec, name string, chunkLo, chunkHi uint64, masks, values, sel []uint64) {
+	t.Helper()
+	for _, op := range foldOps {
+		if got, want := cc.FoldChunks(op, chunkLo, chunkHi, masks), foldRef(op, values, sel); got != want {
+			t.Fatalf("%v: FoldChunks(%v) %s = %d, want %d", cc.Kind(), op, name, got, want)
+		}
+	}
 }
 
 // checkRangeKernels pins the payload binding and the range entry points:
@@ -349,17 +338,6 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 		if len(values) == 0 {
 			return
 		}
-		var refSum, refMax uint64
-		refMin := ^uint64(0)
-		for _, v := range values {
-			refSum += v
-			if v < refMin {
-				refMin = v
-			}
-			if v > refMax {
-				refMax = v
-			}
-		}
 		chunks := (uint64(len(values)) + bitpack.ChunkSize - 1) / bitpack.ChunkSize
 		full := uint64(len(values)) / bitpack.ChunkSize
 		for _, kind := range Kinds {
@@ -381,23 +359,9 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 			if tail := uint64(len(values)) % bitpack.ChunkSize; tail != 0 {
 				masks[chunks-1] = uint64(1)<<tail - 1
 			}
-			if got := cc.SumChunksMasked(0, chunks, masks); got != refSum {
-				t.Fatalf("%v: masked sum = %d, want %d", kind, got, refSum)
-			}
-			if got := cc.MinChunksMasked(0, chunks, masks); got != refMin {
-				t.Fatalf("%v: masked min = %d, want %d", kind, got, refMin)
-			}
-			if got := cc.MaxChunksMasked(0, chunks, masks); got != refMax {
-				t.Fatalf("%v: masked max = %d, want %d", kind, got, refMax)
-			}
+			checkFolds(t, cc, "masked", 0, chunks, masks, values, nil)
 			// Full-chunk prefix via the unmasked folds.
-			var headSum uint64
-			for _, v := range values[:full*bitpack.ChunkSize] {
-				headSum += v
-			}
-			if got := cc.SumChunks(0, full); got != headSum {
-				t.Fatalf("%v: SumChunks(0, %d) = %d, want %d", kind, full, got, headSum)
-			}
+			checkFolds(t, cc, "unmasked", 0, full, nil, values[:full*bitpack.ChunkSize], nil)
 		}
 	})
 }
@@ -466,8 +430,8 @@ func BenchmarkCodecFold(b *testing.B) {
 				want uint64
 			}{
 				{"", func() uint64 { return cc.SumChunks(0, chunks) }, sum},
-				{"/masked_sum", func() uint64 { return cc.SumChunksMasked(0, chunks, selection) }, maskedSum},
-				{"/masked_max", func() uint64 { return cc.MaxChunksMasked(0, chunks, selection) }, maskedMax},
+				{"/masked_sum", func() uint64 { return cc.FoldChunks(FoldSum, 0, chunks, selection) }, maskedSum},
+				{"/masked_max", func() uint64 { return cc.FoldChunks(FoldMax, 0, chunks, selection) }, maskedMax},
 				{"/cmpmask", func() uint64 {
 					cc.CmpMaskChunks(0, chunks, bitpack.CmpLt, threshold, cmpMasks, false)
 					return bitpack.PopcountMasks(cmpMasks)

@@ -8,11 +8,12 @@
 // All encodings expose the same read interface over 64-bit unsigned
 // values and report their payload size, so the adaptivity machinery can
 // trade them off. Beyond per-element Get, every encoding implements the
-// ChunkCodec interface (chunk.go): chunk-granular decode plus the fused,
-// masked, and predicate-mask fold hooks mirroring the bitpack kernels
-// (SumChunks, CmpMaskChunk, SumChunksMasked, ...), which is what lets
-// core.SmartArray and the colstore scan pipeline dispatch over the codec
-// instead of assuming bit packing. The encoded forms build on the bitpack
+// ChunkCodec interface (chunk.go): chunk-granular decode, one fold
+// (FoldChunks: sum, min or max over whole chunks or under selection
+// masks) and the predicate-mask kernels (CmpMaskChunks, ...), mirroring
+// the bitpack kernels, which is what lets core.SmartArray and the
+// colstore scan pipeline dispatch over the codec instead of assuming bit
+// packing. The encoded forms build on the bitpack
 // codec: dictionary IDs, run values, deltas, and residuals are themselves
 // bit-packed at their minimum widths. Every section of an encoding lives
 // in one word slice (PayloadWords), so a placed array can copy the payload

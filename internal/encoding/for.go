@@ -65,28 +65,29 @@ func (f *FoRArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	}
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum: the residual sum
-// plus ref times the element count (pad residuals are zero, so clamping
-// the count to the array length keeps partial tail chunks exact too).
+// FoldChunks folds the residuals and adds ref back: a sum adds ref times
+// the selected count (pad residuals are zero, so clamping the count to
+// the array length keeps partial tail chunks exact too), min and max add
+// it once — except over an empty selection, whose identity ref must not
+// offset.
+func (f *FoRArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	if op == FoldSum {
+		n := bitpack.PopcountMasks(masks)
+		if masks == nil {
+			lo, hi := chunkSpan(f.length, chunkLo, chunkHi)
+			n = hi - lo
+		}
+		return f.resid.FoldChunks(op, chunkLo, chunkHi, masks) + f.ref*n
+	}
+	if selectsNone(chunkLo, chunkHi, masks) {
+		return op.Identity()
+	}
+	return f.ref + f.resid.FoldChunks(op, chunkLo, chunkHi, masks)
+}
+
+// SumChunks is FoldChunks(FoldSum, chunkLo, chunkHi, nil).
 func (f *FoRArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(f.length, chunkLo, chunkHi)
-	return f.resid.SumChunks(chunkLo, chunkHi) + f.ref*(hi-lo)
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (f *FoRArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return ^uint64(0)
-	}
-	return f.ref + f.resid.MinChunks(chunkLo, chunkHi)
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (f *FoRArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return 0
-	}
-	return f.ref + f.resid.MaxChunks(chunkLo, chunkHi)
+	return f.FoldChunks(FoldSum, chunkLo, chunkHi, nil)
 }
 
 // rewritePredicate maps a value-space predicate into residual space:
@@ -118,28 +119,4 @@ func (f *FoRArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) 
 func (f *FoRArray) CmpMaskChunks(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, masks []uint64, and bool) uint64 {
 	op, t := f.rewritePredicate(op, threshold)
 	return f.resid.CmpMaskChunks(chunkLo, chunkHi, op, t, masks, and)
-}
-
-// SumChunksMasked sums the selected elements: residual masked sum plus
-// ref times the selected count.
-func (f *FoRArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return f.resid.SumChunksMasked(chunkLo, chunkHi, masks) +
-		f.ref*bitpack.PopcountMasks(masks)
-}
-
-// MinChunksMasked folds the selected elements into a minimum (guarding
-// the empty selection so the identity is not offset by ref).
-func (f *FoRArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return ^uint64(0)
-	}
-	return f.ref + f.resid.MinChunksMasked(chunkLo, chunkHi, masks)
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (f *FoRArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return 0
-	}
-	return f.ref + f.resid.MaxChunksMasked(chunkLo, chunkHi, masks)
 }

@@ -30,6 +30,20 @@ type Layout struct {
 	CompressEdge bool
 }
 
+// Widths are the packed widths of begin/rbegin and edge/redge in a graph
+// of numEdges edges whose largest vertex id is maxID: the minimum widths
+// where the layout compresses them, 64 and 32 bits where it does not.
+func (l Layout) Widths(numEdges, maxID uint64) (beginBits, edgeBits uint) {
+	beginBits, edgeBits = 64, 32
+	if l.CompressBegin {
+		beginBits = bitpack.MinBits(numEdges)
+	}
+	if l.CompressEdge {
+		edgeBits = bitpack.MinBits(maxID)
+	}
+	return beginBits, edgeBits
+}
+
 // SmartCSR is a CSR graph materialized in smart arrays.
 type SmartCSR struct {
 	NumVertices uint64
@@ -132,14 +146,7 @@ const edgeWindow = 64 * bitpack.ChunkSize
 // begin/rbegin at 64 bits or the minimum width for numEdges, edge/redge
 // at 32 bits or the minimum width for maxID.
 func allocSmartCSR(mem *memsim.Memory, numVertices, numEdges uint64, maxID uint32, layout Layout) (*SmartCSR, error) {
-	beginBits := uint(64)
-	if layout.CompressBegin {
-		beginBits = bitpack.MinBits(numEdges)
-	}
-	edgeBits := uint(32)
-	if layout.CompressEdge {
-		edgeBits = bitpack.MinBits(uint64(maxID))
-	}
+	beginBits, edgeBits := layout.Widths(numEdges, uint64(maxID))
 	s := &SmartCSR{NumVertices: numVertices, NumEdges: numEdges, layout: layout}
 	edgeLen := max(numEdges, 1) // smart arrays are non-empty; edgeless graphs keep a stub
 	for _, a := range []struct {

@@ -199,21 +199,39 @@ func Solve(spec *machine.Spec, w Workload) Result {
 	return best
 }
 
+// socketLoads is one phase's traffic and work per socket — what the
+// bottleneck step reads.
+type socketLoads struct {
+	mem     []float64   // bytes served by each memory
+	link    [][]float64 // link[from][to] data bytes
+	issue   []float64   // stall-weighted bytes per reader
+	compute []float64   // instructions per socket
+	// totalBytes counts every replica's traffic; instructions is the
+	// phase's total.
+	totalBytes, instructions float64
+}
+
+func newSocketLoads(n int) *socketLoads {
+	l := &socketLoads{
+		mem:     make([]float64, n),
+		link:    make([][]float64, n),
+		issue:   make([]float64, n),
+		compute: make([]float64, n),
+	}
+	for i := range l.link {
+		l.link[i] = make([]float64, n)
+	}
+	return l
+}
+
 // evaluateSplit computes the modeled time when socket s performs share[s]
 // of the phase's work.
 func evaluateSplit(spec *machine.Spec, w Workload, share []float64) Result {
 	n := spec.Sockets
-	memLoad := make([]float64, n)      // bytes served by each memory
-	linkLoad := make([]([]float64), n) // linkLoad[from][to] data bytes
-	issueLoad := make([]float64, n)    // stall-weighted bytes per reader
-	computeLoad := make([]float64, n)  // instructions per socket
-	for i := range linkLoad {
-		linkLoad[i] = make([]float64, n)
-	}
-
-	var totalBytes float64
+	l := newSocketLoads(n)
+	l.instructions = w.Instructions
 	for s := 0; s < n; s++ {
-		computeLoad[s] = share[s] * w.Instructions
+		l.compute[s] = share[s] * w.Instructions
 		for i := range w.Streams {
 			st := &w.Streams[i]
 			bytes := share[s] * st.Bytes
@@ -226,80 +244,23 @@ func evaluateSplit(spec *machine.Spec, w Workload, share []float64) Result {
 				if b == 0 {
 					continue
 				}
-				totalBytes += b // per-replica traffic for replicated writes
-				memLoad[m] += b
+				l.totalBytes += b // per-replica traffic for replicated writes
+				l.mem[m] += b
 				if m != s {
 					if st.Kind == Read {
-						linkLoad[m][s] += b // data flows memory m -> reader s
+						l.link[m][s] += b // data flows memory m -> reader s
 					} else {
-						linkLoad[s][m] += b // data flows reader s -> memory m
+						l.link[s][m] += b // data flows reader s -> memory m
 					}
-					issueLoad[s] += b * spec.RemoteStallFactor
+					l.issue[s] += b * spec.RemoteStallFactor
 				} else {
-					issueLoad[s] += b
+					l.issue[s] += b
 				}
 			}
 		}
 	}
-
-	localBW := spec.LocalBWGBs * machine.GB
-	remoteBW := spec.RemoteBWGBs * machine.GB
-	exec := spec.ExecRate()
-
-	seconds := 0.0
-	bottleneck := BottleneckCompute
-	consider := func(t float64, r Resource) {
-		if t > seconds {
-			seconds = t
-			bottleneck = r
-		}
-	}
-	var computeMax float64
-	for s := 0; s < n; s++ {
-		ct := computeLoad[s] / exec
-		if ct > computeMax {
-			computeMax = ct
-		}
-		consider(ct, BottleneckCompute)
-		consider(memLoad[s]/localBW, BottleneckMemory)
-		consider(issueLoad[s]/localBW, BottleneckIssue)
-		for m := 0; m < n; m++ {
-			if m != s && remoteBW > 0 {
-				consider(linkLoad[s][m]/remoteBW, BottleneckInterconnect)
-			}
-		}
-	}
-	if seconds == 0 {
-		seconds = math.SmallestNonzeroFloat64
-	}
-
-	res := Result{
-		Seconds:      seconds,
-		Bottleneck:   bottleneck,
-		WorkShare:    append([]float64(nil), share...),
-		TotalBytes:   totalBytes,
-		Instructions: w.Instructions,
-		PerMemoryGBs: make([]float64, n),
-	}
-	res.MemBandwidthGBs = totalBytes / seconds / machine.GB
-	for m := 0; m < n; m++ {
-		res.PerMemoryGBs[m] = memLoad[m] / seconds / machine.GB
-	}
-	var maxLink, remoteBytes float64
-	for s := 0; s < n; s++ {
-		for m := 0; m < n; m++ {
-			remoteBytes += linkLoad[s][m]
-			if linkLoad[s][m] > maxLink {
-				maxLink = linkLoad[s][m]
-			}
-		}
-	}
-	res.RemoteBytes = remoteBytes
-	res.LocalBytes = totalBytes - remoteBytes
-	res.InterconnectGBs = maxLink / seconds / machine.GB
-	if exec > 0 {
-		res.ComputeUtil = computeMax / seconds
-	}
+	res := l.result(spec)
+	res.WorkShare = append([]float64(nil), share...)
 	return res
 }
 
@@ -311,31 +272,34 @@ func EvaluateFixed(spec *machine.Spec, snap counters.Snapshot) Result {
 	if len(snap.Sockets) != n {
 		panic(fmt.Sprintf("perfmodel: snapshot has %d sockets, machine %d", len(snap.Sockets), n))
 	}
-	memLoad := make([]float64, n)
-	linkLoad := make([][]float64, n)
-	issueLoad := make([]float64, n)
-	for i := range linkLoad {
-		linkLoad[i] = make([]float64, n)
-	}
-	var totalBytes, totalInstr float64
+	l := newSocketLoads(n)
 	for s := 0; s < n; s++ {
 		t := &snap.Sockets[s]
-		totalInstr += float64(t.Instructions)
+		l.compute[s] = float64(t.Instructions)
+		l.instructions += float64(t.Instructions)
 		for m := 0; m < n; m++ {
 			rb := float64(t.ReadBytesFrom[m])
 			wb := float64(t.WriteBytesTo[m])
-			totalBytes += rb + wb
-			memLoad[m] += rb + wb
+			l.totalBytes += rb + wb
+			l.mem[m] += rb + wb
 			if m != s {
-				linkLoad[m][s] += rb
-				linkLoad[s][m] += wb
-				issueLoad[s] += (rb + wb) * spec.RemoteStallFactor
+				l.link[m][s] += rb
+				l.link[s][m] += wb
+				l.issue[s] += (rb + wb) * spec.RemoteStallFactor
 			} else {
-				issueLoad[s] += rb + wb
+				l.issue[s] += rb + wb
 			}
 		}
 	}
+	return l.result(spec)
+}
 
+// result is the bottleneck step: the phase takes as long as its most
+// loaded resource — a socket's compute, a memory's bandwidth, a reader's
+// stall-weighted issue rate or a directed link — and the bandwidths follow
+// from that time.
+func (l *socketLoads) result(spec *machine.Spec) Result {
+	n := spec.Sockets
 	localBW := spec.LocalBWGBs * machine.GB
 	remoteBW := spec.RemoteBWGBs * machine.GB
 	exec := spec.ExecRate()
@@ -350,44 +314,45 @@ func EvaluateFixed(spec *machine.Spec, snap counters.Snapshot) Result {
 	}
 	var computeMax float64
 	for s := 0; s < n; s++ {
-		ct := float64(snap.Sockets[s].Instructions) / exec
+		ct := l.compute[s] / exec
 		if ct > computeMax {
 			computeMax = ct
 		}
 		consider(ct, BottleneckCompute)
-		consider(memLoad[s]/localBW, BottleneckMemory)
-		consider(issueLoad[s]/localBW, BottleneckIssue)
+		consider(l.mem[s]/localBW, BottleneckMemory)
+		consider(l.issue[s]/localBW, BottleneckIssue)
 		for m := 0; m < n; m++ {
 			if m != s && remoteBW > 0 {
-				consider(linkLoad[s][m]/remoteBW, BottleneckInterconnect)
+				consider(l.link[s][m]/remoteBW, BottleneckInterconnect)
 			}
 		}
 	}
 	if seconds == 0 {
 		seconds = math.SmallestNonzeroFloat64
 	}
+
 	res := Result{
 		Seconds:      seconds,
 		Bottleneck:   bottleneck,
-		TotalBytes:   totalBytes,
-		Instructions: totalInstr,
+		TotalBytes:   l.totalBytes,
+		Instructions: l.instructions,
 		PerMemoryGBs: make([]float64, n),
 	}
-	res.MemBandwidthGBs = totalBytes / seconds / machine.GB
+	res.MemBandwidthGBs = l.totalBytes / seconds / machine.GB
 	for m := 0; m < n; m++ {
-		res.PerMemoryGBs[m] = memLoad[m] / seconds / machine.GB
+		res.PerMemoryGBs[m] = l.mem[m] / seconds / machine.GB
 	}
 	var maxLink, remoteBytes float64
 	for s := 0; s < n; s++ {
 		for m := 0; m < n; m++ {
-			remoteBytes += linkLoad[s][m]
-			if linkLoad[s][m] > maxLink {
-				maxLink = linkLoad[s][m]
+			remoteBytes += l.link[s][m]
+			if l.link[s][m] > maxLink {
+				maxLink = l.link[s][m]
 			}
 		}
 	}
 	res.RemoteBytes = remoteBytes
-	res.LocalBytes = totalBytes - remoteBytes
+	res.LocalBytes = l.totalBytes - remoteBytes
 	res.InterconnectGBs = maxLink / seconds / machine.GB
 	if exec > 0 {
 		res.ComputeUtil = computeMax / seconds

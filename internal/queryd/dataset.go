@@ -188,10 +188,7 @@ func (d *Dataset) buildGraph(rt *rts.Runtime, spec DatasetSpec) error {
 	if err != nil {
 		return err
 	}
-	if d.Graph, err = graph.BuildSmart(rt.Memory(), spec.Vertices, edges, graph.Layout{
-		Placement:     memsim.Interleaved,
-		CompressBegin: true,
-	}); err != nil {
+	if d.Graph, err = graph.BuildSmart(rt.Memory(), spec.Vertices, edges, servedLayout); err != nil {
 		return err
 	}
 	d.Edges = d.Graph.NumEdges
@@ -236,13 +233,15 @@ func (spec DatasetSpec) degree() int {
 // rankerDegreeBits is the width of the PageRanker's out-degree array.
 const rankerDegreeBits = 64
 
+// servedLayout is the served graph's layout: interleaved, begin/rbegin
+// packed at the width of the edge count, edge/redge at 32 bits.
+var servedLayout = graph.Layout{Placement: memsim.Interleaved, CompressBegin: true}
+
 // footprintWords is spec's packed payload in 64-bit words: the table's
-// columns at their declared widths, begin/rbegin at the width of the edge
-// count, edge/redge at 32 bits, and the PageRanker's seven per-vertex
-// 64-bit arrays (out-degrees, inverse degrees, initial contributions, and
-// the first lease's two rank and two contribution arrays). ok is false
-// when the count does not fit in memsim's byte arithmetic, which no
-// machine could hold anyway.
+// columns at their declared widths, the graph's four arrays at
+// servedLayout's widths, and the PageRanker's per-vertex arrays at its
+// widths. ok is false when the count does not fit in memsim's byte
+// arithmetic, which no machine could hold anyway.
 func footprintWords(spec DatasetSpec) (words uint64, ok bool) {
 	ok = true
 	add := func(n uint64, width uint) {
@@ -260,13 +259,13 @@ func footprintWords(spec DatasetSpec) (words uint64, ok bool) {
 	if spec.Vertices > 0 {
 		hi, edges := bits.Mul64(spec.Vertices, uint64(spec.degree()))
 		ok = ok && hi == 0
+		beginBits, edgeBits := servedLayout.Widths(edges, spec.Vertices-1)
 		for range 2 {
-			add(spec.Vertices+1, bitpack.MinBits(edges))
-			add(edges, 32)
+			add(spec.Vertices+1, beginBits)
+			add(edges, edgeBits)
 		}
-		add(spec.Vertices, rankerDegreeBits)
-		for range 6 {
-			add(spec.Vertices, 64)
+		for _, width := range analytics.PageRankerWidths(rankerDegreeBits) {
+			add(spec.Vertices, width)
 		}
 	}
 	return words, ok && words <= math.MaxUint64/8

@@ -147,11 +147,11 @@ func execute(qrt *rts.Runtime, ds *Dataset, p *plan.Plan) (_ any, err error) {
 		// Each batch reads one View under the loop's own pin.
 		sum := qrt.ReduceSum(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			v := out.View(w.Socket)
-			return v.Reduce(lo, hi, core.ReduceSum, nil)
+			return v.Reduce(lo, hi, core.ReduceSum, nil, nil)
 		})
 		max := qrt.ReduceMax(0, n, 0, func(w *rts.Worker, lo, hi uint64) uint64 {
 			v := out.View(w.Socket)
-			return v.Reduce(lo, hi, core.ReduceMax, nil)
+			return v.Reduce(lo, hi, core.ReduceMax, nil, nil)
 		})
 		return DegreeResult{DegreeSum: sum, MaxDegree: max}, nil
 	default:
